@@ -2,21 +2,23 @@
 
 Measures the serving stack's three flagship scenarios and records the
 numbers in ``benchmarks/results/BENCH_perf_trajectory.json`` so the
-vectorized backend's speedups are *measured every PR*, not asserted
-once:
+columnar loop's speedups are *measured every PR*, not asserted once:
 
 * **router_overload** -- :mod:`bench_router_overload`'s MMPP storm
-  served by both backends, best-of-``ROUNDS`` wall clock, fingerprints
-  asserted bit-identical.  This is the scenario the regression gate
-  watches: the run fails if the measured reference/vectorized speedup
-  drops more than ``MAX_SPEEDUP_REGRESSION`` below the committed
-  same-mode baseline.
-* **fleet_shards** -- a 2-shard inline :class:`FleetCoordinator` run
-  per backend (inline so the measurement is the routers, not process
-  spawn), merged fingerprints asserted equal across backends.
+  served by both router loops, best-of-``ROUNDS`` wall clock,
+  fingerprints asserted bit-identical.  ``reference`` records the
+  event loop (``RequestRouter._run_events``), ``vectorized`` the
+  columnar loop ``RequestRouter.run`` takes for this plain run.  This
+  is the scenario the regression gate watches: the run fails if the
+  measured speedup drops more than ``MAX_SPEEDUP_REGRESSION`` below
+  the committed same-mode baseline.
+* **fleet_shards** -- one 2-shard inline :class:`FleetCoordinator`
+  run (inline so the measurement is the routers, not process spawn),
+  its merged fingerprint asserted equal to the pinned
+  ``FLEET_SHARDS_FINGERPRINTS``.
 * **control_whatif** -- :func:`repro.control.run_whatif` on the
-  overload storm with the EWMA storm controller (reference backend
-  only: the control plane is reference-only by design).
+  overload storm with the EWMA storm controller (event loop only:
+  controller runs always take it).
 
 Every scenario records requests/sec, wall-time normalized to 1M
 simulated requests, and peak RSS (``resource.getrusage`` -- process
@@ -68,12 +70,21 @@ ROUNDS = 5
 #: at most this fraction below the committed same-mode baseline.
 MAX_SPEEDUP_REGRESSION = 0.10
 
-#: Scenario keys every mode entry must carry, with the backends each
-#: records.
+#: Scenario keys every mode entry must carry, with the loops each
+#: records (``reference``: the event loop; ``vectorized``: the
+#: columnar loop; a single-key scenario records whatever path
+#: ``run()`` picks).
 SCENARIO_BACKENDS = {
     "router_overload": ("reference", "vectorized"),
-    "fleet_shards": ("reference", "vectorized"),
+    "fleet_shards": ("reference",),
     "control_whatif": ("reference",),
+}
+
+#: The fleet_shards merged fingerprint per mode, as the event loop
+#: produced it before plain shards moved to the columnar loop.
+FLEET_SHARDS_FINGERPRINTS = {
+    "full": "454962fe25e23b0a6b0cbf8fb83fb971dd840bdd",
+    "quick": "5bcc016cdace3c45ffc7c8c904a0b28a8c0025b8",
 }
 
 #: Numeric fields every per-backend record must carry.
@@ -122,27 +133,21 @@ def measure_trajectory(quick):
     _spec, fleet = _fleet()
     rate_hz = OVERLOAD * _capacity_rps(fleet)
     shard_loads = _shard_loads(2, rate_hz, n_per_shard)
-    shard_entry = {}
-    shard_fingerprints = {}
-    for backend in SCENARIO_BACKENDS["fleet_shards"]:
-        coordinator = FleetCoordinator(
-            fleet_spec, RouterConfig(), n_shards=2, seed=SEED,
-            inline=True, backend=backend,
-        )
-        start = time.perf_counter()
-        outcome = coordinator.run(shard_loads=shard_loads)
-        wall_s = time.perf_counter() - start
-        shard_entry[backend] = _record(2 * n_per_shard, wall_s)
-        shard_fingerprints[backend] = outcome.report.fingerprint()
-    assert (
-        shard_fingerprints["vectorized"] == shard_fingerprints["reference"]
-    ), "backends diverged on the sharded fleet"
-    shard_entry["speedup"] = (
-        shard_entry["reference"]["wall_s"]
-        / shard_entry["vectorized"]["wall_s"]
+    coordinator = FleetCoordinator(
+        fleet_spec, RouterConfig(), n_shards=2, seed=SEED, inline=True,
     )
-    shard_entry["fingerprint"] = shard_fingerprints["reference"]
-    scenarios["fleet_shards"] = shard_entry
+    start = time.perf_counter()
+    outcome = coordinator.run(shard_loads=shard_loads)
+    wall_s = time.perf_counter() - start
+    fingerprint = outcome.report.fingerprint()
+    expected = FLEET_SHARDS_FINGERPRINTS["quick" if quick else "full"]
+    assert fingerprint == expected, (
+        "sharded fleet fingerprint %s, pinned %s" % (fingerprint, expected)
+    )
+    scenarios["fleet_shards"] = {
+        "reference": _record(2 * n_per_shard, wall_s),
+        "fingerprint": fingerprint,
+    }
 
     spec, fleet = _fleet()
     loads = _loads(spec, rate_hz, n_router)
@@ -291,6 +296,6 @@ def test_bench_perf_trajectory(benchmark, quick):
     if baseline is not None:
         floor = baseline * (1.0 - MAX_SPEEDUP_REGRESSION)
         assert speedup >= floor, (
-            "vectorized backend regressed: %.2fx vs committed %.2fx "
+            "columnar loop regressed: %.2fx vs committed %.2fx "
             "(floor %.2fx)" % (speedup, baseline, floor)
         )

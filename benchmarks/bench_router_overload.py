@@ -52,11 +52,12 @@ QUICK_N_REQUESTS = 3000
 #: The PR's acceptance bar: degradation vs FIFO-baseline hit-rate.
 MIN_HIT_RATIO = 1.5
 
-#: The vectorized backend's acceptance bar: serving this storm at
-#: least this many times faster than the reference event loop, at a
-#: bit-identical fingerprint.  Measured at QUICK_N_REQUESTS so the
-#: bar is the same in --quick CI runs and full local runs (the ratio
-#: thins slightly as the storm grows).
+#: The columnar loop's acceptance bar: ``RequestRouter.run`` serves
+#: this plain storm at least this many times faster than the event
+#: loop (``RequestRouter._run_events``), at a bit-identical
+#: fingerprint.  Measured at QUICK_N_REQUESTS so the bar is the same
+#: in --quick CI runs and full local runs (the ratio thins slightly as
+#: the storm grows).
 MIN_VEC_SPEEDUP = 10.0
 SPEEDUP_ROUNDS = 5
 
@@ -102,17 +103,16 @@ def _loads(spec, rate_hz, n_requests):
     return [TenantLoad(tenant, trace)]
 
 
-def reproduce(n_requests=N_REQUESTS, backend="reference"):
+def reproduce(n_requests=N_REQUESTS):
     spec, fleet = _fleet()
     capacity = _capacity_rps(fleet)
     loads = _loads(spec, OVERLOAD * capacity, n_requests)
 
-    degraded = RequestRouter(fleet, RouterConfig(), backend=backend).run(loads)
+    degraded = RequestRouter(fleet, RouterConfig()).run(loads)
     # Determinism bar: a second same-seed invocation is bit-identical.
-    rerun = RequestRouter(fleet, RouterConfig(), backend=backend).run(loads)
+    rerun = RequestRouter(fleet, RouterConfig()).run(loads)
     baseline = RequestRouter(
-        fleet, RouterConfig(degradation=False, policy="fifo"),
-        backend=backend,
+        fleet, RouterConfig(degradation=False, policy="fifo")
     ).run(loads)
 
     rows = []
@@ -153,7 +153,9 @@ def reproduce_traced(n_requests=N_REQUESTS):
 
 
 def _disabled_overhead(n_requests, rounds=3):
-    """Best-of-N relative cost of disabled instrumentation.
+    """Best-of-N relative cost of disabled instrumentation on the
+    event loop (``run()`` sends a disabled-instrumentation run to the
+    columnar loop, which has no hooks to skip).
 
     Wall clock is fine here: benchmarks sit outside the REP001
     simulation packages, and the minimum over rounds suppresses
@@ -169,7 +171,9 @@ def _disabled_overhead(n_requests, rounds=3):
         timings = []
         for _ in range(rounds):
             start = time.perf_counter()
-            RequestRouter(fleet, RouterConfig()).run(loads, obs=obs_factory())
+            RequestRouter(fleet, RouterConfig())._run_events(
+                loads, obs=obs_factory()
+            )
             timings.append(time.perf_counter() - start)
         return min(timings)
 
@@ -203,10 +207,10 @@ def test_bench_router_tracing(benchmark, quick):
 
 
 @pytest.mark.benchmark(group="serving")
-def test_bench_router_overload(benchmark, quick, router_backend):
+def test_bench_router_overload(benchmark, quick):
     n = QUICK_N_REQUESTS if quick else N_REQUESTS
     text, degraded, rerun, baseline, hit_ratio = run_once(
-        benchmark, lambda: reproduce(n, backend=router_backend)
+        benchmark, lambda: reproduce(n)
     )
     emit("router_overload", text)
     emit_json("router_overload", degraded.to_dict(include_events=False))
@@ -228,37 +232,35 @@ def test_bench_router_overload(benchmark, quick, router_backend):
 
 def measure_backend_speedup(n_requests=QUICK_N_REQUESTS,
                             rounds=SPEEDUP_ROUNDS):
-    """Best-of-N wall clock of both backends on the same storm.
+    """Best-of-N wall clock of both router loops on the same storm.
 
-    Returns ``(ref_s, vec_s, fingerprint)`` after asserting the two
-    backends' reports are bit-identical.  One warm-up run per backend
+    Returns ``(ref_s, vec_s, fingerprint)``: the event loop
+    (``RequestRouter._run_events``) and the columnar loop that
+    ``RequestRouter.run`` takes for this plain run, after asserting
+    their reports are bit-identical.  One warm-up run per loop
     precedes timing so neither pays compile/ladder setup inside the
-    measured window; the minimum over rounds suppresses scheduler
-    noise (wall clock is fine here -- benchmarks sit outside the
-    REP001 simulation packages).
+    measured window; rounds alternate between the loops so a slow
+    spell of the host hits both, and the minimum over rounds
+    suppresses scheduler noise (wall clock is fine here -- benchmarks
+    sit outside the REP001 simulation packages).
     """
     spec, fleet = _fleet()
     capacity = _capacity_rps(fleet)
     loads = _loads(spec, OVERLOAD * capacity, n_requests)
-    ref_report = RequestRouter(fleet, RouterConfig()).run(loads)
-    vec_report = RequestRouter(
-        fleet, RouterConfig(), backend="vectorized"
-    ).run(loads)
-    fingerprint = ref_report.fingerprint()
-    assert vec_report.fingerprint() == fingerprint, (
-        "backends diverged on the overload storm"
+    router = RequestRouter(fleet, RouterConfig())
+    fingerprint = router._run_events(loads).fingerprint()
+    assert router.run(loads).fingerprint() == fingerprint, (
+        "router loops diverged on the overload storm"
     )
 
-    def best(backend):
-        timings = []
-        for _ in range(rounds):
-            router = RequestRouter(fleet, RouterConfig(), backend=backend)
+    timings = {"_run_events": [], "run": []}
+    for _ in range(rounds):
+        for method, samples in timings.items():
+            serve = getattr(RequestRouter(fleet, RouterConfig()), method)
             start = time.perf_counter()
-            router.run(loads)
-            timings.append(time.perf_counter() - start)
-        return min(timings)
-
-    return best("reference"), best("vectorized"), fingerprint
+            serve(loads)
+            samples.append(time.perf_counter() - start)
+    return min(timings["_run_events"]), min(timings["run"]), fingerprint
 
 
 @pytest.mark.benchmark(group="serving")
@@ -269,12 +271,12 @@ def test_bench_vectorized_speedup(benchmark):
     speedup = ref_s / vec_s
     emit(
         "router_overload_speedup",
-        "vectorized backend: %.1f ms vs reference %.1f ms -- %.1fx "
+        "columnar loop: %.1f ms vs event loop %.1f ms -- %.1fx "
         "(%d requests, bar: %.0fx)"
         % (vec_s * 1e3, ref_s * 1e3, speedup, QUICK_N_REQUESTS,
            MIN_VEC_SPEEDUP),
     )
     assert speedup >= MIN_VEC_SPEEDUP, (
-        "vectorized backend only %.2fx faster than reference "
+        "columnar loop only %.2fx faster than the event loop "
         "(bar: %.0fx)" % (speedup, MIN_VEC_SPEEDUP)
     )

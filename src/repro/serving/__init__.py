@@ -29,13 +29,12 @@ re-dispatch off dead platforms (:mod:`repro.serving.resilience`),
 with recovery metrics reported as :class:`ResilienceStats`.
 
 Everything is simulated time: the router is bit-identical across runs
-with the same seed and configuration.  Two interchangeable backends
-implement the event loop -- the object-per-event ``"reference"``
-implementation and the struct-of-arrays ``"vectorized"`` twin
-(:mod:`repro.serving.vec_router`), selected per router via
-``RequestRouter(..., backend=...)``; same-seed fingerprints are
-bit-identical across backends (``tests/serving/
-test_backend_equivalence.py``).
+with the same seed and configuration.  :meth:`RequestRouter.run` picks
+its loop from the run's inputs: a plain run (no faults, no enabled
+instrumentation, no control plane) takes the columnar fast loop of
+:mod:`repro.serving.vec_router`, every other run the discrete-event
+loop, and plain-run fingerprints are bit-identical between the two
+(``tests/serving/test_backend_equivalence.py``).
 
 The shard layer (:mod:`repro.serving.shard`) scales one router into a
 fleet of fleets: a :class:`FleetCoordinator` launches N router shards
@@ -69,7 +68,7 @@ from repro.serving.report import (
 )
 from repro.serving.request import Request, Tenant, TenantLoad, merge_loads
 from repro.serving.resilience import BREAKER_STATES, CircuitBreaker, RetryPolicy
-from repro.serving.router import ROUTER_BACKENDS, RequestRouter, RouterConfig
+from repro.serving.router import RequestRouter, RouterConfig
 from repro.serving.shard import (
     FleetCoordinator,
     FleetRunOutcome,
@@ -102,7 +101,6 @@ __all__ = [
     "InFlightBatch",
     "PlatformState",
     "PlatformStats",
-    "ROUTER_BACKENDS",
     "RejectedRequest",
     "Request",
     "RequestRouter",

@@ -46,11 +46,20 @@ silently poisons a health-blind fleet.
 The router also subscribes to every deployment engine's hook bus for
 the duration of a run, so rung compilations and cache hits show up in
 the structured event log alongside its own decisions.
+
+Which loop serves a run is decided by the run's inputs, not by a
+setting.  A *plain* run -- no fault trace, no enabled instrumentation,
+no control plane -- goes to the columnar fast loop of
+:mod:`repro.serving.vec_router`; every other run goes through the
+event loop here (:meth:`RequestRouter._run_events`), which is also the
+differential oracle the columnar loop is tested against.  Both give
+bit-identical fingerprints on plain runs.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
@@ -80,13 +89,19 @@ from repro.serving.report import (
 from repro.serving.request import Request, TenantLoad, merge_loads
 from repro.serving.resilience import CircuitBreaker, RetryPolicy
 
-__all__ = ["RouterConfig", "RequestRouter", "ROUTER_BACKENDS"]
+__all__ = ["RouterConfig", "RequestRouter"]
 
-#: Selectable router engines: ``reference`` is the object-per-event
-#: oracle below; ``vectorized`` replays the same simulation over
-#: struct-of-arrays state (:mod:`repro.serving.vec_router`) with
-#: bit-identical report fingerprints.
-ROUTER_BACKENDS = ("reference", "vectorized")
+#: The float-valued ``RouterConfig`` fields; each must be finite (a
+#: NaN slips past every one-sided bound check below).
+_FLOAT_FIELDS = (
+    "flush_timeout_s",
+    "min_gain",
+    "high_water_batches",
+    "low_water_batches",
+    "retry_backoff_s",
+    "retry_backoff_growth",
+    "breaker_cooldown_s",
+)
 
 
 @dataclass(frozen=True)
@@ -131,6 +146,12 @@ class RouterConfig:
     breaker_cooldown_s: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(
+                    "%s must be finite, got %r" % (name, value)
+                )
         if self.policy not in POLICIES:
             raise ValueError(
                 "unknown policy %r (known: %s)"
@@ -261,13 +282,7 @@ class RequestRouter:
         self,
         deployments: Union[FleetManager, Mapping[str, Deployment]],
         config: Optional[RouterConfig] = None,
-        backend: str = "reference",
     ) -> None:
-        if backend not in ROUTER_BACKENDS:
-            raise ValueError(
-                "unknown router backend %r (known: %s)"
-                % (backend, ", ".join(ROUTER_BACKENDS))
-            )
         if isinstance(deployments, FleetManager):
             deployments = deployments.deploy_all()
         if not deployments:
@@ -276,7 +291,6 @@ class RequestRouter:
             name: deployments[name] for name in sorted(deployments)
         }
         self.config = config if config is not None else RouterConfig()
-        self.backend = backend
 
     # -- run -------------------------------------------------------------
     def run(
@@ -308,15 +322,36 @@ class RequestRouter:
         pre-warm decides which rungs compile ahead of dispatch.  One
         controller instance observes one run; the report then carries
         a ``control`` section.
-        """
-        if self.backend == "vectorized":
-            # cycle-breaker: the vectorized twin imports this
-            # module back for the report types.
-            from repro.serving.vec_router import run_vectorized
 
-            return run_vectorized(
-                self, loads, faults=faults, obs=obs, controller=controller
-            )
+        The inputs pick the loop.  A plain run (``faults`` None,
+        ``obs`` None or disabled, ``controller`` None) is served by
+        the columnar fast loop, whose report materializes its
+        per-request lists lazily; any other run goes through the
+        event loop, :meth:`_run_events`.  Fingerprints are identical
+        either way.
+        """
+        if (
+            faults is None
+            and controller is None
+            and (obs is None or not obs.enabled)
+        ):
+            # cycle-breaker: the columnar loop's column types
+            # (repro.sim.vec.events) import repro.serving.request,
+            # whose package __init__ imports this module.
+            from repro.serving.vec_router import run_columnar
+
+            return run_columnar(self, loads)
+        return self._run_events(loads, faults, obs, controller)
+
+    def _run_events(
+        self,
+        loads: Sequence[TenantLoad],
+        faults: Optional[FaultTrace] = None,
+        obs: Optional[Instrumentation] = None,
+        controller: Optional[object] = None,
+    ) -> RouterReport:
+        """The discrete-event loop: serves every kind of run, and is
+        the oracle the columnar loop is checked against."""
         config = self.config
         if faults is not None:
             unknown = sorted(
@@ -343,9 +378,7 @@ class RequestRouter:
         obs.run_started(tuple(self.deployments), 0.0)
         unsubscribe = self._subscribe_engines(events, obs)
         try:
-            run.states = self._build_states(
-                events, lazy=controller is not None
-            )
+            run.states = self._build_states(lazy=controller is not None)
             dispatcher = Dispatcher(run.states, policy=config.policy)
             run.admission = AdmissionController(
                 dispatcher,
@@ -469,9 +502,7 @@ class RequestRouter:
 
         return unsubscribe
 
-    def _build_states(
-        self, events: EventLog, lazy: bool = False
-    ) -> Dict[str, PlatformState]:
+    def _build_states(self, lazy: bool = False) -> Dict[str, PlatformState]:
         config = self.config
         states: Dict[str, PlatformState] = {}
         for name, deployment in self.deployments.items():
@@ -837,9 +868,13 @@ class RequestRouter:
 
     def _try_dispatch(self, state: PlatformState, run: _RunState, push) -> None:
         """Launch batches on one platform while it is idle and its
-        queue satisfies the flush policy; otherwise arm a flush timer."""
+        queue satisfies the flush policy; otherwise arm a flush timer.
+
+        Idle means no batch in flight, not ``busy_until <= now``: an
+        event popping at the exact instant a batch finishes, ahead of
+        that batch's free event, must not launch over it."""
         now = self._now
-        while state.busy_until <= now and state.queue:
+        while state.inflight is None and state.queue:
             if self.config.resilience and not state.available(now):
                 # Down, or breaker open/probing: hold the queue.  A
                 # probe or restore event will wake the platform up.

@@ -59,7 +59,7 @@ from repro.resilience import (
 )
 from repro.serving.report import RejectedRequest, RouterReport
 from repro.serving.request import Tenant, TenantLoad
-from repro.serving.router import ROUTER_BACKENDS, RouterConfig
+from repro.serving.router import RouterConfig
 from repro.serving.shard.merge import (
     qualify_report,
     stitch_spans,
@@ -159,7 +159,6 @@ class FleetCoordinator:
         supervision: Optional[SupervisorConfig] = None,
         proc_faults: Optional[object] = None,
         resume_dir: Optional[str] = None,
-        backend: str = "reference",
     ) -> None:
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1, got %r" % (n_shards,))
@@ -187,16 +186,6 @@ class FleetCoordinator:
             supervision if supervision is not None else SupervisorConfig()
         )
         self.proc_faults = proc_faults
-        #: Router backend every shard runs
-        #: (:data:`~repro.serving.router.ROUTER_BACKENDS`).  Validated
-        #: here rather than in the worker so a typo fails before any
-        #: process spawns.
-        if backend not in ROUTER_BACKENDS:
-            raise ValueError(
-                "unknown router backend %r (known: %s)"
-                % (backend, ", ".join(ROUTER_BACKENDS))
-            )
-        self.backend = backend
         self.checkpoint = (
             CheckpointStore(resume_dir) if resume_dir is not None else None
         )
@@ -250,7 +239,6 @@ class FleetCoordinator:
                 instrument=instrument,
                 controller=self.controller,
                 proc_faults=self.proc_faults,
-                backend=self.backend,
             )
             for shard_id in range(self.n_shards)
         ]

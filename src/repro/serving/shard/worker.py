@@ -104,12 +104,6 @@ class ShardSpec:
     #: so every attempt of one shard produces the same report
     #: fingerprint).
     attempt: int = 1
-    #: Router backend (one of
-    #: :data:`~repro.serving.router.ROUTER_BACKENDS`).  Backends are
-    #: fingerprint-equivalent, so mixing them across shards -- or
-    #: across attempts of one shard -- cannot change the merged
-    #: ledger; the vectorized one is just faster.
-    backend: str = "reference"
 
     def __post_init__(self) -> None:
         if self.n_shards < 1:
@@ -188,7 +182,7 @@ def run_shard(spec: ShardSpec) -> ShardResult:
     obs = (
         Instrumentation(shard=spec.label) if spec.instrument else None
     )
-    router = RequestRouter(fleet, spec.config, backend=spec.backend)
+    router = RequestRouter(fleet, spec.config)
     plane = (
         spec.controller.build() if spec.controller is not None else None
     )

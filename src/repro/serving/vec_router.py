@@ -1,53 +1,42 @@
-"""The vectorized router backend: a struct-of-arrays twin of
-:meth:`repro.serving.router.RequestRouter.run`.
+"""The columnar fast loop behind :meth:`RequestRouter.run`.
 
-The reference router is an object-per-event discrete-event loop:
-every arrival materializes a ``Request``, every heap entry is a
-Python tuple, every admission scores candidates through dataclass
-constructors, and the report is assembled eagerly.  This backend
-replays the *same* simulation over column-major state --
-:class:`repro.sim.vec.events.ArrivalColumns` for the request stream,
-:class:`repro.sim.vec.events.SoAEventQueue` for the dynamic events
-(frees, flush timers, retries, breaker probes), plain-Python mirrors
-of the per-platform hot fields, and per-(platform, rung) accuracy
-columns precomputed across the whole request vector with
-:func:`repro.sim.vec.scoring.soc_accuracy_vec`.
+:meth:`repro.serving.router.RequestRouter.run` sends every *plain* run
+here: no fault trace, no enabled instrumentation, no control plane.
+Everything else goes through the discrete-event loop,
+:meth:`~repro.serving.router.RequestRouter._run_events`.  A plain run
+cannot fail a batch, trip a breaker, rescale a rung or emit a span, so
+this loop carries none of that machinery.
+
+The event loop is object-per-event: every arrival materializes a
+``Request``, every heap entry is a Python tuple, every admission
+scores candidates through dataclass constructors, and the report is
+assembled eagerly.  This loop replays the *same* simulation over
+column-major state -- :class:`repro.sim.vec.events.ArrivalColumns` for
+the request stream, :class:`repro.sim.vec.events.SoAEventQueue` for
+the dynamic events (batch frees and flush timers), plain-Python
+mirrors of the per-platform hot fields, and per-(platform, rung)
+accuracy columns precomputed across the whole request vector with
+:func:`repro.sim.vec.scoring.soc_accuracy_vec`.  Requests stay virtual
+(integer row ids), events are compact kind-coded rows expanded
+lazily, per-request SoC breakdowns are deferred, and whole saturation
+bursts -- every arrival landing before the next dynamic event while
+all queues are full -- are rejected in one ``bisect_right`` instead of
+per-request admission.  The returned :class:`VecRouterReport`
+materializes ``completed`` / ``rejected`` / ``events`` on first
+access.
 
 Equivalence is the contract, not a goal: every float is produced by
-the reference's exact expression (same operand order, same
-association), every event is emitted at the reference's exact
-program point, and the merged arrival/fault/dynamic event streams
-replicate the reference heap's ``(time_s, push_seq)`` total order
-(arrivals take sequence numbers ``0..n-1``, faults ``n..n+f-1``,
-dynamic events everything after -- exactly how the reference pushes
-them).  Shared machinery is *reused*, not re-implemented: platform
-states come from ``router._build_states``, ladders re-target through
-``router._retarget_ladder``, and the real ``DegradationController``,
-``CircuitBreaker``, ``PlatformHealth`` and ``RetryPolicy`` objects
-drive their own state machines.  ``RouterReport.fingerprint()`` is
-therefore bit-identical to the reference backend on every seed --
-asserted by ``tests/serving/test_backend_equivalence.py``.
-
-Two execution modes share one event loop:
-
-* **fast** (no faults, instrumentation disabled): requests stay
-  virtual (integer row ids), events are compact kind-coded rows
-  expanded lazily, per-request SoC breakdowns are deferred, and whole
-  saturation bursts -- every arrival landing before the next dynamic
-  event while all queues are full -- are rejected in one
-  ``bisect_right`` instead of per-request admission.  The returned
-  :class:`VecRouterReport` materializes ``completed`` / ``rejected``
-  / ``events`` on first access.  This is where the ``>= 10x``
-  throughput on ``bench_router_overload`` comes from.
-* **slow** (fault-injected and/or instrumented runs): the same loop
-  eagerly materializes ``Request`` / ``InFlightBatch`` objects and
-  calls every observability/resilience hook at the reference's exact
-  call sites, so chaos differential tests exercise genuine vectorized
-  code rather than a delegation shim.
-
-The control plane is not supported here (its tick cadence is
-inherently scalar); ``RequestRouter`` keeps routing controller runs
-to the reference backend.
+the event loop's exact expression (same operand order, same
+association), every event is emitted at the event loop's exact
+program point, and the merged arrival/dynamic streams replicate the
+event heap's ``(time_s, push_seq)`` total order (arrivals take
+sequence numbers ``0..n-1``, dynamic events everything after --
+exactly how the event loop pushes them).  Platform states come from
+``router._build_states`` (memoized per deployment, see
+:func:`_cached_states`) and the real ``DegradationController`` walks
+each ladder.  ``RouterReport.fingerprint()`` is therefore
+bit-identical to the event loop's on every plain run -- asserted by
+``tests/serving/test_backend_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -59,39 +48,32 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.core.satisfaction import soc
-from repro.faults.events import FaultTrace
-from repro.faults.health import PlatformHealth
-from repro.obs.instrument import Instrumentation
 from repro.serving.degradation import DegradationController
-from repro.serving.dispatch import InFlightBatch, PlatformState
+from repro.serving.dispatch import PlatformState
 from repro.serving.events import EventLog, RouterEvent
 from repro.serving.report import (
     CompletedRequest,
     RejectedRequest,
-    ResilienceStats,
     RouterReport,
 )
 from repro.serving.request import TenantLoad
-from repro.serving.resilience import CircuitBreaker, RetryPolicy
 from repro.sim.vec.events import ArrivalColumns, SoAEventQueue
 from repro.sim.vec.scoring import soc_accuracy_vec
 
-__all__ = ["run_vectorized", "VecRouterReport"]
+__all__ = ["run_columnar", "VecRouterReport"]
 
 _INF = math.inf
 
-# Dynamic-event kind codes (arrivals and faults ride their own
-# pre-sorted columns; only these four flow through the SoA heap).
+# Dynamic-event kind codes (arrivals ride their own pre-sorted
+# columns; only these two flow through the SoA heap).
 _FREE = 0
 _FLUSH = 1
-_RETRY = 2
-_PROBE = 3
 
 # Compact event-row codes.  The hot path appends one flat tuple per
 # event; :meth:`_VecRaw.events` expands them into ``RouterEvent``
-# objects in the exact shape the reference records.
+# objects in the exact shape the event loop records.
 _E_ENQ = 0  # (code, t, rid, pidx, level, soc, latency)
-_E_REJ = 1  # (code, t, rid, reason[, pidx, extra_pairs])
+_E_REJ = 1  # (code, t, rid, reason[, pidx])
 _E_DISP = 2  # (code, t, pidx, rids, level, take, capacity, finish)
 _E_COMP = 3  # (code, t, pidx, rids, level)
 _E_MOVE = 4  # (code, t, pidx, move, level)        cause="backlog"
@@ -101,15 +83,15 @@ _E_RAW = 9  # (code, kind, t, tenant, platform, rids, pairs)
 
 
 class _P:
-    """Hot per-platform mirror of a reference ``PlatformState``.
+    """Hot per-platform mirror of a ``PlatformState``.
 
-    The reference objects stay authoritative for everything the
-    report reads (cumulative accounting, controllers, breakers,
-    health); this mirror caches what the inner loop touches per
-    arrival -- the current level's (batch, exec, energy-per-item,
-    accuracy-column) scalars, the busy horizon, and the queue as a
-    list of row ids.  The per-rung columns are re-read from
-    ``rung_at`` whenever a fault may have rescaled them.
+    The state object stays authoritative for everything the report
+    reads (cumulative accounting, the degradation controller); this
+    mirror caches what the inner loop touches per arrival -- the
+    current level's (batch, exec, energy-per-item, accuracy-column)
+    scalars, the busy horizon, and the queue as a list of row ids.
+    Rungs cannot change during a plain run, so the per-rung columns
+    are read once.
     """
 
     __slots__ = (
@@ -143,47 +125,28 @@ class _P:
         self.name = name
         self.state = state
         self.ctrl = state.controller
-        self.level = state.controller.level
         self.busy_until = 0.0
         self.queue: List[int] = []
         self.dirty = False
         self.pending_flush_at: Optional[float] = None
         self.ft = state.flush_timeout_s
         self.thr = state.deployment.entropy_threshold
-        self.n_levels = 0
-        self.exec_s: List[float] = []
-        self.batch: List[int] = []
-        self.energy: List[float] = []
-        self.epi: List[float] = []
-        self.ent: List[float] = []
-        self.sa: List[Optional[List[float]]] = []
-        self.inflight: Optional[list] = None
-
-    def rebuild(self) -> None:
-        """Re-snapshot the rung columns from ``rung_at`` (exactly what
-        the reference reads live); called at build time and after
-        every fault event on this platform, the only moments health
-        scaling or a ladder re-target can change them."""
-        state = self.state
-        n_levels = len(state.ladder)
-        rungs = [state.rung_at(level) for level in range(n_levels)]
-        entropies = [rung.entropy for rung in rungs]
-        if n_levels != self.n_levels or entropies != self.ent:
-            # Entropy columns feed the cached accuracy vectors; rungs
-            # never rescale entropy today, so this stays a no-op --
-            # but correctness must not depend on that staying true.
-            self.sa = [None] * n_levels
-        self.n_levels = n_levels
+        self.inflight: Optional[tuple] = None
+        ladder = state.ladder
+        rungs = [ladder[level] for level in range(len(ladder))]
+        self.n_levels = len(rungs)
         self.exec_s = [rung.exec_time_s for rung in rungs]
         self.batch = [rung.batch for rung in rungs]
         self.energy = [rung.energy_j for rung in rungs]
         self.epi = [rung.energy_per_item_j for rung in rungs]
-        self.ent = entropies
+        self.ent = [rung.entropy for rung in rungs]
+        #: Accuracy column per level, filled on first use.
+        self.sa: List[Optional[List[float]]] = [None] * self.n_levels
         self.set_level(self.ctrl.level)
 
     def set_level(self, level: int) -> None:
         """Sync the current-level scalar caches (after every
-        controller move, admission escalation, or rung rescale)."""
+        controller move or admission escalation)."""
         self.level = level
         self.cur_bl = self.batch[level]
         self.cur_el = self.exec_s[level]
@@ -192,7 +155,7 @@ class _P:
 
 
 class _VecRaw:
-    """Deferred report ingredients of one vectorized run."""
+    """Deferred report ingredients of one columnar run."""
 
     __slots__ = ("cols", "flat", "completed_rows", "names")
 
@@ -279,21 +242,15 @@ class _VecRaw:
                 )
             elif code == _E_REJ:
                 rid = row[2]
-                detail = {"reason": row[3]}
-                platform = None
-                if len(row) > 4:
-                    pidx = row[4]
-                    platform = names[pidx] if pidx is not None else None
-                    detail.update(row[5])
                 append(
                     RouterEvent(
                         seq=seq,
                         time_s=row[1],
                         kind="reject",
                         tenant=tenant_names[tenant_index[rid]],
-                        platform=platform,
+                        platform=names[row[4]] if len(row) > 4 else None,
                         request_ids=(rid,),
-                        detail=detail,
+                        detail={"reason": row[3]},
                     )
                 )
             elif code == _E_REJR:
@@ -401,13 +358,13 @@ class _LazyField:
 
 class VecRouterReport(RouterReport):
     """A ``RouterReport`` whose per-request lists and event log are
-    materialized lazily from fast-mode raw rows.
+    materialized lazily from the columnar loop's raw rows.
 
     Everything a fleet-level consumer typically reads first
     (``platforms``, ``horizon_s``) is eager; ``completed`` /
     ``rejected`` / ``events`` -- and therefore ``fingerprint()`` /
     ``to_dict()`` -- force materialization on demand and are
-    bit-identical to the reference backend's.  Constructed with
+    bit-identical to the event loop's.  Constructed with
     keyword arguments only (``dataclasses.replace`` and
     :meth:`RouterReport.merge` keep working: without ``_vec_raw`` the
     class behaves exactly like its dataclass base).
@@ -444,19 +401,20 @@ class VecRouterReport(RouterReport):
 
 
 def _cached_states(router):
-    """Fast-mode twin of ``RequestRouter._build_states``.
+    """Memoizing twin of ``RequestRouter._build_states``.
 
     Ladder materialization (one compile-and-measure per rung) is the
-    dominant fixed cost of a run, yet in fast mode nothing can mutate
-    a rung mid-run: there are no faults, so no health rescales and no
-    re-targets.  The ladder and derived flush timeout are therefore
-    memoized on each *deployment* (so they survive across router
-    instances serving the same fleet), keyed by every config knob the
-    ladder build reads, and revalidated by *identity* of the current
-    tuning entry -- any recalibration or re-target swaps the entry
-    object and misses the cache, falling back to a full eager build.
-    Per-run mutable state (controller, health, breaker, accounting)
-    is always fresh.
+    dominant fixed cost of a run, yet in a plain run nothing can
+    mutate a rung mid-run: there are no faults, so no health rescales
+    and no re-targets, and no controller, so no DVFS moves.  The
+    ladder and derived flush timeout are therefore memoized on each
+    *deployment* (so they survive across router instances serving the
+    same fleet), keyed by every config knob the ladder build reads,
+    and revalidated by *identity* of the current tuning entry -- any
+    recalibration or re-target swaps the entry object and misses the
+    cache, falling back to a full eager build.  Per-run mutable state
+    (degradation controller, accounting) is always fresh; a plain run
+    reads no health or breaker state, so a cache hit builds none.
     """
     config = router.config
     ladder_key = (
@@ -477,7 +435,7 @@ def _cached_states(router):
             or hit[1] != (deployment.power_gating, deployment.use_priority_sm)
         ):
             if rebuilt is None:
-                rebuilt = router._build_states(None, lazy=False)
+                rebuilt = router._build_states(lazy=False)
             state = rebuilt[name]
             cache[ladder_key] = (
                 deployment.current_entry,
@@ -501,101 +459,56 @@ def _cached_states(router):
                 enabled=config.degradation,
             ),
             flush_timeout_s=hit[3],
-            health=PlatformHealth(base=deployment.arch),
-            breaker=(
-                CircuitBreaker(
-                    failure_threshold=config.breaker_threshold,
-                    cooldown_s=config.breaker_cooldown_s,
-                )
-                if config.resilience
-                else None
-            ),
             base_ladder=ladder,
         )
     return states
 
 
-def run_vectorized(
-    router,
-    loads: Sequence[TenantLoad],
-    faults: Optional[FaultTrace] = None,
-    obs: Optional[Instrumentation] = None,
-    controller: Optional[object] = None,
-) -> RouterReport:
-    """Serve every tenant's trace through the vectorized backend.
+def run_columnar(router, loads: Sequence[TenantLoad]) -> VecRouterReport:
+    """Serve a plain run (no faults, instrumentation or controller).
 
-    Accepts the reference :meth:`RequestRouter.run` signature minus
-    the control plane and returns a report whose fingerprint is
-    bit-identical to the reference backend's for the same inputs.
+    Returns a report whose fingerprint is bit-identical to
+    ``router._run_events(loads)``.
     """
-    if controller is not None:
-        raise ValueError(
-            "the vectorized backend does not support a control plane; "
-            "use backend='reference' for controller runs"
-        )
     config = router.config
-    if faults is not None:
-        unknown = sorted(set(faults.platforms) - set(router.deployments))
-        if unknown:
-            raise ValueError(
-                "fault trace names unknown platforms %s (fleet: %s)"
-                % (", ".join(unknown), ", ".join(router.deployments))
-            )
-    if obs is None:
-        obs = Instrumentation.disabled()
-    # Fast mode: nothing to observe and nothing can fail, so health /
-    # breaker / obs hooks are all provably no-ops and get skipped.
-    track = faults is not None or obs.enabled
-
     flat: List[tuple] = []
     flat_append = flat.append
-    now_ref = [0.0]
-    obs.run_started(tuple(router.deployments), 0.0)
-    unsubscribe = _subscribe_engines(router, flat, obs, now_ref)
+    unsubscribe = _subscribe_engines(router, flat)
     try:
-        if track:
-            states = router._build_states(None, lazy=False)
-        else:
-            states = _cached_states(router)
-        retry_policy = RetryPolicy(
-            limit=config.retry_limit,
-            backoff_s=config.retry_backoff_s,
-            growth=config.retry_backoff_growth,
-        )
+        states = _cached_states(router)
         cols = ArrivalColumns(loads)
         n = cols.n
         arrivals = cols.arrivals_list
-        tenant_index = cols.tenant_index_list
         has_deadline = cols.has_deadline_list
-        request_at = cols.request_at
 
-        tenant_names = [tenant.name for tenant in cols.tenants]
-        t_imp = [t.requirement.imperceptible_s for t in cols.tenants]
-        t_unu = [t.requirement.unusable_s for t in cols.tenants]
-        t_span = [
-            t.requirement.unusable_s - t.requirement.imperceptible_s
-            for t in cols.tenants
-        ]
+        # Per-rid requirement columns: one list index per arrival
+        # instead of tenant-index chasing (fancy indexing of the
+        # float64 columns converts bit-identically).
+        requirements = [tenant.requirement for tenant in cols.tenants]
+
+        def per_rid(values):
+            return np.asarray(values, dtype=np.float64)[
+                cols.tenant_index
+            ].tolist()
+
+        imp_r = per_rid([r.imperceptible_s for r in requirements])
+        unu_r = per_rid([r.unusable_s for r in requirements])
+        span_r = per_rid(
+            [r.unusable_s - r.imperceptible_s for r in requirements]
+        )
 
         ps = [
             _P(index, name, state)
             for index, (name, state) in enumerate(states.items())
         ]
-        for p in ps:
-            p.rebuild()
-        by_name = {p.name: p for p in ps}
         names = [p.name for p in ps]
 
         fifo = config.policy == "fifo"
         queue_limit = config.queue_limit
         degrade_admission = config.degrade_on_admission and config.degradation
-        # Health/breaker gates only bind when resilience is on, and in
-        # fast mode (no faults, no failures) they are identically True.
-        avail_check = config.resilience and track
         calibrate = config.calibrate
-        resilience = config.resilience
 
-        # Queue ordering: the reference's SoC-policy sort key is
+        # Queue ordering: the event loop's SoC-policy sort key is
         # (-priority, deadline, rid) -- a *total* order (rid breaks
         # every tie), so sorting by each rid's rank along it is
         # equivalent.  The rank vector is one lexsort over the columns;
@@ -615,29 +528,11 @@ def run_vectorized(
                 rank[order] = idx
                 sort_key = rank.tolist().__getitem__
 
-        if faults is not None:
-            fault_list = list(faults)
-        else:
-            fault_list = []
-        fault_times = [fault.time_s for fault in fault_list]
-        nf = len(fault_list)
-        dyn = SoAEventQueue(first_seq=n + nf)
+        dyn = SoAEventQueue(first_seq=n)
         dyn_push = dyn.push
         dyn_peek = dyn.peek_time
 
-        completed: List[CompletedRequest] = []
         completed_rows: List[tuple] = []
-        attempts = {}
-        rescued_rids = set()
-        outage_started = {}
-        mttr_episodes: List[float] = []
-        counters = {
-            "faults_injected": 0,
-            "outages": 0,
-            "batch_failures": 0,
-            "retries": 0,
-            "failovers": 0,
-        }
         now = 0.0
 
         def sa_fill(p: _P, level: int) -> List[float]:
@@ -648,84 +543,6 @@ def run_vectorized(
             if level == p.level:
                 p.cur_sa = column
             return column
-
-        def admit(
-            rid: int,
-            now: float,
-            # Constants bound as defaults: LOAD_FAST beats LOAD_DEREF
-            # on the hottest function in the backend.
-            ps=ps,
-            queue_limit=queue_limit,
-            avail_check=avail_check,
-            fifo=fifo,
-            tenant_index=tenant_index,
-            t_imp=t_imp,
-            t_unu=t_unu,
-            t_span=t_span,
-            has_deadline=has_deadline,
-        ):
-            """Twin of ``AdmissionController.admit`` + ``Dispatcher
-            .choose``: returns ``(platform, level, latency, value,
-            reason)`` with ``platform=None`` on rejection.
-
-            The scan body is duplicated inline in ``on_arrival`` (the
-            hottest loop in the backend); any change here must land
-            there too -- the differential suite will catch a drift.
-            The -inf/+inf seeds make the first open platform win its
-            comparison exactly like the reference's first-candidate
-            pick (scores are finite and non-negative).
-            """
-            tidx = tenant_index[rid]
-            imp = t_imp[tidx]
-            unu = t_unu[tidx]
-            span = t_span[tidx]
-            best = None
-            best_level = 0
-            best_st = 0.0
-            best_value = -_INF
-            best_latency = _INF
-            for p in ps:
-                queued = len(p.queue)
-                if queued >= queue_limit:
-                    continue
-                if avail_check and not p.state.available(now):
-                    continue
-                wait = p.busy_until - now
-                if wait < 0.0:
-                    wait = 0.0
-                capacity = p.cur_bl
-                exec_s = p.cur_el
-                assembly = 0.0 if (queued + 1) % capacity == 0 else p.ft
-                latency = (
-                    wait + (queued // capacity) * exec_s + assembly + exec_s
-                )
-                if latency <= imp:
-                    st = 1.0
-                elif latency >= unu:
-                    st = 0.0
-                else:
-                    st = 1.0 - (latency - imp) / span
-                column = p.cur_sa
-                if column is None:
-                    column = sa_fill(p, p.level)
-                value = st * column[rid] / p.cur_epi
-                if fifo:
-                    pick = latency < best_latency
-                else:
-                    pick = value > best_value or (
-                        value == best_value and latency < best_latency
-                    )
-                if pick:
-                    best = p
-                    best_level = p.level
-                    best_value = value
-                    best_latency = latency
-                    best_st = st
-            if best is None:
-                return (None, 0, 0.0, 0.0, "saturated")
-            if best_st > 0.0 or not has_deadline[rid]:
-                return (best, best_level, best_latency, best_value, "ok")
-            return admit_tail(rid, now, imp, unu, span)
 
         def admit_tail(rid, now, imp, unu, span):
             """The deadline-rescue tail of admission: escalate one
@@ -738,8 +555,6 @@ def run_vectorized(
                 for p in ps:
                     queued = len(p.queue)
                     if queued >= queue_limit:
-                        continue
-                    if avail_check and not p.state.available(now):
                         continue
                     if not p.ctrl.enabled:
                         continue
@@ -796,761 +611,234 @@ def run_vectorized(
                     )
             return (None, 0, 0.0, 0.0, "infeasible")
 
-        def reject(rid, now, reason, platform_index=None, extra=None):
-            if extra is None:
-                flat_append((_E_REJ, now, rid, reason))
-            else:
-                flat_append((_E_REJ, now, rid, reason, platform_index, extra))
-            if track:
-                obs.request_rejected(request_at(rid), now, reason)
-
         def try_dispatch(
             p: _P,
             now: float,
             arrivals=arrivals,
-            avail_check=avail_check,
             sort_key=sort_key,
             dyn_push=dyn_push,
+            flat_append=flat_append,
         ) -> None:
+            """Twin of the event loop's ``_try_dispatch`` + ``_launch``:
+            launch while nothing is in flight (an arrival or flush
+            popping at a batch's exact finish instant must not launch
+            over it) and the queue satisfies the flush policy;
+            otherwise arm a flush timer."""
             queue = p.queue
-            while p.busy_until <= now and queue:
-                if avail_check and not p.state.available(now):
-                    # Down, or breaker open/probing: hold the queue.
-                    return
+            while p.inflight is None and queue:
                 if p.dirty:
                     if sort_key is None:
                         queue.sort()
                     else:
                         queue.sort(key=sort_key)
                     p.dirty = False
+                capacity = p.cur_bl
                 head_arrival = arrivals[queue[0]]
-                if len(queue) < p.cur_bl and now < head_arrival + p.ft:
+                if len(queue) < capacity and now < head_arrival + p.ft:
                     flush_at = head_arrival + p.ft
                     pending = p.pending_flush_at
                     if pending is None or flush_at < pending:
                         p.pending_flush_at = flush_at
                         dyn_push(flush_at, _FLUSH, p.index)
                     return
-                launch(p, now)
-
-        def launch(
-            p: _P,
-            now: float,
-            track=track,
-            dyn_push=dyn_push,
-            flat_append=flat_append,
-        ) -> None:
-            state = p.state
-            queue = p.queue
-            level = p.level
-            capacity = p.cur_bl
-            exec_s = p.cur_el
-            queued = len(queue)
-            take = capacity if queued > capacity else queued
-            rids = tuple(queue[:take])
-            del queue[:take]
-            will_fail = False
-            if track:
-                if not state.health.up:
-                    will_fail = True
-                elif state.transient_pending > 0:
-                    state.transient_pending -= 1
-                    will_fail = True
-            finish = now + exec_s
-            p.busy_until = finish
-            state.batches += 1
-            state.level_sum += level
-            row = (
-                rids,
-                level,
-                now,
-                finish,
-                will_fail,
-                exec_s,
-                p.energy[level],
-                p.cur_epi,
-                p.ent[level],
-                take,
-            )
-            # Slow mode keeps the row mutable: an outage flips its
-            # will_fail flag in flight.
-            p.inflight = list(row) if track else row
-            if track:
-                state.inflight = InFlightBatch(
-                    requests=[request_at(rid) for rid in rids],
-                    rung=state.rung_at(level),
-                    start_s=now,
-                    finish_s=finish,
-                    will_fail=will_fail,
+                level = p.level
+                exec_s = p.cur_el
+                queued = len(queue)
+                take = capacity if queued > capacity else queued
+                rids = tuple(queue[:take])
+                del queue[:take]
+                finish = now + exec_s
+                p.busy_until = finish
+                state = p.state
+                state.batches += 1
+                state.level_sum += level
+                p.inflight = (
+                    rids, level, now, finish, exec_s, p.energy[level],
+                    p.cur_epi, p.ent[level], take,
                 )
-                if state.breaker is not None:
-                    move = state.breaker.on_dispatch(now)
-                    if move is not None:
-                        flat_append(
-                            (_E_RAW, move, now, None, p.name, (), ())
+                dyn_push(finish, _FREE, p.index)
+                flat_append(
+                    (_E_DISP, now, p.index, rids, level, take, capacity,
+                     finish)
+                )
+                queued_batches = -(-len(queue) // capacity)
+                move = p.ctrl.observe(queued_batches * exec_s)
+                if move is not None:
+                    p.set_level(p.ctrl.level)
+                    flat_append((_E_MOVE, now, p.index, move, p.ctrl.level))
+
+        # -- the merged event loop --------------------------------------
+        # Two pre-ordered streams replace the event heap: the arrival
+        # columns (seqs 0..n-1) and the SoA heap (n..).  At equal
+        # timestamps the lowest sequence number wins, exactly like the
+        # event loop's (time_s, push_seq) tuples.  The dynamic peek is
+        # cached across iterations and re-read only when the heap's
+        # version moved.  Engine hooks cannot fire mid-loop (every
+        # rung is materialized up front and nothing recompiles), so
+        # their relayed events all carry the build-time clock.
+        ai = 0
+        version = -1
+        td = _INF
+        while True:
+            if dyn.version != version:
+                version = dyn.version
+                td = dyn_peek()
+            ta = arrivals[ai] if ai < n else _INF
+            if ta <= td:
+                if ta == _INF:
+                    break
+                now = ta
+                rid = ai
+                ai += 1
+                # Admission, inlined: twin of ``AdmissionController
+                # .admit`` + ``Dispatcher.choose``.  The -inf/+inf
+                # seeds make the first open platform win its
+                # comparison exactly like the event loop's
+                # first-candidate pick (scores are finite and
+                # non-negative).
+                imp = imp_r[rid]
+                unu = unu_r[rid]
+                span = span_r[rid]
+                best = None
+                best_level = 0
+                best_st = 0.0
+                best_value = -_INF
+                best_latency = _INF
+                for p in ps:
+                    queued = len(p.queue)
+                    if queued >= queue_limit:
+                        continue
+                    wait = p.busy_until - now
+                    if wait < 0.0:
+                        wait = 0.0
+                    capacity = p.cur_bl
+                    exec_s = p.cur_el
+                    assembly = (
+                        0.0 if (queued + 1) % capacity == 0 else p.ft
+                    )
+                    latency = (
+                        wait + (queued // capacity) * exec_s
+                        + assembly + exec_s
+                    )
+                    if latency <= imp:
+                        st = 1.0
+                    elif latency >= unu:
+                        st = 0.0
+                    else:
+                        st = 1.0 - (latency - imp) / span
+                    column = p.cur_sa
+                    if column is None:
+                        column = sa_fill(p, p.level)
+                    value = st * column[rid] / p.cur_epi
+                    if fifo:
+                        pick = latency < best_latency
+                    else:
+                        pick = value > best_value or (
+                            value == best_value
+                            and latency < best_latency
                         )
-                        obs.breaker_transition(p.name, move, now)
-            dyn_push(finish, _FREE, p.index)
-            flat_append(
-                (_E_DISP, now, p.index, rids, level, take, capacity, finish)
-            )
-            if track:
-                obs.batch_dispatched(
-                    p.name, state.inflight, capacity, len(queue), now
-                )
-            queued_batches = -(-len(queue) // capacity)
-            move = p.ctrl.observe(queued_batches * exec_s)
-            if move is not None:
-                p.set_level(p.ctrl.level)
-                flat_append((_E_MOVE, now, p.index, move, p.ctrl.level))
-                if track:
-                    obs.degradation_move(p.name, move, p.ctrl.level, now)
-
-        def complete(p: _P, row: list, batch) -> None:
-            rids = row[0]
-            level = row[1]
-            start = row[2]
-            finish = row[3]
-            exec_s = row[5]
-            energy = row[6]
-            epi = row[7]
-            ent = row[8]
-            take = row[9]
+                    if pick:
+                        best = p
+                        best_level = p.level
+                        best_value = value
+                        best_latency = latency
+                        best_st = st
+                if best is None:
+                    flat_append((_E_REJ, now, rid, "saturated"))
+                    # Every queue is full and nothing can drain one
+                    # before the next dynamic event: the whole burst
+                    # of arrivals up to (and at) that timestamp is
+                    # rejected in one binary search.  The expansion
+                    # back to per-request reject events is deferred
+                    # with the rest of the log.
+                    end = bisect_right(arrivals, td, ai, n)
+                    if end > ai:
+                        flat_append((_E_REJR, ai, end))
+                        ai = end
+                    continue
+                if best_st > 0.0 or not has_deadline[rid]:
+                    p = best
+                    level = best_level
+                    latency = best_latency
+                    value = best_value
+                else:
+                    p, level, latency, value, reason = admit_tail(
+                        rid, now, imp, unu, span
+                    )
+                    if p is None:
+                        flat_append((_E_REJ, now, rid, reason))
+                        continue
+                    flat_append((_E_ADEG, now, rid, p.index, p.ctrl.level))
+                p.queue.append(rid)
+                p.dirty = True
+                flat_append((_E_ENQ, now, rid, p.index, level, value, latency))
+                if p.inflight is None:
+                    try_dispatch(p, now)
+                continue
+            time_s, _seq, kind, payload = dyn.pop()
+            now = time_s
+            p = ps[payload]
+            if kind == _FLUSH:
+                pending = p.pending_flush_at
+                if pending is not None and pending <= time_s:
+                    p.pending_flush_at = None
+                try_dispatch(p, time_s)
+                continue
+            # _FREE: the batch in flight finished.  Launches wait for
+            # an empty slot, so every free event belongs to its
+            # platform's current batch: complete it, then keep the
+            # platform busy.
+            (rids, level, start, finish, exec_s, energy, epi, ent,
+             take) = p.inflight
+            p.inflight = None
             state = p.state
             state.requests_served += take
             state.busy_s += exec_s
             state.energy_j += energy
-            batch_entropy = 0.0
-            if track:
+            completed_rows.append(
+                (rids, p.name, level, take, start, finish, epi, ent, p.thr)
+            )
+            flat_append((_E_COMP, finish, p.index, rids, level))
+            if calibrate and level == 0:
                 difficulty = cols.difficulty_list
-                if state.breaker is not None:
-                    move = state.breaker.on_success(now)
-                    if move is not None:
-                        flat_append(
-                            (_E_RAW, move, now, None, p.name, (), ())
-                        )
-                        obs.breaker_transition(p.name, move, now)
-                obs.batch_completed(p.name, batch, finish, energy)
-                for rid in rids:
-                    request = request_at(rid)
-                    entropy = ent * difficulty[rid]
+                batch_entropy = 0.0
+                for crid in rids:
+                    entropy = ent * difficulty[crid]
                     if entropy > batch_entropy:
                         batch_entropy = entropy
-                    completed.append(
-                        CompletedRequest(
-                            request=request,
-                            platform=p.name,
-                            level=level,
-                            batch=take,
-                            start_s=start,
-                            finish_s=finish,
-                            entropy=entropy,
-                            soc=soc(
-                                runtime_s=finish - arrivals[rid],
-                                requirement=request.tenant.requirement,
-                                entropy=entropy,
-                                entropy_threshold=p.thr,
-                                energy_joules=epi,
-                            ),
-                        )
-                    )
-            else:
-                completed_rows.append(
-                    (rids, p.name, level, take, start, finish, epi, ent, p.thr)
-                )
-            flat_append((_E_COMP, finish, p.index, rids, level))
-            if track:
-                for rid in rids:
-                    obs.request_completed(request_at(rid), finish, p.name, level)
-            if calibrate and level == 0:
-                if not track:
-                    difficulty = cols.difficulty_list
-                    for rid in rids:
-                        entropy = ent * difficulty[rid]
-                        if entropy > batch_entropy:
-                            batch_entropy = entropy
                 state.deployment.observe_entropy(batch_entropy)
-
-        def retry_or_reject(rid: int) -> None:
-            attempt = attempts.get(rid, 0) + 1
-            attempts[rid] = attempt
-            if resilience:
-                delay = retry_policy.backoff_for(attempt, now, request_at(rid))
-                if delay is not None:
-                    counters["retries"] += 1
-                    flat_append(
-                        (
-                            _E_RAW,
-                            "retry",
-                            now,
-                            tenant_names[tenant_index[rid]],
-                            None,
-                            (rid,),
-                            (("attempt", attempt), ("backoff_s", delay)),
-                        )
-                    )
-                    obs.retry_scheduled(request_at(rid), now, attempt, delay)
-                    dyn_push(now + delay, _RETRY, rid)
-                    return
-                reject(rid, now, "retries-exhausted")
-                return
-            reject(rid, now, "failed")
-
-        def on_batch_failure(p: _P, row: list, batch) -> None:
-            state = p.state
-            state.failed_batches += 1
-            counters["batch_failures"] += 1
-            rids = row[0]
-            flat_append(
-                (
-                    _E_RAW,
-                    "batch_failed",
-                    now,
-                    None,
-                    p.name,
-                    rids,
-                    (("level", row[1]),),
-                )
-            )
-            obs.batch_failed(p.name, batch, now)
-            if state.breaker is not None:
-                move = state.breaker.on_failure(now)
-                if move is not None:
-                    flat_append((_E_RAW, move, now, None, p.name, (), ()))
-                    obs.breaker_transition(p.name, move, now)
-                    if move == "breaker_open":
-                        dyn_push(
-                            now + config.breaker_cooldown_s, _PROBE, p.index
-                        )
-            for rid in rids:
-                retry_or_reject(rid)
-
-        def failover(rid: int, origin: str) -> None:
-            target, level, latency, value, reason = admit(rid, now)
-            if target is None:
-                reject(rid, now, "outage", None, (("origin", origin),))
-                return
-            counters["failovers"] += 1
-            rescued_rids.add(rid)
-            target.queue.append(rid)
-            target.dirty = True
-            flat_append(
-                (
-                    _E_RAW,
-                    "failover",
-                    now,
-                    tenant_names[tenant_index[rid]],
-                    target.name,
-                    (rid,),
-                    (("origin", origin), ("level", level)),
-                )
-            )
-            obs.failover(request_at(rid), now, origin, target.name)
-            try_dispatch(target, now)
-
-        def on_outage(p: _P) -> None:
-            state = p.state
-            if not resilience:
-                if p.inflight is not None:
-                    p.inflight[4] = True
-                    state.inflight.will_fail = True
-                return
-            victims: List[int] = []
-            if p.inflight is not None:
-                obs.batch_abandoned(p.name, state.inflight, now)
-                victims.extend(p.inflight[0])
-                p.inflight = None
-                state.inflight = None
-            victims.extend(p.queue)
-            del p.queue[:]
-            p.busy_until = now
-            state.busy_until = now
-            for rid in sorted(victims):
-                failover(rid, p.name)
-
-        def on_fault(p: _P, fault) -> None:
-            state = p.state
-            consequence = state.health.apply(fault)
-            counters["faults_injected"] += 1
-            obs.fault(fault, now)
-            flat_append(
-                (
-                    _E_RAW,
-                    "fault",
-                    now,
-                    None,
-                    fault.platform,
-                    (),
-                    (
-                        ("fault_kind", fault.kind),
-                        ("episode", fault.episode),
-                        ("sm_fail_fraction", fault.sm_fail_fraction),
-                        ("relative_frequency", fault.relative_frequency),
-                        ("bandwidth_scale", fault.bandwidth_scale),
-                    ),
-                )
-            )
-            if consequence == "down":
-                counters["outages"] += 1
-                outage_started[fault.platform] = now
-                on_outage(p)
-            elif consequence == "up":
-                started = outage_started.pop(fault.platform, None)
-                if started is not None:
-                    mttr_episodes.append(now - started)
-                p.rebuild()
-                try_dispatch(p, now)
-                return
-            elif consequence == "recompile":
-                router._retarget_ladder(state)
-            elif consequence == "transient":
-                state.transient_pending += 1
-            p.rebuild()
-
-        def on_free(p: _P, now: float) -> None:
-            row = p.inflight
-            if row is not None and row[3] <= now:
-                p.inflight = None
-                if track:
-                    batch = p.state.inflight
-                    p.state.inflight = None
-                else:
-                    batch = None
-                if row[4]:
-                    on_batch_failure(p, row, batch)
-                else:
-                    complete(p, row, batch)
-            try_dispatch(p, now)
-
-        def on_arrival(
-            rid: int,
-            now: float,
-            # Inlined copy of ``admit``'s scan (see its docstring):
-            # the call-and-unpack overhead is measurable at this call
-            # frequency, so the hot path pays for the duplication.
-            ps=ps,
-            queue_limit=queue_limit,
-            avail_check=avail_check,
-            fifo=fifo,
-            tenant_index=tenant_index,
-            t_imp=t_imp,
-            t_unu=t_unu,
-            t_span=t_span,
-            has_deadline=has_deadline,
-            flat_append=flat_append,
-            track=track,
-        ) -> str:
-            tidx = tenant_index[rid]
-            imp = t_imp[tidx]
-            unu = t_unu[tidx]
-            span = t_span[tidx]
-            best = None
-            best_level = 0
-            best_st = 0.0
-            best_value = -_INF
-            best_latency = _INF
-            for p in ps:
-                queued = len(p.queue)
-                if queued >= queue_limit:
-                    continue
-                if avail_check and not p.state.available(now):
-                    continue
-                wait = p.busy_until - now
-                if wait < 0.0:
-                    wait = 0.0
-                capacity = p.cur_bl
-                exec_s = p.cur_el
-                assembly = 0.0 if (queued + 1) % capacity == 0 else p.ft
-                latency = (
-                    wait + (queued // capacity) * exec_s + assembly + exec_s
-                )
-                if latency <= imp:
-                    st = 1.0
-                elif latency >= unu:
-                    st = 0.0
-                else:
-                    st = 1.0 - (latency - imp) / span
-                column = p.cur_sa
-                if column is None:
-                    column = sa_fill(p, p.level)
-                value = st * column[rid] / p.cur_epi
-                if fifo:
-                    pick = latency < best_latency
-                else:
-                    pick = value > best_value or (
-                        value == best_value and latency < best_latency
-                    )
-                if pick:
-                    best = p
-                    best_level = p.level
-                    best_value = value
-                    best_latency = latency
-                    best_st = st
-            if best is None:
-                reject(rid, now, "saturated")
-                return "saturated"
-            if best_st > 0.0 or not has_deadline[rid]:
-                p = best
-                level = best_level
-                latency = best_latency
-                value = best_value
-                reason = "ok"
-            else:
-                p, level, latency, value, reason = admit_tail(
-                    rid, now, imp, unu, span
-                )
-                if p is None:
-                    reject(rid, now, reason)
-                    return reason
-                flat_append((_E_ADEG, now, rid, p.index, p.ctrl.level))
-                if track:
-                    obs.degradation_move(p.name, "degrade", p.ctrl.level, now)
-            p.queue.append(rid)
-            p.dirty = True
-            flat_append((_E_ENQ, now, rid, p.index, level, value, latency))
-            if track:
-                obs.request_admitted(
-                    request_at(rid), now, p.name, level, reason, len(p.queue)
-                )
-            if p.busy_until <= now:
-                try_dispatch(p, now)
-            return reason
-
-        # -- the merged event loop --------------------------------------
-        # Three pre-ordered streams replace the reference heap: the
-        # arrival columns (seqs 0..n-1), the fault trace (n..n+f-1)
-        # and the SoA heap (n+f..).  At equal timestamps the lowest
-        # sequence number wins, exactly like the reference's
-        # (time_s, push_seq) tuples.
-        ai = 0
-        fi = 0
-        if not track:
-            # Fast two-stream loop (fast mode never has faults).  The
-            # dynamic peek is cached across iterations and re-read only
-            # when the heap's version moved; engine hooks cannot fire
-            # mid-loop here (every rung is materialized up front and
-            # nothing recompiles without faults), so the hook clock
-            # (`now_ref`) stays at its build-time value.
-            # Per-rid requirement columns: one list index per arrival
-            # instead of tenant-index chasing (fancy indexing of the
-            # float64 columns converts bit-identically).
-            t_imp_arr = np.asarray(t_imp, dtype=np.float64)
-            t_unu_arr = np.asarray(t_unu, dtype=np.float64)
-            t_span_arr = np.asarray(t_span, dtype=np.float64)
-            imp_r = t_imp_arr[cols.tenant_index].tolist()
-            unu_r = t_unu_arr[cols.tenant_index].tolist()
-            span_r = t_span_arr[cols.tenant_index].tolist()
-            version = -1
-            td = _INF
-            while True:
-                if dyn.version != version:
-                    version = dyn.version
-                    td = dyn_peek()
-                ta = arrivals[ai] if ai < n else _INF
-                if ta <= td:
-                    if ta == _INF:
-                        break
-                    now = ta
-                    rid = ai
-                    ai += 1
-                    # Inlined fast-mode admission -- the third copy of
-                    # ``admit``'s scan (see its docstring; keep all
-                    # three in sync).  Relative to ``on_arrival`` it
-                    # drops the statically dead fast-mode branches
-                    # (``avail_check`` is False without faults, obs is
-                    # disabled) and the call/return overhead, both
-                    # measurable at one call per arrival.
-                    imp = imp_r[rid]
-                    unu = unu_r[rid]
-                    span = span_r[rid]
-                    best = None
-                    best_level = 0
-                    best_st = 0.0
-                    best_value = -_INF
-                    best_latency = _INF
-                    for p in ps:
-                        queued = len(p.queue)
-                        if queued >= queue_limit:
-                            continue
-                        wait = p.busy_until - now
-                        if wait < 0.0:
-                            wait = 0.0
-                        capacity = p.cur_bl
-                        exec_s = p.cur_el
-                        assembly = (
-                            0.0 if (queued + 1) % capacity == 0 else p.ft
-                        )
-                        latency = (
-                            wait + (queued // capacity) * exec_s
-                            + assembly + exec_s
-                        )
-                        if latency <= imp:
-                            st = 1.0
-                        elif latency >= unu:
-                            st = 0.0
-                        else:
-                            st = 1.0 - (latency - imp) / span
-                        column = p.cur_sa
-                        if column is None:
-                            column = sa_fill(p, p.level)
-                        value = st * column[rid] / p.cur_epi
-                        if fifo:
-                            pick = latency < best_latency
-                        else:
-                            pick = value > best_value or (
-                                value == best_value
-                                and latency < best_latency
-                            )
-                        if pick:
-                            best = p
-                            best_level = p.level
-                            best_value = value
-                            best_latency = latency
-                            best_st = st
-                    if best is None:
-                        reject(rid, now, "saturated")
-                        # Every queue is full and nothing can drain
-                        # one before the next dynamic event: the whole
-                        # burst of arrivals up to (and at) that
-                        # timestamp is rejected in one binary search.
-                        # The expansion back to per-request reject
-                        # events is deferred with the rest of the log.
-                        end = bisect_right(arrivals, td, ai, n)
-                        if end > ai:
-                            flat_append((_E_REJR, ai, end))
-                            ai = end
-                        continue
-                    if best_st > 0.0 or not has_deadline[rid]:
-                        p = best
-                        level = best_level
-                        latency = best_latency
-                        value = best_value
-                    else:
-                        p, level, latency, value, reason = admit_tail(
-                            rid, now, imp, unu, span
-                        )
-                        if p is None:
-                            reject(rid, now, reason)
-                            continue
-                        flat_append(
-                            (_E_ADEG, now, rid, p.index, p.ctrl.level)
-                        )
-                    p.queue.append(rid)
-                    p.dirty = True
-                    flat_append(
-                        (_E_ENQ, now, rid, p.index, level, value, latency)
-                    )
-                    if p.busy_until <= now:
-                        try_dispatch(p, now)
-                else:
-                    time_s, _seq, kind, payload = dyn.pop()
-                    now = time_s
-                    if kind == _FREE:
-                        # Inlined fast-mode ``on_free`` -> ``complete``
-                        # -> ``try_dispatch`` -> ``launch`` chain (keep
-                        # in sync with those functions).  Fast mode has
-                        # no faults, so ``will_fail`` (row[4]) is
-                        # always False, batches never fail, and the
-                        # availability hold in ``try_dispatch`` cannot
-                        # trigger; obs and breaker calls are disabled.
-                        p = ps[payload]
-                        row = p.inflight
-                        if row is not None and row[3] <= time_s:
-                            p.inflight = None
-                            finish = row[3]
-                            ent = row[8]
-                            take = row[9]
-                            state = p.state
-                            state.requests_served += take
-                            state.busy_s += row[5]
-                            state.energy_j += row[6]
-                            rids = row[0]
-                            level = row[1]
-                            completed_rows.append(
-                                (rids, p.name, level, take, row[2],
-                                 finish, row[7], ent, p.thr)
-                            )
-                            flat_append(
-                                (_E_COMP, finish, p.index, rids, level)
-                            )
-                            if calibrate and level == 0:
-                                difficulty = cols.difficulty_list
-                                batch_entropy = 0.0
-                                for crid in rids:
-                                    entropy = ent * difficulty[crid]
-                                    if entropy > batch_entropy:
-                                        batch_entropy = entropy
-                                state.deployment.observe_entropy(
-                                    batch_entropy
-                                )
-                        queue = p.queue
-                        while p.busy_until <= time_s and queue:
-                            if p.dirty:
-                                if sort_key is None:
-                                    queue.sort()
-                                else:
-                                    queue.sort(key=sort_key)
-                                p.dirty = False
-                            capacity = p.cur_bl
-                            head_arrival = arrivals[queue[0]]
-                            if (
-                                len(queue) < capacity
-                                and time_s < head_arrival + p.ft
-                            ):
-                                flush_at = head_arrival + p.ft
-                                pending = p.pending_flush_at
-                                if pending is None or flush_at < pending:
-                                    p.pending_flush_at = flush_at
-                                    dyn_push(flush_at, _FLUSH, p.index)
-                                break
-                            level = p.level
-                            exec_s = p.cur_el
-                            queued = len(queue)
-                            take = (
-                                capacity if queued > capacity else queued
-                            )
-                            rids = tuple(queue[:take])
-                            del queue[:take]
-                            finish = time_s + exec_s
-                            p.busy_until = finish
-                            state = p.state
-                            state.batches += 1
-                            state.level_sum += level
-                            p.inflight = (
-                                rids, level, time_s, finish, False,
-                                exec_s, p.energy[level], p.cur_epi,
-                                p.ent[level], take,
-                            )
-                            dyn_push(finish, _FREE, p.index)
-                            flat_append(
-                                (_E_DISP, time_s, p.index, rids, level,
-                                 take, capacity, finish)
-                            )
-                            queued_batches = -(-len(queue) // capacity)
-                            move = p.ctrl.observe(queued_batches * exec_s)
-                            if move is not None:
-                                p.set_level(p.ctrl.level)
-                                flat_append(
-                                    (_E_MOVE, time_s, p.index, move,
-                                     p.ctrl.level)
-                                )
-                    elif kind == _FLUSH:
-                        p = ps[payload]
-                        pending = p.pending_flush_at
-                        if pending is not None and pending <= time_s:
-                            p.pending_flush_at = None
-                        try_dispatch(p, time_s)
-                    elif kind == _RETRY:
-                        on_arrival(payload, time_s)
-                    else:  # _PROBE
-                        try_dispatch(ps[payload], time_s)
-        else:
-            while True:
-                ta = arrivals[ai] if ai < n else _INF
-                tf = fault_times[fi] if fi < nf else _INF
-                td = dyn_peek()
-                if ta == _INF and tf == _INF and td == _INF:
-                    break
-                if ta <= tf and ta <= td:
-                    now = ta
-                    now_ref[0] = ta
-                    rid = ai
-                    ai += 1
-                    on_arrival(rid, ta)
-                elif tf <= td:
-                    now = tf
-                    now_ref[0] = tf
-                    fault = fault_list[fi]
-                    fi += 1
-                    on_fault(by_name[fault.platform], fault)
-                else:
-                    time_s, _seq, kind, payload = dyn.pop()
-                    now = time_s
-                    now_ref[0] = time_s
-                    if kind == _FREE:
-                        on_free(ps[payload], time_s)
-                    elif kind == _FLUSH:
-                        p = ps[payload]
-                        pending = p.pending_flush_at
-                        if pending is not None and pending <= time_s:
-                            p.pending_flush_at = None
-                        try_dispatch(p, time_s)
-                    elif kind == _RETRY:
-                        on_arrival(payload, time_s)
-                    else:  # _PROBE
-                        try_dispatch(ps[payload], time_s)
+            try_dispatch(p, time_s)
 
         # Zero-loss backstop, twin of ``_reject_stranded``: platforms
         # in name order, stranded requests in rid order.
         for p in ps:
             stranded: List[int] = []
             if p.inflight is not None:
-                if track:
-                    obs.batch_abandoned(p.name, p.state.inflight, now)
-                    p.state.inflight = None
                 stranded.extend(p.inflight[0])
                 p.inflight = None
             stranded.extend(p.queue)
             del p.queue[:]
             for rid in sorted(stranded):
-                reject(rid, now, "stranded", platform_index=p.index, extra=())
+                flat_append((_E_REJ, now, rid, "stranded", p.index))
     finally:
         unsubscribe()
 
     horizon = 0.0
-    if track:
-        if completed:
-            horizon = max(horizon, max(r.finish_s for r in completed))
-    elif completed_rows:
+    if completed_rows:
         horizon = max(horizon, max(row[5] for row in completed_rows))
     if n:
         horizon = max(horizon, arrivals[n - 1])
-    obs.run_finished(horizon)
-
-    platforms = router._platform_stats(states, horizon)
-    raw = _VecRaw(cols, flat, completed_rows, names)
-    if not track:
-        return VecRouterReport(
-            _vec_raw=raw, platforms=platforms, horizon_s=horizon
-        )
-    if faults is not None:
-        completed_rids = {record.request.rid for record in completed}
-        breakers = [
-            p.state.breaker for p in ps if p.state.breaker is not None
-        ]
-        resilience_stats = ResilienceStats(
-            faults_injected=counters["faults_injected"],
-            outages=counters["outages"],
-            mttr_s=(
-                sum(mttr_episodes) / len(mttr_episodes)
-                if mttr_episodes
-                else 0.0
-            ),
-            mttr_episodes=len(mttr_episodes),
-            batch_failures=counters["batch_failures"],
-            retries=counters["retries"],
-            failovers=counters["failovers"],
-            requests_rescued=len(rescued_rids & completed_rids),
-            breaker_opens=sum(b.opens for b in breakers),
-            breaker_closes=sum(b.closes for b in breakers),
-        )
-    else:
-        resilience_stats = None
-    return RouterReport(
-        completed=sorted(completed, key=lambda r: r.request.rid),
-        rejected=raw.rejected(),
-        platforms=platforms,
-        events=raw.events(),
+    return VecRouterReport(
+        _vec_raw=_VecRaw(cols, flat, completed_rows, names),
+        platforms=router._platform_stats(states, horizon),
         horizon_s=horizon,
-        resilience=resilience_stats,
-        obs=obs.report_section() if obs.enabled else None,
-        control=None,
     )
 
 
-def _subscribe_engines(router, flat, obs, now_ref):
+def _subscribe_engines(router, flat):
     """Twin of ``RequestRouter._subscribe_engines`` appending compact
-    event rows instead of recording into an ``EventLog``."""
+    event rows (stamped with the build-time clock) instead of
+    recording into an ``EventLog``."""
     engines = {}
     for deployment in router.deployments.values():
         engines[id(deployment.engine)] = deployment.engine
@@ -1561,7 +849,7 @@ def _subscribe_engines(router, flat, obs, now_ref):
             (
                 _E_RAW,
                 "compile",
-                now_ref[0],
+                0.0,
                 None,
                 key.arch,
                 (),
@@ -1578,7 +866,7 @@ def _subscribe_engines(router, flat, obs, now_ref):
             (
                 _E_RAW,
                 "cache_hit",
-                now_ref[0],
+                0.0,
                 None,
                 getattr(key, "arch", None),
                 (),
@@ -1586,17 +874,13 @@ def _subscribe_engines(router, flat, obs, now_ref):
             )
         )
 
-    detachers = []
     for engine in engines.values():
         engine.hooks.subscribe("on_compile", on_compile)
         engine.hooks.subscribe("on_cache_hit", on_cache_hit)
-        detachers.append(obs.attach_engine(engine, lambda: now_ref[0]))
 
     def unsubscribe():
         for engine in engines.values():
             engine.hooks.unsubscribe("on_compile", on_compile)
             engine.hooks.unsubscribe("on_cache_hit", on_cache_hit)
-        for detach in detachers:
-            detach()
 
     return unsubscribe

@@ -1,42 +1,30 @@
-"""Vectorized (struct-of-arrays) twins of the simulation hot paths.
+"""Struct-of-arrays primitives for the router's columnar fast loop.
 
-This package rewrites the discrete-event inner loops as numpy array
-programs while the original object-per-event implementations stay in
-place as the *reference oracle*:
+:meth:`repro.serving.router.RequestRouter.run` serves every plain run
+(no faults, no enabled instrumentation, no control plane) with the
+columnar loop in :mod:`repro.serving.vec_router`, built on:
 
-* :mod:`repro.sim.vec.events` -- the SoA primitives: a ``(time, seq)``
-  keyed binary heap over parallel float64/int64 arrays
-  (:class:`SoAEventQueue`, pop-order bit-identical to ``heapq``) and
-  the column-major arrival stream (:class:`ArrivalColumns`, ordering
-  bit-identical to :func:`repro.serving.request.merge_loads`).
-* :mod:`repro.sim.vec.scoring` -- element-wise SoC curves evaluated
-  across whole request vectors with the exact scalar op order of
-  :mod:`repro.core.satisfaction`.
-* :mod:`repro.sim.vec.kernel` -- :func:`simulate_kernel_vec`, the
-  batched SM-residency stepper mirroring
-  :func:`repro.sim.engine.simulate_kernel` field for field.
+* :mod:`repro.sim.vec.events` -- a ``(time, seq)`` keyed binary heap
+  over parallel scalar columns (:class:`SoAEventQueue`, pop-order
+  bit-identical to ``heapq``) and the column-major arrival stream
+  (:class:`ArrivalColumns`, ordering bit-identical to
+  :func:`repro.serving.request.merge_loads`);
+* :mod:`repro.sim.vec.scoring` -- :func:`soc_accuracy_vec`, the SoC
+  accuracy curve evaluated across whole request vectors with the
+  exact scalar op order of :mod:`repro.core.satisfaction`.
 
-The serving-side consumer is :mod:`repro.serving.vec_router`
-(selected via ``RequestRouter(..., backend="vectorized")``); the
-equivalence contract -- bit-identical ``RouterReport`` fingerprints,
-event logs and obs exports on every seed -- is enforced by
-``tests/sim/test_vec_equivalence.py`` and
+The equivalence contract -- plain-run fingerprints bit-identical to
+the event loop's on every seed -- is enforced by
+``tests/sim/test_vec_equivalence.py``,
+``tests/sim/test_soa_events.py`` and
 ``tests/serving/test_backend_equivalence.py``.
 """
 
 from repro.sim.vec.events import ArrivalColumns, SoAEventQueue
-from repro.sim.vec.kernel import simulate_kernel_vec
-from repro.sim.vec.scoring import (
-    soc_accuracy_vec,
-    soc_time_vec,
-    soc_value_vec,
-)
+from repro.sim.vec.scoring import soc_accuracy_vec
 
 __all__ = [
     "ArrivalColumns",
     "SoAEventQueue",
-    "simulate_kernel_vec",
     "soc_accuracy_vec",
-    "soc_time_vec",
-    "soc_value_vec",
 ]

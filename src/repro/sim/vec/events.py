@@ -1,4 +1,4 @@
-"""Struct-of-arrays event-queue primitives for the vectorized backend.
+"""Struct-of-arrays event-queue primitives for the columnar router loop.
 
 Two data structures back :mod:`repro.serving.vec_router`:
 
@@ -21,9 +21,9 @@ Two data structures back :mod:`repro.serving.vec_router`:
   fast path's win.
 
 Float64 storage is exact for every clock that flows through here:
-``float(np.float64(x))`` round-trips bit-identically, so pushing a
-reference-computed time through the arrays and popping it back cannot
-perturb the simulation -- property-tested in
+``float(np.float64(x))`` round-trips bit-identically, so pushing an
+event-loop-computed time through the arrays and popping it back
+cannot perturb the simulation -- property-tested in
 ``tests/sim/test_soa_events.py``.
 """
 
@@ -45,7 +45,7 @@ class SoAEventQueue:
     """A ``(time_s, seq)``-keyed binary min-heap in parallel columns.
 
     ``push`` assigns each entry the next monotone sequence number
-    (starting at ``first_seq``), exactly like the reference router's
+    (starting at ``first_seq``), exactly like the event loop's
     ``push_seq`` counter; ``pop`` returns plain-Python scalars.  The
     columns are Python lists (see the module docstring for why not
     ndarrays); they grow by ``append`` and shrink on pop.
@@ -208,7 +208,7 @@ class ArrivalColumns:
             seen.add(load.tenant.name)
         self.tenants: List[Tenant] = [load.tenant for load in loads]
         # Tenant-name ranks preserve lexicographic order, so the int
-        # sort key below compares exactly like the reference's string.
+        # sort key below compares exactly like merge_loads' string.
         rank = {
             name: code
             for code, name in enumerate(
@@ -246,7 +246,7 @@ class ArrivalColumns:
             tenant_index = np.empty(0, dtype=np.int64)
             names = np.empty(0, dtype=np.int64)
             positions = np.empty(0, dtype=np.int64)
-        # lexsort keys run minor-to-major: the reference sort key is
+        # lexsort keys run minor-to-major: merge_loads' sort key is
         # (arrival, tenant name, position).
         order = np.lexsort((positions, names, arrivals))
         self.arrivals = arrivals[order]
@@ -302,5 +302,5 @@ class ArrivalColumns:
         return request
 
     def materialize_all(self) -> List[Request]:
-        """Every request, eagerly (slow path / report assembly)."""
+        """Every request, eagerly."""
         return [self.request_at(rid) for rid in range(self.n)]

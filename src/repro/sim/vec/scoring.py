@@ -1,48 +1,24 @@
-"""Vectorized SoC curves (element-wise twins of
-:mod:`repro.core.satisfaction`).
+"""Vectorized SoC accuracy curve (element-wise twin of
+:func:`repro.core.satisfaction.soc_accuracy`).
 
-Each function evaluates the scalar reference's exact operation order
-element-wise over float64 arrays, so every output element is
-bit-identical to calling the scalar function on the same inputs: the
-linear-decay branch is ``1.0 - (runtime - T_i) / span`` with ``span =
-T_u - T_i``, the accuracy tail is ``threshold / entropy``, and Eq. 15
-is ``soc_time * soc_accuracy / energy`` in that association.  Branches
-are realized with ``np.where`` masks; the masked-out lanes may compute
-``inf``/``nan`` intermediates (e.g. a background tenant's infinite
-span), which is why the arithmetic runs under ``np.errstate`` -- the
-selected lanes match the scalar branch outcomes exactly.
+:func:`soc_accuracy_vec` evaluates the scalar function's exact
+operation order element-wise over float64 arrays, so every output
+element is bit-identical to calling the scalar function on the same
+input: the tail is ``threshold / entropy``.  The branch is realized
+with an ``np.where`` mask; the masked-out lanes may compute ``inf``
+intermediates (a zero entropy), which is why the division runs under
+``np.errstate`` -- the selected lanes match the scalar branch
+outcomes exactly.
 
-Used by the vectorized router backend to precompute per-(platform,
-rung) accuracy columns across the whole request vector, and by the
-differential tests as the array-vs-scalar oracle pairing.
+Used by the router's columnar loop to precompute per-(platform, rung)
+accuracy columns across the whole request vector.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.satisfaction import TimeRequirement
-
-__all__ = ["soc_time_vec", "soc_accuracy_vec", "soc_value_vec"]
-
-
-def soc_time_vec(
-    runtimes_s: np.ndarray, requirement: TimeRequirement
-) -> np.ndarray:
-    """Element-wise :func:`repro.core.satisfaction.soc_time`."""
-    runtimes = np.asarray(runtimes_s, dtype=np.float64)
-    if np.any(runtimes < 0):
-        raise ValueError("runtime must be non-negative")
-    imperceptible = requirement.imperceptible_s
-    unusable = requirement.unusable_s
-    span = unusable - imperceptible
-    with np.errstate(divide="ignore", invalid="ignore"):
-        decayed = 1.0 - (runtimes - imperceptible) / span
-    return np.where(
-        runtimes <= imperceptible,
-        1.0,
-        np.where(runtimes >= unusable, 0.0, decayed),
-    )
+__all__ = ["soc_accuracy_vec"]
 
 
 def soc_accuracy_vec(
@@ -55,16 +31,3 @@ def soc_accuracy_vec(
     with np.errstate(divide="ignore", over="ignore"):
         degraded = entropy_threshold / values
     return np.where(values <= entropy_threshold, 1.0, degraded)
-
-
-def soc_value_vec(
-    soc_times: np.ndarray,
-    soc_accuracies: np.ndarray,
-    energy_joules: float,
-) -> np.ndarray:
-    """Element-wise Eq. 15 value: ``soc_time * soc_accuracy / energy``."""
-    if energy_joules <= 0:
-        raise ValueError("energy must be positive")
-    times = np.asarray(soc_times, dtype=np.float64)
-    accuracies = np.asarray(soc_accuracies, dtype=np.float64)
-    return times * accuracies / energy_joules

@@ -175,12 +175,13 @@ def test_resilience_package_is_rep001_clean():
     assert path.endswith("supervisor.py")
 
 def test_vectorized_backend_is_rep001_rep007_clean():
-    # The vectorized backend (repro.sim.vec plus the serving twin)
-    # re-implements the fingerprinted hot path as array programs, so
-    # it inherits REP001's determinism scope through the repro.sim /
-    # repro.serving prefixes -- pinned explicitly so a package move
-    # cannot silently unscope it.  Both the module-local rule and the
-    # interprocedural taint rule must hold with zero suppressions.
+    # The columnar loop (repro.sim.vec plus repro.serving.vec_router)
+    # serves every plain run of the fingerprinted hot path as array
+    # programs, so it inherits REP001's determinism scope through the
+    # repro.sim / repro.serving prefixes -- pinned explicitly so a
+    # package move cannot silently unscope it.  Both the module-local
+    # rule and the interprocedural taint rule must hold with zero
+    # suppressions.
     from repro.lint.rules.determinism import SIMULATION_PACKAGES
 
     assert any(
@@ -196,5 +197,5 @@ def test_vectorized_backend_is_rep001_rep007_clean():
     assert report.ok, "\n".join(v.render() for v in report.violations)
     assert report.files_scanned == len(list(vec_root.rglob("*.py"))) + 1
     assert not report.suppressed, (
-        "the vectorized backend must not carry suppressions"
+        "the columnar loop must not carry suppressions"
     )

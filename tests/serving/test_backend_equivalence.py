@@ -1,14 +1,15 @@
-"""Differential harness: the vectorized router twin vs the reference.
+"""Differential harness: the columnar fast loop vs the event loop.
 
-The vectorized backend (:mod:`repro.serving.vec_router`) re-implements
-``RequestRouter.run`` as an array program; its merge contract is
-*bit-identical* ``RouterReport`` fingerprints -- the SHA-1 over every
-routing decision, event and request record -- on every seed, trace
-shape, config knob, fault schedule and instrumentation mode.  These
-tests are the oracle gate the rewrite merges behind: hypothesis draws
-trace families (MMPP storms, Pareto heavy tails, diurnal sinusoids,
-chaos-injected runs) and every draw must fingerprint identically
-through both backends.
+``RequestRouter.run`` serves a plain run -- no faults, no enabled
+instrumentation, no control plane -- with the columnar loop of
+:mod:`repro.serving.vec_router`, and every other run with the
+discrete-event loop, ``RequestRouter._run_events``.  The columnar
+loop's contract is *bit-identical* ``RouterReport`` fingerprints --
+the SHA-1 over every routing decision, event and request record --
+against the event loop on every plain run: hypothesis draws trace
+families (MMPP storms, Pareto heavy tails, diurnal sinusoids), a
+config matrix covers every knob the loop reads, and each case must
+fingerprint identically through both loops.
 """
 
 import numpy as np
@@ -16,11 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.control import ControllerConfig
 from repro.core.satisfaction import TimeRequirement
-from repro.faults import FaultTraceConfig, generate_fault_trace
+from repro.faults import FaultTrace
 from repro.obs import Instrumentation
 from repro.serving import (
-    ROUTER_BACKENDS,
     FleetCoordinator,
     FleetSpec,
     RequestRouter,
@@ -28,7 +29,7 @@ from repro.serving import (
     Tenant,
     TenantLoad,
 )
-from repro.serving.shard import ShardSpec
+from repro.serving.vec_router import VecRouterReport
 from repro.workloads import bursty_trace, diurnal_trace, pareto_trace
 
 #: Arrival rate used by the fixed-rate differential traces; high
@@ -43,6 +44,11 @@ SNAPPY = Tenant(
     "snappy", TimeRequirement(imperceptible_s=0.1, unusable_s=0.5),
     priority=1,
 )
+
+#: Merged fingerprint of the two-shard coordinator case below, as the
+#: event loop produced it before plain shards moved to the columnar
+#: loop.
+COORDINATOR_MERGE_FINGERPRINT = "c651d0229cac85f487d3e5974289edb55c7e6946"
 
 
 def _trace(family, n, seed):
@@ -61,20 +67,9 @@ def _trace(family, n, seed):
     )
 
 
-def _run_both(fleet, loads, config=None, faults=None, obs_pair=None):
-    config = config if config is not None else RouterConfig()
-    kwargs_a = {}
-    kwargs_b = {}
-    if faults is not None:
-        kwargs_a["faults"] = faults
-        kwargs_b["faults"] = faults
-    if obs_pair is not None:
-        kwargs_a["obs"], kwargs_b["obs"] = obs_pair
-    ref = RequestRouter(fleet, config).run(loads, **kwargs_a)
-    vec = RequestRouter(fleet, config, backend="vectorized").run(
-        loads, **kwargs_b
-    )
-    return ref, vec
+def _run_both(router, loads):
+    """``(event loop report, run() report)`` for one plain run."""
+    return router._run_events(loads), router.run(loads)
 
 
 def _filtered_events(report):
@@ -98,28 +93,8 @@ class TestTraceFamilies:
     )
     def test_fingerprints_bit_identical(self, fleet, family, n, seed):
         loads = [TenantLoad(SNAPPY, _trace(family, n, seed))]
-        ref, vec = _run_both(fleet, loads)
-        assert vec.fingerprint() == ref.fingerprint()
-
-    @settings(max_examples=6, deadline=None)
-    @given(
-        n=st.integers(min_value=30, max_value=100),
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-        fault_seed=st.integers(min_value=0, max_value=2**16 - 1),
-    )
-    def test_chaos_injected_bit_identical(self, fleet, n, seed, fault_seed):
-        loads = [TenantLoad(SNAPPY, _trace("mmpp", n, seed))]
-        horizon = float(loads[0].trace.arrivals_s[-1]) + 0.5
-        faults = generate_fault_trace(
-            ["K20c", "TX1"],
-            horizon_s=horizon,
-            config=FaultTraceConfig(
-                outages=1, sm_failures=1, throttles=1, transients=2
-            ),
-            seed=fault_seed,
-        )
-        ref, vec = _run_both(fleet, loads, faults=faults)
-        assert vec.fingerprint() == ref.fingerprint()
+        events, columnar = _run_both(RequestRouter(fleet), loads)
+        assert columnar.fingerprint() == events.fingerprint()
 
 
 class TestConfigMatrix:
@@ -146,112 +121,71 @@ class TestConfigMatrix:
         self, fleet, snappy_tenant, config
     ):
         loads = [TenantLoad(snappy_tenant, _trace("mmpp", 150, 42))]
-        ref, vec = _run_both(fleet, loads, config=config)
-        assert vec.fingerprint() == ref.fingerprint()
-        assert _filtered_events(vec) == _filtered_events(ref)
+        events, columnar = _run_both(RequestRouter(fleet, config), loads)
+        assert columnar.fingerprint() == events.fingerprint()
+        assert _filtered_events(columnar) == _filtered_events(events)
 
     def test_multi_tenant_priority_mix(
         self, fleet, snappy_tenant, background_tenant
     ):
         """Two tenants with distinct priorities: the dispatch queue's
         sort key is no longer the identity permutation, so this
-        exercises the keyed-sort path of both backends."""
+        exercises the columnar loop's keyed-sort path."""
         loads = [
             TenantLoad(snappy_tenant, _trace("mmpp", 120, 1)),
             TenantLoad(background_tenant, _trace("pareto", 80, 2)),
         ]
-        ref, vec = _run_both(fleet, loads)
-        assert vec.fingerprint() == ref.fingerprint()
-        assert _filtered_events(vec) == _filtered_events(ref)
+        events, columnar = _run_both(RequestRouter(fleet), loads)
+        assert columnar.fingerprint() == events.fingerprint()
+        assert _filtered_events(columnar) == _filtered_events(events)
+
+    def test_finish_instant_collision(self, finish_collision):
+        """A batch filling at the exact instant the previous one
+        finishes: both loops wait for the free event, complete every
+        request, and agree bit for bit."""
+        router, loads = finish_collision
+        events, columnar = _run_both(router, loads)
+        assert columnar.fingerprint() == events.fingerprint()
+        assert _filtered_events(columnar) == _filtered_events(events)
+        offered = loads[0].trace.n_requests
+        assert columnar.n_completed == events.n_completed == offered
 
 
-class TestObsExports:
-    def test_obs_sections_identical(self, fleet, snappy_tenant):
-        loads = [TenantLoad(snappy_tenant, _trace("mmpp", 150, 42))]
-        # Warm the engine caches first: compile/cache-hit relay counts
-        # track cache temperature, not routing behaviour, and would
-        # otherwise differ between the first and second run.
-        RequestRouter(fleet, RouterConfig()).run(loads)
-        obs_ref, obs_vec = Instrumentation(), Instrumentation()
-        ref, vec = _run_both(
-            fleet, loads, obs_pair=(obs_ref, obs_vec)
+class TestLoopSelection:
+    """``run()`` picks the loop from its inputs; there is no knob."""
+
+    def _loads(self, snappy_tenant):
+        return [TenantLoad(snappy_tenant, _trace("mmpp", 30, 5))]
+
+    def test_plain_run_takes_columnar_loop(self, fleet, snappy_tenant):
+        loads = self._loads(snappy_tenant)
+        router = RequestRouter(fleet)
+        assert isinstance(router.run(loads), VecRouterReport)
+        disabled = router.run(loads, obs=Instrumentation.disabled())
+        assert isinstance(disabled, VecRouterReport)
+
+    def test_tracked_runs_take_event_loop(self, fleet, snappy_tenant):
+        """Faults, enabled instrumentation or a controller each send
+        the run to the event loop, which reports on what it was given."""
+        loads = self._loads(snappy_tenant)
+        router = RequestRouter(fleet)
+        chaos = router.run(loads, faults=FaultTrace([]))
+        traced = router.run(loads, obs=Instrumentation())
+        controlled = router.run(
+            loads, controller=ControllerConfig(kind="ewma").build()
         )
-        assert vec.fingerprint() == ref.fingerprint()
-        assert obs_vec.report_section() == obs_ref.report_section()
-
-    def test_obs_chaos_sections_identical(self, fleet, snappy_tenant):
-        loads = [TenantLoad(snappy_tenant, _trace("mmpp", 120, 7))]
-        horizon = float(loads[0].trace.arrivals_s[-1]) + 0.5
-        faults = generate_fault_trace(
-            ["K20c", "TX1"],
-            horizon_s=horizon,
-            config=FaultTraceConfig(outages=1, transients=3),
-            seed=3,
-        )
-        RequestRouter(fleet, RouterConfig()).run(loads, faults=faults)
-        obs_ref, obs_vec = Instrumentation(), Instrumentation()
-        ref, vec = _run_both(
-            fleet, loads, faults=faults, obs_pair=(obs_ref, obs_vec)
-        )
-        assert vec.fingerprint() == ref.fingerprint()
-        assert obs_vec.report_section() == obs_ref.report_section()
+        assert chaos.resilience is not None
+        assert traced.obs is not None
+        assert controlled.control is not None
+        for report in (chaos, traced, controlled):
+            assert not isinstance(report, VecRouterReport)
+            assert report.n_offered == loads[0].trace.n_requests
 
 
-class TestSeam:
-    def test_unknown_backend_rejected(self, fleet):
-        with pytest.raises(ValueError, match="unknown router backend"):
-            RequestRouter(fleet, RouterConfig(), backend="simd")
-
-    def test_backends_registry(self):
-        assert ROUTER_BACKENDS == ("reference", "vectorized")
-
-    def test_vectorized_rejects_control_plane(
-        self, fleet, snappy_tenant
-    ):
-        loads = [TenantLoad(snappy_tenant, _trace("mmpp", 30, 42))]
-        router = RequestRouter(
-            fleet, RouterConfig(), backend="vectorized"
-        )
-        with pytest.raises(ValueError, match="control plane"):
-            router.run(loads, controller=object())
-
-    def test_shard_spec_carries_backend(self, spec):
-        fleet_spec = FleetSpec(
-            network="alexnet", spec=spec, gpus=("k20c", "tx1")
-        )
-        shard = ShardSpec(
-            shard_id=0,
-            n_shards=1,
-            fleet=fleet_spec,
-            config=RouterConfig(),
-            loads=(),
-            seed=42,
-            backend="vectorized",
-        )
-        assert shard.backend == "vectorized"
-        assert ShardSpec(
-            shard_id=0,
-            n_shards=1,
-            fleet=fleet_spec,
-            config=RouterConfig(),
-            loads=(),
-            seed=42,
-        ).backend == "reference"
-
-    def test_coordinator_rejects_unknown_backend(self, spec):
-        with pytest.raises(ValueError, match="unknown router backend"):
-            FleetCoordinator(
-                FleetSpec(
-                    network="alexnet", spec=spec, gpus=("k20c", "tx1")
-                ),
-                RouterConfig(),
-                n_shards=1,
-                backend="simd",
-            )
-
-    def test_coordinator_backends_merge_identically(
-        self, spec, snappy_tenant
-    ):
+class TestCoordinatorMerge:
+    def test_merge_fingerprint_pinned(self, spec, snappy_tenant):
+        """Plain shards now run the columnar loop; the merged ledger
+        must still be the one the event loop produced."""
         fleet_spec = FleetSpec(
             network="alexnet", spec=spec, gpus=("k20c", "tx1")
         )
@@ -259,34 +193,36 @@ class TestSeam:
             [TenantLoad(snappy_tenant, _trace("mmpp", 60, seed))]
             for seed in (11, 12)
         ]
-        fingerprints = {}
-        for backend in ROUTER_BACKENDS:
-            outcome = FleetCoordinator(
-                fleet_spec, RouterConfig(), n_shards=2, seed=42,
-                inline=True, backend=backend,
-            ).run(shard_loads=shard_loads)
-            fingerprints[backend] = outcome.report.fingerprint()
-        assert fingerprints["vectorized"] == fingerprints["reference"]
+        outcome = FleetCoordinator(
+            fleet_spec, RouterConfig(), n_shards=2, seed=42, inline=True,
+        ).run(shard_loads=shard_loads)
+        assert (
+            outcome.report.fingerprint() == COORDINATOR_MERGE_FINGERPRINT
+        )
 
 
 class TestReportPayloads:
     def test_full_payloads_identical(self, fleet, snappy_tenant):
         """Beyond the fingerprint: completed/rejected ledgers, platform
         rows and summary scalars are exactly equal (floats included --
-        the vectorized path must be bit-exact, not close)."""
+        the columnar loop must be bit-exact, not close)."""
         loads = [TenantLoad(snappy_tenant, _trace("mmpp", 200, 9))]
-        ref, vec = _run_both(fleet, loads)
-        ref_dict = ref.to_dict(include_requests=True, include_events=False)
-        vec_dict = vec.to_dict(include_requests=True, include_events=False)
-        for payload in (ref_dict, vec_dict):
+        events, columnar = _run_both(RequestRouter(fleet), loads)
+        events_dict = events.to_dict(
+            include_requests=True, include_events=False
+        )
+        columnar_dict = columnar.to_dict(
+            include_requests=True, include_events=False
+        )
+        for payload in (events_dict, columnar_dict):
             # Engine compile/cache-hit relay counts track cache
             # temperature, not routing behaviour.
             for kind in ("compile", "cache_hit"):
                 payload["event_counts"].pop(kind, None)
-        assert vec_dict == ref_dict
-        assert _filtered_events(vec) == _filtered_events(ref)
-        assert vec.mean_soc == ref.mean_soc
+        assert columnar_dict == events_dict
+        assert _filtered_events(columnar) == _filtered_events(events)
+        assert columnar.mean_soc == events.mean_soc
         assert np.array_equal(
-            np.asarray([r.soc for r in vec.completed]),
-            np.asarray([r.soc for r in ref.completed]),
+            np.asarray([r.soc for r in columnar.completed]),
+            np.asarray([r.soc for r in events.completed]),
         )

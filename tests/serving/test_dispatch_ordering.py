@@ -5,7 +5,8 @@ deadline) used to leave the final rejection order at the mercy of
 queue/dict insertion order.  ``_reject_stranded`` now sorts explicitly
 by rid; these tests pin that ordering -- and the dispatch order of a
 deadline-colliding queue -- as deterministic, repeatable and identical
-across both router backends.
+between the columnar loop ``run()`` takes for a plain run and the
+event loop (``_run_events``).
 """
 
 from types import SimpleNamespace
@@ -127,12 +128,13 @@ class TestCollidingDeadlineDispatch:
     ):
         """With every deadline equal, the dispatch sort must fall back
         to a stable total order -- same fingerprint on every run and
-        on both backends."""
+        on both loops."""
         loads = [TenantLoad(snappy_tenant, _colliding_trace(32))]
-        config = RouterConfig(policy=policy)
+        router = RequestRouter(fleet, RouterConfig(policy=policy))
         runs = [
-            RequestRouter(fleet, config, backend=backend).run(loads)
-            for backend in ("reference", "reference", "vectorized")
+            router._run_events(loads),
+            router._run_events(loads),
+            router.run(loads),
         ]
         assert runs[0].fingerprint() == runs[1].fingerprint()
         assert runs[2].fingerprint() == runs[0].fingerprint()
@@ -153,24 +155,34 @@ class TestCollidingDeadlineDispatch:
                 _colliding_trace(12, arrival_s=0.5 + offset),
             ),
         ]
-        ref = RequestRouter(fleet, RouterConfig()).run(loads)
-        again = RequestRouter(fleet, RouterConfig()).run(loads)
-        vec = RequestRouter(
-            fleet, RouterConfig(), backend="vectorized"
-        ).run(loads)
-        assert ref.fingerprint() == again.fingerprint()
-        assert vec.fingerprint() == ref.fingerprint()
+        router = RequestRouter(fleet, RouterConfig())
+        events = router._run_events(loads)
+        again = router._run_events(loads)
+        columnar = router.run(loads)
+        assert events.fingerprint() == again.fingerprint()
+        assert columnar.fingerprint() == events.fingerprint()
 
-    def test_every_request_accounted_for(self, fleet, snappy_tenant):
-        """Zero-loss contract on a colliding burst: completed plus
-        rejected covers every rid exactly once."""
-        loads = [TenantLoad(snappy_tenant, _colliding_trace(24))]
-        report = RequestRouter(fleet, RouterConfig()).run(loads)
-        seen = sorted(
-            [r.request.rid for r in report.completed]
-            + [r.request.rid for r in report.rejected]
-        )
-        assert seen == list(range(24))
+    def test_every_request_accounted_for(
+        self, fleet, snappy_tenant, finish_collision
+    ):
+        """Zero-loss contract, on both loops, on a colliding burst and
+        on a batch filling at the instant the previous one finishes:
+        completed plus rejected covers every rid exactly once."""
+        cases = [
+            (
+                RequestRouter(fleet, RouterConfig()),
+                [TenantLoad(snappy_tenant, _colliding_trace(24))],
+            ),
+            finish_collision,
+        ]
+        for router, loads in cases:
+            offered = sum(load.trace.n_requests for load in loads)
+            for report in (router.run(loads), router._run_events(loads)):
+                seen = sorted(
+                    [r.request.rid for r in report.completed]
+                    + [r.request.rid for r in report.rejected]
+                )
+                assert seen == list(range(offered))
 
 
 @pytest.fixture

@@ -259,6 +259,20 @@ class TestEdgeCasesAndValidation:
             RouterConfig(max_levels=0)
         with pytest.raises(ValueError):
             RouterConfig(low_water_batches=5.0)
+        # NaN slips past one-sided bound checks: every float field
+        # must reject a non-finite value by name.
+        for name in (
+            "flush_timeout_s",
+            "min_gain",
+            "high_water_batches",
+            "low_water_batches",
+            "retry_backoff_s",
+            "retry_backoff_growth",
+            "breaker_cooldown_s",
+        ):
+            for value in (float("nan"), float("inf"), float("-inf")):
+                with pytest.raises(ValueError, match=name):
+                    RouterConfig(**{name: value})
 
     def test_accepts_plain_deployment_mapping(self, deployments):
         router = RequestRouter(dict(deployments))

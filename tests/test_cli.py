@@ -270,36 +270,16 @@ class TestServeFleetSupervised:
         assert second["fingerprint"] == first["fingerprint"]
 
 
-class TestServeFleetBackend:
-    _BASE = ["serve-fleet", "--gpus", "tx1", "--requests", "40",
-             "--seed", "3", "--json"]
-
-    def test_backend_choices_registered(self):
-        parser = build_parser()
-        args = parser.parse_args(
-            ["serve-fleet", "--backend", "vectorized"]
-        )
-        assert args.backend == "vectorized"
-        assert parser.parse_args(["serve-fleet"]).backend == "reference"
-        with pytest.raises(SystemExit):
-            parser.parse_args(["serve-fleet", "--backend", "simd"])
-
-    def test_backends_serve_identical_payloads(self, capsys):
-        payloads = {}
-        for backend in ("reference", "vectorized"):
-            code = main(self._BASE + ["--backend", backend])
-            assert code == 0
-            payloads[backend] = json.loads(capsys.readouterr().out)
-        ref = payloads["reference"]
-        vec = payloads["vectorized"]
-        assert vec["summary"] == ref["summary"]
-        assert vec["platforms"] == ref["platforms"]
-
-    def test_vectorized_refuses_controller(self, capsys):
+class TestServeFleetLedger:
+    def test_chaos_retry_at_batch_finish_is_not_lost(self, capsys):
+        """Seed 103 lands a retry on the same float instant as its
+        batch's finish; every offered request must still be terminal
+        (40 interactive + 10 background)."""
         code = main(
-            self._BASE
-            + ["--backend", "vectorized", "--controller", "ewma"]
+            ["serve-fleet", "--requests", "40", "--chaos", "--seed",
+             "103", "--json"]
         )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "--backend reference" in err
+        assert code == 0
+        summary = json.loads(capsys.readouterr().out)["summary"]
+        assert summary["completed"] + summary["rejected"] == 50
+        assert summary["offered"] == 50
