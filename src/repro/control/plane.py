@@ -43,6 +43,7 @@ from repro.control.forecast import (
     HoltWintersForecaster,
 )
 from repro.gpu.dvfs import DEFAULT_FREQUENCY_LADDER, FrequencyState
+from repro.validation import require_finite
 
 __all__ = ["CONTROLLER_KINDS", "ControllerConfig", "ControlPlane", "TickOutcome"]
 
@@ -86,6 +87,8 @@ class ControllerConfig:
     dvfs: bool = True
 
     def __post_init__(self) -> None:
+        # A NaN tick_s would schedule no tick at all.
+        require_finite(**vars(self))
         if self.kind not in CONTROLLER_KINDS:
             raise ValueError(
                 "unknown controller kind %r (known: %s)"

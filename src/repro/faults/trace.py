@@ -25,6 +25,7 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.faults.events import EPISODE_KINDS, FaultEvent, FaultTrace
+from repro.validation import require_finite
 
 __all__ = ["FaultTraceConfig", "generate_fault_trace"]
 
@@ -53,6 +54,8 @@ class FaultTraceConfig:
     start_window: float = 0.7
 
     def __post_init__(self) -> None:
+        # A NaN duration would schedule its restore event at NaN.
+        require_finite(**vars(self))
         for field_name in (
             "outages", "sm_failures", "throttles",
             "bandwidth_degradations", "transients",

@@ -35,6 +35,8 @@ import hashlib
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from repro.validation import require_finite
+
 __all__ = ["FAULT_KINDS", "ProcFaultPlan"]
 
 #: Every fault kind a plan can decide, in threshold order.
@@ -83,6 +85,8 @@ class ProcFaultPlan:
     crash_exit_code: int = 87
 
     def __post_init__(self) -> None:
+        # A NaN rate passes both bounds below and never fires.
+        require_finite(**vars(self))
         rates = (
             self.crash_rate, self.hang_rate, self.corrupt_rate,
             self.truncate_rate, self.forge_rate,

@@ -51,6 +51,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.resilience.integrity import validate_result, witness_disagreement
 from repro.resilience.procfaults import TAMPER_KINDS
+from repro.validation import require_finite
 
 __all__ = [
     "FAILURE_KINDS",
@@ -92,6 +93,9 @@ class SupervisorConfig:
     kill_grace_s: float = 2.0
 
     def __post_init__(self) -> None:
+        # A NaN timeout would never fire (``now >= nan`` is always
+        # false), silently disabling hung-worker recovery.
+        require_finite(**vars(self))
         if self.timeout_s is not None and self.timeout_s <= 0.0:
             raise ValueError(
                 "timeout_s must be > 0, got %r" % (self.timeout_s,)

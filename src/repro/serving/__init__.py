@@ -77,7 +77,6 @@ from repro.serving.shard import (
     ShardPlanner,
     ShardResult,
     ShardSpec,
-    ShardWorker,
     run_shard,
     shard_seed,
     split_fault_trace,
@@ -113,7 +112,6 @@ __all__ = [
     "ShardPlanner",
     "ShardResult",
     "ShardSpec",
-    "ShardWorker",
     "Tenant",
     "TenantLoad",
     "TenantStats",

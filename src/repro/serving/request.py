@@ -5,19 +5,26 @@ time requirement (the deadline the router scores SoC against), a
 priority (higher preempts lower in queue ordering), and -- at run time
 -- a request trace.  The paper's three task classes map directly onto
 tenants via :func:`Tenant.from_spec`.
+
+Several tenants' traces interleave into one request stream in a single
+total order, decided here: :func:`merge_loads` builds it as ``Request``
+objects (the event loop's input), :class:`ArrivalColumns` as float64
+columns (the columnar loop's input), and the two agree row for row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Optional, Sequence
+
+import numpy as np
 
 from repro.core.satisfaction import TimeRequirement
 from repro.core.user_input import ApplicationSpec, infer_requirement
 from repro.workloads.generators import RequestTrace
 
-__all__ = ["Tenant", "Request", "TenantLoad", "merge_loads"]
+__all__ = ["Tenant", "Request", "TenantLoad", "merge_loads", "ArrivalColumns"]
 
 
 @dataclass(frozen=True)
@@ -83,17 +90,21 @@ class TenantLoad:
     trace: RequestTrace
 
 
+def _check_unique_tenants(loads: Sequence[TenantLoad]) -> None:
+    seen = set()
+    for load in loads:
+        if load.tenant.name in seen:
+            raise ValueError("duplicate tenant %r" % (load.tenant.name,))
+        seen.add(load.tenant.name)
+
+
 def merge_loads(loads: Sequence[TenantLoad]) -> List[Request]:
     """Interleave every tenant's trace into one arrival-ordered stream.
 
     Ordering is total and deterministic: (arrival time, tenant name,
     per-tenant position); request ids are assigned along that order.
     """
-    seen = set()
-    for load in loads:
-        if load.tenant.name in seen:
-            raise ValueError("duplicate tenant %r" % (load.tenant.name,))
-        seen.add(load.tenant.name)
+    _check_unique_tenants(loads)
     keyed = []
     for load in loads:
         trace = load.trace
@@ -112,3 +123,104 @@ def merge_loads(loads: Sequence[TenantLoad]) -> List[Request]:
         Request(rid=rid, tenant=tenant, arrival_s=arrival, difficulty=difficulty)
         for rid, (arrival, _name, _pos, tenant, difficulty) in enumerate(keyed)
     ]
+
+
+class ArrivalColumns:
+    """Column-major arrival stream, ordering-identical to
+    :func:`merge_loads`.
+
+    Rows are sorted by the same total key ``(arrival_s, tenant name,
+    per-tenant position)`` and the row index *is* the request id.
+    ``Request`` objects are only materialized on demand
+    (:meth:`request_at`).  The float columns keep both numpy views
+    (for vectorized scoring) and plain-list mirrors: scalar indexing
+    on a Python list is several times faster than on an ndarray, and
+    ``ndarray.tolist()`` converts float64 to the bit-identical Python
+    float, so no clock drifts by even one ULP on the way through.
+    """
+
+    __slots__ = (
+        "tenants",
+        "n",
+        "arrivals",
+        "difficulty",
+        "deadlines",
+        "tenant_index",
+        "arrivals_list",
+        "tenant_index_list",
+        "has_deadline_list",
+        "_difficulty_list",
+        "_requests",
+    )
+
+    def __init__(self, loads: Sequence[TenantLoad]) -> None:
+        _check_unique_tenants(loads)
+        self.tenants: List[Tenant] = [load.tenant for load in loads]
+        # Tenant-name ranks preserve lexicographic order, so the int
+        # sort key below compares exactly like merge_loads' string.
+        rank = {
+            name: code
+            for code, name in enumerate(
+                sorted(load.tenant.name for load in loads)
+            )
+        }
+        counts = [load.trace.n_requests for load in loads]
+        # A leading empty column keeps ``np.concatenate`` well-defined
+        # (and float64) when there are no loads at all.
+        arrivals = np.concatenate(
+            [np.empty(0)]
+            + [np.asarray(load.trace.arrivals_s, np.float64) for load in loads]
+        )
+        difficulty = np.concatenate(
+            [np.empty(0)]
+            + [np.asarray(load.trace.difficulty, np.float64) for load in loads]
+        )
+        tenant_index = np.repeat(np.arange(len(loads), dtype=np.int64), counts)
+        names = np.repeat(
+            np.array([rank[load.tenant.name] for load in loads], np.int64),
+            counts,
+        )
+        positions = np.concatenate(
+            [np.empty(0, np.int64)]
+            + [np.arange(count, dtype=np.int64) for count in counts]
+        )
+        # lexsort keys run minor-to-major: merge_loads' sort key is
+        # (arrival, tenant name, position).
+        order = np.lexsort((positions, names, arrivals))
+        self.arrivals = arrivals[order]
+        self.difficulty = difficulty[order]
+        self.tenant_index = tenant_index[order]
+        unusable = np.array(
+            [load.tenant.requirement.unusable_s for load in loads],
+            dtype=np.float64,
+        )
+        self.deadlines = self.arrivals + unusable[self.tenant_index]
+        self.n = int(self.arrivals.shape[0])
+        self.arrivals_list = self.arrivals.tolist()
+        self.tenant_index_list = self.tenant_index.tolist()
+        self.has_deadline_list = np.isfinite(self.deadlines).tolist()
+        # The difficulty mirror is off the admission hot path (report
+        # assembly) and builds on first use.
+        self._difficulty_list: Optional[List[float]] = None
+        self._requests: List[Optional[Request]] = [None] * self.n
+
+    @property
+    def difficulty_list(self) -> List[float]:
+        mirror = self._difficulty_list
+        if mirror is None:
+            mirror = self.difficulty.tolist()
+            self._difficulty_list = mirror
+        return mirror
+
+    def request_at(self, rid: int) -> Request:
+        """Materialize (and cache) the ``Request`` for one row."""
+        request = self._requests[rid]
+        if request is None:
+            request = Request(
+                rid=rid,
+                tenant=self.tenants[self.tenant_index_list[rid]],
+                arrival_s=self.arrivals_list[rid],
+                difficulty=self.difficulty_list[rid],
+            )
+            self._requests[rid] = request
+        return request

@@ -59,7 +59,6 @@ bit-identical fingerprints on plain runs.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
@@ -88,20 +87,10 @@ from repro.serving.report import (
 )
 from repro.serving.request import Request, TenantLoad, merge_loads
 from repro.serving.resilience import CircuitBreaker, RetryPolicy
+from repro.serving.vec_router import run_columnar
+from repro.validation import require_finite
 
 __all__ = ["RouterConfig", "RequestRouter"]
-
-#: The float-valued ``RouterConfig`` fields; each must be finite (a
-#: NaN slips past every one-sided bound check below).
-_FLOAT_FIELDS = (
-    "flush_timeout_s",
-    "min_gain",
-    "high_water_batches",
-    "low_water_batches",
-    "retry_backoff_s",
-    "retry_backoff_growth",
-    "breaker_cooldown_s",
-)
 
 
 @dataclass(frozen=True)
@@ -130,10 +119,6 @@ class RouterConfig:
     degradation: bool = True
     degrade_on_admission: bool = True
     policy: str = "soc"
-    #: Feed observed entropies to the deployments' calibrators while
-    #: serving at rung 0 (off by default: the router's beyond-threshold
-    #: rungs would otherwise fight the calibrator).
-    calibrate: bool = False
     # -- resilience ------------------------------------------------------
     resilience: bool = True
     #: Retry budget per request for transient batch failures.
@@ -146,12 +131,7 @@ class RouterConfig:
     breaker_cooldown_s: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in _FLOAT_FIELDS:
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(
-                    "%s must be finite, got %r" % (name, value)
-                )
+        require_finite(**vars(self))
         if self.policy not in POLICIES:
             raise ValueError(
                 "unknown policy %r (known: %s)"
@@ -303,8 +283,10 @@ class RequestRouter:
         """Serve every tenant's trace; returns the aggregate report.
 
         Each call is an independent simulation: platform state is
-        rebuilt from the deployments (compilation being engine-cached,
-        repeat runs are cheap) and nothing carries over between runs.
+        rebuilt from the deployments and nothing carries over between
+        runs (the immutable eager ladders are memoized on the
+        deployments, so repeat runs skip their build -- see
+        :meth:`_build_states`).
         ``faults`` optionally subjects the run to a chaos schedule;
         the report then carries :class:`ResilienceStats`.  ``obs``
         optionally observes the run (spans + metrics); the report then
@@ -335,11 +317,6 @@ class RequestRouter:
             and controller is None
             and (obs is None or not obs.enabled)
         ):
-            # cycle-breaker: the columnar loop's column types
-            # (repro.sim.vec.events) import repro.serving.request,
-            # whose package __init__ imports this module.
-            from repro.serving.vec_router import run_columnar
-
             return run_columnar(self, loads)
         return self._run_events(loads, faults, obs, controller)
 
@@ -374,7 +351,6 @@ class RequestRouter:
             ),
             obs,
         )
-        self._now = 0.0
         obs.run_started(tuple(self.deployments), 0.0)
         unsubscribe = self._subscribe_engines(events, obs)
         try:
@@ -461,10 +437,17 @@ class RequestRouter:
         )
 
     # -- setup -----------------------------------------------------------
-    def _subscribe_engines(self, events: EventLog, obs: Instrumentation):
+    def _subscribe_engines(
+        self, events: EventLog, obs: Optional[Instrumentation] = None
+    ):
         """Relay engine compile/cache activity into the event log (and
-        the instrumentation, when enabled) for the duration of one
-        run; returns the unsubscribe closure."""
+        the instrumentation, when given and enabled) for the duration
+        of one run; returns the unsubscribe closure.
+
+        Relayed events are stamped with the run clock, which starts
+        here at 0.0: activity during the state build precedes every
+        simulated event."""
+        self._now = 0.0
         engines = {}
         for deployment in self.deployments.values():
             engines[id(deployment.engine)] = deployment.engine
@@ -491,7 +474,10 @@ class RequestRouter:
         for engine in engines.values():
             engine.hooks.subscribe("on_compile", on_compile)
             engine.hooks.subscribe("on_cache_hit", on_cache_hit)
-            detachers.append(obs.attach_engine(engine, lambda: self._now))
+            if obs is not None:
+                detachers.append(
+                    obs.attach_engine(engine, lambda: self._now)
+                )
 
         def unsubscribe():
             for engine in engines.values():
@@ -503,17 +489,65 @@ class RequestRouter:
         return unsubscribe
 
     def _build_states(self, lazy: bool = False) -> Dict[str, PlatformState]:
+        """Fresh per-run platform states over each deployment's ladder.
+
+        Ladder materialization (one compile-and-measure per rung) is
+        the dominant fixed cost of a short run, so *eager* ladders are
+        memoized on each deployment and survive across runs and router
+        instances serving the same fleet:
+
+        * the memo key is every config knob the build reads -- the
+          ladder knobs plus ``flush_timeout_s``;
+        * a hit is revalidated by the *identity* of the deployment's
+          current tuning entry and by its ``power_gating`` /
+          ``use_priority_sm`` values, so a recalibrated or
+          reconfigured deployment rebuilds;
+        * sharing is safe because an eager ladder is never mutated
+          once built (fault re-targets build new ladders from
+          ``base_ladder.all_rungs()``);
+        * lazy ladders (controller runs, whose pre-warm decides which
+          rungs compile) are never memoized nor served from the memo.
+
+        Everything a run mutates -- degradation controller, health,
+        breaker, queues, accounting -- is built fresh every call.
+        """
         config = self.config
+        max_levels = config.max_levels if config.degradation else 1
+        memo_key = (
+            max_levels,
+            config.batch_growth,
+            config.max_batch,
+            config.min_gain,
+            config.flush_timeout_s,
+        )
         states: Dict[str, PlatformState] = {}
         for name, deployment in self.deployments.items():
-            ladder = DegradationLadder(
-                deployment,
-                max_levels=config.max_levels if config.degradation else 1,
-                batch_growth=config.batch_growth,
-                max_batch=config.max_batch,
-                min_gain=config.min_gain,
-                lazy=lazy,
+            # Lazy ladders get a throwaway memo: never shared.
+            memo = (
+                {}
+                if lazy
+                else vars(deployment).setdefault("_ladder_memo", {})
             )
+            entry = deployment.current_entry
+            knobs = (deployment.power_gating, deployment.use_priority_sm)
+            hit = memo.get(memo_key)
+            if hit is not None and hit[0] is entry and hit[1] == knobs:
+                ladder, flush_timeout = hit[2], hit[3]
+            else:
+                ladder = DegradationLadder(
+                    deployment,
+                    max_levels=max_levels,
+                    batch_growth=config.batch_growth,
+                    max_batch=config.max_batch,
+                    min_gain=config.min_gain,
+                    lazy=lazy,
+                )
+                flush_timeout = (
+                    config.flush_timeout_s
+                    if config.flush_timeout_s is not None
+                    else default_flush_timeout(deployment)
+                )
+                memo[memo_key] = (entry, knobs, ladder, flush_timeout)
             base_time = ladder[0].exec_time_s
             controller = DegradationController(
                 n_levels=len(ladder),
@@ -521,11 +555,6 @@ class RequestRouter:
                 low_water_s=config.low_water_batches * base_time,
                 window=config.window,
                 enabled=config.degradation,
-            )
-            flush_timeout = (
-                config.flush_timeout_s
-                if config.flush_timeout_s is not None
-                else default_flush_timeout(deployment)
             )
             states[name] = PlatformState(
                 name=name,
@@ -971,10 +1000,8 @@ class RequestRouter:
                 run.events.record(move, time_s=now, platform=state.name)
                 run.obs.breaker_transition(state.name, move, now)
         run.obs.batch_completed(state.name, batch, batch.finish_s, rung.energy_j)
-        batch_entropy = 0.0
         for request in batch.requests:
             entropy = rung.entropy * request.difficulty
-            batch_entropy = max(batch_entropy, entropy)
             breakdown = soc(
                 runtime_s=batch.finish_s - request.arrival_s,
                 requirement=request.tenant.requirement,
@@ -1005,8 +1032,6 @@ class RequestRouter:
             run.obs.request_completed(
                 request, batch.finish_s, state.name, rung.level
             )
-        if self.config.calibrate and rung.level == 0:
-            state.deployment.observe_entropy(batch_entropy)
 
     # -- reporting --------------------------------------------------------
     def _platform_stats(

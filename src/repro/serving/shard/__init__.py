@@ -35,7 +35,6 @@ from repro.serving.shard.worker import (
     FleetSpec,
     ShardResult,
     ShardSpec,
-    ShardWorker,
     run_shard,
 )
 
@@ -47,7 +46,6 @@ __all__ = [
     "ShardPlanner",
     "ShardResult",
     "ShardSpec",
-    "ShardWorker",
     "parse_shard_platform",
     "qualify_report",
     "run_shard",

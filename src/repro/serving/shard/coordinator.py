@@ -153,7 +153,6 @@ class FleetCoordinator:
         n_shards: int = 1,
         seed: int = 0,
         inline: bool = False,
-        max_workers: Optional[int] = None,
         controller: Optional[object] = None,
         processes: Optional[int] = None,
         supervision: Optional[SupervisorConfig] = None,
@@ -162,10 +161,6 @@ class FleetCoordinator:
     ) -> None:
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1, got %r" % (n_shards,))
-        if max_workers is not None and max_workers < 1:
-            raise ValueError(
-                "max_workers must be >= 1, got %r" % (max_workers,)
-            )
         if processes is not None and processes < 1:
             raise ValueError(
                 "processes must be >= 1, got %r" % (processes,)
@@ -175,7 +170,6 @@ class FleetCoordinator:
         self.n_shards = n_shards
         self.seed = seed
         self.inline = inline
-        self.max_workers = max_workers
         #: Optional picklable controller recipe (see
         #: :attr:`ShardSpec.controller`): every shard builds its own
         #: fresh plane from it, so predictive state never crosses the
@@ -321,14 +315,12 @@ class FleetCoordinator:
     # -- execution -------------------------------------------------------
     def _effective_processes(self, n_specs: int) -> int:
         """The spawn-worker cap: ``min(n_shards, cpu count)`` unless
-        the ``processes`` knob (or legacy ``max_workers``) says less."""
+        the ``processes`` knob says less."""
         limit = (
             self.processes
             if self.processes is not None
             else (os.cpu_count() or 1)
         )
-        if self.max_workers is not None:
-            limit = min(limit, self.max_workers)
         return max(1, min(n_specs, limit))
 
     def _supervise(self, specs: Sequence[ShardSpec]):
@@ -415,18 +407,12 @@ class FleetCoordinator:
                 % (", ".join("s%d" % shard_id for shard_id in failed),),
                 SupervisionReport(records),
             )
-        target = min(
-            healthy,
-            key=lambda shard_id: (
-                sum(
-                    stats.busy_s
-                    for stats in results[shard_id].report.platforms
-                ),
-                shard_id,
-            ),
-        )
-        target_spec = self._absorb_spec(
-            specs[target], [specs[shard_id] for shard_id in failed]
+        target = self._least_busy(healthy, results)
+        # The failed shards' *fault* schedules do not travel -- they
+        # addressed platforms that no longer run.
+        target_spec = _fold_loads(
+            specs[target],
+            [load for shard_id in failed for load in specs[shard_id].loads],
         )
         result, records = self._run_single(
             target_spec, records, "escalation"
@@ -438,33 +424,21 @@ class FleetCoordinator:
         return target, results, records, specs
 
     @staticmethod
-    def _absorb_spec(
-        spec: ShardSpec, failed_specs: Sequence[ShardSpec]
-    ) -> ShardSpec:
-        """The target's spec with whole failed shards' loads folded in.
-
-        Tenant names stay unique as the router requires: a tenant the
-        target already serves has the extra trace merged into its
-        existing one.  The failed shards' *fault* schedules do not
-        travel -- they addressed platforms that no longer run.
-        """
-        loads = list(spec.loads)
-        position = {
-            load.tenant.name: index for index, load in enumerate(loads)
-        }
-        for failed in failed_specs:
-            for load in failed.loads:
-                name = load.tenant.name
-                if name in position:
-                    index = position[name]
-                    loads[index] = TenantLoad(
-                        loads[index].tenant,
-                        merge_traces(loads[index].trace, load.trace),
-                    )
-                else:
-                    position[name] = len(loads)
-                    loads.append(load)
-        return replace(spec, loads=tuple(loads))
+    def _least_busy(
+        healthy: Sequence[int], results: Sequence[Optional[ShardResult]]
+    ) -> int:
+        """The healthy shard with the least total busy time (ties to
+        the lowest shard id): the target that absorbs extra load."""
+        return min(
+            healthy,
+            key=lambda shard_id: (
+                sum(
+                    stats.busy_s
+                    for stats in results[shard_id].report.platforms
+                ),
+                shard_id,
+            ),
+        )
 
     # -- failover (chaos-dead shards) ------------------------------------
     def _failover(
@@ -506,20 +480,11 @@ class FleetCoordinator:
         ]
         if not dead or not healthy:
             return results, records, 0, dead, None
-        target = min(
-            healthy,
-            key=lambda shard_id: (
-                sum(
-                    stats.busy_s
-                    for stats in results[shard_id].report.platforms
-                ),
-                shard_id,
-            ),
-        )
+        target = self._least_busy(healthy, results)
         stranded = [
             record for shard_id in dead for record in outage[shard_id]
         ]
-        target_spec = self._rehome_spec(specs[target], stranded)
+        target_spec = _fold_loads(specs[target], _stranded_loads(stranded))
         result, records = self._run_single(target_spec, records, "failover")
         results = list(results)
         results[target] = result
@@ -566,50 +531,6 @@ class FleetCoordinator:
             and resilience.outages > 0
             and bool(report.rejected)
         )
-
-    @staticmethod
-    def _rehome_spec(
-        spec: ShardSpec, stranded: Sequence[RejectedRequest]
-    ) -> ShardSpec:
-        """The target's spec with the stranded requests' load added.
-
-        Stranded requests are regrouped by tenant into fresh traces
-        (original arrivals and difficulties); a tenant the target
-        already serves has the extra trace merged into its existing
-        one, keeping per-run tenant names unique as the router
-        requires.
-        """
-        tenants: Dict[str, Tenant] = {}
-        grouped: Dict[str, List] = {}
-        for record in stranded:
-            request = record.request
-            tenants[request.tenant.name] = request.tenant
-            grouped.setdefault(request.tenant.name, []).append(request)
-        loads = list(spec.loads)
-        position = {
-            load.tenant.name: index for index, load in enumerate(loads)
-        }
-        for name in sorted(grouped):
-            requests = sorted(
-                grouped[name], key=lambda r: (r.arrival_s, r.rid)
-            )
-            trace = RequestTrace(
-                arrivals_s=np.array(
-                    [r.arrival_s for r in requests], dtype=float
-                ),
-                difficulty=np.array(
-                    [r.difficulty for r in requests], dtype=float
-                ),
-            )
-            if name in position:
-                index = position[name]
-                loads[index] = TenantLoad(
-                    loads[index].tenant,
-                    merge_traces(loads[index].trace, trace),
-                )
-            else:
-                loads.append(TenantLoad(tenants[name], trace))
-        return replace(spec, loads=tuple(loads))
 
     # -- supervision surfacing -------------------------------------------
     def _statuses(
@@ -669,3 +590,46 @@ class FleetCoordinator:
             series: merged[series] for series in sorted(merged)
         }
         report.obs = section
+
+
+def _fold_loads(spec: ShardSpec, extra: Sequence[TenantLoad]) -> ShardSpec:
+    """The spec with extra tenant loads folded in.
+
+    Tenant names stay unique as the router requires: a tenant the spec
+    already serves has the extra trace merged into its existing one;
+    any other tenant is appended.
+    """
+    loads = list(spec.loads)
+    position = {load.tenant.name: index for index, load in enumerate(loads)}
+    for load in extra:
+        name = load.tenant.name
+        if name in position:
+            index = position[name]
+            loads[index] = TenantLoad(
+                loads[index].tenant,
+                merge_traces(loads[index].trace, load.trace),
+            )
+        else:
+            position[name] = len(loads)
+            loads.append(load)
+    return replace(spec, loads=tuple(loads))
+
+
+def _stranded_loads(stranded: Sequence[RejectedRequest]) -> List[TenantLoad]:
+    """Stranded requests regrouped by tenant (in name order) into
+    fresh traces with their original arrivals and difficulties."""
+    tenants: Dict[str, Tenant] = {}
+    grouped: Dict[str, List] = {}
+    for record in stranded:
+        request = record.request
+        tenants[request.tenant.name] = request.tenant
+        grouped.setdefault(request.tenant.name, []).append(request)
+    loads = []
+    for name in sorted(grouped):
+        requests = sorted(grouped[name], key=lambda r: (r.arrival_s, r.rid))
+        trace = RequestTrace(
+            arrivals_s=np.array([r.arrival_s for r in requests], dtype=float),
+            difficulty=np.array([r.difficulty for r in requests], dtype=float),
+        )
+        loads.append(TenantLoad(tenants[name], trace))
+    return loads

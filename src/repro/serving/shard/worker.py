@@ -31,7 +31,7 @@ from repro.serving.request import TenantLoad
 from repro.serving.router import RequestRouter, RouterConfig
 from repro.serving.shard.planner import shard_label
 
-__all__ = ["FleetSpec", "ShardResult", "ShardSpec", "ShardWorker", "run_shard"]
+__all__ = ["FleetSpec", "ShardResult", "ShardSpec", "run_shard"]
 
 
 @dataclass(frozen=True)
@@ -203,20 +203,3 @@ def run_shard(spec: ShardSpec) -> ShardResult:
     if fault in ("corrupt", "truncate", "forge"):
         result = plan.tamper(fault, result)
     return result
-
-
-class ShardWorker:
-    """Object view of one shard run (a thin veneer over
-    :func:`run_shard` for callers that want to hold the spec and
-    trigger the run separately)."""
-
-    def __init__(self, spec: ShardSpec) -> None:
-        self.spec = spec
-
-    @property
-    def shard_id(self) -> int:
-        return self.spec.shard_id
-
-    def run(self) -> ShardResult:
-        """Execute the shard in the current process."""
-        return run_shard(self.spec)

@@ -8,22 +8,21 @@ cannot fail a batch, trip a breaker, rescale a rung or emit a span, so
 this loop carries none of that machinery.
 
 The event loop is object-per-event: every arrival materializes a
-``Request``, every heap entry is a Python tuple, every admission
-scores candidates through dataclass constructors, and the report is
-assembled eagerly.  This loop replays the *same* simulation over
-column-major state -- :class:`repro.sim.vec.events.ArrivalColumns` for
-the request stream, :class:`repro.sim.vec.events.SoAEventQueue` for
-the dynamic events (batch frees and flush timers), plain-Python
-mirrors of the per-platform hot fields, and per-(platform, rung)
-accuracy columns precomputed across the whole request vector with
-:func:`repro.sim.vec.scoring.soc_accuracy_vec`.  Requests stay virtual
-(integer row ids), events are compact kind-coded rows expanded
-lazily, per-request SoC breakdowns are deferred, and whole saturation
-bursts -- every arrival landing before the next dynamic event while
-all queues are full -- are rejected in one ``bisect_right`` instead of
-per-request admission.  The returned :class:`VecRouterReport`
-materializes ``completed`` / ``rejected`` / ``events`` on first
-access.
+``Request``, every admission scores candidates through dataclass
+constructors, and the report is assembled eagerly.  This loop replays
+the *same* simulation over column-major state --
+:class:`repro.serving.request.ArrivalColumns` for the request stream,
+a ``heapq`` of ``(time_s, seq, kind, payload)`` tuples for the dynamic
+events (batch frees and flush timers), plain-Python mirrors of the
+per-platform hot fields, and per-(platform, rung) accuracy columns
+precomputed across the whole request vector with
+:func:`soc_accuracy_vec`.  Requests stay virtual (integer row ids),
+events are compact kind-coded rows expanded lazily, per-request SoC
+breakdowns are deferred, and whole saturation bursts -- every arrival
+landing before the next dynamic event while all queues are full --
+are rejected in one ``bisect_right`` instead of per-request admission.
+The returned :class:`VecRouterReport` materializes ``completed`` /
+``rejected`` / ``events`` on first access.
 
 Equivalence is the contract, not a goal: every float is produced by
 the event loop's exact expression (same operand order, same
@@ -32,40 +31,40 @@ program point, and the merged arrival/dynamic streams replicate the
 event heap's ``(time_s, push_seq)`` total order (arrivals take
 sequence numbers ``0..n-1``, dynamic events everything after --
 exactly how the event loop pushes them).  Platform states come from
-``router._build_states`` (memoized per deployment, see
-:func:`_cached_states`) and the real ``DegradationController`` walks
-each ladder.  ``RouterReport.fingerprint()`` is therefore
-bit-identical to the event loop's on every plain run -- asserted by
+``router._build_states``, which memoizes each deployment's eager
+ladder across runs, and the real ``DegradationController`` walks each
+ladder.  Engine activity during that build is relayed through
+``router._subscribe_engines`` exactly as the event loop relays it.
+``RouterReport.fingerprint()`` is therefore bit-identical to the event
+loop's on every plain run -- asserted by
 ``tests/serving/test_backend_equivalence.py``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_right
+from heapq import heappop, heappush
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.satisfaction import soc
-from repro.serving.degradation import DegradationController
-from repro.serving.dispatch import PlatformState
 from repro.serving.events import EventLog, RouterEvent
 from repro.serving.report import (
     CompletedRequest,
     RejectedRequest,
     RouterReport,
 )
-from repro.serving.request import TenantLoad
-from repro.sim.vec.events import ArrivalColumns, SoAEventQueue
-from repro.sim.vec.scoring import soc_accuracy_vec
+from repro.serving.request import ArrivalColumns, TenantLoad
 
-__all__ = ["run_columnar", "VecRouterReport"]
+__all__ = ["run_columnar", "soc_accuracy_vec", "VecRouterReport"]
 
 _INF = math.inf
 
 # Dynamic-event kind codes (arrivals ride their own pre-sorted
-# columns; only these two flow through the SoA heap).
+# columns; only these two flow through the heap).
 _FREE = 0
 _FLUSH = 1
 
@@ -79,7 +78,25 @@ _E_COMP = 3  # (code, t, pidx, rids, level)
 _E_MOVE = 4  # (code, t, pidx, move, level)        cause="backlog"
 _E_ADEG = 5  # (code, t, rid, pidx, level)         cause="admission"
 _E_REJR = 6  # (code, first_rid, end_rid)          a saturation burst
-_E_RAW = 9  # (code, kind, t, tenant, platform, rids, pairs)
+
+
+def soc_accuracy_vec(
+    entropies: np.ndarray, entropy_threshold: float
+) -> np.ndarray:
+    """Element-wise :func:`repro.core.satisfaction.soc_accuracy`.
+
+    Evaluates the scalar function's exact operation order over a
+    float64 array, so every element is bit-identical to the scalar
+    call: ``1.0`` up to the threshold, ``threshold / entropy`` past
+    it.  Masked-out lanes may compute ``inf`` (a zero entropy), hence
+    the ``np.errstate``; the selected lanes match the scalar branch.
+    """
+    values = np.asarray(entropies, dtype=np.float64)
+    if np.any(values < 0) or entropy_threshold <= 0:
+        raise ValueError("entropy must be >= 0 and threshold > 0")
+    with np.errstate(divide="ignore", over="ignore"):
+        degraded = entropy_threshold / values
+    return np.where(values <= entropy_threshold, 1.0, degraded)
 
 
 class _P:
@@ -155,11 +172,16 @@ class _P:
 
 
 class _VecRaw:
-    """Deferred report ingredients of one columnar run."""
+    """Deferred report ingredients of one columnar run.
 
-    __slots__ = ("cols", "flat", "completed_rows", "names")
+    ``relay`` holds the engine events relayed while the platform
+    states were built; they precede every loop row in the log.
+    """
 
-    def __init__(self, cols, flat, completed_rows, names) -> None:
+    __slots__ = ("relay", "cols", "flat", "completed_rows", "names")
+
+    def __init__(self, relay, cols, flat, completed_rows, names) -> None:
+        self.relay = relay
         self.cols = cols
         self.flat = flat
         self.completed_rows = completed_rows
@@ -218,9 +240,9 @@ class _VecRaw:
         tenant_index = cols.tenant_index_list
         tenant_names = [tenant.name for tenant in cols.tenants]
         names = self.names
-        out: List[RouterEvent] = []
+        out: List[RouterEvent] = list(self.relay)
         append = out.append
-        seq = 0
+        seq = len(out)
         for row in self.flat:
             code = row[0]
             if code == _E_ENQ:
@@ -308,7 +330,7 @@ class _VecRaw:
                         detail={"cause": "backlog", "level": level},
                     )
                 )
-            elif code == _E_ADEG:
+            else:  # _E_ADEG
                 _, t, rid, pidx, level = row
                 append(
                     RouterEvent(
@@ -319,19 +341,6 @@ class _VecRaw:
                         platform=names[pidx],
                         request_ids=(rid,),
                         detail={"cause": "admission", "level": level},
-                    )
-                )
-            else:  # _E_RAW
-                _, kind, t, tenant, platform, rids, pairs = row
-                append(
-                    RouterEvent(
-                        seq=seq,
-                        time_s=t,
-                        kind=kind,
-                        tenant=tenant,
-                        platform=platform,
-                        request_ids=rids,
-                        detail=dict(pairs),
                     )
                 )
             seq += 1
@@ -400,70 +409,6 @@ class VecRouterReport(RouterReport):
         self.__dict__.update(state)
 
 
-def _cached_states(router):
-    """Memoizing twin of ``RequestRouter._build_states``.
-
-    Ladder materialization (one compile-and-measure per rung) is the
-    dominant fixed cost of a run, yet in a plain run nothing can
-    mutate a rung mid-run: there are no faults, so no health rescales
-    and no re-targets, and no controller, so no DVFS moves.  The
-    ladder and derived flush timeout are therefore memoized on each
-    *deployment* (so they survive across router instances serving the
-    same fleet), keyed by every config knob the ladder build reads,
-    and revalidated by *identity* of the current tuning entry -- any
-    recalibration or re-target swaps the entry object and misses the
-    cache, falling back to a full eager build.  Per-run mutable state
-    (degradation controller, accounting) is always fresh; a plain run
-    reads no health or breaker state, so a cache hit builds none.
-    """
-    config = router.config
-    ladder_key = (
-        config.max_levels if config.degradation else 1,
-        config.batch_growth,
-        config.max_batch,
-        config.min_gain,
-        config.flush_timeout_s,
-    )
-    states = {}
-    rebuilt = None
-    for name, deployment in router.deployments.items():
-        cache = deployment.__dict__.setdefault("_vec_ladder_cache", {})
-        hit = cache.get(ladder_key)
-        if (
-            hit is None
-            or hit[0] is not deployment.current_entry
-            or hit[1] != (deployment.power_gating, deployment.use_priority_sm)
-        ):
-            if rebuilt is None:
-                rebuilt = router._build_states(lazy=False)
-            state = rebuilt[name]
-            cache[ladder_key] = (
-                deployment.current_entry,
-                (deployment.power_gating, deployment.use_priority_sm),
-                state.ladder,
-                state.flush_timeout_s,
-            )
-            states[name] = state
-            continue
-        ladder = hit[2]
-        base_time = ladder[0].exec_time_s
-        states[name] = PlatformState(
-            name=name,
-            deployment=deployment,
-            ladder=ladder,
-            controller=DegradationController(
-                n_levels=len(ladder),
-                high_water_s=config.high_water_batches * base_time,
-                low_water_s=config.low_water_batches * base_time,
-                window=config.window,
-                enabled=config.degradation,
-            ),
-            flush_timeout_s=hit[3],
-            base_ladder=ladder,
-        )
-    return states
-
-
 def run_columnar(router, loads: Sequence[TenantLoad]) -> VecRouterReport:
     """Serve a plain run (no faults, instrumentation or controller).
 
@@ -471,254 +416,114 @@ def run_columnar(router, loads: Sequence[TenantLoad]) -> VecRouterReport:
     ``router._run_events(loads)``.
     """
     config = router.config
+    # Engine hooks fire only while the states are built (every rung
+    # is materialized up front and nothing recompiles mid-run), so
+    # the relay is subscribed for the build alone and every relayed
+    # event carries the build-time clock.
+    relay = EventLog()
+    unsubscribe = router._subscribe_engines(relay)
+    try:
+        states = router._build_states()
+    finally:
+        unsubscribe()
     flat: List[tuple] = []
     flat_append = flat.append
-    unsubscribe = _subscribe_engines(router, flat)
-    try:
-        states = _cached_states(router)
-        cols = ArrivalColumns(loads)
-        n = cols.n
-        arrivals = cols.arrivals_list
-        has_deadline = cols.has_deadline_list
+    cols = ArrivalColumns(loads)
+    n = cols.n
+    arrivals = cols.arrivals_list
+    has_deadline = cols.has_deadline_list
 
-        # Per-rid requirement columns: one list index per arrival
-        # instead of tenant-index chasing (fancy indexing of the
-        # float64 columns converts bit-identically).
-        requirements = [tenant.requirement for tenant in cols.tenants]
+    # Per-rid requirement columns: one list index per arrival
+    # instead of tenant-index chasing (fancy indexing of the
+    # float64 columns converts bit-identically).
+    requirements = [tenant.requirement for tenant in cols.tenants]
 
-        def per_rid(values):
-            return np.asarray(values, dtype=np.float64)[
-                cols.tenant_index
-            ].tolist()
+    def per_rid(values):
+        return np.asarray(values, dtype=np.float64)[
+            cols.tenant_index
+        ].tolist()
 
-        imp_r = per_rid([r.imperceptible_s for r in requirements])
-        unu_r = per_rid([r.unusable_s for r in requirements])
-        span_r = per_rid(
-            [r.unusable_s - r.imperceptible_s for r in requirements]
-        )
+    imp_r = per_rid([r.imperceptible_s for r in requirements])
+    unu_r = per_rid([r.unusable_s for r in requirements])
+    span_r = per_rid(
+        [r.unusable_s - r.imperceptible_s for r in requirements]
+    )
 
-        ps = [
-            _P(index, name, state)
-            for index, (name, state) in enumerate(states.items())
-        ]
-        names = [p.name for p in ps]
+    ps = [
+        _P(index, name, state)
+        for index, (name, state) in enumerate(states.items())
+    ]
+    names = [p.name for p in ps]
 
-        fifo = config.policy == "fifo"
-        queue_limit = config.queue_limit
-        degrade_admission = config.degrade_on_admission and config.degradation
-        calibrate = config.calibrate
+    fifo = config.policy == "fifo"
+    queue_limit = config.queue_limit
+    degrade_admission = config.degrade_on_admission and config.degradation
 
-        # Queue ordering: the event loop's SoC-policy sort key is
-        # (-priority, deadline, rid) -- a *total* order (rid breaks
-        # every tie), so sorting by each rid's rank along it is
-        # equivalent.  The rank vector is one lexsort over the columns;
-        # when it comes out as the identity (single tenant, or any mix
-        # whose priority order coincides with arrival order), queue
-        # sorts collapse to plain integer sorts.
-        sort_key = None
-        if not fifo and n:
-            neg_priority = np.array(
-                [-tenant.priority for tenant in cols.tenants],
-                dtype=np.int64,
-            )[cols.tenant_index]
-            idx = np.arange(n)
-            order = np.lexsort((idx, cols.deadlines, neg_priority))
-            if not np.array_equal(order, idx):
-                rank = np.empty(n, dtype=np.int64)
-                rank[order] = idx
-                sort_key = rank.tolist().__getitem__
+    # Queue ordering: the event loop's SoC-policy sort key is
+    # (-priority, deadline, rid) -- a *total* order (rid breaks
+    # every tie), so sorting by each rid's rank along it is
+    # equivalent.  The rank vector is one lexsort over the columns;
+    # when it comes out as the identity (single tenant, or any mix
+    # whose priority order coincides with arrival order), queue
+    # sorts collapse to plain integer sorts.
+    sort_key = None
+    if not fifo and n:
+        neg_priority = np.array(
+            [-tenant.priority for tenant in cols.tenants],
+            dtype=np.int64,
+        )[cols.tenant_index]
+        idx = np.arange(n)
+        order = np.lexsort((idx, cols.deadlines, neg_priority))
+        if not np.array_equal(order, idx):
+            rank = np.empty(n, dtype=np.int64)
+            rank[order] = idx
+            sort_key = rank.tolist().__getitem__
 
-        dyn = SoAEventQueue(first_seq=n)
-        dyn_push = dyn.push
-        dyn_peek = dyn.peek_time
+    # The dynamic events' heap: (time_s, seq, kind, payload) tuples,
+    # sequence numbers continuing after the arrivals' 0..n-1.
+    dyn: List[tuple] = []
+    dyn_seq = itertools.count(n).__next__
 
-        completed_rows: List[tuple] = []
-        now = 0.0
+    completed_rows: List[tuple] = []
+    now = 0.0
 
-        def sa_fill(p: _P, level: int) -> List[float]:
-            column = soc_accuracy_vec(
-                p.ent[level] * cols.difficulty, p.thr
-            ).tolist()
-            p.sa[level] = column
-            if level == p.level:
-                p.cur_sa = column
-            return column
+    def sa_fill(p: _P, level: int) -> List[float]:
+        column = soc_accuracy_vec(
+            p.ent[level] * cols.difficulty, p.thr
+        ).tolist()
+        p.sa[level] = column
+        if level == p.level:
+            p.cur_sa = column
+        return column
 
-        def admit_tail(rid, now, imp, unu, span):
-            """The deadline-rescue tail of admission: escalate one
-            platform's ladder to the shallowest feasible deeper rung,
-            or reject as infeasible."""
-            if degrade_admission:
-                rescue = None
-                rescue_level = 0
-                rescue_value = rescue_latency = 0.0
-                for p in ps:
-                    queued = len(p.queue)
-                    if queued >= queue_limit:
-                        continue
-                    if not p.ctrl.enabled:
-                        continue
-                    wait = p.busy_until - now
-                    if wait < 0.0:
-                        wait = 0.0
-                    for level in range(p.level + 1, p.n_levels):
-                        capacity = p.batch[level]
-                        exec_s = p.exec_s[level]
-                        assembly = (
-                            0.0 if (queued + 1) % capacity == 0 else p.ft
-                        )
-                        latency = (
-                            wait
-                            + (queued // capacity) * exec_s
-                            + assembly
-                            + exec_s
-                        )
-                        if latency <= imp:
-                            st = 1.0
-                        elif latency >= unu:
-                            st = 0.0
-                        else:
-                            st = 1.0 - (latency - imp) / span
-                        if st > 0.0:
-                            # Shallowest feasible deeper rung per
-                            # platform; winner by the SoC sort key.
-                            column = p.sa[level]
-                            if column is None:
-                                column = sa_fill(p, level)
-                            value = st * column[rid] / p.epi[level]
-                            if (
-                                rescue is None
-                                or value > rescue_value
-                                or (
-                                    value == rescue_value
-                                    and latency < rescue_latency
-                                )
-                            ):
-                                rescue = p
-                                rescue_level = level
-                                rescue_value = value
-                                rescue_latency = latency
-                            break
-                if rescue is not None:
-                    rescue.ctrl.escalate_to(rescue_level)
-                    rescue.set_level(rescue.ctrl.level)
-                    return (
-                        rescue,
-                        rescue_level,
-                        rescue_latency,
-                        rescue_value,
-                        "ok-degraded",
-                    )
-            return (None, 0, 0.0, 0.0, "infeasible")
-
-        def try_dispatch(
-            p: _P,
-            now: float,
-            arrivals=arrivals,
-            sort_key=sort_key,
-            dyn_push=dyn_push,
-            flat_append=flat_append,
-        ) -> None:
-            """Twin of the event loop's ``_try_dispatch`` + ``_launch``:
-            launch while nothing is in flight (an arrival or flush
-            popping at a batch's exact finish instant must not launch
-            over it) and the queue satisfies the flush policy;
-            otherwise arm a flush timer."""
-            queue = p.queue
-            while p.inflight is None and queue:
-                if p.dirty:
-                    if sort_key is None:
-                        queue.sort()
-                    else:
-                        queue.sort(key=sort_key)
-                    p.dirty = False
-                capacity = p.cur_bl
-                head_arrival = arrivals[queue[0]]
-                if len(queue) < capacity and now < head_arrival + p.ft:
-                    flush_at = head_arrival + p.ft
-                    pending = p.pending_flush_at
-                    if pending is None or flush_at < pending:
-                        p.pending_flush_at = flush_at
-                        dyn_push(flush_at, _FLUSH, p.index)
-                    return
-                level = p.level
-                exec_s = p.cur_el
-                queued = len(queue)
-                take = capacity if queued > capacity else queued
-                rids = tuple(queue[:take])
-                del queue[:take]
-                finish = now + exec_s
-                p.busy_until = finish
-                state = p.state
-                state.batches += 1
-                state.level_sum += level
-                p.inflight = (
-                    rids, level, now, finish, exec_s, p.energy[level],
-                    p.cur_epi, p.ent[level], take,
-                )
-                dyn_push(finish, _FREE, p.index)
-                flat_append(
-                    (_E_DISP, now, p.index, rids, level, take, capacity,
-                     finish)
-                )
-                queued_batches = -(-len(queue) // capacity)
-                move = p.ctrl.observe(queued_batches * exec_s)
-                if move is not None:
-                    p.set_level(p.ctrl.level)
-                    flat_append((_E_MOVE, now, p.index, move, p.ctrl.level))
-
-        # -- the merged event loop --------------------------------------
-        # Two pre-ordered streams replace the event heap: the arrival
-        # columns (seqs 0..n-1) and the SoA heap (n..).  At equal
-        # timestamps the lowest sequence number wins, exactly like the
-        # event loop's (time_s, push_seq) tuples.  The dynamic peek is
-        # cached across iterations and re-read only when the heap's
-        # version moved.  Engine hooks cannot fire mid-loop (every
-        # rung is materialized up front and nothing recompiles), so
-        # their relayed events all carry the build-time clock.
-        ai = 0
-        version = -1
-        td = _INF
-        while True:
-            if dyn.version != version:
-                version = dyn.version
-                td = dyn_peek()
-            ta = arrivals[ai] if ai < n else _INF
-            if ta <= td:
-                if ta == _INF:
-                    break
-                now = ta
-                rid = ai
-                ai += 1
-                # Admission, inlined: twin of ``AdmissionController
-                # .admit`` + ``Dispatcher.choose``.  The -inf/+inf
-                # seeds make the first open platform win its
-                # comparison exactly like the event loop's
-                # first-candidate pick (scores are finite and
-                # non-negative).
-                imp = imp_r[rid]
-                unu = unu_r[rid]
-                span = span_r[rid]
-                best = None
-                best_level = 0
-                best_st = 0.0
-                best_value = -_INF
-                best_latency = _INF
-                for p in ps:
-                    queued = len(p.queue)
-                    if queued >= queue_limit:
-                        continue
-                    wait = p.busy_until - now
-                    if wait < 0.0:
-                        wait = 0.0
-                    capacity = p.cur_bl
-                    exec_s = p.cur_el
+    def admit_tail(rid, now, imp, unu, span):
+        """The deadline-rescue tail of admission: escalate one
+        platform's ladder to the shallowest feasible deeper rung,
+        or reject as infeasible."""
+        if degrade_admission:
+            rescue = None
+            rescue_level = 0
+            rescue_value = rescue_latency = 0.0
+            for p in ps:
+                queued = len(p.queue)
+                if queued >= queue_limit:
+                    continue
+                if not p.ctrl.enabled:
+                    continue
+                wait = p.busy_until - now
+                if wait < 0.0:
+                    wait = 0.0
+                for level in range(p.level + 1, p.n_levels):
+                    capacity = p.batch[level]
+                    exec_s = p.exec_s[level]
                     assembly = (
                         0.0 if (queued + 1) % capacity == 0 else p.ft
                     )
                     latency = (
-                        wait + (queued // capacity) * exec_s
-                        + assembly + exec_s
+                        wait
+                        + (queued // capacity) * exec_s
+                        + assembly
+                        + exec_s
                     )
                     if latency <= imp:
                         st = 1.0
@@ -726,102 +531,234 @@ def run_columnar(router, loads: Sequence[TenantLoad]) -> VecRouterReport:
                         st = 0.0
                     else:
                         st = 1.0 - (latency - imp) / span
-                    column = p.cur_sa
-                    if column is None:
-                        column = sa_fill(p, p.level)
-                    value = st * column[rid] / p.cur_epi
-                    if fifo:
-                        pick = latency < best_latency
-                    else:
-                        pick = value > best_value or (
-                            value == best_value
-                            and latency < best_latency
-                        )
-                    if pick:
-                        best = p
-                        best_level = p.level
-                        best_value = value
-                        best_latency = latency
-                        best_st = st
-                if best is None:
-                    flat_append((_E_REJ, now, rid, "saturated"))
-                    # Every queue is full and nothing can drain one
-                    # before the next dynamic event: the whole burst
-                    # of arrivals up to (and at) that timestamp is
-                    # rejected in one binary search.  The expansion
-                    # back to per-request reject events is deferred
-                    # with the rest of the log.
-                    end = bisect_right(arrivals, td, ai, n)
-                    if end > ai:
-                        flat_append((_E_REJR, ai, end))
-                        ai = end
-                    continue
-                if best_st > 0.0 or not has_deadline[rid]:
-                    p = best
-                    level = best_level
-                    latency = best_latency
-                    value = best_value
-                else:
-                    p, level, latency, value, reason = admit_tail(
-                        rid, now, imp, unu, span
-                    )
-                    if p is None:
-                        flat_append((_E_REJ, now, rid, reason))
-                        continue
-                    flat_append((_E_ADEG, now, rid, p.index, p.ctrl.level))
-                p.queue.append(rid)
-                p.dirty = True
-                flat_append((_E_ENQ, now, rid, p.index, level, value, latency))
-                if p.inflight is None:
-                    try_dispatch(p, now)
-                continue
-            time_s, _seq, kind, payload = dyn.pop()
-            now = time_s
-            p = ps[payload]
-            if kind == _FLUSH:
-                pending = p.pending_flush_at
-                if pending is not None and pending <= time_s:
-                    p.pending_flush_at = None
-                try_dispatch(p, time_s)
-                continue
-            # _FREE: the batch in flight finished.  Launches wait for
-            # an empty slot, so every free event belongs to its
-            # platform's current batch: complete it, then keep the
-            # platform busy.
-            (rids, level, start, finish, exec_s, energy, epi, ent,
-             take) = p.inflight
-            p.inflight = None
-            state = p.state
-            state.requests_served += take
-            state.busy_s += exec_s
-            state.energy_j += energy
-            completed_rows.append(
-                (rids, p.name, level, take, start, finish, epi, ent, p.thr)
-            )
-            flat_append((_E_COMP, finish, p.index, rids, level))
-            if calibrate and level == 0:
-                difficulty = cols.difficulty_list
-                batch_entropy = 0.0
-                for crid in rids:
-                    entropy = ent * difficulty[crid]
-                    if entropy > batch_entropy:
-                        batch_entropy = entropy
-                state.deployment.observe_entropy(batch_entropy)
-            try_dispatch(p, time_s)
+                    if st > 0.0:
+                        # Shallowest feasible deeper rung per
+                        # platform; winner by the SoC sort key.
+                        column = p.sa[level]
+                        if column is None:
+                            column = sa_fill(p, level)
+                        value = st * column[rid] / p.epi[level]
+                        if (
+                            rescue is None
+                            or value > rescue_value
+                            or (
+                                value == rescue_value
+                                and latency < rescue_latency
+                            )
+                        ):
+                            rescue = p
+                            rescue_level = level
+                            rescue_value = value
+                            rescue_latency = latency
+                        break
+            if rescue is not None:
+                rescue.ctrl.escalate_to(rescue_level)
+                rescue.set_level(rescue.ctrl.level)
+                return (
+                    rescue,
+                    rescue_level,
+                    rescue_latency,
+                    rescue_value,
+                    "ok-degraded",
+                )
+        return (None, 0, 0.0, 0.0, "infeasible")
 
-        # Zero-loss backstop, twin of ``_reject_stranded``: platforms
-        # in name order, stranded requests in rid order.
-        for p in ps:
-            stranded: List[int] = []
-            if p.inflight is not None:
-                stranded.extend(p.inflight[0])
-                p.inflight = None
-            stranded.extend(p.queue)
-            del p.queue[:]
-            for rid in sorted(stranded):
-                flat_append((_E_REJ, now, rid, "stranded", p.index))
-    finally:
-        unsubscribe()
+    def try_dispatch(
+        p: _P,
+        now: float,
+        arrivals=arrivals,
+        sort_key=sort_key,
+        dyn=dyn,
+        dyn_seq=dyn_seq,
+        heappush=heappush,
+        flat_append=flat_append,
+    ) -> None:
+        """Twin of the event loop's ``_try_dispatch`` + ``_launch``:
+        launch while nothing is in flight (an arrival or flush
+        popping at a batch's exact finish instant must not launch
+        over it) and the queue satisfies the flush policy;
+        otherwise arm a flush timer."""
+        queue = p.queue
+        while p.inflight is None and queue:
+            if p.dirty:
+                if sort_key is None:
+                    queue.sort()
+                else:
+                    queue.sort(key=sort_key)
+                p.dirty = False
+            capacity = p.cur_bl
+            head_arrival = arrivals[queue[0]]
+            if len(queue) < capacity and now < head_arrival + p.ft:
+                flush_at = head_arrival + p.ft
+                pending = p.pending_flush_at
+                if pending is None or flush_at < pending:
+                    p.pending_flush_at = flush_at
+                    heappush(dyn, (flush_at, dyn_seq(), _FLUSH, p.index))
+                return
+            level = p.level
+            exec_s = p.cur_el
+            queued = len(queue)
+            take = capacity if queued > capacity else queued
+            rids = tuple(queue[:take])
+            del queue[:take]
+            finish = now + exec_s
+            p.busy_until = finish
+            state = p.state
+            state.batches += 1
+            state.level_sum += level
+            p.inflight = (
+                rids, level, now, finish, exec_s, p.energy[level],
+                p.cur_epi, p.ent[level], take,
+            )
+            heappush(dyn, (finish, dyn_seq(), _FREE, p.index))
+            flat_append(
+                (_E_DISP, now, p.index, rids, level, take, capacity,
+                 finish)
+            )
+            queued_batches = -(-len(queue) // capacity)
+            move = p.ctrl.observe(queued_batches * exec_s)
+            if move is not None:
+                p.set_level(p.ctrl.level)
+                flat_append((_E_MOVE, now, p.index, move, p.ctrl.level))
+
+    # -- the merged event loop --------------------------------------
+    # Two pre-ordered streams replace the event loop's single heap:
+    # the arrival columns (seqs 0..n-1) and the dynamic heap (n..).
+    # At equal timestamps the lowest sequence number wins, so an
+    # arrival beats a dynamic event, exactly like the event loop's
+    # (time_s, push_seq) tuples.
+    ai = 0
+    while True:
+        td = dyn[0][0] if dyn else _INF
+        ta = arrivals[ai] if ai < n else _INF
+        if ta <= td:
+            if ta == _INF:
+                break
+            now = ta
+            rid = ai
+            ai += 1
+            # Admission, inlined: twin of ``AdmissionController
+            # .admit`` + ``Dispatcher.choose``.  The -inf/+inf
+            # seeds make the first open platform win its
+            # comparison exactly like the event loop's
+            # first-candidate pick (scores are finite and
+            # non-negative).
+            imp = imp_r[rid]
+            unu = unu_r[rid]
+            span = span_r[rid]
+            best = None
+            best_level = 0
+            best_st = 0.0
+            best_value = -_INF
+            best_latency = _INF
+            for p in ps:
+                queued = len(p.queue)
+                if queued >= queue_limit:
+                    continue
+                wait = p.busy_until - now
+                if wait < 0.0:
+                    wait = 0.0
+                capacity = p.cur_bl
+                exec_s = p.cur_el
+                assembly = (
+                    0.0 if (queued + 1) % capacity == 0 else p.ft
+                )
+                latency = (
+                    wait + (queued // capacity) * exec_s
+                    + assembly + exec_s
+                )
+                if latency <= imp:
+                    st = 1.0
+                elif latency >= unu:
+                    st = 0.0
+                else:
+                    st = 1.0 - (latency - imp) / span
+                column = p.cur_sa
+                if column is None:
+                    column = sa_fill(p, p.level)
+                value = st * column[rid] / p.cur_epi
+                if fifo:
+                    pick = latency < best_latency
+                else:
+                    pick = value > best_value or (
+                        value == best_value
+                        and latency < best_latency
+                    )
+                if pick:
+                    best = p
+                    best_level = p.level
+                    best_value = value
+                    best_latency = latency
+                    best_st = st
+            if best is None:
+                flat_append((_E_REJ, now, rid, "saturated"))
+                # Every queue is full and nothing can drain one
+                # before the next dynamic event: the whole burst
+                # of arrivals up to (and at) that timestamp is
+                # rejected in one binary search.  The expansion
+                # back to per-request reject events is deferred
+                # with the rest of the log.
+                end = bisect_right(arrivals, td, ai, n)
+                if end > ai:
+                    flat_append((_E_REJR, ai, end))
+                    ai = end
+                continue
+            if best_st > 0.0 or not has_deadline[rid]:
+                p = best
+                level = best_level
+                latency = best_latency
+                value = best_value
+            else:
+                p, level, latency, value, reason = admit_tail(
+                    rid, now, imp, unu, span
+                )
+                if p is None:
+                    flat_append((_E_REJ, now, rid, reason))
+                    continue
+                flat_append((_E_ADEG, now, rid, p.index, p.ctrl.level))
+            p.queue.append(rid)
+            p.dirty = True
+            flat_append((_E_ENQ, now, rid, p.index, level, value, latency))
+            if p.inflight is None:
+                try_dispatch(p, now)
+            continue
+        time_s, _seq, kind, payload = heappop(dyn)
+        now = time_s
+        p = ps[payload]
+        if kind == _FLUSH:
+            pending = p.pending_flush_at
+            if pending is not None and pending <= time_s:
+                p.pending_flush_at = None
+            try_dispatch(p, time_s)
+            continue
+        # _FREE: the batch in flight finished.  Launches wait for
+        # an empty slot, so every free event belongs to its
+        # platform's current batch: complete it, then keep the
+        # platform busy.
+        (rids, level, start, finish, exec_s, energy, epi, ent,
+         take) = p.inflight
+        p.inflight = None
+        state = p.state
+        state.requests_served += take
+        state.busy_s += exec_s
+        state.energy_j += energy
+        completed_rows.append(
+            (rids, p.name, level, take, start, finish, epi, ent, p.thr)
+        )
+        flat_append((_E_COMP, finish, p.index, rids, level))
+        try_dispatch(p, time_s)
+
+    # Zero-loss backstop, twin of ``_reject_stranded``: platforms
+    # in name order, stranded requests in rid order.
+    for p in ps:
+        stranded: List[int] = []
+        if p.inflight is not None:
+            stranded.extend(p.inflight[0])
+            p.inflight = None
+        stranded.extend(p.queue)
+        del p.queue[:]
+        for rid in sorted(stranded):
+            flat_append((_E_REJ, now, rid, "stranded", p.index))
 
     horizon = 0.0
     if completed_rows:
@@ -829,58 +766,8 @@ def run_columnar(router, loads: Sequence[TenantLoad]) -> VecRouterReport:
     if n:
         horizon = max(horizon, arrivals[n - 1])
     return VecRouterReport(
-        _vec_raw=_VecRaw(cols, flat, completed_rows, names),
+        _vec_raw=_VecRaw(relay, cols, flat, completed_rows, names),
         platforms=router._platform_stats(states, horizon),
         horizon_s=horizon,
     )
 
-
-def _subscribe_engines(router, flat):
-    """Twin of ``RequestRouter._subscribe_engines`` appending compact
-    event rows (stamped with the build-time clock) instead of
-    recording into an ``EventLog``."""
-    engines = {}
-    for deployment in router.deployments.values():
-        engines[id(deployment.engine)] = deployment.engine
-    flat_append = flat.append
-
-    def on_compile(key, plan, **_ignored):
-        flat_append(
-            (
-                _E_RAW,
-                "compile",
-                0.0,
-                None,
-                key.arch,
-                (),
-                (
-                    ("network", key.network),
-                    ("batch", key.batch),
-                    ("perforation", key.perforation),
-                ),
-            )
-        )
-
-    def on_cache_hit(kind, key, **_ignored):
-        flat_append(
-            (
-                _E_RAW,
-                "cache_hit",
-                0.0,
-                None,
-                getattr(key, "arch", None),
-                (),
-                (("cache", kind),),
-            )
-        )
-
-    for engine in engines.values():
-        engine.hooks.subscribe("on_compile", on_compile)
-        engine.hooks.subscribe("on_cache_hit", on_cache_hit)
-
-    def unsubscribe():
-        for engine in engines.values():
-            engine.hooks.unsubscribe("on_compile", on_compile)
-            engine.hooks.unsubscribe("on_cache_hit", on_cache_hit)
-
-    return unsubscribe

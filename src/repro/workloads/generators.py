@@ -16,6 +16,8 @@ from typing import List
 
 import numpy as np
 
+from repro.validation import require_finite
+
 __all__ = [
     "RequestTrace",
     "interactive_trace",
@@ -35,9 +37,10 @@ __all__ = [
 class RequestTrace:
     """A stream of inference requests.
 
-    ``arrivals_s`` are monotonically non-decreasing timestamps;
-    ``difficulty`` is a per-request multiplier (>= 1 means harder than
-    calibration) applied to the tuning-time entropy.
+    ``arrivals_s`` are finite, monotonically non-decreasing
+    timestamps; ``difficulty`` is a finite, non-negative per-request
+    multiplier (>= 1 means harder than calibration) applied to the
+    tuning-time entropy.
     """
 
     arrivals_s: np.ndarray
@@ -46,8 +49,14 @@ class RequestTrace:
     def __post_init__(self) -> None:
         if self.arrivals_s.shape != self.difficulty.shape:
             raise ValueError("arrivals and difficulty must align")
+        # NaN compares false against everything, so it slips past the
+        # ordering check below unless rejected first.
+        if not np.all(np.isfinite(self.arrivals_s)):
+            raise ValueError("arrivals_s must be finite")
         if np.any(np.diff(self.arrivals_s) < 0):
             raise ValueError("arrivals must be non-decreasing")
+        if not np.all(np.isfinite(self.difficulty) & (self.difficulty >= 0)):
+            raise ValueError("difficulty must be finite and non-negative")
 
     @property
     def n_requests(self) -> int:
@@ -59,6 +68,7 @@ def interactive_trace(
     n_requests: int = 20, think_time_s: float = 2.0, seed: int = 0
 ) -> RequestTrace:
     """Poisson-ish user interactions separated by think time."""
+    require_finite(think_time_s=think_time_s)
     rng = np.random.default_rng(seed)
     gaps = rng.exponential(think_time_s, n_requests)
     return RequestTrace(
@@ -71,6 +81,7 @@ def realtime_trace(
     duration_s: float = 2.0, fps: float = 15.0, seed: int = 0
 ) -> RequestTrace:
     """A metronome of frames at the stream rate."""
+    require_finite(duration_s=duration_s, fps=fps)
     n = max(1, int(duration_s * fps))
     arrivals = np.arange(n) / fps
     return RequestTrace(arrivals_s=arrivals, difficulty=np.ones(n))
@@ -80,6 +91,7 @@ def background_trace(
     n_photos: int = 64, dump_gap_s: float = 0.05, seed: int = 0
 ) -> RequestTrace:
     """A camera-roll dump: requests nearly back-to-back."""
+    require_finite(dump_gap_s=dump_gap_s)
     arrivals = np.arange(n_photos) * dump_gap_s
     return RequestTrace(arrivals_s=arrivals, difficulty=np.ones(n_photos))
 
@@ -103,6 +115,12 @@ def bursty_trace(
     stationary distribution equals ``rate_hz``, which is what the
     property test pins down.
     """
+    require_finite(
+        rate_hz=rate_hz,
+        burst_factor=burst_factor,
+        burst_fraction=burst_fraction,
+        switch_rate_hz=switch_rate_hz,
+    )
     if rate_hz <= 0 or switch_rate_hz <= 0:
         raise ValueError("rates must be positive")
     if burst_factor <= 1.0:
@@ -156,6 +174,9 @@ def diurnal_trace(
     approximation) and fully determined by the seed.  The seasonal
     forecaster tests lock onto ``period_s``.
     """
+    require_finite(
+        base_rate_hz=base_rate_hz, amplitude=amplitude, period_s=period_s
+    )
     if base_rate_hz <= 0 or period_s <= 0:
         raise ValueError("base_rate_hz and period_s must be positive")
     if not 0.0 <= amplitude < 1.0:
@@ -189,6 +210,7 @@ def pareto_trace(
     exactly ``1 / rate_hz``.  ``alpha`` must exceed 1 for the mean to
     exist; values near 1 give wilder tails.
     """
+    require_finite(rate_hz=rate_hz, alpha=alpha)
     if rate_hz <= 0:
         raise ValueError("rate_hz must be positive")
     if alpha <= 1.0:
@@ -233,6 +255,7 @@ def scale_rate(trace: RequestTrace, factor: float) -> RequestTrace:
     the same ``factor`` -- how the overload bench turns a calibrated
     steady-state trace into an N-times-capacity storm.
     """
+    require_finite(factor=factor)
     if not factor > 0:
         raise ValueError(
             "scale_rate factor must be a positive rate multiplier, got %r"
@@ -255,6 +278,7 @@ def difficulty_shift(
     produce ``severity``x the calibration entropy -- the scenario that
     triggers P-CNN's calibration backtracking.
     """
+    require_finite(onset_fraction=onset_fraction, severity=severity)
     if severity < 1.0:
         raise ValueError("severity must be >= 1.0")
     if not 0.0 <= onset_fraction <= 1.0:

@@ -46,6 +46,15 @@ class TestControllerConfig:
             ControllerConfig(lookahead_levels=-1)
         with pytest.raises(ValueError):
             ControllerConfig(headroom=0.5)
+        # NaN slips past one-sided bound checks (a NaN tick_s would
+        # schedule no tick at all): every float field must reject a
+        # non-finite value by name.
+        for name in (
+            "tick_s", "headroom", "dvfs_headroom", "alpha", "beta", "gamma",
+        ):
+            for value in (float("nan"), float("inf"), float("-inf")):
+                with pytest.raises(ValueError, match=name):
+                    ControllerConfig(**{name: value})
 
     def test_picklable_for_shard_specs(self):
         config = ControllerConfig(kind="holt-winters", season_ticks=8)

@@ -106,6 +106,17 @@ class TestFaultTraceConfig:
     def test_bad_duration_rejected(self):
         with pytest.raises(ValueError, match="outage_duration_s"):
             FaultTraceConfig(outage_duration_s=0.0)
+        # NaN slips past ``<= 0`` (and would schedule a restore at
+        # NaN): every duration must be finite, named in the error.
+        for name in (
+            "outage_duration_s",
+            "sm_failure_duration_s",
+            "throttle_duration_s",
+            "bandwidth_duration_s",
+        ):
+            for value in (float("nan"), float("inf"), float("-inf")):
+                with pytest.raises(ValueError, match=name):
+                    FaultTraceConfig(**{name: value})
 
     def test_bad_severity_rejected(self):
         with pytest.raises(ValueError, match="sm_fail_fraction"):
@@ -114,6 +125,15 @@ class TestFaultTraceConfig:
             FaultTraceConfig(throttle_frequency=1.0)
         with pytest.raises(ValueError, match="start_window"):
             FaultTraceConfig(start_window=0.0)
+        for name in (
+            "sm_fail_fraction",
+            "throttle_frequency",
+            "bandwidth_scale",
+            "start_window",
+        ):
+            for value in (float("nan"), float("inf"), float("-inf")):
+                with pytest.raises(ValueError, match=name):
+                    FaultTraceConfig(**{name: value})
 
     def test_n_events_counts_episodes_twice(self):
         assert FULL_CONFIG.n_events == 2 * 7 + 3

@@ -175,27 +175,27 @@ def test_resilience_package_is_rep001_clean():
     assert path.endswith("supervisor.py")
 
 def test_vectorized_backend_is_rep001_rep007_clean():
-    # The columnar loop (repro.sim.vec plus repro.serving.vec_router)
-    # serves every plain run of the fingerprinted hot path as array
-    # programs, so it inherits REP001's determinism scope through the
-    # repro.sim / repro.serving prefixes -- pinned explicitly so a
-    # package move cannot silently unscope it.  Both the module-local
-    # rule and the interprocedural taint rule must hold with zero
-    # suppressions.
+    # The columnar loop (repro.serving.vec_router plus the arrival
+    # columns of repro.serving.request) serves every plain run of the
+    # fingerprinted hot path as array programs, so it inherits
+    # REP001's determinism scope through the repro.serving prefix --
+    # pinned explicitly so a module move cannot silently unscope it.
+    # Both the module-local rule and the interprocedural taint rule
+    # must hold with zero suppressions.
     from repro.lint.rules.determinism import SIMULATION_PACKAGES
 
     assert any(
-        "repro.sim.vec".startswith(package)
+        "repro.serving".startswith(package)
         for package in SIMULATION_PACKAGES
     )
-    vec_root = PACKAGE_ROOT / "sim" / "vec"
-    vec_router = PACKAGE_ROOT / "serving" / "vec_router.py"
-    assert vec_router.exists()
-    report = run_lint(
-        [vec_root, vec_router], rule_ids=["REP001", "REP007"]
-    )
+    modules = [
+        PACKAGE_ROOT / "serving" / "vec_router.py",
+        PACKAGE_ROOT / "serving" / "request.py",
+    ]
+    assert all(module.exists() for module in modules)
+    report = run_lint(modules, rule_ids=["REP001", "REP007"])
     assert report.ok, "\n".join(v.render() for v in report.violations)
-    assert report.files_scanned == len(list(vec_root.rglob("*.py"))) + 1
+    assert report.files_scanned == len(modules)
     assert not report.suppressed, (
         "the columnar loop must not carry suppressions"
     )

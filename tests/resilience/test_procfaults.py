@@ -76,6 +76,14 @@ class TestValidation:
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
             ProcFaultPlan(crash_rate=-0.1)
+        # A NaN rate passes both bounds and silently never fires.
+        for name in (
+            "crash_rate", "hang_rate", "corrupt_rate", "truncate_rate",
+            "forge_rate",
+        ):
+            for value in (float("nan"), float("inf"), float("-inf")):
+                with pytest.raises(ValueError, match=name):
+                    ProcFaultPlan(**{name: value})
 
     def test_unknown_forced_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -84,6 +92,9 @@ class TestValidation:
     def test_nonpositive_hang_rejected(self):
         with pytest.raises(ValueError):
             ProcFaultPlan(hang_s=0.0)
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="hang_s"):
+                ProcFaultPlan(hang_s=value)
 
     def test_may_hang_property(self):
         assert not ProcFaultPlan(crash_rate=0.5).may_hang

@@ -293,6 +293,14 @@ class TestReportShapes:
             SupervisorConfig(max_attempts=0)
         with pytest.raises(ValueError):
             SupervisorConfig(kill_grace_s=0.0)
+        # A NaN timeout never fires, so a hung worker would never be
+        # killed: non-finite values are rejected by name (None stays
+        # the way to disable the timeout).
+        for name in ("timeout_s", "kill_grace_s"):
+            for value in (float("nan"), float("inf"), float("-inf")):
+                with pytest.raises(ValueError, match=name):
+                    SupervisorConfig(**{name: value})
+        assert SupervisorConfig(timeout_s=None).timeout_s is None
         with pytest.raises(ValueError):
             ShardSupervisor(toy_task, processes=0)
 

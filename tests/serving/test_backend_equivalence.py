@@ -9,7 +9,9 @@ the SHA-1 over every routing decision, event and request record --
 against the event loop on every plain run: hypothesis draws trace
 families (MMPP storms, Pareto heavy tails, diurnal sinusoids), a
 config matrix covers every knob the loop reads, and each case must
-fingerprint identically through both loops.
+fingerprint identically through both loops.  The columnar loop's
+vectorized SoC accuracy curve is checked element-wise against its
+scalar original here too.
 """
 
 import numpy as np
@@ -18,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.control import ControllerConfig
-from repro.core.satisfaction import TimeRequirement
+from repro.core.satisfaction import TimeRequirement, soc_accuracy
 from repro.faults import FaultTrace
 from repro.obs import Instrumentation
 from repro.serving import (
@@ -29,7 +31,7 @@ from repro.serving import (
     Tenant,
     TenantLoad,
 )
-from repro.serving.vec_router import VecRouterReport
+from repro.serving.vec_router import VecRouterReport, soc_accuracy_vec
 from repro.workloads import bursty_trace, diurnal_trace, pareto_trace
 
 #: Arrival rate used by the fixed-rate differential traces; high
@@ -106,7 +108,6 @@ class TestConfigMatrix:
             RouterConfig(degradation=False),
             RouterConfig(degradation=False, policy="fifo"),
             RouterConfig(degrade_on_admission=False),
-            RouterConfig(calibrate=True),
             RouterConfig(resilience=False),
             RouterConfig(retry_limit=0),
             RouterConfig(queue_limit=8),
@@ -226,3 +227,26 @@ class TestReportPayloads:
             np.asarray([r.soc for r in columnar.completed]),
             np.asarray([r.soc for r in events.completed]),
         )
+
+
+class TestSocCurves:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        entropies=st.lists(
+            st.floats(min_value=0.0, max_value=8.0, allow_nan=False),
+            min_size=1, max_size=32,
+        ),
+        threshold=st.floats(
+            min_value=1e-3, max_value=8.0, allow_nan=False
+        ),
+    )
+    def test_soc_accuracy_elementwise(self, entropies, threshold):
+        vec = soc_accuracy_vec(np.asarray(entropies), threshold)
+        scalar = [soc_accuracy(e, threshold) for e in entropies]
+        assert vec.tolist() == scalar
+
+    def test_validation_matches_scalar_contract(self):
+        with pytest.raises(ValueError):
+            soc_accuracy_vec(np.asarray([-0.1]), 1.0)
+        with pytest.raises(ValueError):
+            soc_accuracy_vec(np.asarray([1.0]), 0.0)

@@ -1,14 +1,23 @@
-"""Tests for repro.serving.request: tenants, requests, load merging."""
+"""Tests for repro.serving.request: tenants, requests, load merging,
+and the column-major arrival stream the columnar loop reads."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import ApplicationSpec, TaskClass
 from repro.core.satisfaction import TimeRequirement
 from repro.serving import Tenant, TenantLoad, merge_loads
-from repro.workloads import RequestTrace
+from repro.serving.request import ArrivalColumns
+from repro.workloads import (
+    RequestTrace,
+    bursty_trace,
+    diurnal_trace,
+    pareto_trace,
+)
 
 
 def _trace(arrivals, difficulty=None):
@@ -88,3 +97,113 @@ class TestMergeLoads:
     def test_empty_loads_merge_to_nothing(self):
         tenant = Tenant("t", TimeRequirement(0.1, 1.0))
         assert merge_loads([TenantLoad(tenant, _trace([]))]) == []
+
+
+class TestFloat64RoundTrip:
+    """The columnar loop's fingerprint contract leaves no room for one
+    ULP of drift: every clock must survive the float64 columns."""
+
+    @pytest.mark.parametrize(
+        "trace",
+        [
+            bursty_trace(n_requests=200, rate_hz=317.0, seed=5),
+            pareto_trace(n_requests=200, rate_hz=317.0, alpha=1.2, seed=5),
+            diurnal_trace(
+                n_requests=200, base_rate_hz=200.0, amplitude=0.7,
+                period_s=0.9, seed=5,
+            ),
+        ],
+        ids=["mmpp", "pareto", "diurnal"],
+    )
+    def test_workload_clocks_round_trip_exactly(self, trace):
+        """Every generator's float64 arrival clock comes out of the
+        columns as the bit-identical Python float."""
+        tenant = Tenant("t", TimeRequirement(0.1, 1.0))
+        columns = ArrivalColumns([TenantLoad(tenant, trace)])
+        expected = [float(t) for t in trace.arrivals_s]
+        assert columns.arrivals_list == expected
+        assert [t.hex() for t in columns.arrivals_list] == [
+            t.hex() for t in expected
+        ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        values=st.lists(
+            st.floats(allow_nan=False, width=64),
+            min_size=1, max_size=64,
+        )
+    )
+    def test_ndarray_tolist_is_bit_identical(self, values):
+        """The list mirrors ArrivalColumns keeps are exact:
+        ``float64 -> Python float`` loses nothing, ever."""
+        array = np.asarray(values, dtype=np.float64)
+        assert [v.hex() for v in array.tolist()] == [
+            float(v).hex() for v in values
+        ]
+
+
+def _loads():
+    snappy = Tenant(
+        "snappy", TimeRequirement(imperceptible_s=0.1, unusable_s=0.5),
+        priority=1,
+    )
+    calm = Tenant(
+        "calm", TimeRequirement(imperceptible_s=0.5, unusable_s=2.0),
+        priority=0,
+    )
+    return [
+        TenantLoad(snappy, bursty_trace(n_requests=120, rate_hz=300.0,
+                                        seed=3)),
+        TenantLoad(calm, pareto_trace(n_requests=90, rate_hz=250.0,
+                                      alpha=1.4, seed=4)),
+    ]
+
+
+class TestArrivalColumns:
+    def test_ordering_matches_merge_loads(self):
+        loads = _loads()
+        columns = ArrivalColumns(loads)
+        reference = merge_loads(loads)
+        assert columns.n == len(reference)
+        for rid, request in enumerate(reference):
+            assert columns.arrivals_list[rid] == request.arrival_s
+            assert columns.difficulty_list[rid] == request.difficulty
+            assert (
+                columns.tenants[columns.tenant_index_list[rid]]
+                is request.tenant
+            )
+
+    def test_materialized_requests_equal_reference(self):
+        loads = _loads()
+        columns = ArrivalColumns(loads)
+        reference = merge_loads(loads)
+        materialized = [columns.request_at(rid) for rid in range(columns.n)]
+        assert materialized == reference
+
+    def test_request_at_caches(self):
+        columns = ArrivalColumns(_loads())
+        assert columns.request_at(5) is columns.request_at(5)
+
+    def test_deadlines_follow_tenant_requirement(self):
+        columns = ArrivalColumns(_loads())
+        deadlines = columns.deadlines.tolist()
+        for rid in range(columns.n):
+            tenant = columns.tenants[columns.tenant_index_list[rid]]
+            assert deadlines[rid] == (
+                columns.arrivals_list[rid] + tenant.requirement.unusable_s
+            )
+            assert columns.has_deadline_list[rid] == math.isfinite(
+                deadlines[rid]
+            )
+
+    def test_duplicate_tenant_rejected(self):
+        loads = _loads()
+        dupe = loads + [loads[0]]
+        with pytest.raises(ValueError, match="duplicate tenant"):
+            ArrivalColumns(dupe)
+
+    def test_empty_loads(self):
+        columns = ArrivalColumns([])
+        assert columns.n == 0
+        assert columns.arrivals_list == []
+        assert columns.deadlines.shape == (0,)

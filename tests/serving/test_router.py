@@ -6,7 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from repro.control import ControllerConfig
+from repro.core.fleet import FleetManager
 from repro.core.satisfaction import TimeRequirement
+from repro.faults import FaultTraceConfig, generate_fault_trace
+from repro.gpu import JETSON_TX1, K20C
+from repro.nn import alexnet
 from repro.serving import (
     RequestRouter,
     RouterConfig,
@@ -282,3 +287,88 @@ class TestEdgeCasesAndValidation:
         )
         report = router.run([TenantLoad(tenant, trace)])
         assert report.n_completed == 2
+
+
+class TestLadderMemo:
+    """Eager ladders are memoized on the deployments and shared by
+    every later run on the fleet; whatever ran first, the next run
+    must fingerprint exactly like the same run on a fresh fleet."""
+
+    RUNS = {
+        "plain": lambda router, loads, faults: router.run(loads),
+        "chaos": lambda router, loads, faults: router.run(
+            loads, faults=faults
+        ),
+        "controller": lambda router, loads, faults: router.run(
+            loads,
+            controller=ControllerConfig(kind="ewma", tick_s=0.02).build(),
+        ),
+    }
+
+    @staticmethod
+    def _fresh_fleet(spec):
+        manager = FleetManager(
+            alexnet(), spec, architectures=[K20C, JETSON_TX1],
+            max_tuning_iterations=8,
+        )
+        manager.deploy_all()
+        return manager
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [("chaos", "plain"), ("plain", "chaos"), ("plain", "controller")],
+    )
+    def test_second_run_matches_fresh_fleet(
+        self, spec, snappy_tenant, first, second
+    ):
+        shared = self._fresh_fleet(spec)
+        loads = [TenantLoad(snappy_tenant, _storm(shared.deploy_all()))]
+        # SM failures re-target ladders and throttles rescale rungs:
+        # neither may leak into the memoized healthy ladder.
+        faults = generate_fault_trace(
+            sorted(shared.deploy_all()),
+            horizon_s=float(loads[0].trace.arrivals_s[-1]),
+            config=FaultTraceConfig(
+                outages=1, outage_duration_s=0.05, sm_failures=1,
+                sm_failure_duration_s=0.1, throttles=1,
+                throttle_duration_s=0.1, transients=2,
+            ),
+            seed=3,
+        )
+        self.RUNS[first](RequestRouter(shared), loads, faults)
+        warm = self.RUNS[second](RequestRouter(shared), loads, faults)
+        cold = self.RUNS[second](
+            RequestRouter(self._fresh_fleet(spec)), loads, faults
+        )
+        assert warm.fingerprint() == cold.fingerprint()
+        # Engine relays at the build-time clock show whether the
+        # states were built (a warm engine still reports cache hits)
+        # or served from the memo (nothing built, nothing relayed).
+        built = [
+            event for event in warm.events
+            if event.kind in ("compile", "cache_hit") and event.time_s == 0.0
+        ]
+        if second == "controller":
+            assert built, "a lazy ladder must never come from the memo"
+        else:
+            assert not built, "an eager ladder must come from the memo"
+
+    def test_memo_revalidates_entry_and_knobs(self, spec):
+        fleet = self._fresh_fleet(spec)
+        router = RequestRouter(fleet)
+        deployment = fleet.deploy_all()["K20c"]
+        memoized = router._build_states()["K20c"].ladder
+        assert router._build_states()["K20c"].ladder is memoized
+        # Another execution knob: the memoized rungs' measured times
+        # and energies no longer describe the deployment.
+        deployment.power_gating = not deployment.power_gating
+        regated = router._build_states()["K20c"].ladder
+        assert regated is not memoized
+        # Far past the threshold the calibrator backtracks to another
+        # tuning entry, whose plan rung 0 must be rebuilt from.
+        entry = deployment.current_entry
+        deployment.observe_entropy(10.0 * deployment.entropy_threshold)
+        assert deployment.current_entry is not entry
+        recalibrated = router._build_states()["K20c"].ladder
+        assert recalibrated is not regated
+        assert recalibrated[0].plan is deployment.current_entry.compiled

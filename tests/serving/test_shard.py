@@ -17,8 +17,8 @@ from repro.serving import (
 from repro.serving.shard import (
     ShardPlanner,
     ShardSpec,
-    ShardWorker,
     parse_shard_platform,
+    run_shard,
     shard_label,
     shard_platform,
     shard_seed,
@@ -241,7 +241,7 @@ class TestCoordinatorInline:
         with pytest.raises(ValueError):
             FleetCoordinator(fleet_spec, n_shards=0)
         with pytest.raises(ValueError):
-            FleetCoordinator(fleet_spec, max_workers=0)
+            FleetCoordinator(fleet_spec, processes=0)
 
     def test_failover_rehomes_dead_shard(self, fleet_spec):
         """A fully dead shard loses zero requests: everything it
@@ -311,15 +311,13 @@ class TestCoordinatorInline:
         assert outcome.buffer is None
 
 
-class TestShardWorker:
+class TestRunShard:
     def test_worker_runs_spec(self, fleet_spec):
         spec = ShardSpec(
             shard_id=0, n_shards=1, fleet=fleet_spec,
             config=RouterConfig(), loads=(_load("w", n=10),),
         )
-        worker = ShardWorker(spec)
-        assert worker.shard_id == 0
-        result = worker.run()
+        result = run_shard(spec)
         assert result.shard_id == 0
         assert result.report.n_offered == 10
         assert result.spans is None
@@ -330,7 +328,7 @@ class TestShardWorker:
             config=RouterConfig(), loads=(_load("w", n=10),),
             instrument=True,
         )
-        result = ShardWorker(spec).run()
+        result = run_shard(spec)
         assert result.spans
         run_spans = [s for s in result.spans if s["name"] == "run"]
         assert run_spans and all(

@@ -240,10 +240,6 @@ class TestProcessKnob:
         )
         assert explicit._effective_processes(4) == 2
         assert explicit._effective_processes(1) == 1
-        legacy = FleetCoordinator(
-            _fleet_spec(), n_shards=4, processes=3, max_workers=1
-        )
-        assert legacy._effective_processes(4) == 1
 
 
 class TestAttemptInvariance:

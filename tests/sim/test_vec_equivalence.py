@@ -1,19 +1,13 @@
-"""Differential tests: the vectorized array programs vs their scalars.
+"""Differential tests: the batched kernel scorer vs its scalar loop.
 
-Two array rewrites are checked element-for-element and bit-for-bit
-against the scalar functions they stand in for:
-
-* :func:`repro.analysis.batched_kernel_scores` vs the scalar
-  :func:`repro.sim.engine.analytic_kernel_time_s` loop it replaces in
-  the engine's compile sweep (and the tuner winner it implies);
-* the element-wise SoC accuracy curve in :mod:`repro.sim.vec.scoring`
-  vs the scalar :func:`repro.core.satisfaction.soc_accuracy`.
+:func:`repro.analysis.batched_kernel_scores` is checked
+element-for-element and bit-for-bit against the scalar
+:func:`repro.sim.engine.analytic_kernel_time_s` loop it replaces in
+the engine's compile sweep (and the tuner winner it implies).
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.analysis import batched_kernel_scores
 from repro.core.offline.kernel_tuning import (
@@ -22,12 +16,10 @@ from repro.core.offline.kernel_tuning import (
     kernel_score,
     tune_layer_kernel,
 )
-from repro.core.satisfaction import soc_accuracy
 from repro.gpu import JETSON_TX1, K20C
 from repro.gpu.kernels import GemmShape, make_kernel
 from repro.gpu.spilling import apply_spill, plan_spill, stair_points
 from repro.sim.engine import analytic_kernel_time_s
-from repro.sim.vec import soc_accuracy_vec
 
 ARCHS = (K20C, JETSON_TX1)
 
@@ -101,25 +93,3 @@ class TestBatchedScores:
         scores = batched_kernel_scores(K20C, [], [], SHAPES[0])
         assert scores.shape == (0,)
 
-
-class TestSocCurves:
-    @settings(max_examples=100, deadline=None)
-    @given(
-        entropies=st.lists(
-            st.floats(min_value=0.0, max_value=8.0, allow_nan=False),
-            min_size=1, max_size=32,
-        ),
-        threshold=st.floats(
-            min_value=1e-3, max_value=8.0, allow_nan=False
-        ),
-    )
-    def test_soc_accuracy_elementwise(self, entropies, threshold):
-        vec = soc_accuracy_vec(np.asarray(entropies), threshold)
-        scalar = [soc_accuracy(e, threshold) for e in entropies]
-        assert vec.tolist() == scalar
-
-    def test_validation_matches_scalar_contract(self):
-        with pytest.raises(ValueError):
-            soc_accuracy_vec(np.asarray([-0.1]), 1.0)
-        with pytest.raises(ValueError):
-            soc_accuracy_vec(np.asarray([1.0]), 0.0)

@@ -283,3 +283,21 @@ class TestServeFleetLedger:
         summary = json.loads(capsys.readouterr().out)["summary"]
         assert summary["completed"] + summary["rejected"] == 50
         assert summary["offered"] == 50
+
+    @pytest.mark.parametrize("load", ["nan", "inf"])
+    def test_non_finite_load_is_a_clean_error(self, load, capsys):
+        """A NaN load used to reach the router as NaN arrivals and die
+        with a traceback; an infinite one piled every request onto
+        t=0.  Both must stop at the trace boundary with exit code 2."""
+        code = main(["serve-fleet", "--requests", "40", "--load", load])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "rate_hz" in err
+
+    def test_non_finite_shard_timeout_is_a_clean_error(self, capsys):
+        code = main(
+            ["serve-fleet", "--requests", "40", "--shard-timeout-s", "nan"]
+        )
+        assert code == 2
+        assert "timeout_s" in capsys.readouterr().err

@@ -10,6 +10,7 @@ from repro.workloads import (
     background_trace,
     bursty_trace,
     difficulty_shift,
+    diurnal_trace,
     empty_trace,
     image_tagging,
     interactive_trace,
@@ -101,6 +102,24 @@ class TestTraces:
                 arrivals_s=np.array([0.0, 1.0]),
                 difficulty=np.array([1.0]),
             )
+        # NaN compares false against everything, so it slips past the
+        # ordering check; the field is named instead.
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="arrivals_s"):
+                RequestTrace(
+                    arrivals_s=np.array([0.0, value]),
+                    difficulty=np.ones(2),
+                )
+            with pytest.raises(ValueError, match="difficulty"):
+                RequestTrace(
+                    arrivals_s=np.array([0.0, 1.0]),
+                    difficulty=np.array([1.0, value]),
+                )
+        with pytest.raises(ValueError, match="difficulty"):
+            RequestTrace(
+                arrivals_s=np.array([0.0, 1.0]),
+                difficulty=np.array([1.0, -0.5]),
+            )
 
 
 class TestBurstyTraces:
@@ -153,6 +172,25 @@ class TestBurstyTraces:
             pareto_trace(alpha=1.0)
         with pytest.raises(ValueError):
             pareto_trace(rate_hz=-1.0)
+        # A NaN rate passes ``<= 0`` and an infinite one piles every
+        # arrival onto t=0: both are rejected, naming the argument.
+        for value in (float("nan"), float("inf"), float("-inf")):
+            for generator, name in (
+                (bursty_trace, "rate_hz"),
+                (bursty_trace, "switch_rate_hz"),
+                (bursty_trace, "burst_factor"),
+                (pareto_trace, "rate_hz"),
+                (pareto_trace, "alpha"),
+                (diurnal_trace, "base_rate_hz"),
+                (diurnal_trace, "period_s"),
+                (interactive_trace, "think_time_s"),
+                (realtime_trace, "fps"),
+                (background_trace, "dump_gap_s"),
+            ):
+                with pytest.raises(ValueError, match=name):
+                    generator(**{name: value})
+            with pytest.raises(ValueError, match="factor"):
+                scale_rate(realtime_trace(), value)
 
 
 class TestTraceCombinators:
