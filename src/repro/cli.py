@@ -103,6 +103,20 @@ from repro.workloads import (
 __all__ = ["main", "build_parser"]
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1 (argparse
+    names the flag in its error and exits 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "invalid int value: %r" % (text,)
+        ) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1, got %d" % value)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -184,11 +198,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--load", type=float, default=2.0,
         help="offered load as a multiple of rung-0 fleet capacity",
     )
-    serve.add_argument("--requests", type=int, default=2000,
+    serve.add_argument("--requests", type=_positive_int, default=2000,
                        help="requests per tenant in the storm")
     serve.add_argument("--seed", type=int, default=42)
     serve.add_argument(
-        "--shards", type=int, default=1,
+        "--shards", type=_positive_int, default=1,
         help="router shards; above 1 each shard runs its own fleet "
         "and per-shard-seeded tenant pair in a spawn worker and the "
         "per-shard reports are merged deterministically",
@@ -288,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--load", type=float, default=2.0,
         help="offered load as a multiple of rung-0 fleet capacity",
     )
-    trace_cmd.add_argument("--requests", type=int, default=500,
+    trace_cmd.add_argument("--requests", type=_positive_int, default=500,
                            help="requests in the storm")
     trace_cmd.add_argument("--seed", type=int, default=42)
     trace_cmd.add_argument(

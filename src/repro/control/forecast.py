@@ -44,7 +44,7 @@ class ArrivalForecaster:
     def __init__(self) -> None:
         self.observations = 0
         self._rate_sum = 0.0
-        self._abs_error_sum = 0.0
+        self._error_sum = 0.0
         self._scored = 0
 
     def observe(self, rate: float) -> None:
@@ -52,7 +52,7 @@ class ArrivalForecaster:
         if rate < 0:
             raise ValueError("rate must be non-negative, got %r" % (rate,))
         if self.observations > 0:
-            self._abs_error_sum += abs(rate - self.forecast(1))
+            self._error_sum += abs(rate - self.forecast(1))
             self._scored += 1
         self._absorb(rate)
         self.observations += 1
@@ -78,7 +78,7 @@ class ArrivalForecaster:
         """Mean absolute one-step-ahead forecast error."""
         if self._scored == 0:
             return 0.0
-        return self._abs_error_sum / self._scored
+        return self._error_sum / self._scored
 
     # -- model hooks ----------------------------------------------------
     def _absorb(self, rate: float) -> None:

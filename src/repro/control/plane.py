@@ -118,14 +118,11 @@ class ControllerConfig:
 @dataclass
 class TickOutcome:
     """What one control tick observed and did (the router mirrors
-    this into its event log and instrumentation)."""
+    this into its event log)."""
 
     time_s: float
     observed_rps: float
     forecast_rps: float
-    #: Absolute error of the previous tick's one-step forecast (None
-    #: on the first tick -- nothing was forecast yet).
-    error_rps: Optional[float]
     target_level: int
     #: (platform, level, batch) per rung pre-warmed this tick.
     prewarmed: List[Tuple[str, int, int]] = field(default_factory=list)
@@ -147,8 +144,9 @@ class ControlPlane:
         self._counts: Dict[str, int] = {}
         #: One-step-ahead fleet forecast issued by the previous tick.
         self._pending_forecast: Optional[float] = None
-        self._abs_error_sum = 0.0
-        self._errors = 0
+        #: Absolute one-step fleet forecast error per scored tick (every
+        #: tick but the first), in tick order.
+        self.errors: List[float] = []
         self.ticks = 0
         self.prewarm_requested = 0
         self.prewarm_hits = 0
@@ -212,11 +210,8 @@ class ControlPlane:
                 forecaster = self._forecasters[name] = self._new_forecaster()
             forecaster.observe(rate)
         self._counts.clear()
-        error_rps: Optional[float] = None
         if self._pending_forecast is not None:
-            error_rps = abs(observed_rps - self._pending_forecast)
-            self._abs_error_sum += error_rps
-            self._errors += 1
+            self.errors.append(abs(observed_rps - self._pending_forecast))
         names = sorted(self._forecasters)
         forecast_rps = sum(
             self._forecasters[name].forecast(config.horizon_ticks)
@@ -236,7 +231,6 @@ class ControlPlane:
             time_s=now,
             observed_rps=observed_rps,
             forecast_rps=forecast_rps,
-            error_rps=error_rps,
             target_level=target_level,
         )
         for name in sorted(states):
@@ -354,9 +348,14 @@ class ControlPlane:
     @property
     def mean_abs_error_rps(self) -> float:
         """Mean absolute fleet-level one-tick-ahead forecast error."""
-        if self._errors == 0:
+        if not self.errors:
             return 0.0
-        return self._abs_error_sum / self._errors
+        # A left-to-right float sum (``sum`` compensates on Python 3.12+,
+        # which would move the last bits between interpreters).
+        total = 0.0
+        for error_rps in self.errors:
+            total += error_rps
+        return total / len(self.errors)
 
     def report_section(self) -> dict:
         """The plain-data ``control`` section a report embeds.

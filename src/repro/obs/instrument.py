@@ -1,41 +1,40 @@
-"""Instrumentation: the handle a run threads through the system.
+"""Instrumentation: the spans and metrics of one observed run.
 
 :class:`Instrumentation` bundles one :class:`~repro.obs.span.Tracer`
 (over one :class:`~repro.obs.span.TraceBuffer`) with one
-:class:`~repro.obs.metrics.MetricsRegistry` and exposes the narrow
-callback surface the serving/runtime layers invoke:
+:class:`~repro.obs.metrics.MetricsRegistry` and fills them two ways:
 
-* the :class:`~repro.serving.router.RequestRouter` calls the
-  ``run_* / request_* / batch_* / fault`` family at its decision
-  points (all sim-time-stamped by the caller);
-* the :class:`~repro.core.engine.ExecutionEngine`'s hook bus is
-  attached via :meth:`attach_engine`, relaying compilations, plan
-  -cache lookups and calibration backtracking into spans and counters;
-* the :class:`~repro.core.runtime.server.InferenceServer` records its
-  batches through :meth:`server_batch`.
+* a router run is *derived*: :meth:`Instrumentation.record_run` walks
+  the finished report -- its event ledger, terminal records and
+  platform stats -- and opens, closes and counts every span and metric
+  from it.  Neither router loop holds any observability code;
+  ``RequestRouter.run`` hands its report over once, at the end.
+* the :class:`~repro.core.runtime.server.InferenceServer`, which keeps
+  no ledger, reports *live*: :meth:`attach_engine` relays an
+  :class:`~repro.core.engine.ExecutionEngine`'s hook bus (compilations,
+  plan-cache lookups, calibration backtracking) and
+  :meth:`server_batch` records each batch.
 
-A disabled instance (:meth:`Instrumentation.disabled`, or
-``enabled=False``) keeps every method callable but reduces each to a
-single guard check, so instrumented hot paths stay cheap when
-observability is off -- the "disabled-by-default adds < 5%" bar the
-router-overload benchmark asserts.
-
-One instance observes one run: create a fresh ``Instrumentation`` per
-``RequestRouter.run`` call (reusing one across runs concatenates
-their traces).
+Reports are read by duck typing: this package imports nothing from
+:mod:`repro.serving`.  One instance observes one run: create a fresh
+``Instrumentation`` per run (reusing one concatenates their traces).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Callable, Dict, List, Optional, Sequence
+from collections import defaultdict
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set
 
 from repro.obs.metrics import (
     LATENCY_BUCKETS_S,
     OCCUPANCY_BUCKETS,
     RATE_ERROR_BUCKETS_RPS,
     SLACK_BUCKETS_S,
+    Counter,
+    Gauge,
+    Histogram,
     MetricsRegistry,
 )
 from repro.obs.span import CACHE_SENSITIVE_SPANS, SpanHandle, TraceBuffer, Tracer
@@ -60,14 +59,56 @@ CACHE_SENSITIVE_METRIC_PREFIX = "engine_"
 #: stripped before same-seed fingerprint comparisons.
 SUPERVISION_METRIC_PREFIX = "supervisor_"
 
+#: Help text of every metric family an :class:`Instrumentation`
+#: records (the first registration of a family fixes its help).
+_HELP = {
+    "batch_failures_total": "batches that launched and failed",
+    "batch_occupancy": "occupied slots over plan capacity at launch",
+    "batches_dispatched_total": "batches launched",
+    "breaker_transitions_total": "circuit-breaker state changes",
+    "calibration_steps_total": "calibrator decisions",
+    "control_prewarms_total": "rungs pre-warmed by the controller",
+    "control_ticks_total": "predictive controller ticks",
+    "deadline_slack_s": "deadline minus finish (negative: missed)",
+    "degradation_level": "current ladder level",
+    "degradation_moves_total": "ladder steps taken",
+    "dvfs_moves_total": "controller-commanded frequency changes",
+    "engine_cache_hits_total": "compile/execute cache hits",
+    "engine_compiles_total": "plan-cache misses compiled",
+    "engine_executes_total": "plan executions (hits included)",
+    "engine_prewarms_total": "plan-cache entries requested by prewarm",
+    "failovers_total": "requests moved off a dead platform",
+    "faults_injected_total": "fault events applied",
+    "forecast_error_rps": "absolute one-step forecast error",
+    "forecast_rate_rps": "forecast fleet arrival rate",
+    "platform_energy_j": "energy spent serving completed batches",
+    "platform_frequency": "commanded relative frequency",
+    "queue_depth": "requests queued on the platform",
+    "request_latency_s": "arrival to batch completion",
+    "requests_admitted_total": "requests admitted onto a platform queue",
+    "requests_completed_total": "requests served to completion",
+    "requests_rejected_total": "requests terminally rejected",
+    "retries_total": "failed requests re-admitted after backoff",
+}
+
+#: Bucket edges of the histogram families.
+_EDGES = {
+    "batch_occupancy": OCCUPANCY_BUCKETS,
+    "deadline_slack_s": SLACK_BUCKETS_S,
+    "forecast_error_rps": RATE_ERROR_BUCKETS_RPS,
+    "request_latency_s": LATENCY_BUCKETS_S,
+}
+
+#: ``record_run``'s ``engine_counts`` keys and the series they feed.
+_ENGINE_COUNTS = (
+    ("executes", "engine_executes_total", {}),
+    ("prewarm_hits", "engine_prewarms_total", {"outcome": "hit"}),
+    ("prewarm_misses", "engine_prewarms_total", {"outcome": "miss"}),
+)
+
 #: Fault kinds that open an episode / close it again; transients are
 #: instantaneous.
-_EPISODE_BEGIN = {
-    "outage": "outage",
-    "sm_fail": "sm_fail",
-    "bw_degrade": "bw_degrade",
-    "throttle": "throttle",
-}
+_EPISODE_BEGIN = ("outage", "sm_fail", "bw_degrade", "throttle")
 _EPISODE_END = {
     "restore": "outage",
     "sm_recover": "sm_fail",
@@ -206,7 +247,7 @@ def merge_obs_sections(sections: Sequence[dict]) -> dict:
 
 
 class Instrumentation:
-    """Tracer + metrics + the callback surface of one observed run.
+    """Tracer + metrics of one observed run.
 
     ``shard`` optionally names the shard this run executes on (e.g.
     ``"s0"``): the run/platform spans carry it as a ``shard``
@@ -217,443 +258,63 @@ class Instrumentation:
     degenerate case must not perturb a single fingerprint.
     """
 
-    def __init__(
-        self, enabled: bool = True, shard: Optional[str] = None
-    ) -> None:
-        self.enabled = enabled
+    def __init__(self, shard: Optional[str] = None) -> None:
         self.shard = shard
         self.buffer = TraceBuffer()
-        self.tracer = Tracer(self.buffer, enabled=enabled)
+        self.tracer = Tracer(self.buffer)
         self.metrics = MetricsRegistry(
             base_labels={"shard": shard} if shard is not None else None
         )
-        self._run: Optional[SpanHandle] = None
-        self._platforms: Dict[str, SpanHandle] = {}
-        self._requests: Dict[int, SpanHandle] = {}
-        self._episodes: Dict[tuple, SpanHandle] = {}
-        self._max_time_s = 0.0
 
-    @classmethod
-    def disabled(cls) -> "Instrumentation":
-        """An inert instance: every callback is a no-op guard check."""
-        return cls(enabled=False)
+    def _counter(self, name: str, **labels) -> Counter:
+        return self.metrics.counter(name, _HELP[name], **labels)
 
-    def _touch(self, time_s: float) -> None:
-        if time_s > self._max_time_s:
-            self._max_time_s = time_s
+    def _gauge(self, name: str, **labels) -> Gauge:
+        return self.metrics.gauge(name, _HELP[name], **labels)
 
-    # -- run lifecycle ---------------------------------------------------
-    def run_started(self, platforms: Sequence[str], time_s: float = 0.0) -> None:
-        """Open the run root and one platform track per deployment."""
-        if not self.enabled:
-            return
-        self._touch(time_s)
-        attrs: Dict[str, object] = {"platforms": ",".join(sorted(platforms))}
-        if self.shard is not None:
-            attrs["shard"] = self.shard
-        self._run = self.tracer.begin("run", time_s, **attrs)
-        for name in sorted(platforms):
-            platform_attrs: Dict[str, object] = {"platform": name}
-            if self.shard is not None:
-                platform_attrs["shard"] = self.shard
-            self._platforms[name] = self.tracer.begin(
-                "platform", time_s, parent=self._run, **platform_attrs
-            )
-
-    def run_finished(self, time_s: float) -> None:
-        """Close every still-open span at ``max(time_s, latest seen)``."""
-        if not self.enabled:
-            return
-        self._touch(time_s)
-        end_s = self._max_time_s
-        for key in sorted(self._episodes, key=str):
-            self.tracer.end(self._episodes[key], end_s, open_at_drain=True)
-        self._episodes.clear()
-        for rid in sorted(self._requests):
-            self.tracer.end(
-                self._requests[rid], end_s, outcome="open_at_drain"
-            )
-        self._requests.clear()
-        for name in sorted(self._platforms):
-            self.tracer.end(self._platforms[name], end_s)
-        self._platforms.clear()
-        if self._run is not None:
-            self.tracer.end(self._run, end_s)
-            self._run = None
-        self.tracer.drain_open(end_s)
-
-    # -- requests --------------------------------------------------------
-    def _request_span(self, request) -> SpanHandle:
-        handle = self._requests.get(request.rid)
-        if handle is None:
-            handle = self.tracer.begin(
-                "request",
-                request.arrival_s,
-                parent=self._run,
-                rid=request.rid,
-                tenant=request.tenant.name,
-            )
-            self._requests[request.rid] = handle
-        return handle
-
-    def request_admitted(
-        self, request, time_s: float, platform: str, level: int,
-        reason: str, queue_depth: int,
-    ) -> None:
-        """One request cleared admission onto ``platform``'s queue."""
-        if not self.enabled:
-            return
-        self._touch(time_s)
-        parent = self._request_span(request)
-        self.tracer.instant(
-            "admission",
-            time_s,
-            parent=parent,
-            platform=platform,
-            level=level,
-            reason=reason,
-        )
-        self.metrics.counter(
-            "requests_admitted_total",
-            "requests admitted onto a platform queue",
-            platform=platform,
-        ).inc()
-        self.metrics.gauge(
-            "queue_depth",
-            "requests queued on the platform",
-            platform=platform,
-        ).set(queue_depth)
-
-    def request_rejected(self, request, time_s: float, reason: str) -> None:
-        """One request reached a terminal rejection."""
-        if not self.enabled:
-            return
-        self._touch(time_s)
-        handle = self._requests.pop(request.rid, None)
-        if handle is None:
-            # Rejected at admission: the span brackets arrival -> now.
-            handle = self.tracer.begin(
-                "request",
-                request.arrival_s,
-                parent=self._run,
-                rid=request.rid,
-                tenant=request.tenant.name,
-            )
-        self.tracer.end(handle, time_s, outcome="rejected", reason=reason)
-        self.metrics.counter(
-            "requests_rejected_total",
-            "requests terminally rejected",
-            reason=reason,
-        ).inc()
-
-    def request_completed(
-        self, request, time_s: float, platform: str, level: int,
-    ) -> None:
-        """One request's batch finished inside a completed batch."""
-        if not self.enabled:
-            return
-        self._touch(time_s)
-        handle = self._requests.pop(request.rid, None)
-        if handle is not None:
-            self.tracer.end(
-                handle,
-                time_s,
-                outcome="completed",
-                platform=platform,
-                level=level,
-            )
-        self.metrics.counter(
-            "requests_completed_total",
-            "requests served to completion",
-            platform=platform,
-        ).inc()
-        latency_s = time_s - request.arrival_s
-        self.metrics.histogram(
-            "request_latency_s",
-            LATENCY_BUCKETS_S,
-            "arrival to batch completion",
-        ).observe(latency_s)
-        slack_s = request.deadline_s - time_s
-        self.metrics.histogram(
-            "deadline_slack_s",
-            SLACK_BUCKETS_S,
-            "deadline minus finish (negative: missed)",
-        ).observe(slack_s)
-
-    def retry_scheduled(
-        self, request, time_s: float, attempt: int, backoff_s: float
-    ) -> None:
-        """A failed request re-enters admission after backoff."""
-        if not self.enabled:
-            return
-        self._touch(time_s)
-        self.tracer.instant(
-            "retry",
-            time_s,
-            parent=self._request_span(request),
-            attempt=attempt,
-            backoff_s=backoff_s,
-        )
-        self.metrics.counter(
-            "retries_total", "failed requests re-admitted after backoff"
-        ).inc()
-
-    def failover(self, request, time_s: float, origin: str, target: str) -> None:
-        """A request was evacuated off a dead platform."""
-        if not self.enabled:
-            return
-        self._touch(time_s)
-        self.metrics.counter(
-            "failovers_total",
-            "requests moved off a dead platform",
-            origin=origin,
-        ).inc()
-        self.tracer.instant(
-            "dispatch",
-            time_s,
-            parent=self._request_span(request),
-            platform=target,
-            cause="failover",
-            origin=origin,
+    def _histogram(self, name: str, **labels) -> Histogram:
+        return self.metrics.histogram(
+            name, _EDGES[name], _HELP[name], **labels
         )
 
-    # -- batches ---------------------------------------------------------
-    def batch_dispatched(
-        self, platform: str, batch, capacity: int, queue_depth: int,
-        time_s: float,
-    ) -> None:
-        """A batch launched; opens its ``execute_batch`` span.
-
-        The open handle rides on ``batch.obs_span`` (the in-flight
-        batch object), so completion/failure can close it without the
-        instrumentation keying state off object identity.
-        """
-        if not self.enabled:
-            return
-        self._touch(time_s)
-        rids = tuple(r.rid for r in batch.requests)
-        self.tracer.instant(
-            "dispatch",
-            time_s,
-            parent=self._platforms.get(platform),
-            platform=platform,
-            n_requests=len(rids),
-            level=batch.rung.level,
-        )
-        batch.obs_span = self.tracer.begin(
-            "execute_batch",
-            time_s,
-            parent=self._platforms.get(platform),
-            platform=platform,
-            request_ids=rids,
-            level=batch.rung.level,
-            batch=len(rids),
-            capacity=capacity,
-        )
-        self.metrics.counter(
-            "batches_dispatched_total",
-            "batches launched",
-            platform=platform,
-        ).inc()
-        self.metrics.histogram(
-            "batch_occupancy",
-            OCCUPANCY_BUCKETS,
-            "occupied slots over plan capacity at launch",
-            platform=platform,
-        ).observe(len(rids) / capacity)
-        self.metrics.gauge(
-            "queue_depth",
-            "requests queued on the platform",
-            platform=platform,
-        ).set(queue_depth)
-
-    def _close_batch(
-        self, platform: str, batch, time_s: float, outcome: str
-    ) -> None:
-        handle = getattr(batch, "obs_span", None)
-        if handle is not None:
-            self.tracer.end(handle, time_s, outcome=outcome)
-            batch.obs_span = None
-
-    def batch_completed(
-        self, platform: str, batch, time_s: float, energy_j: float
-    ) -> None:
-        """A launched batch finished successfully."""
-        if not self.enabled:
-            return
-        self._touch(time_s)
-        self._close_batch(platform, batch, time_s, "completed")
-        self.metrics.counter(
-            "platform_energy_j",
-            "energy spent serving completed batches",
-            platform=platform,
-        ).inc(energy_j)
-
-    def batch_failed(self, platform: str, batch, time_s: float) -> None:
-        """A launched batch did not complete (outage or transient)."""
-        if not self.enabled:
-            return
-        self._touch(time_s)
-        self._close_batch(platform, batch, time_s, "failed")
-        self.metrics.counter(
-            "batch_failures_total",
-            "batches that launched and failed",
-            platform=platform,
-        ).inc()
-
-    def batch_abandoned(self, platform: str, batch, time_s: float) -> None:
-        """An in-flight batch was evacuated (outage failover) or
-        stranded at drain -- it has no finish-time outcome."""
-        if not self.enabled:
-            return
-        self._touch(time_s)
-        self._close_batch(platform, batch, time_s, "abandoned")
-
-    # -- degradation / resilience ---------------------------------------
-    def degradation_move(
-        self, platform: str, move: str, level: int, time_s: float
-    ) -> None:
-        """The platform's ladder stepped (``degrade``/``restore``)."""
-        if not self.enabled:
-            return
-        self._touch(time_s)
-        self.metrics.counter(
-            "degradation_moves_total",
-            "ladder steps taken",
-            platform=platform,
-            move=move,
-        ).inc()
-        self.metrics.gauge(
-            "degradation_level",
-            "current ladder level",
-            platform=platform,
-        ).set(level)
-
-    # -- control plane ---------------------------------------------------
-    def control_tick(
+    # -- router runs -----------------------------------------------------
+    def record_run(
         self,
-        time_s: float,
-        observed_rps: float,
-        forecast_rps: float,
-        target_level: int,
-        error_rps: Optional[float] = None,
+        report,
+        tick_errors: Sequence[float] = (),
+        engine_counts: Optional[Mapping[str, int]] = None,
     ) -> None:
-        """One predictive-controller cadence firing."""
-        if not self.enabled:
-            return
-        self._touch(time_s)
-        self.tracer.instant(
-            "control_tick",
-            time_s,
-            parent=self._run,
-            observed_rps=observed_rps,
-            forecast_rps=forecast_rps,
-            target_level=target_level,
-        )
-        self.metrics.counter(
-            "control_ticks_total", "predictive controller ticks"
-        ).inc()
-        self.metrics.gauge(
-            "forecast_rate_rps", "forecast fleet arrival rate"
-        ).set(forecast_rps)
-        if error_rps is not None:
-            self.metrics.histogram(
-                "forecast_error_rps",
-                RATE_ERROR_BUCKETS_RPS,
-                "absolute one-step forecast error",
-            ).observe(error_rps)
+        """Derive one finished router run's spans and metrics.
 
-    def prewarm(self, platform: str, level: int, time_s: float) -> None:
-        """The controller planted a plan-cache entry ahead of need."""
-        if not self.enabled:
-            return
-        self._touch(time_s)
-        self.tracer.instant(
-            "prewarm",
-            time_s,
-            parent=self._platforms.get(platform),
-            platform=platform,
-            level=level,
-        )
-        self.metrics.counter(
-            "control_prewarms_total",
-            "rungs pre-warmed by the controller",
-            platform=platform,
-        ).inc()
-
-    def dvfs_move(
-        self, platform: str, relative_frequency: float, time_s: float
-    ) -> None:
-        """The controller commanded a platform DVFS state."""
-        if not self.enabled:
-            return
-        self._touch(time_s)
-        self.metrics.counter(
-            "dvfs_moves_total",
-            "controller-commanded frequency changes",
-            platform=platform,
-        ).inc()
-        self.metrics.gauge(
-            "platform_frequency",
-            "commanded relative frequency",
-            platform=platform,
-        ).set(relative_frequency)
-
-    def breaker_transition(
-        self, platform: str, transition: str, time_s: float
-    ) -> None:
-        """A circuit breaker changed state."""
-        if not self.enabled:
-            return
-        self._touch(time_s)
-        self.metrics.counter(
-            "breaker_transitions_total",
-            "circuit-breaker state changes",
-            platform=platform,
-            transition=transition,
-        ).inc()
-
-    # -- faults ----------------------------------------------------------
-    def fault(self, event, time_s: float) -> None:
-        """One injected fault event was applied to its platform."""
-        if not self.enabled:
-            return
-        self._touch(time_s)
-        self.metrics.counter(
-            "faults_injected_total",
-            "fault events applied",
-            kind=event.kind,
-            platform=event.platform,
-        ).inc()
-        parent = self._platforms.get(event.platform)
-        episode = _EPISODE_BEGIN.get(event.kind)
-        if episode is not None:
-            key = (event.platform, episode)
-            open_handle = self._episodes.pop(key, None)
-            if open_handle is not None:
-                # Re-begin without an end: close the stale episode here.
-                self.tracer.end(open_handle, time_s, reopened=True)
-            self._episodes[key] = self.tracer.begin(
-                "fault_episode",
-                time_s,
-                parent=parent,
-                platform=event.platform,
-                fault_kind=episode,
-            )
-            return
-        episode = _EPISODE_END.get(event.kind)
-        if episode is not None:
-            open_handle = self._episodes.pop((event.platform, episode), None)
-            if open_handle is not None:
-                self.tracer.end(open_handle, time_s)
-            return
-        # Transient: an instantaneous episode.
-        self.tracer.instant(
-            "fault_episode",
-            time_s,
-            parent=parent,
-            platform=event.platform,
-            fault_kind=event.kind,
+        ``report`` is a :class:`~repro.serving.report.RouterReport`:
+        its event log is walked in order, request spans start at the
+        ``arrival_s`` of the requests in its completed and rejected
+        records, platform tracks and ``platform_energy_j`` come from
+        ``report.platforms``, and every span still open closes at
+        ``max(horizon_s, latest event time)``.  Two inputs are not in
+        the ledger, so the caller passes them: ``tick_errors``, the
+        control plane's per-tick absolute forecast errors
+        (``forecast_error_rps``), and ``engine_counts``, the engine
+        activity over the run (``executes``, ``prewarm_hits``,
+        ``prewarm_misses``) behind ``engine_executes_total`` and
+        ``engine_prewarms_total``.
+        """
+        replay = _LedgerReplay(self, report)
+        for event in report.events:
+            getattr(replay, "on_" + event.kind)(event)
+        for error_rps in tick_errors:
+            self._histogram("forecast_error_rps").observe(error_rps)
+        for stats in report.platforms:
+            if stats.platform in replay.served:
+                self._counter(
+                    "platform_energy_j", platform=stats.platform
+                ).inc(stats.energy_j)
+        counts = engine_counts or {}
+        for key, name, labels in _ENGINE_COUNTS:
+            if counts.get(key):
+                self._counter(name, **labels).inc(counts[key])
+        replay.close(
+            max([report.horizon_s] + [e.time_s for e in report.events])
         )
 
     # -- engine hook bus -------------------------------------------------
@@ -666,64 +327,42 @@ class Instrumentation:
         with (the engine itself is timeless -- its activity happens
         inside the caller's event loop).
         """
-        if not self.enabled:
-            return lambda: None
 
         def on_compile(key, plan, **_ignored):
-            time_s = clock()
-            self._touch(time_s)
             self.tracer.instant(
                 "compile",
-                time_s,
+                clock(),
                 platform=key.arch,
                 network=key.network,
                 batch=key.batch,
                 perforation=key.perforation,
             )
-            self.metrics.counter(
-                "engine_compiles_total", "plan-cache misses compiled"
-            ).inc()
+            self._counter("engine_compiles_total").inc()
 
         def on_cache_hit(kind, key, **_ignored):
-            time_s = clock()
-            self._touch(time_s)
             if kind == "compile":
                 self.tracer.instant(
                     "plan_cache_lookup",
-                    time_s,
+                    clock(),
                     platform=getattr(key, "arch", None),
                     outcome="hit",
                 )
-            self.metrics.counter(
-                "engine_cache_hits_total",
-                "compile/execute cache hits",
-                cache=kind,
-            ).inc()
+            self._counter("engine_cache_hits_total", cache=kind).inc()
 
         def on_execute(key, plan, report, cached, **_ignored):
-            self.metrics.counter(
-                "engine_executes_total", "plan executions (hits included)"
-            ).inc()
+            self._counter("engine_executes_total").inc()
 
         def on_prewarm(key, hit, **_ignored):
-            self.metrics.counter(
-                "engine_prewarms_total",
-                "plan-cache entries requested by prewarm",
-                outcome="hit" if hit else "miss",
+            self._counter(
+                "engine_prewarms_total", outcome="hit" if hit else "miss"
             ).inc()
 
         def on_calibrate(step, **_ignored):
-            time_s = clock()
-            self._touch(time_s)
-            self.metrics.counter(
-                "calibration_steps_total",
-                "calibrator decisions",
-                action=step.action,
-            ).inc()
+            self._counter("calibration_steps_total", action=step.action).inc()
             if step.action == "backtrack":
                 self.tracer.instant(
                     "calibration_backtrack",
-                    time_s,
+                    clock(),
                     entry_index=step.entry_index,
                     observed_entropy=step.observed_entropy,
                 )
@@ -749,31 +388,15 @@ class Instrumentation:
         capacity: int, energy_j: float,
     ) -> None:
         """One :class:`InferenceServer` batch execution."""
-        if not self.enabled:
-            return
-        self._touch(finish_s)
         self.tracer.emit(
-            "execute_batch",
-            start_s,
-            finish_s,
-            parent=self._run,
-            batch=n_requests,
+            "execute_batch", start_s, finish_s, batch=n_requests,
             capacity=capacity,
         )
-        self.metrics.counter(
-            "batches_dispatched_total", "batches launched", platform="server"
-        ).inc()
-        self.metrics.histogram(
-            "batch_occupancy",
-            OCCUPANCY_BUCKETS,
-            "occupied slots over plan capacity at launch",
-            platform="server",
-        ).observe(n_requests / capacity)
-        self.metrics.counter(
-            "platform_energy_j",
-            "energy spent serving completed batches",
-            platform="server",
-        ).inc(energy_j)
+        self._counter("batches_dispatched_total", platform="server").inc()
+        self._histogram("batch_occupancy", platform="server").observe(
+            n_requests / capacity
+        )
+        self._counter("platform_energy_j", platform="server").inc(energy_j)
 
     # -- reporting -------------------------------------------------------
     def report_section(self) -> dict:
@@ -803,3 +426,319 @@ class Instrumentation:
         for span in self.buffer.of_name("execute_batch"):
             seen.update(span.attrs.get("request_ids", ()))
         return len(wanted & seen) / len(wanted)
+
+
+class _LedgerReplay:
+    """The state of one :meth:`Instrumentation.record_run` walk.
+
+    One method per ledger event kind, ``on_<kind>``, turns the event
+    into spans and metrics.  The ledger records decisions in the order
+    the loop took them, so spans open and close in the order a live
+    observer of the loop would have opened and closed them.
+    """
+
+    def __init__(self, obs: Instrumentation, report) -> None:
+        self.tracer = obs.tracer
+        self.counter = obs._counter
+        self.gauge = obs._gauge
+        self.histogram = obs._histogram
+        self.requests = {
+            record.request.rid: record.request
+            for records in (report.completed, report.rejected)
+            for record in records
+        }
+        names = sorted(stats.platform for stats in report.platforms)
+        shard = {} if obs.shard is None else {"shard": obs.shard}
+        self.run = self.tracer.begin(
+            "run", 0.0, platforms=",".join(names), **shard
+        )
+        self.platforms: Dict[str, SpanHandle] = {
+            name: self.tracer.begin(
+                "platform", 0.0, parent=self.run, platform=name, **shard
+            )
+            for name in names
+        }
+        self.open_requests: Dict[int, SpanHandle] = {}
+        #: The open ``execute_batch`` span per platform.
+        self.batches: Dict[str, SpanHandle] = {}
+        self.episodes: Dict[tuple, SpanHandle] = {}
+        #: Replayed queue length per platform (the ``queue_depth`` gauge).
+        self.queued: Dict[str, int] = defaultdict(int)
+        #: The rid whose admission just escalated a ladder: its
+        #: ``enqueue`` follows and is admitted ``ok-degraded``.
+        self.escalated_rid: Optional[int] = None
+        #: Platforms that completed at least one batch.
+        self.served: Set[str] = set()
+
+    def close(self, end_s: float) -> None:
+        """Close every still-open span at ``end_s``: fault episodes,
+        requests, platform tracks, the run, then any stragglers."""
+        tracer = self.tracer
+        for key in sorted(self.episodes, key=str):
+            tracer.end(self.episodes[key], end_s, open_at_drain=True)
+        for rid in sorted(self.open_requests):
+            tracer.end(self.open_requests[rid], end_s, outcome="open_at_drain")
+        for name in sorted(self.platforms):
+            tracer.end(self.platforms[name], end_s)
+        tracer.end(self.run, end_s)
+        tracer.drain_open(end_s)
+
+    # -- requests --------------------------------------------------------
+    def _begin_request(self, rid: int) -> SpanHandle:
+        request = self.requests[rid]
+        return self.tracer.begin(
+            "request",
+            request.arrival_s,
+            parent=self.run,
+            rid=rid,
+            tenant=request.tenant.name,
+        )
+
+    def _request_span(self, rid: int) -> SpanHandle:
+        handle = self.open_requests.get(rid)
+        if handle is None:
+            handle = self.open_requests[rid] = self._begin_request(rid)
+        return handle
+
+    def on_enqueue(self, event) -> None:
+        rid = event.request_ids[0]
+        reason = "ok-degraded" if rid == self.escalated_rid else "ok"
+        self.escalated_rid = None
+        platform = event.platform
+        self.queued[platform] += 1
+        self.tracer.instant(
+            "admission",
+            event.time_s,
+            parent=self._request_span(rid),
+            platform=platform,
+            level=event.detail["level"],
+            reason=reason,
+        )
+        self.counter("requests_admitted_total", platform=platform).inc()
+        self.gauge("queue_depth", platform=platform).set(self.queued[platform])
+
+    def on_reject(self, event) -> None:
+        reason = event.detail["reason"]
+        if reason == "stranded":
+            self._close_batch(event.platform, event.time_s, "abandoned")
+        origin = event.detail.get("origin")
+        if origin is not None:
+            self._evacuate(origin, event.time_s)
+        # A request rejected at admission has no span yet: its span
+        # brackets arrival -> now.
+        rid = event.request_ids[0]
+        handle = self.open_requests.pop(rid, None) or self._begin_request(rid)
+        self.tracer.end(
+            handle, event.time_s, outcome="rejected", reason=reason
+        )
+        self.counter("requests_rejected_total", reason=reason).inc()
+
+    def on_retry(self, event) -> None:
+        self.tracer.instant(
+            "retry",
+            event.time_s,
+            parent=self._request_span(event.request_ids[0]),
+            attempt=event.detail["attempt"],
+            backoff_s=event.detail["backoff_s"],
+        )
+        self.counter("retries_total").inc()
+
+    def on_failover(self, event) -> None:
+        origin = event.detail["origin"]
+        self._evacuate(origin, event.time_s)
+        target = event.platform
+        self.queued[target] += 1
+        self.counter("failovers_total", origin=origin).inc()
+        self.tracer.instant(
+            "dispatch",
+            event.time_s,
+            parent=self._request_span(event.request_ids[0]),
+            platform=target,
+            cause="failover",
+            origin=origin,
+        )
+
+    def _evacuate(self, platform: str, time_s: float) -> None:
+        """A resilient outage moved ``platform``'s work away: the
+        first evacuated victim abandons the batch in flight, and the
+        queue is empty from here on."""
+        self._close_batch(platform, time_s, "abandoned")
+        self.queued[platform] = 0
+
+    # -- batches ---------------------------------------------------------
+    def on_dispatch(self, event) -> None:
+        platform = event.platform
+        rids = event.request_ids
+        level = event.detail["level"]
+        capacity = event.detail["capacity"]
+        self.queued[platform] -= event.detail["batch"]
+        parent = self.platforms.get(platform)
+        self.tracer.instant(
+            "dispatch",
+            event.time_s,
+            parent=parent,
+            platform=platform,
+            n_requests=len(rids),
+            level=level,
+        )
+        self.batches[platform] = self.tracer.begin(
+            "execute_batch",
+            event.time_s,
+            parent=parent,
+            platform=platform,
+            request_ids=rids,
+            level=level,
+            batch=len(rids),
+            capacity=capacity,
+        )
+        self.counter("batches_dispatched_total", platform=platform).inc()
+        self.histogram("batch_occupancy", platform=platform).observe(
+            len(rids) / capacity
+        )
+        self.gauge("queue_depth", platform=platform).set(self.queued[platform])
+
+    def _close_batch(self, platform: str, time_s: float, outcome: str) -> None:
+        handle = self.batches.pop(platform, None)
+        if handle is not None:
+            self.tracer.end(handle, time_s, outcome=outcome)
+
+    def on_complete(self, event) -> None:
+        time_s = event.time_s
+        platform = event.platform
+        level = event.detail["level"]
+        self._close_batch(platform, time_s, "completed")
+        self.served.add(platform)
+        completed = self.counter("requests_completed_total", platform=platform)
+        latency = self.histogram("request_latency_s")
+        slack = self.histogram("deadline_slack_s")
+        for rid in event.request_ids:
+            request = self.requests[rid]
+            handle = self.open_requests.pop(rid, None)
+            if handle is not None:
+                self.tracer.end(
+                    handle,
+                    time_s,
+                    outcome="completed",
+                    platform=platform,
+                    level=level,
+                )
+            completed.inc()
+            latency.observe(time_s - request.arrival_s)
+            slack.observe(request.deadline_s - time_s)
+
+    def on_batch_failed(self, event) -> None:
+        self._close_batch(event.platform, event.time_s, "failed")
+        self.counter("batch_failures_total", platform=event.platform).inc()
+
+    # -- degradation / resilience / faults -------------------------------
+    def on_degrade(self, event) -> None:
+        if event.detail.get("cause") == "admission":
+            self.escalated_rid = event.request_ids[0]
+        platform = event.platform
+        self.counter(
+            "degradation_moves_total", platform=platform, move=event.kind
+        ).inc()
+        self.gauge("degradation_level", platform=platform).set(
+            event.detail["level"]
+        )
+
+    on_restore = on_degrade
+
+    def on_breaker_open(self, event) -> None:
+        self.counter(
+            "breaker_transitions_total",
+            platform=event.platform,
+            transition=event.kind,
+        ).inc()
+
+    on_breaker_half_open = on_breaker_close = on_breaker_open
+
+    def on_fault(self, event) -> None:
+        time_s = event.time_s
+        platform = event.platform
+        kind = event.detail["fault_kind"]
+        self.counter(
+            "faults_injected_total", kind=kind, platform=platform
+        ).inc()
+        parent = self.platforms.get(platform)
+        if kind in _EPISODE_BEGIN:
+            open_handle = self.episodes.pop((platform, kind), None)
+            if open_handle is not None:
+                # Re-begin without an end: close the stale episode here.
+                self.tracer.end(open_handle, time_s, reopened=True)
+            self.episodes[(platform, kind)] = self.tracer.begin(
+                "fault_episode",
+                time_s,
+                parent=parent,
+                platform=platform,
+                fault_kind=kind,
+            )
+        elif kind in _EPISODE_END:
+            open_handle = self.episodes.pop(
+                (platform, _EPISODE_END[kind]), None
+            )
+            if open_handle is not None:
+                self.tracer.end(open_handle, time_s)
+        else:
+            # Transient: an instantaneous episode.
+            self.tracer.instant(
+                "fault_episode",
+                time_s,
+                parent=parent,
+                platform=platform,
+                fault_kind=kind,
+            )
+
+    # -- control plane ---------------------------------------------------
+    def on_control_tick(self, event) -> None:
+        detail = event.detail
+        self.tracer.instant(
+            "control_tick",
+            event.time_s,
+            parent=self.run,
+            observed_rps=detail["observed_rps"],
+            forecast_rps=detail["forecast_rps"],
+            target_level=detail["level"],
+        )
+        self.counter("control_ticks_total").inc()
+        self.gauge("forecast_rate_rps").set(detail["forecast_rps"])
+
+    def on_prewarm(self, event) -> None:
+        self.tracer.instant(
+            "prewarm",
+            event.time_s,
+            parent=self.platforms.get(event.platform),
+            platform=event.platform,
+            level=event.detail["level"],
+        )
+        self.counter("control_prewarms_total", platform=event.platform).inc()
+
+    def on_dvfs(self, event) -> None:
+        self.counter("dvfs_moves_total", platform=event.platform).inc()
+        self.gauge("platform_frequency", platform=event.platform).set(
+            event.detail["relative_frequency"]
+        )
+
+    # -- engine relays ---------------------------------------------------
+    def on_compile(self, event) -> None:
+        detail = event.detail
+        self.tracer.instant(
+            "compile",
+            event.time_s,
+            platform=event.platform,
+            network=detail["network"],
+            batch=detail["batch"],
+            perforation=detail["perforation"],
+        )
+        self.counter("engine_compiles_total").inc()
+
+    def on_cache_hit(self, event) -> None:
+        cache = event.detail["cache"]
+        if cache == "compile":
+            self.tracer.instant(
+                "plan_cache_lookup",
+                event.time_s,
+                platform=event.platform,
+                outcome="hit",
+            )
+        self.counter("engine_cache_hits_total", cache=cache).inc()

@@ -118,11 +118,8 @@ class Span:
 
 
 class SpanHandle:
-    """One span that has begun but not yet ended.
-
-    Handles are mutable accumulators: attributes may be attached any
-    time before :meth:`Tracer.end` freezes the span into the buffer.
-    """
+    """One span that has begun but not yet ended; :meth:`Tracer.end`
+    adds its closing attributes and freezes it into the buffer."""
 
     __slots__ = ("span_id", "parent_id", "name", "start_s", "attrs")
 
@@ -139,16 +136,6 @@ class SpanHandle:
         self.name = name
         self.start_s = start_s
         self.attrs = attrs
-
-    def set(self, **attrs) -> "SpanHandle":
-        """Attach attributes; returns self for chaining."""
-        self.attrs.update(attrs)
-        return self
-
-
-#: Shared inert handle returned by a disabled tracer: callers can
-#: ``.set(...)`` on it freely and nothing is recorded.
-_NULL_HANDLE = SpanHandle(-1, None, "run", 0.0, {})
 
 
 class TraceBuffer:
@@ -271,19 +258,11 @@ class TraceBuffer:
 class Tracer:
     """Produces spans against an explicit sim clock.
 
-    All times are caller-supplied simulated seconds.  A disabled
-    tracer short-circuits every operation to a shared null handle, so
-    instrumented hot paths cost one attribute check when tracing is
-    off.
+    All times are caller-supplied simulated seconds.
     """
 
-    def __init__(
-        self,
-        buffer: Optional[TraceBuffer] = None,
-        enabled: bool = True,
-    ) -> None:
+    def __init__(self, buffer: Optional[TraceBuffer] = None) -> None:
         self.buffer = buffer if buffer is not None else TraceBuffer()
-        self.enabled = enabled
         self._next_id = 0
         self._open: Dict[int, SpanHandle] = {}
 
@@ -300,15 +279,13 @@ class Tracer:
         **attrs,
     ) -> SpanHandle:
         """Open a span at ``time_s``; returns its handle."""
-        if not self.enabled:
-            return _NULL_HANDLE
         if name not in SPAN_NAMES:
             raise ValueError(
                 "unknown span name %r (known: %s)"
                 % (name, ", ".join(SPAN_NAMES))
             )
         parent_id = None
-        if parent is not None and parent is not _NULL_HANDLE:
+        if parent is not None:
             parent_id = parent.span_id
             if time_s < parent.start_s:
                 raise ValueError(
@@ -320,10 +297,8 @@ class Tracer:
         self._open[handle.span_id] = handle
         return handle
 
-    def end(self, handle: SpanHandle, time_s: float, **attrs) -> Optional[Span]:
+    def end(self, handle: SpanHandle, time_s: float, **attrs) -> Span:
         """Close a span at ``time_s``, recording it into the buffer."""
-        if not self.enabled or handle is _NULL_HANDLE:
-            return None
         if handle.span_id not in self._open:
             raise ValueError(
                 "span %r (id %d) is not open" % (handle.name, handle.span_id)
@@ -351,10 +326,8 @@ class Tracer:
         time_s: float,
         parent: Optional[SpanHandle] = None,
         **attrs,
-    ) -> Optional[Span]:
+    ) -> Span:
         """Record a zero-duration span (a point decision)."""
-        if not self.enabled:
-            return None
         return self.end(self.begin(name, time_s, parent=parent, **attrs), time_s)
 
     def emit(
@@ -364,10 +337,8 @@ class Tracer:
         end_s: float,
         parent: Optional[SpanHandle] = None,
         **attrs,
-    ) -> Optional[Span]:
+    ) -> Span:
         """Record a whole span in one call (start and end known)."""
-        if not self.enabled:
-            return None
         return self.end(self.begin(name, start_s, parent=parent, **attrs), end_s)
 
     def drain_open(self, time_s: float) -> List[Span]:

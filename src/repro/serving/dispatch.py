@@ -65,10 +65,6 @@ class InFlightBatch:
     #: fault): the batch will fail at ``finish_s`` instead of
     #: completing.
     will_fail: bool = False
-    #: Open ``execute_batch`` span handle while instrumentation is
-    #: observing the run (None otherwise); closed at the batch's
-    #: completion/failure/abandonment.
-    obs_span: Optional[object] = None
 
 
 @dataclass

@@ -48,12 +48,13 @@ the duration of a run, so rung compilations and cache hits show up in
 the structured event log alongside its own decisions.
 
 Which loop serves a run is decided by the run's inputs, not by a
-setting.  A *plain* run -- no fault trace, no enabled instrumentation,
-no control plane -- goes to the columnar fast loop of
-:mod:`repro.serving.vec_router`; every other run goes through the
-event loop here (:meth:`RequestRouter._run_events`), which is also the
-differential oracle the columnar loop is tested against.  Both give
-bit-identical fingerprints on plain runs.
+setting.  A *plain* run -- no fault trace, no control plane -- goes to
+the columnar fast loop of :mod:`repro.serving.vec_router`; every other
+run goes through the event loop here (:meth:`RequestRouter._run_events`),
+which is also the differential oracle the columnar loop is tested
+against.  Both give bit-identical fingerprints on plain runs.  Neither
+loop holds observability code: :meth:`RequestRouter.run` derives an
+instrumented run's spans and metrics from the finished report.
 """
 
 from __future__ import annotations
@@ -210,15 +211,9 @@ _TICK = "tick"
 class _RunState:
     """Everything mutable about one :meth:`RequestRouter.run` call."""
 
-    def __init__(
-        self,
-        events: EventLog,
-        retry_policy: RetryPolicy,
-        obs: Instrumentation,
-    ) -> None:
+    def __init__(self, events: EventLog, retry_policy: RetryPolicy) -> None:
         self.events = events
         self.retry_policy = retry_policy
-        self.obs = obs
         self.completed: List[CompletedRequest] = []
         self.rejected: List[RejectedRequest] = []
         self.states: Dict[str, PlatformState] = {}
@@ -289,10 +284,12 @@ class RequestRouter:
         :meth:`_build_states`).
         ``faults`` optionally subjects the run to a chaos schedule;
         the report then carries :class:`ResilienceStats`.  ``obs``
-        optionally observes the run (spans + metrics); the report then
-        carries an ``obs`` section and the instrumentation retains the
-        full trace buffer and metrics registry for export.  One
-        instrumentation instance observes one run.
+        optionally observes the run (spans + metrics), derived from the
+        finished report by :meth:`Instrumentation.record_run`; the
+        report then carries an ``obs`` section and the instrumentation
+        retains the full trace buffer and metrics registry for export.
+        ``obs=None`` is the only off switch.  One instrumentation
+        instance observes one run.
 
         ``controller`` optionally attaches a predictive control plane
         (duck-typed to :class:`repro.control.plane.ControlPlane`): the
@@ -305,26 +302,34 @@ class RequestRouter:
         controller instance observes one run; the report then carries
         a ``control`` section.
 
-        The inputs pick the loop.  A plain run (``faults`` None,
-        ``obs`` None or disabled, ``controller`` None) is served by
-        the columnar fast loop, whose report materializes its
-        per-request lists lazily; any other run goes through the
-        event loop, :meth:`_run_events`.  Fingerprints are identical
-        either way.
+        The inputs pick the loop.  A plain run (``faults`` and
+        ``controller`` None) is served by the columnar fast loop, whose
+        report materializes its per-request lists lazily; any other
+        run goes through the event loop, :meth:`_run_events`.
+        Fingerprints are identical either way, and so is the derived
+        ``obs`` section.
         """
-        if (
-            faults is None
-            and controller is None
-            and (obs is None or not obs.enabled)
-        ):
-            return run_columnar(self, loads)
-        return self._run_events(loads, faults, obs, controller)
+        before = self._engine_activity()
+        if faults is None and controller is None:
+            report = run_columnar(self, loads)
+        else:
+            report = self._run_events(loads, faults, controller)
+        if obs is not None:
+            after = self._engine_activity()
+            obs.record_run(
+                report,
+                tick_errors=(
+                    controller.errors if controller is not None else ()
+                ),
+                engine_counts={key: after[key] - before[key] for key in after},
+            )
+            report.obs = obs.report_section()
+        return report
 
     def _run_events(
         self,
         loads: Sequence[TenantLoad],
         faults: Optional[FaultTrace] = None,
-        obs: Optional[Instrumentation] = None,
         controller: Optional[object] = None,
     ) -> RouterReport:
         """The discrete-event loop: serves every kind of run, and is
@@ -340,8 +345,6 @@ class RequestRouter:
                     % (", ".join(unknown), ", ".join(self.deployments))
                 )
         events = EventLog()
-        if obs is None:
-            obs = Instrumentation.disabled()
         run = _RunState(
             events,
             RetryPolicy(
@@ -349,10 +352,8 @@ class RequestRouter:
                 backoff_s=config.retry_backoff_s,
                 growth=config.retry_backoff_growth,
             ),
-            obs,
         )
-        obs.run_started(tuple(self.deployments), 0.0)
-        unsubscribe = self._subscribe_engines(events, obs)
+        unsubscribe = self._subscribe_engines(events)
         try:
             run.states = self._build_states(lazy=controller is not None)
             dispatcher = Dispatcher(run.states, policy=config.policy)
@@ -418,7 +419,6 @@ class RequestRouter:
             horizon = max(horizon, max(r.finish_s for r in run.completed))
         if requests:
             horizon = max(horizon, requests[-1].arrival_s)
-        obs.run_finished(horizon)
         return RouterReport(
             completed=sorted(run.completed, key=lambda r: r.request.rid),
             rejected=sorted(run.rejected, key=lambda r: r.request.rid),
@@ -428,7 +428,6 @@ class RequestRouter:
             resilience=(
                 run.resilience_stats() if faults is not None else None
             ),
-            obs=obs.report_section() if obs.enabled else None,
             control=(
                 controller.report_section()
                 if controller is not None
@@ -437,20 +436,33 @@ class RequestRouter:
         )
 
     # -- setup -----------------------------------------------------------
-    def _subscribe_engines(
-        self, events: EventLog, obs: Optional[Instrumentation] = None
-    ):
-        """Relay engine compile/cache activity into the event log (and
-        the instrumentation, when given and enabled) for the duration
-        of one run; returns the unsubscribe closure.
+    def _engines(self) -> list:
+        """The fleet's distinct execution engines, in platform order."""
+        engines = {}
+        for deployment in self.deployments.values():
+            engines.setdefault(id(deployment.engine), deployment.engine)
+        return list(engines.values())
+
+    def _engine_activity(self) -> Dict[str, int]:
+        """Execute and prewarm-hit/miss counts summed over the fleet's
+        distinct engines.  The event log relays compiles and cache hits
+        but not these, so an observed run passes on their deltas."""
+        stats = [engine.stats for engine in self._engines()]
+        return {
+            "executes": sum(s.execute_calls for s in stats),
+            "prewarm_hits": sum(s.prewarm_hits for s in stats),
+            "prewarm_misses": sum(s.prewarm_misses for s in stats),
+        }
+
+    def _subscribe_engines(self, events: EventLog):
+        """Relay engine compile/cache activity into the event log for
+        the duration of one run; returns the unsubscribe closure.
 
         Relayed events are stamped with the run clock, which starts
         here at 0.0: activity during the state build precedes every
         simulated event."""
         self._now = 0.0
-        engines = {}
-        for deployment in self.deployments.values():
-            engines[id(deployment.engine)] = deployment.engine
+        engines = self._engines()
 
         def on_compile(key, plan, **_ignored):
             events.record(
@@ -470,21 +482,14 @@ class RequestRouter:
                 cache=kind,
             )
 
-        detachers = []
-        for engine in engines.values():
+        for engine in engines:
             engine.hooks.subscribe("on_compile", on_compile)
             engine.hooks.subscribe("on_cache_hit", on_cache_hit)
-            if obs is not None:
-                detachers.append(
-                    obs.attach_engine(engine, lambda: self._now)
-                )
 
         def unsubscribe():
-            for engine in engines.values():
+            for engine in engines:
                 engine.hooks.unsubscribe("on_compile", on_compile)
                 engine.hooks.unsubscribe("on_cache_hit", on_cache_hit)
-            for detach in detachers:
-                detach()
 
         return unsubscribe
 
@@ -594,9 +599,6 @@ class RequestRouter:
                 cause="admission",
                 level=state.controller.level,
             )
-            run.obs.degradation_move(
-                state.name, "degrade", state.controller.level, now
-            )
         state.queue.append(request)
         run.events.record(
             "enqueue",
@@ -607,14 +609,6 @@ class RequestRouter:
             level=candidate.level,
             predicted_soc=candidate.predicted_soc,
             predicted_latency_s=candidate.predicted_latency_s,
-        )
-        run.obs.request_admitted(
-            request,
-            now,
-            state.name,
-            candidate.level,
-            decision.reason,
-            len(state.queue),
         )
         self._try_dispatch(state, run, push)
 
@@ -638,7 +632,6 @@ class RequestRouter:
         state = run.states[fault.platform]
         consequence = state.health.apply(fault)
         run.faults_injected += 1
-        run.obs.fault(fault, now)
         run.events.record(
             "fault",
             time_s=now,
@@ -670,7 +663,7 @@ class RequestRouter:
         self, controller, run: _RunState, push, last_arrival_s: float
     ) -> None:
         """One control-plane tick: let the controller forecast and
-        act, then mirror its actions into the event log and obs, wake
+        act, then mirror its actions into the event log, wake
         any platform it changed, and re-arm the next tick (ticks stop
         once the trace's last arrival is behind us -- the drain phase
         is the reactive machinery's business)."""
@@ -683,13 +676,6 @@ class RequestRouter:
             forecast_rps=outcome.forecast_rps,
             level=outcome.target_level,
         )
-        run.obs.control_tick(
-            now,
-            outcome.observed_rps,
-            outcome.forecast_rps,
-            outcome.target_level,
-            outcome.error_rps,
-        )
         for platform, level, batch in outcome.prewarmed:
             run.events.record(
                 "prewarm",
@@ -698,7 +684,6 @@ class RequestRouter:
                 level=level,
                 batch=batch,
             )
-            run.obs.prewarm(platform, level, now)
         for platform, _old, level in outcome.degraded:
             run.events.record(
                 "degrade",
@@ -707,7 +692,6 @@ class RequestRouter:
                 cause="forecast",
                 level=level,
             )
-            run.obs.degradation_move(platform, "degrade", level, now)
         for platform, relative_frequency in outcome.dvfs_moves:
             run.events.record(
                 "dvfs",
@@ -715,7 +699,6 @@ class RequestRouter:
                 platform=platform,
                 relative_frequency=relative_frequency,
             )
-            run.obs.dvfs_move(platform, relative_frequency, now)
         for name in sorted(outcome.changed_platforms):
             self._try_dispatch(run.states[name], run, push)
         next_tick = now + controller.tick_s
@@ -732,7 +715,6 @@ class RequestRouter:
             return
         victims: List[Request] = []
         if state.inflight is not None:
-            run.obs.batch_abandoned(state.name, state.inflight, self._now)
             victims.extend(state.inflight.requests)
             state.inflight = None
         victims.extend(state.queue)
@@ -755,6 +737,16 @@ class RequestRouter:
         run.failovers += 1
         run.rescued_rids.add(request.rid)
         target = run.states[decision.candidate.platform]
+        if decision.reason == "ok-degraded":
+            run.events.record(
+                "degrade",
+                time_s=now,
+                platform=target.name,
+                tenant=request.tenant.name,
+                request_ids=(request.rid,),
+                cause="failover",
+                level=target.controller.level,
+            )
         target.queue.append(request)
         run.events.record(
             "failover",
@@ -765,7 +757,6 @@ class RequestRouter:
             origin=origin,
             level=decision.candidate.level,
         )
-        run.obs.failover(request, now, origin, target.name)
         self._try_dispatch(target, run, push)
 
     def _on_batch_failure(
@@ -784,12 +775,10 @@ class RequestRouter:
             request_ids=rids,
             level=batch.rung.level,
         )
-        run.obs.batch_failed(state.name, batch, now)
         if state.breaker is not None:
             move = state.breaker.on_failure(now)
             if move is not None:
                 run.events.record(move, time_s=now, platform=state.name)
-                run.obs.breaker_transition(state.name, move, now)
                 if move == "breaker_open":
                     push(
                         now + self.config.breaker_cooldown_s, _PROBE, state
@@ -815,7 +804,6 @@ class RequestRouter:
                     attempt=attempt,
                     backoff_s=delay,
                 )
-                run.obs.retry_scheduled(request, now, attempt, delay)
                 push(now + delay, _RETRY, request)
                 return
             self._reject(request, "retries-exhausted", run)
@@ -834,7 +822,6 @@ class RequestRouter:
             reason=reason,
             **detail,
         )
-        run.obs.request_rejected(request, self._now, reason)
 
     def _reject_stranded(self, run: _RunState) -> None:
         """Zero-loss backstop: any request still queued (or somehow in
@@ -843,7 +830,6 @@ class RequestRouter:
             state = run.states[name]
             stranded: List[Request] = []
             if state.inflight is not None:
-                run.obs.batch_abandoned(name, state.inflight, self._now)
                 stranded.extend(state.inflight.requests)
                 state.inflight = None
             stranded.extend(state.queue)
@@ -952,7 +938,6 @@ class RequestRouter:
             move = state.breaker.on_dispatch(now)
             if move is not None:
                 run.events.record(move, time_s=now, platform=state.name)
-                run.obs.breaker_transition(state.name, move, now)
         push(finish, _FREE, state)
         run.events.record(
             "dispatch",
@@ -963,9 +948,6 @@ class RequestRouter:
             batch=take,
             capacity=rung.batch,
             finish_s=finish,
-        )
-        run.obs.batch_dispatched(
-            state.name, state.inflight, rung.batch, len(state.queue), now
         )
         # Degradation reacts to the *standing* queue left behind: the
         # work the platform is already committed to does not count,
@@ -979,9 +961,6 @@ class RequestRouter:
                 platform=state.name,
                 cause="backlog",
                 level=state.controller.level,
-            )
-            run.obs.degradation_move(
-                state.name, move, state.controller.level, now
             )
 
     def _complete_batch(
@@ -998,8 +977,6 @@ class RequestRouter:
             move = state.breaker.on_success(now)
             if move is not None:
                 run.events.record(move, time_s=now, platform=state.name)
-                run.obs.breaker_transition(state.name, move, now)
-        run.obs.batch_completed(state.name, batch, batch.finish_s, rung.energy_j)
         for request in batch.requests:
             entropy = rung.entropy * request.difficulty
             breakdown = soc(
@@ -1028,10 +1005,6 @@ class RequestRouter:
             request_ids=tuple(r.rid for r in batch.requests),
             level=rung.level,
         )
-        for request in batch.requests:
-            run.obs.request_completed(
-                request, batch.finish_s, state.name, rung.level
-            )
 
     # -- reporting --------------------------------------------------------
     def _platform_stats(

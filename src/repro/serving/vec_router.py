@@ -1,11 +1,14 @@
 """The columnar fast loop behind :meth:`RequestRouter.run`.
 
 :meth:`repro.serving.router.RequestRouter.run` sends every *plain* run
-here: no fault trace, no enabled instrumentation, no control plane.
-Everything else goes through the discrete-event loop,
+here: no fault trace, no control plane.  Everything else goes through
+the discrete-event loop,
 :meth:`~repro.serving.router.RequestRouter._run_events`.  A plain run
-cannot fail a batch, trip a breaker, rescale a rung or emit a span, so
-this loop carries none of that machinery.
+cannot fail a batch, trip a breaker or rescale a rung, so this loop
+carries none of that machinery -- and, like the event loop, no
+observability code: an instrumented plain run runs here too, and
+``RequestRouter.run`` derives its spans and metrics from the finished
+report.
 
 The event loop is object-per-event: every arrival materializes a
 ``Request``, every admission scores candidates through dataclass
@@ -410,7 +413,7 @@ class VecRouterReport(RouterReport):
 
 
 def run_columnar(router, loads: Sequence[TenantLoad]) -> VecRouterReport:
-    """Serve a plain run (no faults, instrumentation or controller).
+    """Serve a plain run (no faults or controller).
 
     Returns a report whose fingerprint is bit-identical to
     ``router._run_events(loads)``.

@@ -102,16 +102,6 @@ class TestTracer:
         (span,) = tracer.drain_open(1.0)
         assert span.end_s == 5.0
 
-    def test_disabled_tracer_is_inert(self):
-        tracer = Tracer(enabled=False)
-        handle = tracer.begin("run", 0.0)
-        handle.set(anything="goes")
-        assert tracer.end(handle, 1.0) is None
-        assert tracer.instant("admission", 0.5) is None
-        assert tracer.emit("execute_batch", 0.0, 1.0) is None
-        assert tracer.drain_open(2.0) == []
-        assert len(tracer.buffer) == 0
-
 
 class TestTraceBuffer:
     def _populated(self):

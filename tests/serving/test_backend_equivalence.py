@@ -1,7 +1,7 @@
 """Differential harness: the columnar fast loop vs the event loop.
 
-``RequestRouter.run`` serves a plain run -- no faults, no enabled
-instrumentation, no control plane -- with the columnar loop of
+``RequestRouter.run`` serves a plain run -- no faults, no control
+plane, with or without instrumentation -- with the columnar loop of
 :mod:`repro.serving.vec_router`, and every other run with the
 discrete-event loop, ``RequestRouter._run_events``.  The columnar
 loop's contract is *bit-identical* ``RouterReport`` fingerprints --
@@ -159,26 +159,31 @@ class TestLoopSelection:
         return [TenantLoad(snappy_tenant, _trace("mmpp", 30, 5))]
 
     def test_plain_run_takes_columnar_loop(self, fleet, snappy_tenant):
+        """Instrumentation does not pick the loop: the spans and
+        metrics are derived from the finished report either way."""
         loads = self._loads(snappy_tenant)
         router = RequestRouter(fleet)
         assert isinstance(router.run(loads), VecRouterReport)
-        disabled = router.run(loads, obs=Instrumentation.disabled())
-        assert isinstance(disabled, VecRouterReport)
+        traced = router.run(loads, obs=Instrumentation())
+        assert isinstance(traced, VecRouterReport)
+        assert traced.obs is not None
+        assert traced.n_offered == loads[0].trace.n_requests
 
     def test_tracked_runs_take_event_loop(self, fleet, snappy_tenant):
-        """Faults, enabled instrumentation or a controller each send
-        the run to the event loop, which reports on what it was given."""
+        """Faults or a controller each send the run to the event loop,
+        which reports on what it was given."""
         loads = self._loads(snappy_tenant)
         router = RequestRouter(fleet)
-        chaos = router.run(loads, faults=FaultTrace([]))
-        traced = router.run(loads, obs=Instrumentation())
+        chaos = router.run(
+            loads, faults=FaultTrace([]), obs=Instrumentation()
+        )
         controlled = router.run(
             loads, controller=ControllerConfig(kind="ewma").build()
         )
         assert chaos.resilience is not None
-        assert traced.obs is not None
+        assert chaos.obs is not None
         assert controlled.control is not None
-        for report in (chaos, traced, controlled):
+        for report in (chaos, controlled):
             assert not isinstance(report, VecRouterReport)
             assert report.n_offered == loads[0].trace.n_requests
 

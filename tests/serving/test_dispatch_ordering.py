@@ -14,7 +14,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.obs import Instrumentation
 from repro.serving import RequestRouter, RouterConfig, TenantLoad
 from repro.serving.events import EventLog
 from repro.serving.request import Request
@@ -41,9 +40,7 @@ class TestStrandedOrdering:
     def _run_backstop(self, fleet, snappy_tenant, queues, inflight=None):
         router = RequestRouter(fleet, RouterConfig())
         router._now = 1.0
-        run = _RunState(
-            EventLog(), RetryPolicy(limit=1), Instrumentation.disabled()
-        )
+        run = _RunState(EventLog(), RetryPolicy(limit=1))
 
         def request(rid):
             return Request(

@@ -179,15 +179,3 @@ class TestChaosSpans:
         assert a.fingerprint() == b.fingerprint()
         assert first.buffer.fingerprint() == second.buffer.fingerprint()
 
-
-class TestDisabledObs:
-    def test_disabled_obs_records_nothing(self, fleet, storm_load):
-        obs = Instrumentation.disabled()
-        report = _run(fleet, storm_load, obs=obs)
-        assert len(obs.buffer) == 0
-        assert report.obs is None
-
-    def test_disabled_matches_plain_run(self, fleet, storm_load):
-        plain = _run(fleet, storm_load)
-        disabled = _run(fleet, storm_load, obs=Instrumentation.disabled())
-        assert plain.fingerprint() == disabled.fingerprint()

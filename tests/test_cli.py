@@ -295,6 +295,29 @@ class TestServeFleetLedger:
         assert "error:" in err
         assert "rate_hz" in err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["serve-fleet", "--shards", "0"], "--shards"),
+            (["serve-fleet", "--shards", "-1"], "--shards"),
+            (["serve-fleet", "--requests", "0"], "--requests"),
+            (["serve-fleet", "--requests", "-5"], "--requests"),
+            (["trace", "age-detection", "--requests", "0", "--chaos"],
+             "--requests"),
+            (["trace", "age-detection", "--requests", "-5"], "--requests"),
+        ],
+    )
+    def test_counts_below_one_name_the_flag(self, argv, flag, capsys):
+        """Zero or negative shard and request counts used to run
+        unsharded, die with an IndexError, or fail inside numpy; they
+        stop at the parser now, exit 2, and name the flag."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument %s" % flag in err
+        assert "must be >= 1" in err
+
     def test_non_finite_shard_timeout_is_a_clean_error(self, capsys):
         code = main(
             ["serve-fleet", "--requests", "40", "--shard-timeout-s", "nan"]
