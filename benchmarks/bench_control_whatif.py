@@ -147,11 +147,16 @@ def _chaos_faults(horizon_s):
     return mobile.merged_with(server)
 
 
-def _assert_conserved(label, report):
-    terminal = report.n_completed + report.n_rejected
-    assert terminal == report.n_offered, (
-        "%s: %d of %d offered requests unaccounted for"
-        % (label, report.n_offered - terminal, report.n_offered)
+def _assert_conserved(label, report, generated):
+    """Every generated request is terminal exactly once."""
+    rids = [record.request.rid for record in report.completed]
+    rids += [record.request.rid for record in report.rejected]
+    assert len(rids) == generated, (
+        "%s: %d terminal records for %d generated requests"
+        % (label, len(rids), generated)
+    )
+    assert len(set(rids)) == len(rids), (
+        "%s: a request id is terminal twice" % label
     )
 
 
@@ -250,8 +255,9 @@ def test_bench_control_whatif(benchmark, quick):
 
     outcomes = dict(scenarios)
     for label, outcome in scenarios:
-        _assert_conserved("%s reactive" % label, outcome.reactive)
-        _assert_conserved("%s predictive" % label, outcome.predictive)
+        # Each scenario offers one tenant's trace of n requests.
+        _assert_conserved("%s reactive" % label, outcome.reactive, n)
+        _assert_conserved("%s predictive" % label, outcome.predictive, n)
 
     overload = outcomes["overload"]
     reactive = overload.reactive_summary

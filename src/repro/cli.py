@@ -103,18 +103,28 @@ from repro.workloads import (
 __all__ = ["main", "build_parser"]
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts that must be at least 1 (argparse
+def _int_at_least(minimum: int):
+    """argparse type for an int flag of at least ``minimum`` (argparse
     names the flag in its error and exits 2)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            "invalid int value: %r" % (text,)
-        ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1, got %d" % value)
-    return value
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                "invalid int value: %r" % (text,)
+            ) from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                "must be >= %d, got %d" % (minimum, value)
+            )
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_batch_size = _int_at_least(0)  # ``compile --batch 0`` selects the batch
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -144,8 +154,9 @@ def build_parser() -> argparse.ArgumentParser:
                              help="data generation rate (Hz)")
     compile_cmd.add_argument("--fps", type=float, default=10.0,
                              help="frame rate for real-time tasks")
-    compile_cmd.add_argument("--batch", type=int, default=0,
-                             help="force a batch size (skip selection)")
+    compile_cmd.add_argument("--batch", type=_batch_size, default=0,
+                             help="force a batch size (skip selection); "
+                             "0 selects it")
     compile_cmd.add_argument("--save", default=None,
                              help="write the artifact JSON here")
 
@@ -213,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
         "multiprocessing spawn workers (same bits, easier debugging)",
     )
     serve.add_argument(
-        "--processes", type=int, default=None,
+        "--processes", type=_positive_int, default=None,
         help="cap on concurrently live shard workers "
         "(default: min(shards, cpu count))",
     )
@@ -234,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
         "killed and retried (default: no timeout)",
     )
     serve.add_argument(
-        "--shard-retries", type=int, default=3,
+        "--shard-retries", type=_positive_int, default=3,
         help="attempts per shard before its load is escalated onto a "
         "healthy shard",
     )

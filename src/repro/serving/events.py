@@ -79,8 +79,21 @@ class EventLog:
         "dvfs",
     )
 
-    def __init__(self) -> None:
-        self._events: List[RouterEvent] = []
+    def __init__(self, events: Sequence[RouterEvent] = ()) -> None:
+        """An empty log, or one holding ``events`` as they are (already
+        numbered ``0..n-1``; :meth:`from_events` renumbers copies)."""
+        self._events: List[RouterEvent] = list(events)
+        unknown = [e.kind for e in self._events if e.kind not in self.KINDS]
+        if unknown:
+            self._check_kind(unknown[0])
+
+    @classmethod
+    def _check_kind(cls, kind: str) -> None:
+        if kind not in cls.KINDS:
+            raise ValueError(
+                "unknown event kind %r (known: %s)"
+                % (kind, ", ".join(cls.KINDS))
+            )
 
     def record(
         self,
@@ -92,11 +105,7 @@ class EventLog:
         **detail,
     ) -> RouterEvent:
         """Append one event; returns it."""
-        if kind not in self.KINDS:
-            raise ValueError(
-                "unknown event kind %r (known: %s)"
-                % (kind, ", ".join(self.KINDS))
-            )
+        self._check_kind(kind)
         event = RouterEvent(
             seq=len(self._events),
             time_s=time_s,
@@ -120,11 +129,7 @@ class EventLog:
         """
         log = cls()
         for event in events:
-            if event.kind not in cls.KINDS:
-                raise ValueError(
-                    "unknown event kind %r (known: %s)"
-                    % (event.kind, ", ".join(cls.KINDS))
-                )
+            cls._check_kind(event.kind)
             log._events.append(
                 RouterEvent(
                     seq=len(log._events),
@@ -149,11 +154,7 @@ class EventLog:
 
     def of_kind(self, kind: str) -> List[RouterEvent]:
         """All events of one kind, in order."""
-        if kind not in self.KINDS:
-            raise ValueError(
-                "unknown event kind %r (known: %s)"
-                % (kind, ", ".join(self.KINDS))
-            )
+        self._check_kind(kind)
         return [event for event in self._events if event.kind == kind]
 
     @property

@@ -6,19 +6,24 @@ rejection-rate, per-platform utilization / energy / degradation
 profile, and the full event log.  ``to_dict`` / ``to_json`` give a
 stable plain-data schema, and :meth:`RouterReport.fingerprint` hashes
 the canonical JSON -- the determinism guarantee ("bit-identical runs")
-is asserted by comparing fingerprints.
+is asserted by comparing fingerprints.  Counts, aggregates and the
+fingerprint read the per-request records as columns, so a report that
+keeps its records as columns never builds them as objects for these.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.satisfaction import SoCBreakdown
 from repro.obs.instrument import cache_neutral_obs_section, merge_obs_sections
 from repro.obs.metrics import linear_percentile
+from repro.serving.canonical import write_report
 from repro.serving.events import EventLog, RouterEvent
 from repro.serving.request import Request
 
@@ -98,6 +103,48 @@ class RejectedRequest:
             "arrival_s": self.request.arrival_s,
             "reason": self.reason,
         }
+
+
+#: Column name (``to_dict`` keys + ``priority``) -> path on a record.
+_COMPLETED_PATHS = dict(
+    rid="request.rid", tenant="request.tenant.name",
+    priority="request.tenant.priority", platform="platform", level="level",
+    batch="batch", arrival_s="request.arrival_s", start_s="start_s",
+    finish_s="finish_s", latency_s="latency_s", deadline_hit="deadline_hit",
+    entropy="entropy", soc="soc.value", soc_time="soc.soc_time",
+    soc_accuracy="soc.soc_accuracy",
+)
+_REJECTED_PATHS = dict(
+    rid="request.rid", tenant="request.tenant.name",
+    priority="request.tenant.priority", arrival_s="request.arrival_s",
+    reason="reason",
+)
+
+
+class _Columns(dict):
+    """One section's records as ``{name: column}`` in record order,
+    each column read off the records on first use."""
+
+    def __init__(self, records: Sequence, paths: Mapping[str, str]) -> None:
+        super().__init__()
+        self.records = records
+        self.paths = paths
+
+    def __missing__(self, name: str) -> list:
+        getter = attrgetter(self.paths[name])
+        column = self[name] = list(map(getter, self.records))
+        return column
+
+
+def event_row(event: RouterEvent) -> tuple:
+    """One event as the canonical writer's row: ``(kind, detail keys,
+    detail values, time_s, tenant, platform, request_ids)``."""
+    detail = event.detail
+    keys = tuple(sorted(detail))
+    return (
+        event.kind, keys, tuple(map(detail.__getitem__, keys)),
+        event.time_s, event.tenant, event.platform, event.request_ids,
+    )
 
 
 @dataclass(frozen=True)
@@ -287,26 +334,42 @@ class RouterReport:
         default=None, repr=False, compare=False
     )
 
+    # -- the records as data --------------------------------------------
+    def _completed_columns(self) -> Mapping[str, list]:
+        """The completed records as ``{name: column}``."""
+        return _Columns(self.completed, _COMPLETED_PATHS)
+
+    def _rejected_columns(self) -> Mapping[str, list]:
+        """The rejected records as ``{name: column}``."""
+        return _Columns(self.rejected, _REJECTED_PATHS)
+
+    def _event_rows(self) -> Iterable[tuple]:
+        """The event log as :func:`event_row` rows, in order."""
+        return map(event_row, self.events)
+
+    def _event_counts(self) -> Dict[str, int]:
+        return self.events.counts
+
     # -- fleet-level views ----------------------------------------------
     @property
     def n_offered(self) -> int:
         """Every request that reached admission."""
-        return len(self.completed) + len(self.rejected)
+        return self.n_completed + self.n_rejected
 
     @property
     def n_completed(self) -> int:
         """Requests served to completion."""
-        return len(self.completed)
+        return len(self._completed_columns()["rid"])
 
     @property
     def n_rejected(self) -> int:
         """Requests turned away by admission control."""
-        return len(self.rejected)
+        return len(self._rejected_columns()["rid"])
 
     @property
     def deadline_hits(self) -> int:
         """Completions inside their tenant's hard deadline."""
-        return sum(1 for record in self.completed if record.deadline_hit)
+        return sum(self._completed_columns()["deadline_hit"])
 
     @property
     def deadline_hit_rate(self) -> float:
@@ -325,9 +388,8 @@ class RouterReport:
     @property
     def mean_soc(self) -> float:
         """Mean SoC over completed requests."""
-        if not self.completed:
-            return 0.0
-        return sum(r.soc.value for r in self.completed) / len(self.completed)
+        values = self._completed_columns()["soc"]
+        return sum(values) / len(values) if values else 0.0
 
     @property
     def total_energy_j(self) -> float:
@@ -344,51 +406,50 @@ class RouterReport:
         linearly interpolated -- delegated to
         :func:`repro.obs.metrics.linear_percentile`, the same edge
         conventions ``ServerReport.percentile`` uses."""
-        return linear_percentile([r.latency_s for r in self.completed], q)
+        return linear_percentile(self._completed_columns()["latency_s"], q)
 
     # -- per-tenant aggregation -----------------------------------------
     def per_tenant(self) -> List[TenantStats]:
-        """Tenant aggregates, sorted by tenant name."""
-        tenants: Dict[str, dict] = {}
-
-        def bucket(name: str, priority: int) -> dict:
-            if name not in tenants:
-                tenants[name] = {
-                    "priority": priority,
-                    "completed": [],
-                    "rejected": 0,
-                }
-            return tenants[name]
-
-        for record in self.completed:
-            bucket(
-                record.request.tenant.name, record.request.tenant.priority
-            )["completed"].append(record)
-        for record in self.rejected:
-            bucket(
-                record.request.tenant.name, record.request.tenant.priority
-            )["rejected"] += 1
+        """Tenant aggregates, sorted by tenant name (a tenant's
+        priority is its first completed, else first rejected, record's)."""
+        done = self._completed_columns()
+        turned_away = self._rejected_columns()
+        rows_of: Dict[str, List[int]] = {}
+        for index, name in enumerate(done["tenant"]):
+            rows = rows_of.get(name)
+            if rows is None:
+                rows = rows_of[name] = []
+            rows.append(index)
+        rejected_of = Counter(turned_away["tenant"])
+        hits, soc_values = done["deadline_hit"], done["soc"]
+        latencies = done["latency_s"]
         stats = []
-        for name in sorted(tenants):
-            data = tenants[name]
-            done = data["completed"]
-            offered = len(done) + data["rejected"]
+        for name in sorted(rejected_of.keys() | rows_of.keys()):
+            rows = rows_of.get(name, [])
+            served = len(rows)
+            priority = (
+                done["priority"][rows[0]]
+                if rows
+                else turned_away["priority"][
+                    turned_away["tenant"].index(name)
+                ]
+            )
             stats.append(
                 TenantStats(
                     tenant=name,
-                    priority=data["priority"],
-                    offered=offered,
-                    completed=len(done),
-                    rejected=data["rejected"],
-                    deadline_hits=sum(1 for r in done if r.deadline_hit),
+                    priority=priority,
+                    offered=served + rejected_of[name],
+                    completed=served,
+                    rejected=rejected_of[name],
+                    deadline_hits=sum([hits[i] for i in rows]),
                     mean_soc=(
-                        sum(r.soc.value for r in done) / len(done)
-                        if done
+                        sum([soc_values[i] for i in rows]) / served
+                        if served
                         else 0.0
                     ),
                     mean_latency_s=(
-                        sum(r.latency_s for r in done) / len(done)
-                        if done
+                        sum([latencies[i] for i in rows]) / served
+                        if served
                         else 0.0
                     ),
                 )
@@ -711,7 +772,7 @@ class RouterReport:
             },
             "tenants": [stats.to_dict() for stats in self.per_tenant()],
             "platforms": [stats.to_dict() for stats in self.platforms],
-            "event_counts": self.events.counts,
+            "event_counts": self._event_counts(),
         }
         if self.resilience is not None:
             data["resilience"] = self.resilience.to_dict()
@@ -742,16 +803,14 @@ class RouterReport:
         event and request record: two runs are bit-identical iff these
         match.  Engine compile/cache-hit relays (and the raw sequence
         numbers they shift) are excluded, so a warm engine cache does
-        not change the fingerprint -- only routing behaviour does."""
-        data = self.to_dict(include_events=True, include_requests=True)
-        data["events"] = [
-            {key: value for key, value in event.items() if key != "seq"}
-            for event in data["events"]
-            if event["kind"] not in self._CACHE_KINDS
-        ]
-        data["event_counts"] = {
+        not change the fingerprint -- only routing behaviour does.  The
+        bytes, those of the sorted compact ``json.dumps`` of the filtered
+        ``to_dict(include_events=True, include_requests=True)``, come
+        from :func:`repro.serving.canonical.write_report`."""
+        head = self.to_dict(include_events=False)
+        head["event_counts"] = {
             kind: count
-            for kind, count in data["event_counts"].items()
+            for kind, count in head["event_counts"].items()
             if kind not in self._CACHE_KINDS
         }
         if self.obs is not None:
@@ -759,7 +818,7 @@ class RouterReport:
             # and metrics vary with cache temperature, the rest must
             # not (the embedded trace fingerprint is already
             # cache-neutral by construction).
-            data["obs"] = cache_neutral_obs_section(self.obs)
+            head["obs"] = cache_neutral_obs_section(self.obs)
         if self.control is not None:
             # Prewarm hit/miss split is cache temperature too (a warm
             # engine answers every prewarm from storage); the request
@@ -768,6 +827,12 @@ class RouterReport:
             prewarm = control.get("prewarm")
             if isinstance(prewarm, dict):
                 control["prewarm"] = {"requested": prewarm.get("requested")}
-            data["control"] = control
-        payload = json.dumps(data, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha1(payload.encode("utf-8")).hexdigest()
+            head["control"] = control
+        payload = write_report(
+            head,
+            self._completed_columns(),
+            self._rejected_columns(),
+            self._event_rows(),
+            self._CACHE_KINDS,
+        )
+        return hashlib.sha1(payload.encode("ascii")).hexdigest()

@@ -48,17 +48,20 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
+from collections import Counter
+from functools import cached_property
 from heapq import heappop, heappush
-from typing import List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.satisfaction import soc
+from repro.core.satisfaction import SoCBreakdown
 from repro.serving.events import EventLog, RouterEvent
 from repro.serving.report import (
     CompletedRequest,
     RejectedRequest,
     RouterReport,
+    event_row,
 )
 from repro.serving.request import ArrivalColumns, TenantLoad
 
@@ -72,8 +75,8 @@ _FREE = 0
 _FLUSH = 1
 
 # Compact event-row codes.  The hot path appends one flat tuple per
-# event; :meth:`_VecRaw.events` expands them into ``RouterEvent``
-# objects in the exact shape the event loop records.
+# event; :meth:`_VecRaw.loop_rows` expands them into events of the
+# exact shape the event loop records.
 _E_ENQ = 0  # (code, t, rid, pidx, level, soc, latency)
 _E_REJ = 1  # (code, t, rid, reason[, pidx])
 _E_DISP = 2  # (code, t, pidx, rids, level, take, capacity, finish)
@@ -82,20 +85,26 @@ _E_MOVE = 4  # (code, t, pidx, move, level)        cause="backlog"
 _E_ADEG = 5  # (code, t, rid, pidx, level)         cause="admission"
 _E_REJR = 6  # (code, first_rid, end_rid)          a saturation burst
 
+# Sorted detail keys of each event shape the loop writes.
+_ENQUEUE_KEYS = ("level", "predicted_latency_s", "predicted_soc")
+_REASON_KEYS = ("reason",)
+_DISPATCH_KEYS = ("batch", "capacity", "finish_s", "level")
+_LEVEL_KEYS = ("level",)
+_CAUSE_KEYS = ("cause", "level")
 
-def soc_accuracy_vec(
-    entropies: np.ndarray, entropy_threshold: float
-) -> np.ndarray:
+
+def soc_accuracy_vec(entropies: np.ndarray, entropy_threshold) -> np.ndarray:
     """Element-wise :func:`repro.core.satisfaction.soc_accuracy`.
 
     Evaluates the scalar function's exact operation order over a
     float64 array, so every element is bit-identical to the scalar
     call: ``1.0`` up to the threshold, ``threshold / entropy`` past
-    it.  Masked-out lanes may compute ``inf`` (a zero entropy), hence
+    it.  ``entropy_threshold`` is one threshold or one per element.
+    Masked-out lanes may compute ``inf`` (a zero entropy), hence
     the ``np.errstate``; the selected lanes match the scalar branch.
     """
     values = np.asarray(entropies, dtype=np.float64)
-    if np.any(values < 0) or entropy_threshold <= 0:
+    if np.any(values < 0) or np.any(np.asarray(entropy_threshold) <= 0):
         raise ValueError("entropy must be >= 0 and threshold > 0")
     with np.errstate(divide="ignore", over="ignore"):
         degraded = entropy_threshold / values
@@ -178,10 +187,11 @@ class _VecRaw:
     """Deferred report ingredients of one columnar run.
 
     ``relay`` holds the engine events relayed while the platform
-    states were built; they precede every loop row in the log.
+    states were built; they precede every loop row in the log.  The
+    compact rows expand on demand into the report's columns and event
+    rows, and the lazy ``completed`` / ``rejected`` / ``events`` lists
+    are built from those.
     """
-
-    __slots__ = ("relay", "cols", "flat", "completed_rows", "names")
 
     def __init__(self, relay, cols, flat, completed_rows, names) -> None:
         self.relay = relay
@@ -190,164 +200,180 @@ class _VecRaw:
         self.completed_rows = completed_rows
         self.names = names
 
-    def completed(self) -> List[CompletedRequest]:
-        out: List[CompletedRequest] = []
-        append = out.append
-        request_at = self.cols.request_at
-        arrivals = self.cols.arrivals_list
-        difficulty = self.cols.difficulty_list
-        for row in self.completed_rows:
-            rids, name, level, take, start, finish, epi, ent, thr = row
-            for rid in rids:
-                request = request_at(rid)
-                entropy = ent * difficulty[rid]
-                append(
-                    CompletedRequest(
-                        request=request,
-                        platform=name,
-                        level=level,
-                        batch=take,
-                        start_s=start,
-                        finish_s=finish,
-                        entropy=entropy,
-                        soc=soc(
-                            runtime_s=finish - arrivals[rid],
-                            requirement=request.tenant.requirement,
-                            entropy=entropy,
-                            entropy_threshold=thr,
-                            energy_joules=epi,
-                        ),
-                    )
-                )
-        out.sort(key=lambda record: record.request.rid)
-        return out
+    def _per_rid(self, rid: np.ndarray) -> Dict[str, list]:
+        """The columns every terminal record has, for rows ``rid``."""
+        tenants = self.cols.tenants
+        index = self.cols.tenant_index[rid]
 
-    def rejected(self) -> List[RejectedRequest]:
-        rows = []
-        for row in self.flat:
-            code = row[0]
-            if code == _E_REJ:
-                rows.append((row[2], row[3]))
-            elif code == _E_REJR:
-                rows.extend((rid, "saturated") for rid in range(row[1], row[2]))
-        rows.sort()
-        request_at = self.cols.request_at
-        return [
-            RejectedRequest(request=request_at(rid), reason=reason)
-            for rid, reason in rows
-        ]
+        def gather(values: list) -> list:
+            return np.array(values, object)[index].tolist()
 
-    def events(self) -> EventLog:
+        return {
+            "rid": rid.tolist(),
+            "tenant": gather([tenant.name for tenant in tenants]),
+            "priority": gather([tenant.priority for tenant in tenants]),
+            "arrival_s": self.cols.arrivals[rid].tolist(),
+        }
+
+    @cached_property
+    def completed_columns(self) -> Dict[str, list]:
+        """The completed records in rid order.  Every float follows
+        :func:`repro.core.satisfaction.soc`'s exact operation order,
+        element-wise over float64 columns, and the same inputs raise
+        the same errors."""
         cols = self.cols
-        arrivals = cols.arrivals_list
-        tenant_index = cols.tenant_index_list
-        tenant_names = [tenant.name for tenant in cols.tenants]
+        rows = self.completed_rows
+        sizes = [len(row[0]) for row in rows]
+        rid = np.fromiter(
+            itertools.chain.from_iterable(row[0] for row in rows), np.int64
+        )
+        order = np.argsort(rid, kind="stable")
+        rid = rid[order]
+
+        def per_request(index: int, dtype=np.float64) -> np.ndarray:
+            # Field ``index`` of every batch row, one per request.
+            values = np.array([row[index] for row in rows], dtype)
+            return np.repeat(values, sizes)[order]
+
+        # Batch rows: (rids, name, level, take, start, finish, epi,
+        # ent, thr).
+        start, finish, epi, ent, thr = (per_request(i) for i in range(4, 9))
+        tenant = cols.tenant_index[rid]
+        runtime = finish - cols.arrivals[rid]
+        entropy = ent * cols.difficulty[rid]
+        if np.any(epi <= 0):
+            raise ValueError("energy must be positive")
+        if np.any(runtime < 0):
+            raise ValueError("runtime must be non-negative")
+        requirements = [t.requirement for t in cols.tenants]
+        imp = np.array([r.imperceptible_s for r in requirements], np.float64)
+        unu = np.array([r.unusable_s for r in requirements], np.float64)
+        # Background (inf - inf) and real-time (zero) spans only feed
+        # lanes the branches below never select.
+        with np.errstate(invalid="ignore", divide="ignore"):
+            span = (unu - imp)[tenant]
+            imp, unu = imp[tenant], unu[tenant]
+            tolerable = 1.0 - (runtime - imp) / span
+        soc_time = np.where(
+            runtime <= imp, 1.0, np.where(runtime >= unu, 0.0, tolerable)
+        )
+        soc_accuracy = soc_accuracy_vec(entropy, thr)
+        columns = self._per_rid(rid)
+        columns.update(
+            platform=per_request(1, object).tolist(),
+            level=per_request(2, object).tolist(),
+            batch=per_request(3, object).tolist(),
+            start_s=start.tolist(),
+            finish_s=finish.tolist(),
+            latency_s=runtime.tolist(),
+            deadline_hit=(finish <= cols.deadlines[rid]).tolist(),
+            entropy=entropy.tolist(),
+            soc=(soc_time * soc_accuracy / epi).tolist(),
+            soc_time=soc_time.tolist(),
+            soc_accuracy=soc_accuracy.tolist(),
+            energy_per_item_j=epi.tolist(),
+        )
+        return columns
+
+    @cached_property
+    def rejected_columns(self) -> Dict[str, list]:
+        """The rejected records in rid order, one per reject event."""
+        rejects = sorted(
+            (row[6][0], row[2][0]) for row in self.loop_rows
+            if row[0] == "reject"
+        )
+        rids, reasons = zip(*rejects) if rejects else ((), ())
+        columns = self._per_rid(np.array(rids, np.int64))
+        columns["reason"] = list(reasons)
+        return columns
+
+    @cached_property
+    def loop_rows(self) -> List[tuple]:
+        """The loop's events, in log order, as
+        :func:`repro.serving.report.event_row` rows."""
+        tenant_of = [
+            self.cols.tenants[index].name
+            for index in self.cols.tenant_index_list
+        ]
         names = self.names
-        out: List[RouterEvent] = list(self.relay)
+        arrivals = self.cols.arrivals_list
+        out: List[tuple] = []
         append = out.append
-        seq = len(out)
         for row in self.flat:
             code = row[0]
             if code == _E_ENQ:
                 _, t, rid, pidx, level, value, latency = row
-                append(
-                    RouterEvent(
-                        seq=seq,
-                        time_s=t,
-                        kind="enqueue",
-                        tenant=tenant_names[tenant_index[rid]],
-                        platform=names[pidx],
-                        request_ids=(rid,),
-                        detail={
-                            "level": level,
-                            "predicted_soc": value,
-                            "predicted_latency_s": latency,
-                        },
-                    )
-                )
+                append(("enqueue", _ENQUEUE_KEYS, (level, latency, value),
+                        t, tenant_of[rid], names[pidx], (rid,)))
             elif code == _E_REJ:
-                rid = row[2]
-                append(
-                    RouterEvent(
-                        seq=seq,
-                        time_s=row[1],
-                        kind="reject",
-                        tenant=tenant_names[tenant_index[rid]],
-                        platform=names[row[4]] if len(row) > 4 else None,
-                        request_ids=(rid,),
-                        detail={"reason": row[3]},
-                    )
-                )
+                platform = names[row[4]] if len(row) > 4 else None
+                append(("reject", _REASON_KEYS, (row[3],), row[1],
+                        tenant_of[row[2]], platform, (row[2],)))
             elif code == _E_REJR:
-                for rid in range(row[1], row[2]):
-                    append(
-                        RouterEvent(
-                            seq=seq,
-                            time_s=arrivals[rid],
-                            kind="reject",
-                            tenant=tenant_names[tenant_index[rid]],
-                            platform=None,
-                            request_ids=(rid,),
-                            detail={"reason": "saturated"},
-                        )
-                    )
-                    seq += 1
-                continue
+                out.extend(
+                    ("reject", _REASON_KEYS, ("saturated",), arrivals[rid],
+                     tenant_of[rid], None, (rid,))
+                    for rid in range(row[1], row[2])
+                )
             elif code == _E_DISP:
                 _, t, pidx, rids, level, take, capacity, finish = row
-                append(
-                    RouterEvent(
-                        seq=seq,
-                        time_s=t,
-                        kind="dispatch",
-                        platform=names[pidx],
-                        request_ids=rids,
-                        detail={
-                            "level": level,
-                            "batch": take,
-                            "capacity": capacity,
-                            "finish_s": finish,
-                        },
-                    )
-                )
+                append(("dispatch", _DISPATCH_KEYS,
+                        (take, capacity, finish, level), t, None,
+                        names[pidx], rids))
             elif code == _E_COMP:
                 _, t, pidx, rids, level = row
-                append(
-                    RouterEvent(
-                        seq=seq,
-                        time_s=t,
-                        kind="complete",
-                        platform=names[pidx],
-                        request_ids=rids,
-                        detail={"level": level},
-                    )
-                )
+                append(("complete", _LEVEL_KEYS, (level,), t, None,
+                        names[pidx], rids))
             elif code == _E_MOVE:
                 _, t, pidx, move, level = row
-                append(
-                    RouterEvent(
-                        seq=seq,
-                        time_s=t,
-                        kind=move,
-                        platform=names[pidx],
-                        detail={"cause": "backlog", "level": level},
-                    )
-                )
+                append((move, _CAUSE_KEYS, ("backlog", level), t, None,
+                        names[pidx], ()))
             else:  # _E_ADEG
                 _, t, rid, pidx, level = row
-                append(
-                    RouterEvent(
-                        seq=seq,
-                        time_s=t,
-                        kind="degrade",
-                        tenant=tenant_names[tenant_index[rid]],
-                        platform=names[pidx],
-                        request_ids=(rid,),
-                        detail={"cause": "admission", "level": level},
-                    )
-                )
-            seq += 1
-        return EventLog.from_events(out)
+                append(("degrade", _CAUSE_KEYS, ("admission", level), t,
+                        tenant_of[rid], names[pidx], (rid,)))
+        return out
+
+    @cached_property
+    def event_counts(self) -> Dict[str, int]:
+        counts = Counter(event.kind for event in self.relay)
+        counts.update(row[0] for row in self.loop_rows)
+        return {kind: counts[kind] for kind in EventLog.KINDS}
+
+    def completed(self) -> List[CompletedRequest]:
+        request_at = self.cols.request_at
+        return [
+            CompletedRequest(
+                request_at(rid), platform, level, batch, start, finish,
+                entropy, SoCBreakdown(soc_time, soc_accuracy, energy, value),
+            )
+            for (
+                rid, platform, level, batch, start, finish, entropy,
+                soc_time, soc_accuracy, energy, value,
+            ) in zip(*map(self.completed_columns.get, (
+                "rid", "platform", "level", "batch", "start_s", "finish_s",
+                "entropy", "soc_time", "soc_accuracy", "energy_per_item_j",
+                "soc",
+            )))
+        ]
+
+    def rejected(self) -> List[RejectedRequest]:
+        columns = self.rejected_columns
+        return [
+            RejectedRequest(self.cols.request_at(rid), reason)
+            for rid, reason in zip(columns["rid"], columns["reason"])
+        ]
+
+    def events(self) -> EventLog:
+        # The relay is numbered from 0 already; loop rows follow it.
+        out: List[RouterEvent] = list(self.relay)
+        out.extend(
+            RouterEvent(seq, time_s, kind, tenant, platform, ids,
+                        dict(zip(keys, values)))
+            for seq, (kind, keys, values, time_s, tenant, platform, ids)
+            in enumerate(self.loop_rows, len(out))
+        )
+        return EventLog(out)
 
 
 class _LazyField:
@@ -374,9 +400,12 @@ class VecRouterReport(RouterReport):
 
     Everything a fleet-level consumer typically reads first
     (``platforms``, ``horizon_s``) is eager; ``completed`` /
-    ``rejected`` / ``events`` -- and therefore ``fingerprint()`` /
-    ``to_dict()`` -- force materialization on demand and are
-    bit-identical to the event loop's.  Constructed with
+    ``rejected`` / ``events`` materialize on first access and are
+    bit-identical to the event loop's.  Counts, aggregates,
+    ``to_dict(include_events=False)`` and ``fingerprint()`` read the
+    raw rows as columns instead and build no per-request object --
+    until a lazy field is built, which from then on is what they
+    read.  Constructed with
     keyword arguments only (``dataclasses.replace`` and
     :meth:`RouterReport.merge` keep working: without ``_vec_raw`` the
     class behaves exactly like its dataclass base).
@@ -397,6 +426,29 @@ class VecRouterReport(RouterReport):
         self.obs = None
         self.control = None
         self.merged_from = None
+
+    # A built lazy field is authoritative: once ``completed``,
+    # ``rejected`` or ``events`` exists, it is read as on any report.
+    def _completed_columns(self) -> Dict[str, list]:
+        if "completed" in self.__dict__:
+            return super()._completed_columns()
+        return self._vec_raw.completed_columns
+
+    def _rejected_columns(self) -> Dict[str, list]:
+        if "rejected" in self.__dict__:
+            return super()._rejected_columns()
+        return self._vec_raw.rejected_columns
+
+    def _event_rows(self) -> Iterable[tuple]:
+        if "events" in self.__dict__:
+            return super()._event_rows()
+        raw = self._vec_raw
+        return itertools.chain(map(event_row, raw.relay), raw.loop_rows)
+
+    def _event_counts(self) -> Dict[str, int]:
+        if "events" in self.__dict__:
+            return super()._event_counts()
+        return dict(self._vec_raw.event_counts)
 
     def __getstate__(self):
         # Force materialization before crossing a process boundary

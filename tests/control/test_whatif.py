@@ -53,9 +53,17 @@ class TestOutcomeShape:
         for key, value in deltas.items():
             assert value == predictive[key] - reactive[key]
 
-    def test_both_modes_conserve_requests(self, outcome):
+    def test_both_modes_conserve_requests(self, outcome, snappy_tenant_module):
+        """Every generated request is terminal exactly once per mode:
+        as many terminal records as requests, and no rid twice."""
+        generated = sum(
+            load.trace.n_requests for load in _storm(snappy_tenant_module)
+        )
         for report in (outcome.reactive, outcome.predictive):
-            assert report.n_completed + report.n_rejected == report.n_offered
+            rids = [record.request.rid for record in report.completed]
+            rids += [record.request.rid for record in report.rejected]
+            assert len(rids) == generated
+            assert len(set(rids)) == len(rids)
 
     def test_to_dict_is_json_plain(self, outcome):
         data = outcome.to_dict()

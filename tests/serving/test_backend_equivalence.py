@@ -9,9 +9,10 @@ the SHA-1 over every routing decision, event and request record --
 against the event loop on every plain run: hypothesis draws trace
 families (MMPP storms, Pareto heavy tails, diurnal sinusoids), a
 config matrix covers every knob the loop reads, and each case must
-fingerprint identically through both loops.  The columnar loop's
-vectorized SoC accuracy curve is checked element-wise against its
-scalar original here too.
+fingerprint identically through both loops, and each fingerprint must
+match the dict-based oracle of :mod:`tests.serving.oracle`.  The
+columnar loop's vectorized SoC accuracy curve is checked element-wise
+against its scalar original here too.
 """
 
 import numpy as np
@@ -33,6 +34,7 @@ from repro.serving import (
 )
 from repro.serving.vec_router import VecRouterReport, soc_accuracy_vec
 from repro.workloads import bursty_trace, diurnal_trace, pareto_trace
+from tests.serving.oracle import checked_fingerprint
 
 #: Arrival rate used by the fixed-rate differential traces; high
 #: enough to overload the two-platform AlexNet fleet and exercise the
@@ -96,7 +98,7 @@ class TestTraceFamilies:
     def test_fingerprints_bit_identical(self, fleet, family, n, seed):
         loads = [TenantLoad(SNAPPY, _trace(family, n, seed))]
         events, columnar = _run_both(RequestRouter(fleet), loads)
-        assert columnar.fingerprint() == events.fingerprint()
+        assert checked_fingerprint(columnar) == checked_fingerprint(events)
 
 
 class TestConfigMatrix:
@@ -123,7 +125,7 @@ class TestConfigMatrix:
     ):
         loads = [TenantLoad(snappy_tenant, _trace("mmpp", 150, 42))]
         events, columnar = _run_both(RequestRouter(fleet, config), loads)
-        assert columnar.fingerprint() == events.fingerprint()
+        assert checked_fingerprint(columnar) == checked_fingerprint(events)
         assert _filtered_events(columnar) == _filtered_events(events)
 
     def test_multi_tenant_priority_mix(
@@ -137,7 +139,7 @@ class TestConfigMatrix:
             TenantLoad(background_tenant, _trace("pareto", 80, 2)),
         ]
         events, columnar = _run_both(RequestRouter(fleet), loads)
-        assert columnar.fingerprint() == events.fingerprint()
+        assert checked_fingerprint(columnar) == checked_fingerprint(events)
         assert _filtered_events(columnar) == _filtered_events(events)
 
     def test_finish_instant_collision(self, finish_collision):
@@ -146,7 +148,7 @@ class TestConfigMatrix:
         request, and agree bit for bit."""
         router, loads = finish_collision
         events, columnar = _run_both(router, loads)
-        assert columnar.fingerprint() == events.fingerprint()
+        assert checked_fingerprint(columnar) == checked_fingerprint(events)
         assert _filtered_events(columnar) == _filtered_events(events)
         offered = loads[0].trace.n_requests
         assert columnar.n_completed == events.n_completed == offered

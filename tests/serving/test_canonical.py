@@ -1,0 +1,281 @@
+"""The fingerprint's canonical writer against its dict-based oracle.
+
+``RouterReport.fingerprint`` writes its bytes from the records'
+columns; :mod:`tests.serving.oracle` renders them the old way, through
+``to_dict`` and ``json.dumps``.  Every kind of report must agree byte
+for byte: columnar and event-loop runs, merged, qualified and stripped
+reports, a lazy report whose built records were then changed, and a
+hand-built report of awkward floats and names.  A columnar report's
+fingerprint and ``to_dict`` build no per-request object at all.
+"""
+
+import math
+
+import pytest
+
+from repro.control import ControllerConfig
+from repro.core.satisfaction import SoCBreakdown, TimeRequirement
+from repro.faults import FaultTraceConfig, generate_fault_trace
+from repro.obs import Instrumentation
+from repro.serving import (
+    CompletedRequest,
+    EventLog,
+    PlatformStats,
+    RejectedRequest,
+    Request,
+    RequestRouter,
+    RouterConfig,
+    RouterEvent,
+    RouterReport,
+    Tenant,
+    TenantLoad,
+)
+from repro.serving.shard.merge import qualify_report, strip_requests
+from repro.workloads import bursty_trace, pareto_trace
+from tests.serving.oracle import checked_fingerprint, oracle_fingerprint
+
+
+def _capacity_rps(deployments):
+    total = 0.0
+    for deployment in deployments.values():
+        entry = deployment.current_entry
+        execution = deployment.engine.execute(
+            entry.compiled,
+            power_gating=deployment.power_gating,
+            use_priority_sm=deployment.use_priority_sm,
+        )
+        total += entry.compiled.batch / execution.total_time_s
+    return total
+
+
+def _storm(deployments, tenants, n_requests, load, seed=42):
+    """Bursts from every tenant but the last (``n_requests``, half as
+    many, ...) sharing 80% of the offered rate, and a Pareto tail of a
+    quarter as many requests from the last.  ``load`` is the offered
+    rate over rung-0 capacity."""
+    rate = load * _capacity_rps(deployments)
+    *bursty, tail = tenants
+    loads = [
+        TenantLoad(tenant, bursty_trace(
+            n_requests=n_requests // (1 + index),
+            rate_hz=0.8 * rate / len(bursty), seed=seed + index,
+        ))
+        for index, tenant in enumerate(bursty)
+    ]
+    loads.append(TenantLoad(tail, pareto_trace(
+        n_requests=max(1, n_requests // 4), rate_hz=0.2 * rate,
+        seed=seed + len(bursty),
+    )))
+    return loads
+
+
+#: Short queues at eight times capacity: saturation bursts.
+OVERLOAD = RouterConfig(queue_limit=4)
+
+
+@pytest.fixture
+def tenants(snappy_tenant, background_tenant):
+    """A real-time tenant whose 8 ms deadline only deeper rungs meet
+    (admission degrades, infeasible rejections), an interactive one
+    and a deadline-free one."""
+    tight = Tenant("tight", TimeRequirement.real_time(0.008), priority=2)
+    return [snappy_tenant, tight, background_tenant]
+
+
+@pytest.fixture
+def loads(deployments, tenants):
+    return _storm(deployments, tenants, 160, load=8.0)
+
+
+class TestReportKinds:
+    def test_columnar_run(self, fleet, loads):
+        """Every compact row kind, saturation bursts included; the
+        event loop's scalar SoC path pins the column arithmetic."""
+        router = RequestRouter(fleet, OVERLOAD)
+        report = router.run(loads)
+        fingerprint = checked_fingerprint(report)
+        assert fingerprint == router._run_events(loads).fingerprint()
+        reasons = {record.reason for record in report.rejected}
+        assert reasons == {"saturated", "infeasible"}
+        assert report.events.of_kind("degrade")
+
+    def test_event_loop_with_chaos_and_obs(self, fleet, deployments, loads):
+        horizon = max(float(load.trace.arrivals_s[-1]) for load in loads)
+        faults = generate_fault_trace(
+            sorted(deployments), horizon,
+            FaultTraceConfig(
+                outages=1, outage_duration_s=0.25 * horizon,
+                sm_failures=1, sm_failure_duration_s=0.25 * horizon,
+                transients=3,
+            ),
+            seed=7,
+        )
+        report = RequestRouter(fleet, OVERLOAD).run(
+            loads, faults=faults, obs=Instrumentation()
+        )
+        assert report.resilience is not None and report.obs is not None
+        assert report.events.of_kind("fault")
+        checked_fingerprint(report)
+
+    def test_event_loop_with_controller(self, fleet, loads):
+        report = RequestRouter(fleet, OVERLOAD).run(
+            loads, controller=ControllerConfig(kind="ewma").build()
+        )
+        assert report.control is not None
+        checked_fingerprint(report)
+
+    def test_merged_qualified_and_stripped(self, fleet, deployments, tenants):
+        leaves = []
+        for shard in range(2):
+            renamed = [
+                Tenant("%s-%d" % (tenant.name, shard), tenant.requirement,
+                       tenant.priority)
+                for tenant in tenants
+            ]
+            leaf_loads = _storm(
+                deployments, renamed, 120, load=8.0, seed=10 * shard
+            )
+            leaves.append(qualify_report(
+                RequestRouter(fleet, OVERLOAD).run(leaf_loads), shard
+            ))
+        stripped = strip_requests(
+            leaves[1], [record.request.rid for record in leaves[1].rejected]
+        )
+        merged = RouterReport.merge([leaves[0], stripped])
+        for report in (*leaves, stripped, merged):
+            checked_fingerprint(report)
+
+
+class TestBuiltRecordsAreAuthoritative:
+    def test_changed_lists_are_what_is_read(self, fleet, loads):
+        router = RequestRouter(fleet, OVERLOAD)
+        pristine = router.run(loads).fingerprint()
+
+        report = router.run(loads)
+        offered = report.n_offered
+        report.rejected.pop()
+        assert report.n_rejected + report.n_completed == offered - 1
+        assert report.to_dict(include_events=False)["summary"][
+            "rejected"
+        ] == report.n_rejected
+        assert checked_fingerprint(report) != pristine
+
+        report = router.run(loads)
+        report.completed.reverse()
+        assert checked_fingerprint(report) != pristine
+
+        report = router.run(loads)
+        report.events = EventLog.from_events(list(report.events)[:-1])
+        assert report.to_dict()["event_counts"] == report.events.counts
+        assert checked_fingerprint(report) != pristine
+
+
+def _hand_built() -> RouterReport:
+    """Floats and names ``json.dumps`` renders specially, and record
+    fields of unexpected types."""
+    tenant = Tenant(
+        'q"uo\\te %s é–☃', TimeRequirement(0.1, 0.5), priority=2
+    )
+    plain = Tenant("plain", TimeRequirement(0.1, 0.5))
+    request = [
+        Request(rid=rid, tenant=tenant if rid % 2 else plain,
+                arrival_s=arrival)
+        for rid, arrival in enumerate((0.0, -0.0, 1.5, math.inf, 2.0))
+    ]
+    completed = [
+        CompletedRequest(
+            request=request[0], platform="P%s", level=0, batch=1,
+            start_s=0.0, finish_s=-0.0, entropy=math.nan,
+            soc=SoCBreakdown(-0.0, 1.0, 0.5, -0.0),
+        ),
+        CompletedRequest(
+            request=request[1], platform='P"1', level=1, batch=2,
+            start_s=-0.0, finish_s=math.inf, entropy=0.0,
+            soc=SoCBreakdown(0.0, math.nan, 0.5, -math.inf),
+        ),
+        CompletedRequest(
+            request=request[2], platform="P%s", level=True, batch=2,
+            start_s=1, finish_s=1e-7, entropy=1e22,
+            soc=SoCBreakdown(1.0, 0.25, 1e-300, 2.5e299),
+        ),
+    ]
+    rejected = [
+        RejectedRequest(request=request[3], reason="saturated"),
+        RejectedRequest(request=request[4], reason=None),
+    ]
+    events = EventLog([
+        RouterEvent(0, -0.0, "enqueue", tenant.name, "P%s", (0,),
+                    {"level": 0, "predicted_soc": math.nan,
+                     "predicted_latency_s": -0.0}),
+        RouterEvent(1, 0.0, "enqueue", "plain", 'P"1', [1],
+                    {"level": 1, "predicted_soc": 0.0,
+                     "predicted_latency_s": 0.0}),
+        RouterEvent(2, math.inf, "reject", None, None, (3,),
+                    {"reason": "saturated", 'odd "%s" key': [1, None]}),
+        RouterEvent(3, 1.5, "fault", None, "P%s", (),
+                    {"episode": 1, "fault_kind": None, "scale": 1e-5}),
+        RouterEvent(4, 2.0, "compile", None, "P%s", (), {"batch": 4}),
+        RouterEvent(5, 2.0, "dispatch", None, "P%s", (0, 1, 2),
+                    {"batch": 3, "capacity": 4, "finish_s": 2.5,
+                     "level": 0}),
+    ])
+    return RouterReport(
+        completed=completed,
+        rejected=rejected,
+        platforms=[PlatformStats(
+            "P%s", "gpu", 1, 3, -0.0, math.nan, 0.5, 0.0, 1, 0,
+        )],
+        events=events,
+        horizon_s=math.inf,
+        obs={"span_counts": {"compile": 2, "run": 1}, "metrics": {},
+             "trace_fingerprint": "x"},
+        control={"kind": "ewma", "prewarm": {"requested": 3, "hits": 1}},
+    )
+
+
+class TestAwkwardValues:
+    def test_hand_built_report_matches_oracle(self):
+        checked_fingerprint(_hand_built())
+
+    def test_negative_zero_and_zero_hash_apart(self):
+        """``finish_s`` is an all-float column, rendered through the
+        per-call memo, which has seen ``0.0`` in ``arrival_s``."""
+        report = _hand_built()
+        flipped = _hand_built()
+        record = flipped.completed[0]
+        flipped.completed[0] = CompletedRequest(
+            request=record.request, platform=record.platform,
+            level=record.level, batch=record.batch, start_s=record.start_s,
+            finish_s=0.0, entropy=record.entropy, soc=record.soc,
+        )
+        assert checked_fingerprint(flipped) != checked_fingerprint(report)
+
+
+class TestNoPerRequestObjects:
+    def test_storm_fingerprint_and_render_build_no_records(
+        self, fleet, deployments, snappy_tenant, background_tenant,
+        monkeypatch,
+    ):
+        """A 10,000-request columnar run: ``fingerprint()`` and
+        ``to_dict(include_events=False)`` construct no ``Request``,
+        ``CompletedRequest``, ``RejectedRequest`` or ``RouterEvent``."""
+        loads = _storm(
+            deployments, [snappy_tenant, background_tenant], 8000, load=3.0
+        )
+        report = RequestRouter(fleet).run(loads)
+        built = []
+        for cls in (Request, CompletedRequest, RejectedRequest, RouterEvent):
+            original = cls.__init__
+
+            def counting(self, *args, _original=original, **kwargs):
+                built.append(type(self).__name__)
+                _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        fingerprint = report.fingerprint()
+        summary = report.to_dict(include_events=False)["summary"]
+        assert built == []
+        assert summary["offered"] == 10_000
+        assert summary["rejected"] > 0
+        monkeypatch.undo()
+        assert fingerprint == oracle_fingerprint(report)

@@ -318,6 +318,30 @@ class TestServeFleetLedger:
         assert "argument %s" % flag in err
         assert "must be >= 1" in err
 
+    @pytest.mark.parametrize(
+        "argv, flag, bound",
+        [
+            (["serve-fleet", "--requests", "40", "--shard-retries", "-1"],
+             "--shard-retries", 1),
+            (["serve-fleet", "--requests", "40", "--processes", "0"],
+             "--processes", 1),
+            (["compile", "--network", "alexnet", "--gpu", "k20c",
+              "--batch", "-3"], "--batch", 0),
+        ],
+    )
+    def test_unused_out_of_range_flags_name_the_flag(
+        self, argv, flag, bound, capsys
+    ):
+        """An unsharded run ignores the shard flags and a negative
+        compile batch used to select one silently, so these exited 0;
+        they stop at the parser now."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument %s" % flag in err
+        assert "must be >= %d" % bound in err
+
     def test_non_finite_shard_timeout_is_a_clean_error(self, capsys):
         code = main(
             ["serve-fleet", "--requests", "40", "--shard-timeout-s", "nan"]
