@@ -23,6 +23,7 @@ from repro.gpu.libraries import KernelLibrary
 from repro.gpu.memory import OutOfMemoryError, fits_in_memory
 from repro.nn.layers import ConvSpec, DenseSpec
 from repro.nn.models import NetworkDescriptor
+from repro.obs.metrics import ordered_sum
 from repro.sim.engine import analytic_kernel_time_s
 
 __all__ = ["LayerLatency", "NetworkLatency", "library_network_latency"]
@@ -65,7 +66,7 @@ class NetworkLatency:
     @property
     def total_seconds(self) -> float:
         """End-to-end latency for the whole batch."""
-        return sum(layer.seconds for layer in self.layers) + self.aux_seconds
+        return ordered_sum(layer.seconds for layer in self.layers) + self.aux_seconds
 
     @property
     def throughput_ips(self) -> float:

@@ -43,6 +43,7 @@ from repro.control.forecast import (
     HoltWintersForecaster,
 )
 from repro.gpu.dvfs import DEFAULT_FREQUENCY_LADDER, FrequencyState
+from repro.obs.metrics import ordered_sum
 from repro.validation import require_finite
 
 __all__ = ["CONTROLLER_KINDS", "ControllerConfig", "ControlPlane", "TickOutcome"]
@@ -186,7 +187,7 @@ class ControlPlane:
             name: states[name].ladder[0].throughput_rps
             for name in sorted(states)
         }
-        self._total_cap0 = sum(self._cap0.values())
+        self._total_cap0 = ordered_sum(self._cap0.values())
         self._freq_index = {name: nominal for name in self._cap0}
         self._served = {name: states[name].requests_served for name in self._cap0}
 
@@ -213,11 +214,11 @@ class ControlPlane:
         if self._pending_forecast is not None:
             self.errors.append(abs(observed_rps - self._pending_forecast))
         names = sorted(self._forecasters)
-        forecast_rps = sum(
+        forecast_rps = ordered_sum(
             self._forecasters[name].forecast(config.horizon_ticks)
             for name in names
         )
-        self._pending_forecast = sum(
+        self._pending_forecast = ordered_sum(
             self._forecasters[name].forecast(1) for name in names
         )
         self.ticks += 1

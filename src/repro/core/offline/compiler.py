@@ -42,6 +42,7 @@ from repro.gpu.libraries import KernelLibrary
 from repro.nn.layers import ConvSpec, DenseSpec
 from repro.nn.models import NetworkDescriptor, ResolvedLayer
 from repro.nn.perforation import PerforationPlan
+from repro.obs.metrics import ordered_sum
 
 __all__ = ["LayerSchedule", "CompiledPlan", "OfflineCompiler"]
 
@@ -91,7 +92,7 @@ class CompiledPlan:
     @property
     def gemm_time_s(self) -> float:
         """Predicted time in conv/dense GEMMs for the whole batch."""
-        return sum(schedule.time_s for schedule in self.schedules)
+        return ordered_sum(schedule.time_s for schedule in self.schedules)
 
     @property
     def total_time_s(self) -> float:

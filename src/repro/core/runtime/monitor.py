@@ -13,6 +13,8 @@ import math
 from collections import deque
 from typing import Deque, Optional
 
+from repro.obs.metrics import ordered_sum
+
 __all__ = ["UncertaintyMonitor"]
 
 
@@ -33,7 +35,7 @@ class UncertaintyMonitor:
         """Windowed mean (None before the first observation)."""
         if not self._values:
             return None
-        return sum(self._values) / len(self._values)
+        return ordered_sum(self._values) / len(self._values)
 
     @property
     def n_observations(self) -> int:

@@ -19,6 +19,7 @@ from repro.core.offline.kernel_tuning import PCNN_BACKEND
 from repro.gpu.architecture import GPUArchitecture
 from repro.gpu.energy import PowerState, power_draw_w
 from repro.gpu.libraries import KernelLibrary
+from repro.obs.metrics import ordered_sum
 from repro.sim.cta_scheduler import PrioritySMScheduler, RoundRobinScheduler
 from repro.sim.engine import KernelResult, analytic_kernel_result, simulate_kernel
 
@@ -55,13 +56,13 @@ class ExecutionReport:
     @property
     def total_time_s(self) -> float:
         """Simulated end-to-end batch time."""
-        return sum(layer.time_s for layer in self.layers) + self.aux_time_s
+        return ordered_sum(layer.time_s for layer in self.layers) + self.aux_time_s
 
     @property
     def total_energy_joules(self) -> float:
         """Simulated energy."""
         return (
-            sum(layer.energy_joules for layer in self.layers)
+            ordered_sum(layer.energy_joules for layer in self.layers)
             + self.aux_energy_joules
         )
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.core.satisfaction import SoCBreakdown, soc
-from repro.obs.metrics import linear_percentile
+from repro.obs.metrics import linear_percentile, ordered_sum
 
 if TYPE_CHECKING:  # avoid a circular import; Deployment is duck-typed
     from repro.core.framework import Deployment
@@ -145,7 +145,7 @@ class ServerReport:
         """Mean end-to-end latency."""
         if not self.requests:
             return 0.0
-        return sum(r.latency_s for r in self.requests) / len(self.requests)
+        return ordered_sum(r.latency_s for r in self.requests) / len(self.requests)
 
     def percentile(self, q: float) -> float:
         """``q``-th percentile (0..100) of end-to-end latency.
@@ -180,7 +180,7 @@ class ServerReport:
         """Mean per-request SoC."""
         if not self.requests:
             return 0.0
-        return sum(r.soc.value for r in self.requests) / len(self.requests)
+        return ordered_sum(r.soc.value for r in self.requests) / len(self.requests)
 
     @property
     def energy_per_request_j(self) -> float:

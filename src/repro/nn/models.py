@@ -33,6 +33,7 @@ from repro.nn.layers import (
     SoftmaxSpec,
     TensorShape,
 )
+from repro.obs.metrics import ordered_sum
 
 __all__ = [
     "ResolvedLayer",
@@ -149,7 +150,7 @@ class NetworkDescriptor:
     # ------------------------------------------------------------------
     def total_flops(self) -> float:
         """FLOPs of a full forward pass for one image."""
-        return sum(layer.flops for layer in self._layers)
+        return ordered_sum(layer.flops for layer in self._layers)
 
     def total_weights(self) -> int:
         """Trainable parameter count."""

@@ -2,7 +2,8 @@
 
 Everything here is sim-clock-driven and zero-dependency; see
 :mod:`repro.obs.span`, :mod:`repro.obs.metrics`,
-:mod:`repro.obs.export` and :mod:`repro.obs.instrument`.
+:mod:`repro.obs.export`, :mod:`repro.obs.instrument` and
+:mod:`repro.obs.jsontext`.
 """
 
 from repro.obs.export import (
@@ -29,6 +30,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     linear_percentile,
+    ordered_sum,
 )
 from repro.obs.span import (
     CACHE_SENSITIVE_SPANS,
@@ -62,6 +64,7 @@ __all__ = [
     "linear_percentile",
     "merge_obs_sections",
     "metrics_to_json",
+    "ordered_sum",
     "prometheus_text",
     "trace_to_json",
     "validate_chrome_trace",

@@ -8,11 +8,14 @@ Three serializations of the same observations:
 * :func:`prometheus_text` -- the text exposition format scrape
   endpoints speak (``# HELP`` / ``# TYPE`` / cumulative ``_bucket``
   lines), families and series in sorted order.
-* :func:`chrome_trace` -- the Chrome ``trace_event`` JSON-array
+* :func:`chrome_trace_json` -- the Chrome ``trace_event`` JSON-array
   format, so a routing run opens directly in Perfetto or
   ``chrome://tracing``: duration spans become complete (``"X"``)
   events, sim seconds become microsecond timestamps, and each
   platform gets its own track (tid) under one process (pid).
+
+The span exports write their bytes from the buffer's columns; an
+``indent`` re-renders those compact bytes through ``json``.
 
 :func:`validate_chrome_trace` is the schema check the benchmark and
 tests assert -- it verifies the invariants Perfetto's importer relies
@@ -25,8 +28,9 @@ import json
 import math
 from typing import Dict, List, Optional
 
+from repro.obs.jsontext import Texts, dumps, literal, template
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.span import Span, TraceBuffer
+from repro.obs.span import TraceBuffer
 
 __all__ = [
     "trace_to_json",
@@ -44,14 +48,16 @@ _PID = 1
 _ROUTER_TID = 0
 
 
+def _indented(compact: str, indent: Optional[int]) -> str:
+    """Canonical JSON re-rendered with ``indent`` (None: as is)."""
+    if indent is None:
+        return compact
+    return json.dumps(json.loads(compact), sort_keys=True, indent=indent)
+
+
 def trace_to_json(buffer: TraceBuffer, indent: Optional[int] = None) -> str:
     """Canonical JSON of a trace buffer (sorted keys, stable order)."""
-    return json.dumps(
-        buffer.to_dicts(),
-        sort_keys=True,
-        indent=indent,
-        separators=(",", ":") if indent is None else None,
-    )
+    return _indented(buffer.to_json(), indent)
 
 
 def metrics_to_json(
@@ -118,81 +124,88 @@ def prometheus_text(registry: MetricsRegistry) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _span_tid(span: Span, tids: Dict[str, int]) -> int:
-    """The Chrome track a span renders on (per-platform lanes)."""
-    platform = span.attrs.get("platform")
-    if platform is None:
-        return _ROUTER_TID
-    return tids.setdefault(str(platform), len(tids) + 1)
-
-
 def chrome_trace(buffer: TraceBuffer) -> dict:
-    """The trace as a Chrome ``trace_event`` object.
+    """The trace as a Chrome ``trace_event`` object (parsed
+    :func:`chrome_trace_json`)."""
+    return json.loads(chrome_trace_json(buffer))
 
-    Every span becomes one complete (``"X"``) event; instant spans get
-    the 1-microsecond minimum duration Perfetto renders.  Metadata
-    events name the process and the per-platform threads.  Timestamps
-    are sim-clock microseconds -- the sim origin is ``ts=0``.
-    """
-    tids: Dict[str, int] = {}
-    events = []
-    for data in buffer.to_dicts():
-        span = Span.from_dict(data)
-        start_us = span.start_s * 1e6
-        duration_us = max(span.duration_s * 1e6, 1.0)
-        args = {key: span.attrs[key] for key in sorted(span.attrs)}
-        args["span_id"] = span.span_id
-        if span.parent_id is not None:
-            args["parent_id"] = span.parent_id
-        events.append(
-            {
-                "name": span.name,
-                "cat": "repro",
-                "ph": "X",
-                "ts": start_us,
-                "dur": duration_us,
-                "pid": _PID,
-                "tid": _span_tid(span, tids),
-            }
-        )
-        events[-1]["args"] = args
-    metadata = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": _PID,
-            "tid": _ROUTER_TID,
-            "args": {"name": "repro router (sim time)"},
-        },
-        {
-            "name": "thread_name",
-            "ph": "M",
-            "pid": _PID,
-            "tid": _ROUTER_TID,
-            "args": {"name": "router"},
-        },
-    ]
-    for platform in sorted(tids):
-        metadata.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": _PID,
-                "tid": tids[platform],
-                "args": {"name": platform},
-            }
-        )
-    return {"traceEvents": metadata + events, "displayTimeUnit": "ms"}
+
+def _platform_tids(shapes) -> Dict[str, int]:
+    """Per-platform Chrome tracks: ``str(platform)`` numbered from 1 in
+    order of first appearance in span id order."""
+    first: Dict[str, int] = {}
+    for _name, keys, columns in shapes:
+        if "platform" in keys:
+            platforms = columns[4 + keys.index("platform")]
+            for span_id, platform in zip(columns[0], platforms):
+                if platform is not None:
+                    key = str(platform)
+                    if first.setdefault(key, span_id) > span_id:
+                        first[key] = span_id
+    return {key: tid for tid, key in enumerate(sorted(first, key=first.get), 1)}
 
 
 def chrome_trace_json(buffer: TraceBuffer, indent: Optional[int] = None) -> str:
-    """Canonical JSON of :func:`chrome_trace`."""
-    return json.dumps(
-        chrome_trace(buffer),
-        sort_keys=True,
-        indent=indent,
-        separators=(",", ":") if indent is None else None,
-    )
+    """The trace as Chrome ``trace_event`` JSON (sorted keys).
+
+    Every span becomes one complete (``"X"``) event; instant spans get
+    the 1-microsecond minimum duration Perfetto renders.  ``args`` are
+    the attributes plus ``span_id`` and (unless a root) ``parent_id``,
+    which win over attributes of those names.  Metadata events name the
+    process and the per-platform threads; a span without a ``platform``
+    renders on the router track.  Timestamps are sim-clock
+    microseconds -- the sim origin is ``ts=0``.
+    """
+    shapes = buffer.columns()
+    tids = _platform_tids(shapes)
+    texts = Texts()
+    ids: List[int] = []
+    out: List[str] = []
+    for name, keys, (span_ids, parents, starts, ends, *values) in shapes:
+        ts = [start * 1e6 for start in starts]
+        dur = [max((end - start) * 1e6, 1.0) for start, end in zip(starts, ends)]
+        tid = [_ROUTER_TID] * len(span_ids)
+        if "platform" in keys:
+            tid = [
+                _ROUTER_TID if platform is None else tids[str(platform)]
+                for platform in values[keys.index("platform")]
+            ]
+        for rooted in (True, False):
+            rows = [
+                index for index, parent in enumerate(parents)
+                if (parent is None) == rooted
+            ]
+            if not rows:
+                continue
+            args = dict(zip(keys, values))
+            args["span_id"] = span_ids
+            if not rooted:
+                args["parent_id"] = parents
+            arg_keys = sorted(args)
+            event = (
+                '{"args":%s,"cat":"repro","dur":%%s,"name":%s,"ph":"X",'
+                '"pid":%d,"tid":%%s,"ts":%%s}'
+                % (template(arg_keys), literal(name), _PID)
+            )
+            columns = [args[key] for key in arg_keys] + [dur, tid, ts]
+            if len(rows) < len(span_ids):
+                columns = [[column[i] for i in rows] for column in columns]
+            out += map(event.__mod__, zip(*map(texts.column, columns)))
+            ids += [span_ids[i] for i in rows]
+    ranked = sorted(range(len(ids)), key=ids.__getitem__)
+    threads = [(_ROUTER_TID, "router")]
+    threads += [(tids[platform], platform) for platform in sorted(tids)]
+    metadata = [{
+        "name": "process_name", "ph": "M", "pid": _PID, "tid": _ROUTER_TID,
+        "args": {"name": "repro router (sim time)"},
+    }] + [
+        {"name": "thread_name", "ph": "M", "pid": _PID, "tid": tid,
+         "args": {"name": thread}}
+        for tid, thread in threads
+    ]
+    events = [dumps(entry) for entry in metadata] + [out[i] for i in ranked]
+    compact = '{"displayTimeUnit":"ms","traceEvents":[%s]}' % ",".join(events)
+    return _indented(compact, indent)
 
 
 def validate_chrome_trace(data: object) -> List[str]:
@@ -223,7 +236,8 @@ def validate_chrome_trace(data: object) -> List[str]:
         if phase not in ("X", "B", "E", "i", "I", "M", "C"):
             problems.append("%s: unknown phase %r" % (where, phase))
         for field in ("pid", "tid"):
-            if not isinstance(event.get(field), int):
+            value = event.get(field)
+            if not isinstance(value, int) or isinstance(value, bool):
                 problems.append("%s: %s must be an int" % (where, field))
         if phase == "X":
             for field in ("ts", "dur"):

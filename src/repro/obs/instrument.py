@@ -36,8 +36,9 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    ordered_sum,
 )
-from repro.obs.span import CACHE_SENSITIVE_SPANS, SpanHandle, TraceBuffer, Tracer
+from repro.obs.span import CACHE_SENSITIVE_SPANS, TraceBuffer, Tracer
 
 __all__ = [
     "CACHE_SENSITIVE_METRIC_PREFIX",
@@ -167,7 +168,7 @@ def _merge_metric_series(series: str, entries: List[dict]) -> dict:
         )
     kind = kinds[0]
     if kind == "counter":
-        return {"kind": kind, "value": sum(e["value"] for e in entries)}
+        return {"kind": kind, "value": ordered_sum(e["value"] for e in entries)}
     if kind == "gauge":
         return {"kind": kind, "value": max(e["value"] for e in entries)}
     if kind != "histogram":
@@ -188,7 +189,7 @@ def _merge_metric_series(series: str, entries: List[dict]) -> dict:
         "kind": kind,
         "buckets": buckets,
         "count": sum(e["count"] for e in entries),
-        "sum": sum(e["sum"] for e in entries),
+        "sum": ordered_sum(e["sum"] for e in entries),
         "min": min(mins) if mins else None,
         "max": max(maxs) if maxs else None,
     }
@@ -265,17 +266,28 @@ class Instrumentation:
         self.metrics = MetricsRegistry(
             base_labels={"shard": shard} if shard is not None else None
         )
+        #: ``(kind, family, *label items)`` -> its series, so a series
+        #: is resolved (labels sorted, base labels merged) once.
+        self._series: Dict[tuple, object] = {}
+
+    def _resolve(self, kind: str, name: str, labels: Dict[str, object]):
+        key = (kind, name, *labels.items())
+        series = self._series.get(key)
+        if series is None:
+            edges = (_EDGES[name],) if kind == "histogram" else ()
+            series = self._series[key] = getattr(self.metrics, kind)(
+                name, *edges, _HELP[name], **labels
+            )
+        return series
 
     def _counter(self, name: str, **labels) -> Counter:
-        return self.metrics.counter(name, _HELP[name], **labels)
+        return self._resolve("counter", name, labels)
 
     def _gauge(self, name: str, **labels) -> Gauge:
-        return self.metrics.gauge(name, _HELP[name], **labels)
+        return self._resolve("gauge", name, labels)
 
     def _histogram(self, name: str, **labels) -> Histogram:
-        return self.metrics.histogram(
-            name, _EDGES[name], _HELP[name], **labels
-        )
+        return self._resolve("histogram", name, labels)
 
     # -- router runs -----------------------------------------------------
     def record_run(
@@ -302,8 +314,11 @@ class Instrumentation:
         replay = _LedgerReplay(self, report)
         for event in report.events:
             getattr(replay, "on_" + event.kind)(event)
-        for error_rps in tick_errors:
-            self._histogram("forecast_error_rps").observe(error_rps)
+        for histogram, samples in replay.samples.items():
+            histogram.observe_many(samples)
+        errors = list(tick_errors)
+        if errors:
+            self._histogram("forecast_error_rps").observe_many(errors)
         for stats in report.platforms:
             if stats.platform in replay.served:
                 self._counter(
@@ -434,34 +449,44 @@ class _LedgerReplay:
     One method per ledger event kind, ``on_<kind>``, turns the event
     into spans and metrics.  The ledger records decisions in the order
     the loop took them, so spans open and close in the order a live
-    observer of the loop would have opened and closed them.
+    observer of the loop would have opened and closed them.  Spans go
+    in as rows (:meth:`Tracer.open_row`): an open span is a tuple.
     """
 
     def __init__(self, obs: Instrumentation, report) -> None:
-        self.tracer = obs.tracer
+        tracer = obs.tracer
+        self.open = tracer.open_row
+        self.close_row = tracer.close_row
+        self.instant = tracer.instant_row
         self.counter = obs._counter
         self.gauge = obs._gauge
         self.histogram = obs._histogram
+        #: Each histogram series' samples in walk order, observed in
+        #: one go when the walk ends.
+        self.samples: Dict[Histogram, List[float]] = {}
         self.requests = {
             record.request.rid: record.request
             for records in (report.completed, report.rejected)
             for record in records
         }
         names = sorted(stats.platform for stats in report.platforms)
-        shard = {} if obs.shard is None else {"shard": obs.shard}
-        self.run = self.tracer.begin(
-            "run", 0.0, platforms=",".join(names), **shard
+        shard_keys = () if obs.shard is None else ("shard",)
+        shard = () if obs.shard is None else (obs.shard,)
+        self.run = self.open(
+            "run", 0.0, None, ("platforms",) + shard_keys,
+            (",".join(names),) + shard,
         )
-        self.platforms: Dict[str, SpanHandle] = {
-            name: self.tracer.begin(
-                "platform", 0.0, parent=self.run, platform=name, **shard
+        self.platforms: Dict[str, tuple] = {
+            name: self.open(
+                "platform", 0.0, self.run, ("platform",) + shard_keys,
+                (name,) + shard,
             )
             for name in names
         }
-        self.open_requests: Dict[int, SpanHandle] = {}
+        self.open_requests: Dict[int, tuple] = {}
         #: The open ``execute_batch`` span per platform.
-        self.batches: Dict[str, SpanHandle] = {}
-        self.episodes: Dict[tuple, SpanHandle] = {}
+        self.batches: Dict[str, tuple] = {}
+        self.episodes: Dict[tuple, tuple] = {}
         #: Replayed queue length per platform (the ``queue_depth`` gauge).
         self.queued: Dict[str, int] = defaultdict(int)
         #: The rid whose admission just escalated a ladder: its
@@ -472,33 +497,39 @@ class _LedgerReplay:
 
     def close(self, end_s: float) -> None:
         """Close every still-open span at ``end_s``: fault episodes,
-        requests, platform tracks, the run, then any stragglers."""
-        tracer = self.tracer
+        requests, platform tracks, the run, then -- in id order, marked
+        ``open_at_drain`` -- the batches still in flight."""
+        close = self.close_row
         for key in sorted(self.episodes, key=str):
-            tracer.end(self.episodes[key], end_s, open_at_drain=True)
+            close(self.episodes[key], end_s, ("open_at_drain",), (True,))
         for rid in sorted(self.open_requests):
-            tracer.end(self.open_requests[rid], end_s, outcome="open_at_drain")
+            close(self.open_requests[rid], end_s, ("outcome",), ("open_at_drain",))
         for name in sorted(self.platforms):
-            tracer.end(self.platforms[name], end_s)
-        tracer.end(self.run, end_s)
-        tracer.drain_open(end_s)
+            close(self.platforms[name], end_s)
+        close(self.run, end_s)
+        for batch in sorted(self.batches.values()):
+            close(batch, end_s, ("open_at_drain",), (True,))
 
     # -- requests --------------------------------------------------------
-    def _begin_request(self, rid: int) -> SpanHandle:
+    def _begin_request(self, rid: int) -> tuple:
         request = self.requests[rid]
-        return self.tracer.begin(
-            "request",
-            request.arrival_s,
-            parent=self.run,
-            rid=rid,
-            tenant=request.tenant.name,
+        return self.open(
+            "request", request.arrival_s, self.run, ("rid", "tenant"),
+            (rid, request.tenant.name),
         )
 
-    def _request_span(self, rid: int) -> SpanHandle:
-        handle = self.open_requests.get(rid)
-        if handle is None:
-            handle = self.open_requests[rid] = self._begin_request(rid)
-        return handle
+    def _request_span(self, rid: int) -> tuple:
+        span = self.open_requests.get(rid)
+        if span is None:
+            span = self.open_requests[rid] = self._begin_request(rid)
+        return span
+
+    def _samples(self, name: str, **labels) -> List[float]:
+        histogram = self.histogram(name, **labels)
+        samples = self.samples.get(histogram)
+        if samples is None:
+            samples = self.samples[histogram] = []
+        return samples
 
     def on_enqueue(self, event) -> None:
         rid = event.request_ids[0]
@@ -506,13 +537,10 @@ class _LedgerReplay:
         self.escalated_rid = None
         platform = event.platform
         self.queued[platform] += 1
-        self.tracer.instant(
-            "admission",
-            event.time_s,
-            parent=self._request_span(rid),
-            platform=platform,
-            level=event.detail["level"],
-            reason=reason,
+        self.instant(
+            "admission", event.time_s, self._request_span(rid),
+            ("platform", "level", "reason"),
+            (platform, event.detail["level"], reason),
         )
         self.counter("requests_admitted_total", platform=platform).inc()
         self.gauge("queue_depth", platform=platform).set(self.queued[platform])
@@ -527,19 +555,17 @@ class _LedgerReplay:
         # A request rejected at admission has no span yet: its span
         # brackets arrival -> now.
         rid = event.request_ids[0]
-        handle = self.open_requests.pop(rid, None) or self._begin_request(rid)
-        self.tracer.end(
-            handle, event.time_s, outcome="rejected", reason=reason
+        span = self.open_requests.pop(rid, None) or self._begin_request(rid)
+        self.close_row(
+            span, event.time_s, ("outcome", "reason"), ("rejected", reason)
         )
         self.counter("requests_rejected_total", reason=reason).inc()
 
     def on_retry(self, event) -> None:
-        self.tracer.instant(
-            "retry",
-            event.time_s,
-            parent=self._request_span(event.request_ids[0]),
-            attempt=event.detail["attempt"],
-            backoff_s=event.detail["backoff_s"],
+        self.instant(
+            "retry", event.time_s, self._request_span(event.request_ids[0]),
+            ("attempt", "backoff_s"),
+            (event.detail["attempt"], event.detail["backoff_s"]),
         )
         self.counter("retries_total").inc()
 
@@ -549,13 +575,9 @@ class _LedgerReplay:
         target = event.platform
         self.queued[target] += 1
         self.counter("failovers_total", origin=origin).inc()
-        self.tracer.instant(
-            "dispatch",
-            event.time_s,
-            parent=self._request_span(event.request_ids[0]),
-            platform=target,
-            cause="failover",
-            origin=origin,
+        self.instant(
+            "dispatch", event.time_s, self._request_span(event.request_ids[0]),
+            ("platform", "cause", "origin"), (target, "failover", origin),
         )
 
     def _evacuate(self, platform: str, time_s: float) -> None:
@@ -568,39 +590,31 @@ class _LedgerReplay:
     # -- batches ---------------------------------------------------------
     def on_dispatch(self, event) -> None:
         platform = event.platform
+        time_s = event.time_s
         rids = event.request_ids
         level = event.detail["level"]
         capacity = event.detail["capacity"]
         self.queued[platform] -= event.detail["batch"]
         parent = self.platforms.get(platform)
-        self.tracer.instant(
-            "dispatch",
-            event.time_s,
-            parent=parent,
-            platform=platform,
-            n_requests=len(rids),
-            level=level,
+        self.instant(
+            "dispatch", time_s, parent, ("platform", "n_requests", "level"),
+            (platform, len(rids), level),
         )
-        self.batches[platform] = self.tracer.begin(
-            "execute_batch",
-            event.time_s,
-            parent=parent,
-            platform=platform,
-            request_ids=rids,
-            level=level,
-            batch=len(rids),
-            capacity=capacity,
+        self.batches[platform] = self.open(
+            "execute_batch", time_s, parent,
+            ("platform", "request_ids", "level", "batch", "capacity"),
+            (platform, rids, level, len(rids), capacity),
         )
         self.counter("batches_dispatched_total", platform=platform).inc()
-        self.histogram("batch_occupancy", platform=platform).observe(
+        self._samples("batch_occupancy", platform=platform).append(
             len(rids) / capacity
         )
         self.gauge("queue_depth", platform=platform).set(self.queued[platform])
 
     def _close_batch(self, platform: str, time_s: float, outcome: str) -> None:
-        handle = self.batches.pop(platform, None)
-        if handle is not None:
-            self.tracer.end(handle, time_s, outcome=outcome)
+        span = self.batches.pop(platform, None)
+        if span is not None:
+            self.close_row(span, time_s, ("outcome",), (outcome,))
 
     def on_complete(self, event) -> None:
         time_s = event.time_s
@@ -609,22 +623,18 @@ class _LedgerReplay:
         self._close_batch(platform, time_s, "completed")
         self.served.add(platform)
         completed = self.counter("requests_completed_total", platform=platform)
-        latency = self.histogram("request_latency_s")
-        slack = self.histogram("deadline_slack_s")
+        latency = self._samples("request_latency_s")
+        slack = self._samples("deadline_slack_s")
+        keys = ("outcome", "platform", "level")
+        values = ("completed", platform, level)
         for rid in event.request_ids:
             request = self.requests[rid]
-            handle = self.open_requests.pop(rid, None)
-            if handle is not None:
-                self.tracer.end(
-                    handle,
-                    time_s,
-                    outcome="completed",
-                    platform=platform,
-                    level=level,
-                )
+            span = self.open_requests.pop(rid, None)
+            if span is not None:
+                self.close_row(span, time_s, keys, values)
             completed.inc()
-            latency.observe(time_s - request.arrival_s)
-            slack.observe(request.deadline_s - time_s)
+            latency.append(time_s - request.arrival_s)
+            slack.append(request.deadline_s - time_s)
 
     def on_batch_failed(self, event) -> None:
         self._close_batch(event.platform, event.time_s, "failed")
@@ -661,55 +671,38 @@ class _LedgerReplay:
             "faults_injected_total", kind=kind, platform=platform
         ).inc()
         parent = self.platforms.get(platform)
+        keys = ("platform", "fault_kind")
         if kind in _EPISODE_BEGIN:
-            open_handle = self.episodes.pop((platform, kind), None)
-            if open_handle is not None:
+            stale = self.episodes.pop((platform, kind), None)
+            if stale is not None:
                 # Re-begin without an end: close the stale episode here.
-                self.tracer.end(open_handle, time_s, reopened=True)
-            self.episodes[(platform, kind)] = self.tracer.begin(
-                "fault_episode",
-                time_s,
-                parent=parent,
-                platform=platform,
-                fault_kind=kind,
+                self.close_row(stale, time_s, ("reopened",), (True,))
+            self.episodes[(platform, kind)] = self.open(
+                "fault_episode", time_s, parent, keys, (platform, kind)
             )
         elif kind in _EPISODE_END:
-            open_handle = self.episodes.pop(
-                (platform, _EPISODE_END[kind]), None
-            )
-            if open_handle is not None:
-                self.tracer.end(open_handle, time_s)
+            episode = self.episodes.pop((platform, _EPISODE_END[kind]), None)
+            if episode is not None:
+                self.close_row(episode, time_s)
         else:
             # Transient: an instantaneous episode.
-            self.tracer.instant(
-                "fault_episode",
-                time_s,
-                parent=parent,
-                platform=platform,
-                fault_kind=kind,
-            )
+            self.instant("fault_episode", time_s, parent, keys, (platform, kind))
 
     # -- control plane ---------------------------------------------------
     def on_control_tick(self, event) -> None:
         detail = event.detail
-        self.tracer.instant(
-            "control_tick",
-            event.time_s,
-            parent=self.run,
-            observed_rps=detail["observed_rps"],
-            forecast_rps=detail["forecast_rps"],
-            target_level=detail["level"],
+        self.instant(
+            "control_tick", event.time_s, self.run,
+            ("observed_rps", "forecast_rps", "target_level"),
+            (detail["observed_rps"], detail["forecast_rps"], detail["level"]),
         )
         self.counter("control_ticks_total").inc()
         self.gauge("forecast_rate_rps").set(detail["forecast_rps"])
 
     def on_prewarm(self, event) -> None:
-        self.tracer.instant(
-            "prewarm",
-            event.time_s,
-            parent=self.platforms.get(event.platform),
-            platform=event.platform,
-            level=event.detail["level"],
+        self.instant(
+            "prewarm", event.time_s, self.platforms.get(event.platform),
+            ("platform", "level"), (event.platform, event.detail["level"]),
         )
         self.counter("control_prewarms_total", platform=event.platform).inc()
 
@@ -722,23 +715,21 @@ class _LedgerReplay:
     # -- engine relays ---------------------------------------------------
     def on_compile(self, event) -> None:
         detail = event.detail
-        self.tracer.instant(
-            "compile",
-            event.time_s,
-            platform=event.platform,
-            network=detail["network"],
-            batch=detail["batch"],
-            perforation=detail["perforation"],
+        self.instant(
+            "compile", event.time_s, None,
+            ("platform", "network", "batch", "perforation"),
+            (
+                event.platform, detail["network"], detail["batch"],
+                detail["perforation"],
+            ),
         )
         self.counter("engine_compiles_total").inc()
 
     def on_cache_hit(self, event) -> None:
         cache = event.detail["cache"]
         if cache == "compile":
-            self.tracer.instant(
-                "plan_cache_lookup",
-                event.time_s,
-                platform=event.platform,
-                outcome="hit",
+            self.instant(
+                "plan_cache_lookup", event.time_s, None,
+                ("platform", "outcome"), (event.platform, "hit"),
             )
         self.counter("engine_cache_hits_total", cache=cache).inc()

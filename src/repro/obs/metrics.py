@@ -29,10 +29,16 @@ Boundary conventions (shared, by design, with the serving layer):
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import reduce
+from itertools import chain
+from operator import add
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 __all__ = [
     "linear_percentile",
+    "ordered_sum",
     "Counter",
     "Gauge",
     "Histogram",
@@ -81,6 +87,17 @@ def linear_percentile(values: Sequence[float], q: float) -> float:
     # Clamp: the lerp can drift past its endpoints by one ulp, and a
     # percentile must never leave the observed range.
     return min(max(interpolated, ordered[low]), ordered[high])
+
+
+def ordered_sum(values: Iterable, start=0):
+    """``start`` plus ``values``, added one at a time left to right.
+
+    This is builtin ``sum`` up to Python 3.11.  From 3.12 builtin
+    ``sum`` compensates float rounding, so the same floats can sum to a
+    different last bit -- and every pinned fingerprint with it.  Every
+    sum in ``repro`` that can add floats goes through here.
+    """
+    return reduce(add, values, start)
 
 
 def _label_key(labels: Dict[str, object]) -> Tuple[Tuple[str, str], ...]:
@@ -165,18 +182,26 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         """Record one sample."""
-        index = len(self.edges)  # overflow unless an edge admits it
-        for position, edge in enumerate(self.edges):
-            if value <= edge:
-                index = position
-                break
-        self.bucket_counts[index] += 1
-        self.count += 1
-        self.sum += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
+        self.observe_many([value])
+
+    def observe_many(self, values: Sequence[float]) -> None:
+        """Record samples in order: the state :meth:`observe` on each
+        would leave.  ``sum`` adds left to right, ``min``/``max`` keep
+        the first of equal extremes, and NaN lands in overflow."""
+        if not len(values):
+            return
+        landed = np.bincount(
+            np.searchsorted(self.edges, values, side="left"),
+            minlength=len(self.bucket_counts),
+        )
+        for index, count in enumerate(landed.tolist()):
+            self.bucket_counts[index] += count
+        self.count += len(values)
+        self.sum = ordered_sum(values, self.sum)
+        lows = values if self.min is None else chain((self.min,), values)
+        highs = values if self.max is None else chain((self.max,), values)
+        self.min = min(lows)
+        self.max = max(highs)
 
     def cumulative(self) -> List[Tuple[float, int]]:
         """Prometheus-style cumulative ``(le, count)`` pairs, the

@@ -35,6 +35,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from repro.obs.metrics import ordered_sum
 from repro.validation import require_finite
 
 __all__ = ["FAULT_KINDS", "ProcFaultPlan"]
@@ -91,7 +92,7 @@ class ProcFaultPlan:
             self.crash_rate, self.hang_rate, self.corrupt_rate,
             self.truncate_rate, self.forge_rate,
         )
-        if any(rate < 0.0 for rate in rates) or sum(rates) > 1.0:
+        if any(rate < 0.0 for rate in rates) or ordered_sum(rates) > 1.0:
             raise ValueError(
                 "fault rates must be >= 0 and sum to <= 1, got %r"
                 % (rates,)

@@ -4,21 +4,17 @@ Exactly ``json.dumps(data, sort_keys=True, separators=(",", ":"))`` of
 the report's filtered plain-data view, written without building that
 view: small sections still go through ``json.dumps``, while records
 arrive as columns and events as shape-tagged rows, each shape written
-through one ``%``-template with its keys in sorted order.  Each
-distinct float and string renders once per call, exactly as
-``json.dumps`` renders it (``float.__repr__``, ``NaN`` / ``Infinity``
-/ ``-Infinity``, ASCII-escaped strings); a column of any other mix of
-types renders value by value through ``json.dumps``.
+through one ``%``-template with its keys in sorted order, and each
+column rendered by :class:`repro.obs.jsontext.Texts`.
 """
 
 from __future__ import annotations
 
-import json
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Container, Dict, Iterable, List, Mapping, Sequence
 
-import numpy as np
+from repro.obs.jsontext import Texts, dumps, literal, template
 
 __all__ = ["COMPLETED_KEYS", "REJECTED_KEYS", "write_report"]
 
@@ -30,77 +26,17 @@ COMPLETED_KEYS = (
 )
 REJECTED_KEYS = ("arrival_s", "reason", "rid", "tenant")
 
-#: Value types a column renders through the per-call name memo.
-_NAMED = {str, bool, type(None)}
-
-
-def _dumps(value) -> str:
-    """Canonical JSON of one plain-data value."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
-
-
-#: ``float.__repr__`` of the non-finite floats -> their JSON text.
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _literal(text: str) -> str:
-    """A JSON string as a ``%``-template fragment."""
-    return encode_basestring_ascii(text).replace("%", "%%")
-
-
-def _template(keys: Sequence[str]) -> str:
-    """A JSON object with one ``%s`` slot per key."""
-    return "{%s}" % ",".join("%s:%%s" % _literal(key) for key in keys)
-
-
-_COMPLETED = _template(COMPLETED_KEYS)
-_REJECTED = _template(REJECTED_KEYS)
+_COMPLETED = template(COMPLETED_KEYS)
+_REJECTED = template(REJECTED_KEYS)
 
 
 def _event_template(kind: str, keys: Sequence[str]) -> str:
     return '{"detail":%s,"kind":%s,"platform":%%s,"request_ids":[%%s],' \
-        '"tenant":%%s,"time_s":%%s}' % (_template(keys), _literal(kind))
+        '"tenant":%%s,"time_s":%%s}' % (template(keys), literal(kind))
 
 
-class _Texts:
-    """Per-call memo: the JSON text of every distinct float and name."""
-
-    def __init__(self) -> None:
-        #: Keyed by the float's bits, so 0.0 and -0.0 stay apart.
-        self.floats: Dict[int, str] = {}
-        self.names: Dict[object, str] = {
-            None: "null", True: "true", False: "false",
-        }
-
-    def column(self, values: Sequence) -> List[str]:
-        """The JSON text of every value of one column."""
-        kinds = set(map(type, values))
-        if kinds == {float}:
-            bits = np.array(values, dtype=np.float64).view(np.int64)
-            keys, inverse = np.unique(bits, return_inverse=True)
-            keys = keys.tolist()
-            memo = self.floats
-            fresh = set(keys).difference(memo)
-            if fresh:
-                fresh = np.fromiter(fresh, np.int64, len(fresh))
-                floats = fresh.view(np.float64).tolist()
-                reprs = list(map(float.__repr__, floats))
-                memo.update(
-                    zip(fresh.tolist(), map(_NON_FINITE.get, reprs, reprs))
-                )
-            texts = list(map(memo.__getitem__, keys))
-            return list(map(texts.__getitem__, inverse.tolist()))
-        if kinds == {int}:
-            return list(map(int.__repr__, values))
-        if kinds <= _NAMED:
-            memo = self.names
-            texts = list(map(memo.get, values))
-            if None in texts:
-                for value in set(values).difference(memo):
-                    memo[value] = encode_basestring_ascii(value)
-                texts = list(map(memo.__getitem__, values))
-            return texts
-        return [_dumps(value) for value in values]
+class _ReportTexts(Texts):
+    """:class:`Texts` plus the report's request-id lists and event rows."""
 
     def id_lists(self, column: Sequence[Sequence]) -> List[str]:
         """Request-id lists, without their brackets."""
@@ -108,11 +44,7 @@ class _Texts:
             if set(map(len, column)) == {1}:
                 return list(map(int.__repr__, chain.from_iterable(column)))
             return [",".join(map(int.__repr__, ids)) for ids in column]
-        return [_dumps(list(ids))[1:-1] for ids in column]
-
-    def table(self, template: str, keys, columns: Mapping) -> str:
-        rows = zip(*[self.column(columns[key]) for key in keys])
-        return "[%s]" % ",".join(map(template.__mod__, rows))
+        return [dumps(list(ids))[1:-1] for ids in column]
 
     def events(self, rows: Iterable[tuple], skip: Container[str]) -> str:
         """Rows ``(kind, detail keys, detail values, time_s, tenant,
@@ -154,9 +86,10 @@ def write_report(
     """Canonical JSON of ``head`` plus the ``completed``, ``rejected``
     and ``events`` sections: ``completed`` / ``rejected`` map each of
     :data:`COMPLETED_KEYS` / :data:`REJECTED_KEYS` to a column in record
-    order; ``events`` are :meth:`_Texts.events` rows, less ``skip_kinds``."""
-    texts = _Texts()
-    parts = {key: _dumps(value) for key, value in head.items()}
+    order; ``events`` are :meth:`_ReportTexts.events` rows, less
+    ``skip_kinds``."""
+    texts = _ReportTexts()
+    parts = {key: dumps(value) for key, value in head.items()}
     parts["completed"] = texts.table(_COMPLETED, COMPLETED_KEYS, completed)
     parts["rejected"] = texts.table(_REJECTED, REJECTED_KEYS, rejected)
     parts["events"] = texts.events(events, skip_kinds)

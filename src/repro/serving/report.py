@@ -22,7 +22,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.satisfaction import SoCBreakdown
 from repro.obs.instrument import cache_neutral_obs_section, merge_obs_sections
-from repro.obs.metrics import linear_percentile
+from repro.obs.metrics import linear_percentile, ordered_sum
 from repro.serving.canonical import write_report
 from repro.serving.events import EventLog, RouterEvent
 from repro.serving.request import Request
@@ -270,7 +270,7 @@ class ResilienceStats:
             raise ValueError("ResilienceStats.merge needs at least one input")
         episodes = sum(s.mttr_episodes for s in stats)
         mttr_s = (
-            sum(s.mttr_s * s.mttr_episodes for s in stats) / episodes
+            ordered_sum(s.mttr_s * s.mttr_episodes for s in stats) / episodes
             if episodes
             else 0.0
         )
@@ -389,12 +389,12 @@ class RouterReport:
     def mean_soc(self) -> float:
         """Mean SoC over completed requests."""
         values = self._completed_columns()["soc"]
-        return sum(values) / len(values) if values else 0.0
+        return ordered_sum(values) / len(values) if values else 0.0
 
     @property
     def total_energy_j(self) -> float:
         """Fleet-wide energy spent serving."""
-        return sum(p.energy_j for p in self.platforms)
+        return ordered_sum(p.energy_j for p in self.platforms)
 
     def soc_delta(self, clean: "RouterReport") -> float:
         """Mean-SoC delta of this (typically faulted) run against a
@@ -443,12 +443,12 @@ class RouterReport:
                     rejected=rejected_of[name],
                     deadline_hits=sum([hits[i] for i in rows]),
                     mean_soc=(
-                        sum([soc_values[i] for i in rows]) / served
+                        ordered_sum([soc_values[i] for i in rows]) / served
                         if served
                         else 0.0
                     ),
                     mean_latency_s=(
-                        sum([latencies[i] for i in rows]) / served
+                        ordered_sum([latencies[i] for i in rows]) / served
                         if served
                         else 0.0
                     ),
@@ -604,7 +604,7 @@ class RouterReport:
                     % (key, ", ".join(values))
                 )
         ticks = sum(section.get("ticks", 0) for section in sections)
-        error_weighted = sum(
+        error_weighted = ordered_sum(
             section.get("mean_abs_error_rps", 0.0) * section.get("ticks", 0)
             for section in sections
         )

@@ -70,6 +70,7 @@ from repro.core.satisfaction import soc
 from repro.faults.events import FaultEvent, FaultTrace
 from repro.faults.health import PlatformHealth
 from repro.obs.instrument import Instrumentation
+from repro.obs.metrics import ordered_sum
 from repro.serving.admission import AdmissionController
 from repro.serving.degradation import DegradationController, DegradationLadder
 from repro.serving.dispatch import (
@@ -239,7 +240,7 @@ class _RunState:
         return ResilienceStats(
             faults_injected=self.faults_injected,
             outages=self.outages,
-            mttr_s=sum(episodes) / len(episodes) if episodes else 0.0,
+            mttr_s=ordered_sum(episodes) / len(episodes) if episodes else 0.0,
             mttr_episodes=len(episodes),
             batch_failures=self.batch_failures,
             retries=self.retries,

@@ -46,7 +46,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.faults.events import FaultTrace
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, ordered_sum
 from repro.obs.span import TraceBuffer
 from repro.resilience import (
     CheckpointStore,
@@ -432,7 +432,7 @@ class FleetCoordinator:
         return min(
             healthy,
             key=lambda shard_id: (
-                sum(
+                ordered_sum(
                     stats.busy_s
                     for stats in results[shard_id].report.platforms
                 ),

@@ -28,6 +28,7 @@ from repro.gpu.architecture import GPUArchitecture
 from repro.gpu.kernels import GemmShape, SgemmKernel
 from repro.gpu.libraries import KernelLibrary
 from repro.gpu.spilling import ACCESSES_PER_SPILL, COST_GLOBAL, COST_SHARED
+from repro.obs.metrics import ordered_sum
 from repro.sim.cta_scheduler import CTAScheduler, RoundRobinScheduler
 from repro.sim.sm import CTA, DEFAULT_TLP_HALF, SMState
 from repro.sim.trace import ExecutionTrace
@@ -257,13 +258,13 @@ def simulate_kernel(
     used = [sm for sm in sms if sm.ctas_retired > 0]
     sms_used = len(used)
     powered = max(scheduler.powered_sms(arch.n_sms), sms_used)
-    busy_sm_seconds = sum(
+    busy_sm_seconds = ordered_sum(
         arch.cycles_to_seconds(sm.busy_cycles * overhead) for sm in used
     )
     avg_tlp = tlp_time_integral / now / max(sms_used, 1) if now > 0 else 0.0
     # Issue activity: useful instructions versus what the busy SMs could
     # have issued while busy.
-    issued_capacity = sum(sm.busy_cycles for sm in used) * arch.cores_per_sm
+    issued_capacity = ordered_sum(sm.busy_cycles for sm in used) * arch.cores_per_sm
     activity = min(1.0, (work.total_insts * grid) / issued_capacity) if issued_capacity else 0.0
     energy_joules = _energy(arch, seconds, powered, busy_sm_seconds, activity)
     if trace is not None:

@@ -25,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
+from repro.obs.metrics import ordered_sum
+
 __all__ = [
     "WarpIssueConfig",
     "simulate_issue_efficiency",
@@ -147,5 +149,5 @@ def fit_tlp_half(
         weights.append(eff)
     if not estimates:
         raise ValueError("curve has no fittable points")
-    total = sum(weights)
-    return sum(h * w for h, w in zip(estimates, weights)) / total
+    total = ordered_sum(weights)
+    return ordered_sum(h * w for h, w in zip(estimates, weights)) / total

@@ -118,7 +118,7 @@ class TestChromeTrace:
     def test_json_rendering_is_canonical(self):
         buffer = _sample_buffer()
         assert chrome_trace_json(buffer) == chrome_trace_json(buffer)
-        json.loads(chrome_trace_json(buffer))
+        assert chrome_trace(buffer) == json.loads(chrome_trace_json(buffer))
 
 
 class TestValidateChromeTrace:
@@ -148,3 +148,19 @@ class TestValidateChromeTrace:
         assert "unknown phase" in text
         assert "pid must be an int" in text
         assert "args must be an object" in text
+
+    def test_flags_bool_pid_and_tid(self):
+        problems = validate_chrome_trace(
+            {
+                "traceEvents": [
+                    {"name": "a", "ph": "X", "pid": True, "tid": 0,
+                     "ts": 0, "dur": 1},
+                    {"name": "b", "ph": "X", "pid": 1, "tid": False,
+                     "ts": 0, "dur": 1},
+                ]
+            }
+        )
+        assert problems == [
+            "traceEvents[0]: pid must be an int",
+            "traceEvents[1]: tid must be an int",
+        ]

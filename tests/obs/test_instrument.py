@@ -170,6 +170,22 @@ class TestLifecycle:
         assert span.attrs["outcome"] == "open_at_drain"
         assert obs.tracer.open_spans == 0
 
+    def test_batches_in_flight_drain_last_in_id_order(self):
+        # A ledger cut with a batch in flight on each platform.
+        ledger = _Ledger(platforms=("a", "b"), horizon_s=1.0)
+        for rid, platform in ((0, "b"), (1, "a")):
+            ledger.request(rid)
+            ledger.enqueue(0.0, rid, platform=platform)
+            ledger.dispatch(0.1 * (rid + 1), [rid], platform=platform)
+        obs = ledger.observe()
+        closing = [(span.name, span.attrs.get("platform")) for span in obs.buffer]
+        assert closing[-3:] == [
+            ("run", None), ("execute_batch", "b"), ("execute_batch", "a"),
+        ]
+        for span in obs.buffer.of_name("execute_batch"):
+            assert span.attrs["open_at_drain"] is True
+            assert span.end_s == 1.0
+
     def test_spans_close_at_the_latest_event(self):
         ledger = _Ledger(horizon_s=0.5)
         ledger.record("fault", 2.0, platform="a", fault_kind="throttle")

@@ -1,6 +1,8 @@
-"""Tests for repro.obs.metrics: instruments, registry, percentile."""
+"""Tests for repro.obs.metrics: instruments, registry, percentile,
+left-to-right sums."""
 
 import math
+import sys
 
 import pytest
 
@@ -10,7 +12,25 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     linear_percentile,
+    ordered_sum,
 )
+from tests.py312_sum import sum312
+
+
+class TestOrderedSum:
+    def test_adds_left_to_right_whatever_the_interpreter(self):
+        values = [1e16, 1.0, -1e16]
+        assert ordered_sum(values) == 0.0
+        assert ordered_sum([1.0, 2.0], 0.5) == 3.5
+        # Python 3.12's compensated sum recovers the 1.0.
+        assert sum312(values) == 1.0
+        assert sum(values) == (1.0 if sys.version_info >= (3, 12) else 0.0)
+
+    def test_matches_builtin_sum_of_python_3_11(self):
+        assert ordered_sum([]) == 0 and type(ordered_sum([])) is int
+        assert ordered_sum([1, 2, True]) == 4
+        assert repr(ordered_sum([-0.0])) == "0.0"
+        assert ordered_sum([0.1] * 10) == 0.9999999999999999
 
 
 class TestLinearPercentile:
@@ -101,6 +121,15 @@ class TestHistogram:
         assert hist.sum == 18.0
         assert hist.min == 1.0
         assert hist.max == 12.0
+
+    def test_bulk_sum_adds_left_to_right(self):
+        """Pairwise (``np.sum``), exact (``math.fsum``) and 3.12's
+        compensated ``sum`` all give 1.0 here; observing in order does
+        not."""
+        hist = Histogram([1.0])
+        hist.observe_many([0.1] * 10)
+        assert hist.sum == 0.9999999999999999
+        assert hist.bucket_counts == [10, 0]
 
     def test_empty_histogram_snapshot(self):
         hist = Histogram([1.0])

@@ -3,32 +3,58 @@
 The unit tests in ``test_span.py`` check the tracer pointwise; these
 pin the structural invariants for *arbitrary* open/close/instant
 sequences: span trees stay well-nested (child intervals contained in
-their parent), span ids are dense and monotone in begin order, and the
-canonical JSON export round-trips bit-identically.
+their parent), span ids are dense and monotone in begin order, the
+canonical JSON export round-trips bit-identically, and every export
+written from the buffer's rows equals its dict-built oracle -- for
+attributes of every JSON kind, awkward floats and strings included.
 """
 
 import json
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.metrics import Histogram, linear_percentile
 from repro.obs.span import SPAN_NAMES, TraceBuffer, Tracer
+from tests.obs.oracle import assert_matches_oracle
 
 _NAMES = st.sampled_from(sorted(SPAN_NAMES))
 _DT = st.floats(
     min_value=0.0, max_value=10.0, allow_nan=False, allow_infinity=False
 )
 
+#: Attribute values of every JSON kind: floats that render apart
+#: (``0.0``/``-0.0``) or as non-finite literals, ints, bools, None,
+#: tuples of ints, and strings that need escaping.
+_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.5, math.inf, -math.inf, math.nan]),
+    st.floats(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(), max_size=3).map(tuple),
+    st.text(alphabet='a"\\%\u00e9\u2603\n', max_size=4),
+)
+#: Attribute names, the ids' own names and the Chrome track key among
+#: them.
+_ATTRS = st.dictionaries(
+    st.sampled_from(
+        ["platform", "span_id", "parent_id", "rid", "100%", 'q"\\', "\u00e9"]
+    ),
+    _VALUES,
+    max_size=4,
+)
+
 #: One tracer step: open a child under the current span, close the
-#: current span, or record an instant.  Each advances the sim clock by
-#: a non-negative amount, so time is monotone by construction — the
-#: tracer must *preserve* that, never reorder it.
+#: current span, or record an instant, each with attributes.  Each
+#: advances the sim clock by a non-negative amount, so time is monotone
+#: by construction — the tracer must *preserve* that, never reorder it.
 _steps = st.lists(
     st.one_of(
-        st.tuples(st.just("open"), _NAMES, _DT),
-        st.tuples(st.just("close"), st.just(None), _DT),
-        st.tuples(st.just("instant"), _NAMES, _DT),
+        st.tuples(st.just("open"), _NAMES, _DT, _ATTRS),
+        st.tuples(st.just("close"), st.just(None), _DT, _ATTRS),
+        st.tuples(st.just("instant"), _NAMES, _DT, _ATTRS),
     ),
     min_size=1,
     max_size=60,
@@ -40,16 +66,16 @@ def _run_steps(steps):
     tracer = Tracer()
     clock = 0.0
     stack = []
-    for action, name, dt in steps:
+    for action, name, dt, attrs in steps:
         clock += dt
         if action == "open":
             parent = stack[-1] if stack else None
-            stack.append(tracer.begin(name, clock, parent=parent))
+            stack.append(tracer.begin(name, clock, parent=parent, **attrs))
         elif action == "close" and stack:
-            tracer.end(stack.pop(), clock)
+            tracer.end(stack.pop(), clock, **attrs)
         elif action == "instant":
             parent = stack[-1] if stack else None
-            tracer.instant(name, clock, parent=parent)
+            tracer.instant(name, clock, parent=parent, **attrs)
     tracer.drain_open(clock)
     return tracer.buffer
 
@@ -76,7 +102,7 @@ class TestWellNesting:
         tracer = Tracer()
         clock = 0.0
         stack = []
-        for action, name, dt in steps:
+        for action, name, dt, _attrs in steps:
             clock += dt
             if action == "open":
                 parent = stack[-1] if stack else None
@@ -130,6 +156,11 @@ class TestExportRoundTrip:
         assert sorted(rebuilt, key=by_id) == sorted(buffer, key=by_id)
 
     @given(steps=_steps)
+    @settings(max_examples=120, deadline=None)
+    def test_exports_match_the_dict_oracle(self, steps):
+        assert_matches_oracle(_run_steps(steps))
+
+    @given(steps=_steps)
     @settings(max_examples=60, deadline=None)
     def test_export_is_deterministic(self, steps):
         a = _run_steps(steps)
@@ -170,6 +201,42 @@ class TestHistogramProperties:
         cumulative = [c for _, c in hist.cumulative()]
         assert cumulative == sorted(cumulative)
         assert (cumulative[-1] if cumulative else 0) == len(values)
+
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, 0.1, math.nan, math.inf]),
+                st.floats(min_value=-1e3, max_value=1e3),
+            ),
+            max_size=40,
+        ),
+        cut=st.integers(min_value=0, max_value=40),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_bulk_observe_matches_the_sample_loop(self, values, cut):
+        """``observe_many`` (twice, split at ``cut``) leaves the state
+        the one-sample-at-a-time loop it replaced leaves."""
+        edges = (-0.0, 0.1, 1.0)
+        bulk = Histogram(edges)
+        bulk.observe_many(values[:cut])
+        bulk.observe_many(values[cut:])
+        buckets = [0] * (len(edges) + 1)
+        total, low, high = 0.0, None, None
+        for value in values:
+            index = len(edges)
+            for position, edge in enumerate(edges):
+                if value <= edge:
+                    index = position
+                    break
+            buckets[index] += 1
+            total += value
+            if low is None or value < low:
+                low = value
+            if high is None or value > high:
+                high = value
+        assert bulk.bucket_counts == buckets
+        assert bulk.count == len(values)
+        assert repr((bulk.sum, bulk.min, bulk.max)) == repr((total, low, high))
 
     @given(values=_values, q=st.floats(min_value=0.0, max_value=100.0))
     @settings(max_examples=120, deadline=None)

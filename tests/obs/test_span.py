@@ -1,6 +1,7 @@
 """Tests for repro.obs.span: spans, handles, tracer, buffer."""
 
 import json
+import math
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro.obs.span import (
     TraceBuffer,
     Tracer,
 )
+from tests.obs.oracle import assert_matches_oracle
 
 
 class TestSpan:
@@ -177,3 +179,80 @@ class TestTraceBuffer:
         other.emit("request", 1.0, 2.0, parent=run2)
         other.end(run2, 3.0)
         assert other.buffer.fingerprint() == tracer.buffer.fingerprint()
+
+    def test_cache_sensitive_parents_reparent_like_the_oracle(self):
+        """Children of dropped ``compile``/``plan_cache_lookup`` spans
+        re-parent onto their nearest surviving ancestor."""
+        tracer = Tracer()
+        run = tracer.begin("run", 0.0, platforms="a")
+        compile_ = tracer.begin("compile", 0.0, parent=run, platform="a")
+        lookup = tracer.begin(
+            "plan_cache_lookup", 0.0, parent=compile_, outcome="hit"
+        )
+        tracer.instant("dispatch", 0.5, parent=lookup, platform="a")
+        tracer.end(lookup, 1.0)
+        tracer.instant("admission", 1.0, parent=compile_, reason="ok")
+        tracer.end(compile_, 1.0)
+        tracer.instant("compile", 1.5)
+        tracer.end(run, 2.0)
+        buffer = tracer.buffer
+        assert_matches_oracle(buffer)
+        survivors = Tracer()
+        root = survivors.begin("run", 0.0, platforms="a")
+        survivors.instant("dispatch", 0.5, parent=root, platform="a")
+        survivors.instant("admission", 1.0, parent=root, reason="ok")
+        survivors.end(root, 2.0)
+        assert buffer.fingerprint() == survivors.buffer.fingerprint()
+
+    def test_iteration_and_indexing_follow_closing_order(self):
+        buffer = self._populated()
+        closing = [span.span_id for span in buffer]
+        assert closing == [1, 2, 3, 0]
+        assert [buffer[i].span_id for i in range(len(buffer))] == closing
+        assert buffer[-1].name == "run"
+        with pytest.raises(IndexError):
+            buffer[len(buffer)]
+
+
+def _span(**changes):
+    data = {
+        "span_id": 0, "parent_id": None, "name": "run", "start_s": 0.0,
+        "end_s": 1.0, "attrs": {},
+    }
+    data.update(changes)
+    return data
+
+
+class TestLoaderValidation:
+    """``from_dicts``/``from_json`` reject a malformed span, naming its
+    index and the field."""
+
+    @pytest.mark.parametrize(
+        "spans, message",
+        [
+            ([_span(name="bogus")], "span 0: name: unknown span name"),
+            (
+                [_span(), _span(span_id=1, parent_id=7)],
+                "span 1: parent_id 7 names no span",
+            ),
+            ([_span(start_s=2.0)], "span 0: end_s 1.0 is before start_s 2.0"),
+            (
+                [_span(), _span(name="request", parent_id=0)],
+                "span 1: span_id 0 is already in the trace",
+            ),
+            ([_span(start_s=math.nan)], "span 0: start_s must be a finite"),
+            ([_span(end_s=math.inf)], "span 0: end_s must be a finite"),
+            ([_span(span_id=True)], "span 0: span_id must be an int"),
+            ([_span(parent_id="0")], "span 0: parent_id must be an int"),
+            ([_span(attrs={1: "x"})], "span 0: attrs must be a mapping"),
+            ([{"span_id": 0}], "span 0: missing field 'parent_id'"),
+        ],
+    )
+    def test_malformed_span_rejected(self, spans, message):
+        with pytest.raises(ValueError, match="^" + message):
+            TraceBuffer.from_dicts(spans)
+
+    def test_from_json_checks_too(self):
+        payload = json.dumps([_span(name="bogus")])
+        with pytest.raises(ValueError, match="unknown span name"):
+            TraceBuffer.from_json(payload)

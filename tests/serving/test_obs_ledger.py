@@ -7,11 +7,15 @@ closing order, all recorded from the former live-callback
 instrumentation -- and check that an instrumented plain run takes the
 columnar loop yet matches the event loop plus ``record_run`` byte for
 byte, and that a failover escalating a ladder leaves its ``degrade``
-event on the ledger.  Every scenario builds its own fleet, so engine cache
+event on the ledger.  Every scenario's span exports also match their
+dict-built oracle, the digests hold under Python 3.12's compensated
+``sum``, and a ``storm_traced``-sized derivation and export builds no
+``Span``.  Every scenario builds its own fleet, so engine cache
 temperature (compile spans, ``engine_*`` metrics) is the same on
 every test run.
 """
 
+import builtins
 import hashlib
 import json
 
@@ -27,6 +31,7 @@ from repro.gpu import JETSON_TX1, K20C
 from repro.nn import alexnet
 from repro.obs import (
     Instrumentation,
+    Span,
     chrome_trace_json,
     metrics_to_json,
     prometheus_text,
@@ -36,6 +41,8 @@ from repro.serving import RequestRouter, RouterConfig, Tenant, TenantLoad
 from repro.serving.shard import FleetCoordinator, FleetSpec
 from repro.serving.vec_router import VecRouterReport
 from repro.workloads import bursty_trace, pareto_trace
+from tests.obs.oracle import assert_matches_oracle, oracle_chrome_trace_json
+from tests.py312_sum import sum312
 
 _SPEC = ApplicationSpec(
     "interactive", TaskClass.INTERACTIVE, data_rate_hz=50.0,
@@ -248,6 +255,7 @@ def _sha1(text):
 
 def routed_digests(name):
     report, obs = SCENARIOS[name]()
+    assert_matches_oracle(obs.buffer)
     return {
         "fingerprint": report.fingerprint(),
         "report": _sha1(report.to_json(include_requests=True)),
@@ -263,6 +271,8 @@ def routed_digests(name):
 
 def sharded_digests(name):
     outcome = SHARDED_SCENARIOS[name]()
+    assert outcome.buffer.counts["supervise"] == 2
+    assert_matches_oracle(outcome.buffer)
     return {
         "fingerprint": outcome.report.fingerprint(),
         "obs": _sha1(json.dumps(outcome.report.obs, sort_keys=True)),
@@ -477,6 +487,46 @@ def test_routed_scenario_matches_golden(name):
 @pytest.mark.parametrize("name", sorted(SHARDED_SCENARIOS))
 def test_sharded_scenario_matches_golden(name):
     assert sharded_digests(name) == GOLDENS[name]
+
+
+@pytest.mark.parametrize("name", ["chaos", "ewma_shard"])
+def test_goldens_hold_under_python312_sum(name, monkeypatch):
+    """Python 3.12's builtin ``sum`` compensates float rounding; with it
+    swapped in, every digest is still the pinned one."""
+    monkeypatch.setattr(builtins, "sum", sum312)
+    assert routed_digests(name) == GOLDENS[name]
+
+
+class TestNoPerSpanObjects:
+    def test_traced_storm_builds_no_span(self, monkeypatch):
+        """A chaos run at ``storm_traced``'s size (5,000 interactive
+        plus 1,250 background requests): routing, ``record_run``,
+        ``report_section`` and the Chrome and metrics exports construct
+        no ``Span``, and the Chrome export still matches the oracle."""
+        fleet = _fleet()
+        loads = _loads(fleet, 5000, 42, 2.0)
+        loads.append(TenantLoad(_BACKGROUND, pareto_trace(
+            n_requests=1250, rate_hz=0.5 * _capacity_rps(fleet), seed=43,
+        )))
+        faults = _chaos(fleet, loads)
+        built = []
+        original = Span.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Span, "__init__", counting)
+        obs = Instrumentation()
+        report = RequestRouter(fleet, RouterConfig()).run(
+            loads, faults=faults, obs=obs
+        )
+        chrome = chrome_trace_json(obs.buffer)
+        metrics_to_json(obs.metrics)
+        assert built == []
+        assert report.obs["n_spans"] > 10_000
+        monkeypatch.undo()
+        assert chrome == oracle_chrome_trace_json(obs.buffer)
 
 
 class TestColumnarDerivation:
