@@ -5,20 +5,20 @@ numbers in ``benchmarks/results/BENCH_perf_trajectory.json`` so the
 columnar loop's speedups are *measured every PR*, not asserted once:
 
 * **router_overload** -- :mod:`bench_router_overload`'s MMPP storm
-  served by both router loops, best-of-``ROUNDS`` wall clock,
-  fingerprints asserted bit-identical.  ``reference`` records the
-  event loop (``RequestRouter._run_events``), ``vectorized`` the
-  columnar loop ``RequestRouter.run`` takes for this plain run.  This
-  is the scenario the regression gate watches: the run fails if the
-  measured speedup drops more than ``MAX_SPEEDUP_REGRESSION`` below
-  the committed same-mode baseline.
+  served by the serving loop and by its oracle, best-of-``ROUNDS``
+  wall clock, fingerprints asserted bit-identical.  ``reference``
+  records the test suite's event-loop oracle
+  (``tests/serving/event_loop.py``), ``vectorized`` the columnar loop
+  ``RequestRouter.run`` serves every run with.  This is the scenario
+  the regression gate watches: the run fails if the measured speedup
+  drops more than ``MAX_SPEEDUP_REGRESSION`` below the committed
+  same-mode baseline.
 * **fleet_shards** -- one 2-shard inline :class:`FleetCoordinator`
   run (inline so the measurement is the routers, not process spawn),
   its merged fingerprint asserted equal to the pinned
   ``FLEET_SHARDS_FINGERPRINTS``.
 * **control_whatif** -- :func:`repro.control.run_whatif` on the
-  overload storm with the EWMA storm controller (event loop only:
-  controller runs always take it).
+  overload storm with the EWMA storm controller.
 
 Every scenario records requests/sec, wall-time normalized to 1M
 simulated requests, and peak RSS (``resource.getrusage`` -- process
@@ -71,9 +71,9 @@ ROUNDS = 5
 MAX_SPEEDUP_REGRESSION = 0.10
 
 #: Scenario keys every mode entry must carry, with the loops each
-#: records (``reference``: the event loop; ``vectorized``: the
-#: columnar loop; a single-key scenario records whatever path
-#: ``run()`` picks).
+#: records (``reference``: the event-loop oracle; ``vectorized``: the
+#: columnar loop; a single-key scenario records ``run()``).  The keys
+#: are the committed baseline's schema.
 SCENARIO_BACKENDS = {
     "router_overload": ("reference", "vectorized"),
     "fleet_shards": ("reference",),

@@ -110,6 +110,20 @@ class ControllerConfig:
             )
         if self.headroom < 1.0 or self.dvfs_headroom < 1.0:
             raise ValueError("headroom factors must be >= 1.0")
+        # The forecaster parameters are checked here for every kind,
+        # so a bad one fails at construction, not at the first tick
+        # (and not never, on a run too short to tick).
+        if not 0.0 < self.alpha <= 1.0:
+            raise ValueError("alpha must be in (0, 1], got %r" % (self.alpha,))
+        for name in ("beta", "gamma"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(
+                    "%s must be in [0, 1], got %r" % (name, getattr(self, name))
+                )
+        if self.season_ticks < 0:
+            raise ValueError(
+                "season_ticks must be >= 0, got %r" % (self.season_ticks,)
+            )
 
     def build(self) -> "ControlPlane":
         """A fresh plane for one router run."""
@@ -351,12 +365,7 @@ class ControlPlane:
         """Mean absolute fleet-level one-tick-ahead forecast error."""
         if not self.errors:
             return 0.0
-        # A left-to-right float sum (``sum`` compensates on Python 3.12+,
-        # which would move the last bits between interpreters).
-        total = 0.0
-        for error_rps in self.errors:
-            total += error_rps
-        return total / len(self.errors)
+        return ordered_sum(self.errors) / len(self.errors)
 
     def report_section(self) -> dict:
         """The plain-data ``control`` section a report embeds.

@@ -8,10 +8,10 @@ tenants is routed across every platform of a
 discrete-event router that
 
 * admits or rejects requests against bounded per-platform queues and
-  per-tenant deadlines (:mod:`repro.serving.admission`),
+  per-tenant deadlines,
 * scores candidate (platform, batch-plan, perforation-level)
   assignments by predicted SoC and routes each request to the best one
-  (:mod:`repro.serving.dispatch`),
+  (:mod:`repro.serving.dispatch` holds the per-platform state),
 * degrades gracefully under overload by stepping each platform down a
   ladder of faster-but-coarser operating points -- larger batches plus
   heavier perforation -- and stepping back up as the backlog drains,
@@ -29,12 +29,11 @@ re-dispatch off dead platforms (:mod:`repro.serving.resilience`),
 with recovery metrics reported as :class:`ResilienceStats`.
 
 Everything is simulated time: the router is bit-identical across runs
-with the same seed and configuration.  :meth:`RequestRouter.run` picks
-its loop from the run's inputs: a plain run (no faults, no enabled
-instrumentation, no control plane) takes the columnar fast loop of
-:mod:`repro.serving.vec_router`, every other run the discrete-event
-loop, and plain-run fingerprints are bit-identical between the two
-(``tests/serving/test_backend_equivalence.py``).
+with the same seed and configuration.  One loop serves every run, the
+columnar loop of :mod:`repro.serving.vec_router`; the test suite keeps
+the discrete-event loop it replaced as its differential oracle
+(``tests/serving/event_loop.py``,
+``tests/serving/test_backend_equivalence.py``).
 
 The shard layer (:mod:`repro.serving.shard`) scales one router into a
 fleet of fleets: a :class:`FleetCoordinator` launches N router shards
@@ -44,19 +43,13 @@ fingerprinted global ledger -- same-seed merged fingerprints are
 bit-identical at any shard count.
 """
 
-from repro.serving.admission import AdmissionController, AdmissionDecision
 from repro.serving.degradation import (
     DegradationController,
     DegradationLadder,
     DegradationRung,
     escalate_perforation,
 )
-from repro.serving.dispatch import (
-    Candidate,
-    Dispatcher,
-    InFlightBatch,
-    PlatformState,
-)
+from repro.serving.dispatch import PlatformState
 from repro.serving.events import EventLog, RouterEvent
 from repro.serving.report import (
     CompletedRequest,
@@ -66,7 +59,7 @@ from repro.serving.report import (
     RouterReport,
     TenantStats,
 )
-from repro.serving.request import Request, Tenant, TenantLoad, merge_loads
+from repro.serving.request import Request, Tenant, TenantLoad
 from repro.serving.resilience import BREAKER_STATES, CircuitBreaker, RetryPolicy
 from repro.serving.router import RequestRouter, RouterConfig
 from repro.serving.shard import (
@@ -83,21 +76,16 @@ from repro.serving.shard import (
 )
 
 __all__ = [
-    "AdmissionController",
-    "AdmissionDecision",
     "BREAKER_STATES",
-    "Candidate",
     "CircuitBreaker",
     "CompletedRequest",
     "DegradationController",
     "DegradationLadder",
     "DegradationRung",
-    "Dispatcher",
     "EventLog",
     "FleetCoordinator",
     "FleetRunOutcome",
     "FleetSpec",
-    "InFlightBatch",
     "PlatformState",
     "PlatformStats",
     "RejectedRequest",
@@ -116,7 +104,6 @@ __all__ = [
     "TenantLoad",
     "TenantStats",
     "escalate_perforation",
-    "merge_loads",
     "run_shard",
     "shard_seed",
     "split_fault_trace",

@@ -481,7 +481,7 @@ class RouterReport:
 
         Request ids are re-enumerated over the union of all terminal
         records, ordered by ``(arrival_s, tenant name)`` -- the same
-        total order :func:`~repro.serving.request.merge_loads` assigns
+        total order :class:`~repro.serving.request.ArrivalColumns` assigns
         rids along, so a report merged from per-tenant partitions of
         one load set numbers requests exactly as a single router run
         over the merged load set would.  Events interleave by

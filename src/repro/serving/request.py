@@ -7,9 +7,9 @@ priority (higher preempts lower in queue ordering), and -- at run time
 tenants via :func:`Tenant.from_spec`.
 
 Several tenants' traces interleave into one request stream in a single
-total order, decided here: :func:`merge_loads` builds it as ``Request``
-objects (the event loop's input), :class:`ArrivalColumns` as float64
-columns (the columnar loop's input), and the two agree row for row.
+total order, decided here: :class:`ArrivalColumns` builds it as float64
+columns (the serving loop's input) and materializes a ``Request`` per
+row only on demand.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from repro.core.satisfaction import TimeRequirement
 from repro.core.user_input import ApplicationSpec, infer_requirement
 from repro.workloads.generators import RequestTrace
 
-__all__ = ["Tenant", "Request", "TenantLoad", "merge_loads", "ArrivalColumns"]
+__all__ = ["Tenant", "Request", "TenantLoad", "ArrivalColumns"]
 
 
 @dataclass(frozen=True)
@@ -98,39 +98,13 @@ def _check_unique_tenants(loads: Sequence[TenantLoad]) -> None:
         seen.add(load.tenant.name)
 
 
-def merge_loads(loads: Sequence[TenantLoad]) -> List[Request]:
-    """Interleave every tenant's trace into one arrival-ordered stream.
-
-    Ordering is total and deterministic: (arrival time, tenant name,
-    per-tenant position); request ids are assigned along that order.
-    """
-    _check_unique_tenants(loads)
-    keyed = []
-    for load in loads:
-        trace = load.trace
-        for position in range(trace.n_requests):
-            keyed.append(
-                (
-                    float(trace.arrivals_s[position]),
-                    load.tenant.name,
-                    position,
-                    load.tenant,
-                    float(trace.difficulty[position]),
-                )
-            )
-    keyed.sort(key=lambda item: (item[0], item[1], item[2]))
-    return [
-        Request(rid=rid, tenant=tenant, arrival_s=arrival, difficulty=difficulty)
-        for rid, (arrival, _name, _pos, tenant, difficulty) in enumerate(keyed)
-    ]
-
-
 class ArrivalColumns:
-    """Column-major arrival stream, ordering-identical to
-    :func:`merge_loads`.
+    """Every tenant's trace interleaved into one column-major,
+    arrival-ordered stream.
 
-    Rows are sorted by the same total key ``(arrival_s, tenant name,
-    per-tenant position)`` and the row index *is* the request id.
+    Ordering is total and deterministic: rows are sorted by
+    ``(arrival_s, tenant name, per-tenant position)`` and the row
+    index *is* the request id.
     ``Request`` objects are only materialized on demand
     (:meth:`request_at`).  The float columns keep both numpy views
     (for vectorized scoring) and plain-list mirrors: scalar indexing
@@ -157,7 +131,7 @@ class ArrivalColumns:
         _check_unique_tenants(loads)
         self.tenants: List[Tenant] = [load.tenant for load in loads]
         # Tenant-name ranks preserve lexicographic order, so the int
-        # sort key below compares exactly like merge_loads' string.
+        # sort key below compares exactly like the names themselves.
         rank = {
             name: code
             for code, name in enumerate(
@@ -184,8 +158,8 @@ class ArrivalColumns:
             [np.empty(0, np.int64)]
             + [np.arange(count, dtype=np.int64) for count in counts]
         )
-        # lexsort keys run minor-to-major: merge_loads' sort key is
-        # (arrival, tenant name, position).
+        # lexsort keys run minor-to-major: the sort key is (arrival,
+        # tenant name, position).
         order = np.lexsort((positions, names, arrivals))
         self.arrivals = arrivals[order]
         self.difficulty = difficulty[order]

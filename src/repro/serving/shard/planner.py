@@ -119,7 +119,7 @@ class ShardPlanner:
 
     def plan(self, loads: Sequence[TenantLoad]) -> ShardPlan:
         """Partition ``loads`` by tenant hash (duplicate names rejected,
-        mirroring :func:`~repro.serving.request.merge_loads`)."""
+        mirroring :class:`~repro.serving.request.ArrivalColumns`)."""
         seen = set()
         for load in loads:
             if load.tenant.name in seen:

@@ -56,6 +56,32 @@ class TestControllerConfig:
                 with pytest.raises(ValueError, match=name):
                     ControllerConfig(**{name: value})
 
+    @pytest.mark.parametrize(
+        "kind, field_values",
+        [
+            ("ewma", {"alpha": 5.0}),
+            ("ewma", {"alpha": 0.0}),
+            ("ewma", {"alpha": -0.5}),
+            ("holt-winters", {"alpha": 5.0}),
+            ("holt-winters", {"beta": 2.0}),
+            ("holt-winters", {"beta": -0.1}),
+            ("holt-winters", {"gamma": -1.0}),
+            ("holt-winters", {"gamma": 1.5}),
+            ("holt-winters", {"season_ticks": -3}),
+            ("ewma", {"beta": 2.0}),
+            ("ewma", {"gamma": -1.0}),
+            ("ewma", {"season_ticks": -3}),
+        ],
+    )
+    def test_rejects_out_of_range_forecaster_parameters(
+        self, kind, field_values
+    ):
+        """Every kind checks every forecaster parameter at
+        construction: a bad value must not wait for the first tick."""
+        (name,) = field_values
+        with pytest.raises(ValueError, match=name):
+            ControllerConfig(kind=kind, **field_values)
+
     def test_picklable_for_shard_specs(self):
         config = ControllerConfig(kind="holt-winters", season_ticks=8)
         clone = pickle.loads(pickle.dumps(config))

@@ -1,17 +1,17 @@
-"""Tests for repro.serving.admission: backpressure and rescue."""
+"""Tests for the oracle's admission controller: backpressure and
+rescue."""
 
 import pytest
 
 from repro.core.satisfaction import TimeRequirement
 from repro.serving import (
-    AdmissionController,
     DegradationController,
     DegradationLadder,
-    Dispatcher,
     Request,
     Tenant,
 )
 from repro.serving.dispatch import PlatformState
+from tests.serving.event_loop import AdmissionController, Dispatcher
 
 
 @pytest.fixture

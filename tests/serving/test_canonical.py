@@ -32,6 +32,7 @@ from repro.serving import (
 )
 from repro.serving.shard.merge import qualify_report, strip_requests
 from repro.workloads import bursty_trace, pareto_trace
+from tests.serving.event_loop import run_events
 from tests.serving.oracle import checked_fingerprint, oracle_fingerprint
 
 
@@ -94,7 +95,7 @@ class TestReportKinds:
         router = RequestRouter(fleet, OVERLOAD)
         report = router.run(loads)
         fingerprint = checked_fingerprint(report)
-        assert fingerprint == router._run_events(loads).fingerprint()
+        assert fingerprint == run_events(router, loads).fingerprint()
         reasons = {record.reason for record in report.rejected}
         assert reasons == {"saturated", "infeasible"}
         assert report.events.of_kind("degrade")

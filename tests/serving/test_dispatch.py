@@ -1,4 +1,5 @@
-"""Tests for repro.serving.dispatch: platform state and placement."""
+"""Tests for platform state (repro.serving.dispatch) and the oracle's
+placement and queue helpers."""
 
 import pytest
 
@@ -6,11 +7,11 @@ from repro.core.satisfaction import TimeRequirement
 from repro.serving import (
     DegradationController,
     DegradationLadder,
-    Dispatcher,
     PlatformState,
     Request,
     Tenant,
 )
+from tests.serving.event_loop import Dispatcher, backlog_s, order_queue
 
 
 @pytest.fixture(scope="module")
@@ -113,7 +114,7 @@ class TestQueueOrdering:
         high_soon = _request(rid=2, priority=2, unusable=0.3)
         state.queue.extend([low, high_late, high_soon])
         try:
-            state.order_queue("soc")
+            order_queue(state, "soc")
             assert [r.rid for r in state.queue] == [2, 1, 0]
         finally:
             state.queue.clear()
@@ -124,7 +125,7 @@ class TestQueueOrdering:
             [_request(rid=2, priority=9), _request(rid=0), _request(rid=1)]
         )
         try:
-            state.order_queue("fifo")
+            order_queue(state, "fifo")
             assert [r.rid for r in state.queue] == [0, 1, 2]
         finally:
             state.queue.clear()
@@ -137,11 +138,11 @@ class TestBacklog:
         state.busy_until = 1.0
         state.queue.extend(_request(rid=i) for i in range(rung.batch))
         try:
-            backlog = state.backlog_s(now=0.8)
+            backlog = backlog_s(state, now=0.8)
             assert backlog == pytest.approx(0.2 + rung.exec_time_s)
         finally:
             state.queue.clear()
             state.busy_until = 0.0
 
     def test_idle_empty_platform_has_zero_backlog(self, states):
-        assert states["TX1"].backlog_s(now=5.0) == 0.0
+        assert backlog_s(states["TX1"], now=5.0) == 0.0

@@ -5,8 +5,8 @@ deadline) used to leave the final rejection order at the mercy of
 queue/dict insertion order.  ``_reject_stranded`` now sorts explicitly
 by rid; these tests pin that ordering -- and the dispatch order of a
 deadline-colliding queue -- as deterministic, repeatable and identical
-between the columnar loop ``run()`` takes for a plain run and the
-event loop (``_run_events``).
+between ``run()`` and the event-loop oracle
+(``tests/serving/event_loop.py``).
 """
 
 from types import SimpleNamespace
@@ -18,8 +18,8 @@ from repro.serving import RequestRouter, RouterConfig, TenantLoad
 from repro.serving.events import EventLog
 from repro.serving.request import Request
 from repro.serving.resilience import RetryPolicy
-from repro.serving.router import _RunState
 from repro.workloads import RequestTrace
+from tests.serving.event_loop import EventLoop, _RunState, run_events
 
 
 def _colliding_trace(n, arrival_s=0.01):
@@ -38,8 +38,8 @@ class TestStrandedOrdering:
     deadlines must reject in rid order, never insertion order."""
 
     def _run_backstop(self, fleet, snappy_tenant, queues, inflight=None):
-        router = RequestRouter(fleet, RouterConfig())
-        router._now = 1.0
+        loop = EventLoop(RequestRouter(fleet, RouterConfig()))
+        loop._now = 1.0
         run = _RunState(EventLog(), RetryPolicy(limit=1))
 
         def request(rid):
@@ -62,7 +62,7 @@ class TestStrandedOrdering:
             )
             for name, rids in queues.items()
         }
-        router._reject_stranded(run)
+        loop._reject_stranded(run)
         return run
 
     def test_scrambled_queue_rejects_in_rid_order(
@@ -129,8 +129,8 @@ class TestCollidingDeadlineDispatch:
         loads = [TenantLoad(snappy_tenant, _colliding_trace(32))]
         router = RequestRouter(fleet, RouterConfig(policy=policy))
         runs = [
-            router._run_events(loads),
-            router._run_events(loads),
+            run_events(router, loads),
+            run_events(router, loads),
             router.run(loads),
         ]
         assert runs[0].fingerprint() == runs[1].fingerprint()
@@ -153,8 +153,8 @@ class TestCollidingDeadlineDispatch:
             ),
         ]
         router = RequestRouter(fleet, RouterConfig())
-        events = router._run_events(loads)
-        again = router._run_events(loads)
+        events = run_events(router, loads)
+        again = run_events(router, loads)
         columnar = router.run(loads)
         assert events.fingerprint() == again.fingerprint()
         assert columnar.fingerprint() == events.fingerprint()
@@ -174,7 +174,7 @@ class TestCollidingDeadlineDispatch:
         ]
         for router, loads in cases:
             offered = sum(load.trace.n_requests for load in loads)
-            for report in (router.run(loads), router._run_events(loads)):
+            for report in (router.run(loads), run_events(router, loads)):
                 seen = sorted(
                     [r.request.rid for r in report.completed]
                     + [r.request.rid for r in report.rejected]

@@ -42,6 +42,7 @@ from repro.serving.shard import FleetCoordinator, FleetSpec
 from repro.serving.vec_router import VecRouterReport
 from repro.workloads import bursty_trace, pareto_trace
 from tests.obs.oracle import assert_matches_oracle, oracle_chrome_trace_json
+from tests.serving.event_loop import run_events
 from tests.py312_sum import sum312
 
 _SPEC = ApplicationSpec(
@@ -544,7 +545,7 @@ class TestColumnarDerivation:
         loads = _loads(fleet, 400, 42, 8.0, _TIGHT)
         router = RequestRouter(fleet)
         before = router._engine_activity()
-        events = router._run_events(loads)
+        events = run_events(router, loads)
         after = router._engine_activity()
         oracle = Instrumentation()
         oracle.record_run(

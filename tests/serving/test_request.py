@@ -1,5 +1,6 @@
-"""Tests for repro.serving.request: tenants, requests, load merging,
-and the column-major arrival stream the columnar loop reads."""
+"""Tests for repro.serving.request: tenants, requests, and the
+column-major arrival stream the serving loop reads -- checked against
+the oracle's ``Request``-object merge."""
 
 import math
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.core import ApplicationSpec, TaskClass
 from repro.core.satisfaction import TimeRequirement
-from repro.serving import Tenant, TenantLoad, merge_loads
+from repro.serving import Tenant, TenantLoad
 from repro.serving.request import ArrivalColumns
 from repro.workloads import (
     RequestTrace,
@@ -18,6 +19,7 @@ from repro.workloads import (
     diurnal_trace,
     pareto_trace,
 )
+from tests.serving.event_loop import merge_loads
 
 
 def _trace(arrivals, difficulty=None):
