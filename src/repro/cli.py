@@ -954,14 +954,12 @@ def _cmd_serve_fleet(args) -> int:
             % (args.shards, outcome.rehomed,
                outcome.supervision.counters()["retries"]),
         ))
-    counts = report.events.counts
+    counts = report.ledger.event_counts()
     print()
     print(
         "events: "
         + ", ".join(
-            "%s=%d" % (kind, counts[kind])
-            for kind in report.events.KINDS
-            if counts[kind]
+            "%s=%d" % (kind, count) for kind, count in counts.items() if count
         )
     )
     print("fingerprint: %s" % report.fingerprint())

@@ -106,6 +106,13 @@ class FleetManager:
         )
         if not self.architectures:
             raise ValueError("fleet needs at least one platform")
+        names = [arch.name for arch in self.architectures]
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
+            raise ValueError(
+                "fleet lists GPU %s more than once; each platform deploys "
+                "once" % ", ".join(repeated)
+            )
         self.max_tuning_iterations = max_tuning_iterations
         # One engine for the whole fleet: cache keys carry the
         # architecture, so cross-platform deployments of the same

@@ -15,12 +15,13 @@ authors of it:
 Both contracts were previously pinned only by runtime determinism
 tests (same-seed double runs).  This rule pins them statically: every
 function reachable on the call graph from a hook registration or from
-``ControlPlane.tick`` must not call the ledger-write API --
-``.record(<kind>, ...)`` -- with any event kind outside the
-cache-neutral set that :meth:`RouterReport.fingerprint` strips
-(``compile`` / ``cache_hit``, the engine-relay kinds).  A dynamic
-(non-literal) kind from such a function is flagged too: the analyzer
-cannot prove it neutral, and neutrality is the contract.
+``ControlPlane.tick`` must not call a ledger write -- an event log's
+``.record(kind, ...)``, the serving loop's engine ``relay(kind, ...)``
+callback or its ``_row(kind, ...)`` event row -- with any event kind
+outside the cache-neutral set that :meth:`RouterReport.fingerprint`
+strips (``compile`` / ``cache_hit``, the engine-relay kinds).  A
+dynamic (non-literal) kind from such a function is flagged too: the
+analyzer cannot prove it neutral, and neutrality is the contract.
 """
 
 from __future__ import annotations
@@ -38,12 +39,15 @@ from repro.lint.core import (
 )
 from repro.lint.names import dotted_name
 
-__all__ = ["HookPurityRule", "NEUTRAL_EVENT_KINDS"]
+__all__ = ["HookPurityRule", "LEDGER_WRITERS", "NEUTRAL_EVENT_KINDS"]
 
 #: Event kinds the report fingerprint strips (cache temperature, not
 #: routing behaviour) -- the only kinds a hook subscriber may record.
 #: Mirrors ``RouterReport._CACHE_KINDS``.
 NEUTRAL_EVENT_KINDS = ("compile", "cache_hit")
+
+#: The calls (method or bare function) that write a ledger event.
+LEDGER_WRITERS = ("record", "relay", "_row")
 
 
 def _hook_registrations(
@@ -154,7 +158,8 @@ class HookPurityRule(ProjectRule):
     rationale = (
         "Instrumentation and the predictive controller are observers: "
         "they may count, trace, prewarm and plan, but a ledger write "
-        "(EventLog.record of a fingerprinted kind) from either seam "
+        "(EventLog.record, the engine relay or an event row of a "
+        "fingerprinted kind) from either seam "
         "silently changes report fingerprints with cache temperature "
         "or controller wiring -- the exact neutrality the same-seed "
         "replay tests assert dynamically."
@@ -238,13 +243,14 @@ def _witness_chains(
 def _ledger_write(call: ast.Call):
     """Describe a ledger write, or None if the call is not one.
 
-    The ledger API is ``<events>.record(kind, ...)``; a string-literal
-    kind inside :data:`NEUTRAL_EVENT_KINDS` is the sanctioned engine
-    relay, anything else (other literals, or a kind the analyzer
-    cannot read) is a write.
+    A ledger write calls one of :data:`LEDGER_WRITERS` with the kind
+    first; a string-literal kind inside :data:`NEUTRAL_EVENT_KINDS` is
+    the sanctioned engine relay, anything else (other literals, or a
+    kind the analyzer cannot read) is a write.
     """
     func = call.func
-    if not (isinstance(func, ast.Attribute) and func.attr == "record"):
+    name = getattr(func, "attr", None) or getattr(func, "id", None)
+    if name not in LEDGER_WRITERS:
         return None
     if not call.args:
         return None

@@ -299,9 +299,9 @@ class Instrumentation:
         """Derive one finished router run's spans and metrics.
 
         ``report`` is a :class:`~repro.serving.report.RouterReport`:
-        its event log is walked in order, request spans start at the
-        ``arrival_s`` of the requests in its completed and rejected
-        records, platform tracks and ``platform_energy_j`` come from
+        its ledger's event log is walked in order, request spans start
+        at the ``arrival_s`` of its completed and rejected records,
+        platform tracks and ``platform_energy_j`` come from
         ``report.platforms``, and every span still open closes at
         ``max(horizon_s, latest event time)``.  Two inputs are not in
         the ledger, so the caller passes them: ``tick_errors``, the
@@ -311,8 +311,9 @@ class Instrumentation:
         ``prewarm_misses``) behind ``engine_executes_total`` and
         ``engine_prewarms_total``.
         """
-        replay = _LedgerReplay(self, report)
-        for event in report.events:
+        ledger = report.ledger
+        replay = _LedgerReplay(self, report.platforms, ledger)
+        for event in ledger.records("events"):
             getattr(replay, "on_" + event.kind)(event)
         for histogram, samples in replay.samples.items():
             histogram.observe_many(samples)
@@ -329,7 +330,7 @@ class Instrumentation:
             if counts.get(key):
                 self._counter(name, **labels).inc(counts[key])
         replay.close(
-            max([report.horizon_s] + [e.time_s for e in report.events])
+            max([report.horizon_s] + [row[3] for row in ledger.event_rows()])
         )
 
     # -- engine hook bus -------------------------------------------------
@@ -453,7 +454,7 @@ class _LedgerReplay:
     in as rows (:meth:`Tracer.open_row`): an open span is a tuple.
     """
 
-    def __init__(self, obs: Instrumentation, report) -> None:
+    def __init__(self, obs: Instrumentation, platforms, ledger) -> None:
         tracer = obs.tracer
         self.open = tracer.open_row
         self.close_row = tracer.close_row
@@ -464,12 +465,15 @@ class _LedgerReplay:
         #: Each histogram series' samples in walk order, observed in
         #: one go when the walk ends.
         self.samples: Dict[Histogram, List[float]] = {}
-        self.requests = {
-            record.request.rid: record.request
-            for records in (report.completed, report.rejected)
-            for record in records
+        #: ``(arrival_s, tenant name, deadline_s)`` per terminal rid.
+        self.requests: Dict[int, tuple] = {
+            rid: (arrival, tenant.name, arrival + tenant.requirement.unusable_s)
+            for columns in (ledger.columns("completed"), ledger.columns("rejected"))
+            for rid, arrival, tenant in zip(
+                columns["rid"], columns["arrival_s"], columns["tenant_obj"]
+            )
         }
-        names = sorted(stats.platform for stats in report.platforms)
+        names = sorted(stats.platform for stats in platforms)
         shard_keys = () if obs.shard is None else ("shard",)
         shard = () if obs.shard is None else (obs.shard,)
         self.run = self.open(
@@ -512,10 +516,9 @@ class _LedgerReplay:
 
     # -- requests --------------------------------------------------------
     def _begin_request(self, rid: int) -> tuple:
-        request = self.requests[rid]
+        arrival_s, tenant, _deadline_s = self.requests[rid]
         return self.open(
-            "request", request.arrival_s, self.run, ("rid", "tenant"),
-            (rid, request.tenant.name),
+            "request", arrival_s, self.run, ("rid", "tenant"), (rid, tenant)
         )
 
     def _request_span(self, rid: int) -> tuple:
@@ -628,13 +631,13 @@ class _LedgerReplay:
         keys = ("outcome", "platform", "level")
         values = ("completed", platform, level)
         for rid in event.request_ids:
-            request = self.requests[rid]
+            arrival_s, _tenant, deadline_s = self.requests[rid]
             span = self.open_requests.pop(rid, None)
             if span is not None:
                 self.close_row(span, time_s, keys, values)
             completed.inc()
-            latency.append(time_s - request.arrival_s)
-            slack.append(request.deadline_s - time_s)
+            latency.append(time_s - arrival_s)
+            slack.append(deadline_s - time_s)
 
     def on_batch_failed(self, event) -> None:
         self._close_batch(event.platform, event.time_s, "failed")

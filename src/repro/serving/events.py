@@ -2,11 +2,13 @@
 
 Every decision the router takes -- admission, rejection, dispatch,
 degradation moves, completions, and the engine's compile/cache
-activity it observes through the hook bus -- lands here as one
+activity it observes through the hook bus -- is one
 :class:`RouterEvent` with a simulated timestamp and a monotone
 sequence number.  The log is the router's audit trail: reports are
 aggregations over it plus the completion records, and the determinism
-guarantee is asserted by fingerprinting it.
+guarantee is asserted by fingerprinting it.  A report keeps its log as
+rows in its :class:`~repro.serving.ledger.Ledger` and builds an
+:class:`EventLog` only when a caller reads ``report.events``.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ class EventLog:
 
     def __init__(self, events: Sequence[RouterEvent] = ()) -> None:
         """An empty log, or one holding ``events`` as they are (already
-        numbered ``0..n-1``; :meth:`from_events` renumbers copies)."""
+        numbered ``0..n-1``)."""
         self._events: List[RouterEvent] = list(events)
         unknown = [e.kind for e in self._events if e.kind not in self.KINDS]
         if unknown:
@@ -117,31 +119,6 @@ class EventLog:
         )
         self._events.append(event)
         return event
-
-    @classmethod
-    def from_events(cls, events: "Sequence[RouterEvent]") -> "EventLog":
-        """Rebuild a log from existing events, renumbering sequence ids.
-
-        The merge/qualification paths construct transformed copies of
-        events from several logs; this re-bases their ``seq`` numbers
-        onto one monotone sequence in the order given (which the
-        caller must have made deterministic).
-        """
-        log = cls()
-        for event in events:
-            cls._check_kind(event.kind)
-            log._events.append(
-                RouterEvent(
-                    seq=len(log._events),
-                    time_s=event.time_s,
-                    kind=event.kind,
-                    tenant=event.tenant,
-                    platform=event.platform,
-                    request_ids=tuple(event.request_ids),
-                    detail=dict(event.detail),
-                )
-            )
-        return log
 
     def __len__(self) -> int:
         return len(self._events)

@@ -6,9 +6,10 @@ rejection-rate, per-platform utilization / energy / degradation
 profile, and the full event log.  ``to_dict`` / ``to_json`` give a
 stable plain-data schema, and :meth:`RouterReport.fingerprint` hashes
 the canonical JSON -- the determinism guarantee ("bit-identical runs")
-is asserted by comparing fingerprints.  Counts, aggregates and the
-fingerprint read the per-request records as columns, so a report that
-keeps its records as columns never builds them as objects for these.
+is asserted by comparing fingerprints.  Records and events live in the
+report's :class:`~repro.serving.ledger.Ledger`, whose columns and rows
+every count, aggregate, export, merge and fingerprint reads; the
+``completed`` / ``rejected`` / ``events`` lists are built on request.
 """
 
 from __future__ import annotations
@@ -16,16 +17,13 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import Counter
-from dataclasses import dataclass, field, replace
-from operator import attrgetter
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, field, fields
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.satisfaction import SoCBreakdown
 from repro.obs.instrument import cache_neutral_obs_section, merge_obs_sections
 from repro.obs.metrics import linear_percentile, ordered_sum
 from repro.serving.canonical import write_report
-from repro.serving.events import EventLog, RouterEvent
-from repro.serving.request import Request
+from repro.serving.ledger import CompletedRequest, Ledger, RejectedRequest
 
 __all__ = [
     "CompletedRequest",
@@ -35,116 +33,6 @@ __all__ = [
     "ResilienceStats",
     "RouterReport",
 ]
-
-
-@dataclass(frozen=True)
-class CompletedRequest:
-    """One served request's end-to-end accounting."""
-
-    request: Request
-    platform: str
-    level: int
-    batch: int
-    start_s: float
-    finish_s: float
-    entropy: float
-    soc: SoCBreakdown
-
-    @property
-    def latency_s(self) -> float:
-        """Arrival to batch completion."""
-        return self.finish_s - self.request.arrival_s
-
-    @property
-    def deadline_hit(self) -> bool:
-        """Whether the tenant's hard deadline was met."""
-        return self.finish_s <= self.request.deadline_s
-
-    def to_dict(self) -> dict:
-        """Plain-data view."""
-        return {
-            "rid": self.request.rid,
-            "tenant": self.request.tenant.name,
-            "platform": self.platform,
-            "level": self.level,
-            "batch": self.batch,
-            "arrival_s": self.request.arrival_s,
-            "start_s": self.start_s,
-            "finish_s": self.finish_s,
-            "latency_s": self.latency_s,
-            "deadline_hit": self.deadline_hit,
-            "entropy": self.entropy,
-            "soc": self.soc.value,
-            "soc_time": self.soc.soc_time,
-            "soc_accuracy": self.soc.soc_accuracy,
-        }
-
-
-@dataclass(frozen=True)
-class RejectedRequest:
-    """One request the router explicitly turned away.
-
-    ``reason`` is ``"saturated"`` or ``"infeasible"`` from admission
-    control; under fault injection it may also be ``"failed"`` (batch
-    execution failed, retries disabled), ``"retries-exhausted"`` (the
-    retry budget ran dry), ``"outage"`` (the platform died and no
-    failover target would take the request) or ``"stranded"`` (still
-    queued when the simulation drained -- the zero-loss backstop).
-    """
-
-    request: Request
-    reason: str
-
-    def to_dict(self) -> dict:
-        """Plain-data view."""
-        return {
-            "rid": self.request.rid,
-            "tenant": self.request.tenant.name,
-            "arrival_s": self.request.arrival_s,
-            "reason": self.reason,
-        }
-
-
-#: Column name (``to_dict`` keys + ``priority``) -> path on a record.
-_COMPLETED_PATHS = dict(
-    rid="request.rid", tenant="request.tenant.name",
-    priority="request.tenant.priority", platform="platform", level="level",
-    batch="batch", arrival_s="request.arrival_s", start_s="start_s",
-    finish_s="finish_s", latency_s="latency_s", deadline_hit="deadline_hit",
-    entropy="entropy", soc="soc.value", soc_time="soc.soc_time",
-    soc_accuracy="soc.soc_accuracy",
-)
-_REJECTED_PATHS = dict(
-    rid="request.rid", tenant="request.tenant.name",
-    priority="request.tenant.priority", arrival_s="request.arrival_s",
-    reason="reason",
-)
-
-
-class _Columns(dict):
-    """One section's records as ``{name: column}`` in record order,
-    each column read off the records on first use."""
-
-    def __init__(self, records: Sequence, paths: Mapping[str, str]) -> None:
-        super().__init__()
-        self.records = records
-        self.paths = paths
-
-    def __missing__(self, name: str) -> list:
-        getter = attrgetter(self.paths[name])
-        column = self[name] = list(map(getter, self.records))
-        return column
-
-
-def event_row(event: RouterEvent) -> tuple:
-    """One event as the canonical writer's row: ``(kind, detail keys,
-    detail values, time_s, tenant, platform, request_ids)``."""
-    detail = event.detail
-    keys = tuple(sorted(detail))
-    return (
-        event.kind, keys, tuple(map(detail.__getitem__, keys)),
-        event.time_s, event.tenant, event.platform, event.request_ids,
-    )
 
 
 @dataclass(frozen=True)
@@ -209,19 +97,7 @@ class PlatformStats:
 
     def to_dict(self) -> dict:
         """Plain-data view."""
-        return {
-            "platform": self.platform,
-            "gpu": self.gpu,
-            "batches": self.batches,
-            "requests": self.requests,
-            "busy_s": self.busy_s,
-            "utilization": self.utilization,
-            "energy_j": self.energy_j,
-            "mean_level": self.mean_level,
-            "peak_level": self.peak_level,
-            "final_level": self.final_level,
-            "failed_batches": self.failed_batches,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -274,43 +150,40 @@ class ResilienceStats:
             if episodes
             else 0.0
         )
-        return cls(
-            faults_injected=sum(s.faults_injected for s in stats),
-            outages=sum(s.outages for s in stats),
-            mttr_s=mttr_s,
-            mttr_episodes=episodes,
-            batch_failures=sum(s.batch_failures for s in stats),
-            retries=sum(s.retries for s in stats),
-            failovers=sum(s.failovers for s in stats),
-            requests_rescued=sum(s.requests_rescued for s in stats),
-            breaker_opens=sum(s.breaker_opens for s in stats),
-            breaker_closes=sum(s.breaker_closes for s in stats),
-        )
+        return cls(mttr_s=mttr_s, mttr_episodes=episodes, **{
+            name: sum(getattr(s, name) for s in stats)
+            for name in _COUNTERS
+        })
 
     def to_dict(self) -> dict:
         """Plain-data view with a stable key order."""
-        return {
-            "faults_injected": self.faults_injected,
-            "outages": self.outages,
-            "mttr_s": self.mttr_s,
-            "mttr_episodes": self.mttr_episodes,
-            "batch_failures": self.batch_failures,
-            "retries": self.retries,
-            "failovers": self.failovers,
-            "requests_rescued": self.requests_rescued,
-            "breaker_opens": self.breaker_opens,
-            "breaker_closes": self.breaker_closes,
-        }
+        return asdict(self)
+
+
+#: The :class:`ResilienceStats` fields that merge as plain sums.
+_COUNTERS = [
+    spec.name for spec in fields(ResilienceStats)
+    if spec.name not in ("mttr_s", "mttr_episodes")
+]
+
+
+def _section(name: str) -> property:
+    """One record section of a report as a list: built from the ledger
+    on first read, authoritative from then on; assigning one replaces
+    it in a copy of the ledger, as assigning a field would."""
+
+    def assign(report, value) -> None:
+        report.ledger = report.ledger.replaced(**{name: value})
+
+    return property(lambda report: report.ledger.build(name), assign)
 
 
 @dataclass
 class RouterReport:
-    """Aggregate outcome of one routing run."""
+    """Aggregate outcome of one routing run: built from a ``ledger=``
+    (a router run, merge or transform) or from record lists."""
 
-    completed: List[CompletedRequest] = field(default_factory=list)
-    rejected: List[RejectedRequest] = field(default_factory=list)
     platforms: List[PlatformStats] = field(default_factory=list)
-    events: EventLog = field(default_factory=EventLog)
     #: Simulated end of the run (last completion, or last arrival).
     horizon_s: float = 0.0
     #: Recovery metrics of a fault-injected run (None on clean runs).
@@ -333,22 +206,27 @@ class RouterReport:
     merged_from: Optional[Tuple["RouterReport", ...]] = field(
         default=None, repr=False, compare=False
     )
+    #: The completed and rejected records and the event log.
+    ledger: Ledger = field(default_factory=Ledger, repr=False)
 
-    # -- the records as data --------------------------------------------
-    def _completed_columns(self) -> Mapping[str, list]:
-        """The completed records as ``{name: column}``."""
-        return _Columns(self.completed, _COMPLETED_PATHS)
+    completed = _section("completed")
+    rejected = _section("rejected")
+    events = _section("events")
 
-    def _rejected_columns(self) -> Mapping[str, list]:
-        """The rejected records as ``{name: column}``."""
-        return _Columns(self.rejected, _REJECTED_PATHS)
-
-    def _event_rows(self) -> Iterable[tuple]:
-        """The event log as :func:`event_row` rows, in order."""
-        return map(event_row, self.events)
-
-    def _event_counts(self) -> Dict[str, int]:
-        return self.events.counts
+    def __init__(
+        self, completed=None, rejected=None, platforms=None, events=None,
+        horizon_s=0.0, resilience=None, obs=None, control=None,
+        merged_from=None, ledger=None,
+    ) -> None:
+        self.platforms = [] if platforms is None else platforms
+        self.horizon_s = horizon_s
+        self.resilience = resilience
+        self.obs = obs
+        self.control = control
+        self.merged_from = merged_from
+        self.ledger = (ledger or Ledger()).replaced(
+            completed=completed, rejected=rejected, events=events
+        )
 
     # -- fleet-level views ----------------------------------------------
     @property
@@ -359,17 +237,17 @@ class RouterReport:
     @property
     def n_completed(self) -> int:
         """Requests served to completion."""
-        return len(self._completed_columns()["rid"])
+        return self.ledger.count("completed")
 
     @property
     def n_rejected(self) -> int:
         """Requests turned away by admission control."""
-        return len(self._rejected_columns()["rid"])
+        return self.ledger.count("rejected")
 
     @property
     def deadline_hits(self) -> int:
         """Completions inside their tenant's hard deadline."""
-        return sum(self._completed_columns()["deadline_hit"])
+        return sum(self.ledger.columns("completed")["deadline_hit"])
 
     @property
     def deadline_hit_rate(self) -> float:
@@ -388,7 +266,7 @@ class RouterReport:
     @property
     def mean_soc(self) -> float:
         """Mean SoC over completed requests."""
-        values = self._completed_columns()["soc"]
+        values = self.ledger.columns("completed")["soc"]
         return ordered_sum(values) / len(values) if values else 0.0
 
     @property
@@ -406,27 +284,26 @@ class RouterReport:
         linearly interpolated -- delegated to
         :func:`repro.obs.metrics.linear_percentile`, the same edge
         conventions ``ServerReport.percentile`` uses."""
-        return linear_percentile(self._completed_columns()["latency_s"], q)
+        return linear_percentile(self.ledger.columns("completed")["latency_s"], q)
 
     # -- per-tenant aggregation -----------------------------------------
     def per_tenant(self) -> List[TenantStats]:
         """Tenant aggregates, sorted by tenant name (a tenant's
         priority is its first completed, else first rejected, record's)."""
-        done = self._completed_columns()
-        turned_away = self._rejected_columns()
+        done = self.ledger.columns("completed")
+        turned_away = self.ledger.columns("rejected")
         rows_of: Dict[str, List[int]] = {}
         for index, name in enumerate(done["tenant"]):
-            rows = rows_of.get(name)
-            if rows is None:
-                rows = rows_of[name] = []
-            rows.append(index)
+            rows_of.setdefault(name, []).append(index)
         rejected_of = Counter(turned_away["tenant"])
-        hits, soc_values = done["deadline_hit"], done["soc"]
-        latencies = done["latency_s"]
+
+        def mean(column: str, rows: List[int]) -> float:
+            values = list(map(done[column].__getitem__, rows))
+            return ordered_sum(values) / len(rows) if rows else 0.0
+
         stats = []
         for name in sorted(rejected_of.keys() | rows_of.keys()):
             rows = rows_of.get(name, [])
-            served = len(rows)
             priority = (
                 done["priority"][rows[0]]
                 if rows
@@ -434,26 +311,16 @@ class RouterReport:
                     turned_away["tenant"].index(name)
                 ]
             )
-            stats.append(
-                TenantStats(
-                    tenant=name,
-                    priority=priority,
-                    offered=served + rejected_of[name],
-                    completed=served,
-                    rejected=rejected_of[name],
-                    deadline_hits=sum([hits[i] for i in rows]),
-                    mean_soc=(
-                        ordered_sum([soc_values[i] for i in rows]) / served
-                        if served
-                        else 0.0
-                    ),
-                    mean_latency_s=(
-                        ordered_sum([latencies[i] for i in rows]) / served
-                        if served
-                        else 0.0
-                    ),
-                )
-            )
+            stats.append(TenantStats(
+                tenant=name,
+                priority=priority,
+                offered=len(rows) + rejected_of[name],
+                completed=len(rows),
+                rejected=rejected_of[name],
+                deadline_hits=sum(map(done["deadline_hit"].__getitem__, rows)),
+                mean_soc=mean("soc", rows),
+                mean_latency_s=mean("latency_s", rows),
+            ))
         return stats
 
     def tenant(self, name: str) -> TenantStats:
@@ -508,53 +375,8 @@ class RouterReport:
             leaves.extend(report.merged_from or (report,))
         leaves.sort(key=lambda leaf: leaf.fingerprint())
 
-        # Global rid assignment over every terminal record: a stable
-        # sort by (arrival, tenant) with ties resolved by canonical
-        # leaf order, then local rid order.
-        rid_maps: List[Dict[int, int]] = [{} for _ in leaves]
-        keyed: List[Tuple[float, str, int, int]] = []
-        for index, leaf in enumerate(leaves):
-            requests = sorted(
-                [record.request for record in leaf.completed]
-                + [record.request for record in leaf.rejected],
-                key=lambda request: request.rid,
-            )
-            for request in requests:
-                keyed.append(
-                    (request.arrival_s, request.tenant.name, index, request.rid)
-                )
-        keyed.sort(key=lambda item: (item[0], item[1]))
-        for new_rid, (_arrival, _tenant, index, old_rid) in enumerate(keyed):
-            if old_rid in rid_maps[index]:
-                raise ValueError(
-                    "request id %d appears twice in one merged report"
-                    % (old_rid,)
-                )
-            rid_maps[index][old_rid] = new_rid
-
-        def renumber(index: int, record):
-            request = record.request
-            return replace(
-                record,
-                request=replace(request, rid=rid_maps[index][request.rid]),
-            )
-
-        completed = [
-            renumber(index, record)
-            for index, leaf in enumerate(leaves)
-            for record in leaf.completed
-        ]
-        completed.sort(key=lambda record: record.request.rid)
-        rejected = [
-            renumber(index, record)
-            for index, leaf in enumerate(leaves)
-            for record in leaf.rejected
-        ]
-        rejected.sort(key=lambda record: record.request.rid)
-
         horizon_s = max(leaf.horizon_s for leaf in leaves)
         platforms = cls._merge_platforms(leaves, horizon_s)
-        events = cls._merge_events(leaves, rid_maps)
         stats = [
             leaf.resilience for leaf in leaves if leaf.resilience is not None
         ]
@@ -568,15 +390,13 @@ class RouterReport:
             cls._merge_control_sections(controls) if controls else None
         )
         return cls(
-            completed=completed,
-            rejected=rejected,
             platforms=platforms,
-            events=events,
             horizon_s=horizon_s,
             resilience=resilience,
             obs=obs,
             control=control,
             merged_from=tuple(leaves),
+            ledger=Ledger.merged([leaf.ledger for leaf in leaves]),
         )
 
     @staticmethod
@@ -608,34 +428,22 @@ class RouterReport:
             section.get("mean_abs_error_rps", 0.0) * section.get("ticks", 0)
             for section in sections
         )
-        tenants: Dict[str, dict] = {}
+        tenants: Dict[str, List[dict]] = {}
         for section in sections:
             for name, stats in section.get("tenants", {}).items():
-                agg = tenants.setdefault(
-                    name,
-                    {"observations": 0, "rate_sum": 0.0, "mae_sum": 0.0},
+                tenants.setdefault(name, []).append(stats)
+        merged_tenants = {}
+        for name in sorted(tenants):
+            rows = tenants[name]
+            observations = sum(stats["observations"] for stats in rows)
+            merged_tenants[name] = {"observations": observations}
+            for key in ("mean_rate_rps", "mae_rps"):
+                weighted = ordered_sum(
+                    (stats[key] * stats["observations"] for stats in rows), 0.0
                 )
-                agg["observations"] += stats["observations"]
-                agg["rate_sum"] += (
-                    stats["mean_rate_rps"] * stats["observations"]
+                merged_tenants[name][key] = (
+                    weighted / observations if observations else 0.0
                 )
-                agg["mae_sum"] += stats["mae_rps"] * stats["observations"]
-        merged_tenants = {
-            name: {
-                "observations": agg["observations"],
-                "mean_rate_rps": (
-                    agg["rate_sum"] / agg["observations"]
-                    if agg["observations"]
-                    else 0.0
-                ),
-                "mae_rps": (
-                    agg["mae_sum"] / agg["observations"]
-                    if agg["observations"]
-                    else 0.0
-                ),
-            }
-            for name, agg in sorted(tenants.items())
-        }
         return {
             "kind": sections[0]["kind"],
             "tick_s": sections[0]["tick_s"],
@@ -643,18 +451,11 @@ class RouterReport:
             "ticks": ticks,
             "mean_abs_error_rps": error_weighted / ticks if ticks else 0.0,
             "prewarm": {
-                key: sum(
-                    section.get("prewarm", {}).get(key, 0)
-                    for section in sections
-                )
+                key: sum(s.get("prewarm", {}).get(key, 0) for s in sections)
                 for key in ("requested", "hits", "misses")
             },
-            "degrades": sum(
-                section.get("degrades", 0) for section in sections
-            ),
-            "dvfs_moves": sum(
-                section.get("dvfs_moves", 0) for section in sections
-            ),
+            "degrades": sum(s.get("degrades", 0) for s in sections),
+            "dvfs_moves": sum(s.get("dvfs_moves", 0) for s in sections),
             "tenants": merged_tenants,
         }
 
@@ -666,87 +467,38 @@ class RouterReport:
         and mean level re-derived against the merged horizon/batch
         count).  Shard-qualified platform names never collide, but
         same-name folding is supported for unqualified merges."""
-        by_name: Dict[str, dict] = {}
+        by_name: Dict[str, List[PlatformStats]] = {}
         for leaf in leaves:
             for stats in leaf.platforms:
-                agg = by_name.get(stats.platform)
-                if agg is None:
-                    by_name[stats.platform] = agg = {
-                        "gpu": stats.gpu,
-                        "batches": 0,
-                        "requests": 0,
-                        "busy_s": 0.0,
-                        "energy_j": 0.0,
-                        "level_batches": 0.0,
-                        "peak_level": 0,
-                        "final_level": 0,
-                        "failed_batches": 0,
-                    }
-                elif agg["gpu"] != stats.gpu:
+                rows = by_name.setdefault(stats.platform, [])
+                if rows and rows[0].gpu != stats.gpu:
                     raise ValueError(
                         "platform %r maps to GPU %r in one report and %r "
-                        "in another" % (stats.platform, agg["gpu"], stats.gpu)
+                        "in another" % (stats.platform, rows[0].gpu, stats.gpu)
                     )
-                agg["batches"] += stats.batches
-                agg["requests"] += stats.requests
-                agg["busy_s"] += stats.busy_s
-                agg["energy_j"] += stats.energy_j
-                agg["level_batches"] += stats.mean_level * stats.batches
-                agg["peak_level"] = max(agg["peak_level"], stats.peak_level)
-                agg["final_level"] = max(agg["final_level"], stats.final_level)
-                agg["failed_batches"] += stats.failed_batches
+                rows.append(stats)
         merged = []
         for name in sorted(by_name):
-            agg = by_name[name]
-            merged.append(
-                PlatformStats(
-                    platform=name,
-                    gpu=agg["gpu"],
-                    batches=agg["batches"],
-                    requests=agg["requests"],
-                    busy_s=agg["busy_s"],
-                    utilization=(
-                        agg["busy_s"] / horizon_s if horizon_s > 0 else 0.0
-                    ),
-                    energy_j=agg["energy_j"],
-                    mean_level=(
-                        agg["level_batches"] / agg["batches"]
-                        if agg["batches"]
-                        else 0.0
-                    ),
-                    peak_level=agg["peak_level"],
-                    final_level=agg["final_level"],
-                    failed_batches=agg["failed_batches"],
-                )
+            rows = by_name[name]
+            batches = sum(stats.batches for stats in rows)
+            busy_s = ordered_sum((stats.busy_s for stats in rows), 0.0)
+            level_batches = ordered_sum(
+                (stats.mean_level * stats.batches for stats in rows), 0.0
             )
+            merged.append(PlatformStats(
+                platform=name,
+                gpu=rows[0].gpu,
+                batches=batches,
+                requests=sum(stats.requests for stats in rows),
+                busy_s=busy_s,
+                utilization=busy_s / horizon_s if horizon_s > 0 else 0.0,
+                energy_j=ordered_sum((stats.energy_j for stats in rows), 0.0),
+                mean_level=level_batches / batches if batches else 0.0,
+                peak_level=max([0] + [stats.peak_level for stats in rows]),
+                final_level=max([0] + [stats.final_level for stats in rows]),
+                failed_batches=sum(stats.failed_batches for stats in rows),
+            ))
         return merged
-
-    @staticmethod
-    def _merge_events(
-        leaves: "Sequence[RouterReport]",
-        rid_maps: "Sequence[Dict[int, int]]",
-    ) -> EventLog:
-        """Interleave leaf event logs by (time, leaf, local seq) --
-        per-leaf causal order survives -- remapping request ids onto
-        the merged numbering."""
-        entries: List[Tuple[float, int, int, RouterEvent]] = []
-        for index, leaf in enumerate(leaves):
-            for event in leaf.events:
-                entries.append((event.time_s, index, event.seq, event))
-        entries.sort(key=lambda item: (item[0], item[1], item[2]))
-        merged: List[RouterEvent] = []
-        for _time_s, index, _seq, event in entries:
-            try:
-                request_ids = tuple(
-                    rid_maps[index][rid] for rid in event.request_ids
-                )
-            except KeyError as error:
-                raise ValueError(
-                    "event %r references request id %s with no terminal "
-                    "record in its report" % (event.kind, error)
-                ) from None
-            merged.append(replace(event, request_ids=request_ids))
-        return EventLog.from_events(merged)
 
     # -- export ----------------------------------------------------------
     def to_dict(
@@ -772,7 +524,7 @@ class RouterReport:
             },
             "tenants": [stats.to_dict() for stats in self.per_tenant()],
             "platforms": [stats.to_dict() for stats in self.platforms],
-            "event_counts": self._event_counts(),
+            "event_counts": self.ledger.event_counts(),
         }
         if self.resilience is not None:
             data["resilience"] = self.resilience.to_dict()
@@ -780,11 +532,12 @@ class RouterReport:
             data["obs"] = self.obs
         if self.control is not None:
             data["control"] = self.control
+        records = self.ledger.records
         if include_events:
-            data["events"] = self.events.to_dicts()
+            data["events"] = [event.to_dict() for event in records("events")]
         if include_requests:
-            data["completed"] = [r.to_dict() for r in self.completed]
-            data["rejected"] = [r.to_dict() for r in self.rejected]
+            data["completed"] = [r.to_dict() for r in records("completed")]
+            data["rejected"] = [r.to_dict() for r in records("rejected")]
         return data
 
     def to_json(self, **kwargs) -> str:
@@ -830,9 +583,9 @@ class RouterReport:
             head["control"] = control
         payload = write_report(
             head,
-            self._completed_columns(),
-            self._rejected_columns(),
-            self._event_rows(),
+            self.ledger.columns("completed"),
+            self.ledger.columns("rejected"),
+            self.ledger.event_rows(),
             self._CACHE_KINDS,
         )
         return hashlib.sha1(payload.encode("ascii")).hexdigest()

@@ -173,8 +173,8 @@ class ArrivalColumns:
         self.arrivals_list = self.arrivals.tolist()
         self.tenant_index_list = self.tenant_index.tolist()
         self.has_deadline_list = np.isfinite(self.deadlines).tolist()
-        # The difficulty mirror is off the admission hot path (report
-        # assembly) and builds on first use.
+        # The difficulty mirror is off the admission hot path and
+        # builds on first use.
         self._difficulty_list: Optional[List[float]] = None
         self._requests: List[Optional[Request]] = [None] * self.n
 

@@ -236,7 +236,7 @@ class RequestRouter:
 
         Every run takes the columnar loop,
         :func:`repro.serving.vec_router.run_columnar`, whose report
-        materializes its per-request lists lazily.
+        keeps its records and events in a ledger of columns and rows.
         """
         before = self._engine_activity()
         report = run_columnar(self, loads, faults, controller)

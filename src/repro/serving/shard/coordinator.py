@@ -41,7 +41,7 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,7 +57,7 @@ from repro.resilience import (
     SupervisorConfig,
     merge_records,
 )
-from repro.serving.report import RejectedRequest, RouterReport
+from repro.serving.report import RouterReport
 from repro.serving.request import Tenant, TenantLoad
 from repro.serving.router import RouterConfig
 from repro.serving.shard.merge import (
@@ -278,7 +278,7 @@ class FleetCoordinator:
             for result in results
         ]
         if dead:
-            reports = self._strip_rehomed(reports, dead)
+            reports = self._strip_rehomed(reports)
         if self.n_shards > 1:
             reports = [
                 qualify_report(report, shard_id)
@@ -468,10 +468,10 @@ class FleetCoordinator:
         report counts each request exactly once.
         """
         self._stranded_by_shard: Dict[int, List[int]] = {}
-        outage: Dict[int, List[RejectedRequest]] = {}
+        outage: Dict[int, Mapping[str, list]] = {}
         for shard_id, result in enumerate(results):
             if result is not None and self._is_dead(result.report):
-                outage[shard_id] = list(result.report.rejected)
+                outage[shard_id] = result.report.ledger.columns("rejected")
         dead = sorted(outage)
         healthy = [
             shard_id
@@ -481,36 +481,30 @@ class FleetCoordinator:
         if not dead or not healthy:
             return results, records, 0, dead, None
         target = self._least_busy(healthy, results)
-        stranded = [
-            record for shard_id in dead for record in outage[shard_id]
-        ]
-        target_spec = _fold_loads(specs[target], _stranded_loads(stranded))
+        target_spec = _fold_loads(
+            specs[target],
+            _stranded_loads([outage[shard_id] for shard_id in dead]),
+        )
         result, records = self._run_single(target_spec, records, "failover")
         results = list(results)
         results[target] = result
         specs[target] = target_spec
         self._stranded_by_shard = {
-            shard_id: [
-                record.request.rid for record in outage[shard_id]
-            ]
-            for shard_id in dead
+            shard_id: list(outage[shard_id]["rid"]) for shard_id in dead
         }
         rehomed = sum(
             len(rids) for rids in self._stranded_by_shard.values()
         )
         return results, records, rehomed, dead, target
 
-    def _strip_rehomed(
-        self, reports: List[RouterReport], dead: List[int]
-    ) -> List[RouterReport]:
+    def _strip_rehomed(self, reports: List[RouterReport]) -> List[RouterReport]:
         """Erase re-homed request ids from dead shards' ledgers."""
-        stripped = []
-        for shard_id, report in enumerate(reports):
-            rids = self._stranded_by_shard.get(shard_id, ())
-            stripped.append(
-                strip_requests(report, rids) if rids else report
-            )
-        return stripped
+        return [
+            strip_requests(report, self._stranded_by_shard[shard_id])
+            if shard_id in self._stranded_by_shard
+            else report
+            for shard_id, report in enumerate(reports)
+        ]
 
     @staticmethod
     def _is_dead(report: RouterReport) -> bool:
@@ -522,14 +516,14 @@ class FleetCoordinator:
         arrives leaves no request in flight to tag with ``outage``,
         so its casualties surface as plain admission rejects.
         """
-        reasons = {record.reason for record in report.rejected}
+        reasons = set(report.ledger.columns("rejected")["reason"])
         if reasons.intersection(DEAD_SHARD_REASONS):
             return True
         resilience = report.resilience
         return (
             resilience is not None
             and resilience.outages > 0
-            and bool(report.rejected)
+            and report.n_rejected > 0
         )
 
     # -- supervision surfacing -------------------------------------------
@@ -615,21 +609,29 @@ def _fold_loads(spec: ShardSpec, extra: Sequence[TenantLoad]) -> ShardSpec:
     return replace(spec, loads=tuple(loads))
 
 
-def _stranded_loads(stranded: Sequence[RejectedRequest]) -> List[TenantLoad]:
-    """Stranded requests regrouped by tenant (in name order) into
-    fresh traces with their original arrivals and difficulties."""
+def _stranded_loads(
+    stranded: Sequence[Mapping[str, list]],
+) -> List[TenantLoad]:
+    """Stranded requests -- each dead shard's rejected records as
+    columns -- regrouped by tenant (in name order) into fresh traces
+    with their original arrivals and difficulties."""
     tenants: Dict[str, Tenant] = {}
-    grouped: Dict[str, List] = {}
-    for record in stranded:
-        request = record.request
-        tenants[request.tenant.name] = request.tenant
-        grouped.setdefault(request.tenant.name, []).append(request)
+    grouped: Dict[str, List[tuple]] = {}
+    for columns in stranded:
+        for rid, tenant, arrival_s, difficulty in zip(
+            columns["rid"], columns["tenant_obj"], columns["arrival_s"],
+            columns["difficulty"],
+        ):
+            tenants[tenant.name] = tenant
+            grouped.setdefault(tenant.name, []).append(
+                (arrival_s, rid, difficulty)
+            )
     loads = []
     for name in sorted(grouped):
-        requests = sorted(grouped[name], key=lambda r: (r.arrival_s, r.rid))
+        requests = sorted(grouped[name], key=lambda row: (row[0], row[1]))
         trace = RequestTrace(
-            arrivals_s=np.array([r.arrival_s for r in requests], dtype=float),
-            difficulty=np.array([r.difficulty for r in requests], dtype=float),
+            arrivals_s=np.array([row[0] for row in requests], dtype=float),
+            difficulty=np.array([row[2] for row in requests], dtype=float),
         )
         loads.append(TenantLoad(tenants[name], trace))
     return loads

@@ -16,28 +16,23 @@ Three transforms bridge worker-local reports into one global ledger:
 
 All three are pure functions over plain report data; they introduce
 no ordering of their own beyond shard-id order, so the coordinator's
-output is a deterministic function of the shard results.
+output is a deterministic function of the shard results.  The first
+two are column and row transforms over the report's
+:class:`~repro.serving.ledger.Ledger` and build no record objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 from typing import Iterable, List, Optional, Sequence
 
 from repro.obs.span import Span, TraceBuffer
-from repro.serving.events import EventLog
 from repro.serving.report import RouterReport
 from repro.serving.shard.planner import shard_platform
 from repro.serving.shard.worker import ShardResult
 
 __all__ = ["qualify_report", "stitch_spans", "strip_requests"]
-
-#: Event-detail keys whose values name platforms and must be
-#: re-qualified alongside the event's own ``platform`` field
-#: (failover events carry ``origin``; stranded rejects carry
-#: ``platform`` in the detail because the event-level field names the
-#: rescue target).
-_PLATFORM_DETAIL_KEYS = ("origin", "platform")
 
 
 def qualify_report(report: RouterReport, shard_id: int) -> RouterReport:
@@ -45,38 +40,19 @@ def qualify_report(report: RouterReport, shard_id: int) -> RouterReport:
     qualified as ``s<shard_id>/<platform>``.
 
     Touches platform stats rows, completed-request placements, and
-    events (both the ``platform`` field and the platform-valued detail
-    keys).  Rejected records carry no platform and pass through.
+    events: the event-level ``platform`` field (a stranded reject
+    names its platform there) and a failover's or outage reject's
+    ``origin`` detail.  Rejected records carry no platform and pass
+    through.
     """
-    completed = [
-        replace(record, platform=shard_platform(shard_id, record.platform))
-        for record in report.completed
-    ]
-    platforms = [
-        replace(stats, platform=shard_platform(shard_id, stats.platform))
-        for stats in report.platforms
-    ]
-    events = []
-    for event in report.events:
-        detail = dict(event.detail)
-        for key in _PLATFORM_DETAIL_KEYS:
-            if key in detail:
-                detail[key] = shard_platform(shard_id, str(detail[key]))
-        platform = event.platform
-        if platform is not None:
-            platform = shard_platform(shard_id, platform)
-        events.append(
-            replace(event, platform=platform, detail=detail)
-        )
-    return RouterReport(
-        completed=completed,
-        rejected=list(report.rejected),
-        platforms=platforms,
-        events=EventLog.from_events(events),
-        horizon_s=report.horizon_s,
-        resilience=report.resilience,
-        obs=report.obs,
-        control=report.control,
+    return replace(
+        report,
+        platforms=[
+            replace(stats, platform=shard_platform(shard_id, stats.platform))
+            for stats in report.platforms
+        ],
+        merged_from=None,
+        ledger=report.ledger.renamed(partial(shard_platform, shard_id)),
     )
 
 
@@ -96,31 +72,11 @@ def strip_requests(report: RouterReport, rids: Iterable[int]) -> RouterReport:
     gone = set(rids)
     if not gone:
         return report
-    completed = [
-        record for record in report.completed if record.request.rid not in gone
-    ]
-    rejected = [
-        record for record in report.rejected if record.request.rid not in gone
-    ]
-    events = []
-    for event in report.events:
-        if event.request_ids:
-            kept = tuple(
-                rid for rid in event.request_ids if rid not in gone
-            )
-            if not kept:
-                continue
-            event = replace(event, request_ids=kept)
-        events.append(event)
-    return RouterReport(
-        completed=completed,
-        rejected=rejected,
+    return replace(
+        report,
         platforms=list(report.platforms),
-        events=EventLog.from_events(events),
-        horizon_s=report.horizon_s,
-        resilience=report.resilience,
-        obs=report.obs,
-        control=report.control,
+        merged_from=None,
+        ledger=report.ledger.without(gone),
     )
 
 

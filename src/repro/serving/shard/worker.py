@@ -50,8 +50,32 @@ class FleetSpec:
     max_tuning_iterations: int = 32
 
     def __post_init__(self) -> None:
+        # Resolve every name here: an unknown one would otherwise fail
+        # inside each worker, where supervision retries it to
+        # exhaustion and the caller never sees which name was wrong.
         if not self.gpus:
             raise ValueError("fleet spec needs at least one GPU name")
+        try:
+            get_network(self.network)
+        except KeyError as error:
+            raise ValueError("network: %s" % (error.args[0],)) from None
+        seen: dict = {}
+        for name in self.gpus:
+            try:
+                arch = get_architecture(name).name
+            except KeyError as error:
+                raise ValueError("gpus: %s" % (error.args[0],)) from None
+            if arch in seen:
+                raise ValueError(
+                    "gpus: %r repeats %r; a fleet deploys each GPU once"
+                    % (name, seen[arch])
+                )
+            seen[arch] = name
+        if self.max_tuning_iterations < 0:
+            raise ValueError(
+                "max_tuning_iterations must be >= 0, got %r"
+                % (self.max_tuning_iterations,)
+            )
 
     def build(self) -> FleetManager:
         """Resolve names and deploy the whole fleet."""

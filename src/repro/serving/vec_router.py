@@ -8,13 +8,14 @@ a ``heapq`` of ``(time_s, seq, kind, payload)`` tuples for every other
 event, plain-Python mirrors of the per-platform hot fields, and
 per-(platform, rung) accuracy columns precomputed across the whole
 request vector with :func:`soc_accuracy_vec`.  Requests stay virtual
-(integer row ids), events are compact kind-coded rows expanded lazily,
-per-request SoC breakdowns are deferred, and whole saturation bursts
--- every arrival landing before the next heap event while no platform
-can take one -- are rejected in one ``bisect_right`` instead of
-per-request admission.  The returned :class:`VecRouterReport`
-materializes ``completed`` / ``rejected`` / ``events`` on first
-access.
+(integer row ids), events are compact kind-coded rows, per-request
+SoC breakdowns are deferred to one vectorized pass, and whole
+saturation bursts -- every arrival landing before the next heap event
+while no platform can take one -- are rejected in one ``bisect_right``
+instead of per-request admission.  When the run ends the compact rows
+expand into the report's :class:`~repro.serving.ledger.Ledger` --
+records as columns, events as rows -- and no per-request object is
+built.
 
 The rare handlers ride the same heap as more event kinds: injected
 faults (outage evacuation and failover, health-keyed ladder
@@ -53,26 +54,19 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from functools import cached_property
 from heapq import heappop, heappush
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.core.satisfaction import SoCBreakdown
 from repro.obs.metrics import ordered_sum
-from repro.serving.events import EventLog, RouterEvent
-from repro.serving.report import (
-    CompletedRequest,
-    RejectedRequest,
-    ResilienceStats,
-    RouterReport,
-)
+from repro.serving.ledger import Ledger
+from repro.serving.report import ResilienceStats, RouterReport
 from repro.serving.request import ArrivalColumns, TenantLoad
 from repro.serving.resilience import RetryPolicy
 
-__all__ = ["run_columnar", "soc_accuracy_vec", "VecRouterReport"]
+__all__ = ["run_columnar", "soc_accuracy_vec"]
 
 _INF = math.inf
 
@@ -85,8 +79,8 @@ _PROBE = 4
 _TICK = 5
 
 # Compact event-row codes.  The hot path appends one flat tuple per
-# event; :meth:`_VecRaw.loop_rows` expands them into
-# :func:`repro.serving.report.event_row` rows.
+# event; :attr:`_LoopLedger.rows` expands them into the ledger's event
+# rows.
 _E_ENQ = 0  # (code, t, rid, pidx, level, soc, latency)
 _E_REJ = 1  # (code, t, rid, reason[, pidx])
 _E_DISP = 2  # (code, t, pidx, rids, level, take, capacity, finish)
@@ -123,7 +117,7 @@ def soc_accuracy_vec(entropies: np.ndarray, entropy_threshold) -> np.ndarray:
 
 
 def _row(kind, time_s, tenant=None, platform=None, request_ids=(), **detail):
-    """A rare event as a compact row holding its ``event_row``."""
+    """A rare event as a compact row holding its ledger event row."""
     keys = tuple(sorted(detail))
     return (
         _E_ROW,
@@ -269,42 +263,40 @@ class _Resilience:
         )
 
 
-class _VecRaw:
-    """Deferred report ingredients of one columnar run.
-
-    The compact rows (engine relays included, in program order) expand
-    on demand into the report's columns and event rows, and the lazy
-    ``completed`` / ``rejected`` / ``events`` lists are built from
-    those.
-    """
+class _LoopLedger(Ledger):
+    """A columnar run's ledger: the compact rows expand on first read
+    (not inside ``run``); a pickle carries the expanded ledger."""
 
     def __init__(self, cols, flat, completed_rows, names) -> None:
-        self.cols = cols
-        self.flat = flat
+        self.lists = {}
+        self.cols, self.flat, self.names = cols, flat, names
         self.completed_rows = completed_rows
-        self.names = names
 
-    def _per_rid(self, rid: np.ndarray) -> Dict[str, list]:
-        """The columns every terminal record has, for rows ``rid``."""
-        tenants = self.cols.tenants
-        index = self.cols.tenant_index[rid]
+    def __reduce__(self):
+        return Ledger, (self.completed, self.rejected, self.rows), {
+            "lists": self.lists
+        }
 
-        def gather(values: list) -> list:
-            return np.array(values, object)[index].tolist()
-
+    def _requests(self, rid: np.ndarray) -> dict:
+        """The request columns every record has, for rows ``rid``."""
+        cols = self.cols
+        tenants = np.array(cols.tenants, object)[cols.tenant_index[rid]]
+        tenants = tenants.tolist()
         return {
             "rid": rid.tolist(),
-            "tenant": gather([tenant.name for tenant in tenants]),
-            "priority": gather([tenant.priority for tenant in tenants]),
-            "arrival_s": self.cols.arrivals[rid].tolist(),
+            "tenant": [tenant.name for tenant in tenants],
+            "priority": [tenant.priority for tenant in tenants],
+            "tenant_obj": tenants,
+            "arrival_s": cols.arrivals[rid].tolist(),
+            "difficulty": cols.difficulty[rid].tolist(),
         }
 
     @cached_property
-    def completed_columns(self) -> Dict[str, list]:
-        """The completed records in rid order.  Every float follows
-        :func:`repro.core.satisfaction.soc`'s exact operation order,
-        element-wise over float64 columns, and the same inputs raise
-        the same errors."""
+    def completed(self) -> dict:
+        """The completed records, in rid order, from the batch rows
+        ``(rids, name, level, take, start, finish, epi, ent, thr)``, in
+        :func:`repro.core.satisfaction.soc`'s exact operation order
+        element-wise (the same inputs raise the same errors)."""
         cols = self.cols
         rows = self.completed_rows
         sizes = [len(row[0]) for row in rows]
@@ -319,8 +311,6 @@ class _VecRaw:
             values = np.array([row[index] for row in rows], dtype)
             return np.repeat(values, sizes)[order]
 
-        # Batch rows: (rids, name, level, take, start, finish, epi,
-        # ent, thr).
         start, finish, epi, ent, thr = (per_request(i) for i in range(4, 9))
         tenant = cols.tenant_index[rid]
         runtime = finish - cols.arrivals[rid]
@@ -342,7 +332,7 @@ class _VecRaw:
             runtime <= imp, 1.0, np.where(runtime >= unu, 0.0, tolerable)
         )
         soc_accuracy = soc_accuracy_vec(entropy, thr)
-        columns = self._per_rid(rid)
+        columns = self._requests(rid)
         columns.update(
             platform=per_request(1, object).tolist(),
             level=per_request(2, object).tolist(),
@@ -360,30 +350,26 @@ class _VecRaw:
         return columns
 
     @cached_property
-    def rejected_columns(self) -> Dict[str, list]:
-        """The rejected records in rid order, one per reject event
-        (the reason read by key: an outage reject also names its
-        origin)."""
-        rejects = sorted(
+    def rejected(self) -> dict:
+        """The rejected records in rid order, one per reject row."""
+        rejects = sorted(  # the reason by key: an outage reject has an origin
             (row[6][0], row[2][row[1].index("reason")])
-            for row in self.loop_rows
+            for row in self.rows
             if row[0] == "reject"
         )
         rids, reasons = zip(*rejects) if rejects else ((), ())
-        columns = self._per_rid(np.array(rids, np.int64))
+        columns = self._requests(np.array(rids, np.int64))
         columns["reason"] = list(reasons)
         return columns
 
     @cached_property
-    def loop_rows(self) -> List[tuple]:
-        """The run's events, in log order, as
-        :func:`repro.serving.report.event_row` rows."""
+    def rows(self) -> List[tuple]:
+        """The run's compact rows, in log order, as ledger event rows."""
+        cols, names = self.cols, self.names
         tenant_of = [
-            self.cols.tenants[index].name
-            for index in self.cols.tenant_index_list
+            cols.tenants[index].name for index in cols.tenant_index_list
         ]
-        names = self.names
-        arrivals = self.cols.arrivals_list
+        arrivals = cols.arrivals_list
         out: List[tuple] = []
         append = out.append
         for row in self.flat:
@@ -423,139 +409,13 @@ class _VecRaw:
                 append(row[1])
         return out
 
-    @cached_property
-    def event_counts(self) -> Dict[str, int]:
-        counts = Counter(row[0] for row in self.loop_rows)
-        return {kind: counts[kind] for kind in EventLog.KINDS}
-
-    def completed(self) -> List[CompletedRequest]:
-        request_at = self.cols.request_at
-        return [
-            CompletedRequest(
-                request_at(rid), platform, level, batch, start, finish,
-                entropy, SoCBreakdown(soc_time, soc_accuracy, energy, value),
-            )
-            for (
-                rid, platform, level, batch, start, finish, entropy,
-                soc_time, soc_accuracy, energy, value,
-            ) in zip(*map(self.completed_columns.get, (
-                "rid", "platform", "level", "batch", "start_s", "finish_s",
-                "entropy", "soc_time", "soc_accuracy", "energy_per_item_j",
-                "soc",
-            )))
-        ]
-
-    def rejected(self) -> List[RejectedRequest]:
-        columns = self.rejected_columns
-        return [
-            RejectedRequest(self.cols.request_at(rid), reason)
-            for rid, reason in zip(columns["rid"], columns["reason"])
-        ]
-
-    def events(self) -> EventLog:
-        return EventLog([
-            RouterEvent(seq, time_s, kind, tenant, platform, ids,
-                        dict(zip(keys, values)))
-            for seq, (kind, keys, values, time_s, tenant, platform, ids)
-            in enumerate(self.loop_rows)
-        ])
-
-
-class _LazyField:
-    """Non-data descriptor: materializes one deferred report field on
-    first access and caches it in the instance dict (which then
-    shadows the descriptor).  Once every lazy field is built, nothing
-    reads the raw rows again, and the report lets them go."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-
-    def __get__(self, report, owner=None):
-        if report is None:
-            return self
-        fields = report.__dict__
-        value = fields[self.name] = getattr(fields["_vec_raw"], self.name)()
-        if all(name in fields for name in _LAZY_FIELDS):
-            del fields["_vec_raw"]
-        return value
-
-
-_LAZY_FIELDS = ("completed", "rejected", "events")
-
-
-class VecRouterReport(RouterReport):
-    """A ``RouterReport`` whose per-request lists and event log are
-    materialized lazily from the columnar loop's raw rows.
-
-    Everything a fleet-level consumer typically reads first
-    (``platforms``, ``horizon_s``, ``resilience``, ``control``) is
-    eager; ``completed`` / ``rejected`` / ``events`` materialize on
-    first access.  Counts, aggregates,
-    ``to_dict(include_events=False)`` and ``fingerprint()`` read the
-    raw rows as columns instead and build no per-request object --
-    until a lazy field is built, which from then on is what they
-    read.  Constructed with
-    keyword arguments only (``dataclasses.replace`` and
-    :meth:`RouterReport.merge` keep working: without ``_vec_raw`` the
-    class behaves exactly like its dataclass base).
-    """
-
-    completed = _LazyField("completed")
-    rejected = _LazyField("rejected")
-    events = _LazyField("events")
-
-    def __init__(self, *args, _vec_raw: Optional[_VecRaw] = None, **kwargs):
-        if _vec_raw is None:
-            super().__init__(*args, **kwargs)
-            return
-        self._vec_raw = _vec_raw
-        self.platforms = kwargs.get("platforms", [])
-        self.horizon_s = kwargs.get("horizon_s", 0.0)
-        self.resilience = kwargs.get("resilience")
-        self.obs = None
-        self.control = kwargs.get("control")
-        self.merged_from = None
-
-    # A built lazy field is authoritative: once ``completed``,
-    # ``rejected`` or ``events`` exists, it is read as on any report.
-    def _completed_columns(self) -> Dict[str, list]:
-        if "completed" in self.__dict__:
-            return super()._completed_columns()
-        return self._vec_raw.completed_columns
-
-    def _rejected_columns(self) -> Dict[str, list]:
-        if "rejected" in self.__dict__:
-            return super()._rejected_columns()
-        return self._vec_raw.rejected_columns
-
-    def _event_rows(self) -> Iterable[tuple]:
-        if "events" in self.__dict__:
-            return super()._event_rows()
-        return self._vec_raw.loop_rows
-
-    def _event_counts(self) -> Dict[str, int]:
-        if "events" in self.__dict__:
-            return super()._event_counts()
-        return dict(self._vec_raw.event_counts)
-
-    def __getstate__(self):
-        # Force materialization before crossing a process boundary
-        # (spawned shard workers pickle their reports back).
-        _ = (self.completed, self.rejected, self.events)
-        return dict(self.__dict__)
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-
 
 def run_columnar(
     router,
     loads: Sequence[TenantLoad],
     faults=None,
     controller=None,
-) -> VecRouterReport:
+) -> RouterReport:
     """Serve one run of ``router`` (see :meth:`RequestRouter.run` for
     ``faults`` and ``controller``)."""
     config = router.config
@@ -1130,8 +990,8 @@ def run_columnar(
         horizon = max(horizon, max(row[5] for row in completed_rows))
     if n:
         horizon = max(horizon, arrivals[n - 1])
-    return VecRouterReport(
-        _vec_raw=_VecRaw(cols, flat, completed_rows, names),
+    return RouterReport(
+        ledger=_LoopLedger(cols, flat, completed_rows, names),
         platforms=router._platform_stats(states, horizon),
         horizon_s=horizon,
         resilience=(

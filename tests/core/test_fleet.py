@@ -91,6 +91,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             FleetManager(alexnet(), spec, architectures=[])
 
+    def test_rejects_a_repeated_gpu(self):
+        """One platform per GPU: a repeat would deploy once yet report
+        twice."""
+        spec = ApplicationSpec(
+            "age", TaskClass.INTERACTIVE, data_rate_hz=50.0
+        )
+        with pytest.raises(ValueError, match="GPU K20c more than once"):
+            FleetManager(
+                alexnet(), spec, architectures=[K20C, JETSON_TX1, K20C]
+            )
+
 
 class TestFleetDeployError:
     def _manager(self):

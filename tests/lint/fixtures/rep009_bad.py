@@ -32,3 +32,20 @@ class ControlPlane:
     def _apply(self, now, states):
         self._events.record("control_override", at=now)  # line 33
         return states
+
+
+# The serving loop's two writers: the engine relay and an event row.
+def subscribe_relay(engine, relay, rows):
+    def on_compile(key, plan):
+        relay("compile", key.arch)  # neutral relay: sanctioned
+        relay("dispatch", key.arch)  # line 41: relayed routing kind
+
+    def on_cache_hit(kind, key):
+        rows.append(_row("enqueue", 0.0))  # line 44: loop event row
+
+    engine.hooks.subscribe("on_compile", on_compile)
+    engine.hooks.subscribe("on_cache_hit", on_cache_hit)
+
+
+def _row(kind, time_s, **detail):
+    return (kind, time_s, detail)

@@ -13,12 +13,14 @@ def attach_counters(engine, counters):
     engine.hooks.subscribe("on_execute", on_execute)
 
 
-def relay_cache_events(engine, events):
+def relay_cache_events(engine, events, relay):
     def on_compile(key, plan):
         events.record("compile", key=key)
+        relay("compile", key.arch)
 
     def on_cache_hit(key, plan):
         events.record("cache_hit", key=key)
+        relay("cache_hit", key.arch)
 
     engine.hooks.subscribe("on_compile", on_compile)
     engine.hooks.subscribe("on_cache_hit", on_cache_hit)

@@ -71,6 +71,8 @@ GOLDEN = {
         ("REP009", 15),  # subscriber records a fingerprinted kind
         ("REP009", 18),  # subscriber records a dynamic kind
         ("REP009", 33),  # ledger write reached from ControlPlane.tick
+        ("REP009", 41),  # engine relay handed a fingerprinted kind
+        ("REP009", 44),  # loop event row of a fingerprinted kind
     ],
 }
 

@@ -26,6 +26,7 @@ from repro.obs.metrics import (
     SLACK_BUCKETS_S,
 )
 from repro.serving.events import EventLog
+from repro.serving.ledger import Ledger
 from repro.serving.request import Request, Tenant
 
 
@@ -49,11 +50,27 @@ class _Ledger:
         ]
         self.horizon_s = horizon_s
 
+    @property
+    def ledger(self) -> Ledger:
+        """The report's ledger: the request columns of the terminal
+        records, and the event log."""
+
+        def columns(requests):
+            return {
+                "rid": [request.rid for request in requests],
+                "arrival_s": [request.arrival_s for request in requests],
+                "tenant_obj": [request.tenant for request in requests],
+            }
+
+        return Ledger(
+            columns(self.completed), columns(self.rejected)
+        ).replaced(events=self.events)
+
     def request(self, rid, arrival_s=0.0, rejected=False):
         """Register one request's terminal record."""
         request = Request(rid=rid, tenant=_tenant(), arrival_s=arrival_s)
         records = self.rejected if rejected else self.completed
-        records.append(SimpleNamespace(request=request))
+        records.append(request)
         return request
 
     def energy(self, platform, energy_j):

@@ -6,10 +6,13 @@ columns; :mod:`tests.serving.oracle` renders them the old way, through
 for byte: columnar and event-loop runs, merged, qualified and stripped
 reports, a lazy report whose built records were then changed, and a
 hand-built report of awkward floats and names.  A columnar report's
-fingerprint and ``to_dict`` build no per-request object at all.
+fingerprint and ``to_dict``, a pickle of it, the obs derived from it
+and a sharded coordinator's merge build no per-request object at all.
 """
 
 import math
+import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -20,6 +23,8 @@ from repro.obs import Instrumentation
 from repro.serving import (
     CompletedRequest,
     EventLog,
+    FleetCoordinator,
+    FleetSpec,
     PlatformStats,
     RejectedRequest,
     Request,
@@ -166,9 +171,31 @@ class TestBuiltRecordsAreAuthoritative:
         assert checked_fingerprint(report) != pristine
 
         report = router.run(loads)
-        report.events = EventLog.from_events(list(report.events)[:-1])
+        report.events = EventLog(list(report.events)[:-1])
         assert report.to_dict()["event_counts"] == report.events.counts
         assert checked_fingerprint(report) != pristine
+
+    def test_building_every_list_drops_the_columns(self, fleet, loads):
+        report = RequestRouter(fleet, OVERLOAD).run(loads)
+        pristine = report.fingerprint()
+        assert report.completed and report.rejected
+        assert report.ledger.rows and report.ledger.completed
+        assert report.events
+        assert report.ledger.rows is report.ledger.completed is None
+        assert checked_fingerprint(report) == pristine
+
+    def test_copies_keep_their_own_lists(self, fleet, loads, monkeypatch):
+        """``dataclasses.replace`` copies the ledger without building a
+        record (a tampered shard result still fingerprints apart), and
+        a list assigned on the copy leaves the original alone."""
+        report = RequestRouter(fleet, OVERLOAD).run(loads)
+        built = _count_records(monkeypatch)
+        tampered = replace(report, horizon_s=report.horizon_s + 1.0)
+        assert tampered.fingerprint() != report.fingerprint()
+        assert built == [] and not tampered.ledger.lists
+        monkeypatch.undo()
+        tampered.rejected = []
+        assert report.n_rejected > 0 == tampered.n_rejected
 
 
 def _hand_built() -> RouterReport:
@@ -252,6 +279,23 @@ class TestAwkwardValues:
         assert checked_fingerprint(flipped) != checked_fingerprint(report)
 
 
+def _count_records(monkeypatch, classes=(
+    Request, CompletedRequest, RejectedRequest, RouterEvent,
+)):
+    """The names of every instance of ``classes`` constructed from
+    here on (until ``monkeypatch.undo()``)."""
+    built = []
+    for cls in classes:
+        original = cls.__init__
+
+        def counting(self, *args, _original=original, **kwargs):
+            built.append(type(self).__name__)
+            _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    return built
+
+
 class TestNoPerRequestObjects:
     def test_storm_fingerprint_and_render_build_no_records(
         self, fleet, deployments, snappy_tenant, background_tenant,
@@ -264,15 +308,7 @@ class TestNoPerRequestObjects:
             deployments, [snappy_tenant, background_tenant], 8000, load=3.0
         )
         report = RequestRouter(fleet).run(loads)
-        built = []
-        for cls in (Request, CompletedRequest, RejectedRequest, RouterEvent):
-            original = cls.__init__
-
-            def counting(self, *args, _original=original, **kwargs):
-                built.append(type(self).__name__)
-                _original(self, *args, **kwargs)
-
-            monkeypatch.setattr(cls, "__init__", counting)
+        built = _count_records(monkeypatch)
         fingerprint = report.fingerprint()
         summary = report.to_dict(include_events=False)["summary"]
         assert built == []
@@ -280,3 +316,96 @@ class TestNoPerRequestObjects:
         assert summary["rejected"] > 0
         monkeypatch.undo()
         assert fingerprint == oracle_fingerprint(report)
+
+    def test_pickling_a_run_builds_no_records(
+        self, fleet, deployments, loads, monkeypatch
+    ):
+        """A spawned shard pickles its report: the ledger crosses, no
+        record is built on either side, and the copy fingerprints the
+        same."""
+        horizon = max(float(load.trace.arrivals_s[-1]) for load in loads)
+        faults = generate_fault_trace(
+            sorted(deployments), horizon,
+            FaultTraceConfig(outages=1, outage_duration_s=0.25 * horizon),
+            seed=7,
+        )
+        report = RequestRouter(fleet, OVERLOAD).run(loads, faults=faults)
+        built = _count_records(monkeypatch)
+        clone = pickle.loads(pickle.dumps(report))
+        assert built == []
+        assert not report.ledger.lists and not clone.ledger.lists
+        monkeypatch.undo()
+        assert clone.fingerprint() == checked_fingerprint(report)
+
+    def test_instrumented_chaos_run_builds_no_records(
+        self, fleet, deployments, loads, monkeypatch
+    ):
+        """Deriving obs from a chaos run, then fingerprinting and
+        rendering it, builds no terminal record and no list
+        (``record_run`` still walks the log as ``RouterEvent``s)."""
+        horizon = max(float(load.trace.arrivals_s[-1]) for load in loads)
+        faults = generate_fault_trace(
+            sorted(deployments), horizon,
+            FaultTraceConfig(
+                outages=1, outage_duration_s=0.25 * horizon, transients=3,
+            ),
+            seed=7,
+        )
+        report = RequestRouter(fleet, OVERLOAD).run(loads, faults=faults)
+        obs = Instrumentation()
+        built = _count_records(
+            monkeypatch, (Request, CompletedRequest, RejectedRequest)
+        )
+        obs.record_run(report)
+        report.obs = obs.report_section()
+        report.fingerprint()
+        report.to_dict(include_events=False)
+        assert built == []
+        assert not report.ledger.lists
+        assert report.obs["n_spans"] > report.n_offered
+
+    def test_sharded_coordinator_op_builds_no_records(
+        self, spec, snappy_tenant, background_tenant, monkeypatch
+    ):
+        """A 2-shard inline coordinator op -- run, validate, qualify,
+        merge, fingerprint, render -- builds no record and no list.
+        With a control plane the loop hands it one ``Request`` per
+        arrival; the report path still builds none of the others."""
+        fleet = FleetSpec(
+            network="alexnet", spec=spec, gpus=("k20c", "tx1"),
+            max_tuning_iterations=8,
+        )
+        shard_loads = [
+            [
+                TenantLoad(
+                    Tenant("%s-s%d" % (tenant.name, shard),
+                           tenant.requirement, tenant.priority),
+                    bursty_trace(n_requests=150, rate_hz=1000.0,
+                                 seed=shard * 10 + index),
+                )
+                for index, tenant in enumerate(
+                    (snappy_tenant, background_tenant)
+                )
+            ]
+            for shard in range(2)
+        ]
+        for controller, kinds in (
+            (None, (Request, CompletedRequest, RejectedRequest, RouterEvent)),
+            (ControllerConfig(kind="ewma"),
+             (CompletedRequest, RejectedRequest, RouterEvent)),
+        ):
+            coordinator = FleetCoordinator(
+                fleet, OVERLOAD, n_shards=2, inline=True,
+                controller=controller,
+            )
+            built = _count_records(monkeypatch, kinds)
+            outcome = coordinator.run(shard_loads=shard_loads)
+            report = outcome.report
+            report.fingerprint()
+            report.to_dict(include_events=False)
+            assert built == []
+            monkeypatch.undo()
+            assert report.n_offered == 600 and report.n_rejected > 0
+            for shard_report in (report, *outcome.shard_reports,
+                                 *report.merged_from):
+                assert not shard_report.ledger.lists

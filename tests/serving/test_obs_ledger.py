@@ -39,7 +39,6 @@ from repro.obs import (
 )
 from repro.serving import RequestRouter, RouterConfig, Tenant, TenantLoad
 from repro.serving.shard import FleetCoordinator, FleetSpec
-from repro.serving.vec_router import VecRouterReport
 from repro.workloads import bursty_trace, pareto_trace
 from tests.obs.oracle import assert_matches_oracle, oracle_chrome_trace_json
 from tests.serving.event_loop import run_events
@@ -539,7 +538,7 @@ class TestColumnarDerivation:
         loads = _loads(fleet, 400, 42, 8.0, _TIGHT)
         traced = Instrumentation()
         columnar = RequestRouter(fleet).run(loads, obs=traced)
-        assert isinstance(columnar, VecRouterReport)
+        assert not columnar.ledger.lists
 
         fleet = _fleet()
         loads = _loads(fleet, 400, 42, 8.0, _TIGHT)

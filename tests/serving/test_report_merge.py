@@ -1,12 +1,14 @@
 """Tests for RouterReport.merge: exact associativity, order
-independence, ResilienceStats recombination, and percentile
-recomputation over merged records."""
+independence, ResilienceStats recombination, percentile recomputation
+over merged records, and the ledger transforms (merge, qualify,
+strip) against their record-object oracle."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.satisfaction import SoCBreakdown, TimeRequirement
+from repro.faults import FaultEvent, FaultTrace
 from repro.obs import linear_percentile
 from repro.serving import (
     CompletedRequest,
@@ -21,8 +23,15 @@ from repro.serving import (
     Tenant,
     TenantLoad,
 )
+from repro.serving.ledger import Ledger
+from repro.serving.shard.merge import qualify_report, strip_requests
 from repro.workloads import bursty_trace
-from tests.serving.oracle import checked_fingerprint
+from tests.serving.oracle import (
+    checked_fingerprint,
+    oracle_merge,
+    oracle_qualify,
+    oracle_strip,
+)
 
 #: Fixed platform -> GPU mapping so any two leaves mentioning the
 #: same platform agree on its hardware (merge rejects mismatches).
@@ -42,14 +51,22 @@ def _request(rid, tenant_name, arrival_s):
 @st.composite
 def leaf_reports(draw):
     """One synthetic single-router report: dense local rids, one
-    terminal record per request, events referencing those rids."""
+    terminal record per request, events referencing those rids.
+
+    Arrivals often tie across leaves (``-0.0`` against ``0.0`` too),
+    a leaf may hold rejections only, completions share one multi-rid
+    ``dispatch``, and failovers and outage rejects name an ``origin``
+    platform."""
     n_completed = draw(st.integers(min_value=0, max_value=4))
     n_rejected = draw(st.integers(min_value=0, max_value=3))
     horizon_s = draw(
         st.floats(min_value=5.0, max_value=20.0, allow_nan=False)
     )
     tenants = st.sampled_from(("alpha", "beta", "gamma"))
-    arrivals = st.floats(min_value=0.0, max_value=4.0, allow_nan=False)
+    arrivals = st.sampled_from((-0.0, 0.0, 1.5)) | st.floats(
+        min_value=0.0, max_value=4.0, allow_nan=False
+    )
+    origins = st.sampled_from(tuple(_GPUS))
     completed = []
     rejected = []
     events = EventLog()
@@ -80,23 +97,36 @@ def leaf_reports(draw):
             "enqueue", request.arrival_s,
             tenant=request.tenant.name, request_ids=(rid,),
         )
+        if draw(st.booleans()):
+            events.record(
+                "failover", request.arrival_s, tenant=request.tenant.name,
+                platform=platform, request_ids=(rid,),
+                origin=draw(origins), level=0,
+            )
         events.record(
             "complete", record.finish_s,
             tenant=request.tenant.name, platform=platform,
             request_ids=(rid,),
         )
         rid += 1
+    if completed:
+        events.record(
+            "dispatch", max(r.start_s for r in completed), platform="P0",
+            request_ids=tuple(r.request.rid for r in completed),
+            batch=len(completed), level=0,
+        )
     for _ in range(n_rejected):
         request = _request(rid, draw(tenants), draw(arrivals))
-        rejected.append(
-            RejectedRequest(request=request, reason="saturated")
-        )
+        reason = draw(st.sampled_from(("saturated", "outage")))
+        detail = {"origin": draw(origins)} if reason == "outage" else {}
+        rejected.append(RejectedRequest(request=request, reason=reason))
         events.record(
             "reject", request.arrival_s,
             tenant=request.tenant.name, request_ids=(rid,),
-            reason="saturated",
+            reason=reason, **detail,
         )
         rid += 1
+    events.record("fault", horizon_s, platform="P1", fault_kind="outage")
     platforms = [
         PlatformStats(
             platform=name,
@@ -296,3 +326,104 @@ class TestMergeEndToEnd:
         assert merged.percentile_latency_s(95.0) == linear_percentile(
             union, 95.0
         )
+
+
+def _fresh(report):
+    """A copy of ``report`` whose ledger holds its records as columns
+    and its events as rows, with no list built: what a router run
+    returns, whatever ``report`` is read as."""
+    ledger = report.ledger
+    return RouterReport(
+        platforms=list(report.platforms),
+        horizon_s=report.horizon_s,
+        resilience=report.resilience,
+        obs=report.obs,
+        control=report.control,
+        ledger=Ledger(
+            ledger.columns("completed"), ledger.columns("rejected"),
+            list(ledger.event_rows()),
+        ),
+    )
+
+
+def _assert_agree(actual, expected):
+    """The ledger transform's report matches the oracle's byte for
+    byte, and building it built no list."""
+    assert not actual.ledger.lists
+    assert actual.fingerprint() == checked_fingerprint(expected)
+    assert actual.to_dict(
+        include_events=True, include_requests=True
+    ) == expected.to_dict(include_events=True, include_requests=True)
+
+
+def _check_transforms(leaves, data):
+    """What the coordinator does -- strip drawn rids (none, some or all
+    of a dispatch's), qualify, merge -- through the ledger and through
+    the oracle, on fresh copies of ``leaves``; every step agrees."""
+    actual, expected = [], []
+    for shard_id, leaf in enumerate(leaves):
+        rids = sorted(
+            leaf.ledger.columns("completed")["rid"]
+            + leaf.ledger.columns("rejected")["rid"]
+        )
+        gone = data.draw(st.sets(st.sampled_from(rids))) if rids else ()
+        stripped = strip_requests(_fresh(leaf), gone)
+        oracle = oracle_strip(_fresh(leaf), gone)
+        _assert_agree(stripped, oracle)
+        actual.append(qualify_report(stripped, shard_id))
+        expected.append(oracle_qualify(oracle, shard_id))
+        _assert_agree(actual[-1], expected[-1])
+    _assert_agree(RouterReport.merge(actual), oracle_merge(expected))
+
+
+class TestLedgerTransformsMatchOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        leaves=st.lists(leaf_reports(), min_size=1, max_size=3),
+        data=st.data(),
+    )
+    def test_synthetic_leaves(self, leaves, data):
+        _check_transforms(leaves, data)
+
+    @pytest.fixture(scope="class")
+    def runs(self, fleet, deployments):
+        """Three real columnar runs: overload rejects and admission
+        degrades, a chaos run (failovers and outage rejects carry an
+        ``origin``), and a run sharing the first one's arrivals."""
+        reports = []
+        config = RouterConfig(queue_limit=4)
+        for index, (tenant, faulted) in enumerate(
+            (("t-a", False), ("t-b", True), ("t-c", False))
+        ):
+            loads = [TenantLoad(
+                Tenant(tenant, _REQUIREMENT, priority=1),
+                bursty_trace(60, 400.0, seed=100 + index % 2),
+            )]
+            faults = None
+            if faulted:
+                faults = FaultTrace([
+                    FaultEvent(0.03, "outage", "TX1", episode=0),
+                    FaultEvent(0.05, "outage", "K20c", episode=1),
+                    FaultEvent(0.1, "restore", "K20c", episode=1),
+                ])
+            reports.append(
+                RequestRouter(fleet, config).run(loads, faults=faults)
+            )
+        reasons = set(reports[1].ledger.columns("rejected")["reason"])
+        assert "outage" in reasons and reports[1].resilience.failovers
+        return reports
+
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_real_runs(self, runs, data):
+        order = data.draw(st.permutations(range(len(runs))))
+        count = data.draw(st.integers(min_value=1, max_value=len(runs)))
+        _check_transforms([runs[index] for index in order[:count]], data)
+        assert not any(report.ledger.lists for report in runs)
+
+    def test_orphan_rid_rejected(self):
+        events = EventLog()
+        events.record("enqueue", 0.0, tenant="alpha", request_ids=(7,))
+        orphan = RouterReport(events=events, horizon_s=1.0)
+        with pytest.raises(ValueError, match="no terminal record"):
+            RouterReport.merge([orphan, RouterReport(horizon_s=1.0)])

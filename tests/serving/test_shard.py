@@ -2,6 +2,8 @@
 coordinator in inline mode (spawn parity is covered by the pickle
 suite and the sharding benchmark)."""
 
+import re
+
 import pytest
 
 from repro.core.satisfaction import TimeRequirement
@@ -179,6 +181,30 @@ class TestShardSpecValidation:
     def test_fleet_spec_requires_gpus(self, spec):
         with pytest.raises(ValueError):
             FleetSpec(network="alexnet", spec=spec, gpus=())
+
+    @pytest.mark.parametrize("fields, message", [
+        (dict(gpus=("k20c", "nope")), "gpus: unknown GPU 'nope'"),
+        (dict(network="nope"), "network: unknown network 'nope'"),
+        (dict(gpus=("k20c", "K20")), "gpus: 'K20' repeats 'k20c'"),
+        (dict(gpus=("tx1", "tx1")), "gpus: 'tx1' repeats 'tx1'"),
+        (dict(max_tuning_iterations=-5), "max_tuning_iterations must be"),
+    ])
+    def test_fleet_spec_rejects_what_only_a_worker_would(
+        self, spec, fields, message
+    ):
+        """Each name resolves when the spec is made, so the error names
+        the field instead of exhausting every shard's retries."""
+        values = dict(network="alexnet", spec=spec, gpus=("k20c", "tx1"))
+        values.update(fields)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FleetSpec(**values)
+
+    def test_zero_tuning_iterations_is_legal(self, spec):
+        fleet = FleetSpec(
+            network="alexnet", spec=spec, gpus=("tx1",),
+            max_tuning_iterations=0,
+        )
+        assert fleet.max_tuning_iterations == 0
 
 
 class TestCoordinatorInline:

@@ -208,10 +208,10 @@ class TestSpawnExecution:
     @pytest.mark.parametrize("tracked", [True, False],
                              ids=["chaos-obs", "plain"])
     def test_spawn_matches_inline(self, tracked):
-        """One real spawn pool run: bit-identical to inline.  The
-        chaos-obs case runs the event loop in each worker; the plain
-        case runs the columnar loop, whose lazy report must
-        materialize before it is pickled back."""
+        """One real spawn pool run: bit-identical to inline.  Every
+        worker runs the columnar loop and pickles its report back as
+        the report's ledger, columns and rows, with no record built;
+        the chaos-obs case adds faults and derived spans."""
         fleet = FleetSpec(
             network="alexnet", spec=_spec(), gpus=("k20c", "tx1"),
             max_tuning_iterations=4,

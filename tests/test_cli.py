@@ -75,6 +75,15 @@ class TestCompile:
         code = main(["compile", "--network", "lenet", "--gpu", "tx1"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["serve-fleet", "--gpus", "k20c,k20c", "--requests", "40",
+         "--json"],
+        ["trace", "age-detection", "--gpus", "tx1,TX1", "--requests", "40"],
+    ])
+    def test_repeated_gpu_is_a_clean_error(self, capsys, argv):
+        assert main(argv) == 2
+        assert "more than once" in capsys.readouterr().err
+
 
 class TestTune:
     def test_tune_prints_path(self, capsys):
