@@ -245,8 +245,16 @@ class AccuracyTuner:
         max_iterations: int = 32,
     ) -> TuningTable:
         """Run the greedy walk until the threshold (or ladder) is hit."""
-        if entropy_threshold <= 0:
-            raise ValueError("entropy_threshold must be positive")
+        if not entropy_threshold > 0:  # NaN fails this too
+            raise ValueError(
+                "entropy_threshold must be positive, got %r"
+                % (entropy_threshold,)
+            )
+        if max_iterations < 0:
+            raise ValueError(
+                "max_iterations must be non-negative, got %r"
+                % (max_iterations,)
+            )
         plan = PerforationPlan.dense()
         compiled = self._compile(batch, plan)
         sample = self.evaluator.evaluate(plan)

@@ -24,10 +24,10 @@ from typing import TYPE_CHECKING, List, Optional
 
 from repro.core.satisfaction import SoCBreakdown, soc
 from repro.obs.metrics import linear_percentile, ordered_sum
+from repro.validation import require_finite
 
 if TYPE_CHECKING:  # avoid a circular import; Deployment is duck-typed
     from repro.core.framework import Deployment
-    from repro.obs.instrument import Instrumentation
 from repro.workloads.generators import RequestTrace
 
 __all__ = [
@@ -68,6 +68,7 @@ class FlushPolicy:
     def __post_init__(self) -> None:
         if self.capacity < 1:
             raise ValueError("capacity must be at least 1")
+        require_finite(timeout_s=self.timeout_s)
         if self.timeout_s <= 0:
             raise ValueError("timeout_s must be positive")
 
@@ -232,31 +233,17 @@ class InferenceServer:
         self.deployment = deployment
         if flush_timeout_s is None:
             flush_timeout_s = default_flush_timeout(deployment)
+        require_finite(flush_timeout_s=flush_timeout_s)
         if flush_timeout_s <= 0:
             raise ValueError("flush_timeout_s must be positive")
         self.flush_timeout_s = flush_timeout_s
 
-    def serve(
-        self,
-        trace: RequestTrace,
-        obs: Optional["Instrumentation"] = None,
-    ) -> ServerReport:
-        """Serve a whole trace; returns the per-request accounting.
-
-        ``obs`` optionally observes the loop: one ``execute_batch``
-        span per batch plus the engine's compile/cache/calibration
-        relays, all stamped with the server's simulated clock.
-        """
+    def serve(self, trace: RequestTrace) -> ServerReport:
+        """Serve a whole trace; returns the per-request accounting."""
         deployment = self.deployment
         report = ServerReport()
         queue: List[int] = []  # indices into the trace
         gpu_free_at = 0.0
-        now_s = [0.0]  # engine relays read the loop's sim time
-        detach = (
-            obs.attach_engine(deployment.engine, lambda: now_s[0])
-            if obs is not None
-            else None
-        )
         i = 0
         n = trace.n_requests
         while i < n or queue:
@@ -285,20 +272,11 @@ class InferenceServer:
                 ready = policy.flush_at(head_arrival)  # timeout flush
             start = max(ready, gpu_free_at)
 
-            now_s[0] = start
             execution = deployment.execute_current()
             finish = start + execution.total_time_s
             gpu_free_at = finish
             report.batches += 1
             report.total_energy_j += execution.total_energy_joules
-            if obs is not None:
-                obs.server_batch(
-                    start,
-                    finish,
-                    len(batch_indices),
-                    policy.capacity,
-                    execution.total_energy_joules,
-                )
 
             # Energy convention: a timeout-flushed partial batch still
             # executes the full compiled-batch plan, so per-request
@@ -334,9 +312,6 @@ class InferenceServer:
                     )
                 )
             # One calibration observation per batch (its worst output).
-            now_s[0] = finish
             deployment.observe_entropy(batch_entropy)
-        if detach is not None:
-            detach()
         report.requests.sort(key=lambda r: r.index)
         return report

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.satisfaction import TaskClass, TimeRequirement
+from repro.validation import require_finite
 
 __all__ = [
     "ApplicationSpec",
@@ -62,12 +63,22 @@ class ApplicationSpec:
                 "task_class must be one of %s, got %r"
                 % (TaskClass.ALL, self.task_class)
             )
+        require_finite(
+            data_rate_hz=self.data_rate_hz, frame_rate_hz=self.frame_rate_hz
+        )
         if self.data_rate_hz <= 0:
             raise ValueError("data_rate_hz must be positive")
+        if self.frame_rate_hz is not None and self.frame_rate_hz <= 0:
+            raise ValueError(
+                "frame_rate_hz must be positive, got %r" % (self.frame_rate_hz,)
+            )
         if self.task_class == TaskClass.REAL_TIME and not self.frame_rate_hz:
             raise ValueError("real-time tasks must declare frame_rate_hz")
-        if self.entropy_slack < 0:
-            raise ValueError("entropy_slack must be non-negative")
+        if not self.entropy_slack >= 0:  # NaN fails this too
+            raise ValueError(
+                "entropy_slack must be non-negative, got %r"
+                % (self.entropy_slack,)
+            )
 
 
 @dataclass(frozen=True)

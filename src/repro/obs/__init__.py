@@ -36,7 +36,6 @@ from repro.obs.span import (
     CACHE_SENSITIVE_SPANS,
     SPAN_NAMES,
     Span,
-    SpanHandle,
     TraceBuffer,
     Tracer,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "SPAN_NAMES",
     "SUPERVISION_METRIC_PREFIX",
     "Span",
-    "SpanHandle",
     "TraceBuffer",
     "Tracer",
     "cache_neutral_obs_section",

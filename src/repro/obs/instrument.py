@@ -2,18 +2,12 @@
 
 :class:`Instrumentation` bundles one :class:`~repro.obs.span.Tracer`
 (over one :class:`~repro.obs.span.TraceBuffer`) with one
-:class:`~repro.obs.metrics.MetricsRegistry` and fills them two ways:
-
-* a router run is *derived*: :meth:`Instrumentation.record_run` walks
-  the finished report -- its event ledger, terminal records and
-  platform stats -- and opens, closes and counts every span and metric
-  from it.  Neither router loop holds any observability code;
-  ``RequestRouter.run`` hands its report over once, at the end.
-* the :class:`~repro.core.runtime.server.InferenceServer`, which keeps
-  no ledger, reports *live*: :meth:`attach_engine` relays an
-  :class:`~repro.core.engine.ExecutionEngine`'s hook bus (compilations,
-  plan-cache lookups, calibration backtracking) and
-  :meth:`server_batch` records each batch.
+:class:`~repro.obs.metrics.MetricsRegistry` and fills them one way: a
+router run is *derived*.  :meth:`Instrumentation.record_run` walks the
+finished report -- its event ledger, terminal records and platform
+stats -- and opens, closes and counts every span and metric from it.
+The router loop holds no observability code; ``RequestRouter.run``
+hands its report over once, at the end.
 
 Reports are read by duck typing: this package imports nothing from
 :mod:`repro.serving`.  One instance observes one run: create a fresh
@@ -25,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import defaultdict
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set
+from typing import Dict, List, Mapping, Optional, Sequence, Set
 
 from repro.obs.metrics import (
     LATENCY_BUCKETS_S,
@@ -67,7 +61,6 @@ _HELP = {
     "batch_occupancy": "occupied slots over plan capacity at launch",
     "batches_dispatched_total": "batches launched",
     "breaker_transitions_total": "circuit-breaker state changes",
-    "calibration_steps_total": "calibrator decisions",
     "control_prewarms_total": "rungs pre-warmed by the controller",
     "control_ticks_total": "predictive controller ticks",
     "deadline_slack_s": "deadline minus finish (negative: missed)",
@@ -332,87 +325,6 @@ class Instrumentation:
         replay.close(
             max([report.horizon_s] + [row[3] for row in ledger.event_rows()])
         )
-
-    # -- engine hook bus -------------------------------------------------
-    def attach_engine(
-        self, engine, clock: Callable[[], float]
-    ) -> Callable[[], None]:
-        """Relay an engine's hook-bus events; returns the unsubscriber.
-
-        ``clock`` supplies the sim time the relayed spans are stamped
-        with (the engine itself is timeless -- its activity happens
-        inside the caller's event loop).
-        """
-
-        def on_compile(key, plan, **_ignored):
-            self.tracer.instant(
-                "compile",
-                clock(),
-                platform=key.arch,
-                network=key.network,
-                batch=key.batch,
-                perforation=key.perforation,
-            )
-            self._counter("engine_compiles_total").inc()
-
-        def on_cache_hit(kind, key, **_ignored):
-            if kind == "compile":
-                self.tracer.instant(
-                    "plan_cache_lookup",
-                    clock(),
-                    platform=getattr(key, "arch", None),
-                    outcome="hit",
-                )
-            self._counter("engine_cache_hits_total", cache=kind).inc()
-
-        def on_execute(key, plan, report, cached, **_ignored):
-            self._counter("engine_executes_total").inc()
-
-        def on_prewarm(key, hit, **_ignored):
-            self._counter(
-                "engine_prewarms_total", outcome="hit" if hit else "miss"
-            ).inc()
-
-        def on_calibrate(step, **_ignored):
-            self._counter("calibration_steps_total", action=step.action).inc()
-            if step.action == "backtrack":
-                self.tracer.instant(
-                    "calibration_backtrack",
-                    clock(),
-                    entry_index=step.entry_index,
-                    observed_entropy=step.observed_entropy,
-                )
-
-        engine.hooks.subscribe("on_compile", on_compile)
-        engine.hooks.subscribe("on_cache_hit", on_cache_hit)
-        engine.hooks.subscribe("on_execute", on_execute)
-        engine.hooks.subscribe("on_prewarm", on_prewarm)
-        engine.hooks.subscribe("on_calibrate", on_calibrate)
-
-        def unsubscribe():
-            engine.hooks.unsubscribe("on_compile", on_compile)
-            engine.hooks.unsubscribe("on_cache_hit", on_cache_hit)
-            engine.hooks.unsubscribe("on_execute", on_execute)
-            engine.hooks.unsubscribe("on_prewarm", on_prewarm)
-            engine.hooks.unsubscribe("on_calibrate", on_calibrate)
-
-        return unsubscribe
-
-    # -- single-platform server -----------------------------------------
-    def server_batch(
-        self, start_s: float, finish_s: float, n_requests: int,
-        capacity: int, energy_j: float,
-    ) -> None:
-        """One :class:`InferenceServer` batch execution."""
-        self.tracer.emit(
-            "execute_batch", start_s, finish_s, batch=n_requests,
-            capacity=capacity,
-        )
-        self._counter("batches_dispatched_total", platform="server").inc()
-        self._histogram("batch_occupancy", platform="server").observe(
-            n_requests / capacity
-        )
-        self._counter("platform_energy_j", platform="server").inc(energy_j)
 
     # -- reporting -------------------------------------------------------
     def report_section(self) -> dict:

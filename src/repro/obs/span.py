@@ -16,7 +16,7 @@ Determinism is the design constraint everything here serves:
 
 * timestamps are always the caller's sim time -- the tracer never
   reads a clock of its own (REP001);
-* span ids are dense sequence numbers in *begin* order, so two
+* span ids are dense sequence numbers in *open* order, so two
   same-seed runs assign identical ids;
 * every export iterates in sorted/sequential order (REP003), and
   :meth:`TraceBuffer.fingerprint` canonicalizes away the only
@@ -39,7 +39,6 @@ __all__ = [
     "SPAN_NAMES",
     "CACHE_SENSITIVE_SPANS",
     "Span",
-    "SpanHandle",
     "Tracer",
     "TraceBuffer",
 ]
@@ -49,13 +48,12 @@ __all__ = [
 #: terminal outcome; ``admission``/``dispatch``/``retry`` are instant
 #: decision marks; ``execute_batch`` covers a batch launch -> finish;
 #: ``compile``/``plan_cache_lookup`` relay the execution engine's
-#: hook-bus activity; ``calibration_backtrack`` marks the calibrator
-#: stepping back down the tuning path; ``fault_episode`` brackets an
-#: injected fault's begin/end pair; ``control_tick``/``prewarm`` are
-#: instant marks of the predictive control plane's cadence firings and
-#: plan-cache pre-warms; ``supervise`` is the coordinator's zero-width
-#: record of one shard's supervision history (attempts, failures) in
-#: the stitched fleet trace.
+#: hook-bus activity; ``fault_episode`` brackets an injected fault's
+#: begin/end pair; ``control_tick``/``prewarm`` are instant marks of
+#: the predictive control plane's cadence firings and plan-cache
+#: pre-warms; ``supervise`` is the coordinator's zero-width record of
+#: one shard's supervision history (attempts, failures) in the
+#: stitched fleet trace.
 SPAN_NAMES = (
     "run",
     "platform",
@@ -66,7 +64,6 @@ SPAN_NAMES = (
     "retry",
     "compile",
     "plan_cache_lookup",
-    "calibration_backtrack",
     "fault_episode",
     "control_tick",
     "prewarm",
@@ -124,27 +121,6 @@ class Span:
             end_s=data["end_s"],
             attrs=dict(data["attrs"]),
         )
-
-
-class SpanHandle:
-    """One span that has begun but not yet ended; :meth:`Tracer.end`
-    adds its closing attributes and freezes it into the buffer."""
-
-    __slots__ = ("span_id", "parent_id", "name", "start_s", "attrs")
-
-    def __init__(
-        self,
-        span_id: int,
-        parent_id: Optional[int],
-        name: str,
-        start_s: float,
-        attrs: Dict[str, object],
-    ) -> None:
-        self.span_id = span_id
-        self.parent_id = parent_id
-        self.name = name
-        self.start_s = start_s
-        self.attrs = attrs
 
 
 def _unknown_name(name: str) -> ValueError:
@@ -306,7 +282,7 @@ class TraceBuffer:
         """Every span as plain data (:meth:`Span.to_dict`), ordered by
         span id.
 
-        Id order (= begin order) rather than append order (= close
+        Id order (= open order) rather than append order (= close
         order) so the export reads as a chronologically opened tree;
         both orders are deterministic.
         """
@@ -412,99 +388,26 @@ def _span_id(span: Span) -> int:
 
 
 class Tracer:
-    """Produces spans against an explicit sim clock.
+    """Writes spans into a :class:`TraceBuffer` against an explicit sim
+    clock, from plain tuples: no per-span object.
 
-    All times are caller-supplied simulated seconds.  The ``*_row``
-    methods write the same spans, ids and checks as ``begin``/``end``
-    from plain tuples, without a handle or :class:`Span` per span.
+    All times are caller-supplied simulated seconds.  :meth:`open_row`
+    issues span ids densely in open order and checks that a child
+    starts no earlier than its parent; :meth:`close_row` checks that a
+    span ends no earlier than it began, and the buffer rejects an
+    unknown name when the row is written.
     """
 
     def __init__(self, buffer: Optional[TraceBuffer] = None) -> None:
         self.buffer = buffer if buffer is not None else TraceBuffer()
         self._next_id = 0
-        self._open: Dict[int, SpanHandle] = {}
+        self._closed = 0
 
     @property
     def open_spans(self) -> int:
-        """Spans begun but not yet ended."""
-        return len(self._open)
+        """Span ids issued whose rows are not yet closed."""
+        return self._next_id - self._closed
 
-    def begin(
-        self,
-        name: str,
-        time_s: float,
-        parent: Optional[SpanHandle] = None,
-        **attrs,
-    ) -> SpanHandle:
-        """Open a span at ``time_s``; returns its handle."""
-        if name not in SPAN_NAMES:
-            raise _unknown_name(name)
-        parent_id = None
-        if parent is not None:
-            parent_id = parent.span_id
-            _check_child(name, time_s, parent.name, parent.start_s)
-        handle = SpanHandle(self._next_id, parent_id, name, time_s, dict(attrs))
-        self._next_id += 1
-        self._open[handle.span_id] = handle
-        return handle
-
-    def end(self, handle: SpanHandle, time_s: float, **attrs) -> Span:
-        """Close a span at ``time_s``, recording it into the buffer."""
-        if handle.span_id not in self._open:
-            raise ValueError(
-                "span %r (id %d) is not open" % (handle.name, handle.span_id)
-            )
-        _check_end(handle.name, time_s, handle.start_s)
-        del self._open[handle.span_id]
-        handle.attrs.update(attrs)
-        self.buffer.write(
-            handle.name,
-            tuple(handle.attrs),
-            (handle.span_id, handle.parent_id, handle.start_s, time_s)
-            + tuple(handle.attrs.values()),
-        )
-        return Span(
-            handle.span_id, handle.parent_id, handle.name, handle.start_s,
-            time_s, dict(handle.attrs),
-        )
-
-    def instant(
-        self,
-        name: str,
-        time_s: float,
-        parent: Optional[SpanHandle] = None,
-        **attrs,
-    ) -> Span:
-        """Record a zero-duration span (a point decision)."""
-        return self.end(self.begin(name, time_s, parent=parent, **attrs), time_s)
-
-    def emit(
-        self,
-        name: str,
-        start_s: float,
-        end_s: float,
-        parent: Optional[SpanHandle] = None,
-        **attrs,
-    ) -> Span:
-        """Record a whole span in one call (start and end known)."""
-        return self.end(self.begin(name, start_s, parent=parent, **attrs), end_s)
-
-    def drain_open(self, time_s: float) -> List[Span]:
-        """Close every still-open span at ``time_s`` (run teardown).
-
-        Closed spans carry ``open_at_drain=True`` so analysis can tell
-        a bracketed interval from one truncated by the end of the run
-        (e.g. a fault episode the schedule never closed).  Handles are
-        closed in id order for determinism.
-        """
-        closed = []
-        for span_id in sorted(self._open):
-            handle = self._open[span_id]
-            end_time_s = max(time_s, handle.start_s)
-            closed.append(self.end(handle, end_time_s, open_at_drain=True))
-        return closed
-
-    # -- rows ------------------------------------------------------------
     def open_row(
         self, name: str, time_s: float, parent: Optional[tuple] = None,
         keys: Tuple[str, ...] = (), values: tuple = (),
@@ -530,10 +433,11 @@ class Tracer:
             name, open_keys + keys,
             (span_id, parent_id, start_s, time_s) + open_values + values,
         )
+        self._closed += 1
 
     def instant_row(
         self, name: str, time_s: float, parent: Optional[tuple] = None,
         keys: Tuple[str, ...] = (), values: tuple = (),
     ) -> None:
-        """Record a zero-duration span from plain tuples."""
+        """Record a zero-duration span (a point decision)."""
         self.close_row(self.open_row(name, time_s, parent, keys, values), time_s)

@@ -1,5 +1,7 @@
 """Tests for repro.core.runtime.accuracy_tuning: the greedy tuner."""
 
+import math
+
 import pytest
 
 from repro.core.offline import OfflineCompiler
@@ -110,6 +112,14 @@ class TestGreedyTuner:
     def test_rejects_bad_threshold(self, tuner):
         with pytest.raises(ValueError):
             tuner.tune(batch=1, entropy_threshold=0.0)
+
+    def test_rejects_nan_threshold_and_negative_iterations(self, tuner):
+        """No entropy exceeds a NaN threshold, and a negative count
+        runs no iteration: both must stop here, naming the field."""
+        with pytest.raises(ValueError, match="entropy_threshold must be"):
+            tuner.tune(batch=1, entropy_threshold=math.nan)
+        with pytest.raises(ValueError, match="max_iterations must be"):
+            tuner.tune(batch=1, entropy_threshold=1.5, max_iterations=-1)
 
     def test_rejects_bad_ladder(self, compiler, net):
         with pytest.raises(ValueError):

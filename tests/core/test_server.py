@@ -1,10 +1,13 @@
 """Tests for repro.core.runtime.server: the serving loop."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.core import ApplicationSpec, PervasiveCNN, TaskClass
 from repro.core.runtime import InferenceServer
+from repro.core.runtime.server import FlushPolicy
 from repro.gpu import JETSON_TX1
 from repro.nn import alexnet
 from repro.workloads import (
@@ -93,6 +96,15 @@ class TestServing:
         with pytest.raises(ValueError):
             InferenceServer(deployment, flush_timeout_s=0.0)
 
+    @pytest.mark.parametrize("timeout", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_timeout(self, deployment, timeout):
+        """NaN slips past the ``<= 0`` check and would serve NaN
+        latencies; it must stop at construction, naming the field."""
+        with pytest.raises(ValueError, match="flush_timeout_s must be finite"):
+            InferenceServer(deployment, flush_timeout_s=timeout)
+        with pytest.raises(ValueError, match="timeout_s must be finite"):
+            FlushPolicy(capacity=1, timeout_s=timeout)
+
 
 class TestServingEdgeCases:
     def test_empty_trace_yields_empty_report(self, deployment):
@@ -141,8 +153,6 @@ class TestServingEdgeCases:
         assert [r.batch for r in report.requests] == [2, 2]
 
     def test_flush_policy_boundary_semantics(self):
-        from repro.core.runtime.server import FlushPolicy
-
         policy = FlushPolicy(capacity=4, timeout_s=0.1)
         assert policy.flush_at(1.0) == pytest.approx(1.1)
         assert policy.admits(1, 1.1, head_arrival_s=1.0)  # inclusive

@@ -29,6 +29,24 @@ class TestApplicationSpec:
         with pytest.raises(ValueError):
             ApplicationSpec("x", TaskClass.INTERACTIVE, entropy_slack=-0.1)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"data_rate_hz": math.nan}, "data_rate_hz must be finite"),
+            ({"data_rate_hz": math.inf}, "data_rate_hz must be finite"),
+            ({"entropy_slack": math.nan}, "entropy_slack must be non-negative"),
+            ({"frame_rate_hz": math.nan}, "frame_rate_hz must be finite"),
+            ({"frame_rate_hz": -30.0}, "frame_rate_hz must be positive"),
+        ],
+    )
+    def test_rejects_bad_field_naming_it(self, fields, message):
+        """NaN and infinities slip past one-sided range checks; each
+        must stop at the spec, naming the field."""
+        for task in (TaskClass.INTERACTIVE, TaskClass.REAL_TIME):
+            kwargs = {"frame_rate_hz": 30.0, **fields}
+            with pytest.raises(ValueError, match=message):
+                ApplicationSpec("x", task, **kwargs)
+
 
 class TestInference:
     def test_interactive_lookup(self):

@@ -16,14 +16,15 @@ from repro.obs.span import TraceBuffer, Tracer
 
 def _sample_buffer():
     tracer = Tracer()
-    run = tracer.begin("run", 0.0, platforms="a,b")
-    pa = tracer.begin("platform", 0.0, parent=run, platform="a")
-    tracer.emit(
-        "execute_batch", 0.5, 1.5, parent=pa, platform="a", batch=4
+    run = tracer.open_row("run", 0.0, None, ("platforms",), ("a,b",))
+    pa = tracer.open_row("platform", 0.0, run, ("platform",), ("a",))
+    batch = tracer.open_row(
+        "execute_batch", 0.5, pa, ("platform", "batch"), ("a", 4)
     )
-    tracer.instant("admission", 0.25, parent=run, reason="ok")
-    tracer.end(pa, 2.0)
-    tracer.end(run, 2.0)
+    tracer.close_row(batch, 1.5)
+    tracer.instant_row("admission", 0.25, run, ("reason",), ("ok",))
+    tracer.close_row(pa, 2.0)
+    tracer.close_row(run, 2.0)
     return tracer.buffer
 
 

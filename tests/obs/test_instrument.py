@@ -10,10 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.core.engine import ExecutionEngine
 from repro.core.satisfaction import TimeRequirement
-from repro.gpu import K20C
-from repro.nn import alexnet
 from repro.obs.instrument import (
     CACHE_SENSITIVE_METRIC_PREFIX,
     Instrumentation,
@@ -446,30 +443,6 @@ class TestFaultEpisodes:
         assert (
             obs.metrics.counter(
                 "faults_injected_total", kind="transient", platform="a"
-            ).value
-            == 1.0
-        )
-
-
-class TestEngineAttach:
-    def test_compile_and_cache_relays(self):
-        engine = ExecutionEngine(K20C)
-        obs = Instrumentation()
-        clock = [0.0]
-        detach = obs.attach_engine(engine, lambda: clock[0])
-        network = alexnet()
-        engine.compile_with_batch(network, 1)  # miss -> compile span
-        clock[0] = 1.0
-        engine.compile_with_batch(network, 1)  # hit -> lookup span
-        detach()
-        engine.compile_with_batch(network, 2)  # after detach: unobserved
-        assert obs.buffer.counts["compile"] == 1
-        assert obs.buffer.counts["plan_cache_lookup"] == 1
-        assert obs.buffer.of_name("plan_cache_lookup")[0].start_s == 1.0
-        assert obs.metrics.counter("engine_compiles_total").value == 1.0
-        assert (
-            obs.metrics.counter(
-                "engine_cache_hits_total", cache="compile"
             ).value
             == 1.0
         )

@@ -2,9 +2,10 @@
 
 The unit tests in ``test_span.py`` check the tracer pointwise; these
 pin the structural invariants for *arbitrary* open/close/instant
-sequences: span trees stay well-nested (child intervals contained in
-their parent), span ids are dense and monotone in begin order, the
-canonical JSON export round-trips bit-identically, and every export
+sequences through its row API: span trees stay well-nested (child
+intervals contained in their parent), span ids are dense and monotone
+in open order, nothing is left open, the canonical JSON export
+round-trips bit-identically, and every export
 written from the buffer's rows equals its dict-built oracle -- for
 attributes of every JSON kind, awkward floats and strings included.
 """
@@ -50,6 +51,8 @@ _ATTRS = st.dictionaries(
 #: current span, or record an instant, each with attributes.  Each
 #: advances the sim clock by a non-negative amount, so time is monotone
 #: by construction — the tracer must *preserve* that, never reorder it.
+#: A row's attribute keys are set once, so a close's attributes are
+#: drawn disjoint from its row's: keys the span opened with drop out.
 _steps = st.lists(
     st.one_of(
         st.tuples(st.just("open"), _NAMES, _DT, _ATTRS),
@@ -61,23 +64,38 @@ _steps = st.lists(
 )
 
 
-def _run_steps(steps):
-    """Drive a Tracer with a stack discipline; return its buffer."""
+def _drive(steps):
+    """Drive a Tracer's row API with a stack discipline, checking after
+    every step that the open rows are the stack's, and close what is
+    still open at the end (marked ``open_at_drain``); returns the
+    tracer."""
     tracer = Tracer()
     clock = 0.0
     stack = []
     for action, name, dt, attrs in steps:
         clock += dt
+        parent = stack[-1] if stack else None
         if action == "open":
-            parent = stack[-1] if stack else None
-            stack.append(tracer.begin(name, clock, parent=parent, **attrs))
+            stack.append(tracer.open_row(
+                name, clock, parent, tuple(attrs), tuple(attrs.values())
+            ))
         elif action == "close" and stack:
-            tracer.end(stack.pop(), clock, **attrs)
+            row = stack.pop()
+            attrs = {k: v for k, v in attrs.items() if k not in row[4]}
+            tracer.close_row(row, clock, tuple(attrs), tuple(attrs.values()))
         elif action == "instant":
-            parent = stack[-1] if stack else None
-            tracer.instant(name, clock, parent=parent, **attrs)
-    tracer.drain_open(clock)
-    return tracer.buffer
+            tracer.instant_row(
+                name, clock, parent, tuple(attrs), tuple(attrs.values())
+            )
+        assert tracer.open_spans == len(stack)
+    while stack:
+        tracer.close_row(stack.pop(), clock, ("open_at_drain",), (True,))
+    return tracer
+
+
+def _run_steps(steps):
+    """The buffer :func:`_drive` fills."""
+    return _drive(steps).buffer
 
 
 class TestWellNesting:
@@ -99,18 +117,7 @@ class TestWellNesting:
     @given(steps=_steps)
     @settings(max_examples=120, deadline=None)
     def test_nothing_left_open(self, steps):
-        tracer = Tracer()
-        clock = 0.0
-        stack = []
-        for action, name, dt, _attrs in steps:
-            clock += dt
-            if action == "open":
-                parent = stack[-1] if stack else None
-                stack.append(tracer.begin(name, clock, parent=parent))
-            elif action == "close" and stack:
-                tracer.end(stack.pop(), clock)
-        tracer.drain_open(clock)
-        assert tracer.open_spans == 0
+        assert _drive(steps).open_spans == 0
 
 
 class TestMonotoneSimTime:

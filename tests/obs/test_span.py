@@ -1,4 +1,4 @@
-"""Tests for repro.obs.span: spans, handles, tracer, buffer."""
+"""Tests for repro.obs.span: spans, the tracer's row API, buffer."""
 
 import json
 import math
@@ -13,6 +13,24 @@ from repro.obs.span import (
     Tracer,
 )
 from tests.obs.oracle import assert_matches_oracle
+
+
+def _open(tracer, name, time_s, parent=None, **attrs):
+    """Open a row with keyword attributes."""
+    return tracer.open_row(
+        name, time_s, parent, tuple(attrs), tuple(attrs.values())
+    )
+
+
+def _emit(tracer, name, start_s, end_s, parent=None, **attrs):
+    """Record a whole span whose start and end are known."""
+    tracer.close_row(_open(tracer, name, start_s, parent, **attrs), end_s)
+
+
+def _instant(tracer, name, time_s, parent=None, **attrs):
+    tracer.instant_row(
+        name, time_s, parent, tuple(attrs), tuple(attrs.values())
+    )
 
 
 class TestSpan:
@@ -32,7 +50,7 @@ class TestSpan:
     def test_taxonomy_covers_the_issue_span_set(self):
         for name in (
             "compile", "plan_cache_lookup", "execute_batch", "dispatch",
-            "admission", "retry", "calibration_backtrack", "fault_episode",
+            "admission", "retry", "fault_episode",
         ):
             assert name in SPAN_NAMES
         assert set(CACHE_SENSITIVE_SPANS) <= set(SPAN_NAMES)
@@ -41,78 +59,82 @@ class TestSpan:
 class TestTracer:
     def test_begin_end_records_into_buffer(self):
         tracer = Tracer()
-        handle = tracer.begin("run", 0.0, platforms="a")
+        row = _open(tracer, "run", 0.0, platforms="a")
         assert tracer.open_spans == 1
-        span = tracer.end(handle, 2.0, outcome="done")
+        tracer.close_row(row, 2.0, ("outcome",), ("done",))
         assert tracer.open_spans == 0
-        assert len(tracer.buffer) == 1
+        (span,) = tracer.buffer
         assert span.name == "run"
         assert span.start_s == 0.0 and span.end_s == 2.0
         assert span.attrs == {"platforms": "a", "outcome": "done"}
 
     def test_span_ids_are_dense_in_begin_order(self):
         tracer = Tracer()
-        a = tracer.begin("run", 0.0)
-        b = tracer.begin("platform", 0.0, parent=a)
-        c = tracer.begin("request", 1.0, parent=a)
-        assert (a.span_id, b.span_id, c.span_id) == (0, 1, 2)
+        a = tracer.open_row("run", 0.0)
+        b = tracer.open_row("platform", 0.0, a)
+        c = tracer.open_row("request", 1.0, a)
+        assert (a[0], b[0], c[0]) == (0, 1, 2)
+        tracer.instant_row("admission", 1.0, c)
+        for row in (c, b, a):
+            tracer.close_row(row, 2.0)
+        ids = {span.name: span.span_id for span in tracer.buffer}
+        assert ids == {"run": 0, "platform": 1, "request": 2, "admission": 3}
 
     def test_unknown_name_rejected(self):
         tracer = Tracer()
-        with pytest.raises(ValueError, match="unknown span name"):
-            tracer.begin("bogus", 0.0)
+        with pytest.raises(ValueError, match="unknown span name 'bogus'"):
+            tracer.instant_row("bogus", 0.0)
+        row = tracer.open_row("bogus", 0.0)
+        with pytest.raises(ValueError, match="unknown span name 'bogus'"):
+            tracer.close_row(row, 1.0)
+        assert len(tracer.buffer) == 0
 
     def test_end_before_start_rejected(self):
         tracer = Tracer()
-        handle = tracer.begin("run", 5.0)
+        row = tracer.open_row("run", 5.0)
         with pytest.raises(ValueError, match="before it began"):
-            tracer.end(handle, 4.0)
+            tracer.close_row(row, 4.0)
+        assert len(tracer.buffer) == 0
 
     def test_child_before_parent_start_rejected(self):
         tracer = Tracer()
-        parent = tracer.begin("run", 5.0)
+        parent = tracer.open_row("run", 5.0)
         with pytest.raises(ValueError, match="before its parent"):
-            tracer.begin("request", 4.0, parent=parent)
+            tracer.open_row("request", 4.0, parent)
+        with pytest.raises(ValueError, match="before its parent"):
+            tracer.instant_row("admission", 4.0, parent)
 
-    def test_double_end_rejected(self):
+    def test_open_spans_counts_rows_not_yet_closed(self):
         tracer = Tracer()
-        handle = tracer.begin("run", 0.0)
-        tracer.end(handle, 1.0)
-        with pytest.raises(ValueError, match="not open"):
-            tracer.end(handle, 2.0)
+        run = tracer.open_row("run", 0.0)
+        batch = tracer.open_row("execute_batch", 1.0, run)
+        assert tracer.open_spans == 2
+        tracer.instant_row("admission", 1.5, run)
+        assert tracer.open_spans == 2
+        tracer.close_row(batch, 2.0)
+        assert tracer.open_spans == 1
+        tracer.close_row(run, 3.0)
+        assert tracer.open_spans == 0
 
     def test_instant_and_emit(self):
         tracer = Tracer()
-        instant = tracer.instant("admission", 1.5, reason="ok")
-        emitted = tracer.emit("execute_batch", 1.0, 2.0, batch=4)
+        _instant(tracer, "admission", 1.5, reason="ok")
+        _emit(tracer, "execute_batch", 1.0, 2.0, batch=4)
+        instant, emitted = tracer.buffer
         assert instant.duration_s == 0.0
+        assert instant.attrs == {"reason": "ok"}
         assert emitted.duration_s == 1.0
-        assert len(tracer.buffer) == 2
-
-    def test_drain_open_closes_in_id_order_and_marks(self):
-        tracer = Tracer()
-        a = tracer.begin("run", 0.0)
-        b = tracer.begin("platform", 0.0, parent=a)
-        closed = tracer.drain_open(3.0)
-        assert [s.span_id for s in closed] == [a.span_id, b.span_id]
-        assert all(s.attrs["open_at_drain"] for s in closed)
-        assert tracer.open_spans == 0
-
-    def test_drain_never_ends_before_start(self):
-        tracer = Tracer()
-        tracer.begin("run", 5.0)
-        (span,) = tracer.drain_open(1.0)
-        assert span.end_s == 5.0
+        assert emitted.attrs == {"batch": 4}
 
 
 class TestTraceBuffer:
     def _populated(self):
         tracer = Tracer()
-        run = tracer.begin("run", 0.0)
-        tracer.instant("compile", 0.0, platform="a")
-        tracer.instant("plan_cache_lookup", 0.1, platform="a")
-        tracer.emit("execute_batch", 1.0, 2.0, parent=run, platform="a")
-        tracer.end(run, 3.0)
+        run = tracer.open_row("run", 0.0)
+        _instant(tracer, "compile", 0.0, platform="a")
+        _instant(tracer, "plan_cache_lookup", 0.1, platform="a")
+        _emit(tracer, "execute_batch", 1.0, 2.0, run, platform="a")
+        tracer.close_row(run, 3.0)
         return tracer.buffer
 
     def test_of_name_and_counts(self):
@@ -149,9 +171,9 @@ class TestTraceBuffer:
         warm = self._populated()
 
         tracer = Tracer()  # same run shape, no compile/lookup spans
-        run = tracer.begin("run", 0.0)
-        tracer.emit("execute_batch", 1.0, 2.0, parent=run, platform="a")
-        tracer.end(run, 3.0)
+        run = tracer.open_row("run", 0.0)
+        _emit(tracer, "execute_batch", 1.0, 2.0, run, platform="a")
+        tracer.close_row(run, 3.0)
         cold = tracer.buffer
 
         assert warm.fingerprint() == cold.fingerprint()
@@ -160,48 +182,46 @@ class TestTraceBuffer:
     def test_fingerprint_sensitive_to_routing_behaviour(self):
         buffer = self._populated()
         tracer = Tracer()
-        run = tracer.begin("run", 0.0)
-        tracer.emit("execute_batch", 1.0, 2.5, parent=run, platform="a")
-        tracer.end(run, 3.0)
+        run = tracer.open_row("run", 0.0)
+        _emit(tracer, "execute_batch", 1.0, 2.5, run, platform="a")
+        tracer.close_row(run, 3.0)
         assert tracer.buffer.fingerprint() != buffer.fingerprint()
 
     def test_fingerprint_remaps_parents_densely(self):
         tracer = Tracer()
-        tracer.instant("compile", 0.0)  # id 0, dropped
-        run = tracer.begin("run", 0.0)  # id 1 -> 0
-        tracer.emit("request", 1.0, 2.0, parent=run)  # id 2 -> 1
-        tracer.end(run, 3.0)
+        tracer.instant_row("compile", 0.0)  # id 0, dropped
+        run = tracer.open_row("run", 0.0)  # id 1 -> 0
+        _emit(tracer, "request", 1.0, 2.0, run)  # id 2 -> 1
+        tracer.close_row(run, 3.0)
         survivors = json.loads(tracer.buffer.to_json())
         assert len(survivors) == 3
         # Equivalent buffer built without the compile span.
         other = Tracer()
-        run2 = other.begin("run", 0.0)
-        other.emit("request", 1.0, 2.0, parent=run2)
-        other.end(run2, 3.0)
+        run2 = other.open_row("run", 0.0)
+        _emit(other, "request", 1.0, 2.0, run2)
+        other.close_row(run2, 3.0)
         assert other.buffer.fingerprint() == tracer.buffer.fingerprint()
 
     def test_cache_sensitive_parents_reparent_like_the_oracle(self):
         """Children of dropped ``compile``/``plan_cache_lookup`` spans
         re-parent onto their nearest surviving ancestor."""
         tracer = Tracer()
-        run = tracer.begin("run", 0.0, platforms="a")
-        compile_ = tracer.begin("compile", 0.0, parent=run, platform="a")
-        lookup = tracer.begin(
-            "plan_cache_lookup", 0.0, parent=compile_, outcome="hit"
-        )
-        tracer.instant("dispatch", 0.5, parent=lookup, platform="a")
-        tracer.end(lookup, 1.0)
-        tracer.instant("admission", 1.0, parent=compile_, reason="ok")
-        tracer.end(compile_, 1.0)
-        tracer.instant("compile", 1.5)
-        tracer.end(run, 2.0)
+        run = _open(tracer, "run", 0.0, platforms="a")
+        compile_ = _open(tracer, "compile", 0.0, run, platform="a")
+        lookup = _open(tracer, "plan_cache_lookup", 0.0, compile_, outcome="hit")
+        _instant(tracer, "dispatch", 0.5, lookup, platform="a")
+        tracer.close_row(lookup, 1.0)
+        _instant(tracer, "admission", 1.0, compile_, reason="ok")
+        tracer.close_row(compile_, 1.0)
+        tracer.instant_row("compile", 1.5)
+        tracer.close_row(run, 2.0)
         buffer = tracer.buffer
         assert_matches_oracle(buffer)
         survivors = Tracer()
-        root = survivors.begin("run", 0.0, platforms="a")
-        survivors.instant("dispatch", 0.5, parent=root, platform="a")
-        survivors.instant("admission", 1.0, parent=root, reason="ok")
-        survivors.end(root, 2.0)
+        root = _open(survivors, "run", 0.0, platforms="a")
+        _instant(survivors, "dispatch", 0.5, root, platform="a")
+        _instant(survivors, "admission", 1.0, root, reason="ok")
+        survivors.close_row(root, 2.0)
         assert buffer.fingerprint() == survivors.buffer.fingerprint()
 
     def test_iteration_and_indexing_follow_closing_order(self):

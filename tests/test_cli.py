@@ -75,6 +75,16 @@ class TestCompile:
         code = main(["compile", "--network", "lenet", "--gpu", "tx1"])
         assert code == 2
 
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_non_finite_rate_names_the_field(self, rate, capsys):
+        """The error names the field, not a conversion deep in the
+        compiler."""
+        code = main(
+            ["compile", "--network", "alexnet", "--gpu", "tx1", "--rate", rate]
+        )
+        assert code == 2
+        assert "data_rate_hz must be finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["serve-fleet", "--gpus", "k20c,k20c", "--requests", "40",
          "--json"],
@@ -94,6 +104,20 @@ class TestTune:
         assert code == 0
         out = capsys.readouterr().out
         assert "speedup" in out and "dense" in out
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--slack", "nan"], "entropy_threshold must be positive"),
+            (["--iterations", "-1"], "max_iterations must be non-negative"),
+        ],
+    )
+    def test_bad_tuning_input_is_a_clean_error(self, flags, message, capsys):
+        """A NaN threshold or a negative iteration count exits 2,
+        naming the field, instead of tuning nothing."""
+        code = main(["tune", "--network", "alexnet", "--gpu", "tx1"] + flags)
+        assert code == 2
+        assert message in capsys.readouterr().err
 
 
 class TestRoofline:

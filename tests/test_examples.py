@@ -16,6 +16,7 @@ FAST_EXAMPLES = [
     "multi_tenant",
     "cross_platform_deploy",
     "learned_requirements",
+    "streaming_server",
 ]
 
 
