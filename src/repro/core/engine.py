@@ -93,17 +93,10 @@ def network_fingerprint(network: NetworkDescriptor) -> str:
     Two descriptors with the same name but different layer stacks (a
     hand-built variant, a truncated proxy) must not collide, so the
     name is combined with a digest over every resolved layer's spec
-    and shapes.
+    and shapes (:meth:`NetworkDescriptor.fingerprint`, hashed once
+    per descriptor).
     """
-    parts = [network.name, repr(network.input_shape)]
-    for layer in network.layers:
-        parts.append(
-            "%d|%s|%r|%r|%r"
-            % (layer.index, layer.name, layer.spec, layer.input_shape,
-               layer.output_shape)
-        )
-    digest = hashlib.sha1("\n".join(parts).encode("utf-8")).hexdigest()[:16]
-    return "%s@%s" % (network.name, digest)
+    return network.fingerprint()
 
 
 def plan_fingerprint(plan: CompiledPlan) -> str:

@@ -21,8 +21,9 @@ substitution rationale.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
-from typing import List, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.gpu.kernels import GemmShape
 from repro.gpu.memory import NetworkMemoryProfile
@@ -89,6 +90,10 @@ class NetworkDescriptor:
     :meth:`from_resolved`.
     """
 
+    #: ``(name, input_shape, fingerprint)`` as last hashed by
+    #: :meth:`fingerprint`.
+    _fingerprint: Optional[Tuple[str, TensorShape, str]] = None
+
     def __init__(
         self,
         name: str,
@@ -137,6 +142,28 @@ class NetworkDescriptor:
     def n_classes(self) -> int:
         """Classifier width (channels of the final output)."""
         return self.output_shape.channels
+
+    def fingerprint(self) -> str:
+        """Structural fingerprint: the name plus a digest over every
+        resolved layer's spec and shapes.
+
+        Hashed once per descriptor; rebinding ``name`` or
+        ``input_shape`` makes the next call hash again.
+        """
+        memo = self._fingerprint
+        if memo is not None and memo[0] is self.name and memo[1] is self.input_shape:
+            return memo[2]
+        parts = [self.name, repr(self.input_shape)]
+        for layer in self._layers:
+            parts.append(
+                "%d|%s|%r|%r|%r"
+                % (layer.index, layer.name, layer.spec, layer.input_shape,
+                   layer.output_shape)
+            )
+        digest = hashlib.sha1("\n".join(parts).encode("utf-8")).hexdigest()[:16]
+        fingerprint = "%s@%s" % (self.name, digest)
+        self._fingerprint = (self.name, self.input_shape, fingerprint)
+        return fingerprint
 
     def layer(self, name: str) -> ResolvedLayer:
         """Look up a resolved layer by name."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -105,6 +105,18 @@ def _nearest_map(size: int, coords: np.ndarray) -> np.ndarray:
     return np.where(pick_left, left, insert)
 
 
+def _sample_grid(
+    out_h: int, out_w: int, rate: float
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Sampled rows and columns of a grid with perforation ~``rate``."""
+    if not 0.0 <= rate < 1.0:
+        raise ValueError("rate must be in [0, 1), got %r" % (rate,))
+    keep_fraction = math.sqrt(1.0 - rate)
+    rows = _sample_axis(out_h, int(round(out_h * keep_fraction)))
+    cols = _sample_axis(out_w, int(round(out_w * keep_fraction)))
+    return rows, cols
+
+
 def make_grid_perforation(
     out_h: int, out_w: int, rate: float
 ) -> GridPerforation:
@@ -115,11 +127,7 @@ def make_grid_perforation(
     within one row/column of the request and never *exceeds* the grid).
     ``rate`` = 0 keeps everything.
     """
-    if not 0.0 <= rate < 1.0:
-        raise ValueError("rate must be in [0, 1), got %r" % (rate,))
-    keep_fraction = math.sqrt(1.0 - rate)
-    rows = _sample_axis(out_h, int(round(out_h * keep_fraction)))
-    cols = _sample_axis(out_w, int(round(out_w * keep_fraction)))
+    rows, cols = _sample_grid(out_h, out_w, rate)
     return GridPerforation(
         out_h=out_h,
         out_w=out_w,
@@ -190,12 +198,15 @@ class PerforationPlan:
         """Fraction of GEMM columns that survive for a layer.
 
         Uses the *realized* grid (quantized), not the nominal rate, so
-        the time model and the numpy executor agree exactly.
+        the time model and the numpy executor agree exactly: this is
+        :meth:`grid_for`'s ``kept / total``, counted from the sampled
+        rows and columns without building the interpolation maps.
         """
-        grid = self.grid_for(layer_name, out_h, out_w)
-        if grid is None:
+        rate = self.rate(layer_name)
+        if rate <= 0.0:  # dense: rates are validated to [0, 1)
             return 1.0
-        return grid.kept / grid.total
+        rows, cols = _sample_grid(out_h, out_w, rate)
+        return len(rows) * len(cols) / (out_h * out_w)
 
     def describe(self) -> str:
         """Compact 'layer:rate' listing."""

@@ -191,11 +191,18 @@ class TraceBuffer:
 
     def write(self, name: str, keys: Tuple[str, ...], row: tuple) -> None:
         """Append one closed span as a row whose attribute values follow
-        ``keys``; only the name is checked."""
+        ``keys``.  Only the shape is checked, once, when it is first
+        seen: a known name and no key twice (one would be a duplicate
+        JSON key in every export)."""
         shape = self._shape_index.get((name, keys))
         if shape is None:
             if name not in SPAN_NAMES:
                 raise _unknown_name(name)
+            if len(set(keys)) != len(keys):
+                repeated = next(k for i, k in enumerate(keys) if k in keys[:i])
+                raise ValueError(
+                    "span %r sets attribute %r twice" % (name, repeated)
+                )
             shape = self._shape_index[(name, keys)] = len(self._shapes)
             self._shapes.append((name, keys))
             self._rows.append([])
@@ -393,20 +400,22 @@ class Tracer:
 
     All times are caller-supplied simulated seconds.  :meth:`open_row`
     issues span ids densely in open order and checks that a child
-    starts no earlier than its parent; :meth:`close_row` checks that a
-    span ends no earlier than it began, and the buffer rejects an
-    unknown name when the row is written.
+    starts no earlier than its parent; :meth:`close_row` checks that
+    the row is open and ends no earlier than it began, and the buffer
+    rejects an unknown name or a repeated attribute key when the row
+    is written.
     """
 
     def __init__(self, buffer: Optional[TraceBuffer] = None) -> None:
         self.buffer = buffer if buffer is not None else TraceBuffer()
         self._next_id = 0
-        self._closed = 0
+        #: Ids of the rows opened and not yet closed.
+        self._open: Set[int] = set()
 
     @property
     def open_spans(self) -> int:
         """Span ids issued whose rows are not yet closed."""
-        return self._next_id - self._closed
+        return len(self._open)
 
     def open_row(
         self, name: str, time_s: float, parent: Optional[tuple] = None,
@@ -418,6 +427,7 @@ class Tracer:
             _check_child(name, time_s, parent[3], parent[2])
         span_id = self._next_id
         self._next_id = span_id + 1
+        self._open.add(span_id)
         parent_id = None if parent is None else parent[0]
         return (span_id, parent_id, time_s, name, keys, values)
 
@@ -428,12 +438,14 @@ class Tracer:
         """Close an open row at ``time_s``, adding attributes ``keys``
         (none of them already set) with ``values``."""
         span_id, parent_id, start_s, name, open_keys, open_values = row
+        if span_id not in self._open:
+            raise ValueError("span %d (%r) is not open" % (span_id, name))
         _check_end(name, time_s, start_s)
         self.buffer.write(
             name, open_keys + keys,
             (span_id, parent_id, start_s, time_s) + open_values + values,
         )
-        self._closed += 1
+        self._open.remove(span_id)
 
     def instant_row(
         self, name: str, time_s: float, parent: Optional[tuple] = None,

@@ -13,12 +13,14 @@ by ``benchmarks/bench_fig7_rr_vs_psm.py``.
 
 Schedulers are small strategy objects: given the per-SM residency
 vector they return the SM that should receive the next CTA, or ``None``
-when no SM they are willing to use has a free slot.
+when no SM they are willing to use has a free slot.  The simulator
+asks for every free slot at once through :meth:`CTAScheduler.fill`,
+which answers in ``(sm, count)`` runs.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 __all__ = ["CTAScheduler", "RoundRobinScheduler", "PrioritySMScheduler"]
 
@@ -38,6 +40,31 @@ class CTAScheduler:
     ) -> Optional[int]:
         """Return the SM index to dispatch the next CTA to, or None."""
         raise NotImplementedError
+
+    def fill(
+        self, residency: Sequence[int], max_ctas_per_sm: int, n: int
+    ) -> List[Tuple[int, int]]:
+        """Dispatch up to ``n`` CTAs at once, as :meth:`select_sm` would
+        one by one until it returns None.
+
+        Returns ``(sm, count)`` runs in dispatch order, consecutive
+        picks of one SM merged; ``residency`` is left as it was and any
+        per-launch state (Round-Robin's pointer) ends where ``n``
+        single picks would leave it.  This base version makes those
+        picks over its own copy of ``residency``.
+        """
+        residency = list(residency)
+        runs: List[Tuple[int, int]] = []
+        for _ in range(n):
+            index = self.select_sm(residency, max_ctas_per_sm)
+            if index is None:
+                break
+            residency[index] += 1
+            if runs and runs[-1][0] == index:
+                runs[-1] = (index, runs[-1][1] + 1)
+            else:
+                runs.append((index, 1))
+        return runs
 
     def powered_sms(self, n_sms: int) -> int:
         """SMs that must stay powered while this scheduler runs."""
@@ -105,3 +132,20 @@ class PrioritySMScheduler(CTAScheduler):
             if residency[index] < limit:
                 return index
         return None
+
+    def fill(
+        self, residency: Sequence[int], max_ctas_per_sm: int, n: int
+    ) -> List[Tuple[int, int]]:
+        """Closed form of :meth:`select_sm`'s packing: top each usable
+        SM up to the limit in priority order until ``n`` are placed."""
+        limit = min(self.opt_tlp, max_ctas_per_sm)
+        runs: List[Tuple[int, int]] = []
+        for index in range(min(self.opt_sm, len(residency))):
+            if n <= 0:
+                break
+            free = limit - residency[index]
+            if free > 0:
+                take = min(free, n)
+                runs.append((index, take))
+                n -= take
+        return runs

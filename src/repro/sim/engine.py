@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, List, Optional
 
 from repro.gpu import occupancy
 from repro.gpu.architecture import GPUArchitecture
@@ -30,7 +30,7 @@ from repro.gpu.libraries import KernelLibrary
 from repro.gpu.spilling import ACCESSES_PER_SPILL, COST_GLOBAL, COST_SHARED
 from repro.obs.metrics import ordered_sum
 from repro.sim.cta_scheduler import CTAScheduler, RoundRobinScheduler
-from repro.sim.sm import CTA, DEFAULT_TLP_HALF, SMState
+from repro.sim.sm import DEFAULT_TLP_HALF, latency_hiding_factor
 from repro.sim.trace import ExecutionTrace
 
 __all__ = [
@@ -189,6 +189,14 @@ def simulate_kernel(
     overhead (defaults to an ideal back-end).  ``scheduler`` defaults to
     hardware Round-Robin.  ``max_ctas_per_sm`` defaults to the
     occupancy limit of Eq. 5 (+ shared-memory/thread/CTA caps).
+
+    The loop steps groups of CTAs, not CTAs.  Every CTA of a launch
+    carries the same work and every event takes the same progress from
+    each CTA on an SM, so the CTAs dispatched to one SM at one instant
+    keep equal remaining work until they retire together: one group
+    stands for them, with the float operations a per-CTA loop would do
+    on each, in the same order.  The trace expands groups back into
+    per-CTA dispatch and retire rows.
     """
     scheduler = scheduler or RoundRobinScheduler()
     scheduler.reset()
@@ -202,51 +210,97 @@ def simulate_kernel(
     issue_eff = library.issue_efficiency if library else 1.0
     overhead = library.transform_overhead if library else 1.0
     work = cta_work(kernel, shape)
+    weighted = work.weighted
     grid = kernel.grid_size(shape)
     peak_rate = arch.cores_per_sm * issue_eff
+    n_sms = arch.n_sms
 
-    sms = [SMState(i, peak_rate) for i in range(arch.n_sms)]
     trace = ExecutionTrace() if collect_trace else None
+    # Per SM: resident CTAs and the resident groups in dispatch order,
+    # each ``[remaining, count]`` (plus its CTA ids when tracing).  An
+    # earlier group never has more work left -- the same subtraction
+    # from a smaller start rounds no higher -- so an SM's head group
+    # holds its least remaining work and retirements pop a prefix.
+    residency = [0] * n_sms
+    groups: List[List[list]] = [[] for _ in range(n_sms)]
+    busy_cycles = [0.0] * n_sms
+    retired = [0] * n_sms
+    # Per-CTA progress rate at each residency seen in this launch.
+    rate_at: Dict[int, float] = {}
     next_cta = 0
     now = 0.0
     tlp_time_integral = 0.0
 
-    def dispatch_until_stalled() -> None:
+    def dispatch() -> None:
         nonlocal next_cta
-        while next_cta < grid:
-            residency = [sm.residency for sm in sms]
-            target = scheduler.select_sm(residency, max_ctas_per_sm)
-            if target is None:
-                return
-            cta = CTA(cta_id=next_cta, work=work.weighted)
-            sms[target].dispatch(cta, now)
+        if next_cta == grid:
+            return
+        opened: Dict[int, list] = {}
+        for sm, count in scheduler.fill(
+            residency, max_ctas_per_sm, grid - next_cta
+        ):
+            group = opened.get(sm)
+            if group is None:
+                group = opened[sm] = [weighted, 0]
+                if trace is not None:
+                    group.append([])
+                groups[sm].append(group)
+            group[1] += count
+            residency[sm] += count
             if trace is not None:
-                trace.record(now, "dispatch", cta.cta_id, target)
-            next_cta += 1
+                for cta_id in range(next_cta, next_cta + count):
+                    group[2].append(cta_id)
+                    trace.record(now, "dispatch", cta_id, sm)
+            next_cta += count
 
-    dispatch_until_stalled()
+    dispatch()
     remaining = grid
     while remaining > 0:
         step = None
-        for sm in sms:
-            candidate = sm.next_completion_in()
-            if candidate is not None and (step is None or candidate < step):
-                step = candidate
+        active = []
+        for sm in range(n_sms):
+            resident = residency[sm]
+            if resident:
+                rate = rate_at.get(resident)
+                if rate is None:
+                    rate = rate_at[resident] = (
+                        peak_rate
+                        * latency_hiding_factor(resident, DEFAULT_TLP_HALF)
+                        / resident
+                    )
+                active.append((sm, rate))
+                candidate = groups[sm][0][0] / rate
+                if step is None or candidate < step:
+                    step = candidate
         if step is None:
             raise RuntimeError(
                 "simulation deadlock: %d CTAs left but no SM is executing"
                 % remaining
             )
-        resident_now = sum(sm.residency for sm in sms)
-        tlp_time_integral += resident_now * step
-        for sm in sms:
-            finished = sm.advance(step, now)
-            for cta in finished:
-                remaining -= 1
-                if trace is not None:
-                    trace.record(now + step, "retire", cta.cta_id, sm.sm_id)
+        tlp_time_integral += sum(residency) * step
+        for sm, rate in active:
+            progressed = step * rate
+            sm_groups = groups[sm]
+            done = count = 0
+            for group in sm_groups:
+                group[0] -= progressed
+                if group[0] <= 1e-9:
+                    done += 1
+                    count += group[1]
+            busy_cycles[sm] += step
+            if not done:
+                continue
+            finished = sm_groups[:done]
+            del sm_groups[:done]
+            residency[sm] -= count
+            retired[sm] += count
+            remaining -= count
+            if trace is not None:
+                for group in finished:
+                    for cta_id in group[2]:
+                        trace.record(now + step, "retire", cta_id, sm)
         now += step
-        dispatch_until_stalled()
+        dispatch()
 
     cycles = now * overhead
     seconds = arch.cycles_to_seconds(cycles)
@@ -255,20 +309,20 @@ def simulate_kernel(
     seconds = max(seconds, bandwidth_floor)
     cycles = arch.seconds_to_cycles(seconds)
 
-    used = [sm for sm in sms if sm.ctas_retired > 0]
+    used = [sm for sm in range(n_sms) if retired[sm] > 0]
     sms_used = len(used)
-    powered = max(scheduler.powered_sms(arch.n_sms), sms_used)
+    powered = max(scheduler.powered_sms(n_sms), sms_used)
     busy_sm_seconds = ordered_sum(
-        arch.cycles_to_seconds(sm.busy_cycles * overhead) for sm in used
+        arch.cycles_to_seconds(busy_cycles[sm] * overhead) for sm in used
     )
     avg_tlp = tlp_time_integral / now / max(sms_used, 1) if now > 0 else 0.0
     # Issue activity: useful instructions versus what the busy SMs could
     # have issued while busy.
-    issued_capacity = ordered_sum(sm.busy_cycles for sm in used) * arch.cores_per_sm
+    issued_capacity = ordered_sum(busy_cycles[sm] for sm in used) * arch.cores_per_sm
     activity = min(1.0, (work.total_insts * grid) / issued_capacity) if issued_capacity else 0.0
     energy_joules = _energy(arch, seconds, powered, busy_sm_seconds, activity)
     if trace is not None:
-        trace.finalize({sm.sm_id: sm.busy_cycles for sm in used})
+        trace.finalize({sm: busy_cycles[sm] for sm in used})
     return KernelResult(
         cycles=cycles,
         seconds=seconds,

@@ -22,7 +22,8 @@ from repro.core.engine import (
 )
 from repro.core.runtime import InferenceServer
 from repro.gpu import JETSON_TX1, K20C
-from repro.nn import alexnet, pcnn_net
+from repro.nn import NetworkDescriptor, alexnet, pcnn_net
+from repro.nn.layers import TensorShape
 from repro.nn.perforation import RATE_LADDER, PerforationPlan
 from repro.workloads import interactive_trace
 
@@ -90,6 +91,23 @@ class TestNetworkFingerprint:
         large = pcnn_net("large")
         large.name = small.name
         assert network_fingerprint(small) != network_fingerprint(large)
+
+    def test_rebinding_after_a_first_fingerprint_rehashes(self):
+        """The digest is kept on the descriptor, but not past a rename
+        or a new input shape."""
+        net = pcnn_net("small")
+        first = network_fingerprint(net)
+        assert network_fingerprint(net) == first
+        net.name = "renamed"
+        renamed = network_fingerprint(net)
+        assert renamed.startswith("renamed@") and renamed != first
+        assert renamed == network_fingerprint(
+            NetworkDescriptor.from_resolved(
+                "renamed", net.input_shape, net.layers, net.output_shape
+            )
+        )
+        net.input_shape = TensorShape(1, 1, 1)
+        assert network_fingerprint(net) not in (first, renamed)
 
 
 class TestCacheKeys:

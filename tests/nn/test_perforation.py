@@ -5,10 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.nn.models import (
+    EXTRA_NETWORKS,
+    PAPER_NETWORKS,
+    PCNN_NET_SIZES,
+    get_network,
+)
 from repro.nn.perforation import (
     RATE_LADDER,
     PerforationPlan,
     make_grid_perforation,
+)
+
+#: Every network :func:`get_network` builds by canonical name.
+NETWORK_NAMES = (
+    sorted(PAPER_NETWORKS)
+    + sorted(EXTRA_NETWORKS)
+    + ["pcnn-%s" % size for size in PCNN_NET_SIZES]
 )
 
 
@@ -121,6 +134,19 @@ class TestPerforationPlan:
 
     def test_column_fraction_dense(self):
         assert PerforationPlan.dense().column_fraction("c", 27, 27) == 1.0
+
+    @pytest.mark.parametrize("network_name", NETWORK_NAMES)
+    def test_column_fraction_counts_what_the_grid_keeps(self, network_name):
+        # Counted from the sampled axes, without the interpolation
+        # maps: the very int/int quotient the built grid gives.
+        for layer in get_network(network_name).conv_layers:
+            out_h = layer.output_shape.height
+            out_w = layer.output_shape.width
+            for rate in RATE_LADDER:
+                plan = PerforationPlan({layer.name: rate})
+                grid = make_grid_perforation(out_h, out_w, rate)
+                fraction = plan.column_fraction(layer.name, out_h, out_w)
+                assert fraction.hex() == (grid.kept / grid.total).hex()
 
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):

@@ -116,6 +116,31 @@ class TestTracer:
         tracer.close_row(run, 3.0)
         assert tracer.open_spans == 0
 
+    def test_second_close_of_a_row_rejected(self):
+        tracer = Tracer()
+        run = tracer.open_row("run", 0.0)
+        tracer.close_row(run, 1.0)
+        with pytest.raises(ValueError, match=r"span 0 \('run'\) is not open"):
+            tracer.close_row(run, 2.0)
+        assert tracer.open_spans == 0
+        assert len(tracer.buffer) == 1
+        payload = tracer.buffer.to_json()
+        assert TraceBuffer.from_json(payload).to_json() == payload
+
+    def test_closing_key_repeating_an_opening_key_rejected(self):
+        tracer = Tracer()
+        run = tracer.open_row("run", 0.0, None, ("a",), (1,))
+        with pytest.raises(ValueError, match="span 'run' sets attribute 'a' twice"):
+            tracer.close_row(run, 1.0, ("a",), (2,))
+        with pytest.raises(ValueError, match="span 'run' sets attribute 'a' twice"):
+            tracer.close_row(run, 1.0, ("b", "a"), (2, 3))
+        assert len(tracer.buffer) == 0 and tracer.open_spans == 1
+        tracer.close_row(run, 1.0, ("b",), (2,))
+        payload = tracer.buffer.to_json()
+        assert TraceBuffer.from_json(payload).to_json() == payload
+        (span,) = tracer.buffer
+        assert span.attrs == {"a": 1, "b": 2}
+
     def test_instant_and_emit(self):
         tracer = Tracer()
         _instant(tracer, "admission", 1.5, reason="ok")
