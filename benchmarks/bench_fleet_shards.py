@@ -244,4 +244,8 @@ def test_bench_fleet_shard_chaos(benchmark, quick, shards):
         "%d requests lost to the dead shard" % len(dead_rejects)
     )
     assert report.n_offered == 2 * n
-    assert report.n_completed + report.n_rejected == report.n_offered
+    # Every offered request is terminal exactly once: the merged
+    # completed and rejected rids are 2n distinct ids.
+    rids = list(report.ledger.columns("completed")["rid"])
+    rids.extend(report.ledger.columns("rejected")["rid"])
+    assert len(rids) == len(set(rids)) == 2 * n

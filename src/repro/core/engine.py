@@ -44,8 +44,9 @@ hit returns the identical object and is bit-identical to a recompute.
 
 from __future__ import annotations
 
+import copy
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.offline.compiler import CompiledPlan, OfflineCompiler
@@ -582,6 +583,32 @@ class ExecutionEngine:
     def record_calibration(self, step) -> None:
         """Publish one calibration decision to the hook bus."""
         self.hooks.emit("on_calibrate", step=step)
+
+    # -- copies ---------------------------------------------------------
+    def copy(self) -> "ExecutionEngine":
+        """An engine whose caches and stats start where this one's are.
+
+        The copy has its own hook bus, its own plan cache, batch
+        decisions, report cache and prewarm set, and stats counters
+        equal to this engine's, so it emits exactly the hook events
+        this engine would from here on, and nothing it does reaches
+        this engine.  The per-platform compilers and runtime managers
+        are shared: their caches are shape-keyed memos, so sharing
+        them changes speed only.
+        """
+        twin = copy.copy(self)
+        twin.hooks = HookBus()
+        twin.stats = replace(
+            self.stats, plan_use_counts=dict(self.stats.plan_use_counts)
+        ).attach(twin.hooks)
+        twin._compilers = dict(self._compilers)
+        twin._managers = dict(self._managers)
+        twin._archs = dict(self._archs)
+        twin._plans = dict(self._plans)
+        twin._batch_decisions = dict(self._batch_decisions)
+        twin._reports = dict(self._reports)
+        twin._prewarmed = set(self._prewarmed)
+        return twin
 
     # -- maintenance ----------------------------------------------------
     @property

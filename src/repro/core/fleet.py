@@ -15,7 +15,7 @@ the paper's system would need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.engine import ExecutionEngine
@@ -145,6 +145,30 @@ class FleetManager:
         if failures:
             raise FleetDeployError(failures)
         return dict(self._deployments)
+
+    def copy(self) -> "FleetManager":
+        """This fleet's deployments re-bound to a copy of its engine.
+
+        Tuning tables and plans are immutable and shared; each copied
+        deployment starts with a fresh calibrator, no outcomes and no
+        memoized ladders, as a fresh deploy does, and its engine's
+        caches start where this fleet's are
+        (:meth:`ExecutionEngine.copy`).  Running the copy leaves this
+        fleet as it was, so one build can seed many runs.
+        """
+        engine = self.engine.copy()
+        twin = FleetManager(
+            self.network,
+            self.spec,
+            architectures=self.architectures,
+            max_tuning_iterations=self.max_tuning_iterations,
+            engine=engine,
+        )
+        twin._deployments = {
+            name: replace(deployment, engine=engine, outcomes=[])
+            for name, deployment in self._deployments.items()
+        }
+        return twin
 
     def deployment(self, gpu: str) -> Deployment:
         """One platform's deployment (deploying lazily if needed)."""

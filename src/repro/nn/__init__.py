@@ -18,11 +18,6 @@ from repro.nn.layers import (
     SoftmaxSpec,
     TensorShape,
 )
-from repro.nn.masks import (
-    MaskPerforation,
-    make_checkerboard_perforation,
-    make_scanline_perforation,
-)
 from repro.nn.models import (
     PAPER_NETWORKS,
     PCNN_NET_SIZES,
@@ -74,9 +69,6 @@ __all__ = [
     "Dataset",
     "make_dataset",
     "train_test_split",
-    "MaskPerforation",
-    "make_checkerboard_perforation",
-    "make_scanline_perforation",
     "load_parameters",
     "save_parameters",
     "EvalResult",

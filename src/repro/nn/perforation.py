@@ -88,6 +88,14 @@ class GridPerforation:
         return grid[..., self.row_map[:, None], self.col_map[None, :]]
 
 
+def _axis_count(size: int, keep: int) -> int:
+    """How many coordinates :func:`_sample_axis` returns, counted
+    without sampling: ``keep`` clamped to [1, size].  Up to ``size``
+    points spread evenly over [0, size - 1] are either those integers
+    or more than 1 apart, so rounding never merges two of them."""
+    return min(max(keep, 1), size)
+
+
 def _sample_axis(size: int, keep: int) -> np.ndarray:
     """``keep`` distinct coordinates spread uniformly over [0, size)."""
     keep = int(min(max(keep, 1), size))
@@ -105,16 +113,24 @@ def _nearest_map(size: int, coords: np.ndarray) -> np.ndarray:
     return np.where(pick_left, left, insert)
 
 
+def _grid_keeps(out_h: int, out_w: int, rate: float) -> Tuple[int, int]:
+    """Rows and columns to keep (before clamping) for perforation
+    ~``rate``: each axis thinned by ``sqrt(1 - rate)``."""
+    if not 0.0 <= rate < 1.0:
+        raise ValueError("rate must be in [0, 1), got %r" % (rate,))
+    keep_fraction = math.sqrt(1.0 - rate)
+    return (
+        int(round(out_h * keep_fraction)),
+        int(round(out_w * keep_fraction)),
+    )
+
+
 def _sample_grid(
     out_h: int, out_w: int, rate: float
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Sampled rows and columns of a grid with perforation ~``rate``."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError("rate must be in [0, 1), got %r" % (rate,))
-    keep_fraction = math.sqrt(1.0 - rate)
-    rows = _sample_axis(out_h, int(round(out_h * keep_fraction)))
-    cols = _sample_axis(out_w, int(round(out_w * keep_fraction)))
-    return rows, cols
+    keep_h, keep_w = _grid_keeps(out_h, out_w, rate)
+    return _sample_axis(out_h, keep_h), _sample_axis(out_w, keep_w)
 
 
 def make_grid_perforation(
@@ -199,14 +215,15 @@ class PerforationPlan:
 
         Uses the *realized* grid (quantized), not the nominal rate, so
         the time model and the numpy executor agree exactly: this is
-        :meth:`grid_for`'s ``kept / total``, counted from the sampled
-        rows and columns without building the interpolation maps.
+        :meth:`grid_for`'s ``kept / total``, counted without sampling
+        the rows and columns (:func:`_axis_count`).
         """
         rate = self.rate(layer_name)
         if rate <= 0.0:  # dense: rates are validated to [0, 1)
             return 1.0
-        rows, cols = _sample_grid(out_h, out_w, rate)
-        return len(rows) * len(cols) / (out_h * out_w)
+        keep_h, keep_w = _grid_keeps(out_h, out_w, rate)
+        kept = _axis_count(out_h, keep_h) * _axis_count(out_w, keep_w)
+        return kept / (out_h * out_w)
 
     def describe(self) -> str:
         """Compact 'layer:rate' listing."""

@@ -41,10 +41,11 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.fleet import FleetManager
 from repro.faults.events import FaultTrace
 from repro.obs.metrics import MetricsRegistry, ordered_sum
 from repro.obs.span import TraceBuffer
@@ -125,10 +126,16 @@ class FleetCoordinator:
     spawn) -- bit-identical results, since workers are deterministic
     either way; injected process faults are pre-empted by the
     supervisor rather than really executed, with the same
-    failure/retry sequence.  ``n_shards=1`` is the degenerate case:
-    no platform qualification, no shard obs labels, and a merged
-    report whose fingerprint equals the plain single-router
-    fingerprint.
+    failure/retry sequence.  Inline shards do not build their own
+    fleets: each :meth:`run` builds the fleet at most once and every
+    attempt routes on a fresh copy of that build, whose caches start
+    where a fresh build's would, so each shard relays the same engine
+    events it would on its own build (see :meth:`_task`).  Spawn
+    workers build from the spec's names.
+
+    ``n_shards=1`` is the degenerate case: no platform qualification,
+    no shard obs labels, and a merged report whose fingerprint equals
+    the plain single-router fingerprint.
 
     ``processes`` caps the number of concurrently live spawn workers;
     the default is ``min(n_shards, os.cpu_count())`` -- one process
@@ -236,7 +243,8 @@ class FleetCoordinator:
             )
             for shard_id in range(self.n_shards)
         ]
-        supervised = self._supervise(specs)
+        task = self._task()
+        supervised = self._supervise(specs, task)
         records = supervised.report.records
         results: List[Optional[ShardResult]] = [
             supervised.results.get(shard_id)
@@ -263,7 +271,7 @@ class FleetCoordinator:
                     SupervisionReport(records),
                 )
             escalation_target, results, records, specs = self._escalate(
-                specs, results, records, failed
+                specs, results, records, failed, task
             )
             escalated = failed
         rehomed = 0
@@ -271,7 +279,7 @@ class FleetCoordinator:
         target: Optional[int] = None
         if self.n_shards > 1 and self.config.resilience:
             results, records, rehomed, dead, target = self._failover(
-                specs, results, records
+                specs, results, records, task
             )
         reports = [
             result.report if result is not None else RouterReport()
@@ -323,12 +331,39 @@ class FleetCoordinator:
         )
         return max(1, min(n_specs, limit))
 
-    def _supervise(self, specs: Sequence[ShardSpec]):
+    def _task(self) -> Callable[[ShardSpec], ShardResult]:
+        """The shard task for one :meth:`run` call.
+
+        Spawn workers run :func:`run_shard`, which builds the fleet
+        from its names.  Inline attempts share one build, made by the
+        first attempt that runs (a run whose shards all resume from
+        checkpoints builds nothing), and each attempt -- first try,
+        retry, witness or re-run -- routes on a fresh copy of it, so
+        tuning is paid once per run and no attempt sees another's
+        warmed caches.  The build is only a template: nothing routes
+        on it, and it is dropped with the task when the run returns.
+        """
+        if not self.inline:
+            return run_shard
+        built: List[FleetManager] = []
+
+        def run_inline(spec: ShardSpec) -> ShardResult:
+            if not built:
+                built.append(self.fleet.build())
+            return run_shard(spec, fleet=built[0].copy())
+
+        return run_inline
+
+    def _supervise(
+        self,
+        specs: Sequence[ShardSpec],
+        task: Callable[[ShardSpec], ShardResult],
+    ):
         """Run specs through a fresh supervisor (inline or spawn)."""
         if not self.inline:
             self._check_spawnable()
         supervisor = ShardSupervisor(
-            run_shard,
+            task,
             config=self.supervision,
             inline=self.inline,
             processes=self._effective_processes(len(specs)),
@@ -341,9 +376,10 @@ class FleetCoordinator:
         spec: ShardSpec,
         records: Tuple[ShardRunRecord, ...],
         purpose: str,
+        task: Callable[[ShardSpec], ShardResult],
     ) -> Tuple[ShardResult, Tuple[ShardRunRecord, ...]]:
         """Supervised re-run of one (re-homed) spec; must succeed."""
-        rerun = self._supervise([spec])
+        rerun = self._supervise([spec], task)
         records = merge_records(records, rerun.report.records)
         result = rerun.results.get(spec.shard_id)
         if result is None:
@@ -380,6 +416,7 @@ class FleetCoordinator:
         results: List[Optional[ShardResult]],
         records: Tuple[ShardRunRecord, ...],
         failed: List[int],
+        task: Callable[[ShardSpec], ShardResult],
     ) -> Tuple[
         int, List[Optional[ShardResult]], Tuple[ShardRunRecord, ...],
         List[ShardSpec],
@@ -415,7 +452,7 @@ class FleetCoordinator:
             [load for shard_id in failed for load in specs[shard_id].loads],
         )
         result, records = self._run_single(
-            target_spec, records, "escalation"
+            target_spec, records, "escalation", task
         )
         results = list(results)
         results[target] = result
@@ -446,6 +483,7 @@ class FleetCoordinator:
         specs: List[ShardSpec],
         results: List[Optional[ShardResult]],
         records: Tuple[ShardRunRecord, ...],
+        task: Callable[[ShardSpec], ShardResult],
     ) -> Tuple[
         List[Optional[ShardResult]], Tuple[ShardRunRecord, ...], int,
         List[int], Optional[int],
@@ -485,7 +523,9 @@ class FleetCoordinator:
             specs[target],
             _stranded_loads([outage[shard_id] for shard_id in dead]),
         )
-        result, records = self._run_single(target_spec, records, "failover")
+        result, records = self._run_single(
+            target_spec, records, "failover", task
+        )
         results = list(results)
         results[target] = result
         specs[target] = target_spec

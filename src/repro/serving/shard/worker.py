@@ -1,13 +1,15 @@
 """The shard worker: one router run behind a spawn-picklable spec.
 
 A shard is one :class:`~repro.serving.router.RequestRouter` over its
-own :class:`~repro.core.fleet.FleetManager`, running in a
-``multiprocessing`` spawn worker.  Deployments hold engine state
-(tuned plans, caches) and never cross the process boundary: the spec
-ships *names* -- network, GPUs, tenant loads, fault schedule -- and
-the worker rebuilds the fleet locally.  Recompiling in the worker is
-invisible to fingerprints because the report's fingerprint is
-cache-neutral by construction.
+own :class:`~repro.core.fleet.FleetManager`.  Deployments hold engine
+state (tuned plans, caches) and never cross a process boundary: the
+spec ships *names* -- network, GPUs, tenant loads, fault schedule --
+and a spawn worker builds the fleet from them.  An inline shard runs
+in the coordinator's process instead and is handed its fleet: a
+:meth:`~repro.core.fleet.FleetManager.copy` of one build the
+coordinator makes per run, whose caches start where a fresh build's
+would.  Either way the shard relays the same engine events and
+returns the same report.
 
 :func:`run_shard` is deliberately a top-level function so
 ``multiprocessing``'s spawn start method can pickle a reference to it.
@@ -36,12 +38,13 @@ __all__ = ["FleetSpec", "ShardResult", "ShardSpec", "run_shard"]
 
 @dataclass(frozen=True)
 class FleetSpec:
-    """A fleet described by names, rebuilt inside each worker.
+    """A fleet described by names, built where the shards run.
 
     Everything here pickles cleanly under spawn; :meth:`build`
     resolves the names against the registries and runs the full
     deployment pipeline, so every shard starts from an identical,
-    deterministic fleet.
+    deterministic fleet: each spawn worker builds its own, and an
+    inline coordinator run builds one and hands every shard a copy.
     """
 
     network: str
@@ -177,11 +180,18 @@ class ShardResult:
     declared_fingerprint: Optional[str] = None
 
 
-def run_shard(spec: ShardSpec) -> ShardResult:
-    """Build the fleet, run the router, package the result.
+def run_shard(
+    spec: ShardSpec, fleet: Optional[FleetManager] = None
+) -> ShardResult:
+    """Build the fleet (unless given one), run the router, package
+    the result.
 
     Top-level on purpose: the spawn start method pickles a reference
-    to this function plus the spec, and nothing else.
+    to this function plus the spec, and nothing else.  ``fleet``, when
+    given, is the deployed fleet to route on instead of building
+    ``spec.fleet``; it must be freshly built or a fresh
+    :meth:`~repro.core.fleet.FleetManager.copy` of one, since the run
+    warms its caches (inline shards receive a copy).
 
     When the spec carries a ``proc_faults`` plan, the worker is its
     own chaos monkey: a ``crash`` decision kills the process outright
@@ -202,7 +212,8 @@ def run_shard(spec: ShardSpec) -> ShardResult:
         os._exit(plan.crash_exit_code)
     if fault == "hang":
         time.sleep(plan.hang_s)
-    fleet = spec.fleet.build()
+    if fleet is None:
+        fleet = spec.fleet.build()
     obs = (
         Instrumentation(shard=spec.label) if spec.instrument else None
     )

@@ -298,6 +298,74 @@ class TestHookBus:
         assert stats.compile_calls == 1
 
 
+class TestCopy:
+    @staticmethod
+    def _warm_engine():
+        engine = ExecutionEngine(JETSON_TX1)
+        plan = engine.compile_with_batch(alexnet(), 1)
+        engine.execute(plan)
+        engine.prewarm([(alexnet(), 2, None, None)])
+        _deploy(engine=engine)
+        return engine
+
+    @staticmethod
+    def _record(engine):
+        seen = []
+        for event in HookBus.EVENTS:
+            engine.hooks.subscribe(
+                event,
+                lambda _event=event, **kw: seen.append(
+                    (_event, kw.get("key"), kw.get("cached"),
+                     kw.get("prewarmed"), kw.get("hit"))
+                ),
+            )
+        return seen
+
+    @staticmethod
+    def _drive(engine):
+        """Touch every cache: plan hits (prewarmed or not), a miss, a
+        prewarm of a cached plan, report hits and misses, a batch
+        decision and a calibration."""
+        plan = engine.compile_with_batch(alexnet(), 1)
+        engine.compile_with_batch(alexnet(), 2)
+        fresh = engine.compile_with_batch(
+            alexnet(), 3, PerforationPlan({"conv2": 0.3})
+        )
+        engine.execute(plan)
+        engine.execute(fresh)
+        engine.prewarm([(alexnet(), 1, None, None)])
+        engine.compile_with_batch(alexnet(), 1)
+        _deploy(engine=engine).process_request()
+
+    def test_copy_starts_where_the_engine_is(self):
+        engine = self._warm_engine()
+        twin = engine.copy()
+        assert twin.stats == engine.stats
+        assert twin.stats is not engine.stats
+        assert twin.hooks is not engine.hooks
+        assert twin.cached_plans == engine.cached_plans
+        assert twin.cached_reports == engine.cached_reports
+        # Compilers and managers are shared memos.
+        assert twin.compiler_for() is engine.compiler_for()
+        assert twin.manager_for(True, True) is engine.manager_for(True, True)
+
+    def test_copy_behaves_like_the_engine_and_leaves_it_be(self):
+        engine = self._warm_engine()
+        from_engine = self._record(engine)
+        twin = engine.copy()
+        from_twin = self._record(twin)
+        self._drive(twin)
+        assert from_twin and from_engine == []
+        # Driving the copy changed nothing the engine does next: it
+        # emits what the copy did, as does an engine never copied.
+        self._drive(engine)
+        reference = self._warm_engine()
+        from_reference = self._record(reference)
+        self._drive(reference)
+        assert from_twin == from_engine == from_reference
+        assert twin.stats == engine.stats == reference.stats
+
+
 class TestFleetSharing:
     def test_one_engine_many_archs(self):
         engine = ExecutionEngine()

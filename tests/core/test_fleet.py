@@ -1,5 +1,7 @@
 """Tests for repro.core.fleet: the pervasive deployment manager."""
 
+import copy
+
 import pytest
 
 from repro.core import ApplicationSpec, TaskClass
@@ -81,6 +83,44 @@ class TestFleetReport:
     def test_deployment_error_names_known_platforms(self, fleet):
         with pytest.raises(KeyError, match="K20c, TX1"):
             fleet.deployment("GTX1080")
+
+
+class TestCopy:
+    def test_copy_rebinds_deployments_to_an_engine_copy(self, fleet):
+        fleet.report()  # move the originals off their fresh state
+        twin = fleet.copy()
+        assert twin.engine is not fleet.engine
+        assert twin.engine.stats == fleet.engine.stats
+        assert twin.architectures == fleet.architectures
+        for name, deployment in fleet.deploy_all().items():
+            copied = twin.deployment(name)
+            assert copied is not deployment
+            assert copied.engine is twin.engine
+            assert copied.tuning_table is deployment.tuning_table
+            # Like a fresh deploy: no outcomes, a fresh calibrator at
+            # the fastest tuned entry, no memoized ladders.
+            assert deployment.outcomes and copied.outcomes == []
+            assert copied.calibrator is not deployment.calibrator
+            assert copied.calibrator.history == []
+            assert copied.current_entry is copied.tuning_table.fastest
+            assert "_ladder_memo" not in vars(copied)
+
+    def test_running_a_copy_leaves_the_fleet_as_it_was(self, fleet):
+        stats = copy.deepcopy(fleet.engine.stats)
+        plans = fleet.engine.cached_plans
+        outcomes = {
+            name: list(deployment.outcomes)
+            for name, deployment in fleet.deploy_all().items()
+        }
+        twin = fleet.copy()
+        twin.report()
+        twin.engine.compile_with_batch(alexnet(), 3, arch=K20C)
+        assert fleet.engine.stats == stats
+        assert fleet.engine.cached_plans == plans
+        assert {
+            name: deployment.outcomes
+            for name, deployment in fleet.deploy_all().items()
+        } == outcomes
 
 
 class TestValidation:

@@ -14,6 +14,8 @@ from repro.nn.models import (
 from repro.nn.perforation import (
     RATE_LADDER,
     PerforationPlan,
+    _axis_count,
+    _sample_axis,
     make_grid_perforation,
 )
 
@@ -147,6 +149,18 @@ class TestPerforationPlan:
                 grid = make_grid_perforation(out_h, out_w, rate)
                 fraction = plan.column_fraction(layer.name, out_h, out_w)
                 assert fraction.hex() == (grid.kept / grid.total).hex()
+
+    def test_axis_count_is_what_sampling_keeps(self):
+        # Brute force over every axis size up to 512 and every keep
+        # from below 1 to past the size: the count column_fraction
+        # uses never differs from the sampled axis's length.
+        mismatches = [
+            (size, keep)
+            for size in range(1, 513)
+            for keep in range(-2, size + 3)
+            if len(_sample_axis(size, keep)) != _axis_count(size, keep)
+        ]
+        assert mismatches == []
 
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):
