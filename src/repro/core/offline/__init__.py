@@ -20,10 +20,13 @@ from repro.core.offline.compiler import CompiledPlan, LayerSchedule, OfflineComp
 from repro.core.offline.kernel_tuning import (
     PCNN_BACKEND,
     TunedKernel,
+    TuningCandidates,
     candidate_kernels,
     kernel_score,
+    pick_tuned_kernel,
     s_kernel,
     tune_layer_kernel,
+    tuning_candidates,
 )
 from repro.core.offline.resource_model import opt_sm, released_sms
 from repro.core.offline.time_model import eq12_layer_time, layer_time
@@ -45,10 +48,13 @@ __all__ = [
     "OfflineCompiler",
     "PCNN_BACKEND",
     "TunedKernel",
+    "TuningCandidates",
     "candidate_kernels",
     "kernel_score",
+    "pick_tuned_kernel",
     "s_kernel",
     "tune_layer_kernel",
+    "tuning_candidates",
     "opt_sm",
     "released_sms",
     "eq12_layer_time",

@@ -31,7 +31,9 @@ from repro.core.offline import batch_selection
 from repro.core.offline.kernel_tuning import (
     PCNN_BACKEND,
     TunedKernel,
-    tune_layer_kernel,
+    TuningCandidates,
+    pick_tuned_kernel,
+    tuning_candidates,
 )
 from repro.core.offline.resource_model import opt_sm
 from repro.core.offline.time_model import layer_time
@@ -143,16 +145,24 @@ class OfflineCompiler:
     ) -> None:
         self.arch = arch
         self.backend = backend
-        self._probe_cache: Dict[str, TunedKernel] = {}
-        # tune_layer_kernel depends only on the GEMM shape for a fixed
+        # The tuner's designs depend only on the arch: built on the
+        # first tune, scored for every shape after.
+        self._candidates: Optional[TuningCandidates] = None
+        # A tuned kernel depends only on the GEMM shape for a fixed
         # (arch, backend); caching makes the accuracy tuner's many
         # single-layer recompilations cheap.
         self._tune_cache: Dict[GemmShape, TunedKernel] = {}
 
     def _tune(self, shape: GemmShape) -> TunedKernel:
+        """``tune_layer_kernel(arch, shape, backend=backend)``, from
+        this compiler's one candidate set."""
         cached = self._tune_cache.get(shape)
         if cached is None:
-            cached = tune_layer_kernel(self.arch, shape, backend=self.backend)
+            if self._candidates is None:
+                self._candidates = tuning_candidates(self.arch)
+            cached = pick_tuned_kernel(
+                self.arch, self._candidates, shape, self.backend
+            )
             self._tune_cache[shape] = cached
         return cached
 
@@ -322,15 +332,6 @@ class OfflineCompiler:
         grid = tuned.kernel.grid_size(shape)
         tlp = max(1, min(tuned.tlp, math.ceil(grid / self.arch.n_sms)))
         return tlp, opt_sm(self.arch, grid, tlp)
-
-    def _probe_kernel(self, layer: ResolvedLayer, shape: GemmShape):
-        """Kernel used by the background batch search's Util probe
-        (tuned once per layer, reused across batch candidates)."""
-        cached = self._probe_cache.get(layer.name)
-        if cached is None:
-            cached = tune_layer_kernel(self.arch, shape, backend=self.backend)
-            self._probe_cache[layer.name] = cached
-        return cached.kernel
 
     def _aux_layer_time(self, layer: ResolvedLayer, batch: int) -> float:
         """Bandwidth-bound estimate for pool/softmax layers."""

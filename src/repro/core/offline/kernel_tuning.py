@@ -45,10 +45,13 @@ from repro.sim.engine import analytic_kernel_time_s
 __all__ = [
     "PCNN_BACKEND",
     "TunedKernel",
+    "TuningCandidates",
     "candidate_kernels",
     "s_kernel",
     "kernel_score",
+    "pick_tuned_kernel",
     "tune_layer_kernel",
+    "tuning_candidates",
 ]
 
 #: The back-end quality P-CNN's offline-compiled kernels achieve:
@@ -81,6 +84,20 @@ class TunedKernel:
     def tile(self) -> Tuple[int, int]:
         """(tile_m, tile_n)."""
         return self.kernel.tile
+
+
+@dataclass(frozen=True)
+class TuningCandidates:
+    """Every design the tuner scores for one GPU: each candidate tile
+    at each of its stair points, with its spill plan applied.
+
+    Nothing here depends on the layer, so one set serves every GEMM
+    shape tuned on the architecture.
+    """
+
+    kernels: Tuple[SgemmKernel, ...]
+    tlps: Tuple[int, ...]
+    spills: Tuple[SpillPlan, ...]
 
 
 def _block_size_for(tile_m: int, tile_n: int) -> int:
@@ -147,23 +164,16 @@ def kernel_score(
     )
 
 
-def tune_layer_kernel(
+def tuning_candidates(
     arch: GPUArchitecture,
-    shape: GemmShape,
     tiles: Optional[Sequence[Tuple[int, int]]] = None,
-    backend: KernelLibrary = PCNN_BACKEND,
-) -> TunedKernel:
-    """Coordinated fine-tuning for one layer's GEMM.
+) -> TuningCandidates:
+    """The shape-free half of coordinated fine-tuning.
 
     For every candidate tile, walk Fig. 9's stair points (TLP,
-    registers), build the spill plan (spare shared memory first, then
-    global -- Section IV.B.2), and keep the design with the smallest
-    :func:`kernel_score`.  The chosen TLP is the paper's optTLP.
+    registers) and build the spill plan (spare shared memory first,
+    then global -- Section IV.B.2).
     """
-    # cycle-breaker: repro.analysis pulls repro.core.engine at
-    # package init (profiling), which imports this module back.
-    from repro.analysis.vec_score import batched_kernel_scores
-
     candidates = candidate_kernels(arch, tiles or COMMON_TILES)
     if not candidates:
         raise ValueError("no candidate kernel fits on %s" % (arch.name,))
@@ -176,21 +186,50 @@ def tune_layer_kernel(
             kernels.append(apply_spill(base, spill))
             tlps.append(tlp)
             spills.append(spill)
+    return TuningCandidates(tuple(kernels), tuple(tlps), tuple(spills))
+
+
+def pick_tuned_kernel(
+    arch: GPUArchitecture,
+    candidates: TuningCandidates,
+    shape: GemmShape,
+    backend: KernelLibrary = PCNN_BACKEND,
+) -> TunedKernel:
+    """The per-shape half: keep the candidate with the smallest
+    :func:`kernel_score` on ``shape``.  Its TLP is the paper's optTLP."""
+    # cycle-breaker: repro.analysis pulls repro.core.engine at
+    # package init (profiling), which imports this module back.
+    from repro.analysis.vec_score import batched_kernel_scores
+
     # One vectorized scoring sweep per shape instead of one analytic
     # model entry per candidate; scores are bit-identical to the
     # scalar kernel_score, and argmin's first-minimum tie-break
     # matches the old loop's strict ``<`` best-so-far update.
     scores = batched_kernel_scores(
-        arch, kernels, tlps, shape, library=backend
+        arch, candidates.kernels, candidates.tlps, shape, library=backend
     )
     index = int(np.argmin(scores))
-    winner = kernels[index]
-    tlp = tlps[index]
-    spill = spills[index]
+    winner = candidates.kernels[index]
+    tlp = candidates.tlps[index]
+    spill = candidates.spills[index]
     return TunedKernel(
         kernel=winner,
         tlp=tlp,
         spill=spill,
         score=float(scores[index]),
         s_kernel_value=s_kernel(arch, winner, shape, tlp, spill),
+    )
+
+
+def tune_layer_kernel(
+    arch: GPUArchitecture,
+    shape: GemmShape,
+    tiles: Optional[Sequence[Tuple[int, int]]] = None,
+    backend: KernelLibrary = PCNN_BACKEND,
+) -> TunedKernel:
+    """Coordinated fine-tuning for one layer's GEMM: score every
+    design of :func:`tuning_candidates` on ``shape`` and keep the best
+    (:func:`pick_tuned_kernel`)."""
+    return pick_tuned_kernel(
+        arch, tuning_candidates(arch, tiles), shape, backend
     )

@@ -5,10 +5,14 @@ less spawn bootstrap, pickling and a possibly-dying process there are
 plenty of ways to receive garbage.  :func:`validate_result` is the
 supervisor's acceptance gate: a structural schema check (is this a
 shard result at all, does it answer *this* spec), then a semantic
-cross-check (the worker declares its report fingerprint before
-returning; the supervisor recomputes it from the received report --
-any in-flight mutation shows up as a mismatch), then conservation
-(every request offered to the shard must have a terminal record).
+cross-check (a result that crossed a boundary -- the spawn pipe, a
+checkpoint file, a fault plan's tamper -- declares its report
+fingerprint there; the supervisor recomputes it from the received
+report, so any change on the way shows up as a mismatch), then
+conservation (every request offered to the shard must have a terminal
+record).  A result with no declaration never left the process that
+produced it; there is nothing to compare, so its report is not
+rendered here.
 
 Everything is duck-typed: the module imports nothing from
 :mod:`repro.serving`, so the supervisor stays generic and the import
@@ -41,7 +45,8 @@ def validate_result(spec, result) -> Optional[str]:
 
     Checks, in order: payload shape (``shard_id`` / ``report``
     present, report fingerprintable), identity (the result answers
-    this spec's shard and seed), fingerprint integrity (declared ==
+    this spec's shard and seed), fingerprint integrity (a declared
+    fingerprint == the recomputed one; an undeclared result is not
     recomputed), request conservation (``n_offered`` matches the
     spec's loads), and span presence for instrumented specs.
     """
@@ -66,18 +71,19 @@ def validate_result(spec, result) -> Optional[str]:
         return "schema: report of type %s is not fingerprintable" % (
             type(report).__name__,
         )
-    try:
-        recomputed = fingerprint()
-    except Exception as error:  # corrupted report internals
-        return "integrity: fingerprint recompute failed (%s: %s)" % (
-            type(error).__name__, error,
-        )
     declared = getattr(result, "declared_fingerprint", None)
-    if declared is not None and declared != recomputed:
-        return (
-            "integrity: declared fingerprint %s != recomputed %s"
-            % (declared, recomputed)
-        )
+    if declared is not None:
+        try:
+            recomputed = fingerprint()
+        except Exception as error:  # corrupted report internals
+            return "integrity: fingerprint recompute failed (%s: %s)" % (
+                type(error).__name__, error,
+            )
+        if declared != recomputed:
+            return (
+                "integrity: declared fingerprint %s != recomputed %s"
+                % (declared, recomputed)
+            )
     expected = _expected_offered(spec)
     observed = getattr(report, "n_offered", None)
     if expected is not None and observed is not None and observed != expected:

@@ -10,8 +10,8 @@ worker consults it exactly once, at the top of ``run_shard``:
   producing a result (the supervisor sees a dead process);
 * ``hang``     -- the worker sleeps ``hang_s`` before running (the
   supervisor's wall-clock timeout fires and kills it);
-* ``corrupt``  -- the worker completes but mutates its report after
-  declaring its fingerprint (integrity validation catches the stale
+* ``corrupt``  -- the worker completes, declares its fingerprint,
+  then mutates its report (integrity validation catches the stale
   declaration);
 * ``truncate`` -- the worker returns a payload that is not a shard
   result at all (schema validation catches it);
@@ -151,23 +151,27 @@ class ProcFaultPlan:
         ``declared_fingerprint`` fields whose report carries
         ``horizon_s`` and ``fingerprint()`` -- in practice a
         ``ShardResult``.  ``truncate`` discards the result entirely
-        (schema check trips); ``corrupt`` mutates the report under a
-        now-stale declared fingerprint (cross-check trips); ``forge``
-        mutates *and* re-declares consistently (only a witness run
-        disagrees).
+        (schema check trips); ``corrupt`` declares the untouched
+        report's fingerprint (unless the result already declares one),
+        then mutates the report under that now-stale declaration
+        (cross-check trips); ``forge`` mutates *and* declares the
+        mutated report's fingerprint (only a witness run disagrees).
+        The mutated report is a ``dataclasses.replace`` copy, which
+        carries no fingerprint memo, so it is always rendered afresh.
         """
         if kind == "truncate":
             return {"shard_id": getattr(result, "shard_id", None),
                     "truncated": True}
         if kind not in ("corrupt", "forge"):
             raise ValueError("tamper cannot apply fault kind %r" % (kind,))
+        declared = result.declared_fingerprint
+        if kind == "corrupt" and declared is None:
+            declared = result.report.fingerprint()
         report = dataclasses.replace(
             result.report, horizon_s=result.report.horizon_s + 1.0
         )
-        if kind == "corrupt":
-            return dataclasses.replace(result, report=report)
+        if kind == "forge":
+            declared = report.fingerprint()
         return dataclasses.replace(
-            result,
-            report=report,
-            declared_fingerprint=report.fingerprint(),
+            result, report=report, declared_fingerprint=declared
         )

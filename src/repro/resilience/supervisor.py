@@ -13,9 +13,12 @@ The supervisor replaces that with per-shard managed processes:
   integrity violation, witness disagreement -- becomes a structured
   :class:`ShardFailure` and a bounded retry (``max_attempts``);
 * results pass :func:`~repro.resilience.integrity.validate_result`
-  before acceptance, and ``witness=True`` re-executes each shard
-  clean and requires fingerprint agreement (duplicate-execution
-  quorum of two);
+  before acceptance -- a result declares its report fingerprint where
+  it can change hands (pickled onto the spawn pipe or into a
+  checkpoint, or tampered by a fault plan) and the supervisor
+  recomputes every declaration it receives -- and ``witness=True``
+  re-executes each shard clean and requires fingerprint agreement
+  (duplicate-execution quorum of two);
 * accepted results persist through an optional
   :class:`~repro.resilience.checkpoint.CheckpointStore`, so a re-run
   resumes completed shards instead of re-executing them.
@@ -275,25 +278,21 @@ def _supervised_entry(task: Callable, spec, conn) -> None:
 
     Top-level so the spawn start method can pickle a reference to it.
     An injected ``crash`` never reaches the ``send`` (``os._exit``
-    happens inside the task); an exception travels back as a
-    structured ``("error", traceback)`` message instead of poisoning
-    the supervisor.
+    happens inside the task); an exception -- raised by the task, or
+    by pickling its result for the pipe (where a shard result declares
+    its fingerprint) -- travels back as a structured ``("error",
+    traceback)`` message instead of poisoning the supervisor.
     """
     try:
-        result = task(spec)
-    except BaseException:
         try:
+            result = task(spec)
+            # ``send`` pickles the whole message before writing a byte,
+            # so a result that fails to pickle leaves the pipe clean.
+            conn.send(("ok", result))
+        except BaseException:
             conn.send(("error", traceback.format_exc(limit=32)))
-        finally:
-            conn.close()
-        return
-    try:
-        conn.send(("ok", result))
-    except Exception:
-        # Unpicklable result: the parent sees a clean exit with no
-        # message and records a crashed attempt.
-        pass
-    conn.close()
+    finally:
+        conn.close()
 
 
 @dataclass

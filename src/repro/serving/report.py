@@ -10,6 +10,11 @@ is asserted by comparing fingerprints.  Records and events live in the
 report's :class:`~repro.serving.ledger.Ledger`, whose columns and rows
 every count, aggregate, export, merge and fingerprint reads; the
 ``completed`` / ``rejected`` / ``events`` lists are built on request.
+
+A report renders its fingerprint once: the digest is kept on the
+object until any attribute is assigned, is never kept or returned while
+a ledger section is a built (mutable) list, and never travels -- a
+``dataclasses.replace`` copy or an unpickled report renders afresh.
 """
 
 from __future__ import annotations
@@ -167,6 +172,12 @@ _COUNTERS = [
 ]
 
 
+#: Where a report keeps its fingerprint memo: an instance-dict key, not
+#: a dataclass field, so it never enters ``==``, ``repr`` or a
+#: ``dataclasses.replace`` copy.
+_DIGEST = "_digest"
+
+
 def _section(name: str) -> property:
     """One record section of a report as a list: built from the ledger
     on first read, authoritative from then on; assigning one replaces
@@ -227,6 +238,16 @@ class RouterReport:
         self.ledger = (ledger or Ledger()).replaced(
             completed=completed, rejected=rejected, events=events
         )
+
+    def __setattr__(self, name: str, value) -> None:
+        # Any assignment may change the bytes: drop the digest memo.
+        self.__dict__.pop(_DIGEST, None)
+        object.__setattr__(self, name, value)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop(_DIGEST, None)
+        return state
 
     # -- fleet-level views ----------------------------------------------
     @property
@@ -559,7 +580,15 @@ class RouterReport:
         not change the fingerprint -- only routing behaviour does.  The
         bytes, those of the sorted compact ``json.dumps`` of the filtered
         ``to_dict(include_events=True, include_requests=True)``, come
-        from :func:`repro.serving.canonical.write_report`."""
+        from :func:`repro.serving.canonical.write_report`.
+
+        The digest is memoized on the report (see the module
+        docstring); a built section list is authoritative and mutable
+        in place, so while one exists every call renders."""
+        if not self.ledger.lists:
+            digest = self.__dict__.get(_DIGEST)
+            if digest is not None:
+                return digest
         head = self.to_dict(include_events=False)
         head["event_counts"] = {
             kind: count
@@ -588,4 +617,7 @@ class RouterReport:
             self.ledger.event_rows(),
             self._CACHE_KINDS,
         )
-        return hashlib.sha1(payload.encode("ascii")).hexdigest()
+        digest = hashlib.sha1(payload.encode("ascii")).hexdigest()
+        if not self.ledger.lists:
+            self.__dict__[_DIGEST] = digest
+        return digest

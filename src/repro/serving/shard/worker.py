@@ -173,11 +173,24 @@ class ShardResult:
     spans: Optional[Tuple[dict, ...]] = None
     #: Which supervised attempt produced this result (audit trail).
     attempt: int = 1
-    #: The report fingerprint the worker computed *before* returning.
-    #: The supervisor recomputes it from the received report; any
-    #: divergence means the payload mutated in flight (or a fault
-    #: plan corrupted it) and the attempt is rejected.
+    #: The report fingerprint declared where the result can change
+    #: hands: taken when the result is pickled (the spawn pipe, a
+    #: checkpoint file) and by a fault plan's ``tamper`` before it
+    #: touches the report; ``None`` on a result that never left the
+    #: process that produced it.  The supervisor recomputes a declared
+    #: fingerprint from the received report; any divergence means the
+    #: payload changed on the way (or a fault plan corrupted it) and
+    #: the attempt is rejected.
     declared_fingerprint: Optional[str] = None
+
+    def __reduce__(self):
+        declared = self.declared_fingerprint
+        if declared is None:
+            declared = self.report.fingerprint()
+        return ShardResult, (
+            self.shard_id, self.seed, self.report, self.spans, self.attempt,
+            declared,
+        )
 
 
 def run_shard(
@@ -201,6 +214,10 @@ def run_shard(
     tamper kinds sabotage the result after the fact.  Decisions are
     pure in ``(plan seed, shard_id, attempt)``, so supervised chaos
     runs replay bit-identically.
+
+    The result declares no fingerprint here: an inline result is the
+    object the supervisor validates, and a spawn result declares one
+    when it is pickled onto the pipe (see :class:`ShardResult`).
     """
     plan = spec.proc_faults
     fault = (
@@ -233,7 +250,6 @@ def run_shard(
         report=report,
         spans=spans,
         attempt=spec.attempt,
-        declared_fingerprint=report.fingerprint(),
     )
     if fault in ("corrupt", "truncate", "forge"):
         result = plan.tamper(fault, result)

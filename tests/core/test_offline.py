@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import ApplicationSpec, TaskClass
 from repro.core.offline import (
     PCNN_BACKEND,
     OfflineCompiler,
@@ -22,7 +23,7 @@ from repro.core.offline import (
     tune_layer_kernel,
 )
 from repro.core.satisfaction import TimeRequirement
-from repro.gpu import GTX_970M, JETSON_TX1, K20C
+from repro.gpu import GTX_970M, JETSON_TX1, K20C, list_architectures
 from repro.gpu.kernels import GemmShape
 from repro.gpu.spilling import plan_spill, stair_points
 from repro.nn.models import alexnet, vgg16
@@ -117,6 +118,62 @@ class TestKernelTuning:
         tiny = tune_layer_kernel(JETSON_TX1, GemmShape(64, 169, 512))
         huge = tune_layer_kernel(JETSON_TX1, GemmShape(512, 50176, 4608))
         assert tiny.kernel.tile_elements <= huge.kernel.tile_elements
+
+
+def _same_tuned(got, want):
+    """Field for field, float bits included."""
+    assert got == want
+    assert got.score.hex() == want.score.hex()
+    assert got.s_kernel_value.hex() == want.s_kernel_value.hex()
+
+
+class TestCandidatesOncePerCompiler:
+    """``OfflineCompiler`` scores one candidate set per arch; every
+    tune equals ``tune_layer_kernel``, which rebuilds the set."""
+
+    def test_every_shape_a_fleet_build_tunes(self):
+        from repro.serving import FleetSpec
+
+        fleet = FleetSpec(
+            network="alexnet",
+            spec=ApplicationSpec(
+                "interactive", TaskClass.INTERACTIVE, data_rate_hz=50.0,
+                entropy_slack=0.30,
+            ),
+            gpus=("k20c", "tx1"),
+        ).build()
+        compilers = list(fleet.engine._compilers.values())
+        assert len(compilers) == 2
+        for compiler in compilers:
+            assert len(compiler._tune_cache) > 10
+            for shape, tuned in compiler._tune_cache.items():
+                _same_tuned(
+                    tuned,
+                    tune_layer_kernel(
+                        compiler.arch, shape, backend=compiler.backend
+                    ),
+                )
+
+    @pytest.mark.parametrize(
+        "arch",
+        list_architectures(include_extensions=True),
+        ids=lambda arch: arch.name,
+    )
+    @given(
+        shapes=st.lists(
+            st.tuples(
+                st.integers(1, 4096), st.integers(1, 60000),
+                st.integers(1, 9216),
+            ),
+            min_size=1, max_size=4,
+        ),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_shape_sweep(self, arch, shapes):
+        compiler = OfflineCompiler(arch)
+        for m_rows, n_cols, k_depth in shapes:
+            shape = GemmShape(m_rows, n_cols, k_depth)
+            _same_tuned(compiler._tune(shape), tune_layer_kernel(arch, shape))
 
 
 class TestTimeModel:

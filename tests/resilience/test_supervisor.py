@@ -8,6 +8,7 @@ Everything is module-top-level so the spawn tests can pickle it.
 """
 
 import os
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -84,6 +85,15 @@ def toy_task(spec: ToySpec) -> ToyResult:
     if fault in ("corrupt", "truncate", "forge"):
         result = plan.tamper(fault, result)
     return result
+
+
+def unpicklable_task(spec: ToySpec) -> ToyResult:
+    """A result that cannot cross the spawn pipe."""
+    return ToyResult(
+        shard_id=spec.shard_id,
+        seed=spec.seed,
+        report=ToyReport(payload=threading.Lock()),
+    )
 
 
 def supervise(specs, **kwargs):
@@ -324,6 +334,17 @@ class TestSpawnSupervision:
             outcome.results[1].report.fingerprint()
             == clean.results[1].report.fingerprint()
         )
+
+    def test_unpicklable_result_is_an_error(self):
+        outcome = ShardSupervisor(
+            unpicklable_task,
+            inline=False,
+            config=SupervisorConfig(max_attempts=1, timeout_s=60.0),
+        ).run([ToySpec(shard_id=0)])
+        assert outcome.results == {}
+        (failure,) = outcome.report.records[0].failures
+        assert failure.kind == "error"
+        assert "cannot pickle '_thread.lock' object" in failure.detail
 
     def test_spawn_kills_a_real_hang_at_the_timeout(self):
         plan = ProcFaultPlan(seed=1, forced=((0, "hang"),), hang_s=120.0)

@@ -1,0 +1,315 @@
+"""A report renders its fingerprint once; a shard result declares one
+only where it can change hands.
+
+Two contracts keep ``storm_sharded``-style runs at three renders (the
+two qualified leaves as merge keys, then the merged report):
+
+* **the digest memo** -- ``RouterReport.fingerprint`` keeps its digest
+  on the object.  Any attribute assignment drops it, it is never kept
+  or returned while a ledger section is a built list, and it never
+  travels: a ``dataclasses.replace`` copy and an unpickled report
+  render afresh;
+* **declaration at the boundary** -- ``run_shard`` declares nothing;
+  a ``ShardResult`` declares its report's fingerprint when pickled
+  (the spawn pipe, a checkpoint file) and a fault plan's ``tamper``
+  declares before it mutates, and ``validate_result`` recomputes only
+  to compare against a declaration.
+
+Renders are counted with a shim on ``repro.serving.report.write_report``,
+the name ``fingerprint()`` looks up.
+"""
+
+import dataclasses
+import glob
+import os
+import pickle
+
+import pytest
+
+import repro.serving.report as report_module
+import repro.serving.shard.coordinator as coordinator_module
+from repro.core import ApplicationSpec, TaskClass
+from repro.core.satisfaction import TimeRequirement
+from repro.obs import Instrumentation
+from repro.resilience import (
+    ProcFaultPlan,
+    SupervisionReport,
+    SupervisorConfig,
+    validate_result,
+)
+from repro.serving import (
+    FleetCoordinator,
+    FleetSpec,
+    RequestRouter,
+    RouterConfig,
+    Tenant,
+    TenantLoad,
+)
+from repro.serving.ledger import Ledger
+from repro.serving.shard import ShardResult, run_shard, shard_label, shard_seed
+from repro.workloads import bursty_trace
+from tests.serving.oracle import oracle_fingerprint
+from tests.serving.test_obs_ledger import GOLDENS, SHARDED_SCENARIOS
+
+_DIGEST = report_module._DIGEST
+_REQUIREMENT = TimeRequirement(imperceptible_s=0.1, unusable_s=0.5)
+
+
+@pytest.fixture
+def renders(monkeypatch):
+    """Every canonical render made while the test runs."""
+    calls = []
+    write = report_module.write_report
+
+    def counting(*args):
+        calls.append(args)
+        return write(*args)
+
+    monkeypatch.setattr(report_module, "write_report", counting)
+    return calls
+
+
+@pytest.fixture
+def report(fleet, snappy_tenant):
+    """An overloaded run: completions, rejections and events."""
+    report = RequestRouter(fleet, RouterConfig(queue_limit=4)).run(
+        [TenantLoad(snappy_tenant, bursty_trace(60, 2000.0, seed=3))]
+    )
+    assert report.n_completed and report.n_rejected
+    return report
+
+
+def _fleet_spec():
+    return FleetSpec(
+        network="alexnet",
+        spec=ApplicationSpec(
+            "age-detection", TaskClass.INTERACTIVE, entropy_slack=0.30
+        ),
+        gpus=("k20c",),
+        max_tuning_iterations=2,
+    )
+
+
+def _shard_loads(n_shards, n_requests=20, seed=5):
+    return [
+        [
+            TenantLoad(
+                Tenant(
+                    "tenant-%s" % shard_label(shard), _REQUIREMENT,
+                    priority=1,
+                ),
+                bursty_trace(n_requests, 25.0, seed=shard_seed(seed, shard)),
+            )
+        ]
+        for shard in range(n_shards)
+    ]
+
+
+def _coordinate(n_shards=2, inline=True, **kwargs):
+    return FleetCoordinator(
+        _fleet_spec(), RouterConfig(), n_shards=n_shards, seed=5,
+        inline=inline, **kwargs,
+    ).run(shard_loads=_shard_loads(n_shards))
+
+
+@pytest.fixture(scope="module")
+def clean_three():
+    return _coordinate(n_shards=3).report.fingerprint()
+
+
+class TestRenderCounts:
+    @pytest.mark.parametrize("name", ["two_shards", "two_shards_ewma"])
+    def test_inline_two_shard_run_renders_three_times(self, renders, name):
+        outcome = SHARDED_SCENARIOS[name]()
+        # Two qualified leaves, rendered as merge keys.
+        assert len(renders) == 2
+        assert outcome.report.fingerprint() == GOLDENS[name]["fingerprint"]
+        assert len(renders) == 3
+        assert outcome.report.fingerprint() == GOLDENS[name]["fingerprint"]
+        assert len(renders) == 3
+
+    def test_router_report_renders_once(self, renders, report):
+        first = report.fingerprint()
+        assert report.fingerprint() == first
+        assert len(renders) == 1
+        assert first == oracle_fingerprint(report)
+
+
+class TestMemo:
+    @pytest.mark.parametrize(
+        "assign",
+        [
+            lambda r: setattr(r, "horizon_s", r.horizon_s + 1.0),
+            lambda r: setattr(r, "obs", {"spans": 1}),
+            lambda r: setattr(r, "control", {"ticks": 1}),
+            lambda r: setattr(r, "platforms", r.platforms[:1]),
+            lambda r: setattr(r, "ledger", Ledger()),
+            lambda r: setattr(r, "completed", []),
+            lambda r: setattr(r, "rejected", []),
+            lambda r: setattr(r, "events", []),
+        ],
+        ids=[
+            "horizon_s", "obs", "control", "platforms", "ledger",
+            "completed", "rejected", "events",
+        ],
+    )
+    def test_any_assignment_drops_the_memo(self, renders, report, assign):
+        before = report.fingerprint()
+        assert _DIGEST in vars(report)
+        assign(report)
+        assert _DIGEST not in vars(report)
+        after = report.fingerprint()
+        assert after != before
+        assert after == oracle_fingerprint(report)
+
+    def test_run_sets_obs_after_the_loop(self, fleet, snappy_tenant):
+        """An instrumented run's report carries its obs section in
+        the digest: ``run`` assigns it before anything renders."""
+        load = TenantLoad(snappy_tenant, bursty_trace(30, 40.0, seed=3))
+        plain = RequestRouter(fleet, RouterConfig()).run([load])
+        instrumented = RequestRouter(fleet, RouterConfig()).run(
+            [load], obs=Instrumentation()
+        )
+        assert instrumented.fingerprint() != plain.fingerprint()
+        assert instrumented.fingerprint() == oracle_fingerprint(instrumented)
+
+    def test_supervision_obs_drops_the_memo(self, report):
+        report.obs = {"metrics": {}}
+        before = report.fingerprint()
+        FleetCoordinator._attach_supervision_obs(
+            report, SupervisionReport(), []
+        )
+        assert _DIGEST not in vars(report)
+        # ``supervisor_*`` series are fingerprint-neutral.
+        assert report.fingerprint() == before
+
+    def test_replace_copy_starts_without_it(self, renders, report):
+        before = report.fingerprint()
+        vars(report)[_DIGEST] = "stale"
+        copy = dataclasses.replace(report)
+        assert _DIGEST not in vars(copy)
+        assert copy.fingerprint() == before
+        assert len(renders) == 2
+
+    def test_pickle_leaves_it_out(self, renders, report):
+        before = report.fingerprint()
+        vars(report)[_DIGEST] = "stale"
+        restored = pickle.loads(pickle.dumps(report))
+        assert _DIGEST not in vars(restored)
+        assert restored.fingerprint() == before
+        assert len(renders) == 2
+
+    def test_ignored_once_a_section_is_a_built_list(self, renders, report):
+        before = report.fingerprint()
+        report.ledger.build("rejected")
+        report.rejected.pop()
+        after = report.fingerprint()
+        assert after != before
+        # Built lists are mutable in place: every call renders.
+        assert report.fingerprint() == after
+        assert len(renders) == 3
+        assert after == oracle_fingerprint(report)
+
+    def test_ignored_on_a_copy_sharing_a_built_ledger(self, report):
+        """A ``replace`` copy shares the ledger; a list built and
+        edited through the copy must reach the original's digest."""
+        before = report.fingerprint()
+        copy = dataclasses.replace(report)
+        copy.completed.pop()
+        assert report.fingerprint() != before
+        assert report.fingerprint() == oracle_fingerprint(report)
+
+
+class TestDeclaration:
+    def test_inline_results_are_undeclared(self, monkeypatch):
+        seen = []
+
+        def recording(spec, fleet=None):
+            result = run_shard(spec, fleet=fleet)
+            seen.append(result)
+            return result
+
+        monkeypatch.setattr(coordinator_module, "run_shard", recording)
+        _coordinate()
+        assert len(seen) == 2
+        assert all(result.declared_fingerprint is None for result in seen)
+
+    def test_pickling_declares(self, report):
+        result = ShardResult(shard_id=0, seed=1, report=report)
+        restored = pickle.loads(pickle.dumps(result))
+        assert result.declared_fingerprint is None
+        assert restored.declared_fingerprint == report.fingerprint()
+        assert restored.report.fingerprint() == report.fingerprint()
+        assert validate_result(
+            dataclasses.make_dataclass("Spec", ["shard_id", "seed"])(0, 1),
+            restored,
+        ) is None
+
+    def test_pickling_keeps_an_existing_declaration(self, report):
+        result = ShardResult(
+            shard_id=0, seed=1, report=report, declared_fingerprint="stale"
+        )
+        assert pickle.loads(pickle.dumps(result)).declared_fingerprint == (
+            "stale"
+        )
+
+    @pytest.mark.parametrize("kind", ["corrupt", "forge"])
+    def test_tamper_declares_before_it_mutates(self, report, kind):
+        result = ShardResult(shard_id=0, seed=1, report=report)
+        mangled = ProcFaultPlan().tamper(kind, result)
+        declared = mangled.declared_fingerprint
+        if kind == "corrupt":
+            assert declared == report.fingerprint()
+            assert mangled.report.fingerprint() != declared
+        else:
+            assert declared == mangled.report.fingerprint()
+            assert declared != report.fingerprint()
+
+    @pytest.mark.parametrize("inline", [True, False], ids=["inline", "spawn"])
+    def test_tampered_results_are_rejected(self, inline, clean_three):
+        """Corrupt and truncate fail integrity; forge passes it and
+        fails the witness quorum.  Inline and spawn agree."""
+        outcome = _coordinate(
+            n_shards=3,
+            inline=inline,
+            proc_faults=ProcFaultPlan(
+                forced=((0, "corrupt"), (1, "truncate"), (2, "forge"))
+            ),
+            supervision=SupervisorConfig(witness=True, timeout_s=120.0),
+        )
+        assert [
+            (failure.shard_id, failure.kind)
+            for failure in outcome.supervision.failures
+        ] == [(0, "integrity"), (1, "integrity"), (2, "witness")]
+        assert outcome.statuses == ("retried", "retried", "retried")
+        assert outcome.report.fingerprint() == clean_three
+
+    def test_checkpoints_carry_a_declaration(self, tmp_path):
+        resume_dir = str(tmp_path)
+        clean = _coordinate(resume_dir=resume_dir)
+        paths = sorted(glob.glob(os.path.join(resume_dir, "shard-*.pkl")))
+        assert len(paths) == 2
+        payloads = []
+        for path in paths:
+            with open(path, "rb") as handle:
+                payloads.append(pickle.load(handle))
+        for payload in payloads:
+            result = payload["result"]
+            assert result.declared_fingerprint is not None
+            assert result.declared_fingerprint == result.report.fingerprint()
+
+        # Tamper with shard 0's checkpoint under its stale declaration.
+        payload = payloads[0]
+        result = payload["result"]
+        payload["result"] = dataclasses.replace(
+            result,
+            report=dataclasses.replace(
+                result.report, horizon_s=result.report.horizon_s + 1.0
+            ),
+        )
+        with open(paths[0], "wb") as handle:
+            pickle.dump(payload, handle, protocol=4)
+
+        resumed = _coordinate(resume_dir=resume_dir)
+        assert resumed.statuses == ("ok", "resumed")
+        assert resumed.report.fingerprint() == clean.report.fingerprint()

@@ -191,7 +191,7 @@ class TestCopiesMatchOwnBuilds:
                 include_events=True, include_requests=True
             )
             assert result.spans == own.spans
-            assert result.declared_fingerprint == own.declared_fingerprint
+            assert result.report.fingerprint() == own.report.fingerprint()
         kinds = attempts[0][2].report.to_dict()["event_counts"]
         assert kinds.get("compile", 0) > 0  # the relays were compared
 
