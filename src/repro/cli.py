@@ -214,8 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--seed", type=int, default=42)
     serve.add_argument(
         "--shards", type=_positive_int, default=1,
-        help="router shards; above 1 each shard runs its own fleet "
-        "and per-shard-seeded tenant pair in a spawn worker and the "
+        help="router shards; one shard serves exactly the unsharded "
+        "storm; above 1 each shard runs its own fleet and "
+        "per-shard-seeded tenant pair in a spawn worker and the "
         "per-shard reports are merged deterministically",
     )
     serve.add_argument(
@@ -604,62 +605,85 @@ def _chaos_config(horizon_s: float) -> FaultTraceConfig:
     )
 
 
-def _serve_fleet_sharded(args, spec, platforms, offered, config,
-                         controller=None):
-    """The ``serve-fleet --shards N`` path: coordinator run + exports.
+def _storm(args, spec, platforms, offered):
+    """The serve-fleet storm: one tenant pair per shard, plus chaos.
 
-    Every shard serves its own tenant pair (``interactive-s<k>`` /
-    ``background-s<k>``) at the full offered rate with seeds derived
-    via :func:`shard_seed` -- weak scaling, so doubling the shards
-    doubles the total storm.  Chaos generates one schedule per shard
-    on qualified ``s<k>/<platform>`` names from the per-shard chaos
-    seed, then merges them into the single coherent trace the
-    coordinator expects.
+    Two tenants share each fleet: a deadline-bound interactive stream
+    carrying 80% of the offered rate, and a deadline-free background
+    dump (heavy-tailed arrivals) carrying the remaining 20%.  One
+    shard serves exactly the unsharded storm: plain tenant names,
+    plain seeds, chaos on bare platform names.  With more shards the
+    run scales weakly: shard ``k`` gets its own pair at the full rate
+    (``interactive-s<k>``/``background-s<k>``, seeds from
+    :func:`shard_seed`) and its own chaos schedule on qualified
+    ``s<k>/<platform>`` names, merged into the one trace the
+    coordinator expects.  Every schedule spans the latest arrival of
+    any shard.  Returns ``(shard_loads, faults)``.
     """
+    sharded = args.shards > 1
+
+    def seed(base, shard):
+        return shard_seed(base, shard) if sharded else base
+
+    def named(tenant, shard):
+        if not sharded:
+            return tenant
+        return replace(
+            tenant, name="%s-%s" % (tenant.name, shard_label(shard))
+        )
+
     interactive = Tenant.from_spec(spec, priority=1)
     background = Tenant.from_spec(
         ApplicationSpec("background", TaskClass.BACKGROUND), priority=0
     )
-    shard_loads = []
-    for shard in range(args.shards):
-        shard_loads.append([
+    shard_loads = [
+        [
             TenantLoad(
-                replace(interactive, name="interactive-%s" % shard_label(shard)),
+                named(interactive, shard),
                 bursty_trace(
                     n_requests=args.requests,
                     rate_hz=0.8 * offered,
-                    seed=shard_seed(args.seed, shard),
+                    seed=seed(args.seed, shard),
                 ),
             ),
             TenantLoad(
-                replace(background, name="background-%s" % shard_label(shard)),
+                named(background, shard),
                 pareto_trace(
                     n_requests=max(1, args.requests // 4),
                     rate_hz=0.2 * offered,
-                    seed=shard_seed(args.seed + 1, shard),
+                    seed=seed(args.seed + 1, shard),
                 ),
             ),
-        ])
-    faults = None
-    if args.chaos:
-        horizon = max(
-            float(load.trace.arrivals_s[-1])
-            for loads in shard_loads
-            for load in loads
-            if load.trace.n_requests
-        )
-        pieces = [
-            generate_fault_trace(
-                platforms=[
-                    shard_platform(shard, name) for name in platforms
-                ],
-                horizon_s=horizon,
-                config=_chaos_config(horizon),
-                seed=shard_seed(args.chaos_seed, shard),
-            )
-            for shard in range(args.shards)
         ]
-        faults = pieces[0].merged_with(*pieces[1:])
+        for shard in range(args.shards)
+    ]
+    if not args.chaos:
+        return shard_loads, None
+    horizon = max(
+        float(load.trace.arrivals_s[-1])
+        for loads in shard_loads
+        for load in loads
+        if load.trace.n_requests
+    )
+    pieces = [
+        generate_fault_trace(
+            platforms=[
+                shard_platform(shard, name) if sharded else name
+                for name in platforms
+            ],
+            horizon_s=horizon,
+            config=_chaos_config(horizon),
+            seed=seed(args.chaos_seed, shard),
+        )
+        for shard in range(args.shards)
+    ]
+    return shard_loads, pieces[0].merged_with(*pieces[1:])
+
+
+def _serve_fleet_sharded(args, spec, shard_loads, faults, config,
+                         controller=None):
+    """The coordinator path of ``serve-fleet`` (``--shards`` above 1,
+    or any supervision flag): supervised run + exports."""
     instrument = (
         args.trace is not None
         or args.chrome_trace is not None
@@ -777,12 +801,6 @@ def _cmd_serve_fleet(args) -> int:
         )
         capacity += entry.compiled.batch / execution.total_time_s
 
-    # Two tenants share each fleet: a deadline-bound interactive
-    # stream carrying 80% of the offered storm, and a deadline-free
-    # background dump (heavy-tailed arrivals) carrying the remaining
-    # 20%.  Weak scaling: with --shards every shard gets its own
-    # fleet replica and its own per-shard-seeded tenant pair at the
-    # same offered rate.
     offered = args.load * capacity
     config = RouterConfig(
         degradation=not args.no_degradation,
@@ -793,6 +811,7 @@ def _cmd_serve_fleet(args) -> int:
     if args.controller != "off":
         controller = ControllerConfig(kind=args.controller)
 
+    shard_loads, faults = _storm(args, spec, sorted(deployments), offered)
     outcome = None
     supervised = (
         args.proc_chaos
@@ -802,48 +821,13 @@ def _cmd_serve_fleet(args) -> int:
     )
     if args.shards > 1 or supervised:
         outcome = _serve_fleet_sharded(
-            args, spec, sorted(deployments), offered, config, controller
+            args, spec, shard_loads, faults, config, controller
         )
         report = outcome.report
     else:
-        interactive = Tenant.from_spec(spec, priority=1)
-        background = Tenant.from_spec(
-            ApplicationSpec("background", TaskClass.BACKGROUND), priority=0
-        )
-        loads = [
-            TenantLoad(
-                interactive,
-                bursty_trace(
-                    n_requests=args.requests,
-                    rate_hz=0.8 * offered,
-                    seed=args.seed,
-                ),
-            ),
-            TenantLoad(
-                background,
-                pareto_trace(
-                    n_requests=max(1, args.requests // 4),
-                    rate_hz=0.2 * offered,
-                    seed=args.seed + 1,
-                ),
-            ),
-        ]
-        faults = None
-        if args.chaos:
-            horizon = max(
-                float(load.trace.arrivals_s[-1])
-                for load in loads
-                if load.trace.n_requests
-            )
-            faults = generate_fault_trace(
-                platforms=sorted(deployments),
-                horizon_s=horizon,
-                config=_chaos_config(horizon),
-                seed=args.chaos_seed,
-            )
         obs = _obs_for(args)
         report = RequestRouter(fleet, config).run(
-            loads, faults, obs=obs,
+            shard_loads[0], faults, obs=obs,
             controller=controller.build() if controller is not None else None,
         )
         if obs is not None:

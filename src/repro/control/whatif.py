@@ -22,11 +22,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.control.plane import ControllerConfig
 from repro.obs.instrument import Instrumentation
-from repro.serving.report import RouterReport
+from repro.serving.report import RouterReport, cache_neutral_control_section
 from repro.serving.router import RequestRouter, RouterConfig
 
 __all__ = ["WhatIfOutcome", "run_whatif"]
@@ -114,13 +114,8 @@ class WhatIfOutcome:
         :meth:`to_dict` is replaced by its own neutral form.
         """
         data = self.to_dict()
-        control = data.get("control")
-        if control is not None:
-            control = dict(control)
-            prewarm = control.get("prewarm")
-            if isinstance(prewarm, Mapping):
-                control["prewarm"] = {"requested": prewarm.get("requested")}
-            data["control"] = control
+        if data["control"] is not None:
+            data["control"] = cache_neutral_control_section(data["control"])
         payload = json.dumps(data, sort_keys=True, separators=(",", ":"))
         return hashlib.sha1(payload.encode("utf-8")).hexdigest()
 

@@ -4,15 +4,14 @@ A supervised fleet run can die halfway -- the host reboots, the
 supervisor exhausts one shard's retries with no healthy escalation
 target.  :class:`CheckpointStore` makes the *completed* work durable:
 every accepted shard result is pickled into the run directory keyed
-by a digest of its (normalized) spec, and a re-run with the same
-inputs loads those results back instead of re-executing -- only the
-shards that actually failed run again.
+by a digest of its spec, and a re-run with the same inputs loads
+those results back instead of re-executing -- only the shards that
+actually failed run again.
 
-The digest normalizes away ``attempt`` and ``proc_faults``: which
-attempt finally succeeded and what chaos was scheduled are execution
-noise, not inputs to the result (attempt-invariance is exactly the
-supervisor's contract), so a resume under a different fault plan
-still reuses clean results.
+A spec holds only its shard's inputs: which attempt finally succeeded
+and what process chaos the supervisor scheduled never enter it
+(attempt-invariance is exactly the supervisor's contract), so a
+resume under a different fault plan still reuses clean results.
 
 Corrupt or stale checkpoint files are treated as misses, never
 errors: the worst a bad checkpoint can do is cost one re-execution.
@@ -20,7 +19,6 @@ errors: the worst a bad checkpoint can do is cost one re-execution.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -40,25 +38,10 @@ class CheckpointStore:
     # -- keys ------------------------------------------------------------
     @staticmethod
     def spec_digest(spec) -> str:
-        """A stable content hash of one spec's *inputs*.
-
-        ``attempt`` and ``proc_faults`` are normalized out (see module
-        docstring); everything else -- loads, faults, seed, config --
-        feeds the pickle that is hashed, so a changed workload never
-        resurrects a stale result.
-        """
-        normalized = spec
-        if dataclasses.is_dataclass(spec):
-            fields = {f.name for f in dataclasses.fields(spec)}
-            overrides = {}
-            if "attempt" in fields:
-                overrides["attempt"] = 1
-            if "proc_faults" in fields:
-                overrides["proc_faults"] = None
-            if overrides:
-                normalized = dataclasses.replace(spec, **overrides)
-        payload = pickle.dumps(normalized, protocol=4)
-        return hashlib.sha1(payload).hexdigest()
+        """A stable content hash of one spec's inputs: loads, faults,
+        seed, config -- everything feeds the pickle that is hashed, so
+        a changed workload never resurrects a stale result."""
+        return hashlib.sha1(pickle.dumps(spec, protocol=4)).hexdigest()
 
     def path_for(self, spec) -> str:
         """Where one spec's result lives (digest-keyed, so the same

@@ -2,9 +2,10 @@
 
 :mod:`repro.faults` injects faults into the *simulated* hardware; a
 :class:`ProcFaultPlan` injects faults into the *real* orchestration
-layer -- the spawn workers themselves.  A plan rides inside a
-``ShardSpec`` (duck-typed, like ``ShardSpec.controller``) and the
-worker consults it exactly once, at the top of ``run_shard``:
+layer -- the spawn workers themselves.  A plan is handed to the
+:class:`~repro.resilience.supervisor.ShardSupervisor`, which asks it
+once per primary attempt (never for a witness run) and applies the
+answer around the shard task:
 
 * ``crash``    -- the worker kills itself via ``os._exit`` before
   producing a result (the supervisor sees a dead process);
@@ -24,8 +25,7 @@ injection is exactly as replayable as the simulation it wraps:
 same plan, same kills, same retries, same merged fingerprint.
 
 This module is stdlib-only and imports nothing from
-:mod:`repro.serving`, so either layer can hold a plan without import
-cycles.
+:mod:`repro.serving`, so the import graph stays acyclic.
 """
 
 from __future__ import annotations
@@ -122,8 +122,8 @@ class ProcFaultPlan:
     def decide(self, shard_id: int, attempt: int) -> Optional[str]:
         """The fault (or ``None``) for one shard's attempt.
 
-        Pure in ``(seed, shard_id, attempt)``: workers and the inline
-        supervisor evaluate it independently and agree.
+        Pure in ``(seed, shard_id, attempt)``: the same plan decides
+        the same faults on every replay, inline or spawn.
         """
         if attempt > self.max_faulty_attempts:
             return None

@@ -24,10 +24,13 @@ The supervisor replaces that with per-shard managed processes:
   resumes completed shards instead of re-executing them.
 
 Attempt-invariance is the load-bearing contract: a retry re-runs the
-*same spec* (only the audit-only ``attempt`` counter changes, never
-the sim seed), so whichever attempt finally succeeds produces the
-same report fingerprint -- supervision recovers from host faults
-without perturbing a single simulated bit.
+*same spec* (the sim seed never depends on the attempt), so whichever
+attempt finally succeeds produces the same report fingerprint --
+supervision recovers from host faults without perturbing a single
+simulated bit.  A spec holds only the shard's inputs: the attempt
+number lives on the supervisor's queue, and the supervisor alone asks
+its ``proc_faults`` plan which process fault (if any) hits each
+attempt.
 
 Wall-clock time appears exactly once, in :func:`_now_s`, and is used
 only for timeouts and failure diagnostics -- never anything that
@@ -35,14 +38,13 @@ feeds a fingerprint (REP001's discipline; the single read carries the
 reviewed suppression).
 
 The module is stdlib-only and duck-typed over specs/results (any
-dataclass with ``shard_id`` and optionally ``attempt`` /
-``proc_faults`` fields), so :mod:`repro.resilience` imports nothing
-from :mod:`repro.serving` and the import graph stays acyclic.
+picklable value with a ``shard_id``), so :mod:`repro.resilience`
+imports nothing from :mod:`repro.serving` and the import graph stays
+acyclic.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import multiprocessing
 import os
 import time
@@ -273,19 +275,33 @@ def merge_records(
     return tuple(merged[shard_id] for shard_id in sorted(merged))
 
 
-def _supervised_entry(task: Callable, spec, conn) -> None:
+def _supervised_entry(
+    task: Callable, spec, conn, fault: Optional[str], plan
+) -> None:
     """The spawn child's wrapper: run the task, pipe the verdict.
 
     Top-level so the spawn start method can pickle a reference to it.
-    An injected ``crash`` never reaches the ``send`` (``os._exit``
-    happens inside the task); an exception -- raised by the task, or
-    by pickling its result for the pipe (where a shard result declares
-    its fingerprint) -- travels back as a structured ``("error",
-    traceback)`` message instead of poisoning the supervisor.
+    ``fault`` is the supervisor's decision for this attempt and
+    ``plan`` the process-fault plan it came from.  An injected
+    ``crash`` kills the child before the task runs (``os._exit``, no
+    teardown -- what a segfault or OOM kill looks like from outside)
+    and a ``hang`` sleeps before it; a tamper kind sabotages the
+    finished result before the send, so a corrupt result crosses the
+    pipe carrying its stale declaration.  An exception -- raised by
+    the task, or by pickling its result for the pipe (where a shard
+    result declares its fingerprint) -- travels back as a structured
+    ``("error", traceback)`` message instead of poisoning the
+    supervisor.
     """
+    if fault == "crash":
+        os._exit(plan.crash_exit_code)
+    if fault == "hang":
+        time.sleep(plan.hang_s)
     try:
         try:
             result = task(spec)
+            if fault in TAMPER_KINDS:
+                result = plan.tamper(fault, result)
             # ``send`` pickles the whole message before writing a byte,
             # so a result that fails to pickle leaves the pipe clean.
             conn.send(("ok", result))
@@ -298,9 +314,11 @@ def _supervised_entry(task: Callable, spec, conn) -> None:
 @dataclass
 class _Work:
     """One queued attempt: a primary run, or a witness re-execution
-    checking an already-validated primary result."""
+    checking an already-validated primary result (numbered like the
+    primary it checks)."""
 
     spec: object
+    attempt: int
     witness_of: Optional[object] = None
 
 
@@ -331,14 +349,19 @@ class ShardSupervisor:
     """Runs a batch of shard specs to acceptance or exhaustion.
 
     ``task`` is the worker entry point (``run_shard`` in production;
-    any picklable top-level callable in tests).  ``inline=True``
-    executes attempts in the calling process -- process faults from a
-    spec's ``proc_faults`` plan are *pre-empted* (the supervisor
-    consults the same ``decide`` function the worker would and
-    synthesizes the identical failure) so an injected crash cannot
-    take the test process down, while tamper kinds really execute and
-    really trip validation.  The failure/retry sequence, and therefore
-    every accepted result, is identical between inline and spawn.
+    any picklable top-level callable in tests).  ``proc_faults`` is an
+    optional :class:`~repro.resilience.procfaults.ProcFaultPlan` (or
+    anything with its ``decide``/``tamper``/``crash_exit_code``/
+    ``hang_s``/``may_hang``): the supervisor asks it once per primary
+    attempt, never for a witness run, which fault hits the attempt.
+    A spawn child really dies, stalls or tampers with its result.
+    ``inline=True`` executes attempts in the calling process, where a
+    crash, or a hang the timeout would kill, is *pre-empted*: the
+    supervisor records the failure the spawn run would have seen, so
+    an injected crash cannot take the test process down, while tamper
+    kinds really execute and really trip validation.  The
+    failure/retry sequence, and therefore every accepted result, is
+    identical between inline and spawn.
     """
 
     def __init__(
@@ -348,6 +371,7 @@ class ShardSupervisor:
         inline: bool = False,
         processes: Optional[int] = None,
         checkpoint: Optional[object] = None,
+        proc_faults: Optional[object] = None,
     ) -> None:
         if processes is not None and processes < 1:
             raise ValueError(
@@ -358,6 +382,7 @@ class ShardSupervisor:
         self.inline = inline
         self.processes = processes
         self.checkpoint = checkpoint
+        self.proc_faults = proc_faults
 
     # -- public entry ----------------------------------------------------
     def run(self, specs) -> SupervisionOutcome:
@@ -372,18 +397,16 @@ class ShardSupervisor:
         ids = [spec.shard_id for spec in specs]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate shard ids in specs: %r" % (ids,))
-        for spec in specs:
-            plan = getattr(spec, "proc_faults", None)
-            if (
-                plan is not None
-                and getattr(plan, "may_hang", False)
-                and self.config.timeout_s is None
-            ):
-                raise ValueError(
-                    "ProcFaultPlan can draw 'hang' but the supervisor "
-                    "has no timeout_s; a hung worker would never be "
-                    "recovered"
-                )
+        if (
+            self.proc_faults is not None
+            and self.proc_faults.may_hang
+            and self.config.timeout_s is None
+        ):
+            raise ValueError(
+                "ProcFaultPlan can draw 'hang' but the supervisor "
+                "has no timeout_s; a hung worker would never be "
+                "recovered"
+            )
         states: Dict[int, _ShardState] = {}
         queue: deque = deque()
         for spec in specs:
@@ -399,7 +422,7 @@ class ShardSupervisor:
                 state.resumed = True
                 state.done = True
                 continue
-            queue.append(_Work(spec=self._attempt_spec(spec, 1)))
+            queue.append(_Work(spec=spec, attempt=1))
         if self.inline:
             self._drain_inline(queue, states)
         else:
@@ -418,28 +441,13 @@ class ShardSupervisor:
         }
         return SupervisionOutcome(results=results, report=report)
 
-    # -- spec plumbing ---------------------------------------------------
-    @staticmethod
-    def _attempt_spec(spec, attempt: int):
-        """The spec for one numbered attempt (audit-only counter; the
-        sim seed is untouched, which is what makes results
-        attempt-invariant)."""
-        if dataclasses.is_dataclass(spec) and any(
-            field_.name == "attempt" for field_ in dataclasses.fields(spec)
-        ):
-            return dataclasses.replace(spec, attempt=attempt)
-        return spec
-
-    @staticmethod
-    def _clean_spec(spec):
-        """The spec with fault injection stripped (witness runs, and
-        inline execution where the supervisor pre-empts the plan)."""
-        if dataclasses.is_dataclass(spec) and any(
-            field_.name == "proc_faults"
-            for field_ in dataclasses.fields(spec)
-        ):
-            return dataclasses.replace(spec, proc_faults=None)
-        return spec
+    def _fault(self, work: _Work) -> Optional[str]:
+        """The process fault (or ``None``) for one queued attempt: the
+        plan's decision for a primary attempt; a witness run always
+        re-executes clean."""
+        if self.proc_faults is None or work.witness_of is not None:
+            return None
+        return self.proc_faults.decide(work.spec.shard_id, work.attempt)
 
     def _record(self, state: _ShardState) -> ShardRunRecord:
         if state.resumed:
@@ -460,16 +468,26 @@ class ShardSupervisor:
 
     # -- attempt outcomes (shared by inline and spawn) -------------------
     def _register_failure(
-        self, states: Dict[int, _ShardState], queue: deque,
-        failure: ShardFailure,
+        self, states: Dict[int, _ShardState], queue: deque, work: _Work,
+        kind: str, detail: str, exitcode: Optional[int] = None,
+        wall_s: float = 0.0,
     ) -> None:
-        state = states[failure.shard_id]
-        state.failures.append(failure)
+        """Record one attempt's failure; queue the shard's next attempt
+        while its budget lasts."""
+        state = states[work.spec.shard_id]
+        state.failures.append(
+            ShardFailure(
+                shard_id=work.spec.shard_id,
+                attempt=work.attempt,
+                kind=kind,
+                detail=detail,
+                exitcode=exitcode,
+                wall_s=wall_s,
+            )
+        )
         if state.attempt < self.config.max_attempts:
             state.attempt += 1
-            queue.append(
-                _Work(spec=self._attempt_spec(state.spec, state.attempt))
-            )
+            queue.append(_Work(spec=state.spec, attempt=state.attempt))
         else:
             state.done = True
 
@@ -488,41 +506,25 @@ class ShardSupervisor:
     ) -> None:
         """Validate one received payload; accept, witness, or retry."""
         spec = work.spec
-        attempt = getattr(spec, "attempt", states[spec.shard_id].attempt)
+        reason = validate_result(spec, result)
         if work.witness_of is not None:
-            reason = validate_result(spec, result)
             if reason is None:
                 reason = witness_disagreement(work.witness_of, result)
             if reason is None:
                 self._accept(states, spec, work.witness_of)
             else:
                 self._register_failure(
-                    states, queue,
-                    ShardFailure(
-                        shard_id=spec.shard_id,
-                        attempt=attempt,
-                        kind="witness",
-                        detail=reason,
-                        wall_s=wall_s,
-                    ),
+                    states, queue, work, "witness", reason, wall_s=wall_s
                 )
             return
-        reason = validate_result(spec, result)
         if reason is not None:
             self._register_failure(
-                states, queue,
-                ShardFailure(
-                    shard_id=spec.shard_id,
-                    attempt=attempt,
-                    kind="integrity",
-                    detail=reason,
-                    wall_s=wall_s,
-                ),
+                states, queue, work, "integrity", reason, wall_s=wall_s
             )
             return
         if self.config.witness:
             queue.append(
-                _Work(spec=self._clean_spec(spec), witness_of=result)
+                _Work(spec=spec, attempt=work.attempt, witness_of=result)
             )
             return
         self._accept(states, spec, result)
@@ -531,66 +533,38 @@ class ShardSupervisor:
     def _drain_inline(
         self, queue: deque, states: Dict[int, _ShardState]
     ) -> None:
+        plan = self.proc_faults
         while queue:
             work = queue.popleft()
-            spec = work.spec
-            attempt = getattr(spec, "attempt", 1)
-            plan = (
-                getattr(spec, "proc_faults", None)
-                if work.witness_of is None
-                else None
-            )
-            kind = (
-                plan.decide(spec.shard_id, attempt)
-                if plan is not None
-                else None
-            )
-            if kind == "crash":
+            fault = self._fault(work)
+            if fault == "crash":
                 self._register_failure(
-                    states, queue,
-                    ShardFailure(
-                        shard_id=spec.shard_id,
-                        attempt=attempt,
-                        kind="crashed",
-                        detail="injected crash (inline pre-emption)",
-                        exitcode=plan.crash_exit_code,
-                    ),
+                    states, queue, work, "crashed",
+                    "injected crash (inline pre-emption)",
+                    exitcode=plan.crash_exit_code,
                 )
                 continue
             if (
-                kind == "hang"
+                fault == "hang"
                 and self.config.timeout_s is not None
                 and plan.hang_s >= self.config.timeout_s
             ):
                 self._register_failure(
-                    states, queue,
-                    ShardFailure(
-                        shard_id=spec.shard_id,
-                        attempt=attempt,
-                        kind="timeout",
-                        detail=(
-                            "injected hang (inline pre-emption): %.0fs "
-                            "sleep vs %.1fs timeout"
-                            % (plan.hang_s, self.config.timeout_s)
-                        ),
-                    ),
+                    states, queue, work, "timeout",
+                    "injected hang (inline pre-emption): %.0fs sleep vs "
+                    "%.1fs timeout" % (plan.hang_s, self.config.timeout_s),
                 )
                 continue
             try:
-                result = self.task(self._clean_spec(spec))
+                result = self.task(work.spec)
             except Exception:
                 self._register_failure(
-                    states, queue,
-                    ShardFailure(
-                        shard_id=spec.shard_id,
-                        attempt=attempt,
-                        kind="error",
-                        detail=traceback.format_exc(limit=32),
-                    ),
+                    states, queue, work, "error",
+                    traceback.format_exc(limit=32),
                 )
                 continue
-            if kind in TAMPER_KINDS:
-                result = plan.tamper(kind, result)
+            if fault in TAMPER_KINDS:
+                result = plan.tamper(fault, result)
             self._handle_result(states, queue, work, result, 0.0)
 
     # -- spawn execution -------------------------------------------------
@@ -615,14 +589,12 @@ class ShardSupervisor:
 
     def _launch(self, context, work: _Work) -> _Running:
         parent_conn, child_conn = context.Pipe(duplex=False)
-        spec = (
-            self._clean_spec(work.spec)
-            if work.witness_of is not None
-            else work.spec
-        )
         process = context.Process(
             target=_supervised_entry,
-            args=(self.task, spec, child_conn),
+            args=(
+                self.task, work.spec, child_conn, self._fault(work),
+                self.proc_faults,
+            ),
             daemon=True,
         )
         process.start()
@@ -662,9 +634,6 @@ class ShardSupervisor:
         for shard_id in sorted(running):
             run = running[shard_id]
             wall_s = _now_s() - run.started_s
-            attempt = getattr(
-                run.work.spec, "attempt", states[shard_id].attempt
-            )
             if run.conn.poll():
                 try:
                     tag, payload = run.conn.recv()
@@ -677,55 +646,32 @@ class ShardSupervisor:
                         states, queue, run.work, payload, wall_s
                     )
                 else:
-                    kind = "error" if tag == "error" else "crashed"
-                    detail = (
+                    self._register_failure(
+                        states, queue, run.work,
+                        "error" if tag == "error" else "crashed",
                         payload
                         if isinstance(payload, str)
-                        else "malformed supervision message from worker"
-                    )
-                    self._register_failure(
-                        states, queue,
-                        ShardFailure(
-                            shard_id=shard_id,
-                            attempt=attempt,
-                            kind=kind,
-                            detail=detail,
-                            exitcode=run.process.exitcode,
-                            wall_s=wall_s,
-                        ),
+                        else "malformed supervision message from worker",
+                        exitcode=run.process.exitcode,
+                        wall_s=wall_s,
                     )
             elif not run.process.is_alive():
                 run.process.join()
                 self._register_failure(
-                    states, queue,
-                    ShardFailure(
-                        shard_id=shard_id,
-                        attempt=attempt,
-                        kind="crashed",
-                        detail=(
-                            "worker exited (code %r) without a result"
-                            % (run.process.exitcode,)
-                        ),
-                        exitcode=run.process.exitcode,
-                        wall_s=wall_s,
-                    ),
+                    states, queue, run.work, "crashed",
+                    "worker exited (code %r) without a result"
+                    % (run.process.exitcode,),
+                    exitcode=run.process.exitcode,
+                    wall_s=wall_s,
                 )
             elif run.deadline_s is not None and _now_s() >= run.deadline_s:
                 self._kill(run.process)
                 self._register_failure(
-                    states, queue,
-                    ShardFailure(
-                        shard_id=shard_id,
-                        attempt=attempt,
-                        kind="timeout",
-                        detail=(
-                            "attempt exceeded the %.1fs wall-clock "
-                            "timeout and was killed"
-                            % (self.config.timeout_s,)
-                        ),
-                        exitcode=run.process.exitcode,
-                        wall_s=wall_s,
-                    ),
+                    states, queue, run.work, "timeout",
+                    "attempt exceeded the %.1fs wall-clock timeout and "
+                    "was killed" % (self.config.timeout_s,),
+                    exitcode=run.process.exitcode,
+                    wall_s=wall_s,
                 )
             else:
                 continue

@@ -23,7 +23,7 @@ import hashlib
 import json
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs.instrument import cache_neutral_obs_section, merge_obs_sections
 from repro.obs.metrics import linear_percentile, ordered_sum
@@ -37,6 +37,7 @@ __all__ = [
     "PlatformStats",
     "ResilienceStats",
     "RouterReport",
+    "cache_neutral_control_section",
 ]
 
 
@@ -176,6 +177,21 @@ _COUNTERS = [
 #: a dataclass field, so it never enters ``==``, ``repr`` or a
 #: ``dataclasses.replace`` copy.
 _DIGEST = "_digest"
+
+
+def cache_neutral_control_section(control: dict) -> dict:
+    """A ``control`` report section with cache temperature removed.
+
+    The prewarm hit/miss split is cache temperature (a warm engine
+    answers every prewarm from storage), so only the request count,
+    which is routing behaviour, is kept.  Used by every fingerprint
+    that covers a control section.
+    """
+    control = dict(control)
+    prewarm = control.get("prewarm")
+    if isinstance(prewarm, Mapping):
+        control["prewarm"] = {"requested": prewarm.get("requested")}
+    return control
 
 
 def _section(name: str) -> property:
@@ -602,14 +618,7 @@ class RouterReport:
             # cache-neutral by construction).
             head["obs"] = cache_neutral_obs_section(self.obs)
         if self.control is not None:
-            # Prewarm hit/miss split is cache temperature too (a warm
-            # engine answers every prewarm from storage); the request
-            # count is routing behaviour and stays.
-            control = dict(self.control)
-            prewarm = control.get("prewarm")
-            if isinstance(prewarm, dict):
-                control["prewarm"] = {"requested": prewarm.get("requested")}
-            head["control"] = control
+            head["control"] = cache_neutral_control_section(self.control)
         payload = write_report(
             head,
             self.ledger.columns("completed"),

@@ -124,7 +124,7 @@ class FleetCoordinator:
 
     ``inline=True`` runs every shard in the calling process (no
     spawn) -- bit-identical results, since workers are deterministic
-    either way; injected process faults are pre-empted by the
+    either way; an injected crash or hang is pre-empted by the
     supervisor rather than really executed, with the same
     failure/retry sequence.  Inline shards do not build their own
     fleets: each :meth:`run` builds the fleet at most once and every
@@ -141,8 +141,10 @@ class FleetCoordinator:
     the default is ``min(n_shards, os.cpu_count())`` -- one process
     per shard never made sense past the core count.  ``supervision``
     is the :class:`~repro.resilience.SupervisorConfig` policy
-    (timeout, retry budget, witness mode); ``proc_faults`` threads a
-    :class:`~repro.resilience.ProcFaultPlan` into every spec; and
+    (timeout, retry budget, witness mode); ``proc_faults`` is a
+    :class:`~repro.resilience.ProcFaultPlan` handed to every
+    supervisor pass -- first run, escalation and failover re-runs --
+    which decides each attempt's process fault; and
     ``resume_dir`` makes completed shard results durable, so a rerun
     after a partial failure executes only the shards that failed.
 
@@ -239,7 +241,6 @@ class FleetCoordinator:
                 seed=shard_seed(self.seed, shard_id),
                 instrument=instrument,
                 controller=self.controller,
-                proc_faults=self.proc_faults,
             )
             for shard_id in range(self.n_shards)
         ]
@@ -258,35 +259,74 @@ class FleetCoordinator:
             if results[shard_id] is None
         ]
         if failed:
+            names = ", ".join("s%d" % shard_id for shard_id in failed)
             if self.n_shards == 1 or not self.config.resilience:
                 raise SupervisionError(
                     "shard(s) %s exhausted their retry budget and "
                     "escalation is unavailable (%s)"
                     % (
-                        ", ".join("s%d" % shard_id for shard_id in failed),
+                        names,
                         "single shard"
                         if self.n_shards == 1
                         else "resilience disabled",
                     ),
                     SupervisionReport(records),
                 )
-            escalation_target, results, records, specs = self._escalate(
-                specs, results, records, failed, task
+            # A retry-exhausted shard is treated like a chaos-dead one,
+            # except nothing of it survives: its *entire* load moves.
+            # Its fault schedule does not travel -- it addressed
+            # platforms that no longer run.
+            escalation_target, records = self._rehome(
+                specs, results, records,
+                [
+                    load
+                    for shard_id in failed
+                    for load in specs[shard_id].loads
+                ],
+                "escalation", task,
             )
+            if escalation_target is None:
+                raise SupervisionError(
+                    "shard(s) %s exhausted their retry budget and no "
+                    "healthy shard remains to absorb their load" % (names,),
+                    SupervisionReport(records),
+                )
             escalated = failed
-        rehomed = 0
+        # Cross-shard failover: a dead shard's rejected requests (its
+        # in-shard failover already rescued what it could) re-home,
+        # with their original arrival clocks, onto a healthy shard,
+        # and are stripped from the dead shard's ledger afterwards so
+        # the merged report counts each request exactly once.  *Every*
+        # rejection moves -- a dead fleet also rejects with capacity
+        # reasons like ``saturated``, and the healthy target is the
+        # honest judge of whether those were chaos casualties.
         dead: List[int] = []
         target: Optional[int] = None
+        stranded: Dict[int, list] = {}
         if self.n_shards > 1 and self.config.resilience:
-            results, records, rehomed, dead, target = self._failover(
-                specs, results, records, task
-            )
+            outage = {
+                shard_id: result.report.ledger.columns("rejected")
+                for shard_id, result in enumerate(results)
+                if result is not None and self._is_dead(result.report)
+            }
+            dead = sorted(outage)
+            if dead:
+                target, records = self._rehome(
+                    specs, results, records,
+                    _stranded_loads([outage[shard_id] for shard_id in dead]),
+                    "failover", task,
+                )
+            if target is not None:
+                stranded = {
+                    shard_id: list(outage[shard_id]["rid"])
+                    for shard_id in dead
+                }
         reports = [
             result.report if result is not None else RouterReport()
             for result in results
         ]
-        if dead:
-            reports = self._strip_rehomed(reports)
+        for shard_id, rids in stranded.items():
+            reports[shard_id] = strip_requests(reports[shard_id], rids)
         if self.n_shards > 1:
             reports = [
                 qualify_report(report, shard_id)
@@ -310,7 +350,7 @@ class FleetCoordinator:
             report=merged,
             shard_reports=tuple(reports),
             seeds=tuple(spec.seed for spec in specs),
-            rehomed=rehomed,
+            rehomed=sum(len(rids) for rids in stranded.values()),
             dead_shards=tuple(dead),
             failover_target=target,
             buffer=buffer,
@@ -368,27 +408,9 @@ class FleetCoordinator:
             inline=self.inline,
             processes=self._effective_processes(len(specs)),
             checkpoint=self.checkpoint,
+            proc_faults=self.proc_faults,
         )
         return supervisor.run(specs)
-
-    def _run_single(
-        self,
-        spec: ShardSpec,
-        records: Tuple[ShardRunRecord, ...],
-        purpose: str,
-        task: Callable[[ShardSpec], ShardResult],
-    ) -> Tuple[ShardResult, Tuple[ShardRunRecord, ...]]:
-        """Supervised re-run of one (re-homed) spec; must succeed."""
-        rerun = self._supervise([spec], task)
-        records = merge_records(records, rerun.report.records)
-        result = rerun.results.get(spec.shard_id)
-        if result is None:
-            raise SupervisionError(
-                "%s target s%d itself exhausted its retry budget"
-                % (purpose, spec.shard_id),
-                SupervisionReport(records),
-            )
-        return result, records
 
     @staticmethod
     def _check_spawnable() -> None:
@@ -409,64 +431,37 @@ class FleetCoordinator:
                 "FleetCoordinator(..., inline=True)" % (main_file,)
             )
 
-    # -- escalation (retry-exhausted shards) -----------------------------
-    def _escalate(
+    # -- re-homing (escalation and failover) ----------------------------
+    def _rehome(
         self,
         specs: List[ShardSpec],
         results: List[Optional[ShardResult]],
         records: Tuple[ShardRunRecord, ...],
-        failed: List[int],
+        extra_loads: Sequence[TenantLoad],
+        purpose: str,
         task: Callable[[ShardSpec], ShardResult],
-    ) -> Tuple[
-        int, List[Optional[ShardResult]], Tuple[ShardRunRecord, ...],
-        List[ShardSpec],
-    ]:
-        """Fold retry-exhausted shards' loads into a healthy shard.
+    ) -> Tuple[Optional[int], Tuple[ShardRunRecord, ...]]:
+        """Fold ``extra_loads`` into a healthy shard and re-run it.
 
-        The supervisor already retried each failed shard to its
-        attempt budget; past that point the shard is treated exactly
-        like a chaos-dead one, except nothing of it survives -- so
-        instead of re-homing rejected requests, its *entire* load
-        moves to the healthy shard with the least busy time, which
-        re-runs (supervised) with the extra tenants.  Requests keep
-        their original arrival clocks; none are lost.
+        Healthy means it has a result and its fleet is not chaos-dead;
+        the target is the healthy shard with the least total busy
+        time (ties to the lowest shard id).  It re-runs supervised
+        with the extra tenants, whose requests keep their original
+        arrival clocks, and its new spec and result replace the old
+        ones in ``specs`` and ``results``.  Returns the target and the
+        folded supervision records, or ``None`` and ``records``
+        unchanged when no shard is healthy.  Raises
+        :class:`~repro.resilience.SupervisionError` when the re-run
+        itself exhausts its retries.
         """
         healthy = [
             shard_id
-            for shard_id in range(self.n_shards)
-            if results[shard_id] is not None
-            and not self._is_dead(results[shard_id].report)
+            for shard_id, result in enumerate(results)
+            if result is not None and not self._is_dead(result.report)
         ]
         if not healthy:
-            raise SupervisionError(
-                "shard(s) %s exhausted their retry budget and no "
-                "healthy shard remains to absorb their load"
-                % (", ".join("s%d" % shard_id for shard_id in failed),),
-                SupervisionReport(records),
-            )
-        target = self._least_busy(healthy, results)
-        # The failed shards' *fault* schedules do not travel -- they
-        # addressed platforms that no longer run.
-        target_spec = _fold_loads(
-            specs[target],
-            [load for shard_id in failed for load in specs[shard_id].loads],
-        )
-        result, records = self._run_single(
-            target_spec, records, "escalation", task
-        )
-        results = list(results)
-        results[target] = result
-        specs = list(specs)
-        specs[target] = target_spec
-        return target, results, records, specs
-
-    @staticmethod
-    def _least_busy(
-        healthy: Sequence[int], results: Sequence[Optional[ShardResult]]
-    ) -> int:
-        """The healthy shard with the least total busy time (ties to
-        the lowest shard id): the target that absorbs extra load."""
-        return min(
+            return None, records
+        target = min(
             healthy,
             key=lambda shard_id: (
                 ordered_sum(
@@ -476,75 +471,19 @@ class FleetCoordinator:
                 shard_id,
             ),
         )
-
-    # -- failover (chaos-dead shards) ------------------------------------
-    def _failover(
-        self,
-        specs: List[ShardSpec],
-        results: List[Optional[ShardResult]],
-        records: Tuple[ShardRunRecord, ...],
-        task: Callable[[ShardSpec], ShardResult],
-    ) -> Tuple[
-        List[Optional[ShardResult]], Tuple[ShardRunRecord, ...], int,
-        List[int], Optional[int],
-    ]:
-        """Re-home a dead shard's rejected requests onto a healthy one.
-
-        A shard is dead when its report contains any rejection with a
-        reason from :data:`DEAD_SHARD_REASONS` (its own in-shard
-        failover already rescued what it could; what is left had
-        nowhere to go locally).  *Every* rejected request of a dead
-        shard is re-homed -- a dead fleet also rejects with capacity
-        reasons like ``saturated``, and the healthy target is the
-        honest judge of whether those were chaos casualties or truly
-        unservable.  The target is the healthy shard with the least
-        total busy time (ties to the lowest shard id); it re-runs
-        (supervised) with the extra tenants appended, and re-homed
-        requests keep their original arrival times, so their deadline
-        clocks are preserved, not reset.  Dead shards' ledgers are
-        stripped of the re-homed request ids afterwards so the merged
-        report counts each request exactly once.
-        """
-        self._stranded_by_shard: Dict[int, List[int]] = {}
-        outage: Dict[int, Mapping[str, list]] = {}
-        for shard_id, result in enumerate(results):
-            if result is not None and self._is_dead(result.report):
-                outage[shard_id] = result.report.ledger.columns("rejected")
-        dead = sorted(outage)
-        healthy = [
-            shard_id
-            for shard_id in range(self.n_shards)
-            if shard_id not in outage and results[shard_id] is not None
-        ]
-        if not dead or not healthy:
-            return results, records, 0, dead, None
-        target = self._least_busy(healthy, results)
-        target_spec = _fold_loads(
-            specs[target],
-            _stranded_loads([outage[shard_id] for shard_id in dead]),
-        )
-        result, records = self._run_single(
-            target_spec, records, "failover", task
-        )
-        results = list(results)
+        spec = _fold_loads(specs[target], extra_loads)
+        rerun = self._supervise([spec], task)
+        records = merge_records(records, rerun.report.records)
+        result = rerun.results.get(target)
+        if result is None:
+            raise SupervisionError(
+                "%s target s%d itself exhausted its retry budget"
+                % (purpose, target),
+                SupervisionReport(records),
+            )
+        specs[target] = spec
         results[target] = result
-        specs[target] = target_spec
-        self._stranded_by_shard = {
-            shard_id: list(outage[shard_id]["rid"]) for shard_id in dead
-        }
-        rehomed = sum(
-            len(rids) for rids in self._stranded_by_shard.values()
-        )
-        return results, records, rehomed, dead, target
-
-    def _strip_rehomed(self, reports: List[RouterReport]) -> List[RouterReport]:
-        """Erase re-homed request ids from dead shards' ledgers."""
-        return [
-            strip_requests(report, self._stranded_by_shard[shard_id])
-            if shard_id in self._stranded_by_shard
-            else report
-            for shard_id, report in enumerate(reports)
-        ]
+        return target, records
 
     @staticmethod
     def _is_dead(report: RouterReport) -> bool:

@@ -17,8 +17,6 @@ returns the same report.
 
 from __future__ import annotations
 
-import os
-import time
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -118,19 +116,6 @@ class ShardSpec:
     #: :class:`repro.control.plane.ControllerConfig`) so the serving
     #: layer keeps zero imports of :mod:`repro.control`.
     controller: Optional[object] = None
-    #: Optional process-fault injection plan.  Duck-typed like
-    #: ``controller`` (anything picklable with ``decide(shard_id,
-    #: attempt)`` and ``tamper(kind, result)``, in practice a
-    #: :class:`repro.resilience.ProcFaultPlan`): the worker consults
-    #: it once at the top of :func:`run_shard` and either dies, stalls
-    #: or tampers with its own result -- deterministic host-level
-    #: chaos for the supervisor to absorb.
-    proc_faults: Optional[object] = None
-    #: Which supervised attempt this spec describes (audit only: it
-    #: feeds fault decisions and result metadata, never the sim seed,
-    #: so every attempt of one shard produces the same report
-    #: fingerprint).
-    attempt: int = 1
 
     def __post_init__(self) -> None:
         if self.n_shards < 1:
@@ -141,10 +126,6 @@ class ShardSpec:
             raise ValueError(
                 "shard_id %r out of range for %d shards"
                 % (self.shard_id, self.n_shards)
-            )
-        if self.attempt < 1:
-            raise ValueError(
-                "attempt must be >= 1, got %r" % (self.attempt,)
             )
 
     @property
@@ -171,8 +152,6 @@ class ShardResult:
     seed: int
     report: RouterReport
     spans: Optional[Tuple[dict, ...]] = None
-    #: Which supervised attempt produced this result (audit trail).
-    attempt: int = 1
     #: The report fingerprint declared where the result can change
     #: hands: taken when the result is pickled (the spawn pipe, a
     #: checkpoint file) and by a fault plan's ``tamper`` before it
@@ -188,8 +167,7 @@ class ShardResult:
         if declared is None:
             declared = self.report.fingerprint()
         return ShardResult, (
-            self.shard_id, self.seed, self.report, self.spans, self.attempt,
-            declared,
+            self.shard_id, self.seed, self.report, self.spans, declared,
         )
 
 
@@ -206,29 +184,13 @@ def run_shard(
     :meth:`~repro.core.fleet.FleetManager.copy` of one, since the run
     warms its caches (inline shards receive a copy).
 
-    When the spec carries a ``proc_faults`` plan, the worker is its
-    own chaos monkey: a ``crash`` decision kills the process outright
-    (``os._exit``, no teardown -- exactly what a segfault or OOM kill
-    looks like from outside), a ``hang`` sleeps before running (the
-    supervisor's timeout judges whether that is fatal), and the
-    tamper kinds sabotage the result after the fact.  Decisions are
-    pure in ``(plan seed, shard_id, attempt)``, so supervised chaos
-    runs replay bit-identically.
-
     The result declares no fingerprint here: an inline result is the
     object the supervisor validates, and a spawn result declares one
     when it is pickled onto the pipe (see :class:`ShardResult`).
+    Injected process faults happen around this call, not in it: the
+    :class:`~repro.resilience.ShardSupervisor` decides each attempt's
+    fault and applies it.
     """
-    plan = spec.proc_faults
-    fault = (
-        plan.decide(spec.shard_id, spec.attempt)
-        if plan is not None
-        else None
-    )
-    if fault == "crash":
-        os._exit(plan.crash_exit_code)
-    if fault == "hang":
-        time.sleep(plan.hang_s)
     if fleet is None:
         fleet = spec.fleet.build()
     obs = (
@@ -244,13 +206,9 @@ def run_shard(
     spans = (
         tuple(obs.buffer.to_dicts()) if obs is not None else None
     )
-    result = ShardResult(
+    return ShardResult(
         shard_id=spec.shard_id,
         seed=spec.seed,
         report=report,
         spans=spans,
-        attempt=spec.attempt,
     )
-    if fault in ("corrupt", "truncate", "forge"):
-        result = plan.tamper(fault, result)
-    return result

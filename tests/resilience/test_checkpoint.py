@@ -1,19 +1,15 @@
 """CheckpointStore: digest keys, atomic round-trips, graceful misses."""
 
-import dataclasses
 import pickle
 from dataclasses import dataclass
-from typing import Optional
 
-from repro.resilience import CheckpointStore, ProcFaultPlan
+from repro.resilience import CheckpointStore
 
 
 @dataclass(frozen=True)
 class Spec:
     shard_id: int
     seed: int = 0
-    proc_faults: Optional[object] = None
-    attempt: int = 1
     payload: str = "work"
 
 
@@ -28,14 +24,6 @@ class TestDigest:
         b = CheckpointStore.spec_digest(Spec(shard_id=1, seed=5))
         c = CheckpointStore.spec_digest(Spec(shard_id=1, payload="other"))
         assert len({a, b, c}) == 3
-
-    def test_attempt_and_faults_normalized_out(self):
-        base = CheckpointStore.spec_digest(Spec(shard_id=0))
-        retried = CheckpointStore.spec_digest(Spec(shard_id=0, attempt=3))
-        chaotic = CheckpointStore.spec_digest(
-            Spec(shard_id=0, proc_faults=ProcFaultPlan(crash_rate=0.5))
-        )
-        assert base == retried == chaotic
 
 
 class TestRoundTrip:

@@ -2,15 +2,17 @@
 
 The toy task/spec/result here are deliberately tiny dataclasses that
 satisfy the supervisor's duck-typed contract (``shard_id``, ``seed``,
-``attempt``, ``proc_faults``, a fingerprintable ``report``) without
-building fleets, so each case isolates one supervision behaviour.
-Everything is module-top-level so the spawn tests can pickle it.
+a fingerprintable ``report``) without building fleets, so each case
+isolates one supervision behaviour.  Process faults come from a plan
+handed to the supervisor, as in production.  Everything is
+module-top-level so the spawn tests can pickle it.
 """
 
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from typing import Optional
 
 import pytest
@@ -22,7 +24,6 @@ from repro.resilience import (
     ShardFailure,
     ShardRunRecord,
     ShardSupervisor,
-    SupervisionReport,
     SupervisorConfig,
     merge_records,
 )
@@ -41,9 +42,8 @@ class ToyReport:
 class ToySpec:
     shard_id: int
     seed: int = 0
-    proc_faults: Optional[object] = None
-    attempt: int = 1
-    #: The task raises on attempts <= fail_times (transient errors).
+    #: The task raises on its first ``fail_times`` calls with this
+    #: spec (transient errors; counted in-process, so inline only).
     fail_times: int = 0
     #: Seconds the task sleeps before answering (spawn timeout tests).
     sleep_s: float = 0.0
@@ -54,37 +54,54 @@ class ToyResult:
     shard_id: int
     seed: int
     report: ToyReport
-    attempt: int = 1
     declared_fingerprint: Optional[str] = None
 
 
-def toy_task(spec: ToySpec) -> ToyResult:
-    """A miniature ``run_shard``: same fault-plan contract, no fleet."""
-    plan = spec.proc_faults
-    fault = (
-        plan.decide(spec.shard_id, spec.attempt)
-        if plan is not None
-        else None
-    )
-    if fault == "crash":
-        os._exit(plan.crash_exit_code)
-    if fault == "hang":
-        time.sleep(plan.hang_s)
-    if spec.sleep_s:
-        time.sleep(spec.sleep_s)
-    if spec.attempt <= spec.fail_times:
-        raise RuntimeError("transient failure on attempt %d" % spec.attempt)
-    report = ToyReport(payload=100 * spec.shard_id + spec.seed)
-    result = ToyResult(
-        shard_id=spec.shard_id,
-        seed=spec.seed,
-        report=report,
-        attempt=spec.attempt,
-        declared_fingerprint=report.fingerprint(),
-    )
-    if fault in ("corrupt", "truncate", "forge"):
-        result = plan.tamper(fault, result)
-    return result
+class ToyTask:
+    """A miniature ``run_shard``: no fleet, no fault contract (the
+    supervisor applies process faults around the task)."""
+
+    def __init__(self) -> None:
+        self.calls = Counter()
+
+    def __call__(self, spec: ToySpec) -> ToyResult:
+        if spec.sleep_s:
+            time.sleep(spec.sleep_s)
+        self.calls[spec] += 1
+        if self.calls[spec] <= spec.fail_times:
+            raise RuntimeError(
+                "transient failure on call %d" % self.calls[spec]
+            )
+        report = ToyReport(payload=100 * spec.shard_id + spec.seed)
+        return ToyResult(
+            shard_id=spec.shard_id,
+            seed=spec.seed,
+            report=report,
+            declared_fingerprint=report.fingerprint(),
+        )
+
+
+class RecordingPlan:
+    """A duck-typed process-fault plan that logs every decision it is
+    asked for and refuses to decide outside the process that made it
+    (a spawn child holds an unpickled copy, so it would raise)."""
+
+    def __init__(self, plan: ProcFaultPlan) -> None:
+        self.plan = plan
+        self.pid = os.getpid()
+        self.calls = []
+        self.may_hang = plan.may_hang
+        self.hang_s = plan.hang_s
+        self.crash_exit_code = plan.crash_exit_code
+
+    def decide(self, shard_id: int, attempt: int) -> Optional[str]:
+        if os.getpid() != self.pid:
+            raise RuntimeError("decide called outside the supervisor")
+        self.calls.append((shard_id, attempt))
+        return self.plan.decide(shard_id, attempt)
+
+    def tamper(self, kind: str, result):
+        return self.plan.tamper(kind, result)
 
 
 def unpicklable_task(spec: ToySpec) -> ToyResult:
@@ -98,7 +115,7 @@ def unpicklable_task(spec: ToySpec) -> ToyResult:
 
 def supervise(specs, **kwargs):
     inline = kwargs.pop("inline", True)
-    return ShardSupervisor(toy_task, inline=inline, **kwargs).run(specs)
+    return ShardSupervisor(ToyTask(), inline=inline, **kwargs).run(specs)
 
 
 class TestInlineSupervision:
@@ -113,7 +130,7 @@ class TestInlineSupervision:
     def test_injected_crash_is_preempted_and_retried(self):
         plan = ProcFaultPlan(seed=1, forced=((1, "crash"),))
         outcome = supervise(
-            [ToySpec(shard_id=k, proc_faults=plan) for k in range(2)]
+            [ToySpec(shard_id=k) for k in range(2)], proc_faults=plan
         )
         record = outcome.report.records[1]
         assert record.status == "retried"
@@ -132,7 +149,8 @@ class TestInlineSupervision:
     def test_injected_hang_synthesizes_a_timeout(self):
         plan = ProcFaultPlan(seed=1, forced=((0, "hang"),), hang_s=3600.0)
         outcome = supervise(
-            [ToySpec(shard_id=0, proc_faults=plan)],
+            [ToySpec(shard_id=0)],
+            proc_faults=plan,
             config=SupervisorConfig(timeout_s=5.0),
         )
         (failure,) = outcome.report.records[0].failures
@@ -142,11 +160,11 @@ class TestInlineSupervision:
     def test_hang_capable_plan_without_timeout_is_rejected(self):
         plan = ProcFaultPlan(hang_rate=0.5)
         with pytest.raises(ValueError, match="timeout"):
-            supervise([ToySpec(shard_id=0, proc_faults=plan)])
+            supervise([ToySpec(shard_id=0)], proc_faults=plan)
 
     def test_corrupt_result_trips_integrity_validation(self):
         plan = ProcFaultPlan(seed=1, forced=((0, "corrupt"),))
-        outcome = supervise([ToySpec(shard_id=0, proc_faults=plan)])
+        outcome = supervise([ToySpec(shard_id=0)], proc_faults=plan)
         (failure,) = outcome.report.records[0].failures
         assert failure.kind == "integrity"
         assert "declared fingerprint" in failure.detail
@@ -154,14 +172,14 @@ class TestInlineSupervision:
 
     def test_truncated_result_trips_schema_validation(self):
         plan = ProcFaultPlan(seed=1, forced=((0, "truncate"),))
-        outcome = supervise([ToySpec(shard_id=0, proc_faults=plan)])
+        outcome = supervise([ToySpec(shard_id=0)], proc_faults=plan)
         (failure,) = outcome.report.records[0].failures
         assert failure.kind == "integrity"
         assert "schema" in failure.detail
 
     def test_forged_result_slips_past_validation_without_witness(self):
         plan = ProcFaultPlan(seed=1, forced=((0, "forge"),))
-        outcome = supervise([ToySpec(shard_id=0, proc_faults=plan)])
+        outcome = supervise([ToySpec(shard_id=0)], proc_faults=plan)
         # Self-consistent forgery: accepted, silently wrong.
         assert outcome.results[0].report.horizon_s == 1.0
         assert outcome.report.records[0].status == "ok"
@@ -169,7 +187,8 @@ class TestInlineSupervision:
     def test_witness_quorum_catches_forged_results(self):
         plan = ProcFaultPlan(seed=1, forced=((0, "forge"),))
         outcome = supervise(
-            [ToySpec(shard_id=0, proc_faults=plan)],
+            [ToySpec(shard_id=0)],
+            proc_faults=plan,
             config=SupervisorConfig(witness=True),
         )
         (failure,) = outcome.report.records[0].failures
@@ -204,7 +223,7 @@ class TestInlineSupervision:
     def test_failure_kinds_closed_set(self):
         plan = ProcFaultPlan(seed=1, forced=((0, "crash"), (1, "corrupt")))
         outcome = supervise(
-            [ToySpec(shard_id=k, proc_faults=plan) for k in range(3)]
+            [ToySpec(shard_id=k) for k in range(3)], proc_faults=plan
         )
         for failure in outcome.report.failures:
             assert failure.kind in FAILURE_KINDS
@@ -285,7 +304,7 @@ class TestReportShapes:
     def test_counters_and_to_dict(self):
         plan = ProcFaultPlan(seed=1, forced=((0, "crash"),))
         outcome = supervise(
-            [ToySpec(shard_id=k, proc_faults=plan) for k in range(2)]
+            [ToySpec(shard_id=k) for k in range(2)], proc_faults=plan
         )
         counters = outcome.report.counters()
         assert counters["attempts"] == 3
@@ -312,7 +331,7 @@ class TestReportShapes:
                     SupervisorConfig(**{name: value})
         assert SupervisorConfig(timeout_s=None).timeout_s is None
         with pytest.raises(ValueError):
-            ShardSupervisor(toy_task, processes=0)
+            ShardSupervisor(ToyTask(), processes=0)
 
 
 class TestSpawnSupervision:
@@ -321,8 +340,9 @@ class TestSpawnSupervision:
     def test_spawn_recovers_a_real_self_kill(self):
         plan = ProcFaultPlan(seed=1, forced=((1, "crash"),))
         outcome = supervise(
-            [ToySpec(shard_id=k, seed=5, proc_faults=plan) for k in range(2)],
+            [ToySpec(shard_id=k, seed=5) for k in range(2)],
             inline=False,
+            proc_faults=plan,
             config=SupervisorConfig(timeout_s=60.0),
         )
         record = outcome.report.records[1]
@@ -349,8 +369,9 @@ class TestSpawnSupervision:
     def test_spawn_kills_a_real_hang_at_the_timeout(self):
         plan = ProcFaultPlan(seed=1, forced=((0, "hang"),), hang_s=120.0)
         outcome = supervise(
-            [ToySpec(shard_id=0, seed=5, proc_faults=plan)],
+            [ToySpec(shard_id=0, seed=5)],
             inline=False,
+            proc_faults=plan,
             config=SupervisorConfig(timeout_s=1.0, kill_grace_s=1.0),
         )
         record = outcome.report.records[0]
@@ -362,13 +383,12 @@ class TestSpawnSupervision:
         plan = ProcFaultPlan(
             seed=2, forced=((0, "crash"), (1, "corrupt"))
         )
-        specs = [
-            ToySpec(shard_id=k, seed=9, proc_faults=plan) for k in range(2)
-        ]
+        specs = [ToySpec(shard_id=k, seed=9) for k in range(2)]
         spawned = supervise(
-            specs, inline=False, config=SupervisorConfig(timeout_s=60.0)
+            specs, inline=False, proc_faults=plan,
+            config=SupervisorConfig(timeout_s=60.0),
         )
-        inline = supervise(specs)
+        inline = supervise(specs, proc_faults=plan)
         assert [
             (f.shard_id, f.kind) for f in spawned.report.failures
         ] == [(f.shard_id, f.kind) for f in inline.report.failures]
@@ -377,3 +397,38 @@ class TestSpawnSupervision:
                 spawned.results[shard_id].report.fingerprint()
                 == inline.results[shard_id].report.fingerprint()
             )
+
+
+class TestFaultDecisions:
+    """The supervisor alone decides process faults: once per primary
+    attempt, numbered by its own count, never for a witness run."""
+
+    @pytest.mark.parametrize("inline", [True, False], ids=["inline", "spawn"])
+    def test_decided_once_per_primary_attempt(self, inline):
+        plan = RecordingPlan(
+            ProcFaultPlan(
+                forced=((0, "crash"), (1, "corrupt")),
+                max_faulty_attempts=2,
+            )
+        )
+        outcome = supervise(
+            [ToySpec(shard_id=k, seed=5) for k in range(2)],
+            inline=inline,
+            proc_faults=plan,
+            config=SupervisorConfig(witness=True, timeout_s=60.0),
+        )
+        # Three primary attempts per shard (two faulty, one clean);
+        # each shard's accepted attempt is witnessed without a draw.
+        assert sorted(plan.calls) == [
+            (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3),
+        ]
+        assert [
+            (failure.shard_id, failure.attempt, failure.kind)
+            for failure in outcome.report.failures
+        ] == [
+            (0, 1, "crashed"), (0, 2, "crashed"),
+            (1, 1, "integrity"), (1, 2, "integrity"),
+        ]
+        assert [
+            outcome.results[shard_id].report.payload for shard_id in (0, 1)
+        ] == [5, 105]

@@ -174,30 +174,14 @@ class TestPickleRoundTrips:
         report = SupervisionReport(records=(record,))
         assert round_trip(report).counters() == report.counters()
 
-    def test_shard_spec_with_fault_plan_and_attempt(self):
-        spec = ShardSpec(
-            shard_id=0,
-            n_shards=2,
-            fleet=FleetSpec(
-                network="alexnet", spec=_spec(), gpus=("k20c",),
-            ),
-            config=RouterConfig(),
-            loads=_loads(),
-            proc_faults=ProcFaultPlan(seed=3, crash_rate=0.5),
-            attempt=2,
-        )
-        restored = round_trip(spec)
-        assert restored.attempt == 2
-        assert restored.proc_faults == spec.proc_faults
-
     def test_shard_result_with_declared_fingerprint(self):
         report = RouterReport(horizon_s=2.0)
         result = ShardResult(
-            shard_id=1, seed=9, report=report, attempt=3,
+            shard_id=1, seed=9, report=report,
             declared_fingerprint=report.fingerprint(),
         )
         restored = round_trip(result)
-        assert restored.attempt == 3
+        assert (restored.shard_id, restored.seed) == (1, 9)
         assert (
             restored.declared_fingerprint
             == restored.report.fingerprint()

@@ -10,8 +10,6 @@ spawn machinery is exercised separately in
 ``tests/resilience/test_supervisor.py`` and ``test_shard_pickle.py``).
 """
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -74,6 +72,26 @@ def _run(n_shards=N_SHARDS, instrument=False, **kwargs):
     return coordinator.run(
         shard_loads=_shard_loads(n_shards), instrument=instrument
     )
+
+
+class _CrashAfterFirstCall:
+    """A duck-typed process-fault plan: shard ``doomed`` crashes on
+    every attempt, every other shard on every decision after its
+    first (so a shard's first pass runs clean and any re-run dies)."""
+
+    may_hang = False
+    crash_exit_code = 87
+
+    def __init__(self, doomed):
+        self.doomed = doomed
+        self.seen = set()
+
+    def decide(self, shard_id, attempt):
+        first = shard_id not in self.seen
+        self.seen.add(shard_id)
+        if shard_id == self.doomed or not first:
+            return "crash"
+        return None
 
 
 @pytest.fixture(scope="module")
@@ -189,6 +207,39 @@ class TestEscalation:
         )
         with pytest.raises(SupervisionError, match="resilience disabled"):
             coordinator.run(shard_loads=_shard_loads())
+
+    def test_no_healthy_shard_left_raises(self):
+        plan = ProcFaultPlan(
+            forced=tuple((shard, "crash") for shard in range(N_SHARDS)),
+            max_faulty_attempts=99,
+        )
+        with pytest.raises(
+            SupervisionError,
+            match=r"s0, s1, s2 exhausted .* no healthy shard remains",
+        ):
+            _run(
+                proc_faults=plan,
+                supervision=SupervisorConfig(max_attempts=1),
+            )
+
+    def test_failed_escalation_rerun_raises(self):
+        """The re-run is a fresh supervisor pass: when it exhausts its
+        own retries, the escalation names its target."""
+        plan = _CrashAfterFirstCall(doomed=1)
+        with pytest.raises(
+            SupervisionError,
+            match=r"escalation target s[02] itself exhausted",
+        ) as raised:
+            _run(
+                proc_faults=plan,
+                supervision=SupervisorConfig(max_attempts=2),
+            )
+        statuses = {
+            record.shard_id: record.status
+            for record in raised.value.report.records
+        }
+        assert statuses[1] == "failed"
+        assert sorted(statuses.values()) == ["failed", "failed", "ok"]
 
 
 class TestResume:

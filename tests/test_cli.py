@@ -290,6 +290,25 @@ class TestServeFleetSupervised:
         assert payload["sharding"]["n_shards"] == 1
         assert payload["sharding"]["statuses"] == ["ok"]
 
+    @pytest.mark.parametrize(
+        "flags, supervision",
+        [([], ["--shard-witness"]), (["--chaos"], ["--shard-timeout-s", "120"])],
+        ids=["witness", "chaos-timeout"],
+    )
+    def test_one_supervised_shard_serves_the_unsharded_storm(
+        self, flags, supervision, capsys
+    ):
+        """A supervision flag routes one shard through the coordinator
+        but must not change the tenants, seeds or chaos it serves."""
+        argv = self._BASE + flags + ["--json"]
+        assert main(argv) == 0
+        plain = json.loads(capsys.readouterr().out)
+        assert main(argv + supervision) == 0
+        supervised = json.loads(capsys.readouterr().out)
+        assert "sharding" not in plain
+        assert supervised["sharding"]["n_shards"] == 1
+        assert supervised["fingerprint"] == plain["fingerprint"]
+
     def test_resume_dir_round_trip(self, tmp_path, capsys):
         resume = str(tmp_path / "ckpt")
         args = self._BASE + ["--shards", "2", "--resume-dir", resume,
