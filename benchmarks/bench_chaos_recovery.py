@@ -75,20 +75,6 @@ def _fleet():
     return spec, fleet
 
 
-def _capacity_rps(fleet):
-    """Fleet steady-state capacity at rung 0 (requests per second)."""
-    total = 0.0
-    for deployment in fleet.deploy_all().values():
-        entry = deployment.current_entry
-        report = deployment.engine.execute(
-            entry.compiled,
-            power_gating=deployment.power_gating,
-            use_priority_sm=deployment.use_priority_sm,
-        )
-        total += entry.compiled.batch / report.total_time_s
-    return total
-
-
 def _loads(spec, rate_hz, n_requests):
     tenant = Tenant(spec.name, REQUIREMENT, priority=1)
     trace = bursty_trace(
@@ -144,7 +130,7 @@ def _terminal_rids(report):
 
 def reproduce(n_requests=N_REQUESTS):
     spec, fleet = _fleet()
-    capacity = _capacity_rps(fleet)
+    capacity = fleet.capacity_rps()
     loads = _loads(spec, OVERLOAD * capacity, n_requests)
     horizon = float(loads[0].trace.arrivals_s[-1])
     faults = _fault_trace(horizon)

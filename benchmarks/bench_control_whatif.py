@@ -101,20 +101,6 @@ def _fleet():
     return spec, fleet
 
 
-def _capacity_rps(fleet):
-    """Fleet steady-state capacity at rung 0 (requests per second)."""
-    total = 0.0
-    for deployment in fleet.deploy_all().values():
-        entry = deployment.current_entry
-        report = deployment.engine.execute(
-            entry.compiled,
-            power_gating=deployment.power_gating,
-            use_priority_sm=deployment.use_priority_sm,
-        )
-        total += entry.compiled.batch / report.total_time_s
-    return total
-
-
 def _loads(spec, trace):
     tenant = Tenant(spec.name, REQUIREMENT, priority=1)
     return [TenantLoad(tenant, trace)]
@@ -162,7 +148,7 @@ def _assert_conserved(label, report, generated):
 
 def reproduce(n_requests=N_REQUESTS):
     spec, fleet = _fleet()
-    capacity = _capacity_rps(fleet)
+    capacity = fleet.capacity_rps()
 
     overload = run_whatif(
         fleet,

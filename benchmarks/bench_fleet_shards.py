@@ -30,7 +30,6 @@ from bench_router_overload import (
     BURST_FRACTION,
     OVERLOAD,
     REQUIREMENT,
-    _capacity_rps,
     _fleet,
     _loads,
 )
@@ -93,7 +92,7 @@ def reproduce_scaling(counts, n_per_shard):
     """Run the weak-scaling sweep; returns (table text, BENCH data)."""
     fleet_spec = _fleet_spec()
     _spec, fleet = _fleet()
-    rate_hz = OVERLOAD * _capacity_rps(fleet)
+    rate_hz = OVERLOAD * fleet.capacity_rps()
     rows = []
     data = {
         "mode": "weak-scaling",
@@ -183,7 +182,7 @@ def test_bench_fleet_shard_degenerate(benchmark, quick):
 
     def reproduce():
         spec, fleet = _fleet()
-        rate_hz = OVERLOAD * _capacity_rps(fleet)
+        rate_hz = OVERLOAD * fleet.capacity_rps()
         loads = _loads(spec, rate_hz, n)
         direct = RequestRouter(fleet, RouterConfig()).run(loads)
         outcome = FleetCoordinator(
@@ -211,7 +210,7 @@ def test_bench_fleet_shard_chaos(benchmark, quick, shards):
 
     def reproduce():
         _spec, fleet = _fleet()
-        rate_hz = OVERLOAD * _capacity_rps(fleet)
+        rate_hz = OVERLOAD * fleet.capacity_rps()
         shard_loads = _shard_loads(2, rate_hz, n)
         horizon = max(
             float(load.trace.arrivals_s[-1])

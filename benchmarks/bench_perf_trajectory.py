@@ -43,7 +43,6 @@ from bench_router_overload import (
     N_REQUESTS,
     OVERLOAD,
     QUICK_N_REQUESTS,
-    _capacity_rps,
     _fleet,
     _loads,
     measure_backend_speedup,
@@ -131,7 +130,7 @@ def measure_trajectory(quick):
 
     fleet_spec = _fleet_spec()
     _spec, fleet = _fleet()
-    rate_hz = OVERLOAD * _capacity_rps(fleet)
+    rate_hz = OVERLOAD * fleet.capacity_rps()
     shard_loads = _shard_loads(2, rate_hz, n_per_shard)
     coordinator = FleetCoordinator(
         fleet_spec, RouterConfig(), n_shards=2, seed=SEED, inline=True,

@@ -80,20 +80,6 @@ def _fleet():
     return spec, fleet
 
 
-def _capacity_rps(fleet):
-    """Fleet steady-state capacity at rung 0 (requests per second)."""
-    total = 0.0
-    for deployment in fleet.deploy_all().values():
-        entry = deployment.current_entry
-        report = deployment.engine.execute(
-            entry.compiled,
-            power_gating=deployment.power_gating,
-            use_priority_sm=deployment.use_priority_sm,
-        )
-        total += entry.compiled.batch / report.total_time_s
-    return total
-
-
 def _loads(spec, rate_hz, n_requests):
     tenant = Tenant(spec.name, REQUIREMENT, priority=1)
     trace = bursty_trace(
@@ -108,7 +94,7 @@ def _loads(spec, rate_hz, n_requests):
 
 def reproduce(n_requests=N_REQUESTS):
     spec, fleet = _fleet()
-    capacity = _capacity_rps(fleet)
+    capacity = fleet.capacity_rps()
     loads = _loads(spec, OVERLOAD * capacity, n_requests)
 
     degraded = RequestRouter(fleet, RouterConfig()).run(loads)
@@ -148,7 +134,7 @@ def reproduce(n_requests=N_REQUESTS):
 def reproduce_traced(n_requests=N_REQUESTS):
     """One instrumented run: report plus its Instrumentation."""
     spec, fleet = _fleet()
-    capacity = _capacity_rps(fleet)
+    capacity = fleet.capacity_rps()
     loads = _loads(spec, OVERLOAD * capacity, n_requests)
     obs = Instrumentation()
     report = RequestRouter(fleet, RouterConfig()).run(loads, obs=obs)
@@ -213,7 +199,7 @@ def measure_backend_speedup(n_requests=QUICK_N_REQUESTS,
     sit outside the REP001 simulation packages).
     """
     spec, fleet = _fleet()
-    capacity = _capacity_rps(fleet)
+    capacity = fleet.capacity_rps()
     loads = _loads(spec, OVERLOAD * capacity, n_requests)
     router = RequestRouter(fleet, RouterConfig())
     fingerprint = run_events(router, loads).fingerprint()

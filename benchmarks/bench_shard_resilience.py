@@ -31,7 +31,6 @@ from bench_router_overload import (
     BURST_FRACTION,
     OVERLOAD,
     REQUIREMENT,
-    _capacity_rps,
     _fleet,
 )
 from common import emit, emit_json, run_once
@@ -105,7 +104,7 @@ def _run(n_per_shard, inline=True, config=None, resume_dir=None,
          **kwargs):
     """One timed coordinator run; returns ``(outcome, wall_s)``."""
     _spec, fleet = _fleet()
-    rate_hz = OVERLOAD * _capacity_rps(fleet)
+    rate_hz = OVERLOAD * fleet.capacity_rps()
     coordinator = FleetCoordinator(
         _fleet_spec(), config or RouterConfig(), n_shards=N_SHARDS,
         seed=SEED, inline=inline, resume_dir=resume_dir, **kwargs,

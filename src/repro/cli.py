@@ -76,7 +76,6 @@ from repro.nn.models import EXTRA_NETWORKS, PAPER_NETWORKS, PCNN_NET_SIZES, get_
 from repro.obs import (
     Instrumentation,
     chrome_trace_json,
-    metrics_to_json,
     prometheus_text,
     trace_to_json,
 )
@@ -552,42 +551,37 @@ _SCENARIOS = {
 }
 
 
-def _obs_for(args) -> Optional[Instrumentation]:
-    """An Instrumentation when any export flag asks for one."""
-    wants = (
+def _wants_obs(args) -> bool:
+    """Whether any export flag asks for an instrumented run."""
+    return (
         args.trace is not None
         or args.chrome_trace is not None
         or args.metrics_out is not None
-        or getattr(args, "prometheus_out", None) is not None
     )
-    return Instrumentation() if wants else None
 
 
-def _write_obs_exports(obs: Instrumentation, args) -> None:
-    """Write every export the flags requested (deterministic bytes)."""
+def _write_obs_exports(buffer, metrics: dict, args) -> None:
+    """Write the span and metric exports the flags requested
+    (deterministic bytes): traces from ``buffer``, and the metrics
+    snapshot ``metrics`` in ``metrics_to_json``'s canonical form."""
     # Notes go to stderr so --json stdout stays machine-parseable.
     if args.trace is not None:
         with open(args.trace, "w") as handle:
-            handle.write(trace_to_json(obs.buffer))
+            handle.write(trace_to_json(buffer))
         print("span trace written to %s" % args.trace, file=sys.stderr)
     if args.chrome_trace is not None:
         with open(args.chrome_trace, "w") as handle:
-            handle.write(chrome_trace_json(obs.buffer))
+            handle.write(chrome_trace_json(buffer))
         print(
             "chrome trace written to %s" % args.chrome_trace,
             file=sys.stderr,
         )
     if args.metrics_out is not None:
         with open(args.metrics_out, "w") as handle:
-            handle.write(metrics_to_json(obs.metrics))
+            handle.write(
+                json.dumps(metrics, sort_keys=True, separators=(",", ":"))
+            )
         print("metrics written to %s" % args.metrics_out, file=sys.stderr)
-    if getattr(args, "prometheus_out", None) is not None:
-        with open(args.prometheus_out, "w") as handle:
-            handle.write(prometheus_text(obs.metrics))
-        print(
-            "prometheus exposition written to %s" % args.prometheus_out,
-            file=sys.stderr,
-        )
 
 
 def _chaos_config(horizon_s: float) -> FaultTraceConfig:
@@ -680,15 +674,12 @@ def _storm(args, spec, platforms, offered):
     return shard_loads, pieces[0].merged_with(*pieces[1:])
 
 
-def _serve_fleet_sharded(args, spec, shard_loads, faults, config,
+def _serve_fleet_sharded(args, fleet, shard_loads, faults, config,
                          controller=None):
     """The coordinator path of ``serve-fleet`` (``--shards`` above 1,
-    or any supervision flag): supervised run + exports."""
-    instrument = (
-        args.trace is not None
-        or args.chrome_trace is not None
-        or args.metrics_out is not None
-    )
+    or any supervision flag): supervised run of the
+    :class:`FleetSpec` ``fleet`` + exports."""
+    instrument = _wants_obs(args)
     proc_faults = None
     if args.proc_chaos:
         # Crash + corruption only: the hang kind needs a timeout to be
@@ -714,11 +705,7 @@ def _serve_fleet_sharded(args, spec, shard_loads, faults, config,
         witness=args.shard_witness,
     )
     coordinator = FleetCoordinator(
-        FleetSpec(
-            network=args.network,
-            spec=spec,
-            gpus=tuple(name.strip() for name in args.gpus.split(",")),
-        ),
+        fleet,
         config,
         n_shards=args.shards,
         seed=args.seed,
@@ -733,39 +720,13 @@ def _serve_fleet_sharded(args, spec, shard_loads, faults, config,
         shard_loads=shard_loads, faults=faults, instrument=instrument
     )
     if instrument:
-        _write_shard_exports(outcome, args)
-    return outcome
-
-
-def _write_shard_exports(outcome, args) -> None:
-    """Span/metric exports for a sharded run (deterministic bytes).
-
-    Traces come from the stitched global buffer; the metrics snapshot
-    comes from the merged report's obs section, which carries the
-    associatively merged per-shard series (same schema as
-    ``metrics_to_json``).
-    """
-    if args.trace is not None:
-        with open(args.trace, "w") as handle:
-            handle.write(trace_to_json(outcome.buffer))
-        print("span trace written to %s" % args.trace, file=sys.stderr)
-    if args.chrome_trace is not None:
-        with open(args.chrome_trace, "w") as handle:
-            handle.write(chrome_trace_json(outcome.buffer))
-        print(
-            "chrome trace written to %s" % args.chrome_trace,
-            file=sys.stderr,
+        # The merged report's obs section carries the associatively
+        # merged per-shard metric series; traces come from the
+        # stitched global buffer.
+        _write_obs_exports(
+            outcome.buffer, outcome.report.obs["metrics"], args
         )
-    if args.metrics_out is not None:
-        with open(args.metrics_out, "w") as handle:
-            handle.write(
-                json.dumps(
-                    outcome.report.obs["metrics"],
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-            )
-        print("metrics written to %s" % args.metrics_out, file=sys.stderr)
+    return outcome
 
 
 def _shard_status(outcome, shard_id: int) -> str:
@@ -780,28 +741,20 @@ def _shard_status(outcome, shard_id: int) -> str:
 
 
 def _cmd_serve_fleet(args) -> int:
-    network = get_network(args.network)
     spec = ApplicationSpec(
         "interactive", TaskClass.INTERACTIVE, data_rate_hz=50.0,
         entropy_slack=0.30,
     )
-    architectures = [
-        get_architecture(name.strip()) for name in args.gpus.split(",")
-    ]
-    fleet = FleetManager(network, spec, architectures=architectures)
-    deployments = fleet.deploy_all()
-
-    capacity = 0.0
-    for deployment in deployments.values():
-        entry = deployment.current_entry
-        execution = deployment.engine.execute(
-            entry.compiled,
-            power_gating=deployment.power_gating,
-            use_priority_sm=deployment.use_priority_sm,
-        )
-        capacity += entry.compiled.batch / execution.total_time_s
-
-    offered = args.load * capacity
+    # One build serves the whole command: the storm is sized and the
+    # plain path routes on a copy, and the coordinator's inline shards
+    # route on copies of the same build.
+    fleet_spec = FleetSpec(
+        network=args.network,
+        spec=spec,
+        gpus=tuple(name.strip() for name in args.gpus.split(",")),
+    )
+    fleet = fleet_spec.deployed()
+    offered = args.load * fleet.capacity_rps()
     config = RouterConfig(
         degradation=not args.no_degradation,
         policy="fifo" if args.fifo else "soc",
@@ -811,7 +764,9 @@ def _cmd_serve_fleet(args) -> int:
     if args.controller != "off":
         controller = ControllerConfig(kind=args.controller)
 
-    shard_loads, faults = _storm(args, spec, sorted(deployments), offered)
+    shard_loads, faults = _storm(
+        args, spec, sorted(fleet.deploy_all()), offered
+    )
     outcome = None
     supervised = (
         args.proc_chaos
@@ -821,17 +776,17 @@ def _cmd_serve_fleet(args) -> int:
     )
     if args.shards > 1 or supervised:
         outcome = _serve_fleet_sharded(
-            args, spec, shard_loads, faults, config, controller
+            args, fleet_spec, shard_loads, faults, config, controller
         )
         report = outcome.report
     else:
-        obs = _obs_for(args)
+        obs = Instrumentation() if _wants_obs(args) else None
         report = RequestRouter(fleet, config).run(
             shard_loads[0], faults, obs=obs,
             controller=controller.build() if controller is not None else None,
         )
         if obs is not None:
-            _write_obs_exports(obs, args)
+            _write_obs_exports(obs.buffer, obs.metrics.snapshot(), args)
 
     if args.json:
         payload = report.to_dict(include_events=False)
@@ -869,7 +824,7 @@ def _cmd_serve_fleet(args) -> int:
         )],
         title="Fleet serving: %s at %.1fx capacity (%.0f req/s offered, "
         "policy %s%s)"
-        % (network.name, args.load, offered, config.policy,
+        % (fleet.network.name, args.load, offered, config.policy,
            ", no degradation" if args.no_degradation else ""),
     ))
     print()
@@ -959,25 +914,13 @@ def _cmd_trace(args) -> int:
     fleet = FleetManager(
         scenario.network, scenario.spec, architectures=architectures
     )
-    deployments = fleet.deploy_all()
-
-    capacity = 0.0
-    for deployment in deployments.values():
-        entry = deployment.current_entry
-        execution = deployment.engine.execute(
-            entry.compiled,
-            power_gating=deployment.power_gating,
-            use_priority_sm=deployment.use_priority_sm,
-        )
-        capacity += entry.compiled.batch / execution.total_time_s
-
     tenant = Tenant.from_spec(scenario.spec, priority=1)
     loads = [
         TenantLoad(
             tenant,
             bursty_trace(
                 n_requests=args.requests,
-                rate_hz=args.load * capacity,
+                rate_hz=args.load * fleet.capacity_rps(),
                 seed=args.seed,
             ),
         )
@@ -986,7 +929,7 @@ def _cmd_trace(args) -> int:
     if args.chaos:
         horizon = float(loads[0].trace.arrivals_s[-1])
         faults = generate_fault_trace(
-            platforms=sorted(deployments),
+            platforms=sorted(fleet.deploy_all()),
             horizon_s=horizon,
             config=FaultTraceConfig(
                 outages=1,
@@ -1000,7 +943,14 @@ def _cmd_trace(args) -> int:
     report = RequestRouter(fleet, RouterConfig()).run(
         loads, faults, obs=obs
     )
-    _write_obs_exports(obs, args)
+    _write_obs_exports(obs.buffer, obs.metrics.snapshot(), args)
+    if args.prometheus_out is not None:
+        with open(args.prometheus_out, "w") as handle:
+            handle.write(prometheus_text(obs.metrics))
+        print(
+            "prometheus exposition written to %s" % args.prometheus_out,
+            file=sys.stderr,
+        )
 
     counts = obs.buffer.counts
     print(format_table(

@@ -349,9 +349,6 @@ class ExecutionEngine:
         if compiler is not None:
             self._compilers[(arch.name, backend.name)] = compiler
         self._managers: Dict[Tuple[str, str, bool, bool], RuntimeKernelManager] = {}
-        self._archs: Dict[str, GPUArchitecture] = {}
-        if arch is not None:
-            self._archs[arch.name] = arch
         self._plans: Dict[CompileKey, CompiledPlan] = {}
         self._batch_decisions: Dict[tuple, int] = {}
         self._reports: Dict[ExecuteKey, ExecutionReport] = {}
@@ -369,7 +366,6 @@ class ExecutionEngine:
             raise ValueError(
                 "engine has no default architecture; pass arch= explicitly"
             )
-        self._archs[arch.name] = arch
         return arch, backend
 
     def compiler_for(
@@ -603,7 +599,6 @@ class ExecutionEngine:
         ).attach(twin.hooks)
         twin._compilers = dict(self._compilers)
         twin._managers = dict(self._managers)
-        twin._archs = dict(self._archs)
         twin._plans = dict(self._plans)
         twin._batch_decisions = dict(self._batch_decisions)
         twin._reports = dict(self._reports)

@@ -24,7 +24,23 @@ from repro.core.user_input import ApplicationSpec
 from repro.gpu.architecture import GPUArchitecture, list_architectures
 from repro.nn.models import NetworkDescriptor
 
-__all__ = ["FleetDeployError", "PlatformReport", "FleetReport", "FleetManager"]
+__all__ = [
+    "FleetDeployError", "PlatformReport", "FleetReport", "FleetManager",
+    "check_distinct_gpus",
+]
+
+
+def check_distinct_gpus(architectures: Sequence[GPUArchitecture]) -> None:
+    """Reject a platform list that names a GPU twice: a fleet deploys
+    each platform once, so a repeat would deploy once yet report
+    twice."""
+    names = [arch.name for arch in architectures]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(
+            "fleet lists GPU %s more than once; each platform deploys "
+            "once" % ", ".join(repeated)
+        )
 
 
 class FleetDeployError(RuntimeError):
@@ -106,13 +122,7 @@ class FleetManager:
         )
         if not self.architectures:
             raise ValueError("fleet needs at least one platform")
-        names = [arch.name for arch in self.architectures]
-        repeated = sorted({name for name in names if names.count(name) > 1})
-        if repeated:
-            raise ValueError(
-                "fleet lists GPU %s more than once; each platform deploys "
-                "once" % ", ".join(repeated)
-            )
+        check_distinct_gpus(self.architectures)
         self.max_tuning_iterations = max_tuning_iterations
         # One engine for the whole fleet: cache keys carry the
         # architecture, so cross-platform deployments of the same
@@ -169,6 +179,23 @@ class FleetManager:
             for name, deployment in self._deployments.items()
         }
         return twin
+
+    def capacity_rps(self) -> float:
+        """Steady-state capacity at rung 0, in requests per second:
+        each deployment's current batch over its execution time, added
+        from ``0.0`` in platform order.  The probe sizes every storm's
+        offered rate, so its float bits pin every storm fingerprint.
+        Deploys if needed; executes once per platform."""
+        total = 0.0
+        for deployment in self.deploy_all().values():
+            entry = deployment.current_entry
+            execution = deployment.engine.execute(
+                entry.compiled,
+                power_gating=deployment.power_gating,
+                use_priority_sm=deployment.use_priority_sm,
+            )
+            total += entry.compiled.batch / execution.total_time_s
+        return total
 
     def deployment(self, gpu: str) -> Deployment:
         """One platform's deployment (deploying lazily if needed)."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, List, Sequence, Tuple
 
 __all__ = ["FAULT_KINDS", "EPISODE_KINDS", "FaultEvent", "FaultTrace"]
@@ -169,33 +169,6 @@ class FaultTrace:
         for other in others:
             events.extend(other.events)
         return FaultTrace(events)
-
-    def for_platforms(self, platforms: Sequence[str]) -> "FaultTrace":
-        """The sub-trace touching only ``platforms``.
-
-        Names the trace never mentions are allowed (the sub-trace is
-        simply empty for them) -- how the shard layer carves one global
-        chaos schedule into per-shard schedules.
-        """
-        wanted = set(platforms)
-        return FaultTrace(
-            [event for event in self.events if event.platform in wanted]
-        )
-
-    def renamed(self, mapping: "dict[str, str]") -> "FaultTrace":
-        """A new trace with platform names replaced per ``mapping``.
-
-        Names absent from the mapping pass through unchanged.  Used at
-        the shard boundary: the coordinator addresses fault events to
-        ``s<k>/<platform>`` and strips the prefix back off before
-        handing each worker its local schedule.
-        """
-        return FaultTrace(
-            [
-                replace(event, platform=mapping.get(event.platform, event.platform))
-                for event in self.events
-            ]
-        )
 
     def to_dicts(self) -> List[dict]:
         """The whole trace as plain data (JSON-serializable)."""

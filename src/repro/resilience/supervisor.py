@@ -185,14 +185,6 @@ class SupervisionReport:
         )
 
     @property
-    def retried_shards(self) -> Tuple[int, ...]:
-        return tuple(
-            record.shard_id
-            for record in self.records
-            if record.status == "retried"
-        )
-
-    @property
     def resumed_shards(self) -> Tuple[int, ...]:
         return tuple(
             record.shard_id

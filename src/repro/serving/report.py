@@ -311,11 +311,6 @@ class RouterReport:
         """Fleet-wide energy spent serving."""
         return ordered_sum(p.energy_j for p in self.platforms)
 
-    def soc_delta(self, clean: "RouterReport") -> float:
-        """Mean-SoC delta of this (typically faulted) run against a
-        clean reference run: negative means faults cost satisfaction."""
-        return self.mean_soc - clean.mean_soc
-
     def percentile_latency_s(self, q: float) -> float:
         """``q``-th percentile (0..100) of completed-request latency,
         linearly interpolated -- delegated to

@@ -41,11 +41,10 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.fleet import FleetManager
 from repro.faults.events import FaultTrace
 from repro.obs.metrics import MetricsRegistry, ordered_sum
 from repro.obs.span import TraceBuffer
@@ -126,12 +125,14 @@ class FleetCoordinator:
     spawn) -- bit-identical results, since workers are deterministic
     either way; an injected crash or hang is pre-empted by the
     supervisor rather than really executed, with the same
-    failure/retry sequence.  Inline shards do not build their own
-    fleets: each :meth:`run` builds the fleet at most once and every
-    attempt routes on a fresh copy of that build, whose caches start
-    where a fresh build's would, so each shard relays the same engine
-    events it would on its own build (see :meth:`_task`).  Spawn
-    workers build from the spec's names.
+    failure/retry sequence.  Every attempt routes on
+    ``fleet.deployed()`` (:meth:`FleetSpec.deployed`), a fresh copy of
+    the one build the fleet spec keeps: inline attempts share this
+    coordinator's spec, so the fleet is built at most once in its
+    lifetime (never while every shard resumes from a checkpoint), and
+    each spawn worker builds its own.  A copy's caches start where a
+    fresh build's would, so each shard relays the same engine events
+    it would on its own build.
 
     ``n_shards=1`` is the degenerate case: no platform qualification,
     no shard obs labels, and a merged report whose fingerprint equals
@@ -244,8 +245,7 @@ class FleetCoordinator:
             )
             for shard_id in range(self.n_shards)
         ]
-        task = self._task()
-        supervised = self._supervise(specs, task)
+        supervised = self._supervise(specs)
         records = supervised.report.records
         results: List[Optional[ShardResult]] = [
             supervised.results.get(shard_id)
@@ -283,7 +283,7 @@ class FleetCoordinator:
                     for shard_id in failed
                     for load in specs[shard_id].loads
                 ],
-                "escalation", task,
+                "escalation",
             )
             if escalation_target is None:
                 raise SupervisionError(
@@ -314,7 +314,7 @@ class FleetCoordinator:
                 target, records = self._rehome(
                     specs, results, records,
                     _stranded_loads([outage[shard_id] for shard_id in dead]),
-                    "failover", task,
+                    "failover",
                 )
             if target is not None:
                 stranded = {
@@ -371,39 +371,12 @@ class FleetCoordinator:
         )
         return max(1, min(n_specs, limit))
 
-    def _task(self) -> Callable[[ShardSpec], ShardResult]:
-        """The shard task for one :meth:`run` call.
-
-        Spawn workers run :func:`run_shard`, which builds the fleet
-        from its names.  Inline attempts share one build, made by the
-        first attempt that runs (a run whose shards all resume from
-        checkpoints builds nothing), and each attempt -- first try,
-        retry, witness or re-run -- routes on a fresh copy of it, so
-        tuning is paid once per run and no attempt sees another's
-        warmed caches.  The build is only a template: nothing routes
-        on it, and it is dropped with the task when the run returns.
-        """
-        if not self.inline:
-            return run_shard
-        built: List[FleetManager] = []
-
-        def run_inline(spec: ShardSpec) -> ShardResult:
-            if not built:
-                built.append(self.fleet.build())
-            return run_shard(spec, fleet=built[0].copy())
-
-        return run_inline
-
-    def _supervise(
-        self,
-        specs: Sequence[ShardSpec],
-        task: Callable[[ShardSpec], ShardResult],
-    ):
+    def _supervise(self, specs: Sequence[ShardSpec]):
         """Run specs through a fresh supervisor (inline or spawn)."""
         if not self.inline:
             self._check_spawnable()
         supervisor = ShardSupervisor(
-            task,
+            run_shard,
             config=self.supervision,
             inline=self.inline,
             processes=self._effective_processes(len(specs)),
@@ -439,7 +412,6 @@ class FleetCoordinator:
         records: Tuple[ShardRunRecord, ...],
         extra_loads: Sequence[TenantLoad],
         purpose: str,
-        task: Callable[[ShardSpec], ShardResult],
     ) -> Tuple[Optional[int], Tuple[ShardRunRecord, ...]]:
         """Fold ``extra_loads`` into a healthy shard and re-run it.
 
@@ -472,7 +444,7 @@ class FleetCoordinator:
             ),
         )
         spec = _fold_loads(specs[target], extra_loads)
-        rerun = self._supervise([spec], task)
+        rerun = self._supervise([spec])
         records = merge_records(records, rerun.report.records)
         result = rerun.results.get(target)
         if result is None:

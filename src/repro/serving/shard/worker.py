@@ -4,12 +4,13 @@ A shard is one :class:`~repro.serving.router.RequestRouter` over its
 own :class:`~repro.core.fleet.FleetManager`.  Deployments hold engine
 state (tuned plans, caches) and never cross a process boundary: the
 spec ships *names* -- network, GPUs, tenant loads, fault schedule --
-and a spawn worker builds the fleet from them.  An inline shard runs
-in the coordinator's process instead and is handed its fleet: a
-:meth:`~repro.core.fleet.FleetManager.copy` of one build the
-coordinator makes per run, whose caches start where a fresh build's
-would.  Either way the shard relays the same engine events and
-returns the same report.
+and every shard routes on :meth:`FleetSpec.deployed`, a
+:meth:`~repro.core.fleet.FleetManager.copy` of the one build its
+:class:`FleetSpec` keeps.  Inline shards share their coordinator's
+spec and so its build; a spawn worker unpickles the spec without the
+build and builds its own.  A copy's caches start where a fresh
+build's would, so either way the shard relays the same engine events
+and returns the same report.
 
 :func:`run_shard` is deliberately a top-level function so
 ``multiprocessing``'s spawn start method can pickle a reference to it.
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.core.fleet import FleetManager
+from repro.core.fleet import FleetManager, check_distinct_gpus
 from repro.core.user_input import ApplicationSpec
 from repro.faults.events import FaultTrace
 from repro.gpu import get_architecture
@@ -34,6 +35,11 @@ from repro.serving.shard.planner import shard_label
 __all__ = ["FleetSpec", "ShardResult", "ShardSpec", "run_shard"]
 
 
+#: The instance-dict key under which a :class:`FleetSpec` keeps its
+#: build (see :meth:`FleetSpec.deployed`).
+_BUILT = "_built"
+
+
 @dataclass(frozen=True)
 class FleetSpec:
     """A fleet described by names, built where the shards run.
@@ -41,8 +47,10 @@ class FleetSpec:
     Everything here pickles cleanly under spawn; :meth:`build`
     resolves the names against the registries and runs the full
     deployment pipeline, so every shard starts from an identical,
-    deterministic fleet: each spawn worker builds its own, and an
-    inline coordinator run builds one and hands every shard a copy.
+    deterministic fleet.  :meth:`deployed` builds once per spec
+    instance and hands out copies: the shards of one inline
+    coordinator run share one build, and each spawn worker, which
+    receives the spec without it, builds its own.
     """
 
     network: str
@@ -60,23 +68,25 @@ class FleetSpec:
             get_network(self.network)
         except KeyError as error:
             raise ValueError("network: %s" % (error.args[0],)) from None
-        seen: dict = {}
-        for name in self.gpus:
-            try:
-                arch = get_architecture(name).name
-            except KeyError as error:
-                raise ValueError("gpus: %s" % (error.args[0],)) from None
-            if arch in seen:
-                raise ValueError(
-                    "gpus: %r repeats %r; a fleet deploys each GPU once"
-                    % (name, seen[arch])
-                )
-            seen[arch] = name
+        try:
+            check_distinct_gpus(
+                [get_architecture(name) for name in self.gpus]
+            )
+        except (KeyError, ValueError) as error:
+            raise ValueError("gpus: %s" % (error.args[0],)) from None
         if self.max_tuning_iterations < 0:
             raise ValueError(
                 "max_tuning_iterations must be >= 0, got %r"
                 % (self.max_tuning_iterations,)
             )
+
+    def __getstate__(self) -> dict:
+        # The build holds engine state and never crosses a process
+        # boundary; leaving it out also keeps a spec's pickle, and so
+        # a checkpoint digest, the same before and after deployed().
+        state = dict(self.__dict__)
+        state.pop(_BUILT, None)
+        return state
 
     def build(self) -> FleetManager:
         """Resolve names and deploy the whole fleet."""
@@ -88,6 +98,22 @@ class FleetSpec:
         )
         manager.deploy_all()
         return manager
+
+    def deployed(self) -> FleetManager:
+        """A fresh :meth:`~repro.core.fleet.FleetManager.copy` of this
+        spec's one build.
+
+        The first call runs :meth:`build` and keeps the result on the
+        instance; it lives as long as the spec, is never pickled and
+        is not carried by ``dataclasses.replace``.  Nothing routes on
+        the build itself: every call returns its own copy, whose
+        caches start where a fresh build's would, so reusing a spec
+        changes speed only.
+        """
+        built = self.__dict__.get(_BUILT)
+        if built is None:
+            built = self.__dict__[_BUILT] = self.build()
+        return built.copy()
 
 
 @dataclass(frozen=True)
@@ -171,18 +197,14 @@ class ShardResult:
         )
 
 
-def run_shard(
-    spec: ShardSpec, fleet: Optional[FleetManager] = None
-) -> ShardResult:
-    """Build the fleet (unless given one), run the router, package
-    the result.
+def run_shard(spec: ShardSpec) -> ShardResult:
+    """Route the spec's loads on a copy of its fleet, package the
+    result.
 
     Top-level on purpose: the spawn start method pickles a reference
-    to this function plus the spec, and nothing else.  ``fleet``, when
-    given, is the deployed fleet to route on instead of building
-    ``spec.fleet``; it must be freshly built or a fresh
-    :meth:`~repro.core.fleet.FleetManager.copy` of one, since the run
-    warms its caches (inline shards receive a copy).
+    to this function plus the spec, and nothing else.  The fleet is
+    :meth:`FleetSpec.deployed`, a fresh copy per call, since the run
+    warms its caches.
 
     The result declares no fingerprint here: an inline result is the
     object the supervisor validates, and a spawn result declares one
@@ -191,12 +213,10 @@ def run_shard(
     :class:`~repro.resilience.ShardSupervisor` decides each attempt's
     fault and applies it.
     """
-    if fleet is None:
-        fleet = spec.fleet.build()
     obs = (
         Instrumentation(shard=spec.label) if spec.instrument else None
     )
-    router = RequestRouter(fleet, spec.config)
+    router = RequestRouter(spec.fleet.deployed(), spec.config)
     plane = (
         spec.controller.build() if spec.controller is not None else None
     )

@@ -123,6 +123,30 @@ class TestCopy:
         } == outcomes
 
 
+class TestCapacity:
+    def test_capacity_matches_the_probe_loop_bit_for_bit(self):
+        """The rung-0 probe sizes every storm's rate, so it must add
+        exactly as the loops it replaced did: from 0.0, in platform
+        order.  Checked on serve-fleet's default fleet."""
+        spec = ApplicationSpec(
+            "interactive", TaskClass.INTERACTIVE, data_rate_hz=50.0,
+            entropy_slack=0.30,
+        )
+        fleet = FleetManager(
+            alexnet(), spec, architectures=[K20C, JETSON_TX1]
+        )
+        expected = 0.0
+        for deployment in fleet.deploy_all().values():
+            entry = deployment.current_entry
+            execution = deployment.engine.execute(
+                entry.compiled,
+                power_gating=deployment.power_gating,
+                use_priority_sm=deployment.use_priority_sm,
+            )
+            expected += entry.compiled.batch / execution.total_time_s
+        assert fleet.capacity_rps().hex() == expected.hex()
+
+
 class TestValidation:
     def test_rejects_empty_fleet(self):
         spec = ApplicationSpec(

@@ -41,25 +41,12 @@ from tests.serving.event_loop import run_events
 from tests.serving.oracle import checked_fingerprint, oracle_fingerprint
 
 
-def _capacity_rps(deployments):
-    total = 0.0
-    for deployment in deployments.values():
-        entry = deployment.current_entry
-        execution = deployment.engine.execute(
-            entry.compiled,
-            power_gating=deployment.power_gating,
-            use_priority_sm=deployment.use_priority_sm,
-        )
-        total += entry.compiled.batch / execution.total_time_s
-    return total
-
-
-def _storm(deployments, tenants, n_requests, load, seed=42):
+def _storm(fleet, tenants, n_requests, load, seed=42):
     """Bursts from every tenant but the last (``n_requests``, half as
     many, ...) sharing 80% of the offered rate, and a Pareto tail of a
     quarter as many requests from the last.  ``load`` is the offered
     rate over rung-0 capacity."""
-    rate = load * _capacity_rps(deployments)
+    rate = load * fleet.capacity_rps()
     *bursty, tail = tenants
     loads = [
         TenantLoad(tenant, bursty_trace(
@@ -89,8 +76,8 @@ def tenants(snappy_tenant, background_tenant):
 
 
 @pytest.fixture
-def loads(deployments, tenants):
-    return _storm(deployments, tenants, 160, load=8.0)
+def loads(fleet, tenants):
+    return _storm(fleet, tenants, 160, load=8.0)
 
 
 class TestReportKinds:
@@ -130,7 +117,7 @@ class TestReportKinds:
         assert report.control is not None
         checked_fingerprint(report)
 
-    def test_merged_qualified_and_stripped(self, fleet, deployments, tenants):
+    def test_merged_qualified_and_stripped(self, fleet, tenants):
         leaves = []
         for shard in range(2):
             renamed = [
@@ -139,7 +126,7 @@ class TestReportKinds:
                 for tenant in tenants
             ]
             leaf_loads = _storm(
-                deployments, renamed, 120, load=8.0, seed=10 * shard
+                fleet, renamed, 120, load=8.0, seed=10 * shard
             )
             leaves.append(qualify_report(
                 RequestRouter(fleet, OVERLOAD).run(leaf_loads), shard
@@ -298,14 +285,13 @@ def _count_records(monkeypatch, classes=(
 
 class TestNoPerRequestObjects:
     def test_storm_fingerprint_and_render_build_no_records(
-        self, fleet, deployments, snappy_tenant, background_tenant,
-        monkeypatch,
+        self, fleet, snappy_tenant, background_tenant, monkeypatch,
     ):
         """A 10,000-request columnar run: ``fingerprint()`` and
         ``to_dict(include_events=False)`` construct no ``Request``,
         ``CompletedRequest``, ``RejectedRequest`` or ``RouterEvent``."""
         loads = _storm(
-            deployments, [snappy_tenant, background_tenant], 8000, load=3.0
+            fleet, [snappy_tenant, background_tenant], 8000, load=3.0
         )
         report = RequestRouter(fleet).run(loads)
         built = _count_records(monkeypatch)

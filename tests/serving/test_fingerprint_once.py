@@ -224,8 +224,8 @@ class TestDeclaration:
     def test_inline_results_are_undeclared(self, monkeypatch):
         seen = []
 
-        def recording(spec, fleet=None):
-            result = run_shard(spec, fleet=fleet)
+        def recording(spec):
+            result = run_shard(spec)
             seen.append(result)
             return result
 

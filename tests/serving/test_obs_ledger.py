@@ -71,24 +71,10 @@ def _fleet():
     return manager
 
 
-def _capacity_rps(fleet):
-    """Rung-0 fleet capacity in requests per second."""
-    total = 0.0
-    for deployment in fleet.deploy_all().values():
-        entry = deployment.current_entry
-        report = deployment.engine.execute(
-            entry.compiled,
-            power_gating=deployment.power_gating,
-            use_priority_sm=deployment.use_priority_sm,
-        )
-        total += entry.compiled.batch / report.total_time_s
-    return total
-
-
 def _loads(fleet, n_requests=300, seed=42, load=2.0, tenant=_SNAPPY):
     trace = bursty_trace(
         n_requests=n_requests,
-        rate_hz=load * _capacity_rps(fleet),
+        rate_hz=load * fleet.capacity_rps(),
         burst_factor=6.0,
         burst_fraction=0.3,
         seed=seed,
@@ -148,7 +134,7 @@ def _routed(config=None, faults=None, controller=None, shard=None,
         if tenants == 2:
             background = pareto_trace(
                 n_requests=n_requests // 3,
-                rate_hz=0.5 * _capacity_rps(fleet),
+                rate_hz=0.5 * fleet.capacity_rps(),
                 seed=seed + 1,
             )
             loads.append(TenantLoad(_BACKGROUND, background))
@@ -506,7 +492,7 @@ class TestNoPerSpanObjects:
         fleet = _fleet()
         loads = _loads(fleet, 5000, 42, 2.0)
         loads.append(TenantLoad(_BACKGROUND, pareto_trace(
-            n_requests=1250, rate_hz=0.5 * _capacity_rps(fleet), seed=43,
+            n_requests=1250, rate_hz=0.5 * fleet.capacity_rps(), seed=43,
         )))
         faults = _chaos(fleet, loads)
         built = []
@@ -578,7 +564,7 @@ class TestFailoverEscalation:
     def _storm(self):
         fleet = _fleet()
         trace = bursty_trace(
-            n_requests=600, rate_hz=4.0 * _capacity_rps(fleet), seed=12
+            n_requests=600, rate_hz=4.0 * fleet.capacity_rps(), seed=12
         )
         horizon = float(trace.arrivals_s[-1])
         faults = generate_fault_trace(

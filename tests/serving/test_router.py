@@ -21,21 +21,8 @@ from repro.serving import (
 from repro.workloads import RequestTrace, bursty_trace
 
 
-def _capacity_rps(deployments):
-    total = 0.0
-    for deployment in deployments.values():
-        entry = deployment.current_entry
-        report = deployment.engine.execute(
-            entry.compiled,
-            power_gating=deployment.power_gating,
-            use_priority_sm=deployment.use_priority_sm,
-        )
-        total += entry.compiled.batch / report.total_time_s
-    return total
-
-
-def _storm(deployments, n=600, overload=2.0, seed=42):
-    rate = overload * _capacity_rps(deployments)
+def _storm(fleet, n=600, overload=2.0, seed=42):
+    rate = overload * fleet.capacity_rps()
     return bursty_trace(
         n_requests=n, rate_hz=rate, burst_factor=6.0, burst_fraction=0.3,
         seed=seed,
@@ -43,8 +30,8 @@ def _storm(deployments, n=600, overload=2.0, seed=42):
 
 
 @pytest.fixture
-def snappy_load(deployments, snappy_tenant):
-    return [TenantLoad(snappy_tenant, _storm(deployments))]
+def snappy_load(fleet, snappy_tenant):
+    return [TenantLoad(snappy_tenant, _storm(fleet))]
 
 
 class TestDeterminism:
@@ -100,9 +87,9 @@ class TestOverloadBehaviour:
         assert all(p.peak_level == 0 for p in report.platforms)
         assert all(p.mean_level == 0.0 for p in report.platforms)
 
-    def test_rejections_carry_reasons(self, fleet, deployments, snappy_tenant):
+    def test_rejections_carry_reasons(self, fleet, snappy_tenant):
         # A tiny queue plus a hot storm forces saturation rejects.
-        loads = [TenantLoad(snappy_tenant, _storm(deployments, overload=4.0))]
+        loads = [TenantLoad(snappy_tenant, _storm(fleet, overload=4.0))]
         report = RequestRouter(
             fleet,
             RouterConfig(queue_limit=2, degradation=False, policy="fifo"),
@@ -187,13 +174,13 @@ class TestAccounting:
 
 
 class TestMultiTenant:
-    def test_priority_tenant_gets_better_service(self, fleet, deployments):
+    def test_priority_tenant_gets_better_service(self, fleet):
         requirement = TimeRequirement(0.1, 0.5)
         vip = Tenant("vip", requirement, priority=2)
         best_effort = Tenant("best-effort", requirement, priority=0)
         loads = [
-            TenantLoad(vip, _storm(deployments, n=400, seed=1)),
-            TenantLoad(best_effort, _storm(deployments, n=400, seed=2)),
+            TenantLoad(vip, _storm(fleet, n=400, seed=1)),
+            TenantLoad(best_effort, _storm(fleet, n=400, seed=2)),
         ]
         report = RequestRouter(fleet, RouterConfig()).run(loads)
         per_tenant = {s.tenant: s for s in report.per_tenant()}
@@ -206,9 +193,9 @@ class TestMultiTenant:
             report.tenant("nobody")
 
     def test_background_tenant_never_rejected_infeasible(
-        self, fleet, deployments, background_tenant
+        self, fleet, background_tenant
     ):
-        loads = [TenantLoad(background_tenant, _storm(deployments, n=200))]
+        loads = [TenantLoad(background_tenant, _storm(fleet, n=200))]
         report = RequestRouter(fleet, RouterConfig()).run(loads)
         assert all(r.reason != "infeasible" for r in report.rejected)
         # Deadline-free completions always count as hits.
@@ -322,7 +309,7 @@ class TestLadderMemo:
         self, spec, snappy_tenant, first, second
     ):
         shared = self._fresh_fleet(spec)
-        loads = [TenantLoad(snappy_tenant, _storm(shared.deploy_all()))]
+        loads = [TenantLoad(snappy_tenant, _storm(shared))]
         # SM failures re-target ladders and throttles rescale rungs:
         # neither may leak into the memoized healthy ladder.
         faults = generate_fault_trace(

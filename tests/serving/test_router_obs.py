@@ -15,22 +15,9 @@ from repro.serving import RequestRouter, RouterConfig, TenantLoad
 from repro.workloads import bursty_trace
 
 
-def _capacity_rps(deployments):
-    total = 0.0
-    for deployment in deployments.values():
-        entry = deployment.current_entry
-        report = deployment.engine.execute(
-            entry.compiled,
-            power_gating=deployment.power_gating,
-            use_priority_sm=deployment.use_priority_sm,
-        )
-        total += entry.compiled.batch / report.total_time_s
-    return total
-
-
 @pytest.fixture
-def storm_load(deployments, snappy_tenant):
-    rate = 2.0 * _capacity_rps(deployments)
+def storm_load(fleet, snappy_tenant):
+    rate = 2.0 * fleet.capacity_rps()
     trace = bursty_trace(
         n_requests=300, rate_hz=rate, burst_factor=6.0, burst_fraction=0.3,
         seed=42,

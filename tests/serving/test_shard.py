@@ -185,8 +185,10 @@ class TestShardSpecValidation:
     @pytest.mark.parametrize("fields, message", [
         (dict(gpus=("k20c", "nope")), "gpus: unknown GPU 'nope'"),
         (dict(network="nope"), "network: unknown network 'nope'"),
-        (dict(gpus=("k20c", "K20")), "gpus: 'K20' repeats 'k20c'"),
-        (dict(gpus=("tx1", "tx1")), "gpus: 'tx1' repeats 'tx1'"),
+        (dict(gpus=("k20c", "K20")),
+         "gpus: fleet lists GPU K20c more than once"),
+        (dict(gpus=("tx1", "tx1")),
+         "gpus: fleet lists GPU TX1 more than once"),
         (dict(max_tuning_iterations=-5), "max_tuning_iterations must be"),
     ])
     def test_fleet_spec_rejects_what_only_a_worker_would(

@@ -1,13 +1,19 @@
-"""Inline shards route on copies of one fleet build per coordinator run.
+"""Shards route on copies of the one build their fleet spec keeps.
 
-The contract: :meth:`FleetCoordinator.run` builds the fleet at most
-once (never when every shard resumes from a checkpoint), and every
-inline attempt -- first try, retry, witness or re-run -- gets a fresh
-:meth:`FleetManager.copy` of that build.  A copy's caches start where
-a fresh build's would, so each shard's report, engine relays and obs
-section included, is the one it would produce on its own build, and a
+The contract: :meth:`FleetSpec.deployed` builds once per spec instance
+and returns a fresh :meth:`FleetManager.copy` on every call; the build
+lives as long as the spec and never travels (not pickled, not carried
+by ``dataclasses.replace``).  So a coordinator builds the fleet at
+most once however often it runs (never while every shard resumes from
+a checkpoint), and every inline attempt -- first try, retry, witness
+or re-run -- routes on its own copy.  A copy's caches start where a
+fresh build's would, so each shard's report, engine relays and obs
+section included, is the one it would produce on a real build, and a
 failed attempt's warmed caches never reach the next attempt.
 """
+
+import dataclasses
+import pickle
 
 import pytest
 
@@ -25,6 +31,7 @@ from repro.serving import (
     TenantLoad,
 )
 from repro.serving.shard import (
+    ShardSpec,
     run_shard,
     shard_label,
     shard_platform,
@@ -63,10 +70,10 @@ def _shard_loads(n_shards, n_requests=30, seed=21):
     ]
 
 
-def _run(n_shards=2, instrument=False, **kwargs):
+def _run(n_shards=2, instrument=False, fleet=None, **kwargs):
     return FleetCoordinator(
-        _fleet_spec(), RouterConfig(), n_shards=n_shards, seed=21,
-        inline=True, **kwargs,
+        fleet if fleet is not None else _fleet_spec(), RouterConfig(),
+        n_shards=n_shards, seed=21, inline=True, **kwargs,
     ).run(shard_loads=_shard_loads(n_shards), instrument=instrument)
 
 
@@ -96,28 +103,81 @@ def builds(monkeypatch):
 
 
 @pytest.fixture
+def handed(monkeypatch):
+    """Every fleet ``FleetSpec.deployed`` hands out while the test
+    runs."""
+    fleets = []
+    deployed = FleetSpec.deployed
+
+    def recording(self):
+        fleet = deployed(self)
+        fleets.append(fleet)
+        return fleet
+
+    monkeypatch.setattr(FleetSpec, "deployed", recording)
+    return fleets
+
+
+@pytest.fixture
 def attempts(monkeypatch):
-    """Every inline attempt the coordinator makes, as ``(spec, fleet,
+    """Every inline attempt the coordinator makes, as ``(spec,
     result)``."""
     seen = []
 
-    def recording(spec, fleet=None):
-        result = run_shard(spec, fleet=fleet)
-        seen.append((spec, fleet, result))
+    def recording(spec):
+        result = run_shard(spec)
+        seen.append((spec, result))
         return result
 
     monkeypatch.setattr(coordinator_module, "run_shard", recording)
     return seen
 
 
+class TestDeployed:
+    def test_one_build_per_spec_and_a_copy_per_call(self, builds):
+        fleet_spec = _fleet_spec()
+        fleets = [fleet_spec.deployed() for _ in range(3)]
+        assert len(builds) == 1
+        assert len({id(fleet) for fleet in fleets}) == 3
+        assert len({id(fleet.engine) for fleet in fleets}) == 3
+        _fleet_spec().deployed()
+        assert len(builds) == 2  # an equal spec is another instance
+
+    def test_the_build_never_travels(self, builds):
+        fleet_spec = _fleet_spec()
+        shard = ShardSpec(
+            shard_id=0, n_shards=1, fleet=fleet_spec, config=RouterConfig(),
+            loads=(),
+        )
+        before = pickle.dumps(shard, protocol=4)
+        fleet_spec.deployed()
+        # A spec pickles the same before and after its build, so spawn
+        # arguments and checkpoint digests do not change.
+        assert pickle.dumps(shard, protocol=4) == before
+        twins = [
+            dataclasses.replace(fleet_spec),
+            pickle.loads(pickle.dumps(fleet_spec)),
+        ]
+        for twin in twins:
+            assert twin == fleet_spec
+            twin.deployed()
+        assert len(builds) == 3
+
+
 class TestBuildOnce:
     @pytest.mark.parametrize("n_shards", [2, 4])
     def test_one_build_per_run(self, builds, n_shards):
-        outcome = _run(n_shards=n_shards)
+        fleet_spec = _fleet_spec()
+        first = _run(n_shards=n_shards, fleet=fleet_spec)
         assert len(builds) == 1
-        assert outcome.report.n_offered == 30 * n_shards
+        assert first.report.n_offered == 30 * n_shards
+        # The build lives as long as its spec, and reusing it changes
+        # speed only.
+        again = _run(n_shards=n_shards, fleet=fleet_spec)
+        assert len(builds) == 1
+        assert _outcome_bytes(again) == _outcome_bytes(first)
         _run(n_shards=n_shards)
-        assert len(builds) == 2  # the build does not outlive run()
+        assert len(builds) == 2
 
     def test_escalation_and_failover_reuse_the_build(self, builds):
         escalated = _run(
@@ -153,22 +213,20 @@ class TestBuildOnce:
         assert len(builds) == 1
         assert _outcome_bytes(resumed) == _outcome_bytes(first)
 
-    def test_every_attempt_gets_its_own_copy(self, builds, attempts):
+    def test_every_attempt_gets_its_own_copy(self, builds, handed):
         _run(
             proc_faults=ProcFaultPlan(forced=((0, "corrupt"),)),
             supervision=SupervisorConfig(witness=True),
         )
         assert len(builds) == 1
         # Shard 0: corrupt try, retry, witness; shard 1: try, witness.
-        assert len(attempts) == 5
-        fleets = [fleet for _spec, fleet, _result in attempts]
-        assert all(fleet is not None for fleet in fleets)
-        assert len({id(fleet) for fleet in fleets}) == len(fleets)
-        assert len({id(fleet.engine) for fleet in fleets}) == len(fleets)
+        assert len(handed) == 5
+        assert len({id(fleet) for fleet in handed}) == len(handed)
+        assert len({id(fleet.engine) for fleet in handed}) == len(handed)
 
 
 class TestCopiesMatchOwnBuilds:
-    """Each inline shard equals the same spec run on its own build."""
+    """Each inline shard equals the same spec routed on a real build."""
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -179,11 +237,12 @@ class TestCopiesMatchOwnBuilds:
         ],
         ids=["plain", "instrumented", "ewma"],
     )
-    def test_shard_reports_match(self, attempts, kwargs):
+    def test_shard_reports_match(self, attempts, monkeypatch, kwargs):
         _run(**kwargs)
         assert len(attempts) == 2
-        for spec, fleet, result in attempts:
-            assert fleet is not None
+        # The reference routes on a build of its own, not another copy.
+        monkeypatch.setattr(FleetSpec, "deployed", FleetSpec.build)
+        for spec, result in attempts:
             own = run_shard(spec)
             assert result.report.to_dict(
                 include_events=True, include_requests=True
@@ -192,7 +251,7 @@ class TestCopiesMatchOwnBuilds:
             )
             assert result.spans == own.spans
             assert result.report.fingerprint() == own.report.fingerprint()
-        kinds = attempts[0][2].report.to_dict()["event_counts"]
+        kinds = attempts[0][1].report.to_dict()["event_counts"]
         assert kinds.get("compile", 0) > 0  # the relays were compared
 
 

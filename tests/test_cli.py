@@ -1,10 +1,12 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import json
+import re
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.framework import PervasiveCNN
 
 
 class TestParser:
@@ -92,7 +94,9 @@ class TestCompile:
     ])
     def test_repeated_gpu_is_a_clean_error(self, capsys, argv):
         assert main(argv) == 2
-        assert "more than once" in capsys.readouterr().err
+        assert re.search(
+            r"fleet lists GPU \w+ more than once", capsys.readouterr().err
+        )
 
 
 class TestTune:
@@ -231,6 +235,25 @@ class TestServeFleetSharded:
         assert payload["summary"]["offered"] >= 2 * 30
         summary = payload["summary"]
         assert summary["completed"] + summary["rejected"] == summary["offered"]
+
+    def test_inline_shards_deploy_each_gpu_once(self, monkeypatch, capsys):
+        """The storm is sized on the same build the inline shards route
+        on, so the command tunes each platform once."""
+        deployed = []
+        deploy = PervasiveCNN.deploy
+
+        def counting(self, *args, **kwargs):
+            deployed.append(self.arch.name)
+            return deploy(self, *args, **kwargs)
+
+        monkeypatch.setattr(PervasiveCNN, "deploy", counting)
+        code = main(
+            ["serve-fleet", "--shards", "2", "--shard-inline",
+             "--requests", "100", "--json"]
+        )
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["sharding"]
+        assert deployed == ["K20c", "TX1"]
 
     def test_sharded_human_output_lists_shards(self, capsys):
         code = main(
