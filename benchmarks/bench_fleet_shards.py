@@ -32,6 +32,7 @@ from bench_router_overload import (
     REQUIREMENT,
     _fleet,
     _loads,
+    _spec,
 )
 from common import emit, emit_json, run_once
 
@@ -61,10 +62,7 @@ SEED = 42
 
 def _fleet_spec():
     """The picklable twin of :func:`bench_router_overload._fleet`."""
-    spec, _fleet_manager = _fleet()
-    return FleetSpec(
-        network="alexnet", spec=spec, gpus=("k20c", "tx1")
-    )
+    return FleetSpec(network="alexnet", spec=_spec(), gpus=("k20c", "tx1"))
 
 
 def _shard_loads(n_shards, rate_hz, n_per_shard):
@@ -91,7 +89,7 @@ def _shard_loads(n_shards, rate_hz, n_per_shard):
 def reproduce_scaling(counts, n_per_shard):
     """Run the weak-scaling sweep; returns (table text, BENCH data)."""
     fleet_spec = _fleet_spec()
-    _spec, fleet = _fleet()
+    _, fleet = _fleet()
     rate_hz = OVERLOAD * fleet.capacity_rps()
     rows = []
     data = {
@@ -209,7 +207,7 @@ def test_bench_fleet_shard_chaos(benchmark, quick, shards):
     n = (QUICK_N_PER_SHARD if quick else N_PER_SHARD) // 2
 
     def reproduce():
-        _spec, fleet = _fleet()
+        _, fleet = _fleet()
         rate_hz = OVERLOAD * fleet.capacity_rps()
         shard_loads = _shard_loads(2, rate_hz, n)
         horizon = max(

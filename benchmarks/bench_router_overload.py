@@ -71,10 +71,15 @@ SPEEDUP_ROUNDS = 5
 MIN_TRACE_COVERAGE = 0.90
 
 
-def _fleet():
-    spec = ApplicationSpec(
+def _spec():
+    """The application spec :func:`_fleet` deploys."""
+    return ApplicationSpec(
         "age-detection", TaskClass.INTERACTIVE, entropy_slack=0.30
     )
+
+
+def _fleet():
+    spec = _spec()
     fleet = FleetManager(alexnet(), spec, architectures=[K20C, JETSON_TX1])
     fleet.deploy_all()
     return spec, fleet

@@ -32,6 +32,7 @@ from bench_router_overload import (
     OVERLOAD,
     REQUIREMENT,
     _fleet,
+    _spec,
 )
 from common import emit, emit_json, run_once
 
@@ -74,9 +75,8 @@ SPAWN_TIMEOUT_S = 12.0
 
 def _fleet_spec():
     """The picklable twin of :func:`bench_router_overload._fleet`."""
-    spec, _fleet_manager = _fleet()
     return FleetSpec(
-        network="alexnet", spec=spec, gpus=("k20c", "tx1"),
+        network="alexnet", spec=_spec(), gpus=("k20c", "tx1"),
         max_tuning_iterations=TUNING_ITERATIONS,
     )
 
@@ -103,7 +103,7 @@ def _shard_loads(n_per_shard, rate_hz):
 def _run(n_per_shard, inline=True, config=None, resume_dir=None,
          **kwargs):
     """One timed coordinator run; returns ``(outcome, wall_s)``."""
-    _spec, fleet = _fleet()
+    _, fleet = _fleet()
     rate_hz = OVERLOAD * fleet.capacity_rps()
     coordinator = FleetCoordinator(
         _fleet_spec(), config or RouterConfig(), n_shards=N_SHARDS,

@@ -4,8 +4,9 @@
 (over one :class:`~repro.obs.span.TraceBuffer`) with one
 :class:`~repro.obs.metrics.MetricsRegistry` and fills them one way: a
 router run is *derived*.  :meth:`Instrumentation.record_run` walks the
-finished report -- its event ledger, terminal records and platform
-stats -- and opens, closes and counts every span and metric from it.
+finished report once -- its ledger's event rows, terminal records and
+platform stats -- opening and closing every span on the way and
+writing every metric series once at the end.
 The router loop holds no observability code; ``RequestRouter.run``
 hands its report over once, at the end.
 
@@ -19,6 +20,8 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import defaultdict
+from itertools import chain
+from operator import add, attrgetter, itemgetter
 from typing import Dict, List, Mapping, Optional, Sequence, Set
 
 from repro.obs.metrics import (
@@ -26,9 +29,6 @@ from repro.obs.metrics import (
     OCCUPANCY_BUCKETS,
     RATE_ERROR_BUCKETS_RPS,
     SLACK_BUCKETS_S,
-    Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
     ordered_sum,
 )
@@ -93,11 +93,12 @@ _EDGES = {
     "request_latency_s": LATENCY_BUCKETS_S,
 }
 
-#: ``record_run``'s ``engine_counts`` keys and the series they feed.
+#: ``record_run``'s ``engine_counts`` keys and the series they feed,
+#: as ``(family, *label pairs)``.
 _ENGINE_COUNTS = (
-    ("executes", "engine_executes_total", {}),
-    ("prewarm_hits", "engine_prewarms_total", {"outcome": "hit"}),
-    ("prewarm_misses", "engine_prewarms_total", {"outcome": "miss"}),
+    ("executes", ("engine_executes_total",)),
+    ("prewarm_hits", ("engine_prewarms_total", ("outcome", "hit"))),
+    ("prewarm_misses", ("engine_prewarms_total", ("outcome", "miss"))),
 )
 
 #: Fault kinds that open an episode / close it again; transients are
@@ -109,6 +110,11 @@ _EPISODE_END = {
     "bw_recover": "bw_degrade",
     "throttle_end": "throttle",
 }
+
+
+def _field(keys: tuple, values: tuple, name: str):
+    """A ledger row's optional detail field ``name`` (None if absent)."""
+    return values[keys.index(name)] if name in keys else None
 
 
 def cache_neutral_obs_section(section: dict) -> dict:
@@ -259,28 +265,6 @@ class Instrumentation:
         self.metrics = MetricsRegistry(
             base_labels={"shard": shard} if shard is not None else None
         )
-        #: ``(kind, family, *label items)`` -> its series, so a series
-        #: is resolved (labels sorted, base labels merged) once.
-        self._series: Dict[tuple, object] = {}
-
-    def _resolve(self, kind: str, name: str, labels: Dict[str, object]):
-        key = (kind, name, *labels.items())
-        series = self._series.get(key)
-        if series is None:
-            edges = (_EDGES[name],) if kind == "histogram" else ()
-            series = self._series[key] = getattr(self.metrics, kind)(
-                name, *edges, _HELP[name], **labels
-            )
-        return series
-
-    def _counter(self, name: str, **labels) -> Counter:
-        return self._resolve("counter", name, labels)
-
-    def _gauge(self, name: str, **labels) -> Gauge:
-        return self._resolve("gauge", name, labels)
-
-    def _histogram(self, name: str, **labels) -> Histogram:
-        return self._resolve("histogram", name, labels)
 
     # -- router runs -----------------------------------------------------
     def record_run(
@@ -292,8 +276,8 @@ class Instrumentation:
         """Derive one finished router run's spans and metrics.
 
         ``report`` is a :class:`~repro.serving.report.RouterReport`:
-        its ledger's event log is walked in order, request spans start
-        at the ``arrival_s`` of its completed and rejected records,
+        its ledger's event rows are walked once, in order, request spans
+        start at the ``arrival_s`` of its completed and rejected records,
         platform tracks and ``platform_energy_j`` come from
         ``report.platforms``, and every span still open closes at
         ``max(horizon_s, latest event time)``.  Two inputs are not in
@@ -303,28 +287,312 @@ class Instrumentation:
         activity over the run (``executes``, ``prewarm_hits``,
         ``prewarm_misses``) behind ``engine_executes_total`` and
         ``engine_prewarms_total``.
+
+        Each metric series is tallied on the walk and written once at
+        its end: a counter gets one ``inc`` of its tally (below 2**53,
+        exactly the float that many increments of 1.0 reach), a gauge
+        its last value, a histogram its samples in walk order.
         """
-        ledger = report.ledger
-        replay = _LedgerReplay(self, report.platforms, ledger)
-        for event in ledger.records("events"):
-            getattr(replay, "on_" + event.kind)(event)
-        for histogram, samples in replay.samples.items():
-            histogram.observe_many(samples)
+        counts, gauges, samples, served = self._walk(report)
+        for stats in report.platforms:
+            if stats.platform in served:
+                counts["platform_energy_j", ("platform", stats.platform)] += (
+                    stats.energy_j
+                )
+        engine_counts = engine_counts or {}
+        for key, series in _ENGINE_COUNTS:
+            if engine_counts.get(key):
+                counts[series] += engine_counts[key]
         errors = list(tick_errors)
         if errors:
-            self._histogram("forecast_error_rps").observe_many(errors)
-        for stats in report.platforms:
-            if stats.platform in replay.served:
-                self._counter(
-                    "platform_energy_j", platform=stats.platform
-                ).inc(stats.energy_j)
-        counts = engine_counts or {}
-        for key, name, labels in _ENGINE_COUNTS:
-            if counts.get(key):
-                self._counter(name, **labels).inc(counts[key])
-        replay.close(
-            max([report.horizon_s] + [row[3] for row in ledger.event_rows()])
+            samples["forecast_error_rps",] = errors
+        metrics = self.metrics
+        for (name, *labels), count in counts.items():
+            metrics.counter(name, _HELP[name], **dict(labels)).inc(count)
+        for (name, *labels), value in gauges.items():
+            metrics.gauge(name, _HELP[name], **dict(labels)).set(value)
+        for (name, *labels), values in samples.items():
+            metrics.histogram(
+                name, _EDGES[name], _HELP[name], **dict(labels)
+            ).observe_many(values)
+
+    def _walk(self, report) -> tuple:
+        """Write one run's spans in one pass over its ledger rows.
+
+        The ledger records decisions in the order the loop took them,
+        so spans open and close in the order a live observer of the
+        loop would have opened and closed them.  An open span is a
+        :meth:`Tracer.open_row` tuple; an instant one is written as one
+        row.  Returns the metric tallies ``counts``, ``gauges`` and
+        ``samples``, each keyed by series ``(family, *label pairs)``,
+        and the platforms that completed a batch.
+        """
+        tracer = self.tracer
+        open_row, close_row, instant = (
+            tracer.open_row, tracer.close_row, tracer.instant_row
         )
+        ledger = report.ledger
+        rows = ledger.event_rows()
+        # ``(arrival_s, tenant name, deadline_s)`` per terminal rid.
+        requests: Dict[int, tuple] = {}
+        for section in ("completed", "rejected"):
+            columns = ledger.columns(section)
+            arrivals, tenants = columns["arrival_s"], columns["tenant_obj"]
+            deadlines = map(
+                add, arrivals, map(attrgetter("requirement.unusable_s"), tenants)
+            )
+            requests.update(zip(columns["rid"], zip(
+                arrivals, map(attrgetter("name"), tenants), deadlines
+            )))
+        names = sorted(stats.platform for stats in report.platforms)
+        shard_keys = () if self.shard is None else ("shard",)
+        shard = () if self.shard is None else (self.shard,)
+        run = open_row(
+            "run", 0.0, None, ("platforms",) + shard_keys,
+            (",".join(names),) + shard,
+        )
+        platforms = {
+            name: open_row(
+                "platform", 0.0, run, ("platform",) + shard_keys,
+                (name,) + shard,
+            )
+            for name in names
+        }
+        open_requests: Dict[int, tuple] = {}
+        # The open ``execute_batch`` row per platform, and the open
+        # ``fault_episode`` row per ``(platform, fault kind)``.
+        batches: Dict[str, tuple] = {}
+        episodes: Dict[tuple, tuple] = {}
+        # Replayed queue length per platform (the ``queue_depth`` gauge).
+        queued: Dict[str, int] = defaultdict(int)
+        counts: Dict[tuple, float] = defaultdict(int)
+        gauges: Dict[tuple, object] = {}
+        samples: Dict[tuple, List[float]] = defaultdict(list)
+        served: Set[str] = set()
+        # The rid whose admission just escalated a ladder: its
+        # ``enqueue`` follows and is admitted ``ok-degraded``.
+        escalated = None
+
+        def begin_request(rid: int) -> tuple:
+            arrival_s, tenant, _deadline_s = requests[rid]
+            return open_row(
+                "request", arrival_s, run, ("rid", "tenant"), (rid, tenant)
+            )
+
+        def request_span(rid: int) -> tuple:
+            span = open_requests.get(rid)
+            if span is None:
+                span = open_requests[rid] = begin_request(rid)
+            return span
+
+        def close_batch(platform: str, time_s: float, outcome: str) -> None:
+            span = batches.pop(platform, None)
+            if span is not None:
+                close_row(span, time_s, ("outcome",), (outcome,))
+
+        def evacuate(platform: str, time_s: float) -> None:
+            # A resilient outage moved the platform's work away: the
+            # first evacuated victim abandons the batch in flight, and
+            # the queue is empty from here on.
+            close_batch(platform, time_s, "abandoned")
+            queued[platform] = 0
+
+        for kind, keys, values, time_s, _tenant, platform, rids in rows:
+            if kind == "enqueue":
+                rid = rids[0]
+                queued[platform] += 1
+                instant(
+                    "admission", time_s, request_span(rid),
+                    ("platform", "level", "reason"),
+                    (
+                        platform, values[keys.index("level")],
+                        "ok-degraded" if rid == escalated else "ok",
+                    ),
+                )
+                escalated = None
+                counts["requests_admitted_total", ("platform", platform)] += 1
+                gauges["queue_depth", ("platform", platform)] = queued[platform]
+            elif kind == "reject":
+                reason = values[keys.index("reason")]
+                if reason == "stranded":
+                    close_batch(platform, time_s, "abandoned")
+                origin = _field(keys, values, "origin")
+                if origin is not None:
+                    evacuate(origin, time_s)
+                # A request rejected at admission has no span yet: its
+                # span brackets arrival -> now.
+                rid = rids[0]
+                span = open_requests.pop(rid, None) or begin_request(rid)
+                close_row(
+                    span, time_s, ("outcome", "reason"), ("rejected", reason)
+                )
+                counts["requests_rejected_total", ("reason", reason)] += 1
+            elif kind == "dispatch":
+                level = values[keys.index("level")]
+                capacity = values[keys.index("capacity")]
+                queued[platform] -= values[keys.index("batch")]
+                parent = platforms.get(platform)
+                instant(
+                    "dispatch", time_s, parent,
+                    ("platform", "n_requests", "level"),
+                    (platform, len(rids), level),
+                )
+                batches[platform] = open_row(
+                    "execute_batch", time_s, parent,
+                    ("platform", "request_ids", "level", "batch", "capacity"),
+                    (platform, rids, level, len(rids), capacity),
+                )
+                counts["batches_dispatched_total", ("platform", platform)] += 1
+                samples["batch_occupancy", ("platform", platform)].append(
+                    len(rids) / capacity
+                )
+                gauges["queue_depth", ("platform", platform)] = queued[platform]
+            elif kind == "complete":
+                closing = ("completed", platform, values[keys.index("level")])
+                close_batch(platform, time_s, "completed")
+                served.add(platform)
+                latency = samples["request_latency_s",]
+                slack = samples["deadline_slack_s",]
+                for rid in rids:
+                    arrival_s, _tenant, deadline_s = requests[rid]
+                    span = open_requests.pop(rid, None)
+                    if span is not None:
+                        close_row(
+                            span, time_s, ("outcome", "platform", "level"),
+                            closing,
+                        )
+                    latency.append(time_s - arrival_s)
+                    slack.append(deadline_s - time_s)
+                counts["requests_completed_total", ("platform", platform)] += (
+                    len(rids)
+                )
+            elif kind == "retry":
+                instant(
+                    "retry", time_s, request_span(rids[0]),
+                    ("attempt", "backoff_s"),
+                    (
+                        values[keys.index("attempt")],
+                        values[keys.index("backoff_s")],
+                    ),
+                )
+                counts["retries_total",] += 1
+            elif kind == "failover":
+                origin = values[keys.index("origin")]
+                evacuate(origin, time_s)
+                queued[platform] += 1
+                counts["failovers_total", ("origin", origin)] += 1
+                instant(
+                    "dispatch", time_s, request_span(rids[0]),
+                    ("platform", "cause", "origin"),
+                    (platform, "failover", origin),
+                )
+            elif kind == "batch_failed":
+                close_batch(platform, time_s, "failed")
+                counts["batch_failures_total", ("platform", platform)] += 1
+            elif kind in ("degrade", "restore"):
+                if _field(keys, values, "cause") == "admission":
+                    escalated = rids[0]
+                counts[
+                    "degradation_moves_total", ("move", kind),
+                    ("platform", platform),
+                ] += 1
+                gauges["degradation_level", ("platform", platform)] = values[
+                    keys.index("level")
+                ]
+            elif kind in ("breaker_open", "breaker_half_open", "breaker_close"):
+                counts[
+                    "breaker_transitions_total", ("platform", platform),
+                    ("transition", kind),
+                ] += 1
+            elif kind == "fault":
+                fault = values[keys.index("fault_kind")]
+                counts[
+                    "faults_injected_total", ("kind", fault),
+                    ("platform", platform),
+                ] += 1
+                parent = platforms.get(platform)
+                episode = (platform, fault)
+                if fault in _EPISODE_BEGIN:
+                    stale = episodes.pop(episode, None)
+                    if stale is not None:
+                        # Re-begin without an end: close the stale
+                        # episode here.
+                        close_row(stale, time_s, ("reopened",), (True,))
+                    episodes[episode] = open_row(
+                        "fault_episode", time_s, parent,
+                        ("platform", "fault_kind"), episode,
+                    )
+                elif fault in _EPISODE_END:
+                    begun = episodes.pop((platform, _EPISODE_END[fault]), None)
+                    if begun is not None:
+                        close_row(begun, time_s)
+                else:
+                    # Transient: an instantaneous episode.
+                    instant(
+                        "fault_episode", time_s, parent,
+                        ("platform", "fault_kind"), episode,
+                    )
+            elif kind == "control_tick":
+                forecast_rps = values[keys.index("forecast_rps")]
+                instant(
+                    "control_tick", time_s, run,
+                    ("observed_rps", "forecast_rps", "target_level"),
+                    (
+                        values[keys.index("observed_rps")], forecast_rps,
+                        values[keys.index("level")],
+                    ),
+                )
+                counts["control_ticks_total",] += 1
+                gauges["forecast_rate_rps",] = forecast_rps
+            elif kind == "prewarm":
+                instant(
+                    "prewarm", time_s, platforms.get(platform),
+                    ("platform", "level"),
+                    (platform, values[keys.index("level")]),
+                )
+                counts["control_prewarms_total", ("platform", platform)] += 1
+            elif kind == "dvfs":
+                counts["dvfs_moves_total", ("platform", platform)] += 1
+                gauges["platform_frequency", ("platform", platform)] = values[
+                    keys.index("relative_frequency")
+                ]
+            elif kind == "compile":
+                instant(
+                    "compile", time_s, None,
+                    ("platform", "network", "batch", "perforation"),
+                    (platform,) + tuple(
+                        values[keys.index(key)]
+                        for key in ("network", "batch", "perforation")
+                    ),
+                )
+                counts["engine_compiles_total",] += 1
+            elif kind == "cache_hit":
+                cache = values[keys.index("cache")]
+                if cache == "compile":
+                    instant(
+                        "plan_cache_lookup", time_s, None,
+                        ("platform", "outcome"), (platform, "hit"),
+                    )
+                counts["engine_cache_hits_total", ("cache", cache)] += 1
+            else:
+                raise ValueError("no derivation for ledger event %r" % kind)
+
+        # Close every still-open span: fault episodes, requests,
+        # platform tracks, the run, then -- in id order, marked
+        # ``open_at_drain`` -- the batches still in flight.
+        end_s = max(chain((report.horizon_s,), map(itemgetter(3), rows)))
+        for key in sorted(episodes, key=str):
+            close_row(episodes[key], end_s, ("open_at_drain",), (True,))
+        for rid in sorted(open_requests):
+            close_row(
+                open_requests[rid], end_s, ("outcome",), ("open_at_drain",)
+            )
+        for name in names:
+            close_row(platforms[name], end_s)
+        close_row(run, end_s)
+        for batch in sorted(batches.values()):
+            close_row(batch, end_s, ("open_at_drain",), (True,))
+        return counts, gauges, samples, served
 
     # -- reporting -------------------------------------------------------
     def report_section(self) -> dict:
@@ -354,297 +622,3 @@ class Instrumentation:
         for span in self.buffer.of_name("execute_batch"):
             seen.update(span.attrs.get("request_ids", ()))
         return len(wanted & seen) / len(wanted)
-
-
-class _LedgerReplay:
-    """The state of one :meth:`Instrumentation.record_run` walk.
-
-    One method per ledger event kind, ``on_<kind>``, turns the event
-    into spans and metrics.  The ledger records decisions in the order
-    the loop took them, so spans open and close in the order a live
-    observer of the loop would have opened and closed them.  Spans go
-    in as rows (:meth:`Tracer.open_row`): an open span is a tuple.
-    """
-
-    def __init__(self, obs: Instrumentation, platforms, ledger) -> None:
-        tracer = obs.tracer
-        self.open = tracer.open_row
-        self.close_row = tracer.close_row
-        self.instant = tracer.instant_row
-        self.counter = obs._counter
-        self.gauge = obs._gauge
-        self.histogram = obs._histogram
-        #: Each histogram series' samples in walk order, observed in
-        #: one go when the walk ends.
-        self.samples: Dict[Histogram, List[float]] = {}
-        #: ``(arrival_s, tenant name, deadline_s)`` per terminal rid.
-        self.requests: Dict[int, tuple] = {
-            rid: (arrival, tenant.name, arrival + tenant.requirement.unusable_s)
-            for columns in (ledger.columns("completed"), ledger.columns("rejected"))
-            for rid, arrival, tenant in zip(
-                columns["rid"], columns["arrival_s"], columns["tenant_obj"]
-            )
-        }
-        names = sorted(stats.platform for stats in platforms)
-        shard_keys = () if obs.shard is None else ("shard",)
-        shard = () if obs.shard is None else (obs.shard,)
-        self.run = self.open(
-            "run", 0.0, None, ("platforms",) + shard_keys,
-            (",".join(names),) + shard,
-        )
-        self.platforms: Dict[str, tuple] = {
-            name: self.open(
-                "platform", 0.0, self.run, ("platform",) + shard_keys,
-                (name,) + shard,
-            )
-            for name in names
-        }
-        self.open_requests: Dict[int, tuple] = {}
-        #: The open ``execute_batch`` span per platform.
-        self.batches: Dict[str, tuple] = {}
-        self.episodes: Dict[tuple, tuple] = {}
-        #: Replayed queue length per platform (the ``queue_depth`` gauge).
-        self.queued: Dict[str, int] = defaultdict(int)
-        #: The rid whose admission just escalated a ladder: its
-        #: ``enqueue`` follows and is admitted ``ok-degraded``.
-        self.escalated_rid: Optional[int] = None
-        #: Platforms that completed at least one batch.
-        self.served: Set[str] = set()
-
-    def close(self, end_s: float) -> None:
-        """Close every still-open span at ``end_s``: fault episodes,
-        requests, platform tracks, the run, then -- in id order, marked
-        ``open_at_drain`` -- the batches still in flight."""
-        close = self.close_row
-        for key in sorted(self.episodes, key=str):
-            close(self.episodes[key], end_s, ("open_at_drain",), (True,))
-        for rid in sorted(self.open_requests):
-            close(self.open_requests[rid], end_s, ("outcome",), ("open_at_drain",))
-        for name in sorted(self.platforms):
-            close(self.platforms[name], end_s)
-        close(self.run, end_s)
-        for batch in sorted(self.batches.values()):
-            close(batch, end_s, ("open_at_drain",), (True,))
-
-    # -- requests --------------------------------------------------------
-    def _begin_request(self, rid: int) -> tuple:
-        arrival_s, tenant, _deadline_s = self.requests[rid]
-        return self.open(
-            "request", arrival_s, self.run, ("rid", "tenant"), (rid, tenant)
-        )
-
-    def _request_span(self, rid: int) -> tuple:
-        span = self.open_requests.get(rid)
-        if span is None:
-            span = self.open_requests[rid] = self._begin_request(rid)
-        return span
-
-    def _samples(self, name: str, **labels) -> List[float]:
-        histogram = self.histogram(name, **labels)
-        samples = self.samples.get(histogram)
-        if samples is None:
-            samples = self.samples[histogram] = []
-        return samples
-
-    def on_enqueue(self, event) -> None:
-        rid = event.request_ids[0]
-        reason = "ok-degraded" if rid == self.escalated_rid else "ok"
-        self.escalated_rid = None
-        platform = event.platform
-        self.queued[platform] += 1
-        self.instant(
-            "admission", event.time_s, self._request_span(rid),
-            ("platform", "level", "reason"),
-            (platform, event.detail["level"], reason),
-        )
-        self.counter("requests_admitted_total", platform=platform).inc()
-        self.gauge("queue_depth", platform=platform).set(self.queued[platform])
-
-    def on_reject(self, event) -> None:
-        reason = event.detail["reason"]
-        if reason == "stranded":
-            self._close_batch(event.platform, event.time_s, "abandoned")
-        origin = event.detail.get("origin")
-        if origin is not None:
-            self._evacuate(origin, event.time_s)
-        # A request rejected at admission has no span yet: its span
-        # brackets arrival -> now.
-        rid = event.request_ids[0]
-        span = self.open_requests.pop(rid, None) or self._begin_request(rid)
-        self.close_row(
-            span, event.time_s, ("outcome", "reason"), ("rejected", reason)
-        )
-        self.counter("requests_rejected_total", reason=reason).inc()
-
-    def on_retry(self, event) -> None:
-        self.instant(
-            "retry", event.time_s, self._request_span(event.request_ids[0]),
-            ("attempt", "backoff_s"),
-            (event.detail["attempt"], event.detail["backoff_s"]),
-        )
-        self.counter("retries_total").inc()
-
-    def on_failover(self, event) -> None:
-        origin = event.detail["origin"]
-        self._evacuate(origin, event.time_s)
-        target = event.platform
-        self.queued[target] += 1
-        self.counter("failovers_total", origin=origin).inc()
-        self.instant(
-            "dispatch", event.time_s, self._request_span(event.request_ids[0]),
-            ("platform", "cause", "origin"), (target, "failover", origin),
-        )
-
-    def _evacuate(self, platform: str, time_s: float) -> None:
-        """A resilient outage moved ``platform``'s work away: the
-        first evacuated victim abandons the batch in flight, and the
-        queue is empty from here on."""
-        self._close_batch(platform, time_s, "abandoned")
-        self.queued[platform] = 0
-
-    # -- batches ---------------------------------------------------------
-    def on_dispatch(self, event) -> None:
-        platform = event.platform
-        time_s = event.time_s
-        rids = event.request_ids
-        level = event.detail["level"]
-        capacity = event.detail["capacity"]
-        self.queued[platform] -= event.detail["batch"]
-        parent = self.platforms.get(platform)
-        self.instant(
-            "dispatch", time_s, parent, ("platform", "n_requests", "level"),
-            (platform, len(rids), level),
-        )
-        self.batches[platform] = self.open(
-            "execute_batch", time_s, parent,
-            ("platform", "request_ids", "level", "batch", "capacity"),
-            (platform, rids, level, len(rids), capacity),
-        )
-        self.counter("batches_dispatched_total", platform=platform).inc()
-        self._samples("batch_occupancy", platform=platform).append(
-            len(rids) / capacity
-        )
-        self.gauge("queue_depth", platform=platform).set(self.queued[platform])
-
-    def _close_batch(self, platform: str, time_s: float, outcome: str) -> None:
-        span = self.batches.pop(platform, None)
-        if span is not None:
-            self.close_row(span, time_s, ("outcome",), (outcome,))
-
-    def on_complete(self, event) -> None:
-        time_s = event.time_s
-        platform = event.platform
-        level = event.detail["level"]
-        self._close_batch(platform, time_s, "completed")
-        self.served.add(platform)
-        completed = self.counter("requests_completed_total", platform=platform)
-        latency = self._samples("request_latency_s")
-        slack = self._samples("deadline_slack_s")
-        keys = ("outcome", "platform", "level")
-        values = ("completed", platform, level)
-        for rid in event.request_ids:
-            arrival_s, _tenant, deadline_s = self.requests[rid]
-            span = self.open_requests.pop(rid, None)
-            if span is not None:
-                self.close_row(span, time_s, keys, values)
-            completed.inc()
-            latency.append(time_s - arrival_s)
-            slack.append(deadline_s - time_s)
-
-    def on_batch_failed(self, event) -> None:
-        self._close_batch(event.platform, event.time_s, "failed")
-        self.counter("batch_failures_total", platform=event.platform).inc()
-
-    # -- degradation / resilience / faults -------------------------------
-    def on_degrade(self, event) -> None:
-        if event.detail.get("cause") == "admission":
-            self.escalated_rid = event.request_ids[0]
-        platform = event.platform
-        self.counter(
-            "degradation_moves_total", platform=platform, move=event.kind
-        ).inc()
-        self.gauge("degradation_level", platform=platform).set(
-            event.detail["level"]
-        )
-
-    on_restore = on_degrade
-
-    def on_breaker_open(self, event) -> None:
-        self.counter(
-            "breaker_transitions_total",
-            platform=event.platform,
-            transition=event.kind,
-        ).inc()
-
-    on_breaker_half_open = on_breaker_close = on_breaker_open
-
-    def on_fault(self, event) -> None:
-        time_s = event.time_s
-        platform = event.platform
-        kind = event.detail["fault_kind"]
-        self.counter(
-            "faults_injected_total", kind=kind, platform=platform
-        ).inc()
-        parent = self.platforms.get(platform)
-        keys = ("platform", "fault_kind")
-        if kind in _EPISODE_BEGIN:
-            stale = self.episodes.pop((platform, kind), None)
-            if stale is not None:
-                # Re-begin without an end: close the stale episode here.
-                self.close_row(stale, time_s, ("reopened",), (True,))
-            self.episodes[(platform, kind)] = self.open(
-                "fault_episode", time_s, parent, keys, (platform, kind)
-            )
-        elif kind in _EPISODE_END:
-            episode = self.episodes.pop((platform, _EPISODE_END[kind]), None)
-            if episode is not None:
-                self.close_row(episode, time_s)
-        else:
-            # Transient: an instantaneous episode.
-            self.instant("fault_episode", time_s, parent, keys, (platform, kind))
-
-    # -- control plane ---------------------------------------------------
-    def on_control_tick(self, event) -> None:
-        detail = event.detail
-        self.instant(
-            "control_tick", event.time_s, self.run,
-            ("observed_rps", "forecast_rps", "target_level"),
-            (detail["observed_rps"], detail["forecast_rps"], detail["level"]),
-        )
-        self.counter("control_ticks_total").inc()
-        self.gauge("forecast_rate_rps").set(detail["forecast_rps"])
-
-    def on_prewarm(self, event) -> None:
-        self.instant(
-            "prewarm", event.time_s, self.platforms.get(event.platform),
-            ("platform", "level"), (event.platform, event.detail["level"]),
-        )
-        self.counter("control_prewarms_total", platform=event.platform).inc()
-
-    def on_dvfs(self, event) -> None:
-        self.counter("dvfs_moves_total", platform=event.platform).inc()
-        self.gauge("platform_frequency", platform=event.platform).set(
-            event.detail["relative_frequency"]
-        )
-
-    # -- engine relays ---------------------------------------------------
-    def on_compile(self, event) -> None:
-        detail = event.detail
-        self.instant(
-            "compile", event.time_s, None,
-            ("platform", "network", "batch", "perforation"),
-            (
-                event.platform, detail["network"], detail["batch"],
-                detail["perforation"],
-            ),
-        )
-        self.counter("engine_compiles_total").inc()
-
-    def on_cache_hit(self, event) -> None:
-        cache = event.detail["cache"]
-        if cache == "compile":
-            self.instant(
-                "plan_cache_lookup", event.time_s, None,
-                ("platform", "outcome"), (event.platform, "hit"),
-            )
-        self.counter("engine_cache_hits_total", cache=cache).inc()

@@ -38,6 +38,7 @@ import numpy as np
 
 __all__ = [
     "linear_percentile",
+    "linear_percentiles",
     "ordered_sum",
     "Counter",
     "Gauge",
@@ -72,11 +73,24 @@ def linear_percentile(values: Sequence[float], q: float) -> float:
     is every percentile of itself, and ``q`` exactly 0/100 are the
     min/max order statistics.
     """
-    if not 0.0 <= q <= 100.0:
-        raise ValueError("percentile must be in [0, 100], got %r" % (q,))
+    return linear_percentiles(values, (q,))[0]
+
+
+def linear_percentiles(
+    values: Sequence[float], qs: Sequence[float]
+) -> List[float]:
+    """:func:`linear_percentile` of ``values`` at each of ``qs``, from
+    one sort."""
+    for q in qs:
+        if not 0.0 <= q <= 100.0:
+            raise ValueError("percentile must be in [0, 100], got %r" % (q,))
     if not values:
-        return 0.0
+        return [0.0] * len(qs)
     ordered = sorted(values)
+    return [_interpolate(ordered, q) for q in qs]
+
+
+def _interpolate(ordered: Sequence[float], q: float) -> float:
     position = (len(ordered) - 1) * q / 100.0
     low = math.floor(position)
     high = math.ceil(position)

@@ -137,13 +137,6 @@ def _check_child(name: str, time_s, parent_name: str, parent_start_s) -> None:
         )
 
 
-def _check_end(name: str, time_s, start_s) -> None:
-    if time_s < start_s:
-        raise ValueError(
-            "span %r ends at %r, before it began at %r" % (name, time_s, start_s)
-        )
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -399,11 +392,11 @@ class Tracer:
     clock, from plain tuples: no per-span object.
 
     All times are caller-supplied simulated seconds.  :meth:`open_row`
-    issues span ids densely in open order and checks that a child
-    starts no earlier than its parent; :meth:`close_row` checks that
-    the row is open and ends no earlier than it began, and the buffer
-    rejects an unknown name or a repeated attribute key when the row
-    is written.
+    and :meth:`instant_row` issue span ids densely in open order and
+    check that a child starts no earlier than its parent; :meth:`close_row`
+    checks that the row is open and ends no earlier than it began, and
+    the buffer rejects an unknown name or a repeated attribute key when
+    the row is written.
     """
 
     def __init__(self, buffer: Optional[TraceBuffer] = None) -> None:
@@ -440,7 +433,9 @@ class Tracer:
         span_id, parent_id, start_s, name, open_keys, open_values = row
         if span_id not in self._open:
             raise ValueError("span %d (%r) is not open" % (span_id, name))
-        _check_end(name, time_s, start_s)
+        if time_s < start_s:
+            raise ValueError("span %r ends at %r, before it began at %r"
+                             % (name, time_s, start_s))
         self.buffer.write(
             name, open_keys + keys,
             (span_id, parent_id, start_s, time_s) + open_values + values,
@@ -451,5 +446,10 @@ class Tracer:
         self, name: str, time_s: float, parent: Optional[tuple] = None,
         keys: Tuple[str, ...] = (), values: tuple = (),
     ) -> None:
-        """Record a zero-duration span (a point decision)."""
-        self.close_row(self.open_row(name, time_s, parent, keys, values), time_s)
+        """Record a zero-duration span (a point decision) as one row."""
+        if parent is not None:
+            _check_child(name, time_s, parent[3], parent[2])
+        span_id = self._next_id
+        self._next_id = span_id + 1
+        parent_id = None if parent is None else parent[0]
+        self.buffer.write(name, keys, (span_id, parent_id, time_s, time_s) + values)

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs.instrument import cache_neutral_obs_section, merge_obs_sections
-from repro.obs.metrics import linear_percentile, ordered_sum
+from repro.obs.metrics import linear_percentile, linear_percentiles, ordered_sum
 from repro.serving.canonical import write_report
 from repro.serving.ledger import CompletedRequest, Ledger, RejectedRequest
 
@@ -539,6 +539,9 @@ class RouterReport:
         include_requests: bool = False,
     ) -> dict:
         """Stable plain-data schema (JSON-serializable)."""
+        p50, p95, p99 = linear_percentiles(
+            self.ledger.columns("completed")["latency_s"], (50.0, 95.0, 99.0)
+        )
         data = {
             "summary": {
                 "offered": self.n_offered,
@@ -548,9 +551,9 @@ class RouterReport:
                 "deadline_hit_rate": self.deadline_hit_rate,
                 "rejection_rate": self.rejection_rate,
                 "mean_soc": self.mean_soc,
-                "p50_latency_s": self.percentile_latency_s(50.0),
-                "p95_latency_s": self.percentile_latency_s(95.0),
-                "p99_latency_s": self.percentile_latency_s(99.0),
+                "p50_latency_s": p50,
+                "p95_latency_s": p95,
+                "p99_latency_s": p99,
                 "total_energy_j": self.total_energy_j,
                 "horizon_s": self.horizon_s,
             },

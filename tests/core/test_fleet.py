@@ -1,6 +1,9 @@
 """Tests for repro.core.fleet: the pervasive deployment manager."""
 
 import copy
+import importlib
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +11,23 @@ from repro.core import ApplicationSpec, TaskClass
 from repro.core.fleet import FleetManager
 from repro.gpu import JETSON_TX1, K20C
 from repro.nn import alexnet
+
+
+#: The end-to-end benchmark's directory (its modules import each other
+#: by bare name, so they load with it on ``sys.path``).
+E2EBENCH = Path(__file__).resolve().parents[2] / "e2ebench"
+
+
+@pytest.fixture
+def storms(monkeypatch):
+    """``e2ebench/storms.py``, importable for one test only."""
+    monkeypatch.syspath_prepend(str(E2EBENCH))
+    names = ("storms", "spans")
+    for name in names:
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    yield importlib.import_module("storms")
+    for name in names:
+        sys.modules.pop(name, None)
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +165,14 @@ class TestCapacity:
             )
             expected += entry.compiled.batch / execution.total_time_s
         assert fleet.capacity_rps().hex() == expected.hex()
+
+    def test_benchmark_probe_matches_capacity_bit_for_bit(self, storms):
+        """e2ebench sizes every storm with its own copy of the probe
+        loop, ``storms.offered_rate_hz``; a change to ``capacity_rps``
+        that would move every benchmark pin fails here first."""
+        fleet = storms.fleet_spec().build()
+        offered = storms.offered_rate_hz(fleet)
+        assert offered.hex() == (storms.LOAD * fleet.capacity_rps()).hex()
 
 
 class TestValidation:

@@ -3,7 +3,8 @@
 Router runs are observed by derivation: ``record_run`` walks a
 finished report.  These tests feed it small hand-written ledgers --
 an event log plus the terminal records and platform rows it reads --
-so each rule of the derivation is pinned in isolation.
+so each rule of the derivation is pinned in isolation, and every
+derivation is held to the replay it replaced.
 """
 
 from types import SimpleNamespace
@@ -25,6 +26,7 @@ from repro.obs.metrics import (
 from repro.serving.events import EventLog
 from repro.serving.ledger import Ledger
 from repro.serving.request import Request, Tenant
+from tests.obs.replay import assert_matches_replay
 
 
 def _tenant(deadline_s: float = 0.5) -> Tenant:
@@ -97,8 +99,11 @@ class _Ledger:
         )
 
     def observe(self, **kwargs) -> Instrumentation:
+        """``record_run`` over this ledger, held to the replay it
+        replaced (``tests/obs/replay.py``)."""
         obs = Instrumentation()
         obs.record_run(self, **kwargs)
+        assert_matches_replay(obs, self, **kwargs)
         return obs
 
 
@@ -433,6 +438,19 @@ class TestFaultEpisodes:
         episode = obs.buffer.of_name("fault_episode")[0]
         assert episode.end_s == 4.0
         assert episode.attrs["open_at_drain"] is True
+
+    def test_unclosed_episodes_drain_in_key_order(self):
+        """Episodes open at drain close sorted by ``(platform, kind)``,
+        not in the order they began."""
+        ledger = _Ledger(platforms=("a", "b"), horizon_s=4.0)
+        ledger.record("fault", 1.0, platform="b", fault_kind="throttle")
+        ledger.record("fault", 1.5, platform="a", fault_kind="outage")
+        obs = ledger.observe()
+        closing = [
+            span.attrs["platform"] for span in obs.buffer
+            if span.name == "fault_episode"
+        ]
+        assert closing == ["a", "b"]
 
     def test_transient_is_instant(self):
         ledger = _Ledger(horizon_s=2.0)

@@ -12,6 +12,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     linear_percentile,
+    linear_percentiles,
     ordered_sum,
 )
 from tests.py312_sum import sum312
@@ -58,6 +59,16 @@ class TestLinearPercentile:
             linear_percentile([1.0], -0.1)
         with pytest.raises(ValueError, match="percentile"):
             linear_percentile([1.0], 100.1)
+
+    def test_many_percentiles_from_one_sort(self):
+        values = [4.0, 1.0, 3.0, 2.0, 9.5]
+        qs = (0.0, 50.0, 95.0, 99.0, 100.0)
+        assert linear_percentiles(values, qs) == [
+            linear_percentile(values, q) for q in qs
+        ]
+        assert linear_percentiles([], qs) == [0.0] * len(qs)
+        with pytest.raises(ValueError, match="percentile"):
+            linear_percentiles([1.0], (50.0, 100.1))
 
     def test_input_order_irrelevant(self):
         assert linear_percentile([3.0, 1.0, 2.0], 50.0) == linear_percentile(

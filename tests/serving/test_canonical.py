@@ -327,8 +327,8 @@ class TestNoPerRequestObjects:
         self, fleet, deployments, loads, monkeypatch
     ):
         """Deriving obs from a chaos run, then fingerprinting and
-        rendering it, builds no terminal record and no list
-        (``record_run`` still walks the log as ``RouterEvent``s)."""
+        rendering it, builds no request, record or event object and no
+        list."""
         horizon = max(float(load.trace.arrivals_s[-1]) for load in loads)
         faults = generate_fault_trace(
             sorted(deployments), horizon,
@@ -339,9 +339,7 @@ class TestNoPerRequestObjects:
         )
         report = RequestRouter(fleet, OVERLOAD).run(loads, faults=faults)
         obs = Instrumentation()
-        built = _count_records(
-            monkeypatch, (Request, CompletedRequest, RejectedRequest)
-        )
+        built = _count_records(monkeypatch)
         obs.record_run(report)
         report.obs = obs.report_section()
         report.fingerprint()

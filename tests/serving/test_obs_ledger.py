@@ -9,15 +9,17 @@ columnar loop yet matches the event loop plus ``record_run`` byte for
 byte, and that a failover escalating a ladder leaves its ``degrade``
 event on the ledger.  Every scenario's span exports also match their
 dict-built oracle, the digests hold under Python 3.12's compensated
-``sum``, and a ``storm_traced``-sized derivation and export builds no
-``Span``.  Every scenario builds its own fleet, so engine cache
-temperature (compile spans, ``engine_*`` metrics) is the same on
-every test run.
+``sum``, every derivation equals the replay it replaced
+(``tests/obs/replay.py``), and a ``storm_traced``-sized derivation and
+export builds no ``Span`` and no ``RouterEvent``.  Every scenario
+builds its own fleet, so engine cache temperature (compile spans,
+``engine_*`` metrics) is the same on every test run.
 """
 
 import builtins
 import hashlib
 import json
+from unittest import mock
 
 import pytest
 
@@ -38,9 +40,11 @@ from repro.obs import (
     trace_to_json,
 )
 from repro.serving import RequestRouter, RouterConfig, Tenant, TenantLoad
+from repro.serving.events import RouterEvent
 from repro.serving.shard import FleetCoordinator, FleetSpec
 from repro.workloads import bursty_trace, pareto_trace
 from tests.obs.oracle import assert_matches_oracle, oracle_chrome_trace_json
+from tests.obs.replay import assert_matches_replay
 from tests.serving.event_loop import run_events
 from tests.py312_sum import sum312
 
@@ -239,8 +243,27 @@ def _sha1(text):
     return hashlib.sha1(text.encode("utf-8")).hexdigest()
 
 
+def replayed(scenario):
+    """Run ``scenario``, then hold every ``record_run`` it made to the
+    replay that derivation replaced (``tests/obs/replay.py``): the same
+    buffer rows, closing order, metrics JSON and Prometheus text."""
+    calls = []
+    record_run = Instrumentation.record_run
+
+    def spy(obs, report, **kwargs):
+        record_run(obs, report, **kwargs)
+        calls.append((obs, report, kwargs))
+
+    with mock.patch.object(Instrumentation, "record_run", spy):
+        result = scenario()
+    assert calls
+    for obs, report, kwargs in calls:
+        assert_matches_replay(obs, report, **kwargs)
+    return result
+
+
 def routed_digests(name):
-    report, obs = SCENARIOS[name]()
+    report, obs = replayed(SCENARIOS[name])
     assert_matches_oracle(obs.buffer)
     return {
         "fingerprint": report.fingerprint(),
@@ -256,7 +279,7 @@ def routed_digests(name):
 
 
 def sharded_digests(name):
-    outcome = SHARDED_SCENARIOS[name]()
+    outcome = replayed(SHARDED_SCENARIOS[name])
     assert outcome.buffer.counts["supervise"] == 2
     assert_matches_oracle(outcome.buffer)
     return {
@@ -488,7 +511,8 @@ class TestNoPerSpanObjects:
         """A chaos run at ``storm_traced``'s size (5,000 interactive
         plus 1,250 background requests): routing, ``record_run``,
         ``report_section`` and the Chrome and metrics exports construct
-        no ``Span``, and the Chrome export still matches the oracle."""
+        no ``Span`` and no ``RouterEvent``, and the Chrome export still
+        matches the oracle."""
         fleet = _fleet()
         loads = _loads(fleet, 5000, 42, 2.0)
         loads.append(TenantLoad(_BACKGROUND, pareto_trace(
@@ -496,13 +520,12 @@ class TestNoPerSpanObjects:
         )))
         faults = _chaos(fleet, loads)
         built = []
-        original = Span.__init__
+        for cls in (Span, RouterEvent):
+            def counting(self, *args, _original=cls.__init__, **kwargs):
+                built.append(type(self).__name__)
+                _original(self, *args, **kwargs)
 
-        def counting(self, *args, **kwargs):
-            built.append(args)
-            original(self, *args, **kwargs)
-
-        monkeypatch.setattr(Span, "__init__", counting)
+            monkeypatch.setattr(cls, "__init__", counting)
         obs = Instrumentation()
         report = RequestRouter(fleet, RouterConfig()).run(
             loads, faults=faults, obs=obs

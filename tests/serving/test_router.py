@@ -12,6 +12,7 @@ from repro.core.satisfaction import TimeRequirement
 from repro.faults import FaultTraceConfig, generate_fault_trace
 from repro.gpu import JETSON_TX1, K20C
 from repro.nn import alexnet
+from repro.obs import metrics
 from repro.serving import (
     RequestRouter,
     RouterConfig,
@@ -222,6 +223,27 @@ class TestReportExport:
         ):
             assert key in summary
         json.loads(report.to_json(include_events=True, include_requests=True))
+
+    def test_summary_percentiles_sort_the_latencies_once(
+        self, fleet, snappy_load, monkeypatch
+    ):
+        """``to_dict`` reads p50, p95 and p99 off one sort of the
+        completed latencies, and each equals ``percentile_latency_s``."""
+        report = RequestRouter(fleet, RouterConfig()).run(snappy_load)
+        sorts = []
+
+        def counting(values, *args, **kwargs):
+            sorts.append(len(values))
+            return sorted(values, *args, **kwargs)
+
+        monkeypatch.setattr(metrics, "sorted", counting, raising=False)
+        summary = report.to_dict(include_events=False)["summary"]
+        assert sorts == [report.n_completed]
+        monkeypatch.undo()
+        for q in (50, 95, 99):
+            assert summary["p%d_latency_s" % q] == report.percentile_latency_s(
+                float(q)
+            )
 
     def test_platform_lookup_errors_name_known(self, fleet, snappy_load):
         report = RequestRouter(fleet, RouterConfig()).run(snappy_load)
