@@ -72,7 +72,8 @@ MAX_SPEEDUP_REGRESSION = 0.10
 #: Scenario keys every mode entry must carry, with the loops each
 #: records (``reference``: the event-loop oracle; ``vectorized``: the
 #: columnar loop; a single-key scenario records ``run()``).  The keys
-#: are the committed baseline's schema.
+#: are the committed baseline's schema: a scenario's record holds these
+#: loops, a ``fingerprint`` and, for two loops, their ``speedup``.
 SCENARIO_BACKENDS = {
     "router_overload": ("reference", "vectorized"),
     "fleet_shards": ("reference",),
@@ -200,12 +201,18 @@ def validate_trajectory(data):
                             "%s/%s/%s: %s is %r"
                             % (mode, scenario, backend, field, value)
                         )
+            allowed = {"fingerprint", *backends}
             if len(backends) > 1:
+                allowed.add("speedup")
                 speedup = record.get("speedup")
                 if not isinstance(speedup, (int, float)) or speedup <= 0:
                     problems.append(
                         "%s/%s: speedup is %r" % (mode, scenario, speedup)
                     )
+            for key in sorted(set(record) - allowed):
+                problems.append(
+                    "%s/%s: undeclared key %r" % (mode, scenario, key)
+                )
     return problems
 
 

@@ -46,11 +46,6 @@ class LayerLatency:
     seconds: float
     flops: float
 
-    @property
-    def cpe_inputs(self) -> tuple:
-        """(flops, seconds) for Eq. 3's compute efficiency."""
-        return (self.flops, self.seconds)
-
 
 @dataclass(frozen=True)
 class NetworkLatency:

@@ -205,10 +205,10 @@ class ControlPlane:
         self._freq_index = {name: nominal for name in self._cap0}
         self._served = {name: states[name].requests_served for name in self._cap0}
 
-    def observe_arrival(self, request, time_s: float) -> None:
-        """Count one arrival into the current window."""
-        name = request.tenant.name
-        self._counts[name] = self._counts.get(name, 0) + 1
+    def observe_arrival(self, tenant: str, time_s: float) -> None:
+        """Count one arrival of tenant ``tenant`` into the current
+        window."""
+        self._counts[tenant] = self._counts.get(tenant, 0) + 1
 
     def tick(self, now: float, states) -> TickOutcome:
         """Close the window, forecast, and act on every platform."""

@@ -50,11 +50,6 @@ class TrainingResult:
     loss_history: List[float] = field(default_factory=list)
     accuracy_history: List[float] = field(default_factory=list)
 
-    @property
-    def final_loss(self) -> float:
-        """Loss of the last epoch."""
-        return self.loss_history[-1] if self.loss_history else float("nan")
-
 
 @dataclass(frozen=True)
 class EvalResult:

@@ -156,8 +156,10 @@ class ProcFaultPlan:
         then mutates the report under that now-stale declaration
         (cross-check trips); ``forge`` mutates *and* declares the
         mutated report's fingerprint (only a witness run disagrees).
-        The mutated report is a ``dataclasses.replace`` copy, which
-        carries no fingerprint memo, so it is always rendered afresh.
+        The mutated report is a ``dataclasses.replace`` copy sharing
+        the original's ledger; ``fingerprint()`` renders whichever
+        report it is called on, so each declaration is that report's
+        own bytes.
         """
         if kind == "truncate":
             return {"shard_id": getattr(result, "shard_id", None),

@@ -334,7 +334,6 @@ class _ShardState:
     failures: List[ShardFailure] = field(default_factory=list)
     result: Optional[object] = None
     resumed: bool = False
-    done: bool = False
 
 
 class ShardSupervisor:
@@ -412,7 +411,6 @@ class ShardSupervisor:
             if cached is not None and validate_result(spec, cached) is None:
                 state.result = cached
                 state.resumed = True
-                state.done = True
                 continue
             queue.append(_Work(spec=spec, attempt=1))
         if self.inline:
@@ -480,15 +478,12 @@ class ShardSupervisor:
         if state.attempt < self.config.max_attempts:
             state.attempt += 1
             queue.append(_Work(spec=state.spec, attempt=state.attempt))
-        else:
-            state.done = True
 
     def _accept(
         self, states: Dict[int, _ShardState], spec, result
     ) -> None:
         state = states[spec.shard_id]
         state.result = result
-        state.done = True
         if self.checkpoint is not None:
             self.checkpoint.save(spec, result)
 
@@ -564,9 +559,11 @@ class ShardSupervisor:
         self, queue: deque, states: Dict[int, _ShardState]
     ) -> None:
         context = multiprocessing.get_context("spawn")
-        slots = self.processes
-        if slots is None:
-            slots = max(1, min(len(states), os.cpu_count() or 1))
+        # ``running`` is keyed by shard id, so more slots than shards
+        # would never fill.
+        slots = max(
+            1, min(len(states), self.processes or os.cpu_count() or 1)
+        )
         running: Dict[int, _Running] = {}
         try:
             while queue or running:

@@ -314,7 +314,6 @@ class DegradationController:
         self._high_streak = 0
         self._low_streak = 0
         self.peak_level = 0
-        self.moves = 0
 
     @property
     def level(self) -> int:
@@ -359,4 +358,3 @@ class DegradationController:
         self._high_streak = 0
         self._low_streak = 0
         self.peak_level = max(self.peak_level, level)
-        self.moves += 1

@@ -10,11 +10,6 @@ is asserted by comparing fingerprints.  Records and events live in the
 report's :class:`~repro.serving.ledger.Ledger`, whose columns and rows
 every count, aggregate, export, merge and fingerprint reads; the
 ``completed`` / ``rejected`` / ``events`` lists are built on request.
-
-A report renders its fingerprint once: the digest is kept on the
-object until any attribute is assigned, is never kept or returned while
-a ledger section is a built (mutable) list, and never travels -- a
-``dataclasses.replace`` copy or an unpickled report renders afresh.
 """
 
 from __future__ import annotations
@@ -173,12 +168,6 @@ _COUNTERS = [
 ]
 
 
-#: Where a report keeps its fingerprint memo: an instance-dict key, not
-#: a dataclass field, so it never enters ``==``, ``repr`` or a
-#: ``dataclasses.replace`` copy.
-_DIGEST = "_digest"
-
-
 def cache_neutral_control_section(control: dict) -> dict:
     """A ``control`` report section with cache temperature removed.
 
@@ -254,16 +243,6 @@ class RouterReport:
         self.ledger = (ledger or Ledger()).replaced(
             completed=completed, rejected=rejected, events=events
         )
-
-    def __setattr__(self, name: str, value) -> None:
-        # Any assignment may change the bytes: drop the digest memo.
-        self.__dict__.pop(_DIGEST, None)
-        object.__setattr__(self, name, value)
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop(_DIGEST, None)
-        return state
 
     # -- fleet-level views ----------------------------------------------
     @property
@@ -594,15 +573,8 @@ class RouterReport:
         not change the fingerprint -- only routing behaviour does.  The
         bytes, those of the sorted compact ``json.dumps`` of the filtered
         ``to_dict(include_events=True, include_requests=True)``, come
-        from :func:`repro.serving.canonical.write_report`.
-
-        The digest is memoized on the report (see the module
-        docstring); a built section list is authoritative and mutable
-        in place, so while one exists every call renders."""
-        if not self.ledger.lists:
-            digest = self.__dict__.get(_DIGEST)
-            if digest is not None:
-                return digest
+        from :func:`repro.serving.canonical.write_report`; every call
+        renders."""
         head = self.to_dict(include_events=False)
         head["event_counts"] = {
             kind: count
@@ -624,7 +596,4 @@ class RouterReport:
             self.ledger.event_rows(),
             self._CACHE_KINDS,
         )
-        digest = hashlib.sha1(payload.encode("ascii")).hexdigest()
-        if not self.ledger.lists:
-            self.__dict__[_DIGEST] = digest
-        return digest
+        return hashlib.sha1(payload.encode("ascii")).hexdigest()

@@ -8,15 +8,14 @@ tenants via :func:`Tenant.from_spec`.
 
 Several tenants' traces interleave into one request stream in a single
 total order, decided here: :class:`ArrivalColumns` builds it as float64
-columns (the serving loop's input) and materializes a ``Request`` per
-row only on demand.
+columns, the serving loop's input.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -104,13 +103,13 @@ class ArrivalColumns:
 
     Ordering is total and deterministic: rows are sorted by
     ``(arrival_s, tenant name, per-tenant position)`` and the row
-    index *is* the request id.
-    ``Request`` objects are only materialized on demand
-    (:meth:`request_at`).  The float columns keep both numpy views
-    (for vectorized scoring) and plain-list mirrors: scalar indexing
-    on a Python list is several times faster than on an ndarray, and
-    ``ndarray.tolist()`` converts float64 to the bit-identical Python
-    float, so no clock drifts by even one ULP on the way through.
+    index *is* the request id.  No ``Request`` is built: the loop
+    reads each field from its column.  The columns the loop indexes
+    per arrival keep both numpy views (for vectorized scoring) and
+    plain-list mirrors: scalar indexing on a Python list is several
+    times faster than on an ndarray, and ``ndarray.tolist()`` converts
+    float64 to the bit-identical Python float, so no clock drifts by
+    even one ULP on the way through.
     """
 
     __slots__ = (
@@ -123,8 +122,6 @@ class ArrivalColumns:
         "arrivals_list",
         "tenant_index_list",
         "has_deadline_list",
-        "_difficulty_list",
-        "_requests",
     )
 
     def __init__(self, loads: Sequence[TenantLoad]) -> None:
@@ -173,28 +170,3 @@ class ArrivalColumns:
         self.arrivals_list = self.arrivals.tolist()
         self.tenant_index_list = self.tenant_index.tolist()
         self.has_deadline_list = np.isfinite(self.deadlines).tolist()
-        # The difficulty mirror is off the admission hot path and
-        # builds on first use.
-        self._difficulty_list: Optional[List[float]] = None
-        self._requests: List[Optional[Request]] = [None] * self.n
-
-    @property
-    def difficulty_list(self) -> List[float]:
-        mirror = self._difficulty_list
-        if mirror is None:
-            mirror = self.difficulty.tolist()
-            self._difficulty_list = mirror
-        return mirror
-
-    def request_at(self, rid: int) -> Request:
-        """Materialize (and cache) the ``Request`` for one row."""
-        request = self._requests[rid]
-        if request is None:
-            request = Request(
-                rid=rid,
-                tenant=self.tenants[self.tenant_index_list[rid]],
-                arrival_s=self.arrivals_list[rid],
-                difficulty=self.difficulty_list[rid],
-            )
-            self._requests[rid] = request
-        return request

@@ -22,11 +22,9 @@ fault layer (:mod:`repro.faults`) starts breaking things:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
-
-if TYPE_CHECKING:  # duck-typed; avoids a request -> resilience cycle
-    from repro.serving.request import Request
+from typing import Optional
 
 __all__ = ["RetryPolicy", "CircuitBreaker", "BREAKER_STATES"]
 
@@ -55,9 +53,10 @@ class RetryPolicy:
             )
 
     def backoff_for(
-        self, attempt: int, now: float, request: "Request"
+        self, attempt: int, now: float, deadline_s: float
     ) -> Optional[float]:
-        """Delay before retry number ``attempt`` (1-based), or None.
+        """Delay before retry number ``attempt`` (1-based) of a request
+        due at ``deadline_s`` (infinite for background), or None.
 
         None means the budget is spent: attempts exhausted, or the
         request's hard deadline has already passed.  Otherwise the
@@ -67,8 +66,8 @@ class RetryPolicy:
         if attempt > self.limit:
             return None
         delay = self.backoff_s * self.growth ** (attempt - 1)
-        if request.has_deadline:
-            slack = request.deadline_s - now
+        if math.isfinite(deadline_s):
+            slack = deadline_s - now
             if slack <= 0.0:
                 return None
             delay = min(delay, 0.5 * slack)

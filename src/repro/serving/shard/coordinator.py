@@ -138,11 +138,10 @@ class FleetCoordinator:
     no shard obs labels, and a merged report whose fingerprint equals
     the plain single-router fingerprint.
 
-    ``processes`` caps the number of concurrently live spawn workers;
-    the default is ``min(n_shards, os.cpu_count())`` -- one process
-    per shard never made sense past the core count.  ``supervision``
-    is the :class:`~repro.resilience.SupervisorConfig` policy
-    (timeout, retry budget, witness mode); ``proc_faults`` is a
+    ``processes`` caps the number of concurrently live spawn workers
+    (default: the core count; never more than one per shard).
+    ``supervision`` is the :class:`~repro.resilience.SupervisorConfig`
+    policy (timeout, retry budget, witness mode); ``proc_faults`` is a
     :class:`~repro.resilience.ProcFaultPlan` handed to every
     supervisor pass -- first run, escalation and failover re-runs --
     which decides each attempt's process fault; and
@@ -361,16 +360,6 @@ class FleetCoordinator:
         )
 
     # -- execution -------------------------------------------------------
-    def _effective_processes(self, n_specs: int) -> int:
-        """The spawn-worker cap: ``min(n_shards, cpu count)`` unless
-        the ``processes`` knob says less."""
-        limit = (
-            self.processes
-            if self.processes is not None
-            else (os.cpu_count() or 1)
-        )
-        return max(1, min(n_specs, limit))
-
     def _supervise(self, specs: Sequence[ShardSpec]):
         """Run specs through a fresh supervisor (inline or spawn)."""
         if not self.inline:
@@ -379,7 +368,7 @@ class FleetCoordinator:
             run_shard,
             config=self.supervision,
             inline=self.inline,
-            processes=self._effective_processes(len(specs)),
+            processes=self.processes,
             checkpoint=self.checkpoint,
             proc_faults=self.proc_faults,
         )

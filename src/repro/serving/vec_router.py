@@ -443,7 +443,6 @@ def run_columnar(
         n = cols.n
         arrivals = cols.arrivals_list
         has_deadline = cols.has_deadline_list
-        request_at = cols.request_at
 
         # Per-rid requirement columns: one list index per arrival
         # instead of tenant-index chasing (fancy indexing of the
@@ -747,7 +746,9 @@ def run_columnar(
                 if not resilience:
                     flat_append((_E_REJ, now, rid, "failed"))
                     continue
-                delay = retry_policy.backoff_for(attempt, now, request_at(rid))
+                delay = retry_policy.backoff_for(
+                    attempt, now, float(cols.deadlines[rid])
+                )
                 if delay is None:
                     flat_append((_E_REJ, now, rid, "retries-exhausted"))
                     continue
@@ -884,7 +885,7 @@ def run_columnar(
                 rid = ai
                 ai += 1
                 if controller is not None:
-                    controller.observe_arrival(request_at(rid), now)
+                    controller.observe_arrival(tenant_of(rid), now)
             else:
                 now, _seq, kind, payload = heappop(dyn)
                 if kind == _FREE:
@@ -956,7 +957,7 @@ def run_columnar(
                         if controller is not None:
                             for rid in range(ai, end):
                                 controller.observe_arrival(
-                                    request_at(rid), arrivals[rid]
+                                    tenant_of(rid), arrivals[rid]
                                 )
                         now = arrivals[end - 1]
                         ai = end

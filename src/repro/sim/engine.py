@@ -152,14 +152,6 @@ class KernelResult:
     dram_bytes: float
     trace: Optional[ExecutionTrace] = None
 
-    @property
-    def achieved_flops(self) -> float:
-        """Not stored directly; compute via shape.flops / seconds."""
-        raise AttributeError(
-            "use shape.flops / result.seconds; the result does not retain "
-            "the GEMM shape"
-        )
-
 
 def _energy(
     arch: GPUArchitecture,

@@ -64,11 +64,6 @@ class TenantResult:
     grid_size: int
     sms_used: int
 
-    @property
-    def throughput_ctas_per_s(self) -> float:
-        """CTA completion rate."""
-        return self.grid_size / self.seconds if self.seconds else 0.0
-
 
 @dataclass(frozen=True)
 class SharedRunResult:

@@ -479,7 +479,9 @@ class EventLoop:
                 self._now = time_s
                 if kind == _ARRIVAL or kind == _RETRY:
                     if kind == _ARRIVAL and controller is not None:
-                        controller.observe_arrival(payload, time_s)
+                        controller.observe_arrival(
+                            payload.tenant.name, time_s
+                        )
                     self._on_arrival(payload, run, push)
                 elif kind == _TICK:
                     self._on_tick(payload, run, push, last_arrival_s)
@@ -736,7 +738,9 @@ class EventLoop:
         attempt = run.attempts.get(request.rid, 0) + 1
         run.attempts[request.rid] = attempt
         if self.config.resilience:
-            delay = run.retry_policy.backoff_for(attempt, now, request)
+            delay = run.retry_policy.backoff_for(
+                attempt, now, request.deadline_s
+            )
             if delay is not None:
                 run.retries += 1
                 run.events.record(

@@ -348,13 +348,38 @@ class TestNoPerRequestObjects:
         assert not report.ledger.lists
         assert report.obs["n_spans"] > report.n_offered
 
+    def test_controlled_chaos_run_builds_no_request(
+        self, fleet, deployments, loads, monkeypatch
+    ):
+        """The loop feeds a control plane each arrival's tenant and the
+        retry policy each retried request's deadline from the arrival
+        columns: ``run`` builds no ``Request``."""
+        horizon = max(float(load.trace.arrivals_s[-1]) for load in loads)
+        faults = generate_fault_trace(
+            sorted(deployments), horizon,
+            FaultTraceConfig(
+                outages=1, outage_duration_s=0.25 * horizon, transients=3,
+            ),
+            seed=7,
+        )
+        config = ControllerConfig(kind="ewma", tick_s=horizon / 8)
+        router = RequestRouter(fleet, OVERLOAD)
+        built = _count_records(monkeypatch, (Request,))
+        report = router.run(loads, faults=faults, controller=config.build())
+        assert built == []
+        monkeypatch.undo()
+        assert report.resilience.retries > 0
+        assert report.control["ticks"] > 0
+        assert checked_fingerprint(report) == run_events(
+            router, loads, faults=faults, controller=config.build()
+        ).fingerprint()
+
     def test_sharded_coordinator_op_builds_no_records(
         self, spec, snappy_tenant, background_tenant, monkeypatch
     ):
         """A 2-shard inline coordinator op -- run, validate, qualify,
-        merge, fingerprint, render -- builds no record and no list.
-        With a control plane the loop hands it one ``Request`` per
-        arrival; the report path still builds none of the others."""
+        merge, fingerprint, render -- builds no request, record or
+        event object and no list, with or without a control plane."""
         fleet = FleetSpec(
             network="alexnet", spec=spec, gpus=("k20c", "tx1"),
             max_tuning_iterations=8,
@@ -373,16 +398,12 @@ class TestNoPerRequestObjects:
             ]
             for shard in range(2)
         ]
-        for controller, kinds in (
-            (None, (Request, CompletedRequest, RejectedRequest, RouterEvent)),
-            (ControllerConfig(kind="ewma"),
-             (CompletedRequest, RejectedRequest, RouterEvent)),
-        ):
+        for controller in (None, ControllerConfig(kind="ewma")):
             coordinator = FleetCoordinator(
                 fleet, OVERLOAD, n_shards=2, inline=True,
                 controller=controller,
             )
-            built = _count_records(monkeypatch, kinds)
+            built = _count_records(monkeypatch)
             outcome = coordinator.run(shard_loads=shard_loads)
             report = outcome.report
             report.fingerprint()

@@ -1,14 +1,13 @@
-"""A report renders its fingerprint once; a shard result declares one
-only where it can change hands.
+"""A sharded run renders each report once; a shard result declares a
+fingerprint only where it can change hands.
 
 Two contracts keep ``storm_sharded``-style runs at three renders (the
 two qualified leaves as merge keys, then the merged report):
 
-* **the digest memo** -- ``RouterReport.fingerprint`` keeps its digest
-  on the object.  Any attribute assignment drops it, it is never kept
-  or returned while a ledger section is a built list, and it never
-  travels: a ``dataclasses.replace`` copy and an unpickled report
-  render afresh;
+* **a plain render** -- ``RouterReport.fingerprint`` keeps nothing on
+  the report, so every call renders the report as it is now: after an
+  attribute assignment, on a ``dataclasses.replace`` copy, on an
+  unpickled report and after an edit to a built section list;
 * **declaration at the boundary** -- ``run_shard`` declares nothing;
   a ``ShardResult`` declares its report's fingerprint when pickled
   (the spawn pipe, a checkpoint file) and a fault plan's ``tamper``
@@ -51,7 +50,6 @@ from repro.workloads import bursty_trace
 from tests.serving.oracle import oracle_fingerprint
 from tests.serving.test_obs_ledger import GOLDENS, SHARDED_SCENARIOS
 
-_DIGEST = report_module._DIGEST
 _REQUIREMENT = TimeRequirement(imperceptible_s=0.1, unusable_s=0.5)
 
 
@@ -125,17 +123,11 @@ class TestRenderCounts:
         assert len(renders) == 2
         assert outcome.report.fingerprint() == GOLDENS[name]["fingerprint"]
         assert len(renders) == 3
-        assert outcome.report.fingerprint() == GOLDENS[name]["fingerprint"]
-        assert len(renders) == 3
-
-    def test_router_report_renders_once(self, renders, report):
-        first = report.fingerprint()
-        assert report.fingerprint() == first
-        assert len(renders) == 1
-        assert first == oracle_fingerprint(report)
 
 
 class TestMemo:
+    """Every call renders the report as it is now."""
+
     @pytest.mark.parametrize(
         "assign",
         [
@@ -155,9 +147,7 @@ class TestMemo:
     )
     def test_any_assignment_drops_the_memo(self, renders, report, assign):
         before = report.fingerprint()
-        assert _DIGEST in vars(report)
         assign(report)
-        assert _DIGEST not in vars(report)
         after = report.fingerprint()
         assert after != before
         assert after == oracle_fingerprint(report)
@@ -179,24 +169,20 @@ class TestMemo:
         FleetCoordinator._attach_supervision_obs(
             report, SupervisionReport(), []
         )
-        assert _DIGEST not in vars(report)
         # ``supervisor_*`` series are fingerprint-neutral.
         assert report.fingerprint() == before
 
     def test_replace_copy_starts_without_it(self, renders, report):
         before = report.fingerprint()
-        vars(report)[_DIGEST] = "stale"
         copy = dataclasses.replace(report)
-        assert _DIGEST not in vars(copy)
-        assert copy.fingerprint() == before
+        assert copy.fingerprint() == before == oracle_fingerprint(copy)
         assert len(renders) == 2
 
     def test_pickle_leaves_it_out(self, renders, report):
         before = report.fingerprint()
-        vars(report)[_DIGEST] = "stale"
         restored = pickle.loads(pickle.dumps(report))
-        assert _DIGEST not in vars(restored)
         assert restored.fingerprint() == before
+        assert before == oracle_fingerprint(restored)
         assert len(renders) == 2
 
     def test_ignored_once_a_section_is_a_built_list(self, renders, report):

@@ -167,24 +167,14 @@ class TestArrivalColumns:
         columns = ArrivalColumns(loads)
         reference = merge_loads(loads)
         assert columns.n == len(reference)
+        difficulty = columns.difficulty.tolist()
         for rid, request in enumerate(reference):
             assert columns.arrivals_list[rid] == request.arrival_s
-            assert columns.difficulty_list[rid] == request.difficulty
+            assert difficulty[rid] == request.difficulty
             assert (
                 columns.tenants[columns.tenant_index_list[rid]]
                 is request.tenant
             )
-
-    def test_materialized_requests_equal_reference(self):
-        loads = _loads()
-        columns = ArrivalColumns(loads)
-        reference = merge_loads(loads)
-        materialized = [columns.request_at(rid) for rid in range(columns.n)]
-        assert materialized == reference
-
-    def test_request_at_caches(self):
-        columns = ArrivalColumns(_loads())
-        assert columns.request_at(5) is columns.request_at(5)
 
     def test_deadlines_follow_tenant_requirement(self):
         columns = ArrivalColumns(_loads())

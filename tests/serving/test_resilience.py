@@ -4,18 +4,12 @@ import math
 
 import pytest
 
-from repro.core.satisfaction import TimeRequirement
-from repro.serving import BREAKER_STATES, CircuitBreaker, Request, RetryPolicy, Tenant
+from repro.serving import BREAKER_STATES, CircuitBreaker, RetryPolicy
 
-
-def _request(arrival_s=0.0, unusable_s=0.5):
-    tenant = Tenant("t", TimeRequirement(0.1, unusable_s), priority=1)
-    return Request(rid=0, tenant=tenant, arrival_s=arrival_s)
-
-
-def _undeadlined():
-    tenant = Tenant("bg", TimeRequirement(0.1, math.inf))
-    return Request(rid=1, tenant=tenant, arrival_s=0.0)
+#: A request's absolute deadline (due 0.5 s after it arrived at 0 s),
+#: and a background request's, as the router passes them.
+_DEADLINE_S = 0.5
+_UNDEADLINED = math.inf
 
 
 class TestRetryPolicy:
@@ -29,29 +23,28 @@ class TestRetryPolicy:
 
     def test_exponential_schedule(self):
         policy = RetryPolicy(limit=3, backoff_s=0.01, growth=2.0)
-        request = _undeadlined()
-        delays = [policy.backoff_for(a, 0.0, request) for a in (1, 2, 3)]
+        delays = [policy.backoff_for(a, 0.0, _UNDEADLINED) for a in (1, 2, 3)]
         assert delays == [0.01, 0.02, 0.04]
 
     def test_exhausted_budget_returns_none(self):
         policy = RetryPolicy(limit=2, backoff_s=0.01)
-        assert policy.backoff_for(3, 0.0, _undeadlined()) is None
-        assert RetryPolicy(limit=0).backoff_for(1, 0.0, _undeadlined()) is None
+        assert policy.backoff_for(3, 0.0, _UNDEADLINED) is None
+        assert RetryPolicy(limit=0).backoff_for(1, 0.0, _UNDEADLINED) is None
 
     def test_backoff_capped_at_half_remaining_slack(self):
         # Deadline at 0.5 s; at now=0.4 the slack is 0.1 s, so even a
         # huge nominal backoff is capped at 0.05 s.
         policy = RetryPolicy(limit=2, backoff_s=10.0)
-        delay = policy.backoff_for(1, 0.4, _request())
+        delay = policy.backoff_for(1, 0.4, _DEADLINE_S)
         assert delay == pytest.approx(0.05)
 
     def test_expired_deadline_returns_none(self):
         policy = RetryPolicy(limit=5, backoff_s=0.01)
-        assert policy.backoff_for(1, 0.6, _request()) is None
+        assert policy.backoff_for(1, 0.6, _DEADLINE_S) is None
 
     def test_infinite_deadline_never_capped(self):
         policy = RetryPolicy(limit=1, backoff_s=3.0)
-        assert policy.backoff_for(1, 100.0, _undeadlined()) == 3.0
+        assert policy.backoff_for(1, 100.0, _UNDEADLINED) == 3.0
 
 
 class TestCircuitBreaker:

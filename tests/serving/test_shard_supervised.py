@@ -10,6 +10,8 @@ spawn machinery is exercised separately in
 ``tests/resilience/test_supervisor.py`` and ``test_shard_pickle.py``).
 """
 
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from repro.core.satisfaction import TimeRequirement
 from repro.obs import SUPERVISION_METRIC_PREFIX
 from repro.resilience import (
     ProcFaultPlan,
+    ShardSupervisor,
     SupervisionError,
     SupervisorConfig,
 )
@@ -34,6 +37,11 @@ from repro.workloads import bursty_trace
 
 _REQUIREMENT = TimeRequirement(imperceptible_s=0.1, unusable_s=0.5)
 N_SHARDS = 3
+
+
+@dataclass(frozen=True)
+class _Spec:
+    shard_id: int
 
 
 def _fleet_spec():
@@ -279,18 +287,36 @@ class TestProcessKnob:
         with pytest.raises(ValueError):
             FleetCoordinator(_fleet_spec(), processes=0)
 
-    def test_effective_processes_caps_at_cpu_and_shards(self):
+    def test_effective_processes_caps_at_cpu_and_shards(self, monkeypatch):
+        """A spawn coordinator runs at most ``min(shards, processes or
+        cpu count)`` attempts at once.  Launch and poll are stubbed
+        (each poll finishes every running attempt), so nothing is
+        spawned."""
         import os
 
-        coordinator = FleetCoordinator(_fleet_spec(), n_shards=4)
-        assert coordinator._effective_processes(4) == min(
-            4, os.cpu_count() or 1
-        )
-        explicit = FleetCoordinator(
-            _fleet_spec(), n_shards=4, processes=2
-        )
-        assert explicit._effective_processes(4) == 2
-        assert explicit._effective_processes(1) == 1
+        running_at_poll = []
+
+        def launch(self, context, work):
+            return work
+
+        def poll(self, running, states, queue):
+            running_at_poll.append(len(running))
+            running.clear()
+
+        monkeypatch.setattr(ShardSupervisor, "_launch", launch)
+        monkeypatch.setattr(ShardSupervisor, "_poll", poll)
+
+        def peak(n_specs, processes=None):
+            del running_at_poll[:]
+            FleetCoordinator(
+                _fleet_spec(), n_shards=n_specs, processes=processes
+            )._supervise([_Spec(shard_id) for shard_id in range(n_specs)])
+            return max(running_at_poll)
+
+        assert peak(4) == min(4, os.cpu_count() or 1)
+        assert peak(4, processes=2) == 2
+        assert peak(1, processes=2) == 1
+        assert peak(3, processes=8) == 3
 
 
 class TestAttemptInvariance:
