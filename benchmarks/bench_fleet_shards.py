@@ -19,7 +19,9 @@ count) and holds the sharding layer to the repo's determinism bar:
 
 Full mode sweeps 1/2/4/8 shards; ``--quick`` runs 1 and the
 ``--shards`` option (CI smoke uses ``--shards 2``).  The measured
-scaling numbers land in ``results/fleet_shards.json`` (BENCH JSON).
+scaling numbers land in ``results/fleet_shards.json`` (BENCH JSON),
+and the dead-shard run's merged fingerprint and failover outcome in
+``results/fleet_shards_chaos.json``.
 """
 
 import time
@@ -46,7 +48,7 @@ from repro.serving import (
     Tenant,
     TenantLoad,
 )
-from repro.serving.shard import shard_platform, shard_seed
+from repro.serving.shard import shard_seed
 from repro.workloads import bursty_trace
 
 #: Requests per shard (weak scaling holds this fixed as shards grow).
@@ -218,16 +220,15 @@ def test_bench_fleet_shard_chaos(benchmark, quick, shards):
         events = []
         for episode, gpu in enumerate(("K20c", "TX1"), start=1):
             events.append(FaultEvent(
-                time_s=0.001, kind="outage",
-                platform=shard_platform(1, gpu), episode=episode,
+                time_s=0.001, kind="outage", platform=gpu, episode=episode,
             ))
             events.append(FaultEvent(
-                time_s=horizon + 1.0, kind="restore",
-                platform=shard_platform(1, gpu), episode=episode,
+                time_s=horizon + 1.0, kind="restore", platform=gpu,
+                episode=episode,
             ))
         return FleetCoordinator(
             _fleet_spec(), RouterConfig(), n_shards=2, seed=SEED
-        ).run(shard_loads=shard_loads, faults=FaultTrace(events))
+        ).run(shard_loads, shard_faults=[None, FaultTrace(events)])
 
     outcome = run_once(benchmark, reproduce)
     report = outcome.report
@@ -246,3 +247,10 @@ def test_bench_fleet_shard_chaos(benchmark, quick, shards):
     rids = list(report.ledger.columns("completed")["rid"])
     rids.extend(report.ledger.columns("rejected")["rid"])
     assert len(rids) == len(set(rids)) == 2 * n
+    emit_json("fleet_shards_chaos", {
+        "per_shard_requests": n,
+        "fingerprint": report.fingerprint(),
+        "dead_shards": list(outcome.dead_shards),
+        "failover_target": outcome.failover_target,
+        "rehomed": outcome.rehomed,
+    })

@@ -89,7 +89,7 @@ from repro.serving import (
     Tenant,
     TenantLoad,
 )
-from repro.serving.shard import shard_label, shard_platform, shard_seed
+from repro.serving.shard import shard_label, shard_seed
 from repro.workloads import (
     age_detection,
     bursty_trace,
@@ -606,13 +606,13 @@ def _storm(args, spec, platforms, offered):
     carrying 80% of the offered rate, and a deadline-free background
     dump (heavy-tailed arrivals) carrying the remaining 20%.  One
     shard serves exactly the unsharded storm: plain tenant names,
-    plain seeds, chaos on bare platform names.  With more shards the
-    run scales weakly: shard ``k`` gets its own pair at the full rate
+    plain seeds.  With more shards the run scales weakly: shard ``k``
+    gets its own pair at the full rate
     (``interactive-s<k>``/``background-s<k>``, seeds from
-    :func:`shard_seed`) and its own chaos schedule on qualified
-    ``s<k>/<platform>`` names, merged into the one trace the
-    coordinator expects.  Every schedule spans the latest arrival of
-    any shard.  Returns ``(shard_loads, faults)``.
+    :func:`shard_seed`).  With ``--chaos`` each shard also gets its own
+    schedule on its bare platform names, spanning the latest arrival
+    of any shard.  Returns ``(shard_loads, shard_faults)``, one entry
+    per shard; ``shard_faults`` entries are ``None`` without chaos.
     """
     sharded = args.shards > 1
 
@@ -652,29 +652,25 @@ def _storm(args, spec, platforms, offered):
         for shard in range(args.shards)
     ]
     if not args.chaos:
-        return shard_loads, None
+        return shard_loads, [None] * args.shards
     horizon = max(
         float(load.trace.arrivals_s[-1])
         for loads in shard_loads
         for load in loads
         if load.trace.n_requests
     )
-    pieces = [
+    return shard_loads, [
         generate_fault_trace(
-            platforms=[
-                shard_platform(shard, name) if sharded else name
-                for name in platforms
-            ],
+            platforms=platforms,
             horizon_s=horizon,
             config=_chaos_config(horizon),
             seed=seed(args.chaos_seed, shard),
         )
         for shard in range(args.shards)
     ]
-    return shard_loads, pieces[0].merged_with(*pieces[1:])
 
 
-def _serve_fleet_sharded(args, fleet, shard_loads, faults, config,
+def _serve_fleet_sharded(args, fleet, shard_loads, shard_faults, config,
                          controller=None):
     """The coordinator path of ``serve-fleet`` (``--shards`` above 1,
     or any supervision flag): supervised run of the
@@ -717,7 +713,7 @@ def _serve_fleet_sharded(args, fleet, shard_loads, faults, config,
         resume_dir=args.resume_dir,
     )
     outcome = coordinator.run(
-        shard_loads=shard_loads, faults=faults, instrument=instrument
+        shard_loads, shard_faults=shard_faults, instrument=instrument
     )
     if instrument:
         # The merged report's obs section carries the associatively
@@ -764,7 +760,7 @@ def _cmd_serve_fleet(args) -> int:
     if args.controller != "off":
         controller = ControllerConfig(kind=args.controller)
 
-    shard_loads, faults = _storm(
+    shard_loads, shard_faults = _storm(
         args, spec, sorted(fleet.deploy_all()), offered
     )
     outcome = None
@@ -776,13 +772,13 @@ def _cmd_serve_fleet(args) -> int:
     )
     if args.shards > 1 or supervised:
         outcome = _serve_fleet_sharded(
-            args, fleet_spec, shard_loads, faults, config, controller
+            args, fleet_spec, shard_loads, shard_faults, config, controller
         )
         report = outcome.report
     else:
         obs = Instrumentation() if _wants_obs(args) else None
         report = RequestRouter(fleet, config).run(
-            shard_loads[0], faults, obs=obs,
+            shard_loads[0], shard_faults[0], obs=obs,
             controller=controller.build() if controller is not None else None,
         )
         if obs is not None:

@@ -615,52 +615,3 @@ class ExecutionEngine:
     def cached_reports(self) -> int:
         """Reports currently held by the execution cache."""
         return len(self._reports)
-
-    def invalidate(
-        self,
-        network: Optional[NetworkDescriptor] = None,
-        arch: Optional[GPUArchitecture] = None,
-    ) -> int:
-        """Drop cached plans/reports (all, per network, or per arch).
-
-        Returns the number of cache entries removed.  Reports are keyed
-        by plan fingerprint (which embeds network and arch), so a
-        network/arch-scoped invalidation recomputes the matching plans'
-        fingerprints to evict their reports too.
-        """
-        if network is None and arch is None:
-            removed = len(self._plans) + len(self._reports) + len(
-                self._batch_decisions
-            )
-            self._plans.clear()
-            self._reports.clear()
-            self._batch_decisions.clear()
-            self._prewarmed.clear()
-            return removed
-        net_fp = network_fingerprint(network) if network is not None else None
-        arch_name = arch.name if arch is not None else None
-
-        def plan_matches(key: CompileKey) -> bool:
-            if net_fp is not None and key.network != net_fp:
-                return False
-            if arch_name is not None and key.arch != arch_name:
-                return False
-            return True
-
-        doomed_plans = [k for k in self._plans if plan_matches(k)]
-        doomed_fps = {plan_fingerprint(self._plans[k]) for k in doomed_plans}
-        for k in doomed_plans:
-            del self._plans[k]
-        self._prewarmed.difference_update(doomed_plans)
-        doomed_reports = [k for k in self._reports if k.plan in doomed_fps]
-        for k in doomed_reports:
-            del self._reports[k]
-        doomed_decisions = [
-            k
-            for k in self._batch_decisions
-            if (net_fp is None or k[0] == net_fp)
-            and (arch_name is None or k[1] == arch_name)
-        ]
-        for k in doomed_decisions:
-            del self._batch_decisions[k]
-        return len(doomed_plans) + len(doomed_reports) + len(doomed_decisions)

@@ -17,7 +17,7 @@ from repro.gpu.architecture import (
     get_architecture,
     list_architectures,
 )
-from repro.gpu.energy import EnergyAccumulator, PowerState, energy_j, power_draw_w
+from repro.gpu.energy import PowerState, energy_j, power_draw_w
 from repro.gpu.kernels import (
     COMMON_TILES,
     GemmShape,
@@ -71,7 +71,6 @@ __all__ = [
     "estimate_footprint",
     "fits_in_memory",
     "usable_memory_bytes",
-    "EnergyAccumulator",
     "PowerState",
     "energy_j",
     "power_draw_w",

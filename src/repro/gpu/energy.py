@@ -19,11 +19,10 @@ large static-power saving.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.gpu.architecture import GPUArchitecture
 
-__all__ = ["PowerState", "power_draw_w", "energy_j", "EnergyAccumulator"]
+__all__ = ["PowerState", "power_draw_w", "energy_j"]
 
 
 @dataclass(frozen=True)
@@ -79,60 +78,3 @@ def energy_j(arch: GPUArchitecture, state: PowerState, duration_s: float) -> flo
         raise ValueError("duration must be non-negative")
     return power_draw_w(arch, state) * duration_s
 
-
-class EnergyAccumulator:
-    """Integrates energy over a sequence of power states.
-
-    The simulator feeds one ``(state, duration)`` segment per scheduling
-    interval; schedulers that power gate report fewer ``powered_sms``
-    and therefore integrate less static energy.
-    """
-
-    def __init__(self, arch: GPUArchitecture) -> None:
-        self._arch = arch
-        self._joules = 0.0
-        self._seconds = 0.0
-
-    @property
-    def joules(self) -> float:
-        """Total integrated energy."""
-        return self._joules
-
-    @property
-    def seconds(self) -> float:
-        """Total integrated wall time."""
-        return self._seconds
-
-    @property
-    def average_power_w(self) -> float:
-        """Mean power over everything integrated so far (0 if empty)."""
-        if self._seconds == 0:
-            return 0.0
-        return self._joules / self._seconds
-
-    def add(self, state: PowerState, duration_s: float) -> None:
-        """Integrate one segment."""
-        self._joules += energy_j(self._arch, state, duration_s)
-        self._seconds += duration_s
-
-    def add_kernel(
-        self,
-        duration_s: float,
-        busy_sms: int,
-        activity: float,
-        power_gated: bool,
-        powered_sms: Optional[int] = None,
-    ) -> None:
-        """Convenience: integrate one kernel execution.
-
-        With ``power_gated`` the unpowered SMs are exactly the idle
-        ones; without it the whole chip stays powered (the RR baseline).
-        """
-        if powered_sms is None:
-            powered_sms = busy_sms if power_gated else self._arch.n_sms
-        self.add(
-            PowerState(
-                powered_sms=powered_sms, busy_sms=busy_sms, activity=activity
-            ),
-            duration_s,
-        )

@@ -98,16 +98,28 @@ def validate_result(spec, result) -> Optional[str]:
     return None
 
 
+def _validated_fingerprint(result) -> str:
+    """A validated result's report fingerprint: its declaration, which
+    :func:`validate_result` has just checked against the report, or a
+    render when it declares none."""
+    declared = getattr(result, "declared_fingerprint", None)
+    if declared is not None:
+        return declared
+    return result.report.fingerprint()
+
+
 def witness_disagreement(primary, witness) -> Optional[str]:
     """Why a witness re-execution disagrees with the primary (or None).
 
-    Both results have already passed :func:`validate_result`; the
-    witness ran the same spec clean, so any fingerprint divergence
-    means the primary's report is self-consistent but wrong (forged,
-    or produced by a nondeterministic worker).
+    Both results have already passed :func:`validate_result`, so a
+    declared fingerprint is its report's own and is compared as is;
+    only an undeclared (inline) result is rendered.  The witness ran
+    the same spec clean, so any fingerprint divergence means the
+    primary's report is self-consistent but wrong (forged, or produced
+    by a nondeterministic worker).
     """
-    primary_fp = primary.report.fingerprint()
-    witness_fp = witness.report.fingerprint()
+    primary_fp = _validated_fingerprint(primary)
+    witness_fp = _validated_fingerprint(witness)
     if primary_fp != witness_fp:
         return (
             "witness: primary fingerprint %s != witness %s"

@@ -66,13 +66,10 @@ from repro.serving.shard import (
     FleetCoordinator,
     FleetRunOutcome,
     FleetSpec,
-    ShardPlan,
-    ShardPlanner,
     ShardResult,
     ShardSpec,
     run_shard,
     shard_seed,
-    split_fault_trace,
 )
 
 __all__ = [
@@ -96,8 +93,6 @@ __all__ = [
     "RouterConfig",
     "RouterEvent",
     "RouterReport",
-    "ShardPlan",
-    "ShardPlanner",
     "ShardResult",
     "ShardSpec",
     "Tenant",
@@ -106,5 +101,4 @@ __all__ = [
     "escalate_perforation",
     "run_shard",
     "shard_seed",
-    "split_fault_trace",
 ]

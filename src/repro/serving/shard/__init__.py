@@ -1,8 +1,7 @@
 """Sharded fleet-of-fleets serving.
 
-Scale one router into N: the :class:`ShardPlanner` deterministically
-partitions tenants (or, via ``partition_trace``, single large traces)
-across shards; each :class:`ShardSpec` runs one
+Scale one router into N: the caller places each shard's tenant loads
+and fault schedule; each :class:`ShardSpec` runs one
 :class:`~repro.serving.router.RequestRouter` over its own fleet in a
 ``multiprocessing`` spawn worker; the :class:`FleetCoordinator`
 launches the shards, re-homes requests off chaos-dead shards onto the
@@ -23,13 +22,9 @@ from repro.serving.shard.merge import (
     strip_requests,
 )
 from repro.serving.shard.planner import (
-    ShardPlan,
-    ShardPlanner,
-    parse_shard_platform,
     shard_label,
     shard_platform,
     shard_seed,
-    split_fault_trace,
 )
 from repro.serving.shard.worker import (
     FleetSpec,
@@ -42,17 +37,13 @@ __all__ = [
     "FleetCoordinator",
     "FleetRunOutcome",
     "FleetSpec",
-    "ShardPlan",
-    "ShardPlanner",
     "ShardResult",
     "ShardSpec",
-    "parse_shard_platform",
     "qualify_report",
     "run_shard",
     "shard_label",
     "shard_platform",
     "shard_seed",
-    "split_fault_trace",
     "stitch_spans",
     "strip_requests",
 ]

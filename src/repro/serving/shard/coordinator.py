@@ -2,28 +2,27 @@
 around dead ones, merge their reports into one deterministic ledger.
 
 The coordinator is the fleet-of-fleets control plane.  It turns one
-run description (fleet spec, router config, loads, optional fault
-trace) into per-shard :class:`~repro.serving.shard.worker.ShardSpec`
-values, executes them -- spawn workers under a
-:class:`~repro.resilience.ShardSupervisor` by default, inline for
-debugging and coverage -- and folds the results back together:
+run description (fleet spec, router config, and each shard's loads
+and optional fault trace, placed by the caller) into per-shard
+:class:`~repro.serving.shard.worker.ShardSpec` values, executes them
+-- spawn workers under a :class:`~repro.resilience.ShardSupervisor`
+by default, inline for debugging and coverage -- and folds the
+results back together:
 
-1. faults are carved per shard via
-   :func:`~repro.serving.shard.planner.split_fault_trace`;
-2. shards run independently under supervision: per-attempt wall-clock
+1. shards run independently under supervision: per-attempt wall-clock
    timeouts, kill-and-retry on crash/hang/corruption (bounded by the
    supervision config), integrity-validated results, optional
    checkpoint/resume through ``resume_dir``;
-3. host-level escalation: a shard that exhausts its retries is
+2. host-level escalation: a shard that exhausts its retries is
    treated exactly like a chaos-dead one -- its *entire* load is
    folded into the least-busy healthy shard, which re-runs with the
    extra tenants, so zero requests are lost to host faults;
-4. cross-shard failover: a shard whose fleet chaos-degraded into
+3. cross-shard failover: a shard whose fleet chaos-degraded into
    dead-platform rejections (:data:`DEAD_SHARD_REASONS`) is *dead*;
    its rejected requests are re-homed -- original arrival times and
    difficulties, hence original deadline clocks -- onto the
    least-loaded healthy shard, which re-runs with the extra load;
-5. per-shard reports are platform-qualified (``s<k>/...``) and merged
+4. per-shard reports are platform-qualified (``s<k>/...``) and merged
    via :meth:`RouterReport.merge`; spans are stitched under a global
    ``run`` root with fingerprint-neutral ``supervise`` spans and
    ``supervisor_*`` metrics recording the supervision history.
@@ -65,11 +64,7 @@ from repro.serving.shard.merge import (
     stitch_spans,
     strip_requests,
 )
-from repro.serving.shard.planner import (
-    ShardPlanner,
-    shard_seed,
-    split_fault_trace,
-)
+from repro.serving.shard.planner import shard_seed
 from repro.serving.shard.worker import (
     FleetSpec,
     ShardResult,
@@ -192,23 +187,21 @@ class FleetCoordinator:
         self.checkpoint = (
             CheckpointStore(resume_dir) if resume_dir is not None else None
         )
-        self.planner = ShardPlanner(n_shards)
 
     # -- public entry ----------------------------------------------------
     def run(
         self,
-        loads: Optional[Sequence[TenantLoad]] = None,
-        shard_loads: Optional[Sequence[Sequence[TenantLoad]]] = None,
-        faults: Optional[FaultTrace] = None,
+        shard_loads: Sequence[Sequence[TenantLoad]],
+        shard_faults: Optional[Sequence[Optional[FaultTrace]]] = None,
         instrument: bool = False,
     ) -> FleetRunOutcome:
         """Execute every shard under supervision and merge.
 
-        Pass exactly one of ``loads`` (a flat tenant mix, partitioned
-        by the hash-by-tenant planner) or ``shard_loads`` (explicit
-        per-shard placement, e.g. the weak-scaling bench's fixed
-        per-shard load).  With more than one shard, ``faults`` must
-        address qualified ``s<k>/<platform>`` names.
+        ``shard_loads`` holds one tenant-load list per shard, and
+        ``shard_faults`` (default: none) one fault trace per shard on
+        that shard's bare platform names, ``None`` for a clean shard.
+        Entry ``k`` of each goes to shard ``k`` unchanged; a list whose
+        length is not ``n_shards`` raises :class:`ValueError`.
 
         Raises :class:`~repro.resilience.SupervisionError` only when
         a shard exhausts its retries *and* nothing can absorb its
@@ -216,27 +209,23 @@ class FleetCoordinator:
         shards); completed shards are checkpointed first when a
         ``resume_dir`` is configured, so the rerun is incremental.
         """
-        if (loads is None) == (shard_loads is None):
-            raise ValueError(
-                "pass exactly one of loads= or shard_loads="
-            )
-        if loads is not None:
-            placed = self.planner.plan(list(loads)).shard_loads
-        else:
-            placed = tuple(tuple(piece) for piece in shard_loads)
-            if len(placed) != self.n_shards:
+        if shard_faults is None:
+            shard_faults = [None] * self.n_shards
+        for field, entries in (
+            ("shard_loads", shard_loads), ("shard_faults", shard_faults),
+        ):
+            if len(entries) != self.n_shards:
                 raise ValueError(
-                    "shard_loads has %d entries for %d shards"
-                    % (len(placed), self.n_shards)
+                    "%s has %d entries for %d shards"
+                    % (field, len(entries), self.n_shards)
                 )
-        shard_faults = split_fault_trace(faults, self.n_shards)
         specs = [
             ShardSpec(
                 shard_id=shard_id,
                 n_shards=self.n_shards,
                 fleet=self.fleet,
                 config=self.config,
-                loads=placed[shard_id],
+                loads=tuple(shard_loads[shard_id]),
                 faults=shard_faults[shard_id],
                 seed=shard_seed(self.seed, shard_id),
                 instrument=instrument,

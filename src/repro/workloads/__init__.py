@@ -14,7 +14,6 @@ from repro.workloads.generators import (
     realtime_trace,
     scale_rate,
 )
-from repro.workloads.partition import partition_trace, stable_shard
 from repro.workloads.rates import windowed_counts, windowed_rates
 from repro.workloads.tasks import (
     Scenario,
@@ -34,10 +33,8 @@ __all__ = [
     "interactive_trace",
     "merge_traces",
     "pareto_trace",
-    "partition_trace",
     "realtime_trace",
     "scale_rate",
-    "stable_shard",
     "windowed_counts",
     "windowed_rates",
     "Scenario",

@@ -187,17 +187,6 @@ class TestCompileCache:
         assert first is not second
         assert engine.stats.compile_misses == 2
 
-    def test_invalidate_scoped_and_full(self):
-        engine = ExecutionEngine(JETSON_TX1)
-        engine.compile_with_batch(alexnet(), 1)
-        engine.compile_with_batch(pcnn_net("small"), 1)
-        assert engine.cached_plans == 2
-        removed = engine.invalidate(network=alexnet())
-        assert removed >= 1
-        assert engine.cached_plans == 1
-        engine.invalidate()
-        assert engine.cached_plans == 0
-
 
 class TestExecuteCache:
     def test_cached_and_uncached_reports_identical(self):

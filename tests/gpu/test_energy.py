@@ -3,7 +3,7 @@
 import pytest
 
 from repro.gpu import JETSON_TX1, K20C
-from repro.gpu.energy import EnergyAccumulator, PowerState, energy_j, power_draw_w
+from repro.gpu.energy import PowerState, energy_j, power_draw_w
 
 
 class TestPowerDraw:
@@ -61,30 +61,3 @@ class TestEnergy:
         with pytest.raises(ValueError):
             energy_j(K20C, PowerState(1, 1), -1.0)
 
-
-class TestAccumulator:
-    def test_integrates_segments(self):
-        acc = EnergyAccumulator(K20C)
-        s1 = PowerState(powered_sms=13, busy_sms=13, activity=1.0)
-        s2 = PowerState(powered_sms=2, busy_sms=2, activity=0.5)
-        acc.add(s1, 0.1)
-        acc.add(s2, 0.4)
-        expected = energy_j(K20C, s1, 0.1) + energy_j(K20C, s2, 0.4)
-        assert acc.joules == pytest.approx(expected)
-        assert acc.seconds == pytest.approx(0.5)
-
-    def test_average_power(self):
-        acc = EnergyAccumulator(K20C)
-        state = PowerState(powered_sms=1, busy_sms=0)
-        acc.add(state, 3.0)
-        assert acc.average_power_w == pytest.approx(power_draw_w(K20C, state))
-
-    def test_empty_average_is_zero(self):
-        assert EnergyAccumulator(K20C).average_power_w == 0.0
-
-    def test_add_kernel_gated_vs_ungated(self):
-        gated = EnergyAccumulator(K20C)
-        ungated = EnergyAccumulator(K20C)
-        gated.add_kernel(0.1, busy_sms=3, activity=0.9, power_gated=True)
-        ungated.add_kernel(0.1, busy_sms=3, activity=0.9, power_gated=False)
-        assert gated.joules < ungated.joules

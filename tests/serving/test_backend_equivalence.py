@@ -57,7 +57,6 @@ from repro.serving import (
     Tenant,
     TenantLoad,
 )
-from repro.serving.shard import shard_platform
 from repro.serving.vec_router import soc_accuracy_vec
 from repro.workloads import (
     RequestTrace,
@@ -554,15 +553,13 @@ class TestShardedRuns:
                 Tenant("snappy-%d" % shard, SNAPPY.requirement, priority=1),
                 loads[0].trace,
             )
-        platforms = [
-            shard_platform(shard, gpu)
+        shard_faults = [
+            _chaos(
+                [load for loads in shard_loads for load in loads],
+                ("K20c", "TX1"), counts, fault_seed + shard,
+            )
             for shard in (0, 1)
-            for gpu in ("K20c", "TX1")
         ]
-        faults = _chaos(
-            [load for loads in shard_loads for load in loads],
-            platforms, counts, fault_seed,
-        )
 
         def scenario():
             outcome = FleetCoordinator(
@@ -570,7 +567,7 @@ class TestShardedRuns:
                           gpus=("k20c", "tx1")),
                 RouterConfig(), n_shards=2, seed=42, inline=True,
                 controller=controller,
-            ).run(shard_loads=shard_loads, faults=faults, instrument=True)
+            ).run(shard_loads, shard_faults=shard_faults, instrument=True)
             return outcome.report, outcome, 0
 
         with mock.patch.object(router_module, "run_columnar", run_events):

@@ -35,6 +35,7 @@ from repro.resilience import (
     SupervisionReport,
     SupervisorConfig,
     validate_result,
+    witness_disagreement,
 )
 from repro.serving import (
     FleetCoordinator,
@@ -269,6 +270,35 @@ class TestDeclaration:
         ] == [(0, "integrity"), (1, "integrity"), (2, "witness")]
         assert outcome.statuses == ("retried", "retried", "retried")
         assert outcome.report.fingerprint() == clean_three
+
+    def test_witness_compares_declarations_without_rendering(
+        self, renders, report
+    ):
+        fingerprint = report.fingerprint()
+        primary, witness = (
+            ShardResult(
+                shard_id=0, seed=1, report=dataclasses.replace(report),
+                declared_fingerprint=fingerprint,
+            )
+            for _copy in range(2)
+        )
+        del renders[:]
+        assert witness_disagreement(primary, witness) is None
+        assert renders == []
+
+    def test_witness_renders_an_undeclared_result_to_reject_a_forgery(
+        self, renders, report
+    ):
+        """A forged inline primary declares its own mutated report; the
+        inline witness declares nothing, so it alone is rendered."""
+        forged = ProcFaultPlan().tamper(
+            "forge", ShardResult(shard_id=0, seed=1, report=report)
+        )
+        witness = ShardResult(shard_id=0, seed=1, report=report)
+        del renders[:]
+        reason = witness_disagreement(forged, witness)
+        assert reason is not None and reason.startswith("witness:")
+        assert len(renders) == 1
 
     def test_checkpoints_carry_a_declaration(self, tmp_path):
         resume_dir = str(tmp_path)

@@ -159,21 +159,20 @@ def _sharded(controller=None):
         fleet_spec = FleetSpec(
             network="alexnet", spec=_SPEC, gpus=("k20c", "tx1")
         )
-        loads = _loads(_fleet(), 300, 5)
-        loads.append(
-            TenantLoad(
-                Tenant(
-                    "snappy-2",
-                    TimeRequirement(imperceptible_s=0.1, unusable_s=0.5),
-                    priority=1,
-                ),
-                loads[0].trace,
-            )
+        (snappy,) = _loads(_fleet(), 300, 5)
+        snappy_2 = TenantLoad(
+            Tenant(
+                "snappy-2",
+                TimeRequirement(imperceptible_s=0.1, unusable_s=0.5),
+                priority=1,
+            ),
+            snappy.trace,
         )
+        # The placement the GOLDENS digests were recorded with.
         outcome = FleetCoordinator(
             fleet_spec, RouterConfig(), n_shards=2, seed=42, inline=True,
             controller=controller,
-        ).run(loads=loads, instrument=True)
+        ).run(shard_loads=[[snappy_2], [snappy]], instrument=True)
         return outcome
 
     return scenario

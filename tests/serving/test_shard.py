@@ -1,4 +1,4 @@
-"""Tests for repro.serving.shard: planner, fault splitting, and the
+"""Tests for repro.serving.shard: shard naming and seeds, and the
 coordinator in inline mode (spawn parity is covered by the pickle
 suite and the sharding benchmark)."""
 
@@ -17,14 +17,11 @@ from repro.serving import (
     TenantLoad,
 )
 from repro.serving.shard import (
-    ShardPlanner,
     ShardSpec,
-    parse_shard_platform,
     run_shard,
     shard_label,
     shard_platform,
     shard_seed,
-    split_fault_trace,
 )
 from repro.workloads import bursty_trace
 
@@ -55,15 +52,8 @@ class TestShardNaming:
         with pytest.raises(ValueError):
             shard_label(-1)
 
-    def test_platform_round_trip(self):
-        name = shard_platform(3, "K20c")
-        assert name == "s3/K20c"
-        assert parse_shard_platform(name) == (3, "K20c")
-
-    def test_parse_bare_name(self):
-        assert parse_shard_platform("K20c") == (None, "K20c")
-        # A slash without the s<digits> prefix is not a shard tag.
-        assert parse_shard_platform("rack/K20c") == (None, "rack/K20c")
+    def test_platform(self):
+        assert shard_platform(3, "K20c") == "s3/K20c"
 
     def test_seed_derivation(self):
         assert shard_seed(42, 0) == shard_seed(42, 0)
@@ -71,94 +61,6 @@ class TestShardNaming:
         assert len(seeds) == 16
         assert all(seed >= 0 for seed in seeds)
         assert shard_seed(42, 0) != shard_seed(43, 0)
-
-
-class TestShardPlanner:
-    def test_assignments_stable_and_covering(self):
-        planner = ShardPlanner(4)
-        loads = [_load("tenant-%d" % i, seed=i) for i in range(12)]
-        plan = planner.plan(loads)
-        recovered = [
-            load for piece in plan.shard_loads for load in piece
-        ]
-        assert sorted(load.tenant.name for load in recovered) == sorted(
-            load.tenant.name for load in loads
-        )
-        for name, shard in plan.assignments:
-            assert shard == planner.shard_of(name)
-            assert plan.shard_of(name) == shard
-
-    def test_assignment_independent_of_other_tenants(self):
-        few = ShardPlanner(4).plan([_load("anchor")])
-        many = ShardPlanner(4).plan(
-            [_load("anchor")] + [_load("other-%d" % i) for i in range(6)]
-        )
-        assert few.shard_of("anchor") == many.shard_of("anchor")
-
-    def test_duplicate_tenant_rejected(self):
-        with pytest.raises(ValueError):
-            ShardPlanner(2).plan([_load("same"), _load("same")])
-
-    def test_unknown_tenant_in_plan(self):
-        plan = ShardPlanner(2).plan([_load("known")])
-        with pytest.raises(KeyError):
-            plan.shard_of("unknown")
-
-    def test_split_load_partitions_trace(self):
-        load = _load("big", n=40)
-        pieces = ShardPlanner(4).split_load(load)
-        assert len(pieces) == 4
-        assert all(piece.tenant == load.tenant for piece in pieces)
-        assert sum(piece.trace.n_requests for piece in pieces) == 40
-
-    def test_bad_shard_count(self):
-        with pytest.raises(ValueError):
-            ShardPlanner(0)
-
-
-class TestSplitFaultTrace:
-    def test_routes_by_prefix(self):
-        trace = FaultTrace([
-            FaultEvent(time_s=1.0, kind="outage",
-                       platform="s0/K20c", episode=1),
-            FaultEvent(time_s=2.0, kind="restore",
-                       platform="s0/K20c", episode=1),
-            FaultEvent(time_s=1.5, kind="transient", platform="s1/TX1"),
-        ])
-        pieces = split_fault_trace(trace, 2)
-        assert [event.platform for event in pieces[0]] == ["K20c", "K20c"]
-        assert [event.platform for event in pieces[1]] == ["TX1"]
-
-    def test_untouched_shards_get_none(self):
-        trace = FaultTrace(
-            [FaultEvent(time_s=1.0, kind="transient", platform="s0/K20c")]
-        )
-        pieces = split_fault_trace(trace, 3)
-        assert pieces[1] is None and pieces[2] is None
-
-    def test_none_passes_through(self):
-        assert split_fault_trace(None, 3) == [None, None, None]
-
-    def test_bare_name_rejected_with_shards(self):
-        trace = FaultTrace(
-            [FaultEvent(time_s=1.0, kind="transient", platform="K20c")]
-        )
-        with pytest.raises(ValueError):
-            split_fault_trace(trace, 2)
-
-    def test_bare_name_allowed_single_shard(self):
-        trace = FaultTrace(
-            [FaultEvent(time_s=1.0, kind="transient", platform="K20c")]
-        )
-        (piece,) = split_fault_trace(trace, 1)
-        assert piece[0].platform == "K20c"
-
-    def test_out_of_range_shard_rejected(self):
-        trace = FaultTrace(
-            [FaultEvent(time_s=1.0, kind="transient", platform="s5/K20c")]
-        )
-        with pytest.raises(ValueError):
-            split_fault_trace(trace, 2)
 
 
 class TestShardSpecValidation:
@@ -246,24 +148,16 @@ class TestCoordinatorInline:
         assert rids == list(range(first.report.n_offered))
         assert first.report.n_offered == 50
 
-    def test_planner_path_places_all_tenants(self, fleet_spec):
-        loads = [_load("tenant-%d" % i, n=8, seed=i) for i in range(6)]
-        outcome = FleetCoordinator(
-            fleet_spec, RouterConfig(), n_shards=2, inline=True
-        ).run(loads=loads)
-        assert outcome.report.n_offered == 48
-        assert len(outcome.shard_reports) == 2
-
     def test_run_argument_validation(self, fleet_spec):
-        coordinator = FleetCoordinator(fleet_spec, inline=True)
-        with pytest.raises(ValueError):
-            coordinator.run()
-        with pytest.raises(ValueError):
-            coordinator.run(loads=[], shard_loads=[[]])
-        with pytest.raises(ValueError):
-            FleetCoordinator(
-                fleet_spec, n_shards=2, inline=True
-            ).run(shard_loads=[[]])
+        coordinator = FleetCoordinator(fleet_spec, n_shards=2, inline=True)
+        with pytest.raises(ValueError, match="shard_loads has 1 entries"):
+            coordinator.run(shard_loads=[[]])
+        with pytest.raises(ValueError, match="shard_faults has 1 entries"):
+            coordinator.run(shard_loads=[[], []], shard_faults=[None])
+        with pytest.raises(TypeError):
+            coordinator.run(loads=[])
+        with pytest.raises(TypeError):
+            coordinator.run(shard_loads=[[], []], faults=None)
 
     def test_constructor_validation(self, fleet_spec):
         with pytest.raises(ValueError):
@@ -281,19 +175,20 @@ class TestCoordinatorInline:
         events = []
         for episode, gpu in enumerate(("K20c", "TX1"), start=1):
             events.append(FaultEvent(
-                time_s=0.001, kind="outage",
-                platform=shard_platform(1, gpu), episode=episode,
+                time_s=0.001, kind="outage", platform=gpu, episode=episode,
             ))
             events.append(FaultEvent(
-                time_s=500.0, kind="restore",
-                platform=shard_platform(1, gpu), episode=episode,
+                time_s=500.0, kind="restore", platform=gpu, episode=episode,
             ))
         outcome = FleetCoordinator(
             fleet_spec, RouterConfig(), n_shards=2, inline=True
-        ).run(shard_loads=shard_loads, faults=FaultTrace(events))
+        ).run(shard_loads, shard_faults=[None, FaultTrace(events)])
         assert outcome.dead_shards == (1,)
         assert outcome.failover_target == 0
-        assert outcome.rehomed > 0
+        assert outcome.rehomed == 20
+        assert outcome.report.fingerprint() == (
+            "ffcd4075cb201adc4eb940a3cb884348498e353e"
+        )
         reasons = {r.reason for r in outcome.report.rejected}
         assert not reasons.intersection({"outage", "stranded"})
         assert (

@@ -34,7 +34,6 @@ from repro.serving.shard import (
     ShardSpec,
     run_shard,
     shard_label,
-    shard_platform,
     shard_seed,
 )
 from repro.workloads import bursty_trace
@@ -190,8 +189,7 @@ class TestBuildOnce:
         assert len(builds) == 1
         outage = FaultTrace([
             FaultEvent(
-                time_s=time_s, kind=kind,
-                platform=shard_platform(1, gpu), episode=episode,
+                time_s=time_s, kind=kind, platform=gpu, episode=episode,
             )
             for episode, gpu in enumerate(("K20c", "TX1"), start=1)
             for time_s, kind in ((0.001, "outage"), (500.0, "restore"))
@@ -199,7 +197,7 @@ class TestBuildOnce:
         failed_over = FleetCoordinator(
             _fleet_spec(), RouterConfig(), n_shards=2, seed=21,
             inline=True,
-        ).run(shard_loads=_shard_loads(2), faults=outage)
+        ).run(_shard_loads(2), shard_faults=[None, outage])
         assert failed_over.dead_shards == (1,)
         assert failed_over.rehomed > 0
         assert len(builds) == 2

@@ -37,7 +37,7 @@ from repro.serving import (
     Tenant,
     TenantLoad,
 )
-from repro.serving.shard import ShardSpec, shard_platform
+from repro.serving.shard import ShardSpec
 from repro.workloads import RequestTrace, bursty_trace
 
 _REQUIREMENT = TimeRequirement(imperceptible_s=0.1, unusable_s=0.5)
@@ -204,16 +204,18 @@ class TestSpawnExecution:
             list(_loads("t0", n=8, seed=1)),
             list(_loads("t1", n=8, seed=2)),
         ]
-        faults = FaultTrace([
-            FaultEvent(time_s=0.05, kind="transient",
-                       platform=shard_platform(0, "K20c")),
-        ]) if tracked else None
+        shard_faults = [
+            FaultTrace([
+                FaultEvent(time_s=0.05, kind="transient", platform="K20c"),
+            ]),
+            None,
+        ] if tracked else None
 
         def run(inline):
             return FleetCoordinator(
                 fleet, RouterConfig(), n_shards=2, seed=11,
                 inline=inline,
-            ).run(shard_loads=shard_loads, faults=faults,
+            ).run(shard_loads, shard_faults=shard_faults,
                   instrument=tracked)
 
         spawned = run(inline=False)

@@ -332,6 +332,20 @@ class TestServeFleetSupervised:
         assert supervised["sharding"]["n_shards"] == 1
         assert supervised["fingerprint"] == plain["fingerprint"]
 
+    def test_sharded_chaos_fingerprint_is_pinned(self, capsys):
+        """Two inline shards, each on its own chaos schedule: pins the
+        per-shard fault traces the storm draws and the coordinator
+        hands to each shard."""
+        code = main(
+            ["serve-fleet", "--shards", "2", "--shard-inline", "--chaos",
+             "--requests", "200", "--json"]
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["fingerprint"] == (
+            "2f46fcb6ac2ee47a439d77753964a4c57adfc20a"
+        )
+
     def test_resume_dir_round_trip(self, tmp_path, capsys):
         resume = str(tmp_path / "ckpt")
         args = self._BASE + ["--shards", "2", "--resume-dir", resume,
