@@ -270,5 +270,5 @@ def test_bench_control_whatif(benchmark, quick):
         "same-seed what-if runs diverged"
     )
     assert (
-        overload.predictive.fingerprint() == rerun.predictive.fingerprint()
+        overload.predictive_fingerprint == rerun.predictive_fingerprint
     ), "same-seed predictive router runs diverged"

@@ -8,11 +8,12 @@ columnar loop's speedups are *measured every PR*, not asserted once:
   served by the serving loop and by its oracle, best-of-``ROUNDS``
   wall clock, fingerprints asserted bit-identical.  ``reference``
   records the test suite's event-loop oracle
-  (``tests/serving/event_loop.py``), ``vectorized`` the columnar loop
-  ``RequestRouter.run`` serves every run with.  This is the scenario
-  the regression gate watches: the run fails if the measured speedup
-  drops more than ``MAX_SPEEDUP_REGRESSION`` below the committed
-  same-mode baseline.
+  (``tests/serving/event_loop.py``), ``vectorized``
+  ``RequestRouter.run`` -- the columnar loop and the ledger it builds
+  before returning -- and ``speedup`` their ratio.  The speedup is
+  recorded, not asserted: the loop is a small share of what a user
+  waits for, so CI's speed gate is the end-to-end one
+  (``benchmarks/e2e_gate.py``).
 * **fleet_shards** -- one 2-shard inline :class:`FleetCoordinator`
   run (inline so the measurement is the routers, not process spawn),
   its merged fingerprint asserted equal to the pinned
@@ -64,10 +65,6 @@ QUICK_N_PER_SHARD = 600
 #: Best-of rounds for the router_overload scenario; the sharded and
 #: what-if scenarios run once (they are longer and only informational).
 ROUNDS = 5
-
-#: The regression gate: the measured router_overload speedup may drop
-#: at most this fraction below the committed same-mode baseline.
-MAX_SPEEDUP_REGRESSION = 0.10
 
 #: Scenario keys every mode entry must carry, with the loops each
 #: records (``reference``: the event-loop oracle; ``vectorized``: the
@@ -230,19 +227,6 @@ def load_trajectory(path=TRAJECTORY_PATH):
     return data
 
 
-def baseline_speedup(mode, path=TRAJECTORY_PATH):
-    """The committed router_overload speedup for ``mode``, or None."""
-    data = load_trajectory(path)
-    if data is None:
-        return None
-    try:
-        return float(
-            data["modes"][mode]["scenarios"]["router_overload"]["speedup"]
-        )
-    except (KeyError, TypeError, ValueError):
-        return None
-
-
 def update_trajectory(mode, entry, path=TRAJECTORY_PATH):
     """Merge one mode's fresh entry into the trajectory file."""
     data = load_trajectory(path) or {
@@ -290,18 +274,9 @@ def _render(mode, entry):
 @pytest.mark.benchmark(group="perf")
 def test_bench_perf_trajectory(benchmark, quick):
     mode = "quick" if quick else "full"
-    baseline = baseline_speedup(mode)
     entry = run_once(benchmark, lambda: measure_trajectory(quick))
     data = update_trajectory(mode, entry)
     emit("perf_trajectory", _render(mode, entry))
 
     problems = validate_trajectory(data)
     assert problems == [], "invalid trajectory JSON: %s" % problems
-
-    speedup = entry["scenarios"]["router_overload"]["speedup"]
-    if baseline is not None:
-        floor = baseline * (1.0 - MAX_SPEEDUP_REGRESSION)
-        assert speedup >= floor, (
-            "columnar loop regressed: %.2fx vs committed %.2fx "
-            "(floor %.2fx)" % (speedup, baseline, floor)
-        )

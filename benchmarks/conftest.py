@@ -10,7 +10,7 @@ import sys
 
 sys.path.insert(0, os.path.dirname(__file__))
 # The repository root, for the test suite's event-loop oracle
-# (``tests.serving.event_loop``) the speed gates time.
+# (``tests.serving.event_loop``) the loop-speedup measurements time.
 sys.path.insert(1, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 import pytest

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.control.plane import ControllerConfig
@@ -54,13 +54,26 @@ def _summarize(report: RouterReport) -> dict:
     }
 
 
-@dataclass
+@dataclass(frozen=True)
 class WhatIfOutcome:
-    """Both runs of one what-if experiment, plus the comparison."""
+    """Both runs of one what-if experiment, plus the comparison.
+
+    Both reports are fingerprinted once, when the outcome is built;
+    :meth:`to_dict` and :meth:`fingerprint` read the recorded digests.
+    """
 
     reactive: RouterReport
     predictive: RouterReport
     controller: ControllerConfig
+    reactive_fingerprint: str = field(init=False)
+    predictive_fingerprint: str = field(init=False)
+
+    def __post_init__(self) -> None:
+        for mode in ("reactive", "predictive"):
+            report = getattr(self, mode)
+            object.__setattr__(
+                self, mode + "_fingerprint", report.fingerprint()
+            )
 
     @property
     def reactive_summary(self) -> dict:
@@ -99,8 +112,8 @@ class WhatIfOutcome:
             "deltas": self.deltas,
             "control": self.predictive.control,
             "fingerprints": {
-                "reactive": self.reactive.fingerprint(),
-                "predictive": self.predictive.fingerprint(),
+                "reactive": self.reactive_fingerprint,
+                "predictive": self.predictive_fingerprint,
             },
         }
 
@@ -111,7 +124,8 @@ class WhatIfOutcome:
         underlying report fingerprints are: everything
         cache-temperature-sensitive is already stripped by
         :meth:`RouterReport.fingerprint`, and the control section of
-        :meth:`to_dict` is replaced by its own neutral form.
+        :meth:`to_dict` is replaced by its own neutral form.  Renders
+        no report: the report fingerprints are the recorded ones.
         """
         data = self.to_dict()
         if data["control"] is not None:

@@ -198,13 +198,12 @@ def merge_obs_sections(sections: Sequence[dict]) -> dict:
     """Fold several per-run ``obs`` report sections into one.
 
     Span counts, metric counters and histogram states sum; gauges take
-    their maximum.  The merged section keeps every leaf trace
+    their maximum.  The merged section keeps every input's trace
     fingerprint (sorted, under ``trace_fingerprints``) and derives the
-    combined ``trace_fingerprint`` by hashing that sorted list -- so
-    the result is independent of merge order and grouping.  Callers
-    wanting that associativity guarantee must pass leaf sections in a
-    canonical order (``RouterReport.merge`` sorts its leaves before
-    folding).
+    combined ``trace_fingerprint`` by hashing that sorted list, so the
+    fingerprints do not depend on the input order; callers pass the
+    sections of single runs, in a canonical order
+    (``RouterReport.merge`` sorts its reports before folding).
     """
     if not sections:
         raise ValueError("merge_obs_sections needs at least one section")
@@ -222,14 +221,10 @@ def merge_obs_sections(sections: Sequence[dict]) -> dict:
         series: _merge_metric_series(series, series_entries[series])
         for series in sorted(series_entries)
     }
-    fingerprints: List[str] = []
-    for section in sections:
-        nested = section.get("trace_fingerprints")
-        if nested is not None:
-            fingerprints.extend(nested)
-        elif section.get("trace_fingerprint") is not None:
-            fingerprints.append(section["trace_fingerprint"])
-    fingerprints.sort()
+    fingerprints = sorted(
+        section["trace_fingerprint"] for section in sections
+        if section.get("trace_fingerprint") is not None
+    )
     combined = hashlib.sha1(
         json.dumps(
             fingerprints, sort_keys=True, separators=(",", ":")

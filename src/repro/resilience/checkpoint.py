@@ -19,13 +19,41 @@ errors: the worst a bad checkpoint can do is cost one re-execution.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
 import pickle
-from typing import Optional
+from typing import Mapping, Optional
 
 __all__ = ["CheckpointStore"]
+
+
+def _values(obj) -> str:
+    """``obj`` as text built from its values alone: a dataclass by its
+    fields, any other object by its attributes, a mapping by its sorted
+    items, a list or tuple item by item, an array by its dtype, shape
+    and bytes, and a scalar by its ``repr``.  Unlike a pickle's bytes,
+    the text does not depend on which equal objects are shared."""
+    if obj is None or isinstance(obj, (bool, int, float, complex, str, bytes)):
+        return repr(obj)
+    if hasattr(obj, "tobytes") and hasattr(obj, "dtype"):  # an array
+        return "array(%s,%r,%r)" % (obj.dtype.str, obj.shape, obj.tobytes())
+    if isinstance(obj, (list, tuple)):
+        items = list(map(_values, obj))
+    elif isinstance(obj, Mapping):
+        items = sorted(
+            "%s:%s" % (_values(key), _values(value))
+            for key, value in obj.items()
+        )
+    else:
+        attrs = (
+            [(f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj)]
+            if dataclasses.is_dataclass(obj)
+            else sorted(vars(obj).items())
+        )
+        items = ["%s=%s" % (name, _values(value)) for name, value in attrs]
+    return "%s(%s)" % (type(obj).__qualname__, ",".join(items))
 
 
 class CheckpointStore:
@@ -39,9 +67,10 @@ class CheckpointStore:
     @staticmethod
     def spec_digest(spec) -> str:
         """A stable content hash of one spec's inputs: loads, faults,
-        seed, config -- everything feeds the pickle that is hashed, so
-        a changed workload never resurrects a stale result."""
-        return hashlib.sha1(pickle.dumps(spec, protocol=4)).hexdigest()
+        seed, config -- every value feeds the text that is hashed, so
+        a changed workload never resurrects a stale result, and equal
+        specs digest equal whichever objects they share."""
+        return hashlib.sha1(_values(spec).encode("utf-8")).hexdigest()
 
     def path_for(self, spec) -> str:
         """Where one spec's result lives (digest-keyed, so the same

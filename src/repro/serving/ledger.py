@@ -3,7 +3,8 @@
 Records are columns, each record carrying its whole request, and
 events the canonical writer's rows ``(kind, detail keys, detail values,
 time_s, tenant, platform, request_ids)`` (``seq`` is the row position).
-A section's list, once a caller builds it, is the section, changes
+The serving loop appends these rows as it runs and builds the columns
+before it returns (:mod:`repro.serving.vec_router`).  A section's list, once a caller builds it, is the section, changes
 included; with all three built the columns and rows go.  The sharding
 transforms -- :meth:`Ledger.renamed`, :meth:`Ledger.without`,
 :meth:`Ledger.merged` -- map columns and rows and build no record.

@@ -18,7 +18,7 @@ import hashlib
 import json
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.obs.instrument import cache_neutral_obs_section, merge_obs_sections
 from repro.obs.metrics import linear_percentile, linear_percentiles, ordered_sum
@@ -214,14 +214,6 @@ class RouterReport:
     #: counters -- see
     #: :meth:`repro.control.plane.ControlPlane.report_section`.
     control: Optional[dict] = None
-    #: The leaf reports this report was folded from (None for a leaf
-    #: produced directly by a router run).  :meth:`merge` always
-    #: flattens to leaves and folds them in one canonical order, which
-    #: is what makes it associative and order-independent bit-for-bit;
-    #: the field never enters :meth:`to_dict` or the fingerprint.
-    merged_from: Optional[Tuple["RouterReport", ...]] = field(
-        default=None, repr=False, compare=False
-    )
     #: The completed and rejected records and the event log.
     ledger: Ledger = field(default_factory=Ledger, repr=False)
 
@@ -231,15 +223,13 @@ class RouterReport:
 
     def __init__(
         self, completed=None, rejected=None, platforms=None, events=None,
-        horizon_s=0.0, resilience=None, obs=None, control=None,
-        merged_from=None, ledger=None,
+        horizon_s=0.0, resilience=None, obs=None, control=None, ledger=None,
     ) -> None:
         self.platforms = [] if platforms is None else platforms
         self.horizon_s = horizon_s
         self.resilience = resilience
         self.obs = obs
         self.control = control
-        self.merged_from = merged_from
         self.ledger = (ledger or Ledger()).replaced(
             completed=completed, rejected=rejected, events=events
         )
@@ -363,28 +353,25 @@ class RouterReport:
         rids along, so a report merged from per-tenant partitions of
         one load set numbers requests exactly as a single router run
         over the merged load set would.  Events interleave by
-        ``(time_s, leaf, seq)`` with rids remapped; platform stats,
-        :class:`ResilienceStats` and obs sections fold with their
-        associative merges.
+        ``(time_s, report, seq)`` with rids remapped; platform stats,
+        :class:`ResilienceStats` and obs sections fold with their own
+        merges.
 
-        The fold is *exactly* associative and order-independent:
-        inputs are flattened to their leaf reports (via
-        ``merged_from``), the leaves are sorted by fingerprint, and
-        every aggregate is computed over that canonical sequence --
-        so any grouping or permutation of the same leaves produces a
-        bit-identical result, floating-point sums included.  Merging a
-        single report returns it unchanged (the 1-shard degenerate
-        case preserves existing fingerprints by construction).
+        The fold is order-independent: the reports are sorted by
+        fingerprint and every aggregate is computed over that
+        canonical sequence, so any permutation of the same reports
+        produces a bit-identical result, floating-point sums included.
+        A merged report keeps no inputs: merged again, it folds as one
+        report.  Merging a single report returns it unchanged (the
+        1-shard degenerate case preserves existing fingerprints by
+        construction).
         """
         reports = list(reports)
         if not reports:
             raise ValueError("RouterReport.merge needs at least one report")
         if len(reports) == 1:
             return reports[0]
-        leaves: List[RouterReport] = []
-        for report in reports:
-            leaves.extend(report.merged_from or (report,))
-        leaves.sort(key=lambda leaf: leaf.fingerprint())
+        leaves = sorted(reports, key=lambda leaf: leaf.fingerprint())
 
         horizon_s = max(leaf.horizon_s for leaf in leaves)
         platforms = cls._merge_platforms(leaves, horizon_s)
@@ -406,7 +393,6 @@ class RouterReport:
             resilience=resilience,
             obs=obs,
             control=control,
-            merged_from=tuple(leaves),
             ledger=Ledger.merged([leaf.ledger for leaf in leaves]),
         )
 

@@ -235,8 +235,9 @@ class RequestRouter:
         a ``control`` section.
 
         Every run takes the columnar loop,
-        :func:`repro.serving.vec_router.run_columnar`, whose report
-        keeps its records and events in a ledger of columns and rows.
+        :func:`repro.serving.vec_router.run_columnar`, which returns a
+        finished report: its records and events are a ledger of
+        columns and rows, built before the loop returns.
         """
         before = self._engine_activity()
         report = run_columnar(self, loads, faults, controller)

@@ -10,7 +10,7 @@ fingerprinted global :class:`~repro.serving.report.RouterReport` with
 the span trees stitched under a single global ``run`` span.
 
 The contract is the same as everywhere else in the repo: same seed,
-same bits.  Merging is associative and order-independent, the
+same bits.  Merging is order-independent, the
 1-shard case degenerates exactly to the unsharded router, and spawn
 scheduling can change wall-clock but never a fingerprint.
 """

@@ -51,7 +51,6 @@ def qualify_report(report: RouterReport, shard_id: int) -> RouterReport:
             replace(stats, platform=shard_platform(shard_id, stats.platform))
             for stats in report.platforms
         ],
-        merged_from=None,
         ledger=report.ledger.renamed(partial(shard_platform, shard_id)),
     )
 
@@ -75,7 +74,6 @@ def strip_requests(report: RouterReport, rids: Iterable[int]) -> RouterReport:
     return replace(
         report,
         platforms=list(report.platforms),
-        merged_from=None,
         ledger=report.ledger.without(gone),
     )
 

@@ -8,14 +8,15 @@ a ``heapq`` of ``(time_s, seq, kind, payload)`` tuples for every other
 event, plain-Python mirrors of the per-platform hot fields, and
 per-(platform, rung) accuracy columns precomputed across the whole
 request vector with :func:`soc_accuracy_vec`.  Requests stay virtual
-(integer row ids), events are compact kind-coded rows, per-request
-SoC breakdowns are deferred to one vectorized pass, and whole
-saturation bursts -- every arrival landing before the next heap event
-while no platform can take one -- are rejected in one ``bisect_right``
-instead of per-request admission.  When the run ends the compact rows
-expand into the report's :class:`~repro.serving.ledger.Ledger` --
-records as columns, events as rows -- and no per-request object is
-built.
+(integer row ids), every event is appended as the ledger's own row,
+and whole saturation bursts -- every arrival landing before the next
+heap event while no platform can take one -- are admitted as rejects
+in one ``bisect_right`` instead of per-request admission.  When the
+run ends one vectorized pass over the completed batches derives every
+record's SoC breakdown, and :func:`run_columnar` returns a finished
+report: its :class:`~repro.serving.ledger.Ledger` -- records as
+columns, events as rows -- is built, and the run keeps nothing else
+alive.  No per-request object is built.
 
 The rare handlers ride the same heap as more event kinds: injected
 faults (outage evacuation and failover, health-keyed ladder
@@ -54,7 +55,6 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, bisect_right
-from functools import cached_property
 from heapq import heappop, heappush
 from typing import Dict, List, Sequence
 
@@ -78,19 +78,7 @@ _RETRY = 3
 _PROBE = 4
 _TICK = 5
 
-# Compact event-row codes.  The hot path appends one flat tuple per
-# event; :attr:`_LoopLedger.rows` expands them into the ledger's event
-# rows.
-_E_ENQ = 0  # (code, t, rid, pidx, level, soc, latency)
-_E_REJ = 1  # (code, t, rid, reason[, pidx])
-_E_DISP = 2  # (code, t, pidx, rids, level, take, capacity, finish)
-_E_COMP = 3  # (code, t, pidx, rids, level)
-_E_MOVE = 4  # (code, t, pidx, move, level)        cause="backlog"
-_E_ADEG = 5  # (code, t, rid, pidx, level)         cause="admission"
-_E_REJR = 6  # (code, first_rid, end_rid)          a saturation burst
-_E_ROW = 7  # (code, event_row)                   every rarer event
-
-# Sorted detail keys of each event shape the compact rows write.
+# Sorted detail keys of each event shape the hot path writes.
 _ENQUEUE_KEYS = ("level", "predicted_latency_s", "predicted_soc")
 _REASON_KEYS = ("reason",)
 _DISPATCH_KEYS = ("batch", "capacity", "finish_s", "level")
@@ -117,13 +105,10 @@ def soc_accuracy_vec(entropies: np.ndarray, entropy_threshold) -> np.ndarray:
 
 
 def _row(kind, time_s, tenant=None, platform=None, request_ids=(), **detail):
-    """A rare event as a compact row holding its ledger event row."""
+    """A rare event's ledger row, its detail keys sorted."""
     keys = tuple(sorted(detail))
-    return (
-        _E_ROW,
-        (kind, keys, tuple([detail[key] for key in keys]), time_s, tenant,
-         platform, request_ids),
-    )
+    return (kind, keys, tuple([detail[key] for key in keys]), time_s, tenant,
+            platform, request_ids)
 
 
 class _P:
@@ -244,10 +229,7 @@ class _Resilience:
         self.outage_started: Dict[str, float] = {}
         self.mttr_episodes: List[float] = []
 
-    def stats(self, completed_rows, breakers) -> ResilienceStats:
-        completed = set()
-        for row in completed_rows:
-            completed.update(row[0])
+    def stats(self, completed_rids, breakers) -> ResilienceStats:
         episodes = self.mttr_episodes
         return ResilienceStats(
             faults_injected=self.faults_injected,
@@ -257,157 +239,93 @@ class _Resilience:
             batch_failures=self.batch_failures,
             retries=self.retries,
             failovers=self.failovers,
-            requests_rescued=len(self.rescued & completed),
+            requests_rescued=len(self.rescued.intersection(completed_rids)),
             breaker_opens=sum(b.opens for b in breakers),
             breaker_closes=sum(b.closes for b in breakers),
         )
 
 
-class _LoopLedger(Ledger):
-    """A columnar run's ledger: the compact rows expand on first read
-    (not inside ``run``); a pickle carries the expanded ledger."""
+def _request_columns(cols: ArrivalColumns, rid: np.ndarray) -> dict:
+    """The request columns every record has, for rows ``rid``."""
+    tenants = np.array(cols.tenants, object)[cols.tenant_index[rid]]
+    tenants = tenants.tolist()
+    return {
+        "rid": rid.tolist(),
+        "tenant": [tenant.name for tenant in tenants],
+        "priority": [tenant.priority for tenant in tenants],
+        "tenant_obj": tenants,
+        "arrival_s": cols.arrivals[rid].tolist(),
+        "difficulty": cols.difficulty[rid].tolist(),
+    }
 
-    def __init__(self, cols, flat, completed_rows, names) -> None:
-        self.lists = {}
-        self.cols, self.flat, self.names = cols, flat, names
-        self.completed_rows = completed_rows
 
-    def __reduce__(self):
-        return Ledger, (self.completed, self.rejected, self.rows), {
-            "lists": self.lists
-        }
+def _completed_columns(cols: ArrivalColumns, batches: List[tuple]) -> dict:
+    """The completed records, in rid order, from the batch rows
+    ``(rids, name, level, take, start, finish, epi, ent, thr)``, in
+    :func:`repro.core.satisfaction.soc`'s exact operation order
+    element-wise (the same inputs raise the same errors)."""
+    sizes = [len(row[0]) for row in batches]
+    rid = np.fromiter(
+        itertools.chain.from_iterable(row[0] for row in batches), np.int64
+    )
+    order = np.argsort(rid, kind="stable")
+    rid = rid[order]
 
-    def _requests(self, rid: np.ndarray) -> dict:
-        """The request columns every record has, for rows ``rid``."""
-        cols = self.cols
-        tenants = np.array(cols.tenants, object)[cols.tenant_index[rid]]
-        tenants = tenants.tolist()
-        return {
-            "rid": rid.tolist(),
-            "tenant": [tenant.name for tenant in tenants],
-            "priority": [tenant.priority for tenant in tenants],
-            "tenant_obj": tenants,
-            "arrival_s": cols.arrivals[rid].tolist(),
-            "difficulty": cols.difficulty[rid].tolist(),
-        }
+    def per_request(index: int, dtype=np.float64) -> np.ndarray:
+        # Field ``index`` of every batch row, one per request.
+        values = np.array([row[index] for row in batches], dtype)
+        return np.repeat(values, sizes)[order]
 
-    @cached_property
-    def completed(self) -> dict:
-        """The completed records, in rid order, from the batch rows
-        ``(rids, name, level, take, start, finish, epi, ent, thr)``, in
-        :func:`repro.core.satisfaction.soc`'s exact operation order
-        element-wise (the same inputs raise the same errors)."""
-        cols = self.cols
-        rows = self.completed_rows
-        sizes = [len(row[0]) for row in rows]
-        rid = np.fromiter(
-            itertools.chain.from_iterable(row[0] for row in rows), np.int64
-        )
-        order = np.argsort(rid, kind="stable")
-        rid = rid[order]
+    start, finish, epi, ent, thr = (per_request(i) for i in range(4, 9))
+    tenant = cols.tenant_index[rid]
+    runtime = finish - cols.arrivals[rid]
+    entropy = ent * cols.difficulty[rid]
+    if np.any(epi <= 0):
+        raise ValueError("energy must be positive")
+    if np.any(runtime < 0):
+        raise ValueError("runtime must be non-negative")
+    requirements = [t.requirement for t in cols.tenants]
+    imp = np.array([r.imperceptible_s for r in requirements], np.float64)
+    unu = np.array([r.unusable_s for r in requirements], np.float64)
+    # Background (inf - inf) and real-time (zero) spans only feed
+    # lanes the branches below never select.
+    with np.errstate(invalid="ignore", divide="ignore"):
+        span = (unu - imp)[tenant]
+        imp, unu = imp[tenant], unu[tenant]
+        tolerable = 1.0 - (runtime - imp) / span
+    soc_time = np.where(
+        runtime <= imp, 1.0, np.where(runtime >= unu, 0.0, tolerable)
+    )
+    soc_accuracy = soc_accuracy_vec(entropy, thr)
+    columns = _request_columns(cols, rid)
+    columns.update(
+        platform=per_request(1, object).tolist(),
+        level=per_request(2, object).tolist(),
+        batch=per_request(3, object).tolist(),
+        start_s=start.tolist(),
+        finish_s=finish.tolist(),
+        latency_s=runtime.tolist(),
+        deadline_hit=(finish <= cols.deadlines[rid]).tolist(),
+        entropy=entropy.tolist(),
+        soc=(soc_time * soc_accuracy / epi).tolist(),
+        soc_time=soc_time.tolist(),
+        soc_accuracy=soc_accuracy.tolist(),
+        energy_per_item_j=epi.tolist(),
+    )
+    return columns
 
-        def per_request(index: int, dtype=np.float64) -> np.ndarray:
-            # Field ``index`` of every batch row, one per request.
-            values = np.array([row[index] for row in rows], dtype)
-            return np.repeat(values, sizes)[order]
 
-        start, finish, epi, ent, thr = (per_request(i) for i in range(4, 9))
-        tenant = cols.tenant_index[rid]
-        runtime = finish - cols.arrivals[rid]
-        entropy = ent * cols.difficulty[rid]
-        if np.any(epi <= 0):
-            raise ValueError("energy must be positive")
-        if np.any(runtime < 0):
-            raise ValueError("runtime must be non-negative")
-        requirements = [t.requirement for t in cols.tenants]
-        imp = np.array([r.imperceptible_s for r in requirements], np.float64)
-        unu = np.array([r.unusable_s for r in requirements], np.float64)
-        # Background (inf - inf) and real-time (zero) spans only feed
-        # lanes the branches below never select.
-        with np.errstate(invalid="ignore", divide="ignore"):
-            span = (unu - imp)[tenant]
-            imp, unu = imp[tenant], unu[tenant]
-            tolerable = 1.0 - (runtime - imp) / span
-        soc_time = np.where(
-            runtime <= imp, 1.0, np.where(runtime >= unu, 0.0, tolerable)
-        )
-        soc_accuracy = soc_accuracy_vec(entropy, thr)
-        columns = self._requests(rid)
-        columns.update(
-            platform=per_request(1, object).tolist(),
-            level=per_request(2, object).tolist(),
-            batch=per_request(3, object).tolist(),
-            start_s=start.tolist(),
-            finish_s=finish.tolist(),
-            latency_s=runtime.tolist(),
-            deadline_hit=(finish <= cols.deadlines[rid]).tolist(),
-            entropy=entropy.tolist(),
-            soc=(soc_time * soc_accuracy / epi).tolist(),
-            soc_time=soc_time.tolist(),
-            soc_accuracy=soc_accuracy.tolist(),
-            energy_per_item_j=epi.tolist(),
-        )
-        return columns
-
-    @cached_property
-    def rejected(self) -> dict:
-        """The rejected records in rid order, one per reject row."""
-        rejects = sorted(  # the reason by key: an outage reject has an origin
-            (row[6][0], row[2][row[1].index("reason")])
-            for row in self.rows
-            if row[0] == "reject"
-        )
-        rids, reasons = zip(*rejects) if rejects else ((), ())
-        columns = self._requests(np.array(rids, np.int64))
-        columns["reason"] = list(reasons)
-        return columns
-
-    @cached_property
-    def rows(self) -> List[tuple]:
-        """The run's compact rows, in log order, as ledger event rows."""
-        cols, names = self.cols, self.names
-        tenant_of = [
-            cols.tenants[index].name for index in cols.tenant_index_list
-        ]
-        arrivals = cols.arrivals_list
-        out: List[tuple] = []
-        append = out.append
-        for row in self.flat:
-            code = row[0]
-            if code == _E_ENQ:
-                _, t, rid, pidx, level, value, latency = row
-                append(("enqueue", _ENQUEUE_KEYS, (level, latency, value),
-                        t, tenant_of[rid], names[pidx], (rid,)))
-            elif code == _E_REJ:
-                platform = names[row[4]] if len(row) > 4 else None
-                append(("reject", _REASON_KEYS, (row[3],), row[1],
-                        tenant_of[row[2]], platform, (row[2],)))
-            elif code == _E_REJR:
-                out.extend(
-                    ("reject", _REASON_KEYS, ("saturated",), arrivals[rid],
-                     tenant_of[rid], None, (rid,))
-                    for rid in range(row[1], row[2])
-                )
-            elif code == _E_DISP:
-                _, t, pidx, rids, level, take, capacity, finish = row
-                append(("dispatch", _DISPATCH_KEYS,
-                        (take, capacity, finish, level), t, None,
-                        names[pidx], rids))
-            elif code == _E_COMP:
-                _, t, pidx, rids, level = row
-                append(("complete", _LEVEL_KEYS, (level,), t, None,
-                        names[pidx], rids))
-            elif code == _E_MOVE:
-                _, t, pidx, move, level = row
-                append((move, _CAUSE_KEYS, ("backlog", level), t, None,
-                        names[pidx], ()))
-            elif code == _E_ADEG:
-                _, t, rid, pidx, level = row
-                append(("degrade", _CAUSE_KEYS, ("admission", level), t,
-                        tenant_of[rid], names[pidx], (rid,)))
-            else:  # _E_ROW
-                append(row[1])
-        return out
+def _rejected_columns(cols: ArrivalColumns, rows: List[tuple]) -> dict:
+    """The rejected records in rid order, one per reject row."""
+    rejects = sorted(  # the reason by key: an outage reject has an origin
+        (row[6][0], row[2][row[1].index("reason")])
+        for row in rows
+        if row[0] == "reject"
+    )
+    rids, reasons = zip(*rejects) if rejects else ((), ())
+    columns = _request_columns(cols, np.array(rids, np.int64))
+    columns["reason"] = list(reasons)
+    return columns
 
 
 def run_columnar(
@@ -428,13 +346,14 @@ def run_columnar(
             )
     chaos = faults is not None
     resilience = config.resilience
-    flat: List[tuple] = []
-    flat_append = flat.append
+    # The event log, as the ledger's rows.
+    rows: List[tuple] = []
+    append = rows.append
     # The loop clock; engine relays read it when they fire.
     now = 0.0
 
     def relay(kind, platform, **detail):
-        flat_append(_row(kind, now, None, platform, (), **detail))
+        append(_row(kind, now, None, platform, (), **detail))
 
     unsubscribe = router._subscribe_engines(relay)
     try:
@@ -466,7 +385,6 @@ def run_columnar(
             for index, (name, state) in enumerate(states.items())
         ]
         by_name = {p.name: p for p in ps}
-        names = [p.name for p in ps]
 
         fifo = config.policy == "fifo"
         queue_limit = config.queue_limit
@@ -498,8 +416,8 @@ def run_columnar(
                 rank[order] = idx
                 sort_key = rank.tolist().__getitem__
 
-        def tenant_of(rid: int) -> str:
-            return cols.tenants[cols.tenant_index_list[rid]].name
+        tenant_names = [tenant.name for tenant in cols.tenants]
+        tenant_of = [tenant_names[index] for index in cols.tenant_index_list]
 
         # The heap: (time_s, seq, kind, payload) tuples, sequence
         # numbers continuing after the arrivals' 0..n-1.  The fault
@@ -639,7 +557,7 @@ def run_columnar(
             dyn=dyn,
             dyn_seq=dyn_seq,
             heappush=heappush,
-            flat_append=flat_append,
+            append=append,
         ) -> None:
             """Launch while nothing is in flight (an event popping at
             a batch's exact finish instant must not launch over it),
@@ -686,17 +604,17 @@ def run_columnar(
                 if chaos:
                     launch_faults(p, now)
                 heappush(dyn, (finish, dyn_seq(), _FREE, p.index))
-                flat_append(
-                    (_E_DISP, now, p.index, rids, level, take, capacity,
-                     finish)
-                )
+                append(("dispatch", _DISPATCH_KEYS,
+                        (take, capacity, finish, level), now, None, p.name,
+                        rids))
                 # Degradation reacts to the *standing* queue left
                 # behind, not the work already committed.
                 queued_batches = -(-len(queue) // capacity)
                 move = p.ctrl.observe(queued_batches * exec_s)
                 if move is not None:
                     p.set_level(p.ctrl.level)
-                    flat_append((_E_MOVE, now, p.index, move, p.ctrl.level))
+                    append((move, _CAUSE_KEYS, ("backlog", p.ctrl.level),
+                            now, None, p.name, ()))
 
         # -- the rare handlers ---------------------------------------
         def gate(p: _P, now: float) -> None:
@@ -707,7 +625,7 @@ def run_columnar(
 
         def breaker_move(p: _P, move, now: float) -> None:
             if move is not None:
-                flat_append(_row(move, now, platform=p.name))
+                append(_row(move, now, platform=p.name))
                 gate(p, now)
 
         def launch_faults(p: _P, now: float) -> None:
@@ -730,7 +648,7 @@ def run_columnar(
             p.state.failed_batches += 1
             res.batch_failures += 1
             rids = batch[0]
-            flat_append(_row(
+            append(_row(
                 "batch_failed", now, platform=p.name, request_ids=rids,
                 level=batch[1],
             ))
@@ -744,17 +662,19 @@ def run_columnar(
                 attempt = res.attempts.get(rid, 0) + 1
                 res.attempts[rid] = attempt
                 if not resilience:
-                    flat_append((_E_REJ, now, rid, "failed"))
+                    append(("reject", _REASON_KEYS, ("failed",), now,
+                            tenant_of[rid], None, (rid,)))
                     continue
                 delay = retry_policy.backoff_for(
                     attempt, now, float(cols.deadlines[rid])
                 )
                 if delay is None:
-                    flat_append((_E_REJ, now, rid, "retries-exhausted"))
+                    append(("reject", _REASON_KEYS, ("retries-exhausted",),
+                            now, tenant_of[rid], None, (rid,)))
                     continue
                 res.retries += 1
-                flat_append(_row(
-                    "retry", now, tenant_of(rid), None, (rid,),
+                append(_row(
+                    "retry", now, tenant_of[rid], None, (rid,),
                     attempt=attempt, backoff_s=delay,
                 ))
                 heappush(dyn, (now + delay, dyn_seq(), _RETRY, rid))
@@ -766,7 +686,7 @@ def run_columnar(
             state = p.state
             consequence = state.health.apply(fault)
             res.faults_injected += 1
-            flat_append(_row(
+            append(_row(
                 "fault", now, platform=fault.platform,
                 fault_kind=fault.kind, episode=fault.episode,
                 sm_fail_fraction=fault.sm_fail_fraction,
@@ -812,22 +732,22 @@ def run_columnar(
             for rid in sorted(victims):
                 target, level, _, _, reason = admit(rid, now)
                 if target is None:
-                    flat_append(_row(
-                        "reject", now, tenant_of(rid), None, (rid,),
+                    append(_row(
+                        "reject", now, tenant_of[rid], None, (rid,),
                         reason="outage", origin=p.name,
                     ))
                     continue
                 res.failovers += 1
                 res.rescued.add(rid)
                 if reason == "ok-degraded":
-                    flat_append(_row(
-                        "degrade", now, tenant_of(rid), target.name, (rid,),
+                    append(_row(
+                        "degrade", now, tenant_of[rid], target.name, (rid,),
                         cause="failover", level=target.ctrl.level,
                     ))
                 target.queue.append(rid)
                 target.dirty = True
-                flat_append(_row(
-                    "failover", now, tenant_of(rid), target.name, (rid,),
+                append(_row(
+                    "failover", now, tenant_of[rid], target.name, (rid,),
                     origin=p.name, level=level,
                 ))
                 try_dispatch(target, now)
@@ -838,23 +758,23 @@ def run_columnar(
             changed, and re-arm the next tick until the last arrival
             is behind us."""
             outcome = controller.tick(now, states)
-            flat_append(_row(
+            append(_row(
                 "control_tick", now, observed_rps=outcome.observed_rps,
                 forecast_rps=outcome.forecast_rps,
                 level=outcome.target_level,
             ))
             for platform, level, batch in outcome.prewarmed:
-                flat_append(_row(
+                append(_row(
                     "prewarm", now, platform=platform, level=level,
                     batch=batch,
                 ))
             for platform, _old, level in outcome.degraded:
-                flat_append(_row(
+                append(_row(
                     "degrade", now, platform=platform, cause="forecast",
                     level=level,
                 ))
             for platform, relative_frequency in outcome.dvfs_moves:
-                flat_append(_row(
+                append(_row(
                     "dvfs", now, platform=platform,
                     relative_frequency=relative_frequency,
                 ))
@@ -885,7 +805,7 @@ def run_columnar(
                 rid = ai
                 ai += 1
                 if controller is not None:
-                    controller.observe_arrival(tenant_of(rid), now)
+                    controller.observe_arrival(tenant_of[rid], now)
             else:
                 now, _seq, kind, payload = heappop(dyn)
                 if kind == _FREE:
@@ -912,9 +832,8 @@ def run_columnar(
                                 (rids, p.name, level, take, start, finish,
                                  epi, entropy, p.thr)
                             )
-                            flat_append(
-                                (_E_COMP, finish, p.index, rids, level)
-                            )
+                            append(("complete", _LEVEL_KEYS, (level,),
+                                    finish, None, p.name, rids))
                     try_dispatch(p, now)
                     continue
                 if kind == _FLUSH:
@@ -940,7 +859,8 @@ def run_columnar(
                 td = None
             p, level, value, latency, reason = admit(rid, now)
             if p is None:
-                flat_append((_E_REJ, now, rid, reason))
+                append(("reject", _REASON_KEYS, (reason,), now,
+                        tenant_of[rid], None, (rid,)))
                 if reason == "saturated" and td is not None:
                     # No platform can take a request and nothing can
                     # open one before the next heap event -- or before
@@ -953,20 +873,26 @@ def run_columnar(
                         if lapse <= td:
                             end = bisect_left(arrivals, lapse, ai, end)
                     if end > ai:
-                        flat_append((_E_REJR, ai, end))
+                        rows.extend(
+                            ("reject", _REASON_KEYS, ("saturated",),
+                             arrivals[rid], tenant_of[rid], None, (rid,))
+                            for rid in range(ai, end)
+                        )
                         if controller is not None:
                             for rid in range(ai, end):
                                 controller.observe_arrival(
-                                    tenant_of(rid), arrivals[rid]
+                                    tenant_of[rid], arrivals[rid]
                                 )
                         now = arrivals[end - 1]
                         ai = end
                 continue
             if reason == "ok-degraded":
-                flat_append((_E_ADEG, now, rid, p.index, p.ctrl.level))
+                append(("degrade", _CAUSE_KEYS, ("admission", p.ctrl.level),
+                        now, tenant_of[rid], p.name, (rid,)))
             p.queue.append(rid)
             p.dirty = True
-            flat_append((_E_ENQ, now, rid, p.index, level, value, latency))
+            append(("enqueue", _ENQUEUE_KEYS, (level, latency, value), now,
+                    tenant_of[rid], p.name, (rid,)))
             if p.state.inflight is None:
                 try_dispatch(p, now)
 
@@ -982,22 +908,20 @@ def run_columnar(
             stranded.extend(p.queue)
             del p.queue[:]
             for rid in sorted(stranded):
-                flat_append((_E_REJ, now, rid, "stranded", p.index))
+                append(("reject", _REASON_KEYS, ("stranded",), now,
+                        tenant_of[rid], p.name, (rid,)))
     finally:
         unsubscribe()
 
-    horizon = 0.0
-    if completed_rows:
-        horizon = max(horizon, max(row[5] for row in completed_rows))
-    if n:
-        horizon = max(horizon, arrivals[n - 1])
+    horizon = max([0.0, last_arrival_s] + [row[5] for row in completed_rows])
+    completed = _completed_columns(cols, completed_rows)
     return RouterReport(
-        ledger=_LoopLedger(cols, flat, completed_rows, names),
+        ledger=Ledger(completed, _rejected_columns(cols, rows), rows),
         platforms=router._platform_stats(states, horizon),
         horizon_s=horizon,
         resilience=(
             res.stats(
-                completed_rows,
+                completed["rid"],
                 [state.breaker for state in states.values()
                  if state.breaker is not None],
             )

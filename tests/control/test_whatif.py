@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import repro.serving.report as report_module
 from repro.control import ControllerConfig, WhatIfOutcome, run_whatif
 from repro.serving import RouterConfig, TenantLoad
 from repro.workloads import bursty_trace
@@ -74,6 +75,23 @@ class TestOutcomeShape:
         # Round-trips through JSON without custom encoders.
         assert json.loads(json.dumps(data, sort_keys=True)) is not None
         assert data["fingerprints"]["reactive"] == outcome.reactive.fingerprint()
+
+    def test_reading_an_outcome_renders_no_report(self, outcome, monkeypatch):
+        """Both report fingerprints are taken when the outcome is
+        built: ``to_dict()`` and ``fingerprint()`` render nothing."""
+        renders = []
+        write = report_module.write_report
+
+        def counting(*args):
+            renders.append(args)
+            return write(*args)
+
+        monkeypatch.setattr(report_module, "write_report", counting)
+        outcome.to_dict()
+        outcome.fingerprint()
+        assert renders == []
+        outcome.predictive.fingerprint()
+        assert len(renders) == 1
 
 
 class TestDeterminism:

@@ -3,6 +3,7 @@
 import pickle
 from dataclasses import dataclass
 
+from repro.faults import FaultEvent, FaultTrace
 from repro.resilience import CheckpointStore
 
 
@@ -24,6 +25,28 @@ class TestDigest:
         b = CheckpointStore.spec_digest(Spec(shard_id=1, seed=5))
         c = CheckpointStore.spec_digest(Spec(shard_id=1, payload="other"))
         assert len({a, b, c}) == 3
+
+    def test_equal_values_digest_equal_whatever_they_share(self):
+        """Two fault traces with one fingerprint, one naming its
+        platform with one shared string and one with two equal
+        strings, digest the same (their pickles differ)."""
+        shared = "".join(["snap", "py"])
+        first, second = ("".join(["snap", "py"]) for _ in range(2))
+        assert first is not second
+
+        def spec(outage_on, restore_on):
+            return Spec(shard_id=0, payload=FaultTrace([
+                FaultEvent(1.0, "outage", outage_on, episode=0),
+                FaultEvent(2.0, "restore", restore_on, episode=0),
+            ]))
+
+        one, two = spec(shared, shared), spec(first, second)
+        assert one.payload.fingerprint() == two.payload.fingerprint()
+        assert pickle.dumps(one, protocol=4) != pickle.dumps(two, protocol=4)
+        assert (
+            CheckpointStore.spec_digest(one)
+            == CheckpointStore.spec_digest(two)
+        )
 
 
 class TestRoundTrip:

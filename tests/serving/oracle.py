@@ -152,7 +152,7 @@ def oracle_merge(reports):
     if len(reports) == 1:
         return reports[0]
     merged = RouterReport.merge(reports)
-    leaves = list(merged.merged_from)
+    leaves = sorted(reports, key=lambda report: report.fingerprint())
     # Global rid assignment over every terminal record: a stable sort
     # by (arrival, tenant) with ties resolved by canonical leaf order,
     # then local rid order.

@@ -10,8 +10,10 @@ fingerprint and ``to_dict``, a pickle of it, the obs derived from it
 and a sharded coordinator's merge build no per-request object at all.
 """
 
+import gc
 import math
 import pickle
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -34,7 +36,9 @@ from repro.serving import (
     RouterReport,
     Tenant,
     TenantLoad,
+    vec_router,
 )
+from repro.serving.ledger import Ledger
 from repro.serving.shard.merge import qualify_report, strip_requests
 from repro.workloads import bursty_trace, pareto_trace
 from tests.serving.event_loop import run_events
@@ -411,6 +415,27 @@ class TestNoPerRequestObjects:
             assert built == []
             monkeypatch.undo()
             assert report.n_offered == 600 and report.n_rejected > 0
-            for shard_report in (report, *outcome.shard_reports,
-                                 *report.merged_from):
+            for shard_report in (report, *outcome.shard_reports):
                 assert not shard_report.ledger.lists
+
+
+class TestFinishedReport:
+    def test_report_keeps_no_arrival_columns(self, fleet, loads, monkeypatch):
+        """``run`` returns a finished report: a plain ledger, built
+        before ``run`` returns, and nothing in the report keeps the
+        run's ``ArrivalColumns`` alive."""
+        made = []
+
+        class Recording(vec_router.ArrivalColumns):
+            def __init__(self, loads):
+                super().__init__(loads)
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(vec_router, "ArrivalColumns", Recording)
+        report = RequestRouter(fleet, OVERLOAD).run(loads)
+        gc.collect()
+        assert len(made) == 1
+        assert made[0]() is None
+        assert type(report.ledger) is Ledger
+        monkeypatch.undo()
+        assert report.fingerprint() == checked_fingerprint(report)

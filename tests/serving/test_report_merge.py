@@ -1,7 +1,7 @@
-"""Tests for RouterReport.merge: exact associativity, order
-independence, ResilienceStats recombination, percentile recomputation
-over merged records, and the ledger transforms (merge, qualify,
-strip) against their record-object oracle."""
+"""Tests for RouterReport.merge: order independence,
+ResilienceStats recombination, percentile recomputation over merged
+records, and the ledger transforms (merge, qualify, strip) against
+their record-object oracle."""
 
 import pytest
 from hypothesis import given, settings
@@ -174,17 +174,6 @@ def leaf_reports(draw):
 
 class TestMergeProperties:
     @settings(max_examples=40, deadline=None)
-    @given(leaves=st.lists(leaf_reports(), min_size=3, max_size=3))
-    def test_associative(self, leaves):
-        """Any grouping of the same leaves merges bit-identically."""
-        a, b, c = leaves
-        left = RouterReport.merge([RouterReport.merge([a, b]), c])
-        right = RouterReport.merge([a, RouterReport.merge([b, c])])
-        flat = RouterReport.merge([a, b, c])
-        assert left.fingerprint() == checked_fingerprint(flat)
-        assert right.fingerprint() == flat.fingerprint()
-
-    @settings(max_examples=40, deadline=None)
     @given(
         leaves=st.lists(leaf_reports(), min_size=2, max_size=4),
         seed=st.randoms(use_true_random=False),
@@ -304,14 +293,11 @@ class TestMergeEndToEnd:
             )
         return reports
 
-    def test_real_reports_merge_associatively(self, leaf_runs):
+    def test_real_reports_merge_in_any_order(self, leaf_runs):
         a, b, c = leaf_runs
-        flat = RouterReport.merge([a, b, c])
-        nested = RouterReport.merge([a, RouterReport.merge([b, c])])
-        assert flat.fingerprint() == nested.fingerprint()
         assert (
             RouterReport.merge([c, b, a]).fingerprint()
-            == flat.fingerprint()
+            == RouterReport.merge([a, b, c]).fingerprint()
         )
 
     def test_real_reports_merge_totals(self, leaf_runs):
