@@ -100,6 +100,10 @@ def network_fingerprint(network: NetworkDescriptor) -> str:
     return network.fingerprint()
 
 
+#: The instance-dict key under which a plan keeps its fingerprint.
+_PLAN_DIGEST = "_digest"
+
+
 def plan_fingerprint(plan: CompiledPlan) -> str:
     """Content fingerprint of a compiled plan (the execution-cache key).
 
@@ -107,9 +111,17 @@ def plan_fingerprint(plan: CompiledPlan) -> str:
     target architecture, batch, perforation, and every layer's tuned
     kernel + scheduling configuration (which is where the backend's
     influence lands).
+
+    Digested once per plan, which is frozen; the digest is kept with
+    the network fingerprint it covers, so rebinding the network's
+    ``name`` or ``input_shape`` makes the next call digest again.
     """
+    network = network_fingerprint(plan.network)
+    memo = plan.__dict__.get(_PLAN_DIGEST)
+    if memo is not None and memo[0] == network:
+        return memo[1]
     parts = [
-        network_fingerprint(plan.network),
+        network,
         plan.arch.name,
         "b%d" % plan.batch,
         perforation_fingerprint(plan.perforation),
@@ -129,7 +141,9 @@ def plan_fingerprint(plan: CompiledPlan) -> str:
                 schedule.gemm_count,
             )
         )
-    return hashlib.sha1("\n".join(parts).encode("utf-8")).hexdigest()
+    digest = hashlib.sha1("\n".join(parts).encode("utf-8")).hexdigest()
+    plan.__dict__[_PLAN_DIGEST] = (network, digest)
+    return digest
 
 
 @dataclass(frozen=True)
@@ -323,7 +337,7 @@ class ExecutionEngine:
     name a platform; a fleet-shared engine may be constructed with
     ``arch=None`` and passed an explicit architecture per call.  An
     existing :class:`OfflineCompiler` may be donated via ``compiler``
-    (its kernel-tuning caches then seed the engine's platform).
+    (its layer decisions then seed the engine's platform).
     """
 
     def __init__(
@@ -389,7 +403,11 @@ class ExecutionEngine:
         arch: Optional[GPUArchitecture] = None,
         backend: Optional[KernelLibrary] = None,
     ) -> RuntimeKernelManager:
-        """The (lazily created) runtime kernel manager for one mode."""
+        """The (lazily created) runtime kernel manager for one mode.
+
+        An engine that caches no reports keeps no manager either, so
+        each call returns a fresh one and every execute simulates.
+        """
         arch, backend = self._resolve(arch, backend)
         key = (arch.name, backend.name, power_gating, use_priority_sm)
         manager = self._managers.get(key)
@@ -400,7 +418,8 @@ class ExecutionEngine:
                 power_gating=power_gating,
                 use_priority_sm=use_priority_sm,
             )
-            self._managers[key] = manager
+            if self.cache_reports:
+                self._managers[key] = manager
         return manager
 
     def compile_key(
@@ -588,17 +607,18 @@ class ExecutionEngine:
         decisions, report cache and prewarm set, and stats counters
         equal to this engine's, so it emits exactly the hook events
         this engine would from here on, and nothing it does reaches
-        this engine.  The per-platform compilers and runtime managers
-        are shared: their caches are shape-keyed memos, so sharing
-        them changes speed only.
+        this engine's caches, events or stats.  The registries of
+        per-platform compilers and runtime managers are shared, the
+        same dicts: a compiler or manager that any copy creates later
+        is the one every copy uses.  What they keep are memos of pure
+        functions (a layer decision per GEMM shape, a kernel result
+        per launch), so sharing them changes speed only.
         """
         twin = copy.copy(self)
         twin.hooks = HookBus()
         twin.stats = replace(
             self.stats, plan_use_counts=dict(self.stats.plan_use_counts)
         ).attach(twin.hooks)
-        twin._compilers = dict(self._compilers)
-        twin._managers = dict(self._managers)
         twin._plans = dict(self._plans)
         twin._batch_decisions = dict(self._batch_decisions)
         twin._reports = dict(self._reports)

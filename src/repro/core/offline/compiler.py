@@ -81,6 +81,18 @@ class LayerSchedule:
 
 
 @dataclass(frozen=True)
+class _LayerDecision:
+    """What a layer's schedule takes from its GEMM shape alone: the
+    tuned kernel, the scheduling (optTLP, optSM) pair and the
+    predicted seconds of one GEMM."""
+
+    tuned: TunedKernel
+    opt_tlp: int
+    opt_sm: int
+    gemm_time_s: float
+
+
+@dataclass(frozen=True)
 class CompiledPlan:
     """Everything run-time management needs for one configuration."""
 
@@ -136,7 +148,15 @@ class CompiledPlan:
 
 
 class OfflineCompiler:
-    """P-CNN's offline compiler for one target architecture."""
+    """P-CNN's offline compiler for one target architecture.
+
+    A GEMM-bound layer's schedule depends on the network, batch and
+    perforation only through its GEMM shape, so the compiler decides
+    each shape once -- tuned kernel, (optTLP, optSM) and the time of
+    one GEMM -- and every later layer of that shape reuses the
+    decision, multiplied by its own GEMM count.  The decisions live
+    as long as the compiler, which an engine and all its copies share.
+    """
 
     def __init__(
         self,
@@ -148,23 +168,36 @@ class OfflineCompiler:
         # The tuner's designs depend only on the arch: built on the
         # first tune, scored for every shape after.
         self._candidates: Optional[TuningCandidates] = None
-        # A tuned kernel depends only on the GEMM shape for a fixed
-        # (arch, backend); caching makes the accuracy tuner's many
-        # single-layer recompilations cheap.
-        self._tune_cache: Dict[GemmShape, TunedKernel] = {}
+        # The accuracy tuner's many recompilations, and every batch
+        # and perforation that repeats a shape, look the shape up here.
+        self._decisions: Dict[GemmShape, _LayerDecision] = {}
 
     def _tune(self, shape: GemmShape) -> TunedKernel:
         """``tune_layer_kernel(arch, shape, backend=backend)``, from
         this compiler's one candidate set."""
-        cached = self._tune_cache.get(shape)
-        if cached is None:
-            if self._candidates is None:
-                self._candidates = tuning_candidates(self.arch)
-            cached = pick_tuned_kernel(
-                self.arch, self._candidates, shape, self.backend
+        if self._candidates is None:
+            self._candidates = tuning_candidates(self.arch)
+        return pick_tuned_kernel(
+            self.arch, self._candidates, shape, self.backend
+        )
+
+    def _decide(self, shape: GemmShape) -> _LayerDecision:
+        """The tuned kernel, scheduling pair and one-GEMM time of
+        ``shape``, decided on its first request."""
+        decision = self._decisions.get(shape)
+        if decision is None:
+            tuned = self._tune(shape)
+            tlp, sms = self._schedule_resources(tuned, shape)
+            decision = self._decisions[shape] = _LayerDecision(
+                tuned,
+                tlp,
+                sms,
+                layer_time(
+                    self.arch, tuned, shape, tlp=tlp, n_sms=sms,
+                    backend=self.backend,
+                ),
             )
-            self._tune_cache[shape] = cached
-        return cached
+        return decision
 
     # ------------------------------------------------------------------
     def compile_with_batch(
@@ -183,39 +216,30 @@ class OfflineCompiler:
             spec = layer.spec
             if isinstance(spec, ConvSpec):
                 shape = self._conv_shape(network, layer, batch, perforation)
-                tuned = self._tune(shape)
-                tlp, sms = self._schedule_resources(tuned, shape)
-                time_s = layer_time(
-                    self.arch,
-                    tuned,
-                    shape,
-                    tlp=tlp,
-                    n_sms=sms,
-                    gemm_count=spec.groups,
-                    backend=self.backend,
-                )
-                schedules.append(
-                    LayerSchedule(
-                        layer, shape, tuned, tlp, sms, spec.groups, time_s
-                    )
-                )
+                gemm_count = spec.groups
             elif isinstance(spec, DenseSpec):
                 shape = GemmShape(
                     m_rows=spec.units,
                     n_cols=batch,
                     k_depth=layer.input_shape.elements,
                 )
-                tuned = self._tune(shape)
-                tlp, sms = self._schedule_resources(tuned, shape)
-                time_s = layer_time(
-                    self.arch, tuned, shape, tlp=tlp, n_sms=sms,
-                    backend=self.backend,
-                )
-                schedules.append(
-                    LayerSchedule(layer, shape, tuned, tlp, sms, 1, time_s)
-                )
+                gemm_count = 1
             else:
                 aux_time += self._aux_layer_time(layer, batch)
+                continue
+            decision = self._decide(shape)
+            schedules.append(
+                LayerSchedule(
+                    layer,
+                    shape,
+                    decision.tuned,
+                    decision.opt_tlp,
+                    decision.opt_sm,
+                    gemm_count,
+                    # layer_time's ``gemm_count`` sequential GEMMs.
+                    decision.gemm_time_s * gemm_count,
+                )
+            )
         return CompiledPlan(
             network=network,
             arch=self.arch,

@@ -25,7 +25,7 @@ library (hand-tuned-quality issue efficiency, minimal layout overhead).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,6 +41,9 @@ from repro.gpu.spilling import (
     stair_points,
 )
 from repro.sim.engine import analytic_kernel_time_s
+
+if TYPE_CHECKING:  # repro.analysis imports this module back
+    from repro.analysis.vec_score import CandidateColumns
 
 __all__ = [
     "PCNN_BACKEND",
@@ -92,12 +95,14 @@ class TuningCandidates:
     at each of its stair points, with its spill plan applied.
 
     Nothing here depends on the layer, so one set serves every GEMM
-    shape tuned on the architecture.
+    shape tuned on the architecture; ``columns`` holds the candidates'
+    scoring inputs as arrays, gathered once for every shape's sweep.
     """
 
     kernels: Tuple[SgemmKernel, ...]
     tlps: Tuple[int, ...]
     spills: Tuple[SpillPlan, ...]
+    columns: "CandidateColumns"
 
 
 def _block_size_for(tile_m: int, tile_n: int) -> int:
@@ -174,6 +179,10 @@ def tuning_candidates(
     registers) and build the spill plan (spare shared memory first,
     then global -- Section IV.B.2).
     """
+    # cycle-breaker: repro.analysis pulls repro.core.engine at
+    # package init (profiling), which imports this module back.
+    from repro.analysis.vec_score import candidate_columns
+
     candidates = candidate_kernels(arch, tiles or COMMON_TILES)
     if not candidates:
         raise ValueError("no candidate kernel fits on %s" % (arch.name,))
@@ -186,7 +195,12 @@ def tuning_candidates(
             kernels.append(apply_spill(base, spill))
             tlps.append(tlp)
             spills.append(spill)
-    return TuningCandidates(tuple(kernels), tuple(tlps), tuple(spills))
+    return TuningCandidates(
+        tuple(kernels),
+        tuple(tlps),
+        tuple(spills),
+        candidate_columns(kernels, tlps),
+    )
 
 
 def pick_tuned_kernel(
@@ -199,15 +213,13 @@ def pick_tuned_kernel(
     :func:`kernel_score` on ``shape``.  Its TLP is the paper's optTLP."""
     # cycle-breaker: repro.analysis pulls repro.core.engine at
     # package init (profiling), which imports this module back.
-    from repro.analysis.vec_score import batched_kernel_scores
+    from repro.analysis.vec_score import column_scores
 
     # One vectorized scoring sweep per shape instead of one analytic
     # model entry per candidate; scores are bit-identical to the
     # scalar kernel_score, and argmin's first-minimum tie-break
     # matches the old loop's strict ``<`` best-so-far update.
-    scores = batched_kernel_scores(
-        arch, candidates.kernels, candidates.tlps, shape, library=backend
-    )
+    scores = column_scores(arch, candidates.columns, shape, library=backend)
     index = int(np.argmin(scores))
     winner = candidates.kernels[index]
     tlp = candidates.tlps[index]

@@ -12,7 +12,7 @@ the baseline schedulers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import Dict, List
 
 from repro.core.offline.compiler import CompiledPlan, LayerSchedule
 from repro.core.offline.kernel_tuning import PCNN_BACKEND
@@ -73,7 +73,15 @@ class ExecutionReport:
 
 
 class RuntimeKernelManager:
-    """Dispatches a compiled plan layer-by-layer onto the simulator."""
+    """Dispatches a compiled plan layer-by-layer onto the simulator.
+
+    A layer's kernel result is a pure function of (kernel, shape,
+    optTLP, optSM) under the manager's fixed architecture, backend and
+    mode, so each distinct launch is simulated once per manager: a
+    grouped layer's identical per-group GEMMs share one result, and so
+    do later layers and plans that repeat a launch.  The per-group
+    sums are still added one group at a time, in order.
+    """
 
     def __init__(
         self,
@@ -90,6 +98,7 @@ class RuntimeKernelManager:
         # Grids above this run through the closed-form steady-state
         # model instead of the event loop (identical in that regime).
         self.max_sim_ctas = max_sim_ctas
+        self._results: Dict[tuple, KernelResult] = {}
 
     def _scheduler_for(self, schedule: LayerSchedule):
         if self.use_priority_sm:
@@ -102,23 +111,28 @@ class RuntimeKernelManager:
         """Simulate the full network once (one batch)."""
         report = ExecutionReport()
         for schedule in plan.schedules:
+            key = (
+                schedule.tuned.kernel,
+                schedule.shape,
+                schedule.opt_tlp,
+                schedule.opt_sm,
+            )
+            result = self._results.get(key)
+            if result is None:
+                result = self._results[key] = self._run_layer(schedule)
+            group_energy = self._kernel_energy(result)
             time_s = 0.0
             energy = 0.0
-            sms_used = 0
-            powered = 0
             for _group in range(schedule.gemm_count):
-                result = self._run_layer(schedule)
                 time_s += result.seconds
-                energy += self._kernel_energy(result)
-                sms_used = max(sms_used, result.sms_used)
-                powered = max(powered, self._powered_sms(result))
+                energy += group_energy
             report.layers.append(
                 LayerExecution(
                     name=schedule.name,
                     time_s=time_s,
                     energy_joules=energy,
-                    sms_used=sms_used,
-                    powered_sms=powered,
+                    sms_used=result.sms_used,
+                    powered_sms=self._powered_sms(result),
                     predicted_time_s=schedule.time_s,
                 )
             )

@@ -43,9 +43,9 @@ DEFAULT_K_UNROLL = 8
 #: Calibrated so the computation-density ordering of Fig. 6 holds:
 #: density grows with tile size because FFMA count scales with m*n while
 #: memory traffic scales with m+n.
-_LOADS_PER_ELEMENT = 1.0
-_ADDRESS_INSTS_PER_LOAD = 2.0
-_LOOP_OVERHEAD_PER_KSTEP = 4.0
+LOADS_PER_ELEMENT = 1.0
+ADDRESS_INSTS_PER_LOAD = 2.0
+LOOP_OVERHEAD_PER_KSTEP = 4.0
 
 
 @dataclass(frozen=True)
@@ -214,7 +214,7 @@ class SgemmKernel:
         then the m*n results stored once.  Spilled registers add one
         shared or global access per spilled word per K step.
         """
-        operand_loads = (self.tile_m + self.tile_n) * k_depth * _LOADS_PER_ELEMENT
+        operand_loads = (self.tile_m + self.tile_n) * k_depth * LOADS_PER_ELEMENT
         shared_traffic = operand_loads  # staging stores + reloads, amortized
         result_stores = self.tile_elements
         spill_words = (self.spilled_bytes_shared + self.spilled_bytes_global) / 4.0
@@ -224,11 +224,11 @@ class SgemmKernel:
 
     def other_insts_per_cta(self, k_depth: int) -> float:
         """Address arithmetic, predicates and loop control per CTA."""
-        loads = (self.tile_m + self.tile_n) * k_depth * _LOADS_PER_ELEMENT
+        loads = (self.tile_m + self.tile_n) * k_depth * LOADS_PER_ELEMENT
         k_steps = math.ceil(k_depth / self.k_unroll)
         return (
-            loads * _ADDRESS_INSTS_PER_LOAD
-            + k_steps * self.block_size * _LOOP_OVERHEAD_PER_KSTEP
+            loads * ADDRESS_INSTS_PER_LOAD
+            + k_steps * self.block_size * LOOP_OVERHEAD_PER_KSTEP
         )
 
     def total_insts_per_cta(self, k_depth: int) -> float:

@@ -6,7 +6,10 @@ cached-vs-uncached equivalence over a served trace, the hook bus, and
 the fleet-sharing behaviour.
 """
 
+import dataclasses
+import hashlib
 import itertools
+from unittest import mock
 
 import pytest
 
@@ -150,6 +153,18 @@ class TestCacheKeys:
         uncached = ExecutionEngine(JETSON_TX1, cache_plans=False)
         again = uncached.compile_with_batch(alexnet(), 2)
         assert plan_fingerprint(plan) == plan_fingerprint(again)
+
+    def test_plan_digest_kept_until_its_network_is_rebound(self):
+        net = alexnet()
+        plan = ExecutionEngine(JETSON_TX1).compile_with_batch(net, 2)
+        first = plan_fingerprint(plan)
+        with mock.patch("hashlib.sha1", wraps=hashlib.sha1) as sha1:
+            assert plan_fingerprint(plan) == first
+        assert sha1.call_count == 0
+        net.name = "renamed"
+        renamed = plan_fingerprint(plan)
+        assert renamed != first
+        assert renamed == plan_fingerprint(dataclasses.replace(plan))
 
     def test_execute_key_carries_backend_and_modes(self):
         a = ExecuteKey("fp", True, True, "cublas")

@@ -129,7 +129,8 @@ def _same_tuned(got, want):
 
 class TestCandidatesOncePerCompiler:
     """``OfflineCompiler`` scores one candidate set per arch; every
-    tune equals ``tune_layer_kernel``, which rebuilds the set."""
+    tune equals ``tune_layer_kernel``, which rebuilds the set, and
+    every shape's decision holds that tune."""
 
     def test_every_shape_a_fleet_build_tunes(self):
         from repro.serving import FleetSpec
@@ -145,10 +146,10 @@ class TestCandidatesOncePerCompiler:
         compilers = list(fleet.engine._compilers.values())
         assert len(compilers) == 2
         for compiler in compilers:
-            assert len(compiler._tune_cache) > 10
-            for shape, tuned in compiler._tune_cache.items():
+            assert len(compiler._decisions) > 10
+            for shape, decision in compiler._decisions.items():
                 _same_tuned(
-                    tuned,
+                    decision.tuned,
                     tune_layer_kernel(
                         compiler.arch, shape, backend=compiler.backend
                     ),

@@ -86,8 +86,11 @@ def loads(fleet, tenants):
 
 class TestReportKinds:
     def test_columnar_run(self, fleet, loads):
-        """Every compact row kind, saturation bursts included; the
-        event loop's scalar SoC path pins the column arithmetic."""
+        """The fault-free ledger row kinds -- enqueue, reject
+        (saturated and infeasible), dispatch, complete, degrade,
+        restore and the engine's compile and cache_hit relays --
+        saturation bursts included; the event loop's scalar SoC path
+        pins the column arithmetic."""
         router = RequestRouter(fleet, OVERLOAD)
         report = router.run(loads)
         fingerprint = checked_fingerprint(report)
