@@ -34,9 +34,7 @@ MIN_SPEEDUP = 5.0
 
 
 def _deployment(cache: bool):
-    engine = ExecutionEngine(
-        JETSON_TX1, cache_plans=cache, cache_reports=cache
-    )
+    engine = ExecutionEngine(JETSON_TX1, cache=cache)
     pcnn = PervasiveCNN(JETSON_TX1, engine=engine)
     spec = ApplicationSpec(
         "photo-tagging", TaskClass.INTERACTIVE, data_rate_hz=50.0

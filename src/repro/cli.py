@@ -44,7 +44,8 @@ Sub-commands:
   [--changed [--base REF]] [--show-stale] [--list-rules]`` -- run the
   AST invariant analyzer (determinism incl. interprocedural taint,
   float equality, fingerprint ordering, unit algebra, import cycles,
-  mutable defaults, spawn-boundary pickle contract, hook purity)
+  mutable defaults, spawn-boundary pickle contract, engine and
+  control-tick purity)
   over the package or the given paths.
 """
 

@@ -5,8 +5,6 @@ offline compilation and run-time management, plus the top-level
 from repro.core.engine import (
     EngineStats,
     ExecutionEngine,
-    HookBus,
-    network_fingerprint,
     perforation_fingerprint,
     plan_fingerprint,
 )
@@ -33,8 +31,6 @@ from repro.core.user_model import (
 __all__ = [
     "EngineStats",
     "ExecutionEngine",
-    "HookBus",
-    "network_fingerprint",
     "perforation_fingerprint",
     "plan_fingerprint",
     "Deployment",

@@ -16,10 +16,15 @@ independently wired call paths (:class:`~repro.core.framework.Deployment`,
   ``(network, arch, backend, batch, perforation fingerprint) -> CompiledPlan``;
 * a memoized **execution cache**
   ``(plan fingerprint, power_gating, use_priority_sm) -> ExecutionReport``;
-* a pluggable **lifecycle hook bus** (``on_compile``, ``on_cache_hit``,
-  ``on_execute``, ``on_calibrate``) with a built-in
-  :class:`EngineStats` collector (hit rates, cumulative simulated
-  time, per-plan call counts).
+* its own :class:`EngineStats` counters (hit rates, prewarms,
+  calibrations, cumulative simulated time, per-plan call counts),
+  updated where each compile, cache hit, execute, prewarm and
+  calibration happens;
+* a list of **relays**, the callables a routing run registers for its
+  duration: each compile is handed over as ``relay("compile", arch,
+  network=, batch=, perforation=)`` and each plan or report cache hit
+  as ``relay("cache_hit", arch or None, cache=)``, which the run
+  writes into its event log.
 
 One engine may serve *many* architectures (the fleet case): every
 cache key carries the architecture and backend names, and the engine
@@ -60,11 +65,9 @@ from repro.nn.perforation import PerforationPlan
 
 __all__ = [
     "perforation_fingerprint",
-    "network_fingerprint",
     "plan_fingerprint",
     "CompileKey",
     "ExecuteKey",
-    "HookBus",
     "EngineStats",
     "ExecutionEngine",
 ]
@@ -88,18 +91,6 @@ def perforation_fingerprint(plan: PerforationPlan) -> str:
     return ";".join("%s=%.12g" % (name, rate) for name, rate in items)
 
 
-def network_fingerprint(network: NetworkDescriptor) -> str:
-    """Structural fingerprint of a network descriptor.
-
-    Two descriptors with the same name but different layer stacks (a
-    hand-built variant, a truncated proxy) must not collide, so the
-    name is combined with a digest over every resolved layer's spec
-    and shapes (:meth:`NetworkDescriptor.fingerprint`, hashed once
-    per descriptor).
-    """
-    return network.fingerprint()
-
-
 #: The instance-dict key under which a plan keeps its fingerprint.
 _PLAN_DIGEST = "_digest"
 
@@ -113,10 +104,12 @@ def plan_fingerprint(plan: CompiledPlan) -> str:
     influence lands).
 
     Digested once per plan, which is frozen; the digest is kept with
-    the network fingerprint it covers, so rebinding the network's
+    the network fingerprint it covers
+    (:meth:`~repro.nn.models.NetworkDescriptor.fingerprint`, a name
+    plus a digest of every resolved layer), so rebinding the network's
     ``name`` or ``input_shape`` makes the next call digest again.
     """
-    network = network_fingerprint(plan.network)
+    network = plan.network.fingerprint()
     memo = plan.__dict__.get(_PLAN_DIGEST)
     if memo is not None and memo[0] == network:
         return memo[1]
@@ -173,78 +166,13 @@ class ExecuteKey:
     backend: str = PCNN_BACKEND.name
 
 
-# ----------------------------------------------------------------------
-# Lifecycle hooks
-# ----------------------------------------------------------------------
-class HookBus:
-    """Pluggable lifecycle hooks for the engine.
-
-    Subscribers are plain callables receiving the event's payload as
-    keyword arguments.  Events:
-
-    ``on_compile``
-        An actual compilation ran (a compile-cache miss).
-        Payload: ``key`` (:class:`CompileKey`), ``plan``.
-    ``on_cache_hit``
-        A cache returned a stored artifact.
-        Payload: ``kind`` (``"compile"``/``"execute"``), ``key``, and for
-        compile hits ``prewarmed`` (bool) -- whether the entry was
-        planted by :meth:`ExecutionEngine.prewarm` rather than compiled
-        on the critical path.
-    ``on_prewarm``
-        A prewarm request resolved (hit or compiled ahead of need).
-        Payload: ``key`` (:class:`CompileKey`), ``hit`` (bool -- the
-        plan was already cached).
-    ``on_execute``
-        A plan was executed (fires on hits *and* misses).
-        Payload: ``key`` (:class:`ExecuteKey`), ``plan``, ``report``,
-        ``cached`` (bool).
-    ``on_calibrate``
-        A calibration observation was recorded.
-        Payload: ``step`` (:class:`~repro.core.runtime.calibration.CalibrationStep`).
-    """
-
-    EVENTS = (
-        "on_compile",
-        "on_cache_hit",
-        "on_execute",
-        "on_calibrate",
-        "on_prewarm",
-    )
-
-    def __init__(self) -> None:
-        self._subscribers: Dict[str, List[Callable[..., None]]] = {
-            event: [] for event in self.EVENTS
-        }
-
-    def subscribe(self, event: str, callback: Callable[..., None]):
-        """Register ``callback`` for ``event``; returns the callback."""
-        self._check(event)
-        self._subscribers[event].append(callback)
-        return callback
-
-    def unsubscribe(self, event: str, callback: Callable[..., None]) -> None:
-        """Remove a previously registered callback."""
-        self._check(event)
-        self._subscribers[event].remove(callback)
-
-    def emit(self, event: str, **payload) -> None:
-        """Invoke every subscriber of ``event`` with ``payload``."""
-        self._check(event)
-        for callback in list(self._subscribers[event]):
-            callback(**payload)
-
-    def _check(self, event: str) -> None:
-        if event not in self._subscribers:
-            raise ValueError(
-                "unknown engine event %r (known: %s)"
-                % (event, ", ".join(self.EVENTS))
-            )
-
-
 @dataclass
 class EngineStats:
-    """Built-in hook subscriber: cache hit rates and execution volume."""
+    """What one engine has done: cache hit rates and execution volume.
+
+    The engine updates these counters itself, where each compile,
+    cache hit, execute, prewarm and calibration happens.
+    """
 
     compile_calls: int = 0
     compile_misses: int = 0
@@ -291,41 +219,6 @@ class EngineStats:
             return 0.0
         return self.execute_hits / self.execute_calls
 
-    def attach(self, hooks: HookBus) -> "EngineStats":
-        """Subscribe this collector to an engine's hook bus."""
-        hooks.subscribe("on_compile", self._on_compile)
-        hooks.subscribe("on_cache_hit", self._on_cache_hit)
-        hooks.subscribe("on_execute", self._on_execute)
-        hooks.subscribe("on_calibrate", self._on_calibrate)
-        hooks.subscribe("on_prewarm", self._on_prewarm)
-        return self
-
-    # -- subscribers ----------------------------------------------------
-    def _on_compile(self, key, plan, **_ignored) -> None:
-        self.compile_calls += 1
-        self.compile_misses += 1
-
-    def _on_cache_hit(self, kind, key, prewarmed=False, **_ignored) -> None:
-        if kind == "compile":
-            self.compile_calls += 1
-            if prewarmed:
-                self.prewarmed_hits += 1
-
-    def _on_execute(self, key, plan, report, cached, **_ignored) -> None:
-        self.execute_calls += 1
-        if not cached:
-            self.execute_misses += 1
-        self.simulated_time_s += report.total_time_s
-        self.plan_use_counts[key.plan] = self.plan_use_counts.get(key.plan, 0) + 1
-
-    def _on_calibrate(self, step, **_ignored) -> None:
-        self.calibrations += 1
-
-    def _on_prewarm(self, key, hit, **_ignored) -> None:
-        self.prewarm_requests += 1
-        if not hit:
-            self.prewarm_misses += 1
-
 
 # ----------------------------------------------------------------------
 # The engine
@@ -335,33 +228,24 @@ class ExecutionEngine:
 
     ``arch``/``backend`` set the defaults used when a call does not
     name a platform; a fleet-shared engine may be constructed with
-    ``arch=None`` and passed an explicit architecture per call.  An
-    existing :class:`OfflineCompiler` may be donated via ``compiler``
-    (its layer decisions then seed the engine's platform).
+    ``arch=None`` and passed an explicit architecture per call.  With
+    ``cache=False`` the engine keeps no plan, report or runtime
+    manager: every compile compiles and every execute simulates.
     """
 
     def __init__(
         self,
         arch: Optional[GPUArchitecture] = None,
         backend: KernelLibrary = PCNN_BACKEND,
-        compiler: Optional[OfflineCompiler] = None,
-        cache_plans: bool = True,
-        cache_reports: bool = True,
+        cache: bool = True,
     ) -> None:
-        if compiler is not None:
-            if arch is not None and arch is not compiler.arch:
-                raise ValueError("compiler is bound to a different arch")
-            arch = compiler.arch
-            backend = compiler.backend
         self.default_arch = arch
         self.default_backend = backend
-        self.cache_plans = cache_plans
-        self.cache_reports = cache_reports
-        self.hooks = HookBus()
-        self.stats = EngineStats().attach(self.hooks)
+        self.cache = cache
+        self.stats = EngineStats()
+        #: Called with each compile and cache hit (module docstring).
+        self.relays: List[Callable[..., None]] = []
         self._compilers: Dict[Tuple[str, str], OfflineCompiler] = {}
-        if compiler is not None:
-            self._compilers[(arch.name, backend.name)] = compiler
         self._managers: Dict[Tuple[str, str, bool, bool], RuntimeKernelManager] = {}
         self._plans: Dict[CompileKey, CompiledPlan] = {}
         self._batch_decisions: Dict[tuple, int] = {}
@@ -405,8 +289,8 @@ class ExecutionEngine:
     ) -> RuntimeKernelManager:
         """The (lazily created) runtime kernel manager for one mode.
 
-        An engine that caches no reports keeps no manager either, so
-        each call returns a fresh one and every execute simulates.
+        An engine built with ``cache=False`` keeps no manager, so each
+        call returns a fresh one and every execute simulates.
         """
         arch, backend = self._resolve(arch, backend)
         key = (arch.name, backend.name, power_gating, use_priority_sm)
@@ -418,7 +302,7 @@ class ExecutionEngine:
                 power_gating=power_gating,
                 use_priority_sm=use_priority_sm,
             )
-            if self.cache_reports:
+            if self.cache:
                 self._managers[key] = manager
         return manager
 
@@ -434,7 +318,7 @@ class ExecutionEngine:
         arch, backend = self._resolve(arch, backend)
         perforation = perforation or PerforationPlan.dense()
         return CompileKey(
-            network=network_fingerprint(network),
+            network=network.fingerprint(),
             arch=arch.name,
             backend=backend.name,
             batch=batch,
@@ -442,6 +326,19 @@ class ExecutionEngine:
         )
 
     # -- compile --------------------------------------------------------
+    def _note_compile(self, key: CompileKey) -> None:
+        """Count one compilation and hand it to every relay."""
+        self.stats.compile_calls += 1
+        self.stats.compile_misses += 1
+        for relay in self.relays:
+            relay(
+                "compile",
+                key.arch,
+                network=key.network,
+                batch=key.batch,
+                perforation=key.perforation,
+            )
+
     def compile_with_batch(
         self,
         network: NetworkDescriptor,
@@ -453,22 +350,21 @@ class ExecutionEngine:
         """Fixed-batch compilation through the plan cache."""
         arch, backend = self._resolve(arch, backend)
         key = self.compile_key(network, batch, perforation, arch, backend)
-        if self.cache_plans:
+        if self.cache:
             cached = self._plans.get(key)
             if cached is not None:
-                self.hooks.emit(
-                    "on_cache_hit",
-                    kind="compile",
-                    key=key,
-                    prewarmed=key in self._prewarmed,
-                )
+                self.stats.compile_calls += 1
+                if key in self._prewarmed:
+                    self.stats.prewarmed_hits += 1
+                for relay in self.relays:
+                    relay("cache_hit", key.arch, cache="compile")
                 return cached
         plan = self.compiler_for(arch, backend).compile_with_batch(
             network, batch, perforation
         )
-        if self.cache_plans:
+        if self.cache:
             self._plans[key] = plan
-        self.hooks.emit("on_compile", key=key, plan=plan)
+        self._note_compile(key)
         return plan
 
     def compile(
@@ -489,7 +385,7 @@ class ExecutionEngine:
         arch, backend = self._resolve(arch, backend)
         perforation = perforation or PerforationPlan.dense()
         decision_key = (
-            network_fingerprint(network),
+            network.fingerprint(),
             arch.name,
             backend.name,
             requirement.imperceptible_s,
@@ -508,9 +404,9 @@ class ExecutionEngine:
         )
         self._batch_decisions[decision_key] = plan.batch
         key = self.compile_key(network, plan.batch, perforation, arch, backend)
-        if self.cache_plans:
+        if self.cache:
             self._plans[key] = plan
-        self.hooks.emit("on_compile", key=key, plan=plan)
+        self._note_compile(key)
         return plan
 
     def prewarm(
@@ -526,9 +422,9 @@ class ExecutionEngine:
         ``arch`` argument and then the engine default.  Each spec is
         compiled through the normal plan cache (so an entry that is
         already present costs one lookup) and remembered as prewarmed:
-        later organic ``compile_with_batch`` hits on these keys carry
-        ``prewarmed=True``, letting stats and obs distinguish hits the
-        controller bought from hits the workload earned.
+        later organic ``compile_with_batch`` hits on these keys count
+        as ``stats.prewarmed_hits``, telling hits the controller bought
+        from hits the workload earned.
 
         Returns ``{key: hit}`` -- ``True`` when the plan was already
         cached, ``False`` when the prewarm compiled it.
@@ -541,13 +437,14 @@ class ExecutionEngine:
             key = self.compile_key(
                 network, batch, perforation, use_arch, use_backend
             )
-            hit = self.cache_plans and key in self._plans
+            hit = self.cache and key in self._plans
             if not hit:
                 self.compile_with_batch(
                     network, batch, perforation, use_arch, use_backend
                 )
+                self.stats.prewarm_misses += 1
             self._prewarmed.add(key)
-            self.hooks.emit("on_prewarm", key=key, hit=hit)
+            self.stats.prewarm_requests += 1
             results[key] = hit
         return results
 
@@ -576,49 +473,50 @@ class ExecutionEngine:
             use_priority_sm=use_priority_sm,
             backend=resolved_backend.name,
         )
-        cached = self._reports.get(key) if self.cache_reports else None
-        if cached is not None:
-            self.hooks.emit("on_cache_hit", kind="execute", key=key)
-            self.hooks.emit(
-                "on_execute", key=key, plan=plan, report=cached, cached=True
+        stats = self.stats
+        report = self._reports.get(key) if self.cache else None
+        if report is not None:
+            for relay in self.relays:
+                relay("cache_hit", None, cache="execute")
+        else:
+            manager = self.manager_for(
+                power_gating, use_priority_sm, arch=plan.arch, backend=backend
             )
-            return cached
-        manager = self.manager_for(
-            power_gating, use_priority_sm, arch=plan.arch, backend=backend
-        )
-        report = manager.execute(plan)
-        if self.cache_reports:
-            self._reports[key] = report
-        self.hooks.emit(
-            "on_execute", key=key, plan=plan, report=report, cached=False
-        )
+            report = manager.execute(plan)
+            if self.cache:
+                self._reports[key] = report
+            stats.execute_misses += 1
+        stats.execute_calls += 1
+        stats.simulated_time_s += report.total_time_s
+        counts = stats.plan_use_counts
+        counts[key.plan] = counts.get(key.plan, 0) + 1
         return report
 
     # -- calibration ----------------------------------------------------
-    def record_calibration(self, step) -> None:
-        """Publish one calibration decision to the hook bus."""
-        self.hooks.emit("on_calibrate", step=step)
+    def record_calibration(self) -> None:
+        """Count one calibration decision."""
+        self.stats.calibrations += 1
 
     # -- copies ---------------------------------------------------------
     def copy(self) -> "ExecutionEngine":
         """An engine whose caches and stats start where this one's are.
 
-        The copy has its own hook bus, its own plan cache, batch
-        decisions, report cache and prewarm set, and stats counters
-        equal to this engine's, so it emits exactly the hook events
-        this engine would from here on, and nothing it does reaches
-        this engine's caches, events or stats.  The registries of
-        per-platform compilers and runtime managers are shared, the
-        same dicts: a compiler or manager that any copy creates later
-        is the one every copy uses.  What they keep are memos of pure
-        functions (a layer decision per GEMM shape, a kernel result
-        per launch), so sharing them changes speed only.
+        The copy starts with no relays and has its own plan cache,
+        batch decisions, report cache and prewarm set, and stats
+        counters equal to this engine's, so it counts and relays
+        exactly what this engine would from here on, and nothing it
+        does reaches this engine's caches, relays or stats.  The
+        registries of per-platform compilers and runtime managers are
+        shared, the same dicts: a compiler or manager that any copy
+        creates later is the one every copy uses.  What they keep are
+        memos of pure functions (a layer decision per GEMM shape, a
+        kernel result per launch), so sharing them changes speed only.
         """
         twin = copy.copy(self)
-        twin.hooks = HookBus()
         twin.stats = replace(
             self.stats, plan_use_counts=dict(self.stats.plan_use_counts)
-        ).attach(twin.hooks)
+        )
+        twin.relays = []
         twin._plans = dict(self._plans)
         twin._batch_decisions = dict(self._batch_decisions)
         twin._reports = dict(self._reports)

@@ -14,8 +14,8 @@
 Every compile and every execute goes through one
 :class:`~repro.core.engine.ExecutionEngine`: the steady-state serving
 loop (the same tuning entry executed request after request) is a
-cache hit, and the engine's hook bus is the seam where observability
-plugs in.
+cache hit, and the engine's own stats count every compile, execute
+and calibration.
 
 A :class:`Deployment` is the stateful handle an application holds: it
 processes requests (simulated on the GPU model, numerically through
@@ -95,9 +95,9 @@ class Deployment:
         )
 
     def observe_entropy(self, entropy: float) -> TuningEntry:
-        """Feed one observation to the calibrator and the hook bus."""
+        """Feed one observation to the calibrator; the engine counts it."""
         entry = self._calibrator.observe(entropy)
-        self.engine.record_calibration(self._calibrator.history[-1])
+        self.engine.record_calibration()
         return entry
 
     def process_request(

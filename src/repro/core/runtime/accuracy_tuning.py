@@ -185,9 +185,7 @@ class AccuracyTuner:
     Tuning is the hottest offline path -- every iteration recompiles
     one candidate plan per conv layer -- so all compilation goes
     through an :class:`~repro.core.engine.ExecutionEngine`'s plan
-    cache.  ``engine`` may be an engine or (for backward
-    compatibility) a bare :class:`OfflineCompiler`, which is wrapped
-    in a private engine bound to the same platform.
+    cache.
     """
 
     def __init__(
@@ -199,15 +197,6 @@ class AccuracyTuner:
         arch=None,
         backend=None,
     ) -> None:
-        # Imported here, not at module scope: repro.core.runtime's
-        # package __init__ imports this module, and repro.core.engine
-        # imports repro.core.runtime.scheduler -- a module-scope import
-        # of the engine would close that cycle before ExecutionEngine
-        # is defined.
-        from repro.core.engine import ExecutionEngine  # cycle-breaker
-
-        if isinstance(engine, OfflineCompiler):
-            engine = ExecutionEngine(compiler=engine)
         self.engine = engine
         self.arch = arch if arch is not None else engine.default_arch
         self.backend = backend if backend is not None else engine.default_backend

@@ -3,7 +3,7 @@
 The module-local rules (REP001..REP004, REP006) see one file at a
 time, which is exactly the blind spot the interprocedural rules close:
 a wall-clock read two helper calls away from a simulation function, a
-closure-capturing class referenced from a spawn spec, a hook callback
+closure-capturing class referenced from a spawn spec, an engine method
 that reaches the ledger through a helper.  All three need the same
 substrate -- *who calls whom, resolved statically* -- so it is built
 once per analyzer run (see

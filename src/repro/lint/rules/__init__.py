@@ -14,8 +14,8 @@ REP007      No call chain from simulation code to a clock/entropy read
             anywhere in the project (interprocedural taint).
 REP008      Spawn-boundary types are top-level, closure-free and
             importable (static pickle contract).
-REP009      Hook subscribers and the ControlPlane tick path never
-            write non-cache-neutral ledger events.
+REP009      ExecutionEngine methods and the ControlPlane tick path
+            never write non-cache-neutral ledger events.
 ==========  ==========================================================
 
 REP007..REP009 are whole-program rules over the shared call graph

@@ -1,27 +1,29 @@
-"""REP009: hook and control-seam purity.
+"""REP009: engine and control-seam purity.
 
 Two seams are contractually *observers* of a routing run, never
 authors of it:
 
-* functions subscribed to the engine lifecycle hook bus
-  (``hooks.subscribe("on_compile", fn)`` and friends) -- PR 5's
-  fingerprint-neutrality guarantee says instrumentation may count and
-  trace but must not write the ledger;
+* the execution engine (every method of ``ExecutionEngine`` and
+  everything it calls) -- it counts its own stats and hands each
+  compile and cache hit to the relays a run registers, and the
+  fingerprint-neutrality guarantee says what it hands over may be
+  counted and traced but must never be a fingerprinted event;
 * the predictive control plane's tick path (``ControlPlane.tick`` and
-  everything it calls) -- PR 7 lets it act through sanctioned seams
-  (ladder escalation, DVFS planning, ``engine.prewarm``) but never by
+  everything it calls) -- it acts through sanctioned seams (ladder
+  escalation, DVFS planning, ``engine.prewarm``) but never by
   recording events into the fingerprinted ledger directly.
 
 Both contracts were previously pinned only by runtime determinism
 tests (same-seed double runs).  This rule pins them statically: every
-function reachable on the call graph from a hook registration or from
-``ControlPlane.tick`` must not call a ledger write -- an event log's
-``.record(kind, ...)``, the serving loop's engine ``relay(kind, ...)``
-callback or its ``_row(kind, ...)`` event row -- with any event kind
-outside the cache-neutral set that :meth:`RouterReport.fingerprint`
-strips (``compile`` / ``cache_hit``, the engine-relay kinds).  A
-dynamic (non-literal) kind from such a function is flagged too: the
-analyzer cannot prove it neutral, and neutrality is the contract.
+function reachable on the call graph from an ``ExecutionEngine``
+method or from ``ControlPlane.tick`` must not call a ledger write --
+an event log's ``.record(kind, ...)``, a run's engine
+``relay(kind, ...)`` or the serving loop's ``_row(kind, ...)`` event
+row -- with any event kind outside the cache-neutral set that
+:meth:`RouterReport.fingerprint` strips (``compile`` / ``cache_hit``,
+the engine-relay kinds).  A dynamic (non-literal) kind from such a
+function is flagged too: the analyzer cannot prove it neutral, and
+neutrality is the contract.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Sequence, Set, Tuple
 
-from repro.lint.callgraph import CallGraph, FunctionInfo
+from repro.lint.callgraph import CallGraph
 from repro.lint.core import (
     ProjectContext,
     ProjectRule,
@@ -37,12 +39,11 @@ from repro.lint.core import (
     Violation,
     registry,
 )
-from repro.lint.names import dotted_name
 
 __all__ = ["HookPurityRule", "LEDGER_WRITERS", "NEUTRAL_EVENT_KINDS"]
 
 #: Event kinds the report fingerprint strips (cache temperature, not
-#: routing behaviour) -- the only kinds a hook subscriber may record.
+#: routing behaviour) -- the only kinds the engine may relay.
 #: Mirrors ``RouterReport._CACHE_KINDS``.
 NEUTRAL_EVENT_KINDS = ("compile", "cache_hit")
 
@@ -50,74 +51,15 @@ NEUTRAL_EVENT_KINDS = ("compile", "cache_hit")
 LEDGER_WRITERS = ("record", "relay", "_row")
 
 
-def _hook_registrations(
-    graph: CallGraph,
-) -> List[Tuple[str, str, FunctionInfo]]:
-    """``(subscriber qualname, hook name, registering function)``.
-
-    A registration is any ``<...>.subscribe("on_*", fn)`` call whose
-    callback resolves to a project function: a bare name (lexically
-    scoped, so closure callbacks resolve) or a ``self.method``
-    reference.
-    """
-    found: List[Tuple[str, str, FunctionInfo]] = []
-    for qualname in sorted(graph.functions):
-        info = graph.functions[qualname]
-        for site in info.calls:
-            call = site.node
-            func = call.func
-            if not (
-                isinstance(func, ast.Attribute)
-                and func.attr == "subscribe"
-            ):
-                continue
-            if len(call.args) < 2:
-                continue
-            hook = call.args[0]
-            if not (
-                isinstance(hook, ast.Constant)
-                and isinstance(hook.value, str)
-                and hook.value.startswith("on_")
-            ):
-                continue
-            target = _resolve_callback(graph, info, call.args[1])
-            if target is not None:
-                found.append((target, hook.value, info))
-    return found
-
-
-def _resolve_callback(
-    graph: CallGraph, info: FunctionInfo, node: ast.AST
-):
-    """The project function a callback argument names, or None."""
-    name = dotted_name(node)
-    if name is None:
-        return None
-    head, _, rest = name.partition(".")
-    if head in ("self", "cls") and rest and "." not in rest:
-        owner = info.owner_class
-        scope = info
-        while owner is None and scope is not None and scope.parent:
-            scope = graph.functions.get(scope.parent)
-            owner = scope.owner_class if scope is not None else None
-        if owner is not None:
-            return graph.resolve_method(owner, rest)
-        return None
-    if rest:
-        return None  # attribute chains on objects: unresolvable
-    scope = info
-    while scope is not None:
-        local = scope.local_defs.get(head)
-        if local is not None:
-            return local if local in graph.functions else None
-        scope = (
-            graph.functions.get(scope.parent) if scope.parent else None
-        )
-    module_key = info.module.name or info.module.path.stem
-    local = graph.module_defs.get(module_key, {}).get(head)
-    if local is not None and local in graph.functions:
-        return local
-    return None
+def _engine_roots(graph: CallGraph) -> List[str]:
+    """Every method of an ``ExecutionEngine`` class (any scanned
+    module)."""
+    roots: List[str] = []
+    for qualname in sorted(graph.classes):
+        info = graph.classes[qualname]
+        if info.name == "ExecutionEngine":
+            roots.extend(sorted(info.methods.values()))
+    return roots
 
 
 def _tick_roots(graph: CallGraph) -> List[str]:
@@ -148,18 +90,18 @@ def _reachable(graph: CallGraph, root: str) -> List[str]:
 
 @registry.register
 class HookPurityRule(ProjectRule):
-    """Hook subscribers and the control tick path stay ledger-neutral."""
+    """The engine and the control tick path stay ledger-neutral."""
 
     rule_id = "REP009"
     summary = (
-        "engine-hook subscribers and the ControlPlane tick path never "
+        "ExecutionEngine methods and the ControlPlane tick path never "
         "record non-cache-neutral ledger events"
     )
     rationale = (
-        "Instrumentation and the predictive controller are observers: "
-        "they may count, trace, prewarm and plan, but a ledger write "
-        "(EventLog.record, the engine relay or an event row of a "
-        "fingerprinted kind) from either seam "
+        "The engine and the predictive controller are observers: "
+        "they may count, relay compiles and cache hits, prewarm and "
+        "plan, but a ledger write (EventLog.record, the engine relay "
+        "or an event row of a fingerprinted kind) from either seam "
         "silently changes report fingerprints with cache temperature "
         "or controller wiring -- the exact neutrality the same-seed "
         "replay tests assert dynamically."
@@ -169,15 +111,12 @@ class HookPurityRule(ProjectRule):
         self, modules: Sequence[SourceModule], context: ProjectContext
     ) -> List[Violation]:
         graph = context.callgraph
-        # root qualname -> how it entered the contract (description,
-        # witness chain prefix).  Hook registrations first, then tick
-        # paths; sorted processing keeps output deterministic.
+        # root qualname -> how it entered the contract.  Engine
+        # methods first, then tick paths; sorted processing keeps
+        # output deterministic.
         entries: Dict[str, str] = {}
-        for target, hook, registrar in _hook_registrations(graph):
-            entries.setdefault(
-                target,
-                "subscribed to %r at %s" % (hook, registrar.qualname),
-            )
+        for root in _engine_roots(graph):
+            entries.setdefault(root, "an ExecutionEngine method")
         for root in _tick_roots(graph):
             entries.setdefault(root, "the ControlPlane tick path")
 
@@ -208,8 +147,8 @@ class HookPurityRule(ProjectRule):
                             site.node,
                             self.rule_id,
                             "%s from a fingerprint-neutral seam "
-                            "(%s; call chain: %s); hooks and the "
-                            "control tick may observe but never "
+                            "(%s; call chain: %s); the engine and "
+                            "the control tick may observe but never "
                             "write the ledger" % (
                                 verdict, why, " -> ".join(chain),
                             ),

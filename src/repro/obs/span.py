@@ -47,13 +47,13 @@ __all__ = [
 #: one routing run opens; ``request`` spans one request arrival ->
 #: terminal outcome; ``admission``/``dispatch``/``retry`` are instant
 #: decision marks; ``execute_batch`` covers a batch launch -> finish;
-#: ``compile``/``plan_cache_lookup`` relay the execution engine's
-#: hook-bus activity; ``fault_episode`` brackets an injected fault's
-#: begin/end pair; ``control_tick``/``prewarm`` are instant marks of
-#: the predictive control plane's cadence firings and plan-cache
-#: pre-warms; ``supervise`` is the coordinator's zero-width record of
-#: one shard's supervision history (attempts, failures) in the
-#: stitched fleet trace.
+#: ``compile``/``plan_cache_lookup`` are the compiles and cache hits
+#: the execution engine relays to the run; ``fault_episode`` brackets
+#: an injected fault's begin/end pair; ``control_tick``/``prewarm``
+#: are instant marks of the predictive control plane's cadence
+#: firings and plan-cache pre-warms; ``supervise`` is the
+#: coordinator's zero-width record of one shard's supervision history
+#: (attempts, failures) in the stitched fleet trace.
 SPAN_NAMES = (
     "run",
     "platform",

@@ -1,8 +1,8 @@
 """Structured router event log.
 
 Every decision the router takes -- admission, rejection, dispatch,
-degradation moves, completions, and the engine's compile/cache
-activity it observes through the hook bus -- is one
+degradation moves, completions, and the compiles and cache hits the
+fleet's engines relay to it -- is one
 :class:`RouterEvent` with a simulated timestamp and a monotone
 sequence number.  The log is the router's audit trail: reports are
 aggregations over it plus the completion records, and the determinism
@@ -50,7 +50,8 @@ class EventLog:
     #: The event vocabulary.  ``enqueue``/``reject`` come from
     #: admission, ``dispatch``/``complete`` from the serving loop,
     #: ``degrade``/``restore`` from the degradation controllers, and
-    #: ``compile``/``cache_hit`` are relayed engine hook-bus events.
+    #: ``compile``/``cache_hit`` are the compiles and cache hits the
+    #: engines relay.
     #: The fault/resilience kinds: ``fault`` marks an injected
     #: :class:`~repro.faults.events.FaultEvent` being applied,
     #: ``batch_failed`` a dispatched batch that did not complete,

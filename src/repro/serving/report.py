@@ -546,9 +546,11 @@ class RouterReport:
             self.to_dict(**kwargs), sort_keys=True, separators=(",", ":")
         )
 
-    #: Engine hook relays excluded from the fingerprint: whether a rung
-    #: compiles fresh or hits the cache depends on engine cache
-    #: temperature, which is explicitly not part of routing behaviour.
+    #: The kinds of the rows a run's engine relay writes (each compile
+    #: and each plan or report cache hit), excluded from the
+    #: fingerprint: whether a rung compiles fresh or hits the cache
+    #: depends on engine cache temperature, which is explicitly not
+    #: part of routing behaviour.
     _CACHE_KINDS = ("compile", "cache_hit")
 
     def fingerprint(self) -> str:

@@ -43,9 +43,9 @@ every-platform-is-healthy worldview while the faults still bite --
 the chaos benchmark's baseline, demonstrating how one dead platform
 silently poisons a health-blind fleet.
 
-The router also subscribes to every deployment engine's hook bus for
-the duration of a run, so rung compilations and cache hits show up in
-the structured event log alongside its own decisions.
+The router also registers a relay on every deployment engine for the
+duration of a run, so rung compilations and cache hits show up in the
+structured event log alongside its own decisions.
 
 One loop serves every run: the columnar loop of
 :mod:`repro.serving.vec_router`.  This module holds what surrounds it
@@ -273,33 +273,18 @@ class RequestRouter:
         }
 
     def _subscribe_engines(self, relay):
-        """Relay the fleet engines' compile and cache-hit hooks as
-        ``relay(kind, platform, **detail)`` calls -- the event log's
-        ``compile`` and ``cache_hit`` kinds -- until the returned
-        closure unsubscribes them.  The caller stamps each relay with
-        its own clock."""
+        """Register ``relay`` on the fleet's engines, which call it as
+        ``relay(kind, platform, **detail)`` for each compile and cache
+        hit -- the event log's ``compile`` and ``cache_hit`` kinds --
+        until the returned closure removes it.  The caller stamps each
+        relay with its own clock."""
         engines = self._engines()
-
-        def on_compile(key, plan, **_ignored):
-            relay(
-                "compile",
-                key.arch,
-                network=key.network,
-                batch=key.batch,
-                perforation=key.perforation,
-            )
-
-        def on_cache_hit(kind, key, **_ignored):
-            relay("cache_hit", getattr(key, "arch", None), cache=kind)
-
         for engine in engines:
-            engine.hooks.subscribe("on_compile", on_compile)
-            engine.hooks.subscribe("on_cache_hit", on_cache_hit)
+            engine.relays.append(relay)
 
         def unsubscribe():
             for engine in engines:
-                engine.hooks.unsubscribe("on_compile", on_compile)
-                engine.hooks.unsubscribe("on_cache_hit", on_cache_hit)
+                engine.relays.remove(relay)
 
         return unsubscribe
 

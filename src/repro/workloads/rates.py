@@ -1,17 +1,19 @@
 """Windowed arrival-rate extraction from request traces.
 
 The control plane's forecasters consume *rates*, not raw arrivals:
-the router counts arrivals per fixed control-tick window and feeds
-``count / window_s`` to the per-tenant forecaster.  These helpers give
-the same view offline -- turning a :class:`RequestTrace` into the
-windowed rate series a forecaster would have observed -- so forecaster
-tests and the what-if harness can replay exactly what the live
-control loop sees.
+the plane counts each tenant's arrivals itself (the serving loop hands
+it every arrival) and each control tick feeds ``count / tick_s`` to the
+tenant's forecaster.  These helpers give the same kind of series
+offline -- turning a :class:`RequestTrace` into windowed arrival
+rates -- so a forecaster can be fed a trace's rates without a routing
+run (the forecaster tests do).
 
-Window semantics match the live loop: window ``k`` covers
-``[k * window_s, (k + 1) * window_s)``, i.e. an arrival exactly on a
-boundary counts toward the *later* window, and the series extends to
-the window containing the last arrival (or ``horizon_s`` when given).
+Window ``k`` covers ``[k * window_s, (k + 1) * window_s)``, i.e. an
+arrival exactly on a boundary counts toward the *later* window, and
+the series extends to the window containing the last arrival (or
+``horizon_s`` when given).  The live loop differs there: an arrival at
+the same instant as a tick is counted before the tick, in the window
+that tick closes.
 """
 
 from __future__ import annotations

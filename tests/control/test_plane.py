@@ -6,7 +6,6 @@ import pytest
 
 from repro.control import ControllerConfig, ControlPlane
 from repro.core import ApplicationSpec, TaskClass
-from repro.core.engine import EngineStats
 from repro.core.fleet import FleetManager
 from repro.gpu import JETSON_TX1, K20C
 from repro.nn import alexnet
@@ -173,11 +172,14 @@ class TestPrewarmCausalChain:
             architectures=[K20C, JETSON_TX1],
             max_tuning_iterations=8,
         )
-        deployments = manager.deploy_all()
-        stats = {
-            name: EngineStats().attach(deployment.engine.hooks)
-            for name, deployment in deployments.items()
-        }
+        engines = {
+            id(deployment.engine): deployment.engine
+            for deployment in manager.deploy_all().values()
+        }.values()
+        before = [
+            (engine.stats.prewarm_misses, engine.stats.prewarmed_hits)
+            for engine in engines
+        ]
         from repro.core.satisfaction import TimeRequirement
         from repro.serving import Tenant
 
@@ -189,10 +191,14 @@ class TestPrewarmCausalChain:
             _storm(tenant), controller=config.build(),
         )
         assert report.control["prewarm"]["requested"] > 0
+        after = [
+            (engine.stats.prewarm_misses, engine.stats.prewarmed_hits)
+            for engine in engines
+        ]
         # On a cold cache every prewarm compiles...
-        assert any(s.prewarm_misses > 0 for s in stats.values())
+        assert any(a[0] > b[0] for a, b in zip(after, before))
         # ...and dispatch later hits those planted entries.
-        assert any(s.prewarmed_hits > 0 for s in stats.values())
+        assert any(a[1] > b[1] for a, b in zip(after, before))
 
 
 class TestShardedController:

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.core.offline import OfflineCompiler
+from repro.core.engine import ExecutionEngine
 from repro.core.runtime.accuracy_tuning import (
     AccuracyTuner,
     AnalyticEntropyModel,
@@ -16,8 +16,8 @@ from repro.nn.perforation import PerforationPlan
 
 
 @pytest.fixture(scope="module")
-def compiler():
-    return OfflineCompiler(JETSON_TX1)
+def engine():
+    return ExecutionEngine(JETSON_TX1)
 
 
 @pytest.fixture(scope="module")
@@ -26,8 +26,8 @@ def net():
 
 
 @pytest.fixture(scope="module")
-def tuner(compiler, net):
-    return AccuracyTuner(compiler, net, AnalyticEntropyModel(net))
+def tuner(engine, net):
+    return AccuracyTuner(engine, net, AnalyticEntropyModel(net))
 
 
 @pytest.fixture(scope="module")
@@ -121,14 +121,14 @@ class TestGreedyTuner:
         with pytest.raises(ValueError, match="max_iterations must be"):
             tuner.tune(batch=1, entropy_threshold=1.5, max_iterations=-1)
 
-    def test_rejects_bad_ladder(self, compiler, net):
+    def test_rejects_bad_ladder(self, engine, net):
         with pytest.raises(ValueError):
             AccuracyTuner(
-                compiler, net, AnalyticEntropyModel(net), rate_ladder=(0.1, 0.0)
+                engine, net, AnalyticEntropyModel(net), rate_ladder=(0.1, 0.0)
             )
         with pytest.raises(ValueError):
             AccuracyTuner(
-                compiler, net, AnalyticEntropyModel(net), rate_ladder=(0.1, 0.2)
+                engine, net, AnalyticEntropyModel(net), rate_ladder=(0.1, 0.2)
             )
 
 
@@ -147,10 +147,10 @@ class TestEmpiricalEvaluator:
     def test_empirical_tuner_on_proxy(self, trained_small_net):
         """End-to-end: the tuner works against real measurements too."""
         net, params, test_set = trained_small_net
-        compiler = OfflineCompiler(JETSON_TX1)
+        engine = ExecutionEngine(JETSON_TX1)
         evaluator = EmpiricalEntropyEvaluator(net, params, test_set)
         baseline = evaluator.evaluate(PerforationPlan.dense()).entropy
-        tuner = AccuracyTuner(compiler, net, evaluator)
+        tuner = AccuracyTuner(engine, net, evaluator)
         table = tuner.tune(
             batch=8, entropy_threshold=baseline * 1.5 + 0.2, max_iterations=8
         )

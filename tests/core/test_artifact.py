@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.core.engine import ExecutionEngine
 from repro.core.offline import OfflineCompiler, load_plan, plan_from_dict, plan_to_dict, save_plan
 from repro.core.runtime import RuntimeKernelManager
 from repro.gpu import JETSON_TX1
@@ -89,8 +90,8 @@ class TestTuningTableArtifact:
         from repro.nn import alexnet
 
         net = alexnet()
-        compiler = OfflineCompiler(JETSON_TX1)
-        tuner = AccuracyTuner(compiler, net, AnalyticEntropyModel(net))
+        engine = ExecutionEngine(JETSON_TX1)
+        tuner = AccuracyTuner(engine, net, AnalyticEntropyModel(net))
         return tuner.tune(batch=1, entropy_threshold=1.3, max_iterations=6)
 
     def test_roundtrip_preserves_path(self, table, tmp_path):

@@ -2,8 +2,9 @@
 
 Covers the satellite property requirements (fingerprints are stable,
 hashable and collision-free across distinct configurations), the
-cached-vs-uncached equivalence over a served trace, the hook bus, and
-the fleet-sharing behaviour.
+cached-vs-uncached equivalence over a served trace, the compile and
+cache-hit relays, the stats an engine and its copies count, and the
+fleet-sharing behaviour.
 """
 
 import dataclasses
@@ -15,11 +16,8 @@ import pytest
 
 from repro.core import ApplicationSpec, PervasiveCNN, TaskClass
 from repro.core.engine import (
-    EngineStats,
     ExecuteKey,
     ExecutionEngine,
-    HookBus,
-    network_fingerprint,
     perforation_fingerprint,
     plan_fingerprint,
 )
@@ -79,11 +77,11 @@ class TestPerforationFingerprint:
 
 class TestNetworkFingerprint:
     def test_stable(self):
-        assert network_fingerprint(alexnet()) == network_fingerprint(alexnet())
+        assert alexnet().fingerprint() == alexnet().fingerprint()
 
     def test_distinct_networks_distinct(self):
         fps = {
-            network_fingerprint(net)
+            net.fingerprint()
             for net in (alexnet(), pcnn_net("small"), pcnn_net("medium"))
         }
         assert len(fps) == 3
@@ -93,24 +91,22 @@ class TestNetworkFingerprint:
         small = pcnn_net("small")
         large = pcnn_net("large")
         large.name = small.name
-        assert network_fingerprint(small) != network_fingerprint(large)
+        assert small.fingerprint() != large.fingerprint()
 
     def test_rebinding_after_a_first_fingerprint_rehashes(self):
         """The digest is kept on the descriptor, but not past a rename
         or a new input shape."""
         net = pcnn_net("small")
-        first = network_fingerprint(net)
-        assert network_fingerprint(net) == first
+        first = net.fingerprint()
+        assert net.fingerprint() == first
         net.name = "renamed"
-        renamed = network_fingerprint(net)
+        renamed = net.fingerprint()
         assert renamed.startswith("renamed@") and renamed != first
-        assert renamed == network_fingerprint(
-            NetworkDescriptor.from_resolved(
-                "renamed", net.input_shape, net.layers, net.output_shape
-            )
-        )
+        assert renamed == NetworkDescriptor.from_resolved(
+            "renamed", net.input_shape, net.layers, net.output_shape
+        ).fingerprint()
         net.input_shape = TensorShape(1, 1, 1)
-        assert network_fingerprint(net) not in (first, renamed)
+        assert net.fingerprint() not in (first, renamed)
 
 
 class TestCacheKeys:
@@ -150,7 +146,7 @@ class TestCacheKeys:
         engine = ExecutionEngine(JETSON_TX1)
         plan = engine.compile_with_batch(alexnet(), 2)
         assert plan_fingerprint(plan) == plan_fingerprint(plan)
-        uncached = ExecutionEngine(JETSON_TX1, cache_plans=False)
+        uncached = ExecutionEngine(JETSON_TX1, cache=False)
         again = uncached.compile_with_batch(alexnet(), 2)
         assert plan_fingerprint(plan) == plan_fingerprint(again)
 
@@ -196,7 +192,7 @@ class TestCompileCache:
         assert engine.stats.compile_misses == misses
 
     def test_disabled_cache_recompiles(self):
-        engine = ExecutionEngine(JETSON_TX1, cache_plans=False)
+        engine = ExecutionEngine(JETSON_TX1, cache=False)
         first = engine.compile_with_batch(alexnet(), 1)
         second = engine.compile_with_batch(alexnet(), 1)
         assert first is not second
@@ -206,7 +202,7 @@ class TestCompileCache:
 class TestExecuteCache:
     def test_cached_and_uncached_reports_identical(self):
         cached = ExecutionEngine(JETSON_TX1)
-        uncached = ExecutionEngine(JETSON_TX1, cache_reports=False)
+        uncached = ExecutionEngine(JETSON_TX1, cache=False)
         plan = cached.compile_with_batch(alexnet(), 2)
         warm = cached.execute(plan)
         hit = cached.execute(plan)
@@ -231,9 +227,7 @@ class TestExecuteCache:
         execution cache."""
         dep_cached = _deploy()
         dep_uncached = _deploy(
-            engine=ExecutionEngine(
-                JETSON_TX1, cache_plans=False, cache_reports=False
-            )
+            engine=ExecutionEngine(JETSON_TX1, cache=False)
         )
         trace = interactive_trace(n_requests=23, think_time_s=0.04, seed=7)
         report_cached = InferenceServer(dep_cached).serve(trace)
@@ -258,51 +252,71 @@ class TestExecuteCache:
         )
 
 
-class TestHookBus:
-    def test_unknown_event_rejected(self):
-        bus = HookBus()
-        with pytest.raises(ValueError):
-            bus.subscribe("on_teardown", lambda **kw: None)
-        with pytest.raises(ValueError):
-            bus.emit("on_teardown")
-
-    def test_lifecycle_events_fire(self):
-        engine = ExecutionEngine(JETSON_TX1)
-        seen = []
-        for event in HookBus.EVENTS:
-            engine.hooks.subscribe(
-                event, lambda _event=event, **kw: seen.append(_event)
-            )
-        plan = engine.compile_with_batch(alexnet(), 1)
-        engine.compile_with_batch(alexnet(), 1)
-        engine.execute(plan)
-        engine.execute(plan)
-        assert seen.count("on_compile") == 1
-        assert seen.count("on_cache_hit") == 2  # one compile, one execute
-        assert seen.count("on_execute") == 2
-        dep = _deploy(engine=engine)
-        dep.process_request()
-        assert seen.count("on_calibrate") == 1
-
-    def test_unsubscribe(self):
-        engine = ExecutionEngine(JETSON_TX1)
-        calls = []
-        cb = engine.hooks.subscribe(
-            "on_compile", lambda **kw: calls.append(1)
+def _relayed(engine):
+    """The rows ``engine`` hands a relay registered from here on."""
+    rows = []
+    engine.relays.append(
+        lambda kind, platform, **detail: rows.append(
+            (kind, platform, tuple(sorted(detail.items())))
         )
-        engine.compile_with_batch(alexnet(), 1)
-        engine.hooks.unsubscribe("on_compile", cb)
-        engine.compile_with_batch(alexnet(), 2)
-        assert len(calls) == 1
+    )
+    return rows
 
-    def test_stats_is_detachable_subscriber(self):
-        bus = HookBus()
-        stats = EngineStats().attach(bus)
-        bus.emit("on_cache_hit", kind="compile", key=None)
-        assert stats.compile_calls == 1
+
+class TestRelays:
+    def test_compiles_and_cache_hits_are_relayed(self):
+        """A compile relays its key; a plan or report cache hit relays
+        which cache answered; a simulated execute and a calibration
+        relay nothing and are counted."""
+        engine = ExecutionEngine(JETSON_TX1)
+        rows = _relayed(engine)
+        net = alexnet()
+        plan = engine.compile_with_batch(net, 1)
+        engine.compile_with_batch(net, 1)
+        engine.execute(plan)
+        engine.execute(plan)
+        assert rows == [
+            ("compile", "TX1", (
+                ("batch", 1), ("network", net.fingerprint()),
+                ("perforation", "dense"),
+            )),
+            ("cache_hit", "TX1", (("cache", "compile"),)),
+            ("cache_hit", None, (("cache", "execute"),)),
+        ]
+        assert (engine.stats.execute_calls, engine.stats.execute_hits) == (
+            2, 1
+        )
+        del rows[:]
+        _deploy(engine=engine).process_request()
+        assert engine.stats.calibrations == 1
+        assert {row[0] for row in rows} == {"compile", "cache_hit"}
 
 
 class TestCopy:
+    #: ``dataclasses.asdict`` of the stats a warm engine ends with
+    #: after ``_drive`` (its copy, driven instead, ends with the same),
+    #: simulated seconds as float bits: what the engine counted when
+    #: its stats were a subscriber of a five-event hook bus.
+    DRIVEN_STATS = {
+        "compile_calls": 50,
+        "compile_misses": 24,
+        "execute_calls": 4,
+        "execute_misses": 3,
+        "calibrations": 1,
+        "prewarm_requests": 2,
+        "prewarm_misses": 1,
+        "prewarmed_hits": 2,
+        "simulated_time_s": "0x1.c19a6e3aee56ap-4",
+        "plan_use_counts": {
+            "30569266e4b15eb3b8d095c3a725937c17ba4e26": 2,
+            "8b1c69fe2e5468cb8b8df829f352abba84583681": 1,
+            "c20961fbcaaf27bb92d762ac7fecb32f07a6c94f": 1,
+        },
+    }
+    #: SHA-1 of the ``repr`` of the 27 rows ``_drive`` relays from a
+    #: warm engine, recorded from the hook-bus relay.
+    DRIVEN_RELAYS = "d66959f6efdbd33d26e01b07f722e5ed138f5236"
+
     @staticmethod
     def _warm_engine():
         engine = ExecutionEngine(JETSON_TX1)
@@ -311,19 +325,6 @@ class TestCopy:
         engine.prewarm([(alexnet(), 2, None, None)])
         _deploy(engine=engine)
         return engine
-
-    @staticmethod
-    def _record(engine):
-        seen = []
-        for event in HookBus.EVENTS:
-            engine.hooks.subscribe(
-                event,
-                lambda _event=event, **kw: seen.append(
-                    (_event, kw.get("key"), kw.get("cached"),
-                     kw.get("prewarmed"), kw.get("hit"))
-                ),
-            )
-        return seen
 
     @staticmethod
     def _drive(engine):
@@ -341,12 +342,20 @@ class TestCopy:
         engine.compile_with_batch(alexnet(), 1)
         _deploy(engine=engine).process_request()
 
+    @staticmethod
+    def _stats(engine):
+        stats = dataclasses.asdict(engine.stats)
+        stats["simulated_time_s"] = stats["simulated_time_s"].hex()
+        return stats
+
     def test_copy_starts_where_the_engine_is(self):
         engine = self._warm_engine()
+        _relayed(engine)
         twin = engine.copy()
         assert twin.stats == engine.stats
         assert twin.stats is not engine.stats
-        assert twin.hooks is not engine.hooks
+        assert twin.stats.plan_use_counts is not engine.stats.plan_use_counts
+        assert twin.relays == [] and len(engine.relays) == 1
         assert twin.cached_plans == engine.cached_plans
         assert twin.cached_reports == engine.cached_reports
         # Compilers and managers are shared memos.
@@ -355,19 +364,25 @@ class TestCopy:
 
     def test_copy_behaves_like_the_engine_and_leaves_it_be(self):
         engine = self._warm_engine()
-        from_engine = self._record(engine)
+        from_engine = _relayed(engine)
         twin = engine.copy()
-        from_twin = self._record(twin)
+        from_twin = _relayed(twin)
         self._drive(twin)
         assert from_twin and from_engine == []
+        assert self._stats(twin) == self.DRIVEN_STATS
         # Driving the copy changed nothing the engine does next: it
-        # emits what the copy did, as does an engine never copied.
+        # relays what the copy did and counts the same, as does an
+        # engine never copied.
         self._drive(engine)
         reference = self._warm_engine()
-        from_reference = self._record(reference)
+        from_reference = _relayed(reference)
         self._drive(reference)
         assert from_twin == from_engine == from_reference
-        assert twin.stats == engine.stats == reference.stats
+        digest = hashlib.sha1(repr(from_twin).encode("utf-8")).hexdigest()
+        assert (len(from_twin), digest) == (27, self.DRIVEN_RELAYS)
+        assert self._stats(engine) == self._stats(reference) == (
+            self.DRIVEN_STATS
+        )
 
 
 class TestFleetSharing:
@@ -387,13 +402,3 @@ class TestFleetSharing:
         engine = ExecutionEngine()
         with pytest.raises(ValueError):
             engine.compile_with_batch(alexnet(), 1)
-
-    def test_donated_compiler_binds_platform(self):
-        from repro.core.offline import OfflineCompiler
-
-        compiler = OfflineCompiler(JETSON_TX1)
-        engine = ExecutionEngine(compiler=compiler)
-        assert engine.default_arch is JETSON_TX1
-        assert engine.compiler_for() is compiler
-        with pytest.raises(ValueError):
-            ExecutionEngine(arch=K20C, compiler=compiler)

@@ -261,7 +261,7 @@ class TestSharing:
         assert engine.compiler_for() is second.compiler_for()
 
     def test_an_uncached_engine_keeps_no_memo(self):
-        engine = ExecutionEngine(JETSON_TX1, cache_reports=False)
+        engine = ExecutionEngine(JETSON_TX1, cache=False)
         plan = engine.compile_with_batch(alexnet(), 1)
         assert engine.manager_for(True, True) is not engine.manager_for(
             True, True

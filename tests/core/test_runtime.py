@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.engine import ExecutionEngine
 from repro.core.offline import OfflineCompiler
 from repro.core.runtime import (
     AccuracyTuner,
@@ -23,8 +24,8 @@ def compiled():
 @pytest.fixture(scope="module")
 def table():
     net = alexnet()
-    compiler = OfflineCompiler(JETSON_TX1)
-    tuner = AccuracyTuner(compiler, net, AnalyticEntropyModel(net))
+    engine = ExecutionEngine(JETSON_TX1)
+    tuner = AccuracyTuner(engine, net, AnalyticEntropyModel(net))
     return tuner.tune(batch=1, entropy_threshold=1.4, max_iterations=25)
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import ApplicationSpec, PervasiveCNN, TaskClass
+from repro.core import ApplicationSpec, ExecutionEngine, PervasiveCNN, TaskClass
 from repro.core.offline import OfflineCompiler
 from repro.core.runtime import (
     AccuracyTuner,
@@ -82,10 +82,10 @@ class TestFig16Mechanism:
 
     def test_empirical_tuning_speedup_and_accuracy(self, trained_small_net):
         net, params, test_set = trained_small_net
-        compiler = OfflineCompiler(JETSON_TX1)
+        engine = ExecutionEngine(JETSON_TX1)
         evaluator = EmpiricalEntropyEvaluator(net, params, test_set)
         dense = evaluator.evaluate(PerforationPlan.dense())
-        tuner = AccuracyTuner(compiler, net, evaluator)
+        tuner = AccuracyTuner(engine, net, evaluator)
         table = tuner.tune(
             batch=32,
             entropy_threshold=dense.entropy + 0.35,

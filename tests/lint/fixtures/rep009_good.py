@@ -1,29 +1,28 @@
 """REP009 fixture: the sanctioned observer patterns stay clean.
 
-Subscribers may count and trace; the engine relay may record the
-cache-neutral kinds the fingerprint strips; the tick path may act
-through sanctioned seams like ``prewarm``.
+Engine methods may count and may relay or record the cache-neutral
+kinds the fingerprint strips; the tick path may act through sanctioned
+seams like ``prewarm``.
 """
 
 
-def attach_counters(engine, counters):
-    def on_execute(key, report):
-        counters[key] = counters.get(key, 0) + 1
+class ExecutionEngine:
+    def __init__(self, events):
+        self.events = events
+        self.relays = []
+        self.calls = 0
 
-    engine.hooks.subscribe("on_execute", on_execute)
+    def compile(self, key):
+        self.calls += 1
+        for relay in self.relays:
+            relay("compile", key.arch, batch=key.batch)
+        return key
 
-
-def relay_cache_events(engine, events, relay):
-    def on_compile(key, plan):
-        events.record("compile", key=key)
-        relay("compile", key.arch)
-
-    def on_cache_hit(key, plan):
-        events.record("cache_hit", key=key)
-        relay("cache_hit", key.arch)
-
-    engine.hooks.subscribe("on_compile", on_compile)
-    engine.hooks.subscribe("on_cache_hit", on_cache_hit)
+    def execute(self, key):
+        self.events.record("cache_hit", key=key)
+        for relay in self.relays:
+            relay("cache_hit", None, cache="execute")
+        return key
 
 
 class ControlPlane:

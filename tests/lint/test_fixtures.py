@@ -68,11 +68,11 @@ GOLDEN = {
         ("REP008", 11),  # class outside any importable package
     ],
     "rep009_bad.py": [
-        ("REP009", 15),  # subscriber records a fingerprinted kind
-        ("REP009", 18),  # subscriber records a dynamic kind
-        ("REP009", 33),  # ledger write reached from ControlPlane.tick
-        ("REP009", 41),  # engine relay handed a fingerprinted kind
-        ("REP009", 44),  # loop event row of a fingerprinted kind
+        ("REP009", 17),  # engine relay handed a fingerprinted kind
+        ("REP009", 22),  # engine relay handed a dynamic kind
+        ("REP009", 27),  # loop event row of a fingerprinted kind
+        ("REP009", 31),  # .record of a fingerprinted kind via a helper
+        ("REP009", 42),  # ledger write reached from ControlPlane.tick
     ],
 }
 

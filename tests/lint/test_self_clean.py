@@ -53,7 +53,7 @@ def test_package_has_zero_stale_suppressions():
 
 def test_whole_program_rules_are_clean_standalone():
     # REP007..REP009 alone (interprocedural taint, spawn contract,
-    # hook purity): zero findings and zero suppressions in the
+    # engine and tick purity): zero findings and zero suppressions in the
     # package -- the call-graph rules hold without any carve-outs.
     report = run_lint(
         [PACKAGE_ROOT], rule_ids=["REP007", "REP008", "REP009"]

@@ -149,8 +149,8 @@ class TestAccounting:
         )
 
     def test_engine_compile_activity_lands_in_event_log(self, fleet, spec):
-        # A fresh engine compiles ladder rungs during run(); the hook
-        # relay must surface that as compile or cache_hit events.
+        # A fresh engine compiles ladder rungs during run(); the
+        # engine relay must surface that as compile or cache_hit events.
         from repro.core.fleet import FleetManager
         from repro.gpu import K20C
         from repro.nn import alexnet

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core import ApplicationSpec, PervasiveCNN, TaskClass
+from repro.core import ApplicationSpec, ExecutionEngine, PervasiveCNN, TaskClass
 from repro.core.offline import OfflineCompiler
 from repro.core.runtime import AccuracyTuner, AnalyticEntropyModel
 from repro.core.satisfaction import TimeRequirement
@@ -44,8 +44,8 @@ class TestDegenerateNetworks:
 
     def test_micro_network_tunes(self):
         net = self._tiny()
-        compiler = OfflineCompiler(JETSON_TX1)
-        tuner = AccuracyTuner(compiler, net, AnalyticEntropyModel(net))
+        engine = ExecutionEngine(JETSON_TX1)
+        tuner = AccuracyTuner(engine, net, AnalyticEntropyModel(net))
         table = tuner.tune(batch=1, entropy_threshold=2.0, max_iterations=4)
         assert len(table) >= 1
 
@@ -97,9 +97,9 @@ class TestPathologicalTuning:
         from repro.nn import alexnet
 
         net = alexnet()
-        compiler = OfflineCompiler(JETSON_TX1)
+        engine = ExecutionEngine(JETSON_TX1)
         model = AnalyticEntropyModel(net, base_entropy=1.0)
-        tuner = AccuracyTuner(compiler, net, model)
+        tuner = AccuracyTuner(engine, net, model)
         table = tuner.tune(batch=1, entropy_threshold=1.0, max_iterations=8)
         # entry 0 (dense) is admitted even at the baseline threshold,
         # and nothing beyond it is.
@@ -109,8 +109,8 @@ class TestPathologicalTuning:
         from repro.nn import alexnet
 
         net = alexnet()
-        compiler = OfflineCompiler(JETSON_TX1)
-        tuner = AccuracyTuner(compiler, net, AnalyticEntropyModel(net))
+        engine = ExecutionEngine(JETSON_TX1)
+        tuner = AccuracyTuner(engine, net, AnalyticEntropyModel(net))
         table = tuner.tune(batch=1, entropy_threshold=2.0, max_iterations=0)
         assert len(table) == 1
 
