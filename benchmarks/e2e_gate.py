@@ -1,4 +1,4 @@
-"""End-to-end speed gate: a change against its parent, as a user waits.
+"""End-to-end gate: a change against its parent, as a user waits.
 
     python3 benchmarks/e2e_gate.py PARENT_DIR CHANGE_DIR --seconds 4
 
@@ -7,10 +7,14 @@ For every workload ``BENCHMARK.json`` declares, runs
 both source checkouts, in ``PAIRS`` pairs, alternating which tree goes
 first, and reads each run's last stdout line (one JSON object).
 The gate fails when any run is not ``correct`` or failed an op, or
-when, on any workload, the change's ``op_s_p50`` exceeds the parent's
-by more than ``BENCHMARK.json``'s ``op_s_p50`` bound in a majority of
-the pairs.  Both trees run on one host, back to back, so the verdict
-does not depend on how fast the host is.
+when, on any workload, any ``end_to_end`` metric ``BENCHMARK.json``
+declares is worse than the parent's by more than that metric's
+``bound`` in a majority of the pairs.  Worse means
+``change > parent * (1 + bound)`` for a metric whose ``better`` is
+``lower`` and ``change < parent * (1 - bound)`` for one whose
+``better`` is ``higher``.  Every run reports every metric, so all of
+them are judged from the same runs.  Both trees run on one host, back
+to back, so the verdict does not depend on how fast the host is.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ import os
 import subprocess
 import sys
 
-METRIC = "op_s_p50"
 SEED = 42
 #: Parent/change pairs per workload: enough that a majority verdict
 #: outvotes one slow spell of the host.
@@ -40,15 +43,20 @@ def parse_args(argv):
 
 
 def load_benchmark(tree: str):
-    """The workload names and the ``op_s_p50`` bound of a checkout's
-    ``BENCHMARK.json``."""
+    """The workload names and the ``end_to_end`` metrics (``name``,
+    ``better``, ``bound``) of a checkout's ``BENCHMARK.json``."""
     with open(os.path.join(tree, "BENCHMARK.json")) as handle:
         declared = json.load(handle)
-    bound = next(
-        metric["bound"] for metric in declared["end_to_end"]
-        if metric["name"] == METRIC
-    )
-    return [workload["name"] for workload in declared["workloads"]], bound
+    workloads = [workload["name"] for workload in declared["workloads"]]
+    return workloads, declared["end_to_end"]
+
+
+def worse(metric: dict, parent: float, change: float) -> bool:
+    """Whether ``change`` is worse than ``parent`` by more than the
+    metric's bound."""
+    if metric["better"] == "lower":
+        return change > parent * (1.0 + metric["bound"])
+    return change < parent * (1.0 - metric["bound"])
 
 
 def run_e2ebench(tree: str, workload: str, seconds: float) -> dict:
@@ -83,10 +91,10 @@ def problem(result: dict):
 
 
 def gate_workload(parent: str, change: str, workload: str, seconds: float,
-                  bound: float):
+                  metrics):
     """Run one workload's pairs; returns its failure lines."""
     failures = []
-    slower = 0
+    worse_pairs = {metric["name"]: 0 for metric in metrics}
     for index in range(PAIRS):
         order = [("parent", parent), ("change", change)]
         if index % 2:
@@ -99,37 +107,48 @@ def gate_workload(parent: str, change: str, workload: str, seconds: float,
                 failures.append("%s pair %d %s: %s"
                                 % (workload, index, label, why))
                 continue
-            values[label] = result["metrics"][METRIC]["value"]
+            values[label] = result["metrics"]
         if len(values) < 2:
             print("%-14s pair %d: incomplete" % (workload, index))
             continue
-        ratio = values["change"] / values["parent"]
-        worse = ratio > 1.0 + bound
-        slower += worse
-        print("%-14s pair %d (%s first): %s parent %.4f s, change %.4f s, "
-              "x%.3f%s" % (workload, index, order[0][0], METRIC,
-                           values["parent"], values["change"], ratio,
-                           " WORSE" if worse else ""), flush=True)
-    if 2 * slower > PAIRS:
-        failures.append(
-            "%s: change's %s exceeds the parent's by more than %.0f%% in "
-            "%d of %d pairs" % (workload, METRIC, bound * 100, slower, PAIRS)
-        )
+        cells = []
+        for metric in metrics:
+            name = metric["name"]
+            was = values["parent"][name]["value"]
+            now = values["change"][name]["value"]
+            bad = worse(metric, was, now)
+            worse_pairs[name] += bad
+            cells.append("%s %.4g -> %.4g (x%.3f)%s" % (
+                name, was, now, now / was if was else float("inf"),
+                " WORSE" if bad else "",
+            ))
+        print("%-14s pair %d (%s first): %s"
+              % (workload, index, order[0][0], ", ".join(cells)), flush=True)
+    for metric in metrics:
+        count = worse_pairs[metric["name"]]
+        if 2 * count > PAIRS:
+            failures.append(
+                "%s: change's %s (%s is better) is worse than the parent's "
+                "by more than %.0f%% in %d of %d pairs"
+                % (workload, metric["name"], metric["better"],
+                   metric["bound"] * 100, count, PAIRS)
+            )
     return failures
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    workloads, bound = load_benchmark(args.change)
+    workloads, metrics = load_benchmark(args.change)
     failures = []
     for workload in workloads:
         failures += gate_workload(args.parent, args.change, workload,
-                                  args.seconds, bound)
+                                  args.seconds, metrics)
     for line in failures:
         print("FAIL %s" % line)
     if not failures:
-        print("e2e gate passed: %s within %.0f%% of the parent on %s"
-              % (METRIC, bound * 100, ", ".join(workloads)))
+        print("e2e gate passed: %s each within its bound of the parent "
+              "on %s" % (", ".join(metric["name"] for metric in metrics),
+                         ", ".join(workloads)))
     return 1 if failures else 0
 
 

@@ -100,7 +100,7 @@ class HookPurityRule(ProjectRule):
     rationale = (
         "The engine and the predictive controller are observers: "
         "they may count, relay compiles and cache hits, prewarm and "
-        "plan, but a ledger write (EventLog.record, the engine relay "
+        "plan, but a ledger write (a .record call, the engine relay "
         "or an event row of a fingerprinted kind) from either seam "
         "silently changes report fingerprints with cache temperature "
         "or controller wiring -- the exact neutrality the same-seed "

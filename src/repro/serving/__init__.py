@@ -17,10 +17,11 @@ discrete-event router that
   heavier perforation -- and stepping back up as the backlog drains,
   mirroring the paper's calibration backtracking
   (:mod:`repro.serving.degradation`),
-* and emits a structured event log plus a :class:`RouterReport`
-  aggregating per-tenant SoC, deadline hit-rates, rejection rates and
-  per-platform utilization/energy (:mod:`repro.serving.events`,
-  :mod:`repro.serving.report`).
+* and returns a read-only :class:`RouterReport`: the structured event
+  log and terminal records as one ledger of columns and rows, plus
+  per-tenant SoC, deadline hit-rates, rejection rates and per-platform
+  utilization/energy aggregated from them (:mod:`repro.serving.events`,
+  :mod:`repro.serving.ledger`, :mod:`repro.serving.report`).
 
 Under fault injection (:mod:`repro.faults`) the router additionally
 self-heals: per-platform health tracking, deadline-aware retries with
@@ -50,7 +51,7 @@ from repro.serving.degradation import (
     escalate_perforation,
 )
 from repro.serving.dispatch import PlatformState
-from repro.serving.events import EventLog, RouterEvent
+from repro.serving.events import EVENT_KINDS, RouterEvent
 from repro.serving.report import (
     CompletedRequest,
     PlatformStats,
@@ -79,7 +80,7 @@ __all__ = [
     "DegradationController",
     "DegradationLadder",
     "DegradationRung",
-    "EventLog",
+    "EVENT_KINDS",
     "FleetCoordinator",
     "FleetRunOutcome",
     "FleetSpec",

@@ -4,10 +4,11 @@ Records are columns, each record carrying its whole request, and
 events the canonical writer's rows ``(kind, detail keys, detail values,
 time_s, tenant, platform, request_ids)`` (``seq`` is the row position).
 The serving loop appends these rows as it runs and builds the columns
-before it returns (:mod:`repro.serving.vec_router`).  A section's list, once a caller builds it, is the section, changes
-included; with all three built the columns and rows go.  The sharding
-transforms -- :meth:`Ledger.renamed`, :meth:`Ledger.without`,
-:meth:`Ledger.merged` -- map columns and rows and build no record.
+before it returns (:mod:`repro.serving.vec_router`); they are the one
+storage every count, aggregate, export, merge and fingerprint reads.
+The sharding transforms -- :meth:`Ledger.renamed`,
+:meth:`Ledger.without`, :meth:`Ledger.merged` -- map columns and rows
+and build no record.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from operator import attrgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Sequence
 
 from repro.core.satisfaction import SoCBreakdown
-from repro.serving.events import EventLog, RouterEvent
+from repro.serving.events import EVENT_KINDS, RouterEvent
 from repro.serving.request import Request
 
 __all__ = ["CompletedRequest", "Ledger", "RejectedRequest"]
@@ -109,54 +110,35 @@ def _select(columns: Mapping[str, list], rows: Sequence[int]) -> dict:
 class Ledger:
     """One run's completed and rejected records as ``{name: column}``
     (``completed``, ``rejected``) and its events as ``rows``: the
-    storage behind a report.  ``lists`` holds the sections a caller has
-    built or assigned as lists, which every accessor then reads."""
+    storage behind a report."""
 
     def __init__(self, completed=None, rejected=None, rows=None) -> None:
         self.completed = completed or {n: [] for n in _PATHS["completed"]}
         self.rejected = rejected or {n: [] for n in _PATHS["rejected"]}
         self.rows: List[tuple] = rows or []
-        self.lists: Dict[str, object] = {}
 
     # -- reads -------------------------------------------------------------
     def columns(self, section: str) -> Mapping[str, list]:
         """One record section (``completed`` or ``rejected``) as
         ``{name: column}``."""
-        built = self.lists.get(section)
-        if built is None:
-            return getattr(self, section)
-        return {
-            name: list(map(attrgetter(path), built))
-            for name, path in _PATHS[section].items()
-        }
+        return getattr(self, section)
 
     def event_rows(self) -> Sequence[tuple]:
         """The event log as rows, in order."""
-        built = self.lists.get("events")
-        if built is None:
-            return self.rows
-        return [
-            (e.kind, keys, tuple(map(e.detail.__getitem__, keys)), e.time_s,
-             e.tenant, e.platform, e.request_ids)
-            for e, keys in ((e, tuple(sorted(e.detail))) for e in built)
-        ]
+        return self.rows
 
     def count(self, section: str) -> int:
         """Records in one section (``completed`` or ``rejected``)."""
-        built = self.lists.get(section)
-        return len(getattr(self, section)["rid"] if built is None else built)
+        return len(getattr(self, section)["rid"])
 
     def event_counts(self) -> Dict[str, int]:
         """Events per kind, every kind included."""
-        counts = Counter(row[0] for row in self.event_rows())
-        return {kind: counts[kind] for kind in EventLog.KINDS}
+        counts = Counter(row[0] for row in self.rows)
+        return {kind: counts[kind] for kind in EVENT_KINDS}
 
     def records(self, section: str) -> Iterator:
-        """One section's records (or events) as objects, in order: the
-        built list's, or new ones that nothing keeps."""
-        built = self.lists.get(section)
-        if built is not None:
-            return iter(built)
+        """One section's records (or events) as new objects, in order,
+        that nothing keeps."""
         if section == "events":
             return (
                 RouterEvent(seq, time_s, kind, tenant, platform, ids,
@@ -180,33 +162,6 @@ class Ledger:
                 "soc_time", "soc_accuracy", "energy_per_item_j", "soc",
             ))),
         )
-
-    # -- lists -------------------------------------------------------------
-    def build(self, section: str):
-        """One section as its list: built on first call, authoritative
-        from then on."""
-        built = self.lists.get(section)
-        if built is None:
-            built = list(self.records(section))
-            if section == "events":
-                built = EventLog(built)
-            self._keep({**self.lists, section: built})
-        return built
-
-    def replaced(self, **lists) -> "Ledger":
-        """A copy whose named sections are the given non-``None`` lists."""
-        lists = {key: value for key, value in lists.items() if value is not None}
-        if not lists:
-            return self
-        copy = Ledger(self.completed, self.rejected, self.rows)
-        return copy._keep({**self.lists, **lists})
-
-    def _keep(self, lists: Dict[str, object]) -> "Ledger":
-        if len(lists) == 3:  # every section is a list: drop the data
-            vars(self).clear()
-            self.completed = self.rejected = self.rows = None
-        self.lists = lists
-        return self
 
     # -- transforms --------------------------------------------------------
     def renamed(self, rename: Callable[[str], str]) -> "Ledger":

@@ -8,8 +8,10 @@ stable plain-data schema, and :meth:`RouterReport.fingerprint` hashes
 the canonical JSON -- the determinism guarantee ("bit-identical runs")
 is asserted by comparing fingerprints.  Records and events live in the
 report's :class:`~repro.serving.ledger.Ledger`, whose columns and rows
-every count, aggregate, export, merge and fingerprint reads; the
-``completed`` / ``rejected`` / ``events`` lists are built on request.
+every count, aggregate, export, merge and fingerprint reads.  A report
+is frozen: no field is set after it is built, and ``completed`` /
+``rejected`` / ``events`` build a new list from the ledger on every
+read, so changing one changes nothing in the report.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 from repro.obs.instrument import cache_neutral_obs_section, merge_obs_sections
 from repro.obs.metrics import linear_percentile, linear_percentiles, ordered_sum
 from repro.serving.canonical import write_report
+from repro.serving.events import RouterEvent
 from repro.serving.ledger import CompletedRequest, Ledger, RejectedRequest
 
 __all__ = [
@@ -183,21 +186,10 @@ def cache_neutral_control_section(control: dict) -> dict:
     return control
 
 
-def _section(name: str) -> property:
-    """One record section of a report as a list: built from the ledger
-    on first read, authoritative from then on; assigning one replaces
-    it in a copy of the ledger, as assigning a field would."""
-
-    def assign(report, value) -> None:
-        report.ledger = report.ledger.replaced(**{name: value})
-
-    return property(lambda report: report.ledger.build(name), assign)
-
-
-@dataclass
+@dataclass(frozen=True)
 class RouterReport:
-    """Aggregate outcome of one routing run: built from a ``ledger=``
-    (a router run, merge or transform) or from record lists."""
+    """Aggregate outcome of one routing run, read-only once built: a
+    router run, merge or transform returns a new report."""
 
     platforms: List[PlatformStats] = field(default_factory=list)
     #: Simulated end of the run (last completion, or last arrival).
@@ -217,22 +209,21 @@ class RouterReport:
     #: The completed and rejected records and the event log.
     ledger: Ledger = field(default_factory=Ledger, repr=False)
 
-    completed = _section("completed")
-    rejected = _section("rejected")
-    events = _section("events")
+    # -- records ---------------------------------------------------------
+    @property
+    def completed(self) -> List[CompletedRequest]:
+        """The completed records, a new list on every read."""
+        return list(self.ledger.records("completed"))
 
-    def __init__(
-        self, completed=None, rejected=None, platforms=None, events=None,
-        horizon_s=0.0, resilience=None, obs=None, control=None, ledger=None,
-    ) -> None:
-        self.platforms = [] if platforms is None else platforms
-        self.horizon_s = horizon_s
-        self.resilience = resilience
-        self.obs = obs
-        self.control = control
-        self.ledger = (ledger or Ledger()).replaced(
-            completed=completed, rejected=rejected, events=events
-        )
+    @property
+    def rejected(self) -> List[RejectedRequest]:
+        """The rejected records, a new list on every read."""
+        return list(self.ledger.records("rejected"))
+
+    @property
+    def events(self) -> List[RouterEvent]:
+        """The event log in order, a new list on every read."""
+        return list(self.ledger.records("events"))
 
     # -- fleet-level views ----------------------------------------------
     @property

@@ -217,9 +217,10 @@ class RequestRouter:
         ``faults`` optionally subjects the run to a chaos schedule;
         the report then carries :class:`ResilienceStats`.  ``obs``
         optionally observes the run (spans + metrics), derived from the
-        finished report by :meth:`Instrumentation.record_run`; the
-        report then carries an ``obs`` section and the instrumentation
-        retains the full trace buffer and metrics registry for export.
+        finished report by :meth:`Instrumentation.record_run`; ``run``
+        then returns a copy of that report carrying an ``obs`` section,
+        and the instrumentation retains the full trace buffer and
+        metrics registry for export.
         ``obs=None`` is the only off switch.  One instrumentation
         instance observes one run.
 
@@ -250,7 +251,7 @@ class RequestRouter:
                 ),
                 engine_counts={key: after[key] - before[key] for key in after},
             )
-            report.obs = obs.report_section()
+            report = replace(report, obs=obs.report_section())
         return report
 
     # -- setup -----------------------------------------------------------

@@ -323,7 +323,7 @@ class FleetCoordinator:
         merged = RouterReport.merge(reports)
         supervision = SupervisionReport(records)
         statuses = self._statuses(records, escalated)
-        self._attach_supervision_obs(merged, supervision, escalated)
+        merged = self._attach_supervision_obs(merged, supervision, escalated)
         buffer = (
             stitch_spans(
                 [result for result in results if result is not None],
@@ -484,17 +484,19 @@ class FleetCoordinator:
         report: RouterReport,
         supervision: SupervisionReport,
         escalated: List[int],
-    ) -> None:
-        """Fold supervision tallies into the merged obs section.
+    ) -> RouterReport:
+        """A copy of the merged report with supervision tallies folded
+        into its obs section (``report`` itself when it has none).
 
         The series all carry the ``supervisor_`` prefix, which
         ``cache_neutral_obs_section`` strips before fingerprinting --
         supervision history (how many attempts the wall clock cost
         us) must never leak into sim fingerprints, the same
-        discipline as engine cache temperature.
+        discipline as engine cache temperature.  With one shard the
+        merged report is the shard's own, which stays as it was.
         """
         if report.obs is None:
-            return
+            return report
         registry = MetricsRegistry()
         tallies = supervision.counters()
         for key in sorted(tallies):
@@ -512,7 +514,7 @@ class FleetCoordinator:
         section["metrics"] = {
             series: merged[series] for series in sorted(merged)
         }
-        report.obs = section
+        return replace(report, obs=section)
 
 
 def _fold_loads(spec: ShardSpec, extra: Sequence[TenantLoad]) -> ShardSpec:

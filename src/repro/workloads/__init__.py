@@ -14,7 +14,6 @@ from repro.workloads.generators import (
     realtime_trace,
     scale_rate,
 )
-from repro.workloads.rates import windowed_counts, windowed_rates
 from repro.workloads.tasks import (
     Scenario,
     age_detection,
@@ -35,8 +34,6 @@ __all__ = [
     "pareto_trace",
     "realtime_trace",
     "scale_rate",
-    "windowed_counts",
-    "windowed_rates",
     "Scenario",
     "age_detection",
     "image_tagging",

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.control import EwmaForecaster, HoltWintersForecaster
-from repro.workloads import diurnal_trace, windowed_rates
+from repro.workloads import diurnal_trace
 
 
 class TestValidation:
@@ -104,7 +104,9 @@ class TestHoltWinters:
             n_requests=4000, base_rate_hz=60.0, amplitude=0.8,
             period_s=period_s, seed=11,
         )
-        rates = windowed_rates(trace, window_s)
+        rates = np.bincount(
+            np.floor(trace.arrivals_s / window_s).astype(np.int64)
+        ) / window_s
         assert len(rates) >= 8 * int(period_s / window_s), (
             "trace too short to span several seasons"
         )

@@ -295,8 +295,7 @@ class TestRelays:
 class TestCopy:
     #: ``dataclasses.asdict`` of the stats a warm engine ends with
     #: after ``_drive`` (its copy, driven instead, ends with the same),
-    #: simulated seconds as float bits: what the engine counted when
-    #: its stats were a subscriber of a five-event hook bus.
+    #: simulated seconds as float bits.
     DRIVEN_STATS = {
         "compile_calls": 50,
         "compile_misses": 24,
@@ -314,7 +313,7 @@ class TestCopy:
         },
     }
     #: SHA-1 of the ``repr`` of the 27 rows ``_drive`` relays from a
-    #: warm engine, recorded from the hook-bus relay.
+    #: warm engine.
     DRIVEN_RELAYS = "d66959f6efdbd33d26e01b07f722e5ed138f5236"
 
     @staticmethod

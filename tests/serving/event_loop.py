@@ -20,7 +20,9 @@ the router's configuration and shared helpers through delegation), the
 platform-state helpers only this loop uses are functions here
 (:func:`current_rung`, :func:`backlog_s`, :func:`order_queue`), and
 :func:`merge_loads` -- the ``Request``-object twin of
-``ArrivalColumns`` -- moved in with it.
+``ArrivalColumns`` -- moved in with it, and its record lists and
+:class:`~tests.serving.event_log.EventLog` reach the report through
+:func:`~tests.serving.event_log.ledger_of`.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from repro.faults.events import FaultEvent, FaultTrace
 from repro.obs.metrics import ordered_sum
 from repro.serving.degradation import DegradationRung
 from repro.serving.dispatch import POLICIES, PlatformState
-from repro.serving.events import EventLog
 from repro.serving.report import (
     CompletedRequest,
     RejectedRequest,
@@ -45,6 +46,7 @@ from repro.serving.report import (
 )
 from repro.serving.request import Request, TenantLoad, _check_unique_tenants
 from repro.serving.resilience import RetryPolicy
+from tests.serving.event_log import EventLog, ledger_of
 
 __all__ = [
     "AdmissionController",
@@ -510,10 +512,7 @@ class EventLoop:
         if requests:
             horizon = max(horizon, requests[-1].arrival_s)
         return RouterReport(
-            completed=sorted(run.completed, key=lambda r: r.request.rid),
-            rejected=sorted(run.rejected, key=lambda r: r.request.rid),
             platforms=self._platform_stats(run.states, horizon),
-            events=events,
             horizon_s=horizon,
             resilience=(
                 run.resilience_stats() if faults is not None else None
@@ -522,6 +521,11 @@ class EventLoop:
                 controller.report_section()
                 if controller is not None
                 else None
+            ),
+            ledger=ledger_of(
+                sorted(run.completed, key=lambda r: r.request.rid),
+                sorted(run.rejected, key=lambda r: r.request.rid),
+                events,
             ),
         )
 

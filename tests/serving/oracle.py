@@ -15,8 +15,9 @@ import json
 from dataclasses import replace
 
 from repro.obs.instrument import cache_neutral_obs_section
-from repro.serving import EventLog, RouterEvent, RouterReport
+from repro.serving import RouterReport
 from repro.serving.shard import shard_platform
+from tests.serving.event_log import ledger_of
 
 #: Engine relay kinds the fingerprint leaves out.
 CACHE_KINDS = ("compile", "cache_hit")
@@ -51,9 +52,7 @@ def oracle_fingerprint(report) -> str:
 
 
 def checked_fingerprint(report) -> str:
-    """``report.fingerprint()``, asserted equal to the oracle's.  The
-    fingerprint is taken first: the oracle builds a lazy report's
-    records, and a later fingerprint would read those."""
+    """``report.fingerprint()``, asserted equal to the oracle's."""
     fingerprint = report.fingerprint()
     assert fingerprint == oracle_fingerprint(report)
     return fingerprint
@@ -62,38 +61,25 @@ def checked_fingerprint(report) -> str:
 # -- the object-walking transforms the ledger's replaced -----------------
 #
 # ``qualify_report``, ``strip_requests`` and ``RouterReport.merge`` as
-# they were written over record objects, each returning a report read
-# as its built lists.  The ledger transforms must agree with them byte
-# for byte.
+# they were written over record objects, each returning a report whose
+# ledger :func:`ledger_of` builds from its lists.  The ledger transforms
+# must agree with them byte for byte.
 
 #: Event-detail keys whose values name platforms (a failover's or an
 #: outage reject's ``origin``).
 _PLATFORM_DETAIL_KEYS = ("origin",)
 
 
-def _renumbered(events):
-    """Copies of ``events`` with ``seq`` rebased onto ``0..n-1``."""
-    return EventLog([
-        RouterEvent(
-            seq=seq, time_s=event.time_s, kind=event.kind,
-            tenant=event.tenant, platform=event.platform,
-            request_ids=tuple(event.request_ids), detail=dict(event.detail),
-        )
-        for seq, event in enumerate(events)
-    ])
-
-
 def _list_report(report, completed, rejected, events, platforms=None):
-    """``report`` with these records and events, read as lists."""
+    """``report`` with these records and events (``ledger_of`` numbers
+    the events ``0..n-1``)."""
     return RouterReport(
-        completed=completed,
-        rejected=rejected,
         platforms=list(report.platforms if platforms is None else platforms),
-        events=events,
         horizon_s=report.horizon_s,
         resilience=report.resilience,
         obs=report.obs,
         control=report.control,
+        ledger=ledger_of(completed, rejected, events),
     )
 
 
@@ -113,7 +99,7 @@ def oracle_qualify(report, shard_id):
             platform = shard_platform(shard_id, platform)
         events.append(replace(event, platform=platform, detail=detail))
     return _list_report(
-        report, completed, list(report.rejected), _renumbered(events),
+        report, completed, report.rejected, events,
         platforms=[
             replace(stats, platform=shard_platform(shard_id, stats.platform))
             for stats in report.platforms
@@ -141,7 +127,7 @@ def oracle_strip(report, rids):
                 continue
             event = replace(event, request_ids=kept)
         events.append(event)
-    return _list_report(report, completed, rejected, _renumbered(events))
+    return _list_report(report, completed, rejected, events)
 
 
 def oracle_merge(reports):
@@ -217,4 +203,4 @@ def oracle_merge(reports):
                 "record in its report" % (event.kind, error)
             ) from None
         events.append(replace(event, request_ids=request_ids))
-    return _list_report(merged, completed, rejected, _renumbered(events))
+    return _list_report(merged, completed, rejected, events)

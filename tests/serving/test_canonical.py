@@ -4,17 +4,19 @@
 columns; :mod:`tests.serving.oracle` renders them the old way, through
 ``to_dict`` and ``json.dumps``.  Every kind of report must agree byte
 for byte: columnar and event-loop runs, merged, qualified and stripped
-reports, a lazy report whose built records were then changed, and a
-hand-built report of awkward floats and names.  A columnar report's
-fingerprint and ``to_dict``, a pickle of it, the obs derived from it
-and a sharded coordinator's merge build no per-request object at all.
+reports, and a hand-built report of awkward floats and names.  A
+report is read-only: its fields cannot be assigned, and the record
+lists it returns are new on every read, so changing one changes
+nothing.  A columnar report's fingerprint and ``to_dict``, a pickle of
+it, the obs derived from it and a sharded coordinator's merge build no
+per-request object at all.
 """
 
 import gc
 import math
 import pickle
 import weakref
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -24,7 +26,6 @@ from repro.faults import FaultTraceConfig, generate_fault_trace
 from repro.obs import Instrumentation
 from repro.serving import (
     CompletedRequest,
-    EventLog,
     FleetCoordinator,
     FleetSpec,
     PlatformStats,
@@ -41,6 +42,7 @@ from repro.serving import (
 from repro.serving.ledger import Ledger
 from repro.serving.shard.merge import qualify_report, strip_requests
 from repro.workloads import bursty_trace, pareto_trace
+from tests.serving.event_log import ledger_of, of_kind
 from tests.serving.event_loop import run_events
 from tests.serving.oracle import checked_fingerprint, oracle_fingerprint
 
@@ -97,7 +99,7 @@ class TestReportKinds:
         assert fingerprint == run_events(router, loads).fingerprint()
         reasons = {record.reason for record in report.rejected}
         assert reasons == {"saturated", "infeasible"}
-        assert report.events.of_kind("degrade")
+        assert of_kind(report.events, "degrade")
 
     def test_event_loop_with_chaos_and_obs(self, fleet, deployments, loads):
         horizon = max(float(load.trace.arrivals_s[-1]) for load in loads)
@@ -114,7 +116,7 @@ class TestReportKinds:
             loads, faults=faults, obs=Instrumentation()
         )
         assert report.resilience is not None and report.obs is not None
-        assert report.events.of_kind("fault")
+        assert of_kind(report.events, "fault")
         checked_fingerprint(report)
 
     def test_event_loop_with_controller(self, fleet, loads):
@@ -146,53 +148,59 @@ class TestReportKinds:
             checked_fingerprint(report)
 
 
-class TestBuiltRecordsAreAuthoritative:
-    def test_changed_lists_are_what_is_read(self, fleet, loads):
-        router = RequestRouter(fleet, OVERLOAD)
-        pristine = router.run(loads).fingerprint()
-
-        report = router.run(loads)
-        offered = report.n_offered
-        report.rejected.pop()
-        assert report.n_rejected + report.n_completed == offered - 1
-        assert report.to_dict(include_events=False)["summary"][
-            "rejected"
-        ] == report.n_rejected
-        assert checked_fingerprint(report) != pristine
-
-        report = router.run(loads)
-        report.completed.reverse()
-        assert checked_fingerprint(report) != pristine
-
-        report = router.run(loads)
-        report.events = EventLog(list(report.events)[:-1])
-        assert report.to_dict()["event_counts"] == report.events.counts
-        assert checked_fingerprint(report) != pristine
-
-    def test_building_every_list_drops_the_columns(self, fleet, loads):
+class TestReadListsAreCopies:
+    def test_changed_lists_change_nothing(self, fleet, loads):
+        """Each read of ``completed``, ``rejected`` or ``events`` is a
+        new list built from the ledger: changing one changes no count,
+        no ``to_dict()`` and no fingerprint, and the columns and rows
+        stay the report's storage."""
         report = RequestRouter(fleet, OVERLOAD).run(loads)
-        pristine = report.fingerprint()
-        assert report.completed and report.rejected
-        assert report.ledger.rows and report.ledger.completed
-        assert report.events
-        assert report.ledger.rows is report.ledger.completed is None
-        assert checked_fingerprint(report) == pristine
+        ledger = vars(report.ledger).copy()
+        pristine = (
+            report.n_completed, report.n_rejected, report.to_dict(),
+            report.fingerprint(),
+        )
+        for name in ("completed", "rejected", "events"):
+            records = getattr(report, name)
+            assert records and records is not getattr(report, name)
+            assert records == getattr(report, name)
+        report.completed.reverse()
+        report.rejected.pop()
+        report.events.pop()
+        assert (
+            report.n_completed, report.n_rejected, report.to_dict(),
+            checked_fingerprint(report),
+        ) == pristine
+        assert vars(report.ledger) == ledger
 
-    def test_copies_keep_their_own_lists(self, fleet, loads, monkeypatch):
+    def test_fields_cannot_be_assigned(self, fleet, loads):
+        report = RequestRouter(fleet, OVERLOAD).run(loads)
+        before = report.fingerprint()
+        for name, value in (
+            ("completed", []), ("rejected", []), ("events", []),
+            ("obs", {}), ("horizon_s", 0.0), ("platforms", []),
+            ("resilience", None), ("control", {}), ("ledger", Ledger()),
+        ):
+            with pytest.raises(FrozenInstanceError):
+                setattr(report, name, value)
+        assert report.fingerprint() == before
+
+    def test_copies_build_no_records(self, fleet, loads, monkeypatch):
         """``dataclasses.replace`` copies the ledger without building a
         record (a tampered shard result still fingerprints apart), and
-        a list assigned on the copy leaves the original alone."""
+        a copy given a smaller ledger leaves the original alone."""
         report = RequestRouter(fleet, OVERLOAD).run(loads)
         built = _count_records(monkeypatch)
         tampered = replace(report, horizon_s=report.horizon_s + 1.0)
         assert tampered.fingerprint() != report.fingerprint()
-        assert built == [] and not tampered.ledger.lists
-        monkeypatch.undo()
-        tampered.rejected = []
-        assert report.n_rejected > 0 == tampered.n_rejected
+        stripped = replace(report, ledger=report.ledger.without(
+            report.ledger.columns("rejected")["rid"]
+        ))
+        assert built == []
+        assert report.n_rejected > 0 == stripped.n_rejected
 
 
-def _hand_built() -> RouterReport:
+def _hand_built(first_finish_s: float = -0.0) -> RouterReport:
     """Floats and names ``json.dumps`` renders specially, and record
     fields of unexpected types."""
     tenant = Tenant(
@@ -207,7 +215,7 @@ def _hand_built() -> RouterReport:
     completed = [
         CompletedRequest(
             request=request[0], platform="P%s", level=0, batch=1,
-            start_s=0.0, finish_s=-0.0, entropy=math.nan,
+            start_s=0.0, finish_s=first_finish_s, entropy=math.nan,
             soc=SoCBreakdown(-0.0, 1.0, 0.5, -0.0),
         ),
         CompletedRequest(
@@ -225,7 +233,7 @@ def _hand_built() -> RouterReport:
         RejectedRequest(request=request[3], reason="saturated"),
         RejectedRequest(request=request[4], reason=None),
     ]
-    events = EventLog([
+    events = [
         RouterEvent(0, -0.0, "enqueue", tenant.name, "P%s", (0,),
                     {"level": 0, "predicted_soc": math.nan,
                      "predicted_latency_s": -0.0}),
@@ -240,18 +248,16 @@ def _hand_built() -> RouterReport:
         RouterEvent(5, 2.0, "dispatch", None, "P%s", (0, 1, 2),
                     {"batch": 3, "capacity": 4, "finish_s": 2.5,
                      "level": 0}),
-    ])
+    ]
     return RouterReport(
-        completed=completed,
-        rejected=rejected,
         platforms=[PlatformStats(
             "P%s", "gpu", 1, 3, -0.0, math.nan, 0.5, 0.0, 1, 0,
         )],
-        events=events,
         horizon_s=math.inf,
         obs={"span_counts": {"compile": 2, "run": 1}, "metrics": {},
              "trace_fingerprint": "x"},
         control={"kind": "ewma", "prewarm": {"requested": 3, "hits": 1}},
+        ledger=ledger_of(completed, rejected, events),
     )
 
 
@@ -263,13 +269,7 @@ class TestAwkwardValues:
         """``finish_s`` is an all-float column, rendered through the
         per-call memo, which has seen ``0.0`` in ``arrival_s``."""
         report = _hand_built()
-        flipped = _hand_built()
-        record = flipped.completed[0]
-        flipped.completed[0] = CompletedRequest(
-            request=record.request, platform=record.platform,
-            level=record.level, batch=record.batch, start_s=record.start_s,
-            finish_s=0.0, entropy=record.entropy, soc=record.soc,
-        )
+        flipped = _hand_built(first_finish_s=0.0)
         assert checked_fingerprint(flipped) != checked_fingerprint(report)
 
 
@@ -326,7 +326,6 @@ class TestNoPerRequestObjects:
         built = _count_records(monkeypatch)
         clone = pickle.loads(pickle.dumps(report))
         assert built == []
-        assert not report.ledger.lists and not clone.ledger.lists
         monkeypatch.undo()
         assert clone.fingerprint() == checked_fingerprint(report)
 
@@ -334,8 +333,7 @@ class TestNoPerRequestObjects:
         self, fleet, deployments, loads, monkeypatch
     ):
         """Deriving obs from a chaos run, then fingerprinting and
-        rendering it, builds no request, record or event object and no
-        list."""
+        rendering it, builds no request, record or event object."""
         horizon = max(float(load.trace.arrivals_s[-1]) for load in loads)
         faults = generate_fault_trace(
             sorted(deployments), horizon,
@@ -348,11 +346,10 @@ class TestNoPerRequestObjects:
         obs = Instrumentation()
         built = _count_records(monkeypatch)
         obs.record_run(report)
-        report.obs = obs.report_section()
+        report = replace(report, obs=obs.report_section())
         report.fingerprint()
         report.to_dict(include_events=False)
         assert built == []
-        assert not report.ledger.lists
         assert report.obs["n_spans"] > report.n_offered
 
     def test_controlled_chaos_run_builds_no_request(
@@ -386,7 +383,7 @@ class TestNoPerRequestObjects:
     ):
         """A 2-shard inline coordinator op -- run, validate, qualify,
         merge, fingerprint, render -- builds no request, record or
-        event object and no list, with or without a control plane."""
+        event object, with or without a control plane."""
         fleet = FleetSpec(
             network="alexnet", spec=spec, gpus=("k20c", "tx1"),
             max_tuning_iterations=8,
@@ -418,11 +415,44 @@ class TestNoPerRequestObjects:
             assert built == []
             monkeypatch.undo()
             assert report.n_offered == 600 and report.n_rejected > 0
-            for shard_report in (report, *outcome.shard_reports):
-                assert not shard_report.ledger.lists
 
 
 class TestFinishedReport:
+    def test_one_shard_leaves_its_report_alone(self, spec, snappy_tenant):
+        """An instrumented coordinator run folds the ``supervisor_*``
+        series into a copy of the merged report: the merged report has
+        them and no shard's report does, with one shard (where the
+        merge is the shard's report) as with two."""
+        fleet = FleetSpec(
+            network="alexnet", spec=spec, gpus=("k20c",),
+            max_tuning_iterations=2,
+        )
+
+        def supervisor_series(report):
+            return [
+                series for series in report.obs["metrics"]
+                if series.startswith("supervisor_")
+            ]
+
+        for n_shards in (1, 2):
+            outcome = FleetCoordinator(
+                fleet, RouterConfig(), n_shards=n_shards, inline=True,
+            ).run(
+                shard_loads=[
+                    [TenantLoad(
+                        Tenant("%s-%d" % (snappy_tenant.name, shard),
+                               snappy_tenant.requirement),
+                        bursty_trace(n_requests=20, rate_hz=25.0, seed=shard),
+                    )]
+                    for shard in range(n_shards)
+                ],
+                instrument=True,
+            )
+            assert len(supervisor_series(outcome.report)) == 10
+            assert len(outcome.shard_reports) == n_shards
+            for shard_report in outcome.shard_reports:
+                assert supervisor_series(shard_report) == []
+
     def test_report_keeps_no_arrival_columns(self, fleet, loads, monkeypatch):
         """``run`` returns a finished report: a plain ledger, built
         before ``run`` returns, and nothing in the report keeps the

@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 
 from repro.serving import RequestRouter, RouterConfig, TenantLoad
-from repro.serving.events import EventLog
 from repro.serving.request import Request
 from repro.serving.resilience import RetryPolicy
 from repro.workloads import RequestTrace
+from tests.serving.event_log import EventLog
 from tests.serving.event_loop import EventLoop, _RunState, run_events
 
 

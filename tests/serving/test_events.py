@@ -1,10 +1,12 @@
-"""Tests for repro.serving.events: the structured event log."""
+"""Tests for the event vocabulary and the tests' event log
+(``tests/serving/event_log.py``), the oracle's and fixtures' writer."""
 
 import json
 
 import pytest
 
-from repro.serving import EventLog
+from repro.serving import EVENT_KINDS
+from tests.serving.event_log import EventLog, ledger_of, of_kind
 
 
 class TestEventLog:
@@ -23,24 +25,26 @@ class TestEventLog:
         with pytest.raises(ValueError, match="known:"):
             log.record("explode", time_s=0.0)
         with pytest.raises(ValueError, match="known:"):
-            log.of_kind("explode")
+            of_kind(log, "explode")
 
     def test_of_kind_filters(self):
         log = EventLog()
         log.record("enqueue", time_s=0.0)
         log.record("reject", time_s=0.1, reason="saturated")
         log.record("enqueue", time_s=0.2)
-        assert len(log.of_kind("enqueue")) == 2
-        (reject,) = log.of_kind("reject")
+        assert len(of_kind(log, "enqueue")) == 2
+        (reject,) = of_kind(log, "reject")
         assert reject.detail["reason"] == "saturated"
 
     def test_counts_include_zero_kinds(self):
+        """``Ledger.event_counts`` lists every kind of the vocabulary,
+        in its order, zeros included."""
         log = EventLog()
         log.record("degrade", time_s=0.0, level=1)
-        counts = log.counts
+        counts = ledger_of(events=log).event_counts()
         assert counts["degrade"] == 1
         assert counts["restore"] == 0
-        assert set(counts) == set(EventLog.KINDS)
+        assert tuple(counts) == EVENT_KINDS
 
     def test_to_dicts_is_json_serializable(self):
         log = EventLog()

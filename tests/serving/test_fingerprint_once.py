@@ -5,9 +5,10 @@ Two contracts keep ``storm_sharded``-style runs at three renders (the
 two qualified leaves as merge keys, then the merged report):
 
 * **a plain render** -- ``RouterReport.fingerprint`` keeps nothing on
-  the report, so every call renders the report as it is now: after an
-  attribute assignment, on a ``dataclasses.replace`` copy, on an
-  unpickled report and after an edit to a built section list;
+  the report, so every call renders the report as it is: a report's
+  fields cannot be assigned, a list read off it is a copy, and a
+  ``dataclasses.replace`` copy or an unpickled report renders its own
+  bytes;
 * **declaration at the boundary** -- ``run_shard`` declares nothing;
   a ``ShardResult`` declares its report's fingerprint when pickled
   (the spawn pipe, a checkpoint file) and a fault plan's ``tamper``
@@ -126,36 +127,47 @@ class TestRenderCounts:
         assert len(renders) == 3
 
 
+#: One change per report attribute, as ``dataclasses.replace``
+#: keywords: a new value, or for ``completed``/``rejected``/``events`` a
+#: ledger without that section.
+_CHANGES = {
+    "horizon_s": lambda r: {"horizon_s": r.horizon_s + 1.0},
+    "obs": lambda r: {"obs": {"spans": 1}},
+    "control": lambda r: {"control": {"ticks": 1}},
+    "platforms": lambda r: {"platforms": r.platforms[:1]},
+    "ledger": lambda r: {"ledger": Ledger()},
+    "completed": lambda r: {
+        "ledger": Ledger(rejected=r.ledger.rejected, rows=r.ledger.rows)
+    },
+    "rejected": lambda r: {
+        "ledger": Ledger(r.ledger.completed, rows=r.ledger.rows)
+    },
+    "events": lambda r: {
+        "ledger": Ledger(r.ledger.completed, r.ledger.rejected)
+    },
+}
+
+
 class TestMemo:
     """Every call renders the report as it is now."""
 
-    @pytest.mark.parametrize(
-        "assign",
-        [
-            lambda r: setattr(r, "horizon_s", r.horizon_s + 1.0),
-            lambda r: setattr(r, "obs", {"spans": 1}),
-            lambda r: setattr(r, "control", {"ticks": 1}),
-            lambda r: setattr(r, "platforms", r.platforms[:1]),
-            lambda r: setattr(r, "ledger", Ledger()),
-            lambda r: setattr(r, "completed", []),
-            lambda r: setattr(r, "rejected", []),
-            lambda r: setattr(r, "events", []),
-        ],
-        ids=[
-            "horizon_s", "obs", "control", "platforms", "ledger",
-            "completed", "rejected", "events",
-        ],
-    )
-    def test_any_assignment_drops_the_memo(self, renders, report, assign):
+    @pytest.mark.parametrize("name", list(_CHANGES))
+    def test_any_assignment_drops_the_memo(self, renders, report, name):
+        """An assignment is refused and the report renders as it was;
+        the same change made on a ``replace`` copy renders anew."""
         before = report.fingerprint()
-        assign(report)
-        after = report.fingerprint()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(report, name, None)
+        assert report.fingerprint() == before
+        copy = dataclasses.replace(report, **_CHANGES[name](report))
+        after = copy.fingerprint()
         assert after != before
-        assert after == oracle_fingerprint(report)
+        assert after == oracle_fingerprint(copy)
+        assert len(renders) == 3
 
     def test_run_sets_obs_after_the_loop(self, fleet, snappy_tenant):
         """An instrumented run's report carries its obs section in
-        the digest: ``run`` assigns it before anything renders."""
+        the digest: ``run`` returns a copy that holds it."""
         load = TenantLoad(snappy_tenant, bursty_trace(30, 40.0, seed=3))
         plain = RequestRouter(fleet, RouterConfig()).run([load])
         instrumented = RequestRouter(fleet, RouterConfig()).run(
@@ -165,13 +177,14 @@ class TestMemo:
         assert instrumented.fingerprint() == oracle_fingerprint(instrumented)
 
     def test_supervision_obs_drops_the_memo(self, report):
-        report.obs = {"metrics": {}}
+        report = dataclasses.replace(report, obs={"metrics": {}})
         before = report.fingerprint()
-        FleetCoordinator._attach_supervision_obs(
+        supervised = FleetCoordinator._attach_supervision_obs(
             report, SupervisionReport(), []
         )
+        assert report.obs == {"metrics": {}} != supervised.obs
         # ``supervisor_*`` series are fingerprint-neutral.
-        assert report.fingerprint() == before
+        assert supervised.fingerprint() == before
 
     def test_replace_copy_starts_without_it(self, renders, report):
         before = report.fingerprint()
@@ -186,25 +199,22 @@ class TestMemo:
         assert before == oracle_fingerprint(restored)
         assert len(renders) == 2
 
-    def test_ignored_once_a_section_is_a_built_list(self, renders, report):
+    def test_a_changed_read_list_changes_no_render(self, renders, report):
+        """A list read off a report is a copy: editing it leaves the
+        next render as it was, and each call still renders."""
         before = report.fingerprint()
-        report.ledger.build("rejected")
         report.rejected.pop()
-        after = report.fingerprint()
-        assert after != before
-        # Built lists are mutable in place: every call renders.
-        assert report.fingerprint() == after
-        assert len(renders) == 3
-        assert after == oracle_fingerprint(report)
+        assert report.fingerprint() == before
+        assert len(renders) == 2
 
-    def test_ignored_on_a_copy_sharing_a_built_ledger(self, report):
-        """A ``replace`` copy shares the ledger; a list built and
-        edited through the copy must reach the original's digest."""
+    def test_a_copy_shares_its_ledger_read_only(self, report):
+        """A ``replace`` copy shares the ledger; a list read and edited
+        through the copy reaches neither digest."""
         before = report.fingerprint()
         copy = dataclasses.replace(report)
         copy.completed.pop()
-        assert report.fingerprint() != before
-        assert report.fingerprint() == oracle_fingerprint(report)
+        assert copy.ledger is report.ledger
+        assert report.fingerprint() == before == copy.fingerprint()
 
 
 class TestDeclaration:

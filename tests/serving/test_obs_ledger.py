@@ -19,6 +19,7 @@ builds its own fleet, so engine cache temperature (compile spans,
 import builtins
 import hashlib
 import json
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -546,7 +547,6 @@ class TestColumnarDerivation:
         loads = _loads(fleet, 400, 42, 8.0, _TIGHT)
         traced = Instrumentation()
         columnar = RequestRouter(fleet).run(loads, obs=traced)
-        assert not columnar.ledger.lists
 
         fleet = _fleet()
         loads = _loads(fleet, 400, 42, 8.0, _TIGHT)
@@ -559,7 +559,7 @@ class TestColumnarDerivation:
             events,
             engine_counts={key: after[key] - before[key] for key in after},
         )
-        events.obs = oracle.report_section()
+        events = replace(events, obs=oracle.report_section())
 
         assert columnar.to_json(include_requests=True) == events.to_json(
             include_requests=True
@@ -627,6 +627,6 @@ class TestFailoverEscalation:
             for name, _labels, instrument in obs.metrics.series()
             if name == "degradation_moves_total"
         )
-        counts = report.events.counts
+        counts = report.ledger.event_counts()
         assert moves == counts["degrade"] + counts["restore"]
         assert report.fingerprint() == FAILOVER_ESCALATION_FINGERPRINT

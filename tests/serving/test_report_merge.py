@@ -12,7 +12,6 @@ from repro.faults import FaultEvent, FaultTrace
 from repro.obs import linear_percentile
 from repro.serving import (
     CompletedRequest,
-    EventLog,
     PlatformStats,
     RejectedRequest,
     Request,
@@ -23,9 +22,9 @@ from repro.serving import (
     Tenant,
     TenantLoad,
 )
-from repro.serving.ledger import Ledger
 from repro.serving.shard.merge import qualify_report, strip_requests
 from repro.workloads import bursty_trace
+from tests.serving.event_log import EventLog, ledger_of
 from tests.serving.oracle import (
     checked_fingerprint,
     oracle_merge,
@@ -163,12 +162,10 @@ def leaf_reports(draw):
             retries=draw(st.integers(min_value=0, max_value=4)),
         )
     return RouterReport(
-        completed=completed,
-        rejected=rejected,
         platforms=platforms,
-        events=events,
         horizon_s=horizon_s,
         resilience=resilience,
+        ledger=ledger_of(completed, rejected, events),
     )
 
 
@@ -268,11 +265,11 @@ class TestMergeValidation:
     def test_duplicate_rid_within_leaf_rejected(self):
         request = _request(0, "alpha", 0.0)
         leaf = RouterReport(
-            rejected=[
-                RejectedRequest(request=request, reason="saturated"),
-                RejectedRequest(request=request, reason="saturated"),
-            ],
             horizon_s=1.0,
+            ledger=ledger_of(rejected=[
+                RejectedRequest(request=request, reason="saturated"),
+                RejectedRequest(request=request, reason="saturated"),
+            ]),
         )
         with pytest.raises(ValueError):
             RouterReport.merge([leaf, RouterReport(horizon_s=1.0)])
@@ -314,28 +311,9 @@ class TestMergeEndToEnd:
         )
 
 
-def _fresh(report):
-    """A copy of ``report`` whose ledger holds its records as columns
-    and its events as rows, with no list built: what a router run
-    returns, whatever ``report`` is read as."""
-    ledger = report.ledger
-    return RouterReport(
-        platforms=list(report.platforms),
-        horizon_s=report.horizon_s,
-        resilience=report.resilience,
-        obs=report.obs,
-        control=report.control,
-        ledger=Ledger(
-            ledger.columns("completed"), ledger.columns("rejected"),
-            list(ledger.event_rows()),
-        ),
-    )
-
-
 def _assert_agree(actual, expected):
     """The ledger transform's report matches the oracle's byte for
-    byte, and building it built no list."""
-    assert not actual.ledger.lists
+    byte."""
     assert actual.fingerprint() == checked_fingerprint(expected)
     assert actual.to_dict(
         include_events=True, include_requests=True
@@ -345,7 +323,7 @@ def _assert_agree(actual, expected):
 def _check_transforms(leaves, data):
     """What the coordinator does -- strip drawn rids (none, some or all
     of a dispatch's), qualify, merge -- through the ledger and through
-    the oracle, on fresh copies of ``leaves``; every step agrees."""
+    the oracle; every step agrees."""
     actual, expected = [], []
     for shard_id, leaf in enumerate(leaves):
         rids = sorted(
@@ -353,8 +331,8 @@ def _check_transforms(leaves, data):
             + leaf.ledger.columns("rejected")["rid"]
         )
         gone = data.draw(st.sets(st.sampled_from(rids))) if rids else ()
-        stripped = strip_requests(_fresh(leaf), gone)
-        oracle = oracle_strip(_fresh(leaf), gone)
+        stripped = strip_requests(leaf, gone)
+        oracle = oracle_strip(leaf, gone)
         _assert_agree(stripped, oracle)
         actual.append(qualify_report(stripped, shard_id))
         expected.append(oracle_qualify(oracle, shard_id))
@@ -405,11 +383,10 @@ class TestLedgerTransformsMatchOracle:
         order = data.draw(st.permutations(range(len(runs))))
         count = data.draw(st.integers(min_value=1, max_value=len(runs)))
         _check_transforms([runs[index] for index in order[:count]], data)
-        assert not any(report.ledger.lists for report in runs)
 
     def test_orphan_rid_rejected(self):
         events = EventLog()
         events.record("enqueue", 0.0, tenant="alpha", request_ids=(7,))
-        orphan = RouterReport(events=events, horizon_s=1.0)
+        orphan = RouterReport(horizon_s=1.0, ledger=ledger_of(events=events))
         with pytest.raises(ValueError, match="no terminal record"):
             RouterReport.merge([orphan, RouterReport(horizon_s=1.0)])

@@ -20,6 +20,7 @@ from repro.serving import (
     TenantLoad,
 )
 from repro.workloads import RequestTrace, bursty_trace
+from tests.serving.event_log import of_kind
 
 
 def _storm(fleet, n=600, overload=2.0, seed=42):
@@ -67,7 +68,7 @@ class TestDeterminism:
 class TestOverloadBehaviour:
     def test_overload_walks_the_degradation_ladder(self, fleet, snappy_load):
         report = RequestRouter(fleet, RouterConfig()).run(snappy_load)
-        assert len(report.events.of_kind("degrade")) > 0
+        assert len(of_kind(report.events, "degrade")) > 0
         assert any(p.peak_level > 0 for p in report.platforms)
 
     def test_degradation_beats_fifo_baseline(self, fleet, snappy_load):
@@ -84,7 +85,7 @@ class TestOverloadBehaviour:
         report = RequestRouter(
             fleet, RouterConfig(degradation=False)
         ).run(snappy_load)
-        assert report.events.of_kind("degrade") == []
+        assert of_kind(report.events, "degrade") == []
         assert all(p.peak_level == 0 for p in report.platforms)
         assert all(p.mean_level == 0.0 for p in report.platforms)
 
@@ -98,7 +99,7 @@ class TestOverloadBehaviour:
         assert report.n_rejected > 0
         reasons = {r.reason for r in report.rejected}
         assert reasons <= {"saturated", "infeasible"}
-        reject_events = report.events.of_kind("reject")
+        reject_events = of_kind(report.events, "reject")
         assert len(reject_events) == report.n_rejected
         assert all(e.detail["reason"] in reasons for e in reject_events)
 
@@ -121,11 +122,11 @@ class TestAccounting:
     ):
         report = RequestRouter(fleet, RouterConfig()).run(snappy_load)
         dispatched = sum(
-            len(e.request_ids) for e in report.events.of_kind("dispatch")
+            len(e.request_ids) for e in of_kind(report.events, "dispatch")
         )
         assert dispatched == report.n_completed
-        assert len(report.events.of_kind("dispatch")) == len(
-            report.events.of_kind("complete")
+        assert len(of_kind(report.events, "dispatch")) == len(
+            of_kind(report.events, "complete")
         )
 
     def test_platform_stats_consistent(self, fleet, snappy_load):
@@ -165,7 +166,7 @@ class TestAccounting:
         report = RequestRouter(fresh, RouterConfig()).run(
             [TenantLoad(tenant, trace)]
         )
-        assert len(report.events.of_kind("compile")) > 0
+        assert len(of_kind(report.events, "compile")) > 0
         # The relay unsubscribes after the run: engine activity outside
         # run() must not grow this report's log.
         before = len(report.events)

@@ -14,6 +14,7 @@ from repro.faults import (
 from repro.gpu import K20C
 from repro.serving import RequestRouter, RouterConfig, TenantLoad
 from repro.workloads import RequestTrace
+from tests.serving.event_log import of_kind
 
 
 def _loads(tenant, arrivals):
@@ -94,8 +95,8 @@ class TestTransientsAndRetries:
         res = report.resilience
         assert res.batch_failures == 1
         assert res.retries == 1
-        assert len(report.events.of_kind("batch_failed")) == 1
-        (retry,) = report.events.of_kind("retry")
+        assert len(of_kind(report.events, "batch_failed")) == 1
+        (retry,) = of_kind(report.events, "retry")
         assert retry.detail["attempt"] == 1
 
     def test_exhausted_retries_reject_explicitly(
@@ -121,7 +122,7 @@ class TestTransientsAndRetries:
         report = router.run(_loads(snappy_tenant, [0.001]), faults)
         assert [r.reason for r in report.rejected] == ["failed"]
         assert report.resilience.retries == 0
-        assert not report.events.of_kind("retry")
+        assert not of_kind(report.events, "retry")
 
 
 class TestOutageFailover:
@@ -145,9 +146,9 @@ class TestOutageFailover:
         assert res.failovers >= 1
         assert res.requests_rescued >= 1
         assert res.mttr_s == pytest.approx(1.0 - 0.005)
-        assert report.events.of_kind("failover")
+        assert of_kind(report.events, "failover")
         # The dead platform takes no dispatches while it is down.
-        for event in report.events.of_kind("dispatch"):
+        for event in of_kind(report.events, "dispatch"):
             if event.platform == busy:
                 assert event.time_s < 0.005 or event.time_s >= 1.0
 
@@ -190,15 +191,15 @@ class TestBreakerIntegration:
             _loads(background_tenant, [0.001] * 4), faults
         )
         events = report.events
-        (opened,) = events.of_kind("breaker_open")
-        (half,) = events.of_kind("breaker_half_open")
-        (closed,) = events.of_kind("breaker_close")
+        (opened,) = of_kind(events, "breaker_open")
+        (half,) = of_kind(events, "breaker_half_open")
+        (closed,) = of_kind(events, "breaker_close")
         assert opened.time_s < half.time_s <= closed.time_s
         # Nothing departs while the breaker is open: the next dispatch
         # after the trip is the probe, a full cooldown later.
         later = [
             e.time_s
-            for e in events.of_kind("dispatch")
+            for e in of_kind(events, "dispatch")
             if e.time_s > opened.time_s
         ]
         assert later
@@ -232,7 +233,7 @@ class TestDegradedRecompile:
         # on the degraded architecture's health-keyed name.
         assert after > before
         degraded_compiles = [
-            e for e in report.events.of_kind("compile")
+            e for e in of_kind(report.events, "compile")
             if "@sm" in (e.platform or "")
         ]
         assert degraded_compiles
@@ -268,7 +269,7 @@ class TestDegradedRecompile:
         before = deployment.engine.stats.compile_misses
         report = router.run(loads, faults)
         assert deployment.engine.stats.compile_misses == before
-        assert report.events.of_kind("cache_hit")
+        assert of_kind(report.events, "cache_hit")
 
 
 class TestChaosDeterminism:
