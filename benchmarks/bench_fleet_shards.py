@@ -5,8 +5,9 @@ per-shard* load (weak scaling: the total storm grows with the shard
 count) and holds the sharding layer to the repo's determinism bar:
 
 * every shard count's merged fingerprint is bit-identical across two
-  same-seed coordinator runs (spawn scheduling never leaks into the
-  merge),
+  same-seed coordinator runs (worker scheduling never leaks into the
+  merge) and equal to an inline run's, timed beside it on a fleet
+  spec of its own, so it pays for its build as each worker does,
 * the 1-shard coordinator run degenerates exactly to the plain
   single-router fingerprint on :mod:`bench_router_overload`'s storm
   configuration (same OVERLOAD multiple, MMPP burst shape,
@@ -22,8 +23,15 @@ Full mode sweeps 1/2/4/8 shards; ``--quick`` runs 1 and the
 scaling numbers land in ``results/fleet_shards.json`` (BENCH JSON),
 and the dead-shard run's merged fingerprint and failover outcome in
 ``results/fleet_shards_chaos.json``.
+
+Workers fork from one preloaded forkserver where the platform has one
+(spawn elsewhere; the JSON names the method).  The server is started
+by the first worker run in this process and shared by every later
+coordinator here, so the 1-shard row pays its start and the rows
+after it do not.
 """
 
+import multiprocessing
 import time
 
 import pytest
@@ -96,6 +104,11 @@ def reproduce_scaling(counts, n_per_shard):
     rows = []
     data = {
         "mode": "weak-scaling",
+        "workers": (
+            "forkserver"
+            if "forkserver" in multiprocessing.get_all_start_methods()
+            else "spawn"
+        ),
         "per_shard_requests": n_per_shard,
         "offered_rate_hz": rate_hz,
         "counts": list(counts),
@@ -113,10 +126,20 @@ def reproduce_scaling(counts, n_per_shard):
         rerun = FleetCoordinator(
             fleet_spec, RouterConfig(), n_shards=n_shards, seed=SEED
         ).run(shard_loads=shard_loads)
+        inline = FleetCoordinator(
+            _fleet_spec(), RouterConfig(), n_shards=n_shards, seed=SEED,
+            inline=True,
+        )
+        start = time.perf_counter()
+        in_process = inline.run(shard_loads=shard_loads)
+        inline_wall_s = time.perf_counter() - start
         report = outcome.report
         fingerprint = report.fingerprint()
         assert rerun.report.fingerprint() == fingerprint, (
             "%d-shard same-seed re-run diverged" % n_shards
+        )
+        assert in_process.report.fingerprint() == fingerprint, (
+            "%d-shard inline run diverged from the worker run" % n_shards
         )
         assert report.n_offered == n_shards * n_per_shard
         rids = sorted(
@@ -136,6 +159,8 @@ def reproduce_scaling(counts, n_per_shard):
                 "%.0f%%" % (report.deadline_hit_rate * 100),
                 "%.2f" % wall_s,
                 "%.0f" % (report.n_offered / wall_s),
+                "%.2f" % inline_wall_s,
+                "%.0f" % (report.n_offered / inline_wall_s),
                 fingerprint[:12],
             )
         )
@@ -147,13 +172,18 @@ def reproduce_scaling(counts, n_per_shard):
             "deadline_hit_rate": report.deadline_hit_rate,
             "wall_s": wall_s,
             "requests_per_wall_second": report.n_offered / wall_s,
+            "inline_wall_s": inline_wall_s,
+            "inline_requests_per_wall_second": (
+                report.n_offered / inline_wall_s
+            ),
         }
     text = format_table(
         ["shards", "offered", "completed", "hit-rate", "wall s",
-         "req/wall-s", "fingerprint"],
+         "req/wall-s", "inline s", "inline req/s", "fingerprint"],
         rows,
         title="Weak scaling: %d requests/shard at %.0fx overload "
-        "(spawn workers, merged reports)" % (n_per_shard, OVERLOAD),
+        "(%s workers beside inline, merged reports)"
+        % (n_per_shard, OVERLOAD, data["workers"]),
     )
     return text, data
 
@@ -175,7 +205,7 @@ def test_bench_fleet_shard_degenerate(benchmark, quick):
 
     Same storm as :mod:`bench_router_overload` (OVERLOAD multiple,
     burst shape, requirement, seed 42): the merged report of a
-    1-shard coordinator run -- spawn worker included -- must carry
+    1-shard coordinator run -- worker process included -- must carry
     exactly the fingerprint the unsharded ``RequestRouter`` produces.
     """
     n = QUICK_N_PER_SHARD if quick else N_PER_SHARD

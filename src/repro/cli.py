@@ -24,10 +24,12 @@ Sub-commands:
   [--chrome-trace F] [--metrics-out F]`` -- route a bursty
   multi-tenant storm across the fleet and print the router report;
   ``--shards N`` scales the run out to N router shards in
-  ``multiprocessing`` spawn workers (each with its own fleet and
-  per-shard seeded tenants) and prints the deterministically merged
-  report; ``--chaos`` injects a seeded fault trace (outages, SM
-  failures, throttles, transients) and reports the recovery metrics;
+  ``multiprocessing`` worker processes (each with its own fleet and
+  per-shard seeded tenants; forked from one preloaded forkserver
+  where the platform has one, spawned elsewhere) and prints the
+  deterministically merged report; ``--chaos`` injects a seeded
+  fault trace (outages, SM failures, throttles, transients) and
+  reports the recovery metrics;
   ``--proc-chaos [--proc-chaos-seed S]`` injects *process* faults
   (worker crashes, hangs, corrupted results) the shard supervisor
   must recover from bit-identically, with ``--shard-timeout-s S`` /
@@ -216,13 +218,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards", type=_positive_int, default=1,
         help="router shards; one shard serves exactly the unsharded "
         "storm; above 1 each shard runs its own fleet and "
-        "per-shard-seeded tenant pair in a spawn worker and the "
-        "per-shard reports are merged deterministically",
+        "per-shard-seeded tenant pair in a worker process and the "
+        "per-shard reports are merged deterministically; workers fork "
+        "from one forkserver that this process starts, that imports "
+        "only the library, keeps the environment it started with and "
+        "exits with this process (spawned where the platform has no "
+        "forkserver)",
     )
     serve.add_argument(
         "--shard-inline", action="store_true",
-        help="run shards sequentially in-process instead of "
-        "multiprocessing spawn workers (same bits, easier debugging)",
+        help="run shards sequentially in-process instead of in "
+        "worker processes, so no forkserver or worker starts (same "
+        "bits, easier debugging)",
     )
     serve.add_argument(
         "--processes", type=_positive_int, default=None,

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.offline import batch_selection
 from repro.core.offline.kernel_tuning import (
@@ -150,12 +150,22 @@ class CompiledPlan:
 class OfflineCompiler:
     """P-CNN's offline compiler for one target architecture.
 
-    A GEMM-bound layer's schedule depends on the network, batch and
-    perforation only through its GEMM shape, so the compiler decides
-    each shape once -- tuned kernel, (optTLP, optSM) and the time of
-    one GEMM -- and every later layer of that shape reuses the
-    decision, multiplied by its own GEMM count.  The decisions live
-    as long as the compiler, which an engine and all its copies share.
+    A layer's schedule depends on the plan only through the layer, the
+    batch and that layer's own perforation rate, so the compiler keeps
+    one :class:`LayerSchedule` per ``(layer, batch, rate)`` and one
+    pool/softmax time per ``(layer, batch)``: the accuracy tuner's
+    recompilations, which change one layer's rate per step, build only
+    that layer.  A layer is named by its network's structural
+    :meth:`~repro.nn.models.NetworkDescriptor.fingerprint`, which the
+    engine's plan cache also keys on, and its position in the network:
+    a string and an int hash far cheaper than the layer's spec and
+    shapes.  Below that, a GEMM-bound layer's schedule depends on the
+    network, batch and perforation only through its GEMM shape, so
+    each shape is decided once -- tuned kernel, (optTLP, optSM) and
+    the time of one GEMM -- and every layer of that shape reuses the
+    decision, multiplied by its own GEMM count.  All of it lives as
+    long as the compiler, which an engine and all its copies share:
+    one fleet build.
     """
 
     def __init__(
@@ -168,9 +178,16 @@ class OfflineCompiler:
         # The tuner's designs depend only on the arch: built on the
         # first tune, scored for every shape after.
         self._candidates: Optional[TuningCandidates] = None
-        # The accuracy tuner's many recompilations, and every batch
-        # and perforation that repeats a shape, look the shape up here.
+        # Every batch and perforation that repeats a shape looks the
+        # shape up here.
         self._decisions: Dict[GemmShape, _LayerDecision] = {}
+        # Keyed by (network fingerprint, layer position, batch, the
+        # layer's rate): a plan shares a layer's schedule with every
+        # plan that perforates that layer alike.
+        self._schedules: Dict[Tuple[str, int, int, float], LayerSchedule] = {}
+        # Pool and softmax seconds, keyed by (network fingerprint,
+        # layer position, batch).
+        self._aux_times: Dict[Tuple[str, int, int], float] = {}
 
     def _tune(self, shape: GemmShape) -> TunedKernel:
         """``tune_layer_kernel(arch, shape, backend=backend)``, from
@@ -212,34 +229,24 @@ class OfflineCompiler:
         perforation = perforation or PerforationPlan.dense()
         schedules: List[LayerSchedule] = []
         aux_time = 0.0
-        for layer in network.layers:
-            spec = layer.spec
-            if isinstance(spec, ConvSpec):
-                shape = self._conv_shape(network, layer, batch, perforation)
-                gemm_count = spec.groups
-            elif isinstance(spec, DenseSpec):
-                shape = GemmShape(
-                    m_rows=spec.units,
-                    n_cols=batch,
-                    k_depth=layer.input_shape.elements,
-                )
-                gemm_count = 1
+        digest = network.fingerprint()
+        for position, layer in enumerate(network.layers):
+            if isinstance(layer.spec, (ConvSpec, DenseSpec)):
+                key = (digest, position, batch, perforation.rate(layer.name))
+                schedule = self._schedules.get(key)
+                if schedule is None:
+                    schedule = self._schedules[key] = self._schedule(
+                        network, layer, batch, perforation
+                    )
+                schedules.append(schedule)
             else:
-                aux_time += self._aux_layer_time(layer, batch)
-                continue
-            decision = self._decide(shape)
-            schedules.append(
-                LayerSchedule(
-                    layer,
-                    shape,
-                    decision.tuned,
-                    decision.opt_tlp,
-                    decision.opt_sm,
-                    gemm_count,
-                    # layer_time's ``gemm_count`` sequential GEMMs.
-                    decision.gemm_time_s * gemm_count,
-                )
-            )
+                key = (digest, position, batch)
+                seconds = self._aux_times.get(key)
+                if seconds is None:
+                    seconds = self._aux_times[key] = self._aux_layer_time(
+                        layer, batch
+                    )
+                aux_time += seconds
         return CompiledPlan(
             network=network,
             arch=self.arch,
@@ -285,6 +292,37 @@ class OfflineCompiler:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _schedule(
+        self,
+        network: NetworkDescriptor,
+        layer: ResolvedLayer,
+        batch: int,
+        perforation: PerforationPlan,
+    ) -> LayerSchedule:
+        """One conv or dense layer's schedule."""
+        spec = layer.spec
+        if isinstance(spec, ConvSpec):
+            shape = self._conv_shape(network, layer, batch, perforation)
+            gemm_count = spec.groups
+        else:
+            shape = GemmShape(
+                m_rows=spec.units,
+                n_cols=batch,
+                k_depth=layer.input_shape.elements,
+            )
+            gemm_count = 1
+        decision = self._decide(shape)
+        return LayerSchedule(
+            layer,
+            shape,
+            decision.tuned,
+            decision.opt_tlp,
+            decision.opt_sm,
+            gemm_count,
+            # layer_time's ``gemm_count`` sequential GEMMs.
+            decision.gemm_time_s * gemm_count,
+        )
+
     def _conv_shape(
         self,
         network: NetworkDescriptor,

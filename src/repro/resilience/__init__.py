@@ -2,14 +2,15 @@
 
 :mod:`repro.faults` makes the *simulated* hardware fail; this package
 makes the *real* orchestration layer survive.  It supplies the
-:class:`ShardSupervisor` the fleet coordinator runs its spawn workers
-under -- per-shard wall-clock timeouts with kill-and-retry, structured
-:class:`ShardFailure` capture, result integrity validation (schema +
-declared-vs-recomputed fingerprint cross-check, optional
-duplicate-execution witness quorum), checkpoint/resume of completed
-:class:`ShardResult`\\ s, and a seeded :class:`ProcFaultPlan` chaos
-injector for the workers themselves (self-kill, hang, corrupted /
-truncated / forged results).
+:class:`ShardSupervisor` the fleet coordinator runs its worker
+processes under (forked from one preloaded forkserver where the
+platform has one, spawned elsewhere) -- per-shard wall-clock timeouts
+with kill-and-retry, structured :class:`ShardFailure` capture, result
+integrity validation (schema + declared-vs-recomputed fingerprint
+cross-check, optional duplicate-execution witness quorum),
+checkpoint/resume of completed :class:`ShardResult`\\ s, and a seeded
+:class:`ProcFaultPlan` chaos injector for the workers themselves
+(self-kill, hang, corrupted / truncated / forged results).
 
 Two invariants anchor the design:
 

@@ -1,11 +1,11 @@
 """Result integrity validation: never trust a worker's payload.
 
-A spawn worker returns its result over a pipe; between ``os.fork`` -
-less spawn bootstrap, pickling and a possibly-dying process there are
-plenty of ways to receive garbage.  :func:`validate_result` is the
+A worker process returns its result over a pipe; between its
+bootstrap, pickling and a possibly-dying process there are plenty of
+ways to receive garbage.  :func:`validate_result` is the
 supervisor's acceptance gate: a structural schema check (is this a
 shard result at all, does it answer *this* spec), then a semantic
-cross-check (a result that crossed a boundary -- the spawn pipe, a
+cross-check (a result that crossed a boundary -- the worker pipe, a
 checkpoint file, a fault plan's tamper -- declares its report
 fingerprint there; the supervisor recomputes it from the received
 report, so any change on the way shows up as a mismatch), then

@@ -2,7 +2,7 @@
 
 :mod:`repro.faults` injects faults into the *simulated* hardware; a
 :class:`ProcFaultPlan` injects faults into the *real* orchestration
-layer -- the spawn workers themselves.  A plan is handed to the
+layer -- the worker processes themselves.  A plan is handed to the
 :class:`~repro.resilience.supervisor.ShardSupervisor`, which asks it
 once per primary attempt (never for a witness run) and applies the
 answer around the shard task:
@@ -123,7 +123,7 @@ class ProcFaultPlan:
         """The fault (or ``None``) for one shard's attempt.
 
         Pure in ``(seed, shard_id, attempt)``: the same plan decides
-        the same faults on every replay, inline or spawn.
+        the same faults on every replay, inline or in a worker process.
         """
         if attempt > self.max_faulty_attempts:
             return None

@@ -5,16 +5,28 @@ one crashed worker aborted the whole run, one hung worker blocked it
 forever, and whatever came back over the pipe was trusted verbatim.
 The supervisor replaces that with per-shard managed processes:
 
-* each shard attempt runs in its own spawn ``Process`` with a result
+* each shard attempt runs in its own worker ``Process`` with a result
   ``Pipe``; the supervisor multiplexes over pipes and process
   sentinels, so a dead worker is noticed immediately and a silent one
   is killed at the wall-clock ``timeout_s``;
+* workers fork from one preloaded ``forkserver`` where the platform
+  has one, and spawn elsewhere (:func:`_worker_context`).  The server
+  imports modules only -- the production worker's, before its first
+  fork -- and holds no run state; it lives as long as the parent
+  process, keeps the environment it started with (an environment
+  variable set later in the parent reaches no later worker; a worker
+  still takes the parent's ``sys.path`` at launch, but the modules the
+  server preloaded stay the ones it imported at its start), and is
+  shared by every supervisor, and so every coordinator, in that
+  process.  A worker's arguments are pickled and its
+  ``__main__`` re-imported either way, so the spawn contract (REP008)
+  holds for both;
 * every failure -- crash, timeout, task exception, schema/fingerprint
   integrity violation, witness disagreement -- becomes a structured
   :class:`ShardFailure` and a bounded retry (``max_attempts``);
 * results pass :func:`~repro.resilience.integrity.validate_result`
   before acceptance -- a result declares its report fingerprint where
-  it can change hands (pickled onto the spawn pipe or into a
+  it can change hands (pickled onto the worker pipe or into a
   checkpoint, or tampered by a fault plan) and the supervisor
   recomputes every declaration it receives -- and ``witness=True``
   re-executes each shard clean and requires fingerprint agreement
@@ -270,9 +282,9 @@ def merge_records(
 def _supervised_entry(
     task: Callable, spec, conn, fault: Optional[str], plan
 ) -> None:
-    """The spawn child's wrapper: run the task, pipe the verdict.
+    """The worker's wrapper: run the task, pipe the verdict.
 
-    Top-level so the spawn start method can pickle a reference to it.
+    Top-level so the start method can pickle a reference to it.
     ``fault`` is the supervisor's decision for this attempt and
     ``plan`` the process-fault plan it came from.  An injected
     ``crash`` kills the child before the task runs (``os._exit``, no
@@ -303,6 +315,26 @@ def _supervised_entry(
         conn.close()
 
 
+def _worker_context():
+    """The ``multiprocessing`` context every worker starts from.
+
+    ``forkserver`` wherever ``get_all_start_methods()`` offers it: the
+    server starts once per parent process, imports the production
+    worker's module (named here, not imported, so this package still
+    imports nothing from :mod:`repro.serving`) and forks each worker
+    from that warm interpreter, instead of each worker starting
+    a fresh one and importing the library itself.  Unlike ``fork``,
+    no worker inherits the parent's threads, locks or state.
+    ``spawn`` elsewhere.  The preload list is read when the server
+    starts; a server already running keeps what it imported.
+    """
+    if "forkserver" in multiprocessing.get_all_start_methods():
+        context = multiprocessing.get_context("forkserver")
+        context.set_forkserver_preload(["repro.serving.shard.worker"])
+        return context
+    return multiprocessing.get_context("spawn")
+
+
 @dataclass
 class _Work:
     """One queued attempt: a primary run, or a witness re-execution
@@ -316,7 +348,7 @@ class _Work:
 
 @dataclass
 class _Running:
-    """One live spawn attempt."""
+    """One live worker-process attempt."""
 
     work: _Work
     process: object
@@ -345,14 +377,16 @@ class ShardSupervisor:
     anything with its ``decide``/``tamper``/``crash_exit_code``/
     ``hang_s``/``may_hang``): the supervisor asks it once per primary
     attempt, never for a witness run, which fault hits the attempt.
-    A spawn child really dies, stalls or tampers with its result.
-    ``inline=True`` executes attempts in the calling process, where a
-    crash, or a hang the timeout would kill, is *pre-empted*: the
-    supervisor records the failure the spawn run would have seen, so
-    an injected crash cannot take the test process down, while tamper
-    kinds really execute and really trip validation.  The
-    failure/retry sequence, and therefore every accepted result, is
-    identical between inline and spawn.
+    A worker process -- forked from the preloaded forkserver where the
+    platform has one, spawned elsewhere -- really dies, stalls or
+    tampers with its result.  ``inline=True`` executes attempts in the
+    calling process, where a crash, or a hang the timeout would kill,
+    is *pre-empted*: the supervisor records the failure the worker run
+    would have seen, so an injected crash cannot take the test process
+    down, while tamper kinds really execute and really trip
+    validation.  The failure/retry sequence, and therefore every
+    accepted result, is identical between inline and worker runs, and
+    between the two start methods.
     """
 
     def __init__(
@@ -416,7 +450,7 @@ class ShardSupervisor:
         if self.inline:
             self._drain_inline(queue, states)
         else:
-            self._drain_spawn(queue, states)
+            self._drain_workers(queue, states)
         report = SupervisionReport(
             records=tuple(
                 self._record(states[shard_id]) for shard_id in sorted(states)
@@ -456,7 +490,7 @@ class ShardSupervisor:
             resumed=state.resumed,
         )
 
-    # -- attempt outcomes (shared by inline and spawn) -------------------
+    # -- attempt outcomes (shared by inline and worker runs) -------------
     def _register_failure(
         self, states: Dict[int, _ShardState], queue: deque, work: _Work,
         kind: str, detail: str, exitcode: Optional[int] = None,
@@ -554,11 +588,11 @@ class ShardSupervisor:
                 result = plan.tamper(fault, result)
             self._handle_result(states, queue, work, result, 0.0)
 
-    # -- spawn execution -------------------------------------------------
-    def _drain_spawn(
+    # -- worker-process execution ----------------------------------------
+    def _drain_workers(
         self, queue: deque, states: Dict[int, _ShardState]
     ) -> None:
-        context = multiprocessing.get_context("spawn")
+        context = _worker_context()
         # ``running`` is keyed by shard id, so more slots than shards
         # would never fill.
         slots = max(

@@ -38,7 +38,7 @@ the discrete-event loop it replaced as its differential oracle
 
 The shard layer (:mod:`repro.serving.shard`) scales one router into a
 fleet of fleets: a :class:`FleetCoordinator` launches N router shards
-in ``multiprocessing`` spawn workers, re-homes requests off
+in ``multiprocessing`` worker processes, re-homes requests off
 chaos-dead shards, and merges the per-shard reports into one
 fingerprinted global ledger -- same-seed merged fingerprints are
 bit-identical at any shard count.

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from operator import attrgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Sequence
 
@@ -167,7 +168,9 @@ class Ledger:
     def renamed(self, rename: Callable[[str], str]) -> "Ledger":
         """Every platform name -- a completed record's, an event's
         ``platform`` and a failover's or outage reject's ``origin``
-        detail -- mapped through ``rename``."""
+        detail -- mapped through ``rename``, which is called once per
+        distinct name."""
+        rename = cache(rename)
         completed = dict(self.columns("completed"))
         completed["platform"] = list(map(rename, completed["platform"]))
         rows = []

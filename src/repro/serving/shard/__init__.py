@@ -3,7 +3,8 @@
 Scale one router into N: the caller places each shard's tenant loads
 and fault schedule; each :class:`ShardSpec` runs one
 :class:`~repro.serving.router.RequestRouter` over its own fleet in a
-``multiprocessing`` spawn worker; the :class:`FleetCoordinator`
+``multiprocessing`` worker (forked from a preloaded forkserver where
+the platform has one, spawned elsewhere); the :class:`FleetCoordinator`
 launches the shards, re-homes requests off chaos-dead shards onto the
 least-loaded healthy one, and folds the per-shard reports into one
 fingerprinted global :class:`~repro.serving.report.RouterReport` with
@@ -11,7 +12,7 @@ the span trees stitched under a single global ``run`` span.
 
 The contract is the same as everywhere else in the repo: same seed,
 same bits.  Merging is order-independent, the
-1-shard case degenerates exactly to the unsharded router, and spawn
+1-shard case degenerates exactly to the unsharded router, and worker
 scheduling can change wall-clock but never a fingerprint.
 """
 

@@ -5,7 +5,7 @@ The coordinator is the fleet-of-fleets control plane.  It turns one
 run description (fleet spec, router config, and each shard's loads
 and optional fault trace, placed by the caller) into per-shard
 :class:`~repro.serving.shard.worker.ShardSpec` values, executes them
--- spawn workers under a :class:`~repro.resilience.ShardSupervisor`
+-- worker processes under a :class:`~repro.resilience.ShardSupervisor`
 by default, inline for debugging and coverage -- and folds the
 results back together:
 
@@ -116,24 +116,30 @@ class FleetRunOutcome:
 class FleetCoordinator:
     """Launches 1..N router shards over one fleet description.
 
-    ``inline=True`` runs every shard in the calling process (no
-    spawn) -- bit-identical results, since workers are deterministic
-    either way; an injected crash or hang is pre-empted by the
-    supervisor rather than really executed, with the same
-    failure/retry sequence.  Every attempt routes on
-    ``fleet.deployed()`` (:meth:`FleetSpec.deployed`), a fresh copy of
-    the one build the fleet spec keeps: inline attempts share this
-    coordinator's spec, so the fleet is built at most once in its
-    lifetime (never while every shard resumes from a checkpoint), and
-    each spawn worker builds its own.  A copy's caches start where a
-    fresh build's would, so each shard relays the same engine events
-    it would on its own build.
+    By default each shard attempt runs in a worker process forked
+    from one preloaded ``forkserver`` where the platform has one, and
+    spawned where it has none.  The server imports modules only (the
+    shard worker's), lives as long as this process, keeps the
+    environment it started with, and is shared by every coordinator in
+    this process: the first worker run pays for its start.
+    ``inline=True`` runs every shard in the calling process instead --
+    bit-identical results, since workers are deterministic either way;
+    an injected crash or hang is pre-empted by the supervisor rather
+    than really executed, with the same failure/retry sequence.  Every
+    attempt routes on ``fleet.deployed()``
+    (:meth:`FleetSpec.deployed`), a fresh copy of the one build the
+    fleet spec keeps: inline attempts share this coordinator's spec,
+    so the fleet is built at most once in its lifetime (never while
+    every shard resumes from a checkpoint), and each worker process
+    builds its own.  A copy's caches start where a fresh build's
+    would, so each shard relays the same engine events it would on
+    its own build.
 
     ``n_shards=1`` is the degenerate case: no platform qualification,
     no shard obs labels, and a merged report whose fingerprint equals
     the plain single-router fingerprint.
 
-    ``processes`` caps the number of concurrently live spawn workers
+    ``processes`` caps the number of concurrently live worker processes
     (default: the core count; never more than one per shard).
     ``supervision`` is the :class:`~repro.resilience.SupervisorConfig`
     policy (timeout, retry budget, witness mode); ``proc_faults`` is a
@@ -143,7 +149,8 @@ class FleetCoordinator:
     ``resume_dir`` makes completed shard results durable, so a rerun
     after a partial failure executes only the shards that failed.
 
-    Spawn mode follows the standard ``multiprocessing`` contract: a
+    Worker processes follow the standard ``multiprocessing`` spawn
+    contract under either start method: arguments are pickled, and a
     script calling :meth:`run` at import time must guard the call
     with ``if __name__ == "__main__":`` or every worker re-runs it
     while bootstrapping.  A ``__main__`` with no real file (stdin
@@ -350,7 +357,8 @@ class FleetCoordinator:
 
     # -- execution -------------------------------------------------------
     def _supervise(self, specs: Sequence[ShardSpec]):
-        """Run specs through a fresh supervisor (inline or spawn)."""
+        """Run specs through a fresh supervisor (inline or in worker
+        processes)."""
         if not self.inline:
             self._check_spawnable()
         supervisor = ShardSupervisor(
@@ -365,19 +373,20 @@ class FleetCoordinator:
 
     @staticmethod
     def _check_spawnable() -> None:
-        """Refuse to spawn when workers cannot re-import ``__main__``.
+        """Refuse to start workers that cannot re-import ``__main__``.
 
-        Spawn bootstraps each worker by re-running the parent's main
-        script from its path.  A ``__main__`` without a real file --
-        ``python - <<EOF`` heredocs report ``<stdin>`` -- makes every
-        worker die during bootstrap and the supervisor kill-and-retry
-        to exhaustion for nothing.  Fail fast with the fix instead.
+        Spawn and forkserver both bootstrap each worker by re-running
+        the parent's main script from its path.  A ``__main__``
+        without a real file -- ``python - <<EOF`` heredocs report
+        ``<stdin>`` -- makes every worker die during bootstrap and the
+        supervisor kill-and-retry to exhaustion for nothing.  Fail
+        fast with the fix instead.
         """
         main = sys.modules.get("__main__")
         main_file = getattr(main, "__file__", None)
         if main_file is not None and not os.path.exists(main_file):
             raise RuntimeError(
-                "spawn workers cannot re-import __main__ from %r "
+                "worker processes cannot re-import __main__ from %r "
                 "(script fed via stdin?); run from a real file or use "
                 "FleetCoordinator(..., inline=True)" % (main_file,)
             )

@@ -4,7 +4,7 @@ The caller places each shard's tenants and fault schedule itself (see
 :meth:`~repro.serving.shard.coordinator.FleetCoordinator.run`); what
 the shard layer derives from a shard id alone lives here.  Hashing
 goes through SHA-1, never ``hash()``, so the parent process and every
-spawn worker agree on every seed.
+worker process agree on every seed.
 
 Shard-qualified platform names use the ``s<k>/<platform>`` convention:
 the coordinator qualifies merged report rows that way.

@@ -7,13 +7,15 @@ spec ships *names* -- network, GPUs, tenant loads, fault schedule --
 and every shard routes on :meth:`FleetSpec.deployed`, a
 :meth:`~repro.core.fleet.FleetManager.copy` of the one build its
 :class:`FleetSpec` keeps.  Inline shards share their coordinator's
-spec and so its build; a spawn worker unpickles the spec without the
-build and builds its own.  A copy's caches start where a fresh
+spec and so its build; a worker process unpickles the spec without
+the build and builds its own.  A copy's caches start where a fresh
 build's would, so either way the shard relays the same engine events
 and returns the same report.
 
 :func:`run_shard` is deliberately a top-level function so
-``multiprocessing``'s spawn start method can pickle a reference to it.
+``multiprocessing`` can pickle a reference to it.  This module is what
+the supervisor's forkserver imports before it forks any worker, so a
+forked worker starts with the library loaded.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ class FleetSpec:
     deployment pipeline, so every shard starts from an identical,
     deterministic fleet.  :meth:`deployed` builds once per spec
     instance and hands out copies: the shards of one inline
-    coordinator run share one build, and each spawn worker, which
+    coordinator run share one build, and each worker process, which
     receives the spec without it, builds its own.
     """
 
@@ -179,7 +181,7 @@ class ShardResult:
     report: RouterReport
     spans: Optional[Tuple[dict, ...]] = None
     #: The report fingerprint declared where the result can change
-    #: hands: taken when the result is pickled (the spawn pipe, a
+    #: hands: taken when the result is pickled (the worker pipe, a
     #: checkpoint file) and by a fault plan's ``tamper`` before it
     #: touches the report; ``None`` on a result that never left the
     #: process that produced it.  The supervisor recomputes a declared
@@ -201,14 +203,14 @@ def run_shard(spec: ShardSpec) -> ShardResult:
     """Route the spec's loads on a copy of its fleet, package the
     result.
 
-    Top-level on purpose: the spawn start method pickles a reference
-    to this function plus the spec, and nothing else.  The fleet is
+    Top-level on purpose: a worker process receives a pickled
+    reference to this function plus the spec, and nothing else.  The fleet is
     :meth:`FleetSpec.deployed`, a fresh copy per call, since the run
     warms its caches.
 
     The result declares no fingerprint here: an inline result is the
-    object the supervisor validates, and a spawn result declares one
-    when it is pickled onto the pipe (see :class:`ShardResult`).
+    object the supervisor validates, and a worker's result declares
+    one when it is pickled onto the pipe (see :class:`ShardResult`).
     Injected process faults happen around this call, not in it: the
     :class:`~repro.resilience.ShardSupervisor` decides each attempt's
     fault and applies it.

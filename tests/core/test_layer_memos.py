@@ -1,6 +1,7 @@
 """Each distinct layer is decided and simulated once per fleet build.
 
-An :class:`OfflineCompiler` keeps one decision per GEMM shape (tuned
+An :class:`OfflineCompiler` keeps one schedule per (layer, batch, that
+layer's perforation rate) and one decision per GEMM shape (tuned
 kernel, optTLP/optSM, one GEMM's predicted time); a
 :class:`RuntimeKernelManager` simulates each distinct (kernel, shape,
 optTLP, optSM) launch once; and every copy of an engine shares one
@@ -195,14 +196,23 @@ class TestCounts:
     ]
 
     def test_sharded_op(self, shard_loads):
+        derived = Counter()
         decided = Counter()
         launched = Counter()
         simulated = []
         engines = []
+        conv_shape = OfflineCompiler._conv_shape
         time_one = compiler_module.layer_time
         run_layer = RuntimeKernelManager._run_layer
         simulate = scheduler_module.simulate_kernel
         copy = ExecutionEngine.copy
+
+        def count_conv_shape(compiler, network, layer, batch, perforation):
+            derived[
+                compiler.arch.name, layer, batch,
+                perforation.rate(layer.name),
+            ] += 1
+            return conv_shape(compiler, network, layer, batch, perforation)
 
         def count_layer_time(arch, tuned, shape, **kwargs):
             decided[arch.name, shape] += 1
@@ -225,6 +235,8 @@ class TestCounts:
             return twin
 
         with mock.patch.object(
+            OfflineCompiler, "_conv_shape", count_conv_shape
+        ), mock.patch.object(
             compiler_module, "layer_time", count_layer_time
         ), mock.patch.object(
             RuntimeKernelManager, "_run_layer", count_run_layer
@@ -233,6 +245,9 @@ class TestCounts:
         ), mock.patch.object(ExecutionEngine, "copy", keep_copy):
             outcome = _sharded_op(shard_loads)
         assert outcome.report.fingerprint() == self.FINGERPRINT
+        # One GEMM shape per (platform, layer, batch, rate), however
+        # many of the op's plans hold that layer alike.
+        assert derived and set(derived.values()) == {1}
         assert decided and set(decided.values()) == {1}
         assert launched and set(launched.values()) == {1}
         assert len(simulated) <= len(launched)

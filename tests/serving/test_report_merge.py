@@ -3,6 +3,8 @@ ResilienceStats recombination, percentile recomputation over merged
 records, and the ledger transforms (merge, qualify, strip) against
 their record-object oracle."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -383,6 +385,29 @@ class TestLedgerTransformsMatchOracle:
         order = data.draw(st.permutations(range(len(runs))))
         count = data.draw(st.integers(min_value=1, max_value=len(runs)))
         _check_transforms([runs[index] for index in order[:count]], data)
+
+    def test_rename_called_once_per_name(self, runs):
+        """``Ledger.renamed`` maps each distinct platform name once,
+        however many records and events carry it."""
+        calls = Counter()
+
+        def rename(name):
+            calls[name] += 1
+            return "s0/" + name
+
+        ledger = runs[1].ledger
+        names = set(ledger.columns("completed")["platform"])
+        for _, keys, values, _, _, platform, _ in ledger.event_rows():
+            if platform is not None:
+                names.add(platform)
+            if "origin" in keys:
+                names.add(values[keys.index("origin")])
+        renamed = ledger.renamed(rename)
+        assert calls == Counter(dict.fromkeys(names, 1))
+        assert names == {"K20c", "TX1"}
+        assert renamed.columns("completed")["platform"] == [
+            "s0/" + name for name in ledger.columns("completed")["platform"]
+        ]
 
     def test_orphan_rid_rejected(self):
         events = EventLog()

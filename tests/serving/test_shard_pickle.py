@@ -1,13 +1,17 @@
 """Pickle round-trips for everything that crosses the spawn boundary,
-plus one real spawn-pool coordinator run.
+plus real worker-process coordinator runs.
 
-``multiprocessing`` with the spawn start method serializes the whole
-:class:`ShardSpec` (fleet description, router config, tenant loads,
-fault trace) into each worker; these tests pin that contract so a
-future unpicklable field fails here, not inside a worker traceback.
+Workers fork from a preloaded forkserver where the platform has one
+and spawn elsewhere; either way ``multiprocessing`` serializes the
+whole :class:`ShardSpec` (fleet description, router config, tenant
+loads, fault trace) into each worker.  These tests pin that contract
+so a future unpicklable field fails here, not inside a worker
+traceback, and run both start methods against the inline run.
 """
 
+import multiprocessing
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,8 +31,6 @@ from repro.resilience import (
     SupervisionReport,
     SupervisorConfig,
 )
-from repro.serving.report import RouterReport
-from repro.serving.shard import ShardResult
 from repro.serving import (
     FleetCoordinator,
     FleetSpec,
@@ -37,7 +39,8 @@ from repro.serving import (
     Tenant,
     TenantLoad,
 )
-from repro.serving.shard import ShardSpec
+from repro.serving.report import RouterReport
+from repro.serving.shard import ShardResult, ShardSpec
 from repro.workloads import RequestTrace, bursty_trace
 
 _REQUIREMENT = TimeRequirement(imperceptible_s=0.1, unusable_s=0.5)
@@ -192,7 +195,7 @@ class TestSpawnExecution:
     @pytest.mark.parametrize("tracked", [True, False],
                              ids=["chaos-obs", "plain"])
     def test_spawn_matches_inline(self, tracked):
-        """One real spawn pool run: bit-identical to inline.  Every
+        """One real worker-process run: bit-identical to inline.  Every
         worker runs the columnar loop and pickles its report back as
         the report's ledger, columns and rows, with no record built;
         the chaos-obs case adds faults and derived spans."""
@@ -230,3 +233,61 @@ class TestSpawnExecution:
                 == inline.buffer.fingerprint()
             )
         assert spawned.seeds == inline.seeds
+
+
+def _crash_run(inline):
+    """A two-shard coordinator run whose shard 1 crashes on its first
+    attempt (a real ``os._exit`` in a worker process)."""
+    fleet = FleetSpec(
+        network="alexnet", spec=_spec(), gpus=("k20c", "tx1"),
+        max_tuning_iterations=4,
+    )
+    return FleetCoordinator(
+        fleet, RouterConfig(), n_shards=2, seed=11, inline=inline,
+        supervision=SupervisorConfig(timeout_s=60.0),
+        proc_faults=ProcFaultPlan(seed=3, forced=((1, "crash"),)),
+    ).run([list(_loads("t0", n=8, seed=1)), list(_loads("t1", n=8, seed=2))])
+
+
+def _failures(outcome):
+    return [
+        (failure.shard_id, failure.attempt, failure.kind, failure.exitcode)
+        for failure in outcome.supervision.failures
+    ]
+
+
+class TestStartMethods:
+    """Workers start from a preloaded forkserver where
+    ``get_all_start_methods`` offers one and by spawn where it does
+    not; the merged bits and the supervision history are the inline
+    run's either way."""
+
+    @pytest.fixture(scope="class")
+    def inline(self):
+        return _crash_run(inline=True)
+
+    @pytest.mark.parametrize("method", ["forkserver", "spawn"])
+    def test_workers_match_inline(self, inline, method):
+        offered = [
+            name for name in multiprocessing.get_all_start_methods()
+            if method == "forkserver" or name != "forkserver"
+        ]
+        if method not in offered:
+            pytest.skip("this platform has no %s start method" % method)
+        used = []
+        get_context = multiprocessing.get_context
+
+        def spy(name=None):
+            used.append(name)
+            return get_context(name)
+
+        with mock.patch.object(
+            multiprocessing, "get_all_start_methods", lambda: offered
+        ), mock.patch.object(multiprocessing, "get_context", spy):
+            outcome = _crash_run(inline=False)
+        assert used == [method]
+        assert outcome.report.fingerprint() == inline.report.fingerprint()
+        assert outcome.statuses == inline.statuses == ("ok", "retried")
+        assert _failures(outcome) == _failures(inline) == [
+            (1, 1, "crashed", ProcFaultPlan().crash_exit_code),
+        ]
