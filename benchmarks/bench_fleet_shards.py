@@ -25,13 +25,13 @@ and the dead-shard run's merged fingerprint and failover outcome in
 ``results/fleet_shards_chaos.json``.
 
 Workers fork from one preloaded forkserver where the platform has one
-(spawn elsewhere; the JSON names the method).  The server is started
-by the first worker run in this process and shared by every later
-coordinator here, so the 1-shard row pays its start and the rows
-after it do not.
+(spawn elsewhere; the JSON names the method).  The sweep starts the
+server before its first row and records that start on its own
+(``server_start_s``, 0 under spawn, or when an earlier coordinator in
+this process already started it), so every row times only its run;
+the server is then shared by every later coordinator here.
 """
 
-import multiprocessing
 import time
 
 import pytest
@@ -48,6 +48,7 @@ from common import emit, emit_json, run_once
 
 from repro.analysis import format_table
 from repro.faults import FaultEvent, FaultTrace
+from repro.resilience.supervisor import _worker_context
 from repro.serving import (
     FleetCoordinator,
     FleetSpec,
@@ -96,19 +97,32 @@ def _shard_loads(n_shards, rate_hz, n_per_shard):
     ]
 
 
+def _start_server():
+    """Start the workers' forkserver as the first worker run would, by
+    forking one empty process from it; returns ``(start method,
+    seconds that took)``, 0 under spawn, which starts no server."""
+    context = _worker_context()
+    method = context.get_start_method()
+    if method != "forkserver":
+        return method, 0.0
+    start = time.perf_counter()
+    process = context.Process(target=int)
+    process.start()
+    process.join()
+    return method, time.perf_counter() - start
+
+
 def reproduce_scaling(counts, n_per_shard):
     """Run the weak-scaling sweep; returns (table text, BENCH data)."""
     fleet_spec = _fleet_spec()
     _, fleet = _fleet()
     rate_hz = OVERLOAD * fleet.capacity_rps()
+    method, server_start_s = _start_server()
     rows = []
     data = {
         "mode": "weak-scaling",
-        "workers": (
-            "forkserver"
-            if "forkserver" in multiprocessing.get_all_start_methods()
-            else "spawn"
-        ),
+        "workers": method,
+        "server_start_s": server_start_s,
         "per_shard_requests": n_per_shard,
         "offered_rate_hz": rate_hz,
         "counts": list(counts),
@@ -182,8 +196,9 @@ def reproduce_scaling(counts, n_per_shard):
          "req/wall-s", "inline s", "inline req/s", "fingerprint"],
         rows,
         title="Weak scaling: %d requests/shard at %.0fx overload "
-        "(%s workers beside inline, merged reports)"
-        % (n_per_shard, OVERLOAD, data["workers"]),
+        "(%s workers beside inline, merged reports; server started "
+        "before the sweep in %.2f s)"
+        % (n_per_shard, OVERLOAD, method, server_start_s),
     )
     return text, data
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -77,9 +77,3 @@ class Texts:
                 texts = list(map(memo.__getitem__, values))
             return texts
         return [dumps(value) for value in values]
-
-    def table(self, row: str, keys, columns: Mapping) -> str:
-        """A JSON list of ``row``-template objects, ``columns`` mapping
-        each of ``keys`` to a column in row order."""
-        rows = zip(*[self.column(columns[key]) for key in keys])
-        return "[%s]" % ",".join(map(row.__mod__, rows))

@@ -11,8 +11,9 @@ The supervisor replaces that with per-shard managed processes:
   is killed at the wall-clock ``timeout_s``;
 * workers fork from one preloaded ``forkserver`` where the platform
   has one, and spawn elsewhere (:func:`_worker_context`).  The server
-  imports modules only -- the production worker's, before its first
-  fork -- and holds no run state; it lives as long as the parent
+  imports modules only -- the production worker's and the ones its
+  first run would import lazily, before its first fork -- and holds
+  no run state; it lives as long as the parent
   process, keeps the environment it started with (an environment
   variable set later in the parent reaches no later worker; a worker
   still takes the parent's ``sys.path`` at launch, but the modules the
@@ -315,22 +316,27 @@ def _supervised_entry(
         conn.close()
 
 
+#: What a forkserver imports before its first fork, named so this
+#: package imports nothing from :mod:`repro.serving`: the worker's
+#: module, and the kernel scorer tuning imports lazily (to break a
+#: cycle), which that module leaves unloaded.
+_PRELOAD = ("repro.serving.shard.worker", "repro.analysis.vec_score")
+
+
 def _worker_context():
     """The ``multiprocessing`` context every worker starts from.
 
     ``forkserver`` wherever ``get_all_start_methods()`` offers it: the
-    server starts once per parent process, imports the production
-    worker's module (named here, not imported, so this package still
-    imports nothing from :mod:`repro.serving`) and forks each worker
-    from that warm interpreter, instead of each worker starting
-    a fresh one and importing the library itself.  Unlike ``fork``,
-    no worker inherits the parent's threads, locks or state.
-    ``spawn`` elsewhere.  The preload list is read when the server
-    starts; a server already running keeps what it imported.
+    server starts once per parent process, imports ``_PRELOAD``
+    and forks each worker from that warm interpreter, instead of each
+    worker starting a fresh one and importing the library itself.
+    Unlike ``fork``, no worker inherits the parent's threads, locks or
+    state.  ``spawn`` elsewhere.  The preload list is read when the
+    server starts; a server already running keeps what it imported.
     """
     if "forkserver" in multiprocessing.get_all_start_methods():
         context = multiprocessing.get_context("forkserver")
-        context.set_forkserver_preload(["repro.serving.shard.worker"])
+        context.set_forkserver_preload(list(_PRELOAD))
         return context
     return multiprocessing.get_context("spawn")
 

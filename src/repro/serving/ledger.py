@@ -6,9 +6,10 @@ time_s, tenant, platform, request_ids)`` (``seq`` is the row position).
 The serving loop appends these rows as it runs and builds the columns
 before it returns (:mod:`repro.serving.vec_router`); they are the one
 storage every count, aggregate, export, merge and fingerprint reads.
-The sharding transforms -- :meth:`Ledger.renamed`,
-:meth:`Ledger.without`, :meth:`Ledger.merged` -- map columns and rows
-and build no record.
+A ledger is read-only once built.  The sharding transforms --
+:meth:`Ledger.renamed`, :meth:`Ledger.without`, :meth:`Ledger.merged`
+-- map columns and rows into a new ledger and build no record, and a
+merged ledger carries the canonical sections its merge assembled.
 """
 
 from __future__ import annotations
@@ -17,9 +18,11 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from operator import attrgetter
+from types import MappingProxyType
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Sequence
 
 from repro.core.satisfaction import SoCBreakdown
+from repro.serving.canonical import Cut, joined
 from repro.serving.events import EVENT_KINDS, RouterEvent
 from repro.serving.request import Request
 
@@ -102,26 +105,59 @@ class RejectedRequest:
         return _to_dict(self, "rejected")
 
 
-def _select(columns: Mapping[str, list], rows: Sequence[int]) -> dict:
+def _select(columns: Mapping[str, Sequence], rows: Sequence[int]) -> dict:
     return {
-        name: [column[i] for i in rows] for name, column in columns.items()
+        name: tuple([column[row] for row in rows])
+        for name, column in columns.items()
     }
+
+
+def _frozen(columns, section: str) -> Mapping[str, tuple]:
+    """``columns`` as a read-only ``{name: tuple}`` (every column of
+    ``section``, empty, when there are none)."""
+    if not columns:
+        columns = dict.fromkeys(_PATHS[section], ())
+    return MappingProxyType({
+        name: tuple(column) for name, column in columns.items()
+    })
 
 
 class Ledger:
     """One run's completed and rejected records as ``{name: column}``
     (``completed``, ``rejected``) and its events as ``rows``: the
-    storage behind a report."""
+    storage behind a report, read-only once built.  Columns and rows
+    are tuples, the column mappings read-only, and no attribute can be
+    set.
 
-    def __init__(self, completed=None, rejected=None, rows=None) -> None:
-        self.completed = completed or {n: [] for n in _PATHS["completed"]}
-        self.rejected = rejected or {n: [] for n in _PATHS["rejected"]}
-        self.rows: List[tuple] = rows or []
+    A merged ledger also carries ``sections``: the canonical texts of
+    its ``completed``, ``rejected`` and ``events`` sections (events of
+    the cache kinds left out), which :meth:`merged` assembled from its
+    leaves' cut rows (:mod:`repro.serving.canonical`); every other
+    ledger carries ``None``.  They last as long as the ledger: a pickle,
+    :meth:`renamed` and :meth:`without` leave them out.
+    """
+
+    def __init__(self, completed=None, rejected=None, rows=()) -> None:
+        init = super().__setattr__
+        init("completed", _frozen(completed, "completed"))
+        init("rejected", _frozen(rejected, "rejected"))
+        init("rows", tuple(rows))
+        init("sections", None)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError("a Ledger is read-only: cannot set %r" % name)
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("a Ledger is read-only: cannot delete %r" % name)
+
+    def __reduce__(self):
+        # Carried sections stay out: an unpickled ledger renders its own.
+        return Ledger, (dict(self.completed), dict(self.rejected), self.rows)
 
     # -- reads -------------------------------------------------------------
-    def columns(self, section: str) -> Mapping[str, list]:
-        """One record section (``completed`` or ``rejected``) as
-        ``{name: column}``."""
+    def columns(self, section: str) -> Mapping[str, tuple]:
+        """One record section (``completed`` or ``rejected``) as a
+        read-only ``{name: column}``."""
         return getattr(self, section)
 
     def event_rows(self) -> Sequence[tuple]:
@@ -171,12 +207,10 @@ class Ledger:
         detail -- mapped through ``rename``, which is called once per
         distinct name."""
         rename = cache(rename)
-        completed = dict(self.columns("completed"))
-        completed["platform"] = list(map(rename, completed["platform"]))
+        completed = dict(self.completed)
+        completed["platform"] = tuple(map(rename, completed["platform"]))
         rows = []
-        for kind, keys, values, time_s, tenant, platform, ids in (
-            self.event_rows()
-        ):
+        for kind, keys, values, time_s, tenant, platform, ids in self.rows:
             if "origin" in keys:
                 at = keys.index("origin")
                 values = (
@@ -185,46 +219,47 @@ class Ledger:
             if platform is not None:
                 platform = rename(platform)
             rows.append((kind, keys, values, time_s, tenant, platform, ids))
-        return Ledger(completed, self.columns("rejected"), rows)
+        return Ledger(completed, self.rejected, rows)
 
     def without(self, rids: Iterable[int]) -> "Ledger":
         """The ledger less every record of ``rids``; events lose those
         rids and vanish when that empties a non-empty id list."""
         gone = set(rids)
 
-        def kept(columns: Mapping[str, list]) -> dict:
+        def kept(columns: Mapping[str, tuple]) -> dict:
             return _select(columns, [
                 index for index, rid in enumerate(columns["rid"])
                 if rid not in gone
             ])
 
         rows = []
-        for row in self.event_rows():
+        for row in self.rows:
             if row[6]:
                 ids = tuple([rid for rid in row[6] if rid not in gone])
                 if not ids:
                     continue
                 row = row[:6] + (ids,)
             rows.append(row)
-        return Ledger(
-            kept(self.columns("completed")), kept(self.columns("rejected")),
-            rows,
-        )
+        return Ledger(kept(self.completed), kept(self.rejected), rows)
 
     @classmethod
-    def merged(cls, ledgers: Sequence["Ledger"]) -> "Ledger":
+    def merged(
+        cls, ledgers: Sequence["Ledger"], cuts: Sequence[Mapping[str, Cut]]
+    ) -> "Ledger":
         """One ledger from several, in the given order: rids renumbered
         by a stable sort on ``(arrival_s, tenant name)`` over (ledger,
-        local rid), events by ``(time_s, ledger, seq)``.  A rid terminal
-        twice in one ledger, or an event naming a rid with no terminal
-        record, is a ``ValueError``."""
-        sections = [
-            (ledger.columns("completed"), ledger.columns("rejected"))
-            for ledger in ledgers
-        ]
+        local rid), events by ``(time_s, ledger, seq)``.  ``cuts`` holds
+        each ledger's rows cut at their id slot, as
+        :func:`~repro.serving.canonical.cut_report` gives them; the
+        merged ledger carries the sections they assemble, in its order
+        and around its ids, and each cut is emptied as its sections are
+        assembled, so the rows go as soon as they are copied.  A rid
+        terminal twice in one ledger, or an event naming a rid with no
+        terminal record, is a ``ValueError``."""
         keyed = []
-        for index, (done, away) in enumerate(sections):
-            rids = done["rid"] + away["rid"]
+        for index, ledger in enumerate(ledgers):
+            done, away = ledger.completed, ledger.rejected
+            rids = [*done["rid"], *away["rid"]]
             arrivals = done["arrival_s"] + away["arrival_s"]
             tenants = done["tenant"] + away["tenant"]
             for row in sorted(range(len(rids)), key=rids.__getitem__):
@@ -238,29 +273,40 @@ class Ledger:
                     % (old_rid,)
                 )
             rid_maps[index][old_rid] = new_rid
+        texts: Dict[str, str] = {}
 
-        def renumbered(part: int) -> dict:
-            columns = {name: [] for name in sections[0][part]}
+        def renumbered(section: str) -> dict:
+            columns = {name: [] for name in ledgers[0].columns(section)}
             new_rids: List[int] = []
-            for index, section in enumerate(sections):
-                for name, column in section[part].items():
+            heads: List[str] = []
+            tails: List[str] = []
+            for index, ledger in enumerate(ledgers):
+                leaf = ledger.columns(section)
+                for name, column in leaf.items():
                     columns[name] += column
-                new_rids += map(
-                    rid_maps[index].__getitem__, section[part]["rid"]
-                )
+                new_rids += map(rid_maps[index].__getitem__, leaf["rid"])
+                leaf_heads, leaf_tails = cuts[index].pop(section)
+                heads += leaf_heads
+                tails += leaf_tails
             columns["rid"] = new_rids
-            return _select(columns, sorted(
-                range(len(new_rids)), key=new_rids.__getitem__
-            ))
+            order = sorted(range(len(new_rids)), key=new_rids.__getitem__)
+            merged = _select(columns, order)
+            texts[section] = joined(
+                section, [heads[row] for row in order], merged["rid"],
+                [tails[row] for row in order],
+            )
+            return merged
 
+        completed, rejected = renumbered("completed"), renumbered("rejected")
         entries = [
             (row[3], index, seq, row)
             for index, ledger in enumerate(ledgers)
-            for seq, row in enumerate(ledger.event_rows())
+            for seq, row in enumerate(ledger.rows)
         ]
         entries.sort(key=lambda item: (item[0], item[1], item[2]))
-        rows = []
-        for _time_s, index, _seq, row in entries:
+        event_cuts = [cut.pop("events") for cut in cuts]
+        rows, heads, tails = [], [], []
+        for _time_s, index, seq, row in entries:
             try:
                 ids = tuple(map(rid_maps[index].__getitem__, row[6]))
             except KeyError as error:
@@ -269,4 +315,12 @@ class Ledger:
                     "record in its report" % (row[0], error)
                 ) from None
             rows.append(row[:6] + (ids,))
-        return cls(renumbered(0), renumbered(1), rows)
+            event_heads, event_tails = event_cuts[index]
+            heads.append(event_heads[seq])
+            tails.append(event_tails[seq])
+        texts["events"] = joined(
+            "events", heads, [row[6] for row in rows], tails
+        )
+        ledger = cls(completed, rejected, rows)
+        object.__setattr__(ledger, "sections", MappingProxyType(texts))
+        return ledger

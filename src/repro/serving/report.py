@@ -20,11 +20,11 @@ import hashlib
 import json
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs.instrument import cache_neutral_obs_section, merge_obs_sections
 from repro.obs.metrics import linear_percentile, linear_percentiles, ordered_sum
-from repro.serving.canonical import write_report
+from repro.serving.canonical import cut_report, write_report
 from repro.serving.events import RouterEvent
 from repro.serving.ledger import CompletedRequest, Ledger, RejectedRequest
 
@@ -191,7 +191,7 @@ class RouterReport:
     """Aggregate outcome of one routing run, read-only once built: a
     router run, merge or transform returns a new report."""
 
-    platforms: List[PlatformStats] = field(default_factory=list)
+    platforms: Tuple[PlatformStats, ...] = ()
     #: Simulated end of the run (last completion, or last arrival).
     horizon_s: float = 0.0
     #: Recovery metrics of a fault-injected run (None on clean runs).
@@ -289,9 +289,14 @@ class RouterReport:
             rows_of.setdefault(name, []).append(index)
         rejected_of = Counter(turned_away["tenant"])
 
+        def picked(column: str, rows: List[int]) -> list:
+            values = done[column]
+            return [values[row] for row in rows]
+
         def mean(column: str, rows: List[int]) -> float:
-            values = list(map(done[column].__getitem__, rows))
-            return ordered_sum(values) / len(rows) if rows else 0.0
+            if not rows:
+                return 0.0
+            return ordered_sum(picked(column, rows)) / len(rows)
 
         stats = []
         for name in sorted(rejected_of.keys() | rows_of.keys()):
@@ -309,7 +314,7 @@ class RouterReport:
                 offered=len(rows) + rejected_of[name],
                 completed=len(rows),
                 rejected=rejected_of[name],
-                deadline_hits=sum(map(done["deadline_hit"].__getitem__, rows)),
+                deadline_hits=sum(picked("deadline_hit", rows)),
                 mean_soc=mean("soc", rows),
                 mean_latency_s=mean("latency_s", rows),
             ))
@@ -352,7 +357,11 @@ class RouterReport:
         fingerprint and every aggregate is computed over that
         canonical sequence, so any permutation of the same reports
         produces a bit-identical result, floating-point sums included.
-        A merged report keeps no inputs: merged again, it folds as one
+        Each report renders once, its rows cut at their request-id
+        slots: the render's digest is its sort key, and its rows
+        assemble the merged ledger's canonical sections, which the
+        merged report's :meth:`fingerprint` writes as carried.  A
+        merged report keeps no inputs: merged again, it folds as one
         report.  Merging a single report returns it unchanged (the
         1-shard degenerate case preserves existing fingerprints by
         construction).
@@ -362,7 +371,18 @@ class RouterReport:
             raise ValueError("RouterReport.merge needs at least one report")
         if len(reports) == 1:
             return reports[0]
-        leaves = sorted(reports, key=lambda leaf: leaf.fingerprint())
+        # One render per leaf, cut at its id slots, gives both its sort
+        # key (the bytes ``leaf.fingerprint()`` hashes) and the rows the
+        # merged ledger's sections are assembled from.
+        keys, cuts = [], []
+        for leaf in reports:
+            pieces, cut = cut_report(
+                leaf._canonical_head(), leaf.ledger, cls._CACHE_KINDS
+            )
+            keys.append(_sha1(*pieces))
+            cuts.append(cut)
+        order = sorted(range(len(reports)), key=keys.__getitem__)
+        leaves = [reports[index] for index in order]
 
         horizon_s = max(leaf.horizon_s for leaf in leaves)
         platforms = cls._merge_platforms(leaves, horizon_s)
@@ -384,7 +404,10 @@ class RouterReport:
             resilience=resilience,
             obs=obs,
             control=control,
-            ledger=Ledger.merged([leaf.ledger for leaf in leaves]),
+            ledger=Ledger.merged(
+                [leaf.ledger for leaf in leaves],
+                [cuts[index] for index in order],
+            ),
         )
 
     @staticmethod
@@ -450,7 +473,7 @@ class RouterReport:
     @staticmethod
     def _merge_platforms(
         leaves: "Sequence[RouterReport]", horizon_s: float
-    ) -> List[PlatformStats]:
+    ) -> Tuple[PlatformStats, ...]:
         """Fold per-platform stats across leaves (sums; utilization
         and mean level re-derived against the merged horizon/batch
         count).  Shard-qualified platform names never collide, but
@@ -486,7 +509,7 @@ class RouterReport:
                 final_level=max([0] + [stats.final_level for stats in rows]),
                 failed_batches=sum(stats.failed_batches for stats in rows),
             ))
-        return merged
+        return tuple(merged)
 
     # -- export ----------------------------------------------------------
     def to_dict(
@@ -544,16 +567,11 @@ class RouterReport:
     #: part of routing behaviour.
     _CACHE_KINDS = ("compile", "cache_hit")
 
-    def fingerprint(self) -> str:
-        """SHA-1 over the canonical JSON of every routing decision,
-        event and request record: two runs are bit-identical iff these
-        match.  Engine compile/cache-hit relays (and the raw sequence
-        numbers they shift) are excluded, so a warm engine cache does
-        not change the fingerprint -- only routing behaviour does.  The
-        bytes, those of the sorted compact ``json.dumps`` of the filtered
-        ``to_dict(include_events=True, include_requests=True)``, come
-        from :func:`repro.serving.canonical.write_report`; every call
-        renders."""
+    def _canonical_head(self) -> dict:
+        """The fingerprint's view of everything but the records and
+        events: ``to_dict(include_events=False)`` with the cache kinds'
+        event counts, the obs section's cache-sensitive parts and the
+        prewarm hit/miss split left out."""
         head = self.to_dict(include_events=False)
         head["event_counts"] = {
             kind: count
@@ -568,11 +586,29 @@ class RouterReport:
             head["obs"] = cache_neutral_obs_section(self.obs)
         if self.control is not None:
             head["control"] = cache_neutral_control_section(self.control)
-        payload = write_report(
-            head,
-            self.ledger.columns("completed"),
-            self.ledger.columns("rejected"),
-            self.ledger.event_rows(),
-            self._CACHE_KINDS,
-        )
-        return hashlib.sha1(payload.encode("ascii")).hexdigest()
+        return head
+
+    def fingerprint(self) -> str:
+        """SHA-1 over the canonical JSON of every routing decision,
+        event and request record: two runs are bit-identical iff these
+        match.  Engine compile/cache-hit relays (and the raw sequence
+        numbers they shift) are excluded, so a warm engine cache does
+        not change the fingerprint -- only routing behaviour does.  The
+        bytes, those of the sorted compact ``json.dumps`` of the filtered
+        ``to_dict(include_events=True, include_requests=True)``, come
+        from :func:`repro.serving.canonical.write_report`, and every
+        call writes them anew.  A merged report's ledger carries the
+        sections its merge assembled from the leaves' rows
+        (``Ledger.sections``), so its calls render only the head; every
+        other report renders its rows on every call."""
+        return _sha1(write_report(
+            self._canonical_head(), self.ledger, self._CACHE_KINDS
+        ))
+
+
+def _sha1(*pieces: str) -> str:
+    """SHA-1 of the concatenated ASCII ``pieces``, hashed in turn."""
+    digest = hashlib.sha1()
+    for piece in pieces:
+        digest.update(piece.encode("ascii"))
+    return digest.hexdigest()

@@ -60,7 +60,7 @@ columnar loop replaced is kept in the test suite
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.fleet import FleetManager
 from repro.core.framework import Deployment
@@ -420,25 +420,20 @@ class RequestRouter:
     # -- reporting --------------------------------------------------------
     def _platform_stats(
         self, states: Dict[str, PlatformState], horizon: float
-    ) -> List[PlatformStats]:
-        stats = []
-        for name in sorted(states):
-            state = states[name]
-            stats.append(
-                PlatformStats(
-                    platform=name,
-                    gpu=state.deployment.arch.name,
-                    batches=state.batches,
-                    requests=state.requests_served,
-                    busy_s=state.busy_s,
-                    utilization=(
-                        state.busy_s / horizon if horizon > 0 else 0.0
-                    ),
-                    energy_j=state.energy_j,
-                    mean_level=state.mean_level(),
-                    peak_level=state.controller.peak_level,
-                    final_level=state.controller.level,
-                    failed_batches=state.failed_batches,
-                )
+    ) -> Tuple[PlatformStats, ...]:
+        return tuple(
+            PlatformStats(
+                platform=name,
+                gpu=state.deployment.arch.name,
+                batches=state.batches,
+                requests=state.requests_served,
+                busy_s=state.busy_s,
+                utilization=state.busy_s / horizon if horizon > 0 else 0.0,
+                energy_j=state.energy_j,
+                mean_level=state.mean_level(),
+                peak_level=state.controller.peak_level,
+                final_level=state.controller.level,
+                failed_batches=state.failed_batches,
             )
-        return stats
+            for name, state in sorted(states.items())
+        )

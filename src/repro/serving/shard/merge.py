@@ -47,10 +47,10 @@ def qualify_report(report: RouterReport, shard_id: int) -> RouterReport:
     """
     return replace(
         report,
-        platforms=[
+        platforms=tuple(
             replace(stats, platform=shard_platform(shard_id, stats.platform))
             for stats in report.platforms
-        ],
+        ),
         ledger=report.ledger.renamed(partial(shard_platform, shard_id)),
     )
 
@@ -71,11 +71,7 @@ def strip_requests(report: RouterReport, rids: Iterable[int]) -> RouterReport:
     gone = set(rids)
     if not gone:
         return report
-    return replace(
-        report,
-        platforms=list(report.platforms),
-        ledger=report.ledger.without(gone),
-    )
+    return replace(report, ledger=report.ledger.without(gone))
 
 
 def stitch_spans(

@@ -246,16 +246,19 @@ class _Resilience:
 
 
 def _request_columns(cols: ArrivalColumns, rid: np.ndarray) -> dict:
-    """The request columns every record has, for rows ``rid``."""
+    """The request columns every record has, for rows ``rid``, as the
+    tuples a ledger holds (built here, as each list is made, rather
+    than copied when the ledger is: the collector then walks each
+    column once, as it walked the lists)."""
     tenants = np.array(cols.tenants, object)[cols.tenant_index[rid]]
     tenants = tenants.tolist()
     return {
-        "rid": rid.tolist(),
-        "tenant": [tenant.name for tenant in tenants],
-        "priority": [tenant.priority for tenant in tenants],
-        "tenant_obj": tenants,
-        "arrival_s": cols.arrivals[rid].tolist(),
-        "difficulty": cols.difficulty[rid].tolist(),
+        "rid": tuple(rid.tolist()),
+        "tenant": tuple([tenant.name for tenant in tenants]),
+        "priority": tuple([tenant.priority for tenant in tenants]),
+        "tenant_obj": tuple(tenants),
+        "arrival_s": tuple(cols.arrivals[rid].tolist()),
+        "difficulty": tuple(cols.difficulty[rid].tolist()),
     }
 
 
@@ -299,18 +302,18 @@ def _completed_columns(cols: ArrivalColumns, batches: List[tuple]) -> dict:
     soc_accuracy = soc_accuracy_vec(entropy, thr)
     columns = _request_columns(cols, rid)
     columns.update(
-        platform=per_request(1, object).tolist(),
-        level=per_request(2, object).tolist(),
-        batch=per_request(3, object).tolist(),
-        start_s=start.tolist(),
-        finish_s=finish.tolist(),
-        latency_s=runtime.tolist(),
-        deadline_hit=(finish <= cols.deadlines[rid]).tolist(),
-        entropy=entropy.tolist(),
-        soc=(soc_time * soc_accuracy / epi).tolist(),
-        soc_time=soc_time.tolist(),
-        soc_accuracy=soc_accuracy.tolist(),
-        energy_per_item_j=epi.tolist(),
+        platform=tuple(per_request(1, object).tolist()),
+        level=tuple(per_request(2, object).tolist()),
+        batch=tuple(per_request(3, object).tolist()),
+        start_s=tuple(start.tolist()),
+        finish_s=tuple(finish.tolist()),
+        latency_s=tuple(runtime.tolist()),
+        deadline_hit=tuple((finish <= cols.deadlines[rid]).tolist()),
+        entropy=tuple(entropy.tolist()),
+        soc=tuple((soc_time * soc_accuracy / epi).tolist()),
+        soc_time=tuple(soc_time.tolist()),
+        soc_accuracy=tuple(soc_accuracy.tolist()),
+        energy_per_item_j=tuple(epi.tolist()),
     )
     return columns
 
@@ -324,7 +327,7 @@ def _rejected_columns(cols: ArrivalColumns, rows: List[tuple]) -> dict:
     )
     rids, reasons = zip(*rejects) if rejects else ((), ())
     columns = _request_columns(cols, np.array(rids, np.int64))
-    columns["reason"] = list(reasons)
+    columns["reason"] = reasons
     return columns
 
 

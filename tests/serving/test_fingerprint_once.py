@@ -1,22 +1,29 @@
-"""A sharded run renders each report once; a shard result declares a
+"""A sharded run renders each record once; a shard result declares a
 fingerprint only where it can change hands.
 
-Two contracts keep ``storm_sharded``-style runs at three renders (the
-two qualified leaves as merge keys, then the merged report):
+Three contracts keep ``storm_sharded``-style runs at one render of
+each record (the two qualified leaves, cut, as merge keys; the merged
+report's fingerprint then renders only its head):
 
 * **a plain render** -- ``RouterReport.fingerprint`` keeps nothing on
   the report, so every call renders the report as it is: a report's
   fields cannot be assigned, a list read off it is a copy, and a
   ``dataclasses.replace`` copy or an unpickled report renders its own
   bytes;
+* **a merge carries what it assembled** -- ``RouterReport.merge``
+  renders each leaf once with its rows cut at their request-id slots,
+  and the merged ledger carries the sections assembled from those
+  rows (``Ledger.sections``), which every fingerprint of the merged
+  report writes as they are;
 * **declaration at the boundary** -- ``run_shard`` declares nothing;
   a ``ShardResult`` declares its report's fingerprint when pickled
   (the spawn pipe, a checkpoint file) and a fault plan's ``tamper``
   declares before it mutates, and ``validate_result`` recomputes only
   to compare against a declaration.
 
-Renders are counted with a shim on ``repro.serving.report.write_report``,
-the name ``fingerprint()`` looks up.
+Renders are counted with shims on ``repro.serving.report.write_report``
+and ``cut_report``, the names ``fingerprint()`` and ``merge`` look up,
+and rows with one on the canonical row renderer.
 """
 
 import dataclasses
@@ -26,6 +33,7 @@ import pickle
 
 import pytest
 
+import repro.serving.canonical as canonical_module
 import repro.serving.report as report_module
 import repro.serving.shard.coordinator as coordinator_module
 from repro.core import ApplicationSpec, TaskClass
@@ -57,15 +65,36 @@ _REQUIREMENT = TimeRequirement(imperceptible_s=0.1, unusable_s=0.5)
 
 @pytest.fixture
 def renders(monkeypatch):
-    """Every canonical render made while the test runs."""
+    """Every canonical render made while the test runs, as the name of
+    the writer called: ``write_report`` or ``cut_report``."""
     calls = []
-    write = report_module.write_report
 
-    def counting(*args):
-        calls.append(args)
-        return write(*args)
+    def counting(name):
+        write = getattr(report_module, name)
 
-    monkeypatch.setattr(report_module, "write_report", counting)
+        def counted(*args):
+            calls.append(name)
+            return write(*args)
+
+        monkeypatch.setattr(report_module, name, counted)
+
+    counting("write_report")
+    counting("cut_report")
+    return calls
+
+
+@pytest.fixture
+def rows(monkeypatch):
+    """Every shape of rows the canonical writer renders while the test
+    runs, as its ``cut`` flag."""
+    calls = []
+    render = canonical_module._ReportTexts.rows
+
+    def counted(texts, *args):
+        calls.append(args[-1])
+        return render(texts, *args)
+
+    monkeypatch.setattr(canonical_module._ReportTexts, "rows", counted)
     return calls
 
 
@@ -119,12 +148,20 @@ def clean_three():
 
 class TestRenderCounts:
     @pytest.mark.parametrize("name", ["two_shards", "two_shards_ewma"])
-    def test_inline_two_shard_run_renders_three_times(self, renders, name):
+    def test_inline_two_shard_run_renders_three_times(
+        self, renders, rows, name
+    ):
+        """Three renders, one of each record: the two qualified leaves,
+        cut, as merge keys, then the merged report's head, whose rows
+        its ledger carries from the leaves' cut rows."""
         outcome = SHARDED_SCENARIOS[name]()
-        # Two qualified leaves, rendered as merge keys.
-        assert len(renders) == 2
+        assert renders == ["cut_report", "cut_report"]
+        assert rows and all(rows)
+        del rows[:]
+        assert outcome.report.ledger.sections is not None
         assert outcome.report.fingerprint() == GOLDENS[name]["fingerprint"]
-        assert len(renders) == 3
+        assert renders == ["cut_report", "cut_report", "write_report"]
+        assert rows == []
 
 
 #: One change per report attribute, as ``dataclasses.replace``

@@ -405,9 +405,9 @@ class TestLedgerTransformsMatchOracle:
         renamed = ledger.renamed(rename)
         assert calls == Counter(dict.fromkeys(names, 1))
         assert names == {"K20c", "TX1"}
-        assert renamed.columns("completed")["platform"] == [
+        assert renamed.columns("completed")["platform"] == tuple(
             "s0/" + name for name in ledger.columns("completed")["platform"]
-        ]
+        )
 
     def test_orphan_rid_rejected(self):
         events = EventLog()

@@ -9,13 +9,19 @@ so a future unpicklable field fails here, not inside a worker
 traceback, and run both start methods against the inline run.
 """
 
+import json
 import multiprocessing
+import os
 import pickle
+import subprocess
+import sys
+from multiprocessing.context import BaseContext
 from unittest import mock
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core import ApplicationSpec, TaskClass
 from repro.core.satisfaction import TimeRequirement
 from repro.faults import (
@@ -31,6 +37,7 @@ from repro.resilience import (
     SupervisionReport,
     SupervisorConfig,
 )
+from repro.resilience.supervisor import _worker_context
 from repro.serving import (
     FleetCoordinator,
     FleetSpec,
@@ -291,3 +298,64 @@ class TestStartMethods:
         assert _failures(outcome) == _failures(inline) == [
             (1, 1, "crashed", ProcFaultPlan().crash_exit_code),
         ]
+
+
+#: Run in a fresh interpreter: import the modules named in argv[1] as a
+#: forkserver preloads them, then do what a forked worker does (import
+#: its entry, unpickle a spec, run it) and print every ``repro`` module
+#: that imported only then.
+_FIRST_RUN = """
+import importlib, json, pickle, sys
+for name in sys.argv[1].split(","):
+    importlib.import_module(name)
+before = set(sys.modules)
+from repro.core import ApplicationSpec, TaskClass
+from repro.core.satisfaction import TimeRequirement
+from repro.resilience.supervisor import _supervised_entry
+from repro.serving import FleetSpec, RouterConfig, Tenant, TenantLoad
+from repro.serving.shard import ShardSpec, run_shard
+from repro.workloads import bursty_trace
+spec = ShardSpec(
+    shard_id=0, n_shards=1,
+    fleet=FleetSpec(
+        network="alexnet",
+        spec=ApplicationSpec("a", TaskClass.INTERACTIVE, entropy_slack=0.3),
+        gpus=("k20c",), max_tuning_iterations=2,
+    ),
+    config=RouterConfig(),
+    loads=(TenantLoad(
+        Tenant("t", TimeRequirement(0.1, 0.5), priority=1),
+        bursty_trace(10, 25.0, seed=1),
+    ),),
+)
+run_shard(pickle.loads(pickle.dumps(spec)))
+print(json.dumps(sorted(
+    name for name in set(sys.modules) - before if name.startswith("repro")
+)))
+"""
+
+
+class TestPreload:
+    def test_a_worker_imports_nothing_the_server_did_not(self):
+        """The forkserver preloads the worker's module and the kernel
+        scorer tuning imports lazily, so a forked worker's first run
+        imports no ``repro`` module of its own."""
+        preloads = []
+        with mock.patch.object(
+            multiprocessing, "get_all_start_methods",
+            lambda: ["fork", "spawn", "forkserver"],
+        ), mock.patch.object(
+            BaseContext, "set_forkserver_preload",
+            lambda context, names: preloads.append(list(names)),
+        ):
+            _worker_context()
+        assert preloads == [
+            ["repro.serving.shard.worker", "repro.analysis.vec_score"]
+        ]
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        late = subprocess.run(
+            [sys.executable, "-c", _FIRST_RUN, ",".join(preloads[0])],
+            env=dict(os.environ, PYTHONPATH=src), check=True,
+            capture_output=True, text=True, timeout=300,
+        ).stdout
+        assert json.loads(late) == []
